@@ -24,8 +24,9 @@ from __future__ import annotations
 import itertools
 
 from .gamma import Gamma4Group
-from .gnk import GnkGroup, parse_subset_symbol, subset_symbol
-from .words import Alphabet, Word, word
+from .gnk import GnkGroup
+from .words import (Alphabet, Word, labels_text, state_alphabet, state_key,
+                    word_from_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -251,15 +252,47 @@ def _gamma_phase_pairs(n, i, anchor):
     return out
 
 
-def _gamma_phase(group: Gamma4Group, i, anchor, side):
-    """Empty-circle letters emitted while the mover i passes the anchor."""
-    n = group.n
-    quads = []
+def _phase_crossings(n, i, anchor, side):
+    """(z, quad) for each circle through the anchor that the mover i crosses
+    while passing it: z is the circle's static inside count, less one when
+    the mover starts inside (z = 0 means the circle is empty at the event),
+    and quad the flip letter with the mover adjacent to the anchor."""
     for p, q in _gamma_phase_pairs(n, i, anchor):
         count, mover_inside = _inside_data(n, i, anchor, p, q)
-        if (count == 1) if mover_inside else (count == 0):
-            quads.append(_insert_adjacent(sorted((p, q, anchor)), anchor, i, side))
-    return group.word_from_quads(quads)
+        yield (count - (1 if mover_inside else 0),
+               _insert_adjacent(sorted((p, q, anchor)), anchor, i, side))
+
+
+def _gamma_phase(group: Gamma4Group, i, anchor, side):
+    """Empty-circle letters emitted while the mover i passes the anchor."""
+    return group.word_from_quads(
+        quad for z, quad in _phase_crossings(group.n, i, anchor, side) if z == 0)
+
+
+def _gamma_walk(b: PureBraidWord, ncomp, component):
+    """Flip quads of the image of b, one list per component.
+
+    Each crossing of the walk in ``pb_to_gamma4`` goes to the component
+    ``component(z)`` names (None drops it).  Flip letters are involutions,
+    so an inverse phase or an inverse letter is its quad list reversed.
+    """
+    out = [[] for _ in range(ncomp)]
+    for (i, j), e in b.letters:
+        img = [[] for _ in range(ncomp)]
+        phases = ([(m, "after", 1) for m in range(i + 1, j + 1)]
+                  + [(j, "before", 1)]
+                  + [(m, "after", -1) for m in range(j - 1, i, -1)])
+        for anchor, side, sign in phases:
+            quads = [[] for _ in range(ncomp)]
+            for z, quad in _phase_crossings(b.n, i, anchor, side):
+                t = component(z)
+                if t is not None:
+                    quads[t].append(quad)
+            for acc, qs in zip(img, quads):
+                acc.extend(qs if sign == 1 else reversed(qs))
+        for acc, qs in zip(out, img):
+            acc.extend(qs if e == 1 else reversed(qs))
+    return out
 
 
 def pb_to_gamma4(b: PureBraidWord, group: Gamma4Group = None) -> Word:
@@ -273,16 +306,8 @@ def pb_to_gamma4(b: PureBraidWord, group: Gamma4Group = None) -> Word:
         raise ValueError("Gamma_n^4 needs n >= 4")
     if group is None:
         group = Gamma4Group(b.n)
-    out = Word(group.alphabet)
-    for (i, j), e in b.letters:
-        img = Word(group.alphabet)
-        for m in range(i + 1, j + 1):
-            img = img * _gamma_phase(group, i, m, "after")
-        img = img * _gamma_phase(group, i, j, "before")
-        for m in range(j - 1, i, -1):
-            img = img * _gamma_phase(group, i, m, "after").inverse()
-        out = out * (img if e == 1 else img.inverse())
-    return out
+    (quads,) = _gamma_walk(b, 1, lambda z: 0 if z == 0 else None)
+    return group.word_from_quads(quads)
 
 
 def pb_to_gamma4_graded(b: PureBraidWord, groups=None):
@@ -299,35 +324,8 @@ def pb_to_gamma4_graded(b: PureBraidWord, groups=None):
     ncomp = r // 2 + 1
     if groups is None:
         groups = [Gamma4Group(n) for _ in range(ncomp)]
-
-    def phase(i, anchor, side):
-        comps = [[] for _ in range(ncomp)]
-        for p, q in _gamma_phase_pairs(n, i, anchor):
-            count, mover_inside = _inside_data(n, i, anchor, p, q)
-            z = count - (1 if mover_inside else 0)
-            alpha = min(z % r, (-z) % r)
-            comps[alpha].append(
-                _insert_adjacent(sorted((p, q, anchor)), anchor, i, side))
-        return [groups[t].word_from_quads(c) for t, c in enumerate(comps)]
-
-    out = [Word(g.alphabet) for g in groups]
-
-    def mul(acc, ws, invert=False):
-        if invert:
-            ws = [w.inverse() for w in ws]
-        return [a * w for a, w in zip(acc, ws)]
-
-    for (i, j), e in b.letters:
-        img = [Word(g.alphabet) for g in groups]
-        for m in range(i + 1, j + 1):
-            img = mul(img, phase(i, m, "after"))
-        img = mul(img, phase(i, j, "before"))
-        for m in range(j - 1, i, -1):
-            img = mul(img, phase(i, m, "after"), invert=True)
-        if e == -1:
-            img = [w.inverse() for w in img]
-        out = mul(out, img)
-    return tuple(out)
+    comps = _gamma_walk(b, ncomp, lambda z: min(z % r, (-z) % r))
+    return tuple(g.word_from_quads(c) for g, c in zip(groups, comps))
 
 
 # ---------------------------------------------------------------------------
@@ -377,24 +375,23 @@ def phi_ijk(group: GnkGroup, w: Word, triple):
     if len({i, j, k}) != 3:
         raise ValueError("triple must have three distinct labels")
     others = [l for l in group.labels if l not in (i, j, k)]
-    names = ["s_" + ",".join("".join(str(b) for b in pair) for pair in combo)
-             for combo in itertools.product(
-                 tuple(itertools.product((0, 1), repeat=2)), repeat=len(others))]
-    target = Alphabet(sorted(set(names)), involutive=True)
+    target = state_alphabet(2 * len(others), lambda x: "s_" + ",".join(
+        labels_text(x[t:t + 2]) for t in range(0, len(x), 2)))
+    key = w.alphabet.key
     counts = {}
     out = []
     for sym, _ in w:
-        sub = tuple(sorted(parse_subset_symbol(sym)))
+        sub = key[sym]
         if sub == (i, j, k):
-            vals = []
+            bits = []
             for l in others:
                 njkl = counts.get(tuple(sorted((j, k, l))), 0)
                 nijl = counts.get(tuple(sorted((i, j, l))), 0)
                 nikl = counts.get(tuple(sorted((i, k, l))), 0)
-                vals.append(((njkl + nijl) % 2, (nikl + nijl) % 2))
-            out.append("s_" + ",".join("%d%d" % v for v in vals))
+                bits += [(njkl + nijl) % 2, (nikl + nijl) % 2]
+            out.append(state_key(bits))
         counts[sub] = counts.get(sub, 0) + 1
-    return word(target, out)
+    return word_from_keys(target, out)
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +399,11 @@ def phi_ijk(group: GnkGroup, w: Word, triple):
 
 
 def parity_symbol(i, j, eps):
-    i, j = min(i, j), max(i, j)
-    return "a_%d%d^%d" % (i, j, eps)
+    return "a_%s^%d" % (labels_text(sorted((i, j))), eps)
 
 
 def dotted_a_symbol(i, j):
-    i, j = min(i, j), max(i, j)
-    return "a_%d%d" % (i, j)
+    return "a_" + labels_text(sorted((i, j)))
 
 
 def tau_symbol(i):
@@ -416,69 +411,59 @@ def tau_symbol(i):
 
 
 class ParityGroup:
-    """G_n^2 with crossing parities: generators a_ij^eps, eps in {0,1}."""
+    """G_n^2 with crossing parities: generators a_ij^eps, eps in {0,1},
+    keyed ((i, j), eps)."""
 
     def __init__(self, labels):
         self.labels = tuple(sorted(labels))
-        syms = [parity_symbol(i, j, e)
-                for i, j in itertools.combinations(self.labels, 2)
-                for e in (0, 1)]
-        self.alphabet = Alphabet(syms, involutive=True)
+        self.alphabet = Alphabet({parity_symbol(i, j, e): ((i, j), e)
+                                  for i, j in itertools.combinations(self.labels, 2)
+                                  for e in (0, 1)})
 
     def word_from_letters(self, letters):
-        return word(self.alphabet,
-                    [parity_symbol(i, j, e) for (i, j), e in letters])
+        return word_from_keys(self.alphabet, ((tuple(sorted(ij)), e)
+                                              for ij, e in letters))
 
 
 class DottedGroup:
-    """G_n^2 with points: generators a_ij and strand points t_i."""
+    """G_n^2 with points: generators a_ij keyed (i, j) and strand points t_i
+    keyed by the label i."""
 
     def __init__(self, labels):
         self.labels = tuple(sorted(labels))
-        syms = [dotted_a_symbol(i, j)
-                for i, j in itertools.combinations(self.labels, 2)]
-        syms += [tau_symbol(i) for i in self.labels]
-        self.alphabet = Alphabet(syms, involutive=True)
-
-
-def parse_parity_symbol(sym):
-    body, eps = sym.split("^")
-    i, j = int(body[2]), int(body[3])
-    return (i, j), int(eps)
+        syms = {dotted_a_symbol(i, j): (i, j)
+                for i, j in itertools.combinations(self.labels, 2)}
+        syms.update((tau_symbol(i), i) for i in self.labels)
+        self.alphabet = Alphabet(syms)
 
 
 def iota(g2: GnkGroup, w: Word, target: ParityGroup = None) -> Word:
     """Embedding G_n^2 -> parity group: a_ij -> a_ij^0."""
     if target is None:
         target = ParityGroup(g2.labels)
-    out = [parity_symbol(*parse_subset_symbol(sym), 0) for sym, _ in w]
-    return word(target.alphabet, out)
+    key = w.alphabet.key
+    return target.word_from_letters((key[sym], 0) for sym, _ in w)
 
 
 def pr(pg: ParityGroup, w: Word, target: GnkGroup = None) -> Word:
     """Projection parity -> G_n^2: even letters survive, odd letters die."""
     if target is None:
         target = GnkGroup(len(pg.labels), 2, pg.labels)
-    out = []
-    for sym, _ in w:
-        (i, j), eps = parse_parity_symbol(sym)
-        if eps == 0:
-            out.append(subset_symbol((i, j)))
-    return word(target.alphabet, out)
+    key = w.alphabet.key
+    return target.word_from_subsets(
+        ij for ij, eps in (key[sym] for sym, _ in w) if eps == 0)
 
 
 def eta(pg: ParityGroup, w: Word, target: DottedGroup = None) -> Word:
     """Parity -> dotted: a_ij^0 -> a_ij, a_ij^1 -> t_i a_ij t_i."""
     if target is None:
         target = DottedGroup(pg.labels)
+    key = w.alphabet.key
     out = []
     for sym, _ in w:
-        (i, j), eps = parse_parity_symbol(sym)
-        if eps == 0:
-            out.append(dotted_a_symbol(i, j))
-        else:
-            out += [tau_symbol(i), dotted_a_symbol(i, j), tau_symbol(i)]
-    return word(target.alphabet, out)
+        (i, j), eps = key[sym]
+        out += [(i, j)] if eps == 0 else [i, (i, j), i]
+    return word_from_keys(target.alphabet, out)
 
 
 def chi(dg: DottedGroup, w: Word, target: ParityGroup = None) -> Word:
@@ -489,18 +474,20 @@ def chi(dg: DottedGroup, w: Word, target: ParityGroup = None) -> Word:
     """
     if target is None:
         target = ParityGroup(dg.labels)
+    key = w.alphabet.key
     ncount = {l: 0 for l in dg.labels}
     out = []
     for sym, _ in w:
-        if sym.startswith("t_"):
-            ncount[int(sym[2:])] += 1
+        k = key[sym]
+        if isinstance(k, int):
+            ncount[k] += 1
         else:
-            i, j = int(sym[2]), int(sym[3])
-            out.append(parity_symbol(i, j, (ncount[i] + ncount[j]) % 2))
+            i, j = k
+            out.append((k, (ncount[i] + ncount[j]) % 2))
     odd = [l for l, c in ncount.items() if c % 2]
     if odd:
         raise ValueError("chi needs even tau counts; odd at %r" % odd)
-    return word(target.alphabet, out)
+    return target.word_from_letters(out)
 
 
 def omega_m(g2: GnkGroup, w: Word, m: int, target: DottedGroup = None) -> Word:
@@ -511,14 +498,12 @@ def omega_m(g2: GnkGroup, w: Word, m: int, target: DottedGroup = None) -> Word:
     rest = tuple(l for l in g2.labels if l != m)
     if target is None:
         target = DottedGroup(rest)
+    key = w.alphabet.key
     out = []
     for sym, _ in w:
-        i, j = parse_subset_symbol(sym)
-        if m == i or m == j:
-            out.append(tau_symbol(j if m == i else i))
-        else:
-            out.append(dotted_a_symbol(i, j))
-    return word(target.alphabet, out)
+        i, j = key[sym]
+        out.append(j if m == i else i if m == j else (i, j))
+    return word_from_keys(target.alphabet, out)
 
 
 def kappa(dg: DottedGroup, w: Word, new_label: int = None):
@@ -528,12 +513,9 @@ def kappa(dg: DottedGroup, w: Word, new_label: int = None):
         new_label = max(dg.labels) + 1
     labels = dg.labels + (new_label,)
     target = GnkGroup(len(labels), 2, labels)
-    letters = []
-    for sym, _ in w:
-        if sym.startswith("t_"):
-            letters.append(tuple(sorted((int(sym[2:]), new_label))))
-        else:
-            letters.append((int(sym[2]), int(sym[3])))
+    key = w.alphabet.key
+    letters = [tuple(sorted((k, new_label))) if isinstance(k, int) else k
+               for k in (key[sym] for sym, _ in w)]
     changed = True
     while changed:
         changed = False
@@ -561,26 +543,20 @@ def w_parity(pg: ParityGroup, w: Word, pair):
     """
     i, j = sorted(pair)
     others = [l for l in pg.labels if l not in (i, j)]
-    names = ["z_" + "".join(str(b) for b in bits)
-             for bits in itertools.product((0, 1), repeat=len(others))]
-    target = Alphabet(names, involutive=True)
+    target = state_alphabet(len(others), lambda x: "z_" + labels_text(x))
+    key = w.alphabet.key
     counts = {}
     out = []
     for sym, _ in w:
-        (a, b), eps = parse_parity_symbol(sym)
-        if (a, b) == (i, j):
-            bits = []
-            for k in others:
-                n_ik0 = counts.get((tuple(sorted((i, k))), 0), 0)
-                n_jk0 = counts.get((tuple(sorted((j, k))), 0), 0)
-                n_jk1 = counts.get((tuple(sorted((j, k))), 1), 0)
-                if eps == 0:
-                    bits.append((n_ik0 + n_jk0) % 2)
-                else:
-                    bits.append((n_ik0 + n_jk1) % 2)
-            out.append("z_" + "".join(str(b) for b in bits))
-        counts[((a, b), eps)] = counts.get(((a, b), eps), 0) + 1
-    return word(target, out)
+        k = key[sym]
+        ij, eps = k
+        if ij == (i, j):
+            out.append(state_key(
+                (counts.get((tuple(sorted((i, l))), 0), 0)
+                 + counts.get((tuple(sorted((j, l))), eps), 0)) % 2
+                for l in others))
+        counts[k] = counts.get(k, 0) + 1
+    return word_from_keys(target, out)
 
 
 def phi_parity(g2: GnkGroup, w: Word, m: int, pair):
@@ -597,9 +573,7 @@ def r_m(group: GnkGroup, w: Word, m: int, target: GnkGroup = None) -> Word:
     rest = tuple(l for l in group.labels if l != m)
     if target is None:
         target = GnkGroup(len(rest), 2, rest)
-    out = []
-    for sym, _ in w:
-        triple = parse_subset_symbol(sym)
-        if m in triple:
-            out.append(subset_symbol(tuple(x for x in triple if x != m)))
-    return word(target.alphabet, out)
+    key = w.alphabet.key
+    return target.word_from_subsets(
+        tuple(x for x in t if x != m)
+        for t in (key[sym] for sym, _ in w) if m in t)

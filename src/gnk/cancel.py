@@ -15,42 +15,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .words import Alphabet, Word
+from .words import (Alphabet, Word, cyclic_reduce, inverse_letters,
+                    reduce_letters)
 
 
 class PresentationNotC16(Exception):
     """dehn_reduce demands a verified C'(1/6) presentation."""
-
-
-def _inv_letter(alphabet, letter):
-    s, e = letter
-    return (s, 1 if alphabet.is_involutive(s) else -e)
-
-
-def _invert(alphabet, letters):
-    return tuple(_inv_letter(alphabet, l) for l in reversed(letters))
-
-
-def _free_reduce(alphabet, letters):
-    out = []
-    for s, e in letters:
-        if out and out[-1][0] == s and (alphabet.is_involutive(s)
-                                        or out[-1][1] == -e):
-            out.pop()
-        else:
-            out.append((s, e))
-    return tuple(out)
-
-
-def _cyclic_reduce(alphabet, letters):
-    letters = list(_free_reduce(alphabet, letters))
-    while len(letters) >= 2:
-        a, b = letters[0], letters[-1]
-        if a[0] == b[0] and (alphabet.is_involutive(a[0]) or a[1] == -b[1]):
-            letters = list(_free_reduce(alphabet, letters[1:-1]))
-        else:
-            break
-    return tuple(letters)
 
 
 class SymmetrisedSet:
@@ -60,10 +30,10 @@ class SymmetrisedSet:
         self.alphabet = alphabet
         elems = set()
         for r in relators:
-            letters = _cyclic_reduce(alphabet, tuple(r))
+            letters = cyclic_reduce(alphabet, reduce_letters(alphabet, r))
             if not letters:
                 raise ValueError("relator is cyclically trivial")
-            for base in (letters, _invert(alphabet, letters)):
+            for base in (letters, inverse_letters(alphabet, letters)):
                 n = len(base)
                 for t in range(n):
                     elems.add(base[t:] + base[:t])
@@ -78,10 +48,6 @@ class SymmetrisedSet:
 
 def symmetrise(alphabet: Alphabet, relators) -> SymmetrisedSet:
     return SymmetrisedSet(alphabet, relators)
-
-
-def word_letters(w: Word):
-    return tuple(w.letters)
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +148,10 @@ def check_tq(R: SymmetrisedSet, q: int) -> bool:
         ui = index[u]
         last = u[-1]
         for v in elems:
-            if v == tuple(_invert(alphabet, u)):
+            if v == inverse_letters(alphabet, u):
                 continue
             first = v[0]
-            if last[0] == first[0] and (alphabet.is_involutive(last[0])
+            if last[0] == first[0] and (alphabet.involutive
                                         or last[1] == -first[1]):
                 succ[ui].append(index[v])
     # closed walks of length l in the cancellation graph
@@ -212,17 +178,11 @@ def check_tq(R: SymmetrisedSet, q: int) -> bool:
 
 
 def to_syllables(alphabet, letters):
+    """Run-length encoding of the free reduction of ``letters``."""
     out = []
-    for s, e in letters:
-        if out and out[-1][0] == s and not alphabet.is_involutive(s):
-            sym, exp = out[-1]
-            exp2 = exp + e
-            if exp2 == 0:
-                out.pop()
-            else:
-                out[-1] = (sym, exp2)
-        elif out and out[-1][0] == s and alphabet.is_involutive(s):
-            out.pop()
+    for s, e in reduce_letters(alphabet, letters):
+        if out and out[-1][0] == s:       # reduced: equal neighbours agree in sign
+            out[-1] = (s, out[-1][1] + e)
         else:
             out.append((s, e))
     return out
@@ -281,12 +241,12 @@ def _syllable_cyclic_reduce(alphabet, sylls):
     def push(sym, exp):
         if exp == 0:
             return
-        if alphabet.is_involutive(sym):
+        if alphabet.involutive:
             exp = abs(exp) % 2
             if exp == 0:
                 return
         if out and out[-1][0] == sym:
-            if alphabet.is_involutive(sym):
+            if alphabet.involutive:
                 out.pop()
                 return
             merged = out[-1][1] + exp
@@ -300,7 +260,7 @@ def _syllable_cyclic_reduce(alphabet, sylls):
     # cyclic seam
     while len(out) >= 2 and out[0][0] == out[-1][0]:
         sym = out[0][0]
-        if alphabet.is_involutive(sym):
+        if alphabet.involutive:
             out = out[1:-1]
             continue
         merged = out[0][1] + out[-1][1]
@@ -331,7 +291,7 @@ def dehn_reduce_syllables(alphabet: Alphabet, sylls, R: SymmetrisedSet,
         trace.max_overlap_at_fixpoint = length
         if rel is None or length <= len(rel) // 2:
             break
-        replacement = _invert(alphabet, rel[length:])
+        replacement = inverse_letters(alphabet, rel[length:])
         flat = from_syllables(sylls)
         n = len(flat)
         doubled = flat + flat

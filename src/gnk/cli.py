@@ -32,11 +32,16 @@ def _read(path):
         return fh.read()
 
 
-def cmd_reduce(args):
-    text = _read(args.path)
+def _token_alphabet(text, involutive):
+    """Alphabet of the sorted distinct symbols of a word text."""
     tokens = {tok[:-3] if tok.endswith("^-1") else tok
               for tok in text.split() if tok != "1"}
-    alphabet = Alphabet(sorted(tokens), involutive=not args.free)
+    return Alphabet(sorted(tokens), involutive=involutive)
+
+
+def cmd_reduce(args):
+    text = _read(args.path)
+    alphabet = _token_alphabet(text, involutive=not args.free)
     w = parse_word(alphabet, text)
     _emit(args, {"word": format_word(w) or "1", "length": len(w)})
     return 0
@@ -187,21 +192,17 @@ def cmd_fliplab(args):
 
 
 def cmd_cancel(args):
-    relator_text = _read(args.presentation).splitlines()
-    tokens = set()
-    for line in relator_text:
-        for tok in line.split():
-            tokens.add(tok[:-3] if tok.endswith("^-1") else tok)
-    alphabet = Alphabet(sorted(tokens), involutive=False)
+    text = _read(args.presentation)
+    alphabet = _token_alphabet(text, involutive=False)
     relators = [parse_word(alphabet, line).letters
-                for line in relator_text if line.strip()]
+                for line in text.splitlines() if line.strip()]
     R = cancel.symmetrise(alphabet, relators)
     if args.mode == "check":
         lam = Fraction(args.lam)
         holds, witness = cancel.check_metric_condition(R, lam)
         _emit(args, {"symmetrised": len(R), "lambda": str(lam),
                      "holds": holds,
-                     "witness": format_word_letters(witness[0]) if witness else None})
+                     "witness": format_word(witness[0]) if witness else None})
         return 0
     if args.mode == "dehn":
         w = parse_word(alphabet, _read(args.word))
@@ -218,10 +219,6 @@ def cmd_cancel(args):
         return 0
     print("error: unknown cancel mode", file=sys.stderr)
     return 2
-
-
-def format_word_letters(letters):
-    return " ".join(s if e == 1 else s + "^-1" for s, e in letters)
 
 
 def cmd_brunnian(args):

@@ -229,41 +229,29 @@ class LabeledTriangulation:
         q = next(v for v in ts[1] if v not in (a, b))
         return a, b, p, q
 
-    def ptolemy_flip(self, e):
-        """Flip the diagonal e; the new diagonal label is (ac + bd) / x with
-        a, b, c, d the quadrilateral boundary labels in cyclic order."""
+    def _flip(self, e, exchange):
+        """Flip the diagonal e; the new diagonal's label is
+        exchange(x, a, b, c, d), with x the old diagonal's label and a, b,
+        c, d the quadrilateral boundary labels in cyclic order."""
         a, b, p, q = self.flip_quad(e)
-        x = self.labels[tuple(sorted((a, b)))]
-        # boundary in cyclic order p a q b: edges (p,a), (a,q), (q,b), (b,p)
-        la = self.labels[tuple(sorted((p, a)))]
-        lb = self.labels[tuple(sorted((a, q)))]
-        lc = self.labels[tuple(sorted((q, b)))]
-        ld = self.labels[tuple(sorted((b, p)))]
-        y = (la * lc + lb * ld) / x
         labels = dict(self.labels)
-        del labels[tuple(sorted((a, b)))]
-        labels[tuple(sorted((p, q)))] = y
+        x = labels.pop(tuple(sorted((a, b))))
+        # boundary in cyclic order p a q b: edges (p,a), (a,q), (q,b), (b,p)
+        boundary = [self.labels[tuple(sorted(uv))]
+                    for uv in ((p, a), (a, q), (q, b), (b, p))]
+        labels[tuple(sorted((p, q)))] = exchange(x, *boundary)
         triangles = set(self.triangles)
         triangles -= {tuple(sorted((a, b, p))), tuple(sorted((a, b, q)))}
         triangles |= {tuple(sorted((p, q, a))), tuple(sorted((p, q, b)))}
         return LabeledTriangulation(triangles, labels)
 
+    def ptolemy_flip(self, e):
+        """Flip the diagonal e; the new diagonal label is (ac + bd) / x."""
+        return self._flip(e, lambda x, a, b, c, d: (a * c + b * d) / x)
+
     def tropical_flip(self, e):
         """Same flip with rational-number labels under x + y = max(a+c, b+d)."""
-        a, b, p, q = self.flip_quad(e)
-        x = self.labels[tuple(sorted((a, b)))]
-        la = self.labels[tuple(sorted((p, a)))]
-        lb = self.labels[tuple(sorted((a, q)))]
-        lc = self.labels[tuple(sorted((q, b)))]
-        ld = self.labels[tuple(sorted((b, p)))]
-        y = max(la + lc, lb + ld) - x
-        labels = dict(self.labels)
-        del labels[tuple(sorted((a, b)))]
-        labels[tuple(sorted((p, q)))] = y
-        triangles = set(self.triangles)
-        triangles -= {tuple(sorted((a, b, p))), tuple(sorted((a, b, q)))}
-        triangles |= {tuple(sorted((p, q, a))), tuple(sorted((p, q, b)))}
-        return LabeledTriangulation(triangles, labels)
+        return self._flip(e, lambda x, a, b, c, d: max(a + c, b + d) - x)
 
     def labels_equal(self, other) -> bool:
         if self.triangles != other.triangles:
@@ -334,10 +322,6 @@ def orbit_replay():
         created[tuple(sorted((p, q)))] = cur.labels[tuple(sorted((p, q)))]
         stages.append(cur)
     return stages, created
-
-
-def _interior_edges(tri: LabeledTriangulation):
-    return [e for e in tri.labels if len(tri.edge_triangles(e)) == 2]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from math import gcd
 
 import numpy as np
 
-from .words import Alphabet, CyclicWord, Word, word
+from .words import Alphabet, CyclicWord, Word, labels_text, word_from_keys
 
 
 # ---------------------------------------------------------------------------
@@ -43,17 +43,7 @@ def dihedral_canonical(quad):
 
 
 def d_symbol(quad) -> str:
-    c = dihedral_canonical(quad)
-    if max(c) <= 9:
-        return "d_" + "".join(str(i) for i in c)
-    return "d_{" + ",".join(str(i) for i in c) + "}"
-
-
-def parse_d_symbol(sym: str):
-    body = sym.split("_", 1)[1]
-    if body.startswith("{"):
-        return tuple(int(t) for t in body[1:-1].split(","))
-    return tuple(int(ch) for ch in body)
+    return "d_" + labels_text(dihedral_canonical(quad))
 
 
 class Gamma4Group:
@@ -67,26 +57,25 @@ class Gamma4Group:
             raise ValueError("need n >= 4 labels")
         self.n = n
         self.labels = labels
-        syms = []
-        for four in itertools.combinations(labels, 4):
-            a, b, c, d = four
-            # three dihedral classes per 4-subset
-            for quad in ((a, b, c, d), (a, b, d, c), (a, c, b, d)):
-                syms.append(d_symbol(quad))
-        self.alphabet = Alphabet(syms, involutive=True)
+        # three dihedral classes per 4-subset, keyed by their least quads
+        self.alphabet = Alphabet({
+            d_symbol(quad): quad
+            for a, b, c, d in itertools.combinations(labels, 4)
+            for quad in ((a, b, c, d), (a, b, d, c), (a, c, b, d))})
 
     def generator(self, quad) -> Word:
-        return word(self.alphabet, [d_symbol(quad)])
+        return self.word_from_quads([quad])
 
     def word_from_quads(self, quads) -> Word:
-        return word(self.alphabet, [d_symbol(q) for q in quads])
+        return word_from_keys(self.alphabet,
+                              (dihedral_canonical(q) for q in quads))
 
 
 def gamma4_presentation(n: int):
     """Relators of Gamma_n^4: involutions, far commutativity (|∩|<3), pentagons."""
     g = Gamma4Group(n)
     rels = []
-    quads = [parse_d_symbol(s) for s in g.alphabet.symbols]
+    quads = list(g.alphabet.symbol)
     for q in quads:
         rels.append(CyclicWord(g.generator(q) * g.generator(q)))
     for q1, q2 in itertools.combinations(quads, 2):
@@ -112,28 +101,7 @@ def gamma4_presentation(n: int):
 
 
 def pq_symbol(P, Q) -> str:
-    P = tuple(sorted(P))
-    Q = tuple(sorted(Q))
-    def fmt(S):
-        if S and max(S) <= 9:
-            return "".join(str(i) for i in S)
-        return "{" + ",".join(str(i) for i in S) + "}"
-    return "a_%s,%s" % (fmt(P), fmt(Q))
-
-
-def parse_pq_symbol(sym: str):
-    body = sym.split("_", 1)[1]
-    left, right = body.split(",", 1) if "}" not in body else (None, None)
-    if left is None:
-        # braced form {..},{..}
-        lb = body.index("}")
-        left, right = body[:lb + 1], body[lb + 2:]
-        P = tuple(int(t) for t in left[1:-1].split(","))
-        Q = tuple(int(t) for t in right[1:-1].split(","))
-    else:
-        P = tuple(int(ch) for ch in left)
-        Q = tuple(int(ch) for ch in right)
-    return P, Q
+    return "a_%s,%s" % (labels_text(sorted(P)), labels_text(sorted(Q)))
 
 
 class GammaGroup:
@@ -152,23 +120,22 @@ class GammaGroup:
         self.n = n
         self.k = k
         self.labels = labels
-        syms = []
         self.splits = []
         for kset in itertools.combinations(labels, k):
             for psz in range(2, k - 1):
                 for P in itertools.combinations(kset, psz):
                     Q = tuple(x for x in kset if x not in P)
                     if min(P) < min(Q):
-                        syms.append(pq_symbol(P, Q))
                         self.splits.append((P, Q))
-        self.alphabet = Alphabet(syms, involutive=False)
+        self.alphabet = Alphabet({pq_symbol(P, Q): (P, Q)
+                                  for P, Q in self.splits}, involutive=False)
 
     def letter(self, P, Q):
         """(symbol, sign) for a_{P,Q}, normalising inverses."""
         P, Q = tuple(sorted(P)), tuple(sorted(Q))
         if min(P) < min(Q):
-            return (pq_symbol(P, Q), 1)
-        return (pq_symbol(Q, P), -1)
+            return (self.alphabet.symbol[P, Q], 1)
+        return (self.alphabet.symbol[Q, P], -1)
 
     def word_from_pairs(self, pairs) -> Word:
         return Word(self.alphabet, [self.letter(P, Q) for P, Q in pairs])

@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .gamma import Gamma4Group, dihedral_canonical
 from .gnk import GnkGroup
-from .words import Word
 
 
 class DegenerateTrajectory(Exception):
@@ -635,11 +634,6 @@ def delaunay(points):
     if not tris:
         raise DegenerateConfiguration("no triangles: all points collinear?")
     return tris
-
-
-def delaunay_flip_difference(t1, t2):
-    """The symmetric difference of two triangulations, as triangle sets."""
-    return t1 ^ t2
 
 
 # ---------------------------------------------------------------------------

@@ -18,22 +18,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .words import Alphabet, CyclicWord, Word, word
+from .words import (Alphabet, CyclicWord, Word, labels_text, state_alphabet,
+                    state_key, word_from_keys)
 
 
 def subset_symbol(m) -> str:
     """Generator token for a k-subset: a_123 for labels <= 9, else a_{10,11,...}."""
-    m = tuple(sorted(m))
-    if m and m[-1] <= 9:
-        return "a_" + "".join(str(i) for i in m)
-    return "a_{" + ",".join(str(i) for i in m) + "}"
-
-
-def parse_subset_symbol(sym: str):
-    body = sym.split("_", 1)[1]
-    if body.startswith("{"):
-        return tuple(int(t) for t in body[1:-1].split(","))
-    return tuple(int(ch) for ch in body)
+    return "a_" + labels_text(sorted(m))
 
 
 class GnkGroup:
@@ -51,14 +42,15 @@ class GnkGroup:
         self.k = k
         self.labels = labels
         self.subsets = list(itertools.combinations(labels, k))
-        self.alphabet = Alphabet([subset_symbol(m) for m in self.subsets],
-                                 involutive=True)
+        self.alphabet = Alphabet({subset_symbol(m): m for m in self.subsets})
 
     def generator(self, m) -> Word:
-        return word(self.alphabet, [subset_symbol(m)])
+        # not via word_from_subsets, whose calls perfbench counts as
+        # tetrahedron candidates
+        return word_from_keys(self.alphabet, [tuple(sorted(m))])
 
     def word_from_subsets(self, subsets) -> Word:
-        return word(self.alphabet, [subset_symbol(m) for m in subsets])
+        return word_from_keys(self.alphabet, (tuple(sorted(m)) for m in subsets))
 
     def __repr__(self):
         return "GnkGroup(n=%d, k=%d)" % (self.n, self.k)
@@ -125,15 +117,20 @@ def relators(n: int, k: int) -> GnkPresentation:
 # structural homomorphisms
 
 
-def _relabel_word(src: GnkGroup, dst: GnkGroup, w: Word, image) -> Word:
-    """Map a word letterwise; ``image(m)`` returns a dst subset or None."""
-    out = []
-    for sym, _ in w:
-        m = parse_subset_symbol(sym)
-        m2 = image(m)
-        if m2 is not None:
-            out.append(subset_symbol(m2))
-    return word(dst.alphabet, out)
+def _strand_map(group: GnkGroup, w: Word, l: int, renumber: bool,
+                forget: bool):
+    """Drop label l: keep the letters a_m with l in m as a_{m minus l}
+    (``forget``) or those with l not in m unchanged; labels above l shift
+    down by one when ``renumber``."""
+    if l not in group.labels:
+        raise ValueError("label %r not in group" % (l,))
+    shift = (lambda x: x - 1 if x > l else x) if renumber else (lambda x: x)
+    dst = GnkGroup(group.n - 1, group.k - 1 if forget else group.k,
+                   tuple(shift(x) for x in group.labels if x != l))
+    key = w.alphabet.key
+    images = [tuple(shift(x) for x in m if x != l)
+              for m in (key[sym] for sym, _ in w) if (l in m) == forget]
+    return dst.word_from_subsets(images), dst
 
 
 def forget_index(group: GnkGroup, w: Word, l: int,
@@ -143,45 +140,13 @@ def forget_index(group: GnkGroup, w: Word, l: int,
     a_m -> 1 when l not in m, else a_{m minus l}; labels above l shift down
     by one when ``renumber`` (the default).
     """
-    if l not in group.labels:
-        raise ValueError("label %r not in group" % (l,))
-    if renumber:
-        new_labels = tuple(x if x < l else x - 1
-                           for x in group.labels if x != l)
-        shift = lambda x: x if x < l else x - 1
-    else:
-        new_labels = tuple(x for x in group.labels if x != l)
-        shift = lambda x: x
-    dst = GnkGroup(group.n - 1, group.k - 1, new_labels)
-
-    def image(m):
-        if l not in m:
-            return None
-        return tuple(sorted(shift(x) for x in m if x != l))
-
-    return _relabel_word(group, dst, w, image), dst
+    return _strand_map(group, w, l, renumber, forget=True)
 
 
 def delete_strand(group: GnkGroup, w: Word, j: int,
                   renumber: bool = True) -> Word:
     """Strand-deletion homomorphism G_n^k -> G_{n-1}^k: kill a_m with j in m."""
-    if j not in group.labels:
-        raise ValueError("label %r not in group" % (j,))
-    if renumber:
-        new_labels = tuple(x if x < j else x - 1
-                           for x in group.labels if x != j)
-        shift = lambda x: x if x < j else x - 1
-    else:
-        new_labels = tuple(x for x in group.labels if x != j)
-        shift = lambda x: x
-    dst = GnkGroup(group.n - 1, group.k, new_labels)
-
-    def image(m):
-        if j in m:
-            return None
-        return tuple(sorted(shift(x) for x in m))
-
-    return _relabel_word(group, dst, w, image), dst
+    return _strand_map(group, w, j, renumber, forget=False)
 
 
 def is_even(w: Word) -> bool:
@@ -215,12 +180,8 @@ class MNContext:
         self.coords = [(p, i) for p in self.complement
                        for i in range(1, group.k)]
         self.coord_index = {pi: t for t, pi in enumerate(self.coords)}
-        names = ["f_" + "".join(str(b) for b in x) for x in
-                 itertools.product((0, 1), repeat=self.dim)]
-        self.target_alphabet = Alphabet(names, involutive=True)
-
-    def f_symbol(self, x) -> str:
-        return "f_" + "".join(str(b) for b in x)
+        self.target_alphabet = state_alphabet(
+            self.dim, lambda x: "f_" + labels_text(x))
 
     def psi(self, subset) -> tuple:
         """psi of a single generator a_subset, as a Z_2 vector."""
@@ -241,8 +202,9 @@ class MNContext:
 
     def psi_word(self, w: Word) -> tuple:
         vec = [0] * self.dim
+        key = w.alphabet.key
         for sym, _ in w:
-            for t, b in enumerate(self.psi(parse_subset_symbol(sym))):
+            for t, b in enumerate(self.psi(key[sym])):
                 vec[t] ^= b
         return tuple(vec)
 
@@ -261,16 +223,17 @@ def mn_invariant(group: GnkGroup, w: Word, m, ctx: MNContext = None,
         ctx = MNContext(group, m)
     m = ctx.m
     x = list(start) if start is not None else [0] * ctx.dim
+    key = w.alphabet.key
     emitted = []
     for sym, _ in reversed(w.letters):
-        subset = tuple(sorted(parse_subset_symbol(sym)))
+        subset = key[sym]
         if subset == m:
-            emitted.append(tuple(x))
+            emitted.append(state_key(x))
         else:
             for t, b in enumerate(ctx.psi(subset)):
                 x[t] ^= b
     emitted.reverse()
-    return word(ctx.target_alphabet, [ctx.f_symbol(v) for v in emitted])
+    return word_from_keys(ctx.target_alphabet, emitted)
 
 
 def z_ij(ctx: MNContext, i: int, j: int) -> tuple:
@@ -286,11 +249,10 @@ def z_ij(ctx: MNContext, i: int, j: int) -> tuple:
 
 def mn_value_support(value: Word):
     """Z_2[Z] projection of an MN value: the set of odd-count states."""
-    counts = {}
-    for sym, _ in value:
-        counts[sym] = counts.get(sym, 0) + 1
-    return {tuple(int(b) for b in sym.split("_", 1)[1])
-            for sym, c in counts.items() if c % 2 == 1}
+    key = value.alphabet.key
+    dim = len(value.alphabet).bit_length() - 1
+    return {tuple(key[sym] >> t & 1 for t in range(dim - 1, -1, -1))
+            for sym, c in value.symbol_counts().items() if c % 2 == 1}
 
 
 def coset_overlap_bound(ctx: MNContext, support) -> Fraction:
@@ -337,11 +299,9 @@ class Gk1kContext:
         self.k = k
         self.group = GnkGroup(k + 1, k)
         self.subsets = self.group.subsets          # already lex sorted
-        self.b_index = {subset_symbol(m): j + 1
-                        for j, m in enumerate(self.subsets)}
-        names = ["c_" + "".join(str(b) for b in x)
-                 for x in itertools.product((0, 1), repeat=k - 1)]
-        self.f_alphabet = Alphabet(names, involutive=True)
+        self.b_index = {sym: j + 1
+                        for j, sym in enumerate(self.group.alphabet.symbols)}
+        self.f_alphabet = state_alphabet(k - 1, lambda x: "c_" + labels_text(x))
 
     def b_word(self, js) -> Word:
         return self.group.word_from_subsets([self.subsets[j - 1] for j in js])
@@ -365,9 +325,9 @@ def index_word_to_F(ctx: Gk1kContext, w: Word) -> Word:
             s = [counts[t] % 2 for t in range(1, k + 1)]
             if s[-1] == 1:
                 s = [1 - b for b in s]
-            out.append("c_" + "".join(str(b) for b in s[:-1]))
+            out.append(state_key(s[:-1]))
         counts[j] += 1
-    return word(ctx.f_alphabet, out)
+    return word_from_keys(ctx.f_alphabet, out)
 
 
 def _reduce_involutive(seq):
@@ -456,7 +416,7 @@ def bigon_reduce_g2(group: GnkGroup, w: Word) -> Word:
     """
     if group.k != 2:
         raise ValueError("bigon reduction applies to k = 2 only")
-    letters = [parse_subset_symbol(sym) for sym, _ in w]
+    letters = [w.alphabet.key[sym] for sym, _ in w]
     changed = True
     while changed:
         changed = False

@@ -2,12 +2,17 @@
 
 Everything downstream (group elements, relators, invariant values) is a
 ``Word``: a freely reduced sequence of signed letters over an ``Alphabet``.
-Alphabets may declare symbols involutive (g^2 = 1); involutive letters are
-stored with sign +1 and adjacent equal involutive letters cancel, so the
+An alphabet is either involutive (every g^2 = 1) or free; involutive letters
+are stored with sign +1 and adjacent equal involutive letters cancel, so the
 square relation is structural rather than a rewrite rule.
 
 Free products of Z_2 (all-involutive alphabets) therefore have a unique
 normal form: two words are equal in the group iff they are letter-identical.
+
+An alphabet is also the codec between symbol names and the index sets the
+maps work on: each symbol has one key (a subset, a quad, a split, ...), and
+maps read ``alphabet.key[symbol]`` and write ``alphabet.symbol[key]``, so
+names are only formatted when an alphabet is built.
 
 Text grammar: whitespace-separated tokens, ``^-1`` suffix for an inverse,
 e.g. ``a_123 a_234^-1``.  Parsing and printing round-trip exactly.
@@ -15,6 +20,7 @@ e.g. ``a_123 a_234^-1``.  Parsing and printing round-trip exactly.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Tuple
 
 
@@ -22,55 +28,76 @@ class UnknownSymbolError(KeyError):
     """A letter does not belong to the word's alphabet."""
 
 
-class Alphabet:
-    """Finite ordered set of generator names, each optionally involutive.
+def labels_text(labels) -> str:
+    """Label run of a symbol name: ``123`` when every label is <= 9, else
+    ``{1,10,11}``."""
+    if all(x <= 9 for x in labels):
+        return "".join(str(x) for x in labels)
+    return "{" + ",".join(str(x) for x in labels) + "}"
 
-    The declared order of symbols is the canonical symbol order used for
-    cyclic-word canonicalization and deterministic sorting.
+
+class Alphabet:
+    """Finite ordered set of generator names, all involutive or all free.
+
+    ``symbols`` lists the names, or maps each name to its key.  A plain list
+    keys each symbol by its position, so ``key`` and ``symbol`` are then the
+    existing ``index`` and ``symbols`` tables.  The declared order of symbols
+    is the canonical symbol order used for cyclic-word canonicalization and
+    deterministic sorting.
     """
 
-    def __init__(self, symbols: Iterable[str], involutive=True):
+    def __init__(self, symbols, involutive=True):
         self.symbols = tuple(symbols)
-        if len(set(self.symbols)) != len(self.symbols):
-            raise ValueError("duplicate symbol names")
-        if isinstance(involutive, bool):
-            self._invol = {s: involutive for s in self.symbols}
-        else:
-            inv = set(involutive)
-            self._invol = {s: (s in inv) for s in self.symbols}
         self.index = {s: i for i, s in enumerate(self.symbols)}
+        if len(self.index) != len(self.symbols):
+            raise ValueError("duplicate symbol names")
+        self.involutive = bool(involutive)
+        if isinstance(symbols, dict):
+            self.key = dict(symbols)
+            self.symbol = {k: s for s, k in symbols.items()}
+            if len(self.symbol) != len(self.symbols):
+                raise ValueError("duplicate symbol keys")
+        else:
+            self.key = self.index
+            self.symbol = self.symbols
 
     def is_involutive(self, symbol: str) -> bool:
-        return self._invol[symbol]
+        return self.involutive
 
     def __contains__(self, symbol):
-        return symbol in self._invol
+        return symbol in self.index
 
     def __len__(self):
         return len(self.symbols)
 
     def __eq__(self, other):
-        return (isinstance(other, Alphabet) and self.symbols == other.symbols
-                and self._invol == other._invol)
+        return self is other or (isinstance(other, Alphabet)
+                                 and self.involutive == other.involutive
+                                 and self.symbols == other.symbols)
 
     def __hash__(self):
-        return hash((self.symbols, tuple(sorted(self._invol.items()))))
+        return hash((self.symbols, self.involutive))
 
     def __repr__(self):
         return "Alphabet(%d symbols)" % len(self.symbols)
 
 
+def state_alphabet(dim: int, name) -> Alphabet:
+    """Involutive alphabet of the 2^dim bit vectors in binary order, each
+    named ``name(bits)``; a vector's key is its position (``state_key``)."""
+    return Alphabet([name(x) for x in itertools.product((0, 1), repeat=dim)])
+
+
+def state_key(bits) -> int:
+    """Key of a bit vector in a ``state_alphabet``: the bits read as a
+    binary number, most significant first."""
+    key = 0
+    for b in bits:
+        key = 2 * key + b
+    return key
+
+
 Letter = Tuple[str, int]
-
-
-def _normalize_letter(alphabet: Alphabet, symbol: str, sign: int) -> Letter:
-    if symbol not in alphabet:
-        raise UnknownSymbolError(symbol)
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if alphabet.is_involutive(symbol):
-        return (symbol, 1)
-    return (symbol, sign)
 
 
 def reduce_letters(alphabet: Alphabet, letters: Iterable[Letter]) -> tuple:
@@ -79,17 +106,41 @@ def reduce_letters(alphabet: Alphabet, letters: Iterable[Letter]) -> tuple:
     Adjacent g g^-1 cancel; for involutive g, adjacent g g cancel.  The
     result is the unique reduced form (cancellation is confluent).
     """
+    index = alphabet.index
+    invol = alphabet.involutive
     out = []
     for symbol, sign in letters:
-        symbol, sign = _normalize_letter(alphabet, symbol, sign)
-        if out:
-            psym, psign = out[-1]
-            if psym == symbol and (alphabet.is_involutive(symbol)
-                                   or psign == -sign):
-                out.pop()
-                continue
-        out.append((symbol, sign))
+        if symbol not in index:
+            raise UnknownSymbolError(symbol)
+        if sign != 1 and sign != -1:
+            raise ValueError("sign must be +1 or -1")
+        if invol:
+            sign = 1
+        if out and out[-1][0] == symbol and (invol or out[-1][1] == -sign):
+            out.pop()
+        else:
+            out.append((symbol, sign))
     return tuple(out)
+
+
+def inverse_letters(alphabet: Alphabet, letters) -> tuple:
+    """Formal inverse of a letter sequence: reversed, signs flipped."""
+    if alphabet.involutive:
+        return tuple(reversed(letters))
+    return tuple((s, -e) for s, e in reversed(letters))
+
+
+def cyclic_reduce(alphabet: Alphabet, letters) -> tuple:
+    """Cyclically reduce a freely reduced sequence: cancel across the seam
+    until the first and last letters no longer cancel."""
+    lo, hi = 0, len(letters)
+    while hi - lo >= 2:
+        (s1, e1), (s2, e2) = letters[lo], letters[hi - 1]
+        if s1 != s2 or not (alphabet.involutive or e1 == -e2):
+            break
+        lo += 1
+        hi -= 1
+    return tuple(letters[lo:hi])
 
 
 class Word:
@@ -122,8 +173,7 @@ class Word:
         return Word(self.alphabet, self.letters + other.letters)
 
     def inverse(self) -> "Word":
-        inv = [(s, -e) for s, e in reversed(self.letters)]
-        return Word(self.alphabet, inv)
+        return Word(self.alphabet, inverse_letters(self.alphabet, self.letters))
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
@@ -160,15 +210,7 @@ class CyclicWord:
     __slots__ = ("alphabet", "letters")
 
     def __init__(self, word: Word):
-        letters = list(word.letters)
-        # cyclic reduction: cancel across the seam until stable
-        while len(letters) >= 2:
-            (s1, e1), (s2, e2) = letters[0], letters[-1]
-            if s1 == s2 and (word.alphabet.is_involutive(s1) or e1 == -e2):
-                letters = reduce_letters(word.alphabet, letters[1:-1])
-                letters = list(letters)
-            else:
-                break
+        letters = cyclic_reduce(word.alphabet, word.letters)
         object.__setattr__(self, "alphabet", word.alphabet)
         object.__setattr__(self, "letters", self._least_rotation(word.alphabet, letters))
 
@@ -219,6 +261,12 @@ def word(alphabet: Alphabet, letters: Iterable) -> Word:
     return Word(alphabet, norm)
 
 
+def word_from_keys(alphabet: Alphabet, keys) -> Word:
+    """Word of the symbols with the given keys, each with sign +1."""
+    symbol = alphabet.symbol
+    return Word(alphabet, [(symbol[k], 1) for k in keys])
+
+
 def complexity(w) -> int:
     """Letter count of the given reduced representative."""
     return len(w)
@@ -242,8 +290,3 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
         else:
             letters.append((tok, 1))
     return Word(alphabet, letters)
-
-
-def free_product_z2_alphabet(symbols: Iterable[str]) -> Alphabet:
-    """Alphabet of a free product of Z_2's: every symbol involutive."""
-    return Alphabet(symbols, involutive=True)

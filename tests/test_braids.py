@@ -462,3 +462,93 @@ def test_graded_components_match_parabola_inside_counts():
                 z = count - (1 if mover_inside else 0)
                 alpha = min(z % r, (-z) % r)
                 assert 0 <= alpha <= r // 2
+
+
+# labels >= 10: names carry braces, and the maps read keys, not characters
+
+
+def cancel_pairs(seq):
+    """Free reduction over involutions: adjacent equal entries cancel."""
+    out = []
+    for x in seq:
+        if out and out[-1] == x:
+            out.pop()
+        else:
+            out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_pr_iota_identity_labels_ge_10(n):
+    rng = random.Random(100 + n)
+    g = GnkGroup(n, 2)
+    w = g.word_from_subsets(g.subsets + [rng.choice(g.subsets)
+                                         for _ in range(40)])
+    assert pr(ParityGroup(g.labels), iota(g, w)).letters == w.letters
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_chi_eta_identity_labels_ge_10(n):
+    rng = random.Random(200 + n)
+    labels = tuple(range(1, n + 1))
+    pg = ParityGroup(labels)
+    for _ in range(50):
+        letters = [(tuple(sorted(rng.sample(labels, 2))), rng.choice((0, 1)))
+                   for _ in range(12)]
+        letters.append(((2, n), 1))
+        w = pg.word_from_letters(letters)
+        assert chi(DottedGroup(labels), eta(pg, w)).letters == w.letters
+
+
+def test_chi_omega_crossings_2_11_and_1_12():
+    # omega_13 turns a_{2,13} into t_2 and a_{1,13} into t_1; the crossing
+    # (2, 11) sees one t_2 (parity 1), the first (1, 12) none (parity 0),
+    # the second one t_1 (parity 1)
+    g = GnkGroup(13, 2)
+    w = g.word_from_subsets([(2, 13), (2, 11), (2, 13), (1, 12), (1, 13),
+                             (1, 12), (1, 13)])
+    dotted = omega_m(g, w, 13)
+    assert format_word(dotted) == "t_2 a_{2,11} t_2 a_{1,12} t_1 a_{1,12} t_1"
+    pw = chi(DottedGroup(range(1, 13)), dotted)
+    assert format_word(pw) == "a_{2,11}^1 a_{1,12}^0 a_{1,12}^1"
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_kappa_omega_round_trip_labels_ge_10(n):
+    rng = random.Random(300 + n)
+    g = GnkGroup(n + 1, 2)
+    dg = DottedGroup(range(1, n + 1))
+    for _ in range(30):
+        w = g.word_from_subsets([rng.choice(g.subsets) for _ in range(10)])
+        img, target = kappa(dg, omega_m(g, w, n + 1))
+        img2, _ = kappa(dg, omega_m(target, img, n + 1))
+        assert img2.letters == img.letters
+    w = g.word_from_subsets([(n, n + 1), (1, n)])
+    img, _ = kappa(dg, omega_m(g, w, n + 1))
+    assert format_word(img) == "a_{%d,%d} a_{1,%d}" % (n, n + 1, n)
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_w_parity_matches_key_counts_labels_ge_10(n):
+    rng = random.Random(400 + n)
+    labels = tuple(range(1, n + 1))
+    pg = ParityGroup(labels)
+    i, j = 2, min(n, 11)
+    others = [l for l in labels if l not in (i, j)]
+    l = others[-1]
+    for _ in range(30):
+        keys = [(tuple(sorted(rng.sample(labels, 2))), rng.choice((0, 1)))
+                for _ in range(16)]
+        keys += [((i, j), 0), ((i, l), 0), ((min(j, l), max(j, l)), 1),
+                 ((i, j), 1)]
+        keys = cancel_pairs(keys)
+        expected = []
+        for p, ((a, b), eps) in enumerate(keys):
+            if (a, b) == (i, j):
+                seen = keys[:p]
+                bits = [(seen.count((tuple(sorted((i, k))), 0))
+                         + seen.count((tuple(sorted((j, k))), eps))) % 2
+                        for k in others]
+                expected.append("z_" + "".join(str(x) for x in bits))
+        value = w_parity(pg, pg.word_from_letters(keys), (i, j))
+        assert format_word(value) == " ".join(cancel_pairs(expected))

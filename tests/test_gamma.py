@@ -78,8 +78,7 @@ def test_pentagon_labelings_reproduce_d_family():
         w = gale_relation_word(group, d, M)
         quads = []
         for sym, _ in w:
-            from gnk.gamma import parse_pq_symbol
-            P, Q = parse_pq_symbol(sym)
+            P, Q = group.alphabet.key[sym]
             quads.append(pq_to_d_quad(P, Q))
         dw = g4.word_from_quads(quads)
         cw = CyclicWord(dw)
@@ -128,9 +127,8 @@ def test_gamma4_far_commutativity_condition():
     # commuting pairs have |intersection| < 3
     for cw in rels:
         if len(cw) == 4 and len(set(cw.letters)) == 2:
-            from gnk.gamma import parse_d_symbol
-            q1 = set(parse_d_symbol(cw.letters[0][0]))
-            q2 = set(parse_d_symbol(cw.letters[1][0]))
+            q1 = set(g4.alphabet.key[cw.letters[0][0]])
+            q2 = set(g4.alphabet.key[cw.letters[1][0]])
             assert len(q1 & q2) < 3
 
 
