@@ -21,6 +21,7 @@ classical table form with shifted indices is wanted.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .gamma import Gamma4Group
@@ -364,6 +365,14 @@ def delete_gn3_strand(group: GnkGroup, w: Word, m: int, renumber=True):
 # free-product invariants phi_{(i,j,k)} of G_n^3
 
 
+@functools.lru_cache(maxsize=8)
+def _phi_alphabet(dim):
+    """Target of phi_ijk: the 2^dim states, one bit pair per label outside
+    the triple.  Built once per dimension (it has 4^(n-3) symbols)."""
+    return state_alphabet(dim, lambda x: "s_" + ",".join(
+        labels_text(x[t:t + 2]) for t in range(0, len(x), 2)))
+
+
 def phi_ijk(group: GnkGroup, w: Word, triple):
     """Free-product value of an even-ish G_n^3 word at a fixed triple.
 
@@ -375,8 +384,7 @@ def phi_ijk(group: GnkGroup, w: Word, triple):
     if len({i, j, k}) != 3:
         raise ValueError("triple must have three distinct labels")
     others = [l for l in group.labels if l not in (i, j, k)]
-    target = state_alphabet(2 * len(others), lambda x: "s_" + ",".join(
-        labels_text(x[t:t + 2]) for t in range(0, len(x), 2)))
+    target = _phi_alphabet(2 * len(others))
     key = w.alphabet.key
     counts = {}
     out = []

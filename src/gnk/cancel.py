@@ -6,9 +6,10 @@ deduplicated closure under cyclic rotation and inversion, each element
 cyclically reduced; a piece is a common beginning of two distinct elements
 of the symmetrisation.
 
-dehn_reduce works on a run-length (syllable) encoding of the cyclic word, so
-words like nested-commutator powers with millions of letters stay cheap: a
-relator factor can overlap a long run only near its ends.
+dehn_reduce works on a run-length (syllable) encoding of the cyclic word in
+one stack pass, so words like nested-commutator powers with millions of
+letters stay cheap: a relator factor can overlap a long run only near its
+ends.
 """
 
 from __future__ import annotations
@@ -99,39 +100,29 @@ def check_metric_condition(R: SymmetrisedSet, lam) -> tuple:
     return True, None
 
 
-def _piece_length_at(R: SymmetrisedSet, r, pos):
-    """Longest piece that is a factor of r starting at pos (r cyclic rep)."""
-    rot = r[pos:] + r[:pos]
-    best = 0
-    for other in R.elements:
-        if other == rot:
-            continue
-        best = max(best, _lcp(rot, other))
-    return min(best, len(r) - pos)
-
-
 def check_cp(R: SymmetrisedSet, p: int) -> bool:
     """C(p): every element of R_* is a product of at least p pieces.
 
     Elements that cannot be written as products of pieces at all satisfy the
     condition vacuously.  Greedy interval cover gives the minimum count
-    because prefixes of pieces are pieces.
+    because prefixes of pieces are pieces.  The longest piece starting at
+    position pos of r is a prefix of the rotation r[pos:] + r[:pos], itself
+    an element of R_*, so ``max_piece_prefixes`` gives it.
     """
     if p < 2:
         raise ValueError("need p >= 2")
+    prefixes = max_piece_prefixes(R)
     for r in R.elements:
-        jumps = [_piece_length_at(R, r, pos) for pos in range(len(r))]
-        pos = 0
-        count = 0
-        feasible = True
+        pos = count = 0
         while pos < len(r):
-            if jumps[pos] == 0:
-                feasible = False
+            jump = min(prefixes[r[pos:] + r[:pos]], len(r) - pos)
+            if jump == 0:
                 break
-            pos += jumps[pos]
+            pos += jump
             count += 1
-        if feasible and count < p:
-            return False
+        else:
+            if count < p:
+                return False
     return True
 
 
@@ -235,46 +226,150 @@ class DehnResult:
         return "DehnResult(letters=%d, %r)" % (self.letter_count, self.trace)
 
 
-def _syllable_cyclic_reduce(alphabet, sylls):
-    """Normalise a syllable list: merge runs, cancel, and cyclically reduce."""
+def _replacement_table(alphabet, rel_elems):
+    """Every prefix V, |V| > |r|/2, of each r = V C in R_*, mapped to
+    (r, C^-1 as runs).  Under C'(1/6) no two elements share such a prefix;
+    without it the first element in sorted order wins."""
+    table = {}
+    for r in rel_elems:
+        for k in range(len(r) // 2 + 1, len(r) + 1):
+            if r[:k] not in table:
+                table[r[:k]] = (r, to_syllables(
+                    alphabet, inverse_letters(alphabet, r[k:])))
+    return table
+
+
+def _last_letters(runs, m):
+    """The last m letters of a run list (m at most its length)."""
     out = []
-    def push(sym, exp):
-        if exp == 0:
-            return
-        if alphabet.involutive:
-            exp = abs(exp) % 2
-            if exp == 0:
-                return
-        if out and out[-1][0] == sym:
-            if alphabet.involutive:
-                out.pop()
-                return
-            merged = out[-1][1] + exp
-            out.pop()
-            if merged:
-                out.append((sym, merged))
-            return
-        out.append((sym, exp))
-    for sym, exp in sylls:
-        push(sym, exp)
-    # cyclic seam
-    while len(out) >= 2 and out[0][0] == out[-1][0]:
-        sym = out[0][0]
-        if alphabet.involutive:
-            out = out[1:-1]
-            continue
-        merged = out[0][1] + out[-1][1]
-        if merged == 0:
-            out = out[1:-1]
-        else:
-            out = [(sym, merged)] + out[1:-1]
-            break
+    i = len(runs) - 1
+    while len(out) < m:
+        s, e = runs[i]
+        out.extend([(s, 1 if e > 0 else -1)] * min(abs(e), m - len(out)))
+        i -= 1
+    out.reverse()
     return out
+
+
+def _pop_letters(runs, k):
+    while k:
+        s, e = runs.pop()
+        if abs(e) > k:
+            runs.append((s, e - k if e > 0 else e + k))
+            return
+        k -= abs(e)
+
+
+def _stack_pass(alphabet, sylls, table, steps):
+    """One left-to-right pass of Dehn's algorithm over run-length input.
+
+    Letters are pushed onto a stack of runs and cancel freely against its
+    top (g g cancels too when the alphabet is involutive).  After each push
+    the stack's suffixes are looked up in ``table``; a hit V is popped and
+    its C^-1 fed back in as input, so the stack backs up only as far as a
+    replacement reaches.  The returned runs are freely reduced and have no
+    factor in ``table``.
+
+    Once the top run is longer than ``max_run``, the longest run in any
+    element of R_* (by rotation, its longest leading run), a suffix that
+    covers the whole run is in no element, and one inside the run was looked
+    up one letter earlier; so only the first ``max_run`` letters of a run
+    are pushed one at a time, and the rest of it in one step.
+    """
+    invol = alphabet.involutive
+    lengths = sorted({len(v) for v in table}, reverse=True)
+    max_run = max(_leading_run(r) for r, _ in table.values())
+    stack = []          # runs; neighbouring runs have distinct symbols
+    size = 0            # letters on the stack
+    todo = list(sylls)[::-1]
+    while todo:
+        sym, exp = todo.pop()
+        if invol:
+            exp %= 2
+        if exp == 0:
+            continue
+        sign = 1 if exp > 0 else -1
+        if stack and stack[-1][0] == sym:
+            top = stack[-1][1]
+            if invol or (top > 0) != (exp > 0):
+                n = min(abs(top), abs(exp))
+                stack.pop()
+                if abs(top) > n:
+                    stack.append((sym, top + sign * n))
+                size -= n
+                if abs(exp) > n:
+                    todo.append((sym, exp - sign * n))
+                continue
+            if abs(top) >= max_run:
+                stack[-1] = (sym, top + exp)
+                size += abs(exp)
+                continue
+            stack[-1] = (sym, top + sign)
+        else:
+            stack.append((sym, sign))
+        size += 1
+        if exp != sign:
+            todo.append((sym, exp - sign))
+        suffix = _last_letters(stack, min(lengths[0], size))
+        for k in lengths:
+            hit = k <= len(suffix) and table.get(tuple(suffix[-k:]))
+            if hit:
+                rel, replacement = hit
+                _pop_letters(stack, k)
+                size -= k
+                steps.append((size, rel, k))
+                todo.extend(reversed(replacement))
+                break
+    return stack
+
+
+def _cancel_seam(alphabet, runs):
+    """Cancel letters across the seam of a freely reduced run list.  Runs
+    of one letter meeting at the seam stay apart, so the result is a factor
+    of the input."""
+    lo, hi = 0, len(runs)
+    while hi - lo >= 2 and runs[lo][0] == runs[hi - 1][0]:
+        (s, a), (_, b) = runs[lo], runs[hi - 1]
+        if alphabet.involutive or a + b == 0:
+            lo, hi = lo + 1, hi - 1
+        elif (a > 0) == (b > 0):
+            break
+        elif abs(a) > abs(b):
+            return [(s, a + b)] + runs[lo + 1:hi - 1]
+        else:
+            return runs[lo + 1:hi - 1] + [(s, a + b)]
+    return runs[lo:hi]
+
+
+def _seam_match(runs, table):
+    """Letter offset at which to cut the cyclic word so that a factor in
+    ``table`` across its seam lies inside it, or None if there is none."""
+    length = syllable_length(runs)
+    longest = min(max(len(v) for v in table), length)
+    tail = _last_letters(runs, longest - 1)
+    # runs are uniform, so reversing the run list reverses the word
+    head = _last_letters(runs[::-1], longest - 1)[::-1]
+    for t in range(1, len(tail) + 1):
+        for k in range(t + 1, longest + 1):
+            if tuple(tail[len(tail) - t:] + head[:k - t]) in table:
+                return (length - t - (length - k) // 2) % length
+    return None
+
+
+def _rotate(runs, offset):
+    """The run list of the cyclic word read from letter ``offset`` (less
+    than its length)."""
+    for i, (s, e) in enumerate(runs):
+        if offset < abs(e):
+            sign = 1 if e > 0 else -1
+            head = [(s, sign * offset)] if offset else []
+            return [(s, e - sign * offset)] + runs[i + 1:] + runs[:i] + head
+        offset -= abs(e)
 
 
 def dehn_reduce_syllables(alphabet: Alphabet, sylls, R: SymmetrisedSet,
                           check_c16=True) -> DehnResult:
-    """dehn_reduce on run-length input; avoids materialising long words."""
+    """dehn_reduce on run-length input; never expands a run to letters."""
     if check_c16:
         holds, witness = check_metric_condition(R, Fraction(1, 6))
         if not holds:
@@ -282,35 +377,34 @@ def dehn_reduce_syllables(alphabet: Alphabet, sylls, R: SymmetrisedSet,
     trace = DehnTrace()
     rel_elems = R.elements
     trace.half_threshold = min(len(r) for r in rel_elems) // 2
-    sylls = _syllable_cyclic_reduce(alphabet, sylls)
-    while True:
-        if syllable_length(sylls) == 0:
-            trace.max_overlap_at_fixpoint = 0
+    table = _replacement_table(alphabet, rel_elems)
+    runs = _cancel_seam(alphabet, _stack_pass(alphabet, sylls, table,
+                                              trace.steps))
+    # a factor across the seam: cut the cyclic word opposite it and pass
+    # again; each such pass replaces at least once, so the length falls
+    while runs:
+        cut = _seam_match(runs, table)
+        if cut is None:
             break
-        length, pos, rel = _best_overlap(sylls, rel_elems)
-        trace.max_overlap_at_fixpoint = length
-        if rel is None or length <= len(rel) // 2:
-            break
-        replacement = inverse_letters(alphabet, rel[length:])
-        flat = from_syllables(sylls)
-        n = len(flat)
-        doubled = flat + flat
-        new_flat = replacement + doubled[pos + length: pos + n]
-        trace.steps.append((pos, rel, length))
-        sylls = _syllable_cyclic_reduce(alphabet, to_syllables(alphabet, new_flat))
-    return DehnResult(alphabet, sylls, trace)
+        runs = _cancel_seam(alphabet, _stack_pass(
+            alphabet, _rotate(runs, cut), table, trace.steps))
+    if runs:
+        trace.max_overlap_at_fixpoint = _best_overlap(runs, rel_elems)[0]
+    return DehnResult(alphabet, runs, trace)
 
 
 def dehn_reduce(alphabet: Alphabet, letters, R: SymmetrisedSet,
                 check_c16=True):
-    """Greendlinger-justified greedy Dehn reduction of a cyclic word.
+    """Greendlinger-justified Dehn reduction of a cyclic word.
 
-    While the cyclic word contains a factor V matching more than half of a
-    symmetrised relator r = V C, replace V by C^-1 (strictly shorter) and
-    cyclically reduce.  Longest eligible overlap first, ties leftmost.  On a
+    Wherever the cyclic word contains a factor V matching more than half of
+    a symmetrised relator r = V C, replace V by C^-1 (strictly shorter) and
+    reduce freely, in one left-to-right stack pass (time linear in the
+    word's length) followed by passes for factors across the seam.  On a
     C'(1/6) presentation the fixed point is empty iff the word is trivial;
     a nonempty fixed point plus the max-overlap statistic is the
-    nontriviality certificate.
+    nontriviality certificate.  ``trace.steps`` lists the replacements made,
+    as (offset of V in the word the pass was building, r, |V|).
     """
     res = dehn_reduce_syllables(alphabet, to_syllables(alphabet, letters),
                                 R, check_c16=check_c16)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -130,7 +131,8 @@ def cmd_gamma_presentation(args):
     if args.abelianization_gf2:
         extra = []
         if args.extra_word:
-            extra.append(_parse_oriented_word(_read(args.extra_word)))
+            extra.append(_parse_oriented_word(_read(args.extra_word),
+                                             args.n, args.k))
         res = gamma.oriented_abelianization_gf2(args.n, args.k,
                                                 extra_words=extra)
         payload = {"generators": res[0], "relations": res[1], "rank": res[2]}
@@ -148,18 +150,39 @@ def cmd_gamma_presentation(args):
     return 0
 
 
-def _parse_oriented_word(text):
-    """One letter per token: P,Q[^-1] with cyclic Q order, e.g. 35,164^-1."""
+_ORIENTED_SIDE = r"(\{[0-9]+(?:,[0-9]+)*\}|[0-9]+)"
+_ORIENTED_TOKEN = re.compile(_ORIENTED_SIDE + "," + _ORIENTED_SIDE + r"(\^-1)?")
+
+
+def _oriented_side(text):
+    """Labels of one side as ``words.labels_text`` writes them: ``164``
+    (one digit per label) or ``{1,10,11}``."""
+    if text.startswith("{"):
+        return tuple(int(x) for x in text[1:-1].split(","))
+    return tuple(int(c) for c in text)
+
+
+def _parse_oriented_word(text, n, k):
+    """One letter per token: P,Q[^-1] with cyclic Q order, e.g. 35,164^-1
+    or {1,10},{2,3,4}; P and Q are disjoint, of at least two labels each,
+    k labels in all, each in 1..n."""
     letters = []
     for tok in text.split():
-        sign = 1
-        if tok.endswith("^-1"):
-            sign = -1
-            tok = tok[:-3]
-        left, right = tok.split(",")
-        P = tuple(int(c) for c in left)
-        Q = tuple(int(c) for c in right)
-        letters.append((P, Q, sign))
+        m = _ORIENTED_TOKEN.fullmatch(tok)
+        if not m:
+            raise ValueError("oriented letter %r: expected P,Q or P,Q^-1" % tok)
+        P, Q = _oriented_side(m.group(1)), _oriented_side(m.group(2))
+        labels = P + Q
+        if not all(1 <= x <= n for x in labels):
+            raise ValueError("oriented letter %r: label outside 1..%d"
+                             % (tok, n))
+        if len(set(labels)) != len(labels):
+            raise ValueError("oriented letter %r: repeated label or P and Q "
+                             "not disjoint" % tok)
+        if len(labels) != k or min(len(P), len(Q)) < 2:
+            raise ValueError("oriented letter %r: needs k = %d labels, at "
+                             "least two on each side" % (tok, k))
+        letters.append((P, Q, -1 if m.group(3) else 1))
     return letters
 
 

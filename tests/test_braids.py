@@ -11,7 +11,7 @@ from gnk.braids import (DottedGroup, ParityGroup, PureBraidWord, brunnian_certif
                         pb_to_gn3, pb_to_gn4, phi_ijk, phi_parity, pr, r_m,
                         w_parity)
 from gnk.gnk import GnkGroup, MNContext, is_even, mn_invariant
-from gnk.words import Word, format_word, word
+from gnk.words import Word, format_word, word, word_from_keys
 
 
 def ab2(w):
@@ -184,6 +184,28 @@ def test_commuting_square_q_phi():
 
 # ---------------------------------------------------------------------------
 # phi_{(i,j,k)}
+
+
+PHI_PINNED = {
+    5: "s_10,11 s_10,10",
+    6: "s_10,00,11 s_10,00,10",
+    7: "s_10,00,00,11 s_10,00,00,10",
+    8: "s_10,00,00,00,11 s_10,00,00,00,10",
+    9: "s_10,00,00,00,00,11 s_10,00,00,00,00,10",
+    10: "s_10,00,00,00,00,00,11 s_10,00,00,00,00,00,10",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PHI_PINNED))
+def test_phi_ijk_pinned_values_and_shared_alphabet(n):
+    g = GnkGroup(n, 3)
+    w = word_from_keys(g.alphabet, [(1, 2, n), (2, 3, 4), (1, 2, 3),
+                                    (1, 3, n), (1, 2, 3)])
+    v1 = phi_ijk(g, w, (1, 2, 3))
+    assert format_word(v1) == PHI_PINNED[n]
+    v2 = phi_ijk(g, w, (1, 2, 3))
+    assert v2.alphabet is v1.alphabet
+    assert len(v1.alphabet) == 4 ** (n - 3)
 
 
 def test_phi_ijk_no_occurrences():

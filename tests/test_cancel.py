@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from gnk.cancel import (PresentationNotC16, check_cp, check_metric_condition,
-                        check_tq, dehn_reduce, dehn_reduce_syllables,
-                        max_piece_prefixes, piece_table, symmetrise)
-from gnk.words import Alphabet
+from gnk.cancel import (PresentationNotC16, _best_overlap, _lcp, check_cp,
+                        check_metric_condition, check_tq, dehn_reduce,
+                        dehn_reduce_syllables, from_syllables,
+                        max_piece_prefixes, piece_table, symmetrise,
+                        syllable_length, to_syllables)
+from gnk.words import (Alphabet, cyclic_reduce, inverse_letters,
+                       reduce_letters)
 
 FREE_XY = Alphabet(["x", "y"], involutive=False)
 x, X, y, Y = ("x", 1), ("x", -1), ("y", 1), ("y", -1)
@@ -113,6 +116,49 @@ def test_c_prime_implies_cp():
         done += 1
 
 
+def _piece_length_at(R, r, pos):
+    """Brute force: longest piece that is a factor of r starting at pos."""
+    rot = r[pos:] + r[:pos]
+    best = 0
+    for other in R.elements:
+        if other != rot:
+            best = max(best, _lcp(rot, other))
+    return min(best, len(r) - pos)
+
+
+def _check_cp_brute(R, p):
+    for r in R.elements:
+        jumps = [_piece_length_at(R, r, pos) for pos in range(len(r))]
+        pos = count = 0
+        while pos < len(r) and jumps[pos]:
+            pos += jumps[pos]
+            count += 1
+        if pos == len(r) and count < p:
+            return False
+    return True
+
+
+def test_cp_matches_brute_force_jumps():
+    rng = random.Random(36)
+    verdicts = set()
+    for t in range(120):
+        ab = Alphabet(["a", "b", "c"][:2 + t % 2], involutive=t % 5 == 0)
+        rels = []
+        for _ in range(1 + t % 3):
+            w = [(rng.choice(ab.symbols), rng.choice((1, -1)))
+                 for _ in range(rng.randint(3, 10))]
+            if cyclic_reduce(ab, reduce_letters(ab, w)):
+                rels.append(w)
+        if not rels:
+            continue
+        R = symmetrise(ab, rels)
+        for p in range(2, 7):
+            want = _check_cp_brute(R, p)
+            assert check_cp(R, p) == want, (rels, p)
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
 def test_cp_small_relator():
     ab = Alphabet(["a", "b"], involutive=False)
     R = symmetrise(ab, [[("a", 1), ("b", 1)]])
@@ -170,6 +216,154 @@ def test_dehn_strictly_decreasing_steps():
     w, tr = dehn_reduce(FREE_XY, wordl, R)
     assert len(w) == 0
     assert len(tr.steps) <= len(wordl)
+
+
+# ---------------------------------------------------------------------------
+# the greedy reducer the stack pass replaced, kept as the test oracle
+
+
+def _oracle_normalise(alphabet, sylls):
+    """Merge runs, cancel, and cyclically reduce a run list."""
+    out = []
+    for sym, exp in sylls:
+        if alphabet.involutive:
+            exp = abs(exp) % 2
+        if exp == 0:
+            continue
+        if out and out[-1][0] == sym:
+            merged = 0 if alphabet.involutive else out[-1][1] + exp
+            out.pop()
+            if merged:
+                out.append((sym, merged))
+        else:
+            out.append((sym, exp))
+    while len(out) >= 2 and out[0][0] == out[-1][0]:
+        merged = 0 if alphabet.involutive else out[0][1] + out[-1][1]
+        if merged:
+            out = [(out[0][0], merged)] + out[1:-1]
+            break
+        out = out[1:-1]
+    return out
+
+
+def oracle_dehn(alphabet, letters, R):
+    """Greedy Dehn reduction: the longest factor matching more than half of
+    an element of R_* first, ties leftmost; the whole word is rescanned
+    after every replacement.  Returns (fixpoint runs, steps)."""
+    sylls = _oracle_normalise(alphabet, to_syllables(alphabet, letters))
+    steps = []
+    while syllable_length(sylls):
+        length, pos, rel = _best_overlap(sylls, R.elements)
+        if rel is None or length <= len(rel) // 2:
+            break
+        flat = from_syllables(sylls)
+        doubled = flat + flat
+        new_flat = (inverse_letters(alphabet, rel[length:])
+                    + doubled[pos + length:pos + len(flat)])
+        steps.append((pos, rel, length))
+        sylls = _oracle_normalise(alphabet, to_syllables(alphabet, new_flat))
+    return sylls, steps
+
+
+def _conjugate_product(rng, alphabet, R, length):
+    """Product of conjugates g r g^-1 (r in R_*, |g| <= 3): trivial."""
+    w = []
+    while len(w) < length:
+        g = [(rng.choice(alphabet.symbols), rng.choice((1, -1)))
+             for _ in range(rng.randint(0, 3))]
+        w += g + list(rng.choice(R.elements)) \
+            + list(inverse_letters(alphabet, g))
+    return w
+
+
+def _check_against_oracle(alphabet, R, letters):
+    """Same verdict as the oracle; the fixpoint is cyclically reduced and,
+    by brute force over its cyclic factors, no factor is more than half of
+    any element of R_*."""
+    res = dehn_reduce_syllables(alphabet, to_syllables(alphabet, letters), R)
+    want, want_steps = oracle_dehn(alphabet, letters, R)
+    assert res.is_trivial() == (syllable_length(want) == 0), letters
+    fix = res.word().letters
+    assert cyclic_reduce(alphabet, reduce_letters(alphabet, fix)) == fix
+    doubled = fix + fix
+    width = min(len(fix), max(len(r) for r in R.elements))
+    for i in range(len(fix)):
+        window = doubled[i:i + width]
+        for r in R.elements:
+            assert _lcp(window, r) <= len(r) // 2, (letters, fix, r)
+    return res
+
+
+def test_dehn_matches_oracle_commutator_squared():
+    rng = random.Random(37)
+    R = symmetrise(FREE_XY, [COMM + COMM])
+    verdicts = set()
+    for t in range(510):
+        if t % 2 == 0:
+            w = [(rng.choice("xy"), rng.choice((1, -1)))
+                 for _ in range(rng.randint(1, 500))]
+        else:
+            # the oracle is quadratic in the steps a trivial word needs, so
+            # these lengths lean short: up to 500, median about 30
+            w = _conjugate_product(rng, FREE_XY, R,
+                                   1 + int(499 * rng.random() ** 4))
+            if t % 4 == 3:
+                w.insert(rng.randrange(len(w) + 1),
+                         (rng.choice("xy"), rng.choice((1, -1))))
+        verdicts.add(_check_against_oracle(FREE_XY, R, w).is_trivial())
+    assert verdicts == {True, False}
+
+
+def test_dehn_matches_oracle_one_relator():
+    rng = random.Random(38)
+    ab = Alphabet(["x", "y", "z"], involutive=False)
+    presentations = 0
+    while presentations < 4:
+        r = [(rng.choice(ab.symbols), rng.choice((1, -1))) for _ in range(24)]
+        try:
+            R = symmetrise(ab, [r])
+        except ValueError:
+            continue
+        if not check_metric_condition(R, Fraction(1, 6))[0]:
+            continue
+        presentations += 1
+        # each half-plus-one prefix as a cyclic word: some end inside a run
+        for e in R.elements:
+            _check_against_oracle(ab, R, list(e[:len(e) // 2 + 1]))
+        for _ in range(4):
+            w = _conjugate_product(rng, ab, R, rng.randint(24, 200))
+            _check_against_oracle(ab, R, w)
+            for extra in ab.symbols:
+                _check_against_oracle(ab, R, w + [(extra, 1)])
+
+
+def test_dehn_matches_oracle_involutive():
+    rng = random.Random(39)
+    ab = Alphabet(["a", "b", "c", "d"], involutive=True)
+    while True:
+        r = [(rng.choice(ab.symbols), 1) for _ in range(16)]
+        try:
+            R = symmetrise(ab, [r])
+        except ValueError:
+            continue
+        if check_metric_condition(R, Fraction(1, 6))[0]:
+            break
+    for t in range(60):
+        w = _conjugate_product(rng, ab, R, rng.randint(16, 200))
+        if t % 2:
+            w.insert(rng.randrange(len(w) + 1), (rng.choice(ab.symbols), 1))
+        _check_against_oracle(ab, R, w)
+
+
+def test_dehn_scaling_100k_letters():
+    rng = random.Random(40)
+    R = symmetrise(FREE_XY, [COMM + COMM])
+    w = _conjugate_product(rng, FREE_XY, R, 100000)
+    t0 = time.time()
+    res = dehn_reduce_syllables(FREE_XY, to_syllables(FREE_XY, w), R)
+    elapsed = time.time() - t0
+    assert res.is_trivial() and res.trace.steps
+    assert elapsed < 5.0
 
 
 def test_piece_table_contents():

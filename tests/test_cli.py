@@ -129,3 +129,41 @@ def test_brunnian_three_valued_statuses(tmp_path):
     f2.write_text("b_1_2 b_2_3 b_1_2^-1 b_2_3^-1\n")
     out2 = run_cli(["brunnian", str(f2), "--n", "4"])
     assert "status: unknown" in out2.stdout
+
+
+CRITERION4_EXTRA = "35,164 46,253^-1 46,135 35,246^-1"
+
+
+def test_parse_oriented_word_forms():
+    from gnk.cli import _parse_oriented_word
+    want = [((3, 5), (1, 6, 4), 1), ((4, 6), (2, 5, 3), -1),
+            ((4, 6), (1, 3, 5), 1), ((3, 5), (2, 4, 6), -1)]
+    assert _parse_oriented_word(CRITERION4_EXTRA, 6, 5) == want
+    braced = "{3,5},{1,6,4} {4,6},{2,5,3}^-1 46,{1,3,5} {3,5},246^-1"
+    assert _parse_oriented_word(braced, 6, 5) == want
+    assert _parse_oriented_word("{1,10},{2,3,4}^-1", 10, 5) == \
+        [((1, 10), (2, 3, 4), -1)]
+
+
+def test_gamma_presentation_braced_extra_word(tmp_path):
+    f = tmp_path / "extra.txt"
+    f.write_text("{3,5},{1,6,4} {4,6},{2,5,3}^-1 {4,6},{1,3,5} "
+                 "{3,5},{2,4,6}^-1\n")
+    out = run_cli(["--format", "json", "gamma-presentation", "--n", "6",
+                   "--k", "5", "--abelianization-gf2", "--extra-word", str(f)])
+    assert out.returncode == 0, out.stderr
+    payload = json.loads(out.stdout)
+    assert payload["rank_with_extra"] == payload["rank"] + 1
+
+
+def test_gamma_presentation_rejects_bad_extra_word(tmp_path, capsys):
+    from gnk.cli import main
+    f = tmp_path / "extra.txt"
+    for bad in ("110,23", "35,36", "{1,7},{2,3,4}", "35,16", "35;164",
+                "35,164^-2", "{1,},{2,3,4}"):
+        f.write_text("46,135 %s\n" % bad)
+        code = main(["gamma-presentation", "--n", "6", "--k", "5",
+                     "--abelianization-gf2", "--extra-word", str(f)])
+        err = capsys.readouterr().err
+        assert code == 2, bad
+        assert repr(bad) in err, err
