@@ -8,6 +8,7 @@ exit codes: 0 success, 2 precondition violation, 3 degenerate trajectory.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -274,7 +275,10 @@ def cmd_brunnian(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing does not change
+    it, and building it takes longer than many of the commands it runs."""
     ap = argparse.ArgumentParser(prog="gnk",
                                  description="free k-braid group engine")
     ap.add_argument("--format", choices=["text", "json"], default="text")

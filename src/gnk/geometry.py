@@ -3,10 +3,13 @@
 A trajectory moves one point per segment along a straight line with rational
 endpoints; all wall predicates (three points collinear, four concyclic, four
 coplanar) specialise to univariate polynomials of degree <= 2 in the segment
-parameter with exact rational coefficients.  Event times are isolated into
-rational brackets (never evaluated numerically: only the event ORDER and
-exact side decisions matter), letters are emitted per event in time order,
-and the concatenation freely reduces to the invariant word.
+parameter.  Each segment is first put into an integer frame (every
+coordinate multiplied by the lcm of the segment's denominators); the wall
+predicates are homogeneous, so the frame keeps every sign and every
+predicate polynomial has Python int coefficients.  Event times are isolated
+into rational brackets (never evaluated numerically: only the event ORDER
+and exact side decisions matter), letters are emitted per event in time
+order, and the concatenation freely reduces to the invariant word.
 
 No floating point is used anywhere.
 """
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from fractions import Fraction
 
 from .gamma import Gamma4Group, dihedral_canonical
@@ -27,16 +31,17 @@ class DegenerateTrajectory(Exception):
 
 
 # ---------------------------------------------------------------------------
-# exact predicates
+# exact predicates: homogeneous in the coordinates, so they give the same
+# signs on rational points and on any positive multiple of them
 
 
-def orient2d(a, b, c) -> Fraction:
+def orient2d(a, b, c):
     """Twice the signed area of (a, b, c); > 0 for counterclockwise."""
     return ((b[0] - a[0]) * (c[1] - a[1])
             - (b[1] - a[1]) * (c[0] - a[0]))
 
 
-def incircle(a, b, c, d) -> Fraction:
+def incircle(a, b, c, d):
     """Positive iff d lies inside the circle through a, b, c taken ccw.
 
     The raw 4x4 lift determinant; callers must normalise by orient2d(a,b,c)
@@ -63,7 +68,7 @@ def point_in_circumcircle(a, b, c, x):
     return s if o > 0 else -s
 
 
-def orient3d(a, b, c, d) -> Fraction:
+def orient3d(a, b, c, d):
     m = [[b[i] - a[i] for i in range(3)],
          [c[i] - a[i] for i in range(3)],
          [d[i] - a[i] for i in range(3)]]
@@ -73,43 +78,53 @@ def orient3d(a, b, c, d) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# univariate quadratics with exact coefficients
+# univariate quadratics with integer coefficients
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _sgn(x) -> int:
+    return (x > 0) - (x < 0)
 
 
 class PredicatePoly:
-    """p(t) = c2 t^2 + c1 t + c0 over exact rationals."""
+    """A positive multiple of p(t) = c2 t^2 + c1 t + c0, kept with int
+    coefficients.
+
+    Only the signs and roots of p are ever read, and a positive factor keeps
+    both, so rational coefficients are cleared to ints on construction."""
 
     __slots__ = ("c2", "c1", "c0")
 
     def __init__(self, c2, c1, c0):
-        self.c2 = Fraction(c2)
-        self.c1 = Fraction(c1)
-        self.c0 = Fraction(c0)
+        coeffs = [Fraction(c2), Fraction(c1), Fraction(c0)]
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        self.c2, self.c1, self.c0 = (c.numerator * (scale // c.denominator)
+                                     for c in coeffs)
 
     @classmethod
     def interpolate(cls, f):
-        """Fit the (at most quadratic) function f from values at 0, 1/2, 1.
+        """Fit the (at most quadratic) function f from values at 0, 1, 2.
 
-        A fourth evaluation guards against callers passing higher-degree
-        predicates: line and circle walls with one linear mover are degree
-        <= 2, anything else is a programming error."""
-        f0 = f(Fraction(0))
-        fh = f(Fraction(1, 2))
-        f1 = f(Fraction(1))
-        c2 = 2 * f0 - 4 * fh + 2 * f1
-        c1 = -3 * f0 + 4 * fh - f1
-        poly = cls(c2, c1, f0)
-        third = Fraction(1, 3)
-        if poly(third) != f(third):
+        f takes an int t and, on an integer frame, returns an int; the poly
+        stores 2 p, which is integral.  A fourth evaluation at t = 3 guards
+        against callers passing higher-degree predicates: line and circle
+        walls with one linear mover are degree <= 2, anything else is a
+        programming error."""
+        f0, f1, f2 = f(0), f(1), f(2)
+        poly = cls.__new__(cls)          # integral already: skip __init__
+        poly.c2 = f0 - 2 * f1 + f2
+        poly.c1 = 4 * f1 - 3 * f0 - f2
+        poly.c0 = 2 * f0
+        if 9 * poly.c2 + 3 * poly.c1 + poly.c0 != 2 * f(3):
             raise DegenerateTrajectory("predicate degree exceeds 2")
         return poly
 
-    def __call__(self, t):
-        return (self.c2 * t + self.c1) * t + self.c0
-
     def sign(self, t) -> int:
-        v = self(t)
-        return (v > 0) - (v < 0)
+        """Sign of p at the rational t = u/v, v > 0: that of v^2 p(u/v)."""
+        u, v = t.numerator, t.denominator
+        s = (self.c2 * u + self.c1 * v) * u + self.c0 * v * v
+        return (s > 0) - (s < 0)
 
     def is_zero(self) -> bool:
         return self.c2 == 0 and self.c1 == 0 and self.c0 == 0
@@ -122,39 +137,31 @@ class PredicatePoly:
         """
         if self.is_zero():
             raise DegenerateTrajectory("predicate vanishes identically")
-        zero, one = Fraction(0), Fraction(1)
-        if self(zero) == 0 or self(one) == 0:
+        c2, c1, c0 = self.c2, self.c1, self.c0
+        if c0 == 0 or c2 + c1 + c0 == 0:
             raise DegenerateTrajectory("event at a segment endpoint")
-        if self.c2 == 0:
-            if self.c1 == 0:
+        s0, s1 = _sgn(c0), _sgn(c2 + c1 + c0)
+        if c2 == 0:
+            if s0 == s1:
                 return []
-            r = -self.c0 / self.c1
-            if not (zero < r < one):
-                return []
-            return [self._bracket_rational_root(r, zero, one)]
-        disc = self.c1 * self.c1 - 4 * self.c2 * self.c0
+            root = Fraction(-c0, c1)
+            return [self._bracket_rational_root(root, _ZERO, _ONE)]
+        disc = c1 * c1 - 4 * c2 * c0
         if disc < 0:
             return []
+        # the vertex -c1 / (2 c2) lies in (0, 1)
+        vertex_inside = 0 < -c1 * _sgn(c2) < 2 * abs(c2)
         if disc == 0:
-            v = -self.c1 / (2 * self.c2)
-            if zero < v < one:
+            if vertex_inside:
                 raise DegenerateTrajectory("tangential (double-root) event")
             return []
-        vertex = -self.c1 / (2 * self.c2)
-        out = []
-        for lo, hi in ((zero, min(max(vertex, zero), one)),
-                       (min(max(vertex, zero), one), one)):
-            if lo >= hi:
-                continue
-            slo, shi = self.sign(lo), self.sign(hi)
-            if slo == 0 or shi == 0:
-                root = lo if slo == 0 else hi
-                if root in (zero, one):
-                    raise DegenerateTrajectory("event at a segment endpoint")
-                out.append(self._bracket_rational_root(root, zero, one))
-            elif slo != shi:
-                out.append((lo, hi))
-        return out
+        if not vertex_inside:
+            return [(_ZERO, _ONE)] if s0 != s1 else []
+        # p(vertex) = -disc / (4 c2) is nonzero, of the sign opposite to c2
+        sv = -_sgn(c2)
+        vertex = Fraction(-c1, 2 * c2)
+        return ([(_ZERO, vertex)] if s0 != sv else []) + \
+            ([(vertex, _ONE)] if sv != s1 else [])
 
     def _bracket_rational_root(self, r, lo_lim, hi_lim):
         delta = Fraction(1, 4) * min(r - lo_lim, hi_lim - r)
@@ -181,13 +188,13 @@ class PredicatePoly:
         if a.c2 == 0 and a.c1 == 0:
             return False
         if a.c2 == 0:                        # self linear: test its root
-            r = -a.c0 / a.c1
-            return lo < r < hi and b(r) == 0
+            r = Fraction(-a.c0, a.c1)
+            return lo < r < hi and b.sign(r) == 0
         if b.c2 == 0 and b.c1 == 0:
             return False
         if b.c2 == 0:
-            r = -b.c0 / b.c1
-            return lo < r < hi and a(r) == 0
+            r = Fraction(-b.c0, b.c1)
+            return lo < r < hi and a.sign(r) == 0
         # both quadratic: eliminate t^2; any common root satisfies the
         # linear combination L = a.c2 * b - b.c2 * a
         l1 = a.c2 * b.c1 - b.c2 * a.c1
@@ -196,8 +203,8 @@ class PredicatePoly:
             return True                      # proportional quadratics
         if l1 == 0:
             return False
-        r = -l0 / l1
-        return lo < r < hi and self(r) == 0 and other(r) == 0
+        r = Fraction(-l0, l1)
+        return lo < r < hi and a.sign(r) == 0 and b.sign(r) == 0
 
 
 def sign_at_root(main: PredicatePoly, bracket, aux: PredicatePoly):
@@ -220,17 +227,18 @@ def _aux_root_inside(aux, lo, hi) -> bool:
     if aux.c2 == 0:
         if aux.c1 == 0:
             return False
-        r = -aux.c0 / aux.c1
+        r = Fraction(-aux.c0, aux.c1)
         return lo < r < hi
     disc = aux.c1 * aux.c1 - 4 * aux.c2 * aux.c0
     if disc < 0:
         return False
     if aux.sign(lo) != aux.sign(hi):
         return True
-    vertex = -aux.c1 / (2 * aux.c2)
+    vertex = Fraction(-aux.c1, 2 * aux.c2)
     if not (lo < vertex < hi):
         return False
-    return aux.sign(vertex) != aux.sign(lo) or aux(vertex) == 0
+    svertex = aux.sign(vertex)
+    return svertex != aux.sign(lo) or svertex == 0
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +247,14 @@ def _aux_root_inside(aux, lo, hi) -> bool:
 
 def _to_fraction_point(p):
     return tuple(Fraction(x) for x in p)
+
+
+def _integer_frame(points):
+    """The rational points multiplied by the lcm of their coordinates'
+    denominators: int tuples on which every predicate has the same sign."""
+    scale = math.lcm(*(x.denominator for pt in points for x in pt))
+    return [tuple(x.numerator * (scale // x.denominator) for x in pt)
+            for pt in points]
 
 
 class Trajectory:
@@ -316,7 +332,8 @@ class Event:
 
 
 def _moving_coords(a, b):
-    return lambda t: tuple(a[i] + t * (b[i] - a[i]) for i in range(len(a)))
+    d = [y - x for x, y in zip(a, b)]
+    return lambda t: tuple(x + t * dx for x, dx in zip(a, d))
 
 
 def _separate_events(events):
@@ -364,32 +381,35 @@ def detect_events(tr: Trajectory, kind: str):
     conf = list(tr.initial)
     for seg, (p, to) in enumerate(tr.moves):
         mover = p - 1
-        a, b = conf[mover], to
+        # the segment's integer frame: the configuration, then the target
+        *frame, b = _integer_frame(conf + [to])
+        a = frame[mover]
         pos = _moving_coords(a, b)
         events = []
         statics = [q for q in range(tr.n) if q != mover]
         if kind == "collinear3":
-            _static_genericity_2d(conf, mover)
+            _static_genericity_2d(frame, mover)
             for s1, s2 in itertools.combinations(statics, 2):
                 poly = PredicatePoly.interpolate(
-                    lambda t, s1=s1, s2=s2: orient2d(conf[s1], conf[s2], pos(t)))
+                    lambda t, s1=s1, s2=s2:
+                        orient2d(frame[s1], frame[s2], pos(t)))
                 for br in poly.roots_in_unit_interval():
                     events.append(Event(seg, br, kind,
                                         tuple(sorted((s1 + 1, s2 + 1, p))), poly))
         elif kind in ("concyclic4", "delaunay_flip"):
-            _static_genericity_2d(conf, mover, circles=True)
+            _static_genericity_2d(frame, mover, circles=True)
             for s1, s2, s3 in itertools.combinations(statics, 3):
                 poly = PredicatePoly.interpolate(
                     lambda t, s1=s1, s2=s2, s3=s3:
-                        incircle(conf[s1], conf[s2], conf[s3], pos(t)))
+                        incircle(frame[s1], frame[s2], frame[s3], pos(t)))
                 for br in poly.roots_in_unit_interval():
                     trip = (s1, s2, s3)
                     if kind == "delaunay_flip" and not _circle_empty(
-                            conf, trip, mover):
+                            frame, trip, mover):
                         continue
                     ev = Event(seg, br, kind,
                                tuple(sorted((s1 + 1, s2 + 1, s3 + 1, p))), poly)
-                    ev.quad = _cyclic_order_at_event(conf, trip, mover, a, b,
+                    ev.quad = _cyclic_order_at_event(frame, trip, mover, a, b,
                                                      poly, ev)
                     events.append(ev)
             # hull changes (collinearity crossings) alter the Delaunay
@@ -399,17 +419,17 @@ def detect_events(tr: Trajectory, kind: str):
             for s1, s2 in itertools.combinations(statics, 2):
                 poly = PredicatePoly.interpolate(
                     lambda t, s1=s1, s2=s2:
-                        orient2d(conf[s1], conf[s2], pos(t)))
+                        orient2d(frame[s1], frame[s2], pos(t)))
                 for br in poly.roots_in_unit_interval():
                     events.append(Event(seg, br, "_separator",
                                         (s1 + 1, s2 + 1, p), poly))
         elif kind == "coplanar_special":
             for s1, s2, s3 in itertools.combinations(statics, 3):
-                base = (conf[s1], conf[s2], conf[s3])
+                base = (frame[s1], frame[s2], frame[s3])
                 poly = PredicatePoly.interpolate(
                     lambda t, base=base: orient3d(base[0], base[1], base[2], pos(t)))
                 for br in poly.roots_in_unit_interval():
-                    ev = _special_moment_event(tr, conf, (s1, s2, s3), mover,
+                    ev = _special_moment_event(tr, frame, (s1, s2, s3), mover,
                                                a, b, poly, br, seg)
                     if ev is not None:
                         events.append(ev)
@@ -574,7 +594,7 @@ def compile_word(tr: Trajectory, target: str, groups=None):
         comps = [[] for _ in range(ncomp)]
         conf_list = tr.configurations()
         for e in events:
-            conf = conf_list[e.segment]
+            conf = _integer_frame(conf_list[e.segment])
             mover = tr.moves[e.segment][0] - 1
             trip = tuple(q - 1 for q in e.participants if q - 1 != mover)
             z = inside_count(conf, trip) - (1 if _mover_started_inside(

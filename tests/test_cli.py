@@ -167,3 +167,37 @@ def test_gamma_presentation_rejects_bad_extra_word(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2, bad
         assert repr(bad) in err, err
+
+
+def test_main_calls_share_one_parser(tmp_path, capsys):
+    # the parser is built once per process; a call after others, and after
+    # an argparse error, prints what it prints with a freshly built parser
+    from gnk.cli import build_parser, main
+    f = tmp_path / "beta.txt"
+    f.write_text("a_123 a_234 a_123 a_134 a_123 a_134 a_123 a_234\n")
+    calls = [
+        ["--format", "json", "invariant", str(f), "--map", "mn",
+         "--m", "1,2,3", "--n", "4", "--k", "3"],
+        ["reduce", str(f), "--free"],
+        ["gale", "--order", "6"],
+        ["invariant", str(f), "--map", "nope", "--m", "1,2,3", "--n", "4"],
+        ["reduce", str(f)],
+        ["--format", "json", "gale", "--order", "5"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert fresh[3][0] == 2 and "invalid choice" in fresh[3][2]
+    assert build_parser() is build_parser()
+    for _ in range(2):
+        assert [run(argv) for argv in calls] == fresh

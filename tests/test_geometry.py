@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from gnk import geometry
 from gnk.braids import generator, pb_to_gamma4, pb_to_gn3, pb_to_gn4
+from gnk.gamma import Gamma4Group, dihedral_canonical
 from gnk.geometry import (DegenerateConfiguration, DegenerateTrajectory,
                           PredicatePoly, Trajectory, canonical_generator_trajectory,
                           circle_points, compile_word, delaunay, detect_events,
                           incircle, inside_count, orient2d, orient3d,
                           point_in_circumcircle, sign_at_root)
+from gnk.gnk import GnkGroup
 from gnk.words import format_word
 
 F = Fraction
@@ -319,3 +322,464 @@ def test_gamma4_space_compile_and_reversal():
     assert wr.letters == w.inverse().letters
     for e in evs:
         assert len(e.participants) == 4
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracle: the detector as it was before predicates moved to the
+# integer frame.  Coefficients, samples and roots are all Fractions; the
+# compiler must reproduce its words, event logs and error messages exactly.
+
+
+class OraclePoly:
+    """p(t) = c2 t^2 + c1 t + c0 over exact rationals."""
+
+    def __init__(self, c2, c1, c0):
+        self.c2, self.c1, self.c0 = F(c2), F(c1), F(c0)
+
+    @classmethod
+    def interpolate(cls, f):
+        f0, fh, f1 = f(F(0)), f(F(1, 2)), f(F(1))
+        poly = cls(2 * f0 - 4 * fh + 2 * f1, -3 * f0 + 4 * fh - f1, f0)
+        if poly(F(1, 3)) != f(F(1, 3)):
+            raise DegenerateTrajectory("predicate degree exceeds 2")
+        return poly
+
+    def __call__(self, t):
+        return (self.c2 * t + self.c1) * t + self.c0
+
+    def sign(self, t):
+        v = self(t)
+        return (v > 0) - (v < 0)
+
+    def is_zero(self):
+        return self.c2 == 0 and self.c1 == 0 and self.c0 == 0
+
+    def roots_in_unit_interval(self):
+        if self.is_zero():
+            raise DegenerateTrajectory("predicate vanishes identically")
+        zero, one = F(0), F(1)
+        if self(zero) == 0 or self(one) == 0:
+            raise DegenerateTrajectory("event at a segment endpoint")
+        if self.c2 == 0:
+            if self.c1 == 0:
+                return []
+            r = -self.c0 / self.c1
+            if not (zero < r < one):
+                return []
+            return [self._bracket_rational_root(r, zero, one)]
+        disc = self.c1 * self.c1 - 4 * self.c2 * self.c0
+        if disc < 0:
+            return []
+        vertex = -self.c1 / (2 * self.c2)
+        if disc == 0:
+            if zero < vertex < one:
+                raise DegenerateTrajectory("tangential (double-root) event")
+            return []
+        out = []
+        for lo, hi in ((zero, min(max(vertex, zero), one)),
+                       (min(max(vertex, zero), one), one)):
+            if lo >= hi:
+                continue
+            slo, shi = self.sign(lo), self.sign(hi)
+            if slo == 0 or shi == 0:
+                root = lo if slo == 0 else hi
+                if root in (zero, one):
+                    raise DegenerateTrajectory("event at a segment endpoint")
+                out.append(self._bracket_rational_root(root, zero, one))
+            elif slo != shi:
+                out.append((lo, hi))
+        return out
+
+    def _bracket_rational_root(self, r, lo_lim, hi_lim):
+        delta = F(1, 4) * min(r - lo_lim, hi_lim - r)
+        while True:
+            lo, hi = r - delta, r + delta
+            if self.sign(lo) != 0 and self.sign(hi) != 0 \
+                    and self.sign(lo) != self.sign(hi):
+                return (lo, hi)
+            delta /= 2
+
+    def bisect(self, lo, hi):
+        mid = (lo + hi) / 2
+        smid = self.sign(mid)
+        if smid == 0:
+            return self._bracket_rational_root(mid, lo, hi)
+        if smid == self.sign(lo):
+            return (mid, hi)
+        return (lo, mid)
+
+    def shares_root(self, other, lo, hi):
+        a, b = self, other
+        if a.c2 == 0 and a.c1 == 0:
+            return False
+        if a.c2 == 0:
+            r = -a.c0 / a.c1
+            return lo < r < hi and b(r) == 0
+        if b.c2 == 0 and b.c1 == 0:
+            return False
+        if b.c2 == 0:
+            r = -b.c0 / b.c1
+            return lo < r < hi and a(r) == 0
+        l1 = a.c2 * b.c1 - b.c2 * a.c1
+        l0 = a.c2 * b.c0 - b.c2 * a.c0
+        if l1 == 0 and l0 == 0:
+            return True
+        if l1 == 0:
+            return False
+        r = -l0 / l1
+        return lo < r < hi and self(r) == 0 and other(r) == 0
+
+
+def oracle_sign_at_root(main, bracket, aux):
+    lo, hi = bracket
+    if aux.is_zero() or main.shares_root(aux, lo, hi):
+        return 0
+    while True:
+        slo, shi = aux.sign(lo), aux.sign(hi)
+        if slo != 0 and slo == shi \
+                and not _oracle_aux_root_inside(aux, lo, hi):
+            return slo
+        lo, hi = main.bisect(lo, hi)
+
+
+def _oracle_aux_root_inside(aux, lo, hi):
+    if aux.c2 == 0:
+        return aux.c1 != 0 and lo < -aux.c0 / aux.c1 < hi
+    if aux.c1 * aux.c1 - 4 * aux.c2 * aux.c0 < 0:
+        return False
+    if aux.sign(lo) != aux.sign(hi):
+        return True
+    vertex = -aux.c1 / (2 * aux.c2)
+    if not (lo < vertex < hi):
+        return False
+    return aux.sign(vertex) != aux.sign(lo) or aux(vertex) == 0
+
+
+class OracleEvent:
+    def __init__(self, segment, bracket, kind, participants, poly, side=None):
+        self.segment, self.bracket, self.kind = segment, bracket, kind
+        self.participants, self.poly = participants, poly
+        self.quad, self.side = None, side
+
+
+def _oracle_separate(events):
+    for e1, e2 in itertools.combinations(events, 2):
+        guard = 0
+        while not (e1.bracket[1] <= e2.bracket[0]
+                   or e2.bracket[1] <= e1.bracket[0]):
+            overlap = (max(e1.bracket[0], e2.bracket[0]),
+                       min(e1.bracket[1], e2.bracket[1]))
+            if e1.poly.shares_root(e2.poly, *overlap):
+                raise DegenerateTrajectory(
+                    "simultaneous events %r and %r in segment %d"
+                    % (e1.participants, e2.participants, e1.segment))
+            e1.bracket = e1.poly.bisect(*e1.bracket)
+            e2.bracket = e2.poly.bisect(*e2.bracket)
+            guard += 1
+            if guard > 4000:
+                raise DegenerateTrajectory("cannot separate event brackets")
+    events.sort(key=lambda e: e.bracket[0])
+    return events
+
+
+def _oracle_static_genericity(conf, mover, circles=False):
+    statics = [q for q in range(len(conf)) if q != mover]
+    for a, b, c in itertools.combinations(statics, 3):
+        if orient2d(conf[a], conf[b], conf[c]) == 0:
+            raise DegenerateTrajectory("three static points collinear")
+    if circles:
+        for a, b, c, d in itertools.combinations(statics, 4):
+            if incircle(conf[a], conf[b], conf[c], conf[d]) == 0:
+                raise DegenerateTrajectory("four static points concyclic")
+
+
+def _oracle_convex_quad(pts, side_sign):
+    for x, y in itertools.combinations(pts, 2):
+        z, w = [q for q in pts if q not in (x, y)]
+        if side_sign(x, y, z) * side_sign(x, y, w) < 0:
+            return dihedral_canonical((x + 1, z + 1, y + 1, w + 1))
+    return None
+
+
+def oracle_detect_events(tr, kind):
+    out = []
+    conf = list(tr.initial)
+    for seg, (p, to) in enumerate(tr.moves):
+        mover = p - 1
+        a, b = conf[mover], to
+
+        def pos(t):
+            return tuple(a[i] + t * (b[i] - a[i]) for i in range(len(a)))
+
+        def at(q, t):
+            return pos(t) if q == mover else conf[q]
+
+        events = []
+        statics = [q for q in range(tr.n) if q != mover]
+        if kind == "collinear3":
+            _oracle_static_genericity(conf, mover)
+            for s1, s2 in itertools.combinations(statics, 2):
+                poly = OraclePoly.interpolate(
+                    lambda t: orient2d(conf[s1], conf[s2], pos(t)))
+                for br in poly.roots_in_unit_interval():
+                    events.append(OracleEvent(seg, br, kind, tuple(
+                        sorted((s1 + 1, s2 + 1, p))), poly))
+        elif kind in ("concyclic4", "delaunay_flip"):
+            _oracle_static_genericity(conf, mover, circles=True)
+            for trip in itertools.combinations(statics, 3):
+                s1, s2, s3 = trip
+                poly = OraclePoly.interpolate(
+                    lambda t: incircle(conf[s1], conf[s2], conf[s3], pos(t)))
+                for br in poly.roots_in_unit_interval():
+                    if kind == "delaunay_flip" and any(
+                            point_in_circumcircle(conf[s1], conf[s2], conf[s3],
+                                                  conf[x]) > 0
+                            for x in statics if x not in trip):
+                        continue
+                    ev = OracleEvent(seg, br, kind, tuple(sorted(
+                        (s1 + 1, s2 + 1, s3 + 1, p))), poly)
+
+                    def side_sign(x, y, z, ev=ev):
+                        if mover not in (x, y, z):
+                            v = orient2d(conf[x], conf[y], conf[z])
+                            return (v > 0) - (v < 0)
+                        aux = OraclePoly.interpolate(
+                            lambda t: orient2d(at(x, t), at(y, t), at(z, t)))
+                        return oracle_sign_at_root(ev.poly, ev.bracket, aux)
+
+                    ev.quad = _oracle_convex_quad(list(trip) + [mover],
+                                                  side_sign)
+                    if ev.quad is None:
+                        raise DegenerateTrajectory(
+                            "event points not in convex position")
+                    events.append(ev)
+            for s1, s2 in itertools.combinations(statics, 2):
+                poly = OraclePoly.interpolate(
+                    lambda t: orient2d(conf[s1], conf[s2], pos(t)))
+                for br in poly.roots_in_unit_interval():
+                    events.append(OracleEvent(seg, br, "_separator",
+                                              (s1 + 1, s2 + 1, p), poly))
+        else:                                   # coplanar_special
+            for trip in itertools.combinations(statics, 3):
+                s1, s2, s3 = trip
+                poly = OraclePoly.interpolate(
+                    lambda t: orient3d(conf[s1], conf[s2], conf[s3], pos(t)))
+                for br in poly.roots_in_unit_interval():
+                    sides = []
+                    for x in statics:
+                        if x in trip:
+                            continue
+                        v = orient3d(conf[s1], conf[s2], conf[s3], conf[x])
+                        if v == 0:
+                            raise DegenerateTrajectory(
+                                "static point on event plane")
+                        sides.append((v > 0) - (v < 0))
+                    if sides and len(set(sides)) != 1:
+                        continue
+                    ev = OracleEvent(seg, br, kind, tuple(sorted(
+                        (s1 + 1, s2 + 1, s3 + 1, p))), poly,
+                        side=sides[0] if sides else 1)
+                    normal = _oracle_cross(_oracle_sub(conf[s2], conf[s1]),
+                                           _oracle_sub(conf[s3], conf[s1]))
+
+                    def inplane_sign(x, y, z, ev=ev, normal=normal):
+                        aux = OraclePoly.interpolate(lambda t: _oracle_det3(
+                            _oracle_sub(at(y, t), at(x, t)),
+                            _oracle_sub(at(z, t), at(x, t)), normal))
+                        return oracle_sign_at_root(ev.poly, ev.bracket, aux)
+
+                    ev.quad = _oracle_convex_quad(list(trip) + [mover],
+                                                  inplane_sign)
+                    if ev.quad is not None:
+                        events.append(ev)
+        out.extend(e for e in _oracle_separate(events)
+                   if e.kind != "_separator")
+        conf[mover] = to
+    return out
+
+
+def _oracle_sub(u, v):
+    return tuple(x - y for x, y in zip(u, v))
+
+
+def _oracle_cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _oracle_det3(u, v, w):
+    return (u[0] * (v[1] * w[2] - v[2] * w[1])
+            - u[1] * (v[0] * w[2] - v[2] * w[0])
+            + u[2] * (v[0] * w[1] - v[1] * w[0]))
+
+
+def oracle_compile(tr, target):
+    """(word or graded tuple, events) as compile_word gave them on
+    Fractions."""
+    n = tr.n
+    if target in ("gn3", "gn4"):
+        events = oracle_detect_events(
+            tr, "collinear3" if target == "gn3" else "concyclic4")
+        group = GnkGroup(n, 3 if target == "gn3" else 4)
+        word = group.word_from_subsets([e.participants for e in events])
+        return word, events
+    if target in ("gamma4", "gamma4_space"):
+        events = oracle_detect_events(
+            tr, "delaunay_flip" if target == "gamma4" else "coplanar_special")
+        return Gamma4Group(n).word_from_quads([e.quad for e in events]), events
+    r = n - 4
+    comps = [[] for _ in range(r // 2 + 1)]
+    events = oracle_detect_events(tr, "concyclic4")
+    confs = tr.configurations()
+    for e in events:
+        conf = confs[e.segment]
+        mover = tr.moves[e.segment][0] - 1
+        trip = tuple(q - 1 for q in e.participants if q - 1 != mover)
+        z = inside_count(conf, trip)
+        if point_in_circumcircle(*(conf[q] for q in trip), conf[mover]) > 0:
+            z -= 1
+        comps[min(z % r, (-z) % r)].append(e.quad)
+    return (tuple(Gamma4Group(n).word_from_quads(c) for c in comps), events)
+
+
+def _event_log(events):
+    return [(e.segment, e.kind, e.participants, e.quad, e.side, e.bracket)
+            for e in events]
+
+
+def _outcome(compile_fn, tr, target):
+    try:
+        word, events = compile_fn(tr, target)
+    except DegenerateTrajectory as exc:
+        return ("degenerate", str(exc))
+    if isinstance(word, tuple):
+        return tuple(w.letters for w in word), _event_log(events)
+    return word.letters, _event_log(events)
+
+
+def _random_rational(rng, box):
+    den = rng.randint(1, 1000)
+    return F(rng.randint(-box * den, box * den), den)
+
+
+def _random_trajectory(rng, n, dim, segments):
+    pts = [tuple(_random_rational(rng, 10) for _ in range(dim))
+           for _ in range(n)]
+    moves = [(rng.randint(1, n), tuple(_random_rational(rng, 10)
+                                       for _ in range(dim)))
+             for _ in range(segments)]
+    return Trajectory(pts, moves, dim)
+
+
+ORACLE_CASES = [("gn3", 2, (4, 5, 6, 7)), ("gn4", 2, (4, 5, 6)),
+                ("gamma4", 2, (4, 5, 6)), ("gamma4_graded", 2, (6, 7)),
+                ("gamma4_space", 3, (4, 5, 6))]
+
+
+@pytest.mark.parametrize("target,dim,ns", ORACLE_CASES,
+                         ids=[c[0] for c in ORACLE_CASES])
+def test_integer_frame_matches_fraction_oracle(target, dim, ns):
+    rng = random.Random("oracle:" + target)
+    events = 0
+    for trial in range(8):
+        n = ns[trial % len(ns)]
+        tr = _random_trajectory(rng, n, dim, rng.randint(2, 3))
+        want = _outcome(oracle_compile, tr, target)
+        assert _outcome(compile_word, tr, target) == want, (target, trial)
+        if want[0] != "degenerate":
+            events += len(want[1])
+    assert events > 0
+
+
+DEGENERATE_CASES = [
+    # three static points collinear
+    ([(0, 0), (1, 1), (2, 2), (5, 0)], [(4, (5, 3))], "gn3"),
+    ([(0, 0), (1, 1), (2, 2), (5, 0), (0, 5)], [(4, (5, 3))], "gamma4"),
+    # the mover starts on the line through points 1 and 2
+    ([(0, 0), (2, 0), (0, 2), (1, 0)], [(4, (1, 2))], "gn3"),
+    # ... or ends on the circle through points 1, 2, 3
+    ([(1, 0), (0, 1), (-1, 0), (0, 0)], [(4, (0, -1))], "gn4"),
+    # tangent to the unit circle at (0, -1)
+    ([(1, 0), (0, 1), (-1, 0), (-2, -1)], [(4, (2, -1))], "gn4"),
+    ([(1, 0), (0, 1), (-1, 0), (-2, -1), (F(1, 3), 5)], [(4, (2, -1))],
+     "gamma4"),
+    # lines 13 and 24 cross at (1, 1), which the mover passes at t = 1/2
+    ([(0, 0), (0, 2), (2, 2), (2, 0), (1, -1)], [(5, (1, 3))], "gn3"),
+    # circles 123 and 145 cross at (0, -1), which the mover passes at t = 1/2
+    ([(1, 0), (0, 1), (-1, 0), (4, -1), (3, -4), (F(1, 7), F(-3, 2))],
+     [(6, (F(-1, 7), F(-1, 2)))], "gn4"),
+    # four static points concyclic
+    ([(1, 0), (0, 1), (-1, 0), (0, -1), (3, 3)], [(5, (3, -3))], "gn4"),
+    # a static point on the plane of an event
+    ([(0, 0, 0), (3, 0, 0), (0, 3, 0), (1, 1, 0), (1, 1, 5)],
+     [(5, (1, 1, -2))], "gamma4_space"),
+]
+
+
+@pytest.mark.parametrize("points,moves,target", DEGENERATE_CASES)
+def test_degenerate_messages_match_fraction_oracle(points, moves, target):
+    tr = Trajectory(points, moves, len(points[0]))
+    want = _outcome(oracle_compile, tr, target)
+    assert want[0] == "degenerate"
+    assert _outcome(compile_word, tr, target) == want
+
+
+def test_predicate_poly_clears_denominators():
+    p = PredicatePoly(1, -1, F(3, 16))
+    assert (p.c2, p.c1, p.c0) == (16, -16, 3)
+    assert all(type(c) is int for c in (p.c2, p.c1, p.c0))
+    brs = p.roots_in_unit_interval()
+    assert brs == OraclePoly(1, -1, F(3, 16)).roots_in_unit_interval()
+    assert brs[0][0] < F(1, 4) < brs[0][1] and brs[1][0] < F(3, 4) < brs[1][1]
+
+
+CANONICAL_TARGETS = {"circle_gn3": ("gn3",), "parabola_gn4": ("gn4",),
+                     "circle_gamma4": ("gamma4", "gamma4_graded")}
+
+
+def test_canonical_compiles_decide_on_ints_and_fractions(monkeypatch):
+    # every wall predicate runs on an integer frame, every predicate
+    # polynomial has int coefficients, and every point a sign is taken at
+    # is a Fraction, never an int / int float
+    polys, points, coords = [], [], set()
+    interpolate, sign = PredicatePoly.interpolate.__func__, PredicatePoly.sign
+
+    def recording(predicate):
+        def wrapper(*pts):
+            coords.update(type(x) for pt in pts for x in pt)
+            return predicate(*pts)
+        return wrapper
+
+    for name in ("orient2d", "incircle", "orient3d"):
+        monkeypatch.setattr(geometry, name, recording(getattr(geometry, name)))
+
+    def recording_interpolate(cls, f):
+        polys.append(interpolate(cls, f))
+        return polys[-1]
+
+    def recording_sign(self, t):
+        points.append(t)
+        return sign(self, t)
+
+    monkeypatch.setattr(PredicatePoly, "interpolate",
+                        classmethod(recording_interpolate))
+    monkeypatch.setattr(PredicatePoly, "sign", recording_sign)
+    brackets = 0
+    for n in range(4, 8):
+        for i, j in itertools.combinations(range(1, n + 1), 2):
+            for style, targets in CANONICAL_TARGETS.items():
+                tr = canonical_generator_trajectory(n, i, j, style)
+                for target in targets:
+                    if target == "gamma4_graded" and n != 6:
+                        continue                # the slowest target: one n
+                    try:
+                        _, events = compile_word(tr, target)
+                    except DegenerateTrajectory:
+                        continue
+                    for e in events:
+                        assert all(type(x) is Fraction for x in e.bracket)
+                        brackets += 1
+    assert polys and points and brackets
+    assert coords == {int}
+    assert all(type(c) is int for p in polys for c in (p.c2, p.c1, p.c0))
+    assert all(type(t) is Fraction for t in points)
