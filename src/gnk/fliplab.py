@@ -261,13 +261,10 @@ class LabeledTriangulation:
         return all(self.labels[e] == other.labels[e] for e in self.labels)
 
 
-def pentagon_triangulation(symbolic=True):
+def pentagon_triangulation():
     """Convex pentagon 1..5 fanned from vertex 1, with symbolic edge labels."""
     names = ["e12", "e13", "e14", "e15", "e23", "e34", "e45"]
-    if symbolic:
-        vals = dict(zip(names, symbols(names)))
-    else:
-        raise ValueError("numeric labels are supplied by the caller")
+    vals = dict(zip(names, symbols(names)))
     edges = {(1, 2): vals["e12"], (1, 3): vals["e13"], (1, 4): vals["e14"],
              (1, 5): vals["e15"], (2, 3): vals["e23"], (3, 4): vals["e34"],
              (4, 5): vals["e45"]}

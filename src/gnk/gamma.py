@@ -20,26 +20,18 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
-from .words import Alphabet, CyclicWord, Word, labels_text, word_from_keys
+from .words import (Alphabet, CyclicWord, Word, distinct_cyclic_words,
+                    labels_text, least_rotation, word_from_keys)
 
 
 # ---------------------------------------------------------------------------
 # Gamma_n^4 generators: dihedral classes of 4-tuples
 
 
-def dihedral_images(quad):
-    quad = tuple(quad)
-    rots = [quad[i:] + quad[:i] for i in range(4)]
-    rev = quad[::-1]
-    rots += [rev[i:] + rev[:i] for i in range(4)]
-    return rots
-
-
 def dihedral_canonical(quad):
     """Least representative of the dihedral class of a cyclic 4-tuple."""
-    return min(dihedral_images(quad))
+    quad = tuple(quad)
+    return min(least_rotation(quad), least_rotation(quad[::-1]))
 
 
 def d_symbol(quad) -> str:
@@ -81,18 +73,11 @@ def gamma4_presentation(n: int):
     for q1, q2 in itertools.combinations(quads, 2):
         if len(set(q1) & set(q2)) < 3:
             rels.append(CyclicWord((g.generator(q1) * g.generator(q2)) ** 2))
-    seen = set()
-    pentagons = []
-    for five in itertools.combinations(g.labels, 5):
-        for p in itertools.permutations(five):
-            i, j, k, l, m = p
-            w = g.word_from_quads([(i, j, k, l), (i, j, l, m), (j, k, l, m),
-                                   (i, j, k, m), (i, k, l, m)])
-            cw = CyclicWord(w)
-            key = min(cw.letters, cw.reversal().letters)
-            if key not in seen:
-                seen.add(key)
-                pentagons.append(cw)
+    pentagons = distinct_cyclic_words(
+        g.word_from_quads([(i, j, k, l), (i, j, l, m), (j, k, l, m),
+                           (i, j, k, m), (i, k, l, m)])
+        for five in itertools.combinations(g.labels, 5)
+        for i, j, k, l, m in itertools.permutations(five))
     return g, rels + pentagons
 
 
@@ -272,11 +257,12 @@ def gale_relation_word(group: GammaGroup, diagram: GaleDiagram, M) -> Word:
 
 
 def gamma_presentation(n: int, k: int):
-    """Generators and the four relation families of Gamma_n^k.
+    """Generators and relation families of Gamma_n^k.
 
-    Returns (group, inverse_pairs, far_commutativity, polygon_relators):
-    inverse normalisation is structural (a_{Q,P} stored as a_{P,Q}^{-1});
-    polygon relators are deduplicated by cyclic canonical form.
+    Returns (group, far_commutativity, polygon_relators): inverse
+    normalisation is structural (a_{Q,P} stored as a_{P,Q}^{-1}), so no
+    inverse-pair relators are listed; polygon relators are deduplicated up
+    to rotation and inversion.
     """
     group = GammaGroup(n, k)
     far = []
@@ -288,16 +274,11 @@ def gamma_presentation(n: int, k: int):
             w2 = group.word_from_pairs([(P2, Q2), (P, Q)])
             far.append(CyclicWord(w1 * w2.inverse()))
     diagrams = enumerate_standard_gale(k + 1)
-    seen = set()
-    polygons = []
-    for M_set in itertools.combinations(group.labels, k + 1):
-        for M in itertools.permutations(M_set):
-            for d in diagrams:
-                cw = CyclicWord(gale_relation_word(group, d, M))
-                key = min(cw.letters, cw.reversal().letters)
-                if key not in seen:
-                    seen.add(key)
-                    polygons.append(cw)
+    polygons = distinct_cyclic_words(
+        gale_relation_word(group, d, M)
+        for M_set in itertools.combinations(group.labels, k + 1)
+        for M in itertools.permutations(M_set)
+        for d in diagrams)
     return group, far, polygons
 
 
@@ -472,63 +453,46 @@ def polytope_faces_via_gale(points):
 # GF(2) abelianization ranks
 
 
-def gf2_rank(rows: np.ndarray) -> int:
-    """Rank over GF(2) by XOR elimination on uint8 rows."""
-    M = (np.asarray(rows, dtype=np.uint8) % 2).copy()
-    if M.size == 0:
-        return 0
-    m, n = M.shape
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if M[i, c]:
-                piv = i
+def gf2_rank(rows) -> int:
+    """Rank over GF(2) by XOR elimination on Python-int bitsets.
+
+    ``rows`` is any iterable of rows; a row is a sequence of 0/1 entries
+    (read mod 2) or an int whose bit c is its entry in column c.
+    """
+    basis = {}                          # leading bit -> row
+    for row in rows:
+        if not isinstance(row, int):
+            row = sum(1 << c for c, x in enumerate(row) if x % 2)
+        while row:
+            top = row.bit_length() - 1
+            if top not in basis:
+                basis[top] = row
                 break
-        if piv is None:
-            continue
-        M[[r, piv]] = M[[piv, r]]
-        mask = M[:, c].astype(bool).copy()
-        mask[r] = False
-        M[mask] ^= M[r]
-        r += 1
-        if r == m:
-            break
-    return r
+            row ^= basis[top]
+    return len(basis)
 
 
 def abelianization_rank_gf2(generator_index, relator_rows, extra_rows=()):
     """(num_generators, num_relations, rank) of a GF(2) exponent matrix.
 
-    ``generator_index`` maps generator keys to column numbers;
-    ``relator_rows`` is an iterable of generator-key multisets (iterables),
-    each XOR-accumulated into one row.
+    ``generator_index`` maps generator keys to column numbers, and keys
+    that name one generator share its column; ``relator_rows`` is an
+    iterable of generator-key multisets (iterables), each XOR-accumulated
+    into one row; ``extra_rows`` add to the rank, not to the relations.
     """
-    ncols = len(generator_index)
+    relator_rows = list(relator_rows)
     rows = []
-    for rel in relator_rows:
-        row = np.zeros(ncols, dtype=np.uint8)
+    for rel in itertools.chain(relator_rows, extra_rows):
+        row = 0
         for key in rel:
-            row[generator_index[key]] ^= 1
+            row ^= 1 << generator_index[key]
         rows.append(row)
-    nrel = len(rows)
-    for rel in extra_rows:
-        row = np.zeros(ncols, dtype=np.uint8)
-        for key in rel:
-            row[generator_index[key]] ^= 1
-        rows.append(row)
-    M = np.array(rows, dtype=np.uint8) if rows else np.zeros((0, ncols), np.uint8)
-    return ncols, nrel, gf2_rank(M)
+    return (len(set(generator_index.values())), len(relator_rows),
+            gf2_rank(rows))
 
 
 # ---------------------------------------------------------------------------
 # the oriented variant
-
-
-def cyclic_rotation_canonical(seq):
-    seq = tuple(seq)
-    n = len(seq)
-    return min(tuple(seq[(i + j) % n] for j in range(n)) for i in range(n))
 
 
 def oriented_generator_classes(n: int, k: int):
@@ -538,6 +502,10 @@ def oriented_generator_classes(n: int, k: int):
     A transposition on a part of size 2 fixes its cyclic order, so for parts
     of size 2 the partner's orientation collapses; classes are computed as
     orbits of (cyc P, cyc Q) under pairs of equal-parity permutations.
+
+    Returns (classes, reps): ``reps`` lists the least pair of each class in
+    column order, and ``classes`` maps every pair (cyc P, cyc Q), each part
+    a least rotation, to the column of its class.
     """
     classes = {}
     reps = []
@@ -552,16 +520,15 @@ def oriented_generator_classes(n: int, k: int):
                         if key not in classes:
                             classes[key] = len(reps)
                             reps.append(key)
+                        classes[cp, cq] = classes[key]
     return classes, reps
 
 
 def _cyclic_orders(S):
-    S = tuple(sorted(S))
-    if len(S) <= 2:
-        return [S]
-    first = S[0]
-    return [cyclic_rotation_canonical((first,) + rest)
-            for rest in itertools.permutations(S[1:])]
+    """Every cyclic order of a set of at least two labels, as the rotation
+    that starts at its least label."""
+    first, *rest = sorted(S)
+    return [(first,) + order for order in itertools.permutations(rest)]
 
 
 def _oriented_canonical(cp, cq):
@@ -573,9 +540,9 @@ def _oriented_canonical(cp, cq):
             for j in range(i + 1, n):
                 lst = list(cyc)
                 lst[i], lst[j] = lst[j], lst[i]
-                out.add(cyclic_rotation_canonical(lst))
+                out.add(least_rotation(lst))
         return out
-    seen = {(cyclic_rotation_canonical(cp), cyclic_rotation_canonical(cq))}
+    seen = {(least_rotation(cp), least_rotation(cq))}
     frontier = list(seen)
     while frontier:
         nxt = []
@@ -600,33 +567,20 @@ def oriented_abelianization_gf2(n: int, k: int, extra_words=()):
     contributes to the class of the swapped pair.
     """
     classes, _ = oriented_generator_classes(n, k)
-    diagrams = enumerate_standard_gale(k + 1)
+
+    def letters(pairs):
+        return [(least_rotation(P), least_rotation(Q)) for P, Q in pairs]
+
     rows = []
-    labels = range(1, n + 1)
-    for d in diagrams:
+    for d in enumerate_standard_gale(k + 1):
         rl = d.rl_position_sets()
-        for M_set in itertools.combinations(labels, k + 1):
+        for M_set in itertools.combinations(range(1, n + 1), k + 1):
             for M in itertools.permutations(M_set):
-                row = []
-                for R, L in rl:
-                    P = tuple(M[j] for j in R)
-                    Q = tuple(M[j] for j in L)
-                    row.append(_oriented_canonical(
-                        cyclic_rotation_canonical(P),
-                        cyclic_rotation_canonical(Q)))
-                rows.append(row)
-    extra = []
-    for letters in extra_words:
-        row = []
-        for (P, Q, sign) in letters:
-            if sign == -1:
-                P, Q = Q, P
-            row.append(_oriented_canonical(cyclic_rotation_canonical(P),
-                                           cyclic_rotation_canonical(Q)))
-        extra.append(row)
-    ngen, nrel, rank = abelianization_rank_gf2(classes, rows)
-    out = [ngen, nrel, rank]
+                rows.append(letters((tuple(M[j] for j in R),
+                                     tuple(M[j] for j in L)) for R, L in rl))
+    extra = [letters((Q, P) if sign == -1 else (P, Q) for P, Q, sign in word)
+             for word in extra_words]
+    out = abelianization_rank_gf2(classes, rows)
     if extra:
-        ngen2, _, rank2 = abelianization_rank_gf2(classes, rows, extra)
-        out.append(rank2)
-    return tuple(out)
+        out += abelianization_rank_gf2(classes, rows, extra)[2:]
+    return out

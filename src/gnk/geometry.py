@@ -483,9 +483,7 @@ def _cyclic_order_at_event(conf, triple, mover, a, b, poly, ev):
                 return pos(t) if q == mover else conf[q]
             return orient2d(gp(x), gp(y), gp(z))
         aux = PredicatePoly.interpolate(f)
-        s = sign_at_root(poly, ev.bracket, aux)
-        ev.bracket = tuple(ev.bracket)
-        return s
+        return sign_at_root(poly, ev.bracket, aux)
 
     diag = None
     for x, y in itertools.combinations(pts, 2):
@@ -680,7 +678,6 @@ def circle_points(n, radius=Fraction(1), nudge=True):
 
 def _tan_half_approx(k, n):
     """Rational approximation of tan(pi*k/n) with moderate denominator."""
-    import math
     val = math.tan(math.pi * k / n)
     if abs(val) > 1e8:
         return Fraction(10 ** 6)

@@ -18,8 +18,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .words import (Alphabet, CyclicWord, Word, labels_text, state_alphabet,
-                    state_key, word_from_keys)
+from .words import (Alphabet, CyclicWord, Word, distinct_cyclic_words,
+                    labels_text, state_alphabet, state_key, word_from_keys)
 
 
 def subset_symbol(m) -> str:
@@ -86,22 +86,17 @@ class GnkPresentation:
             if len(set(m1) & set(m2)) <= k - 2:
                 w = (group.generator(m1) * group.generator(m2)) ** 2
                 self.far_commutativity_relators.append(CyclicWord(w))
-        self.tetrahedron_relators = self._tetrahedron(group)
+        self.tetrahedron_relators = distinct_cyclic_words(
+            self._tetrahedron(group))
 
     @staticmethod
     def _tetrahedron(group: GnkGroup):
-        seen = {}
+        """Squared tetrahedron words, one per ordering of a (k+1)-subset."""
         for U in itertools.combinations(group.labels, group.k + 1):
             for perm in itertools.permutations(U):
                 base = group.word_from_subsets(
                     [tuple(sorted(set(U) - {u})) for u in perm])
-                rel = base * base
-                cw = CyclicWord(rel)
-                key = min((cw.letters, cw.alphabet.symbols[0]),
-                          (cw.reversal().letters, cw.alphabet.symbols[0]))
-                if key not in seen:
-                    seen[key] = cw
-        return list(seen.values())
+                yield base * base
 
     @property
     def relators(self):

@@ -200,6 +200,35 @@ class Word:
         return counts
 
 
+def least_rotation(seq, key=None) -> tuple:
+    """Lexicographically least rotation of a sequence, as a tuple.
+
+    Items compare by ``key(item)`` when a key is given; the key must be
+    injective for the least rotation to be unique.  Linear time: two
+    candidate starts are compared, and the loser skips past the run they
+    share.
+    """
+    seq = tuple(seq)
+    n = len(seq)
+    ks = [key(x) for x in seq] if key else list(seq)
+    ks += ks
+    # start i never passes the first least start, so it ends on it
+    i, j, t = 0, 1, 0
+    while j < n and t < n:
+        a, b = ks[i + t], ks[j + t]
+        if a == b:
+            t += 1
+            continue
+        if a > b:
+            i += t + 1
+        else:
+            j += t + 1
+        if i == j:
+            j += 1
+        t = 0
+    return seq[i:] + seq[:i]
+
+
 class CyclicWord:
     """Conjugacy-class key: cyclically reduced, rotation-canonical word.
 
@@ -210,19 +239,12 @@ class CyclicWord:
     __slots__ = ("alphabet", "letters")
 
     def __init__(self, word: Word):
-        letters = cyclic_reduce(word.alphabet, word.letters)
+        index = word.alphabet.index
+        letters = least_rotation(
+            cyclic_reduce(word.alphabet, word.letters),
+            key=lambda letter: 2 * index[letter[0]] + (letter[1] != 1))
         object.__setattr__(self, "alphabet", word.alphabet)
-        object.__setattr__(self, "letters", self._least_rotation(word.alphabet, letters))
-
-    @staticmethod
-    def _least_rotation(alphabet, letters):
-        if not letters:
-            return ()
-        def key(rot):
-            return tuple((alphabet.index[s], 0 if e == 1 else 1) for s, e in rot)
-        n = len(letters)
-        best = min((tuple(letters[i:]) + tuple(letters[:i]) for i in range(n)), key=key)
-        return best
+        object.__setattr__(self, "letters", letters)
 
     def __setattr__(self, *a):
         raise AttributeError("CyclicWord is immutable")
@@ -248,6 +270,20 @@ class CyclicWord:
 
     def reversal(self) -> "CyclicWord":
         return CyclicWord(self.to_word().inverse())
+
+
+def distinct_cyclic_words(words) -> list:
+    """The CyclicWord of each word, keeping only the first of each class up
+    to rotation and inversion, in input order."""
+    seen = set()
+    out = []
+    for w in words:
+        cw = CyclicWord(w)
+        key = min(cw.letters, cw.reversal().letters)
+        if key not in seen:
+            seen.add(key)
+            out.append(cw)
+    return out
 
 
 def word(alphabet: Alphabet, letters: Iterable) -> Word:

@@ -8,6 +8,14 @@ def run_cli(args, **kw):
                           capture_output=True, text=True, **kw)
 
 
+def test_cli_imports_without_numpy():
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.modules['numpy'] = None; import gnk.cli"],
+        capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
 def test_reduce_empty(tmp_path):
     f = tmp_path / "empty.txt"
     f.write_text("a_12 a_12\n")

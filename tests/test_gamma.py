@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gnk.gamma import (GammaGroup, GaleDiagram,
+from gnk.gamma import (GammaGroup, GaleDiagram, _oriented_canonical,
                        abelianization_rank_gf2, dihedral_canonical,
                        enumerate_standard_gale, gale_diagram,
                        gale_relation_word, gale_transform, gamma4_presentation,
@@ -13,7 +13,16 @@ from gnk.gamma import (GammaGroup, GaleDiagram,
                        oriented_abelianization_gf2, oriented_generator_classes,
                        polytope_faces_via_gale, pq_to_d_quad,
                        standard_gale_count_formula)
-from gnk.words import CyclicWord, format_word
+from gnk.words import CyclicWord, format_word, least_rotation
+
+
+def _dihedral_images(quad):
+    """The eight rotations and reflections of a cyclic 4-tuple."""
+    quad = tuple(quad)
+    rots = [quad[i:] + quad[:i] for i in range(4)]
+    rev = quad[::-1]
+    rots += [rev[i:] + rev[:i] for i in range(4)]
+    return rots
 
 
 def test_dihedral_canonical():
@@ -23,6 +32,8 @@ def test_dihedral_canonical():
     assert all(dihedral_canonical(q) == dihedral_canonical(quad)
                for q in images)
     assert dihedral_canonical((1, 2, 4, 5)) != dihedral_canonical(quad)
+    for q in itertools.permutations(range(1, 8), 4):
+        assert dihedral_canonical(q) == min(_dihedral_images(q)), q
 
 
 def test_enumerate_counts():
@@ -218,10 +229,58 @@ def test_gale_diagram_directions():
         assert y[0] * d[0] + y[1] * d[1] > 0
 
 
+def _gf2_rank_numpy(rows) -> int:
+    """Reference rank: column-by-column XOR elimination on uint8 rows."""
+    M = (np.asarray(rows, dtype=np.uint8) % 2).copy()
+    if M.size == 0:
+        return 0
+    m, n = M.shape
+    r = 0
+    for c in range(n):
+        piv = None
+        for i in range(r, m):
+            if M[i, c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        M[[r, piv]] = M[[piv, r]]
+        mask = M[:, c].astype(bool).copy()
+        mask[r] = False
+        M[mask] ^= M[r]
+        r += 1
+        if r == m:
+            break
+    return r
+
+
+def _bits(row):
+    return sum(1 << c for c, x in enumerate(row) if x)
+
+
 def test_gf2_rank_basics():
     assert gf2_rank(np.zeros((0, 4), dtype=np.uint8)) == 0
     M = np.array([[1, 0, 1], [0, 1, 1], [1, 1, 0]], dtype=np.uint8)
     assert gf2_rank(M) == 2
+    assert gf2_rank([[1, 0, 1], [0, 1, 1], [1, 1, 0]]) == 2
+    assert gf2_rank([0b101, 0b110, 0b011]) == 2
+    assert gf2_rank([[3, 2], [1, 0]]) == 1     # entries are read mod 2
+
+
+def test_gf2_rank_matches_numpy_oracle():
+    rng = np.random.default_rng(41)
+    shapes = [(0, 0), (0, 5), (5, 0), (1, 1), (8, 8), (40, 7), (7, 40),
+              (200, 30), (30, 200), (64, 64)]
+    for m, n in shapes:
+        for density in (0.0, 0.1, 0.5, 0.9):
+            M = (rng.random((m, n)) < density).astype(np.uint8)
+            if m > 2:
+                M[m // 2] = 0                      # a zero row
+                M[-1] = M[0] ^ M[1]                # a dependent row
+            expected = _gf2_rank_numpy(M)
+            assert gf2_rank(M) == expected, (m, n, density)
+            assert gf2_rank(M.tolist()) == expected, (m, n, density)
+            assert gf2_rank([_bits(r) for r in M]) == expected
 
 
 def test_abelianization_rank_invariance():
@@ -243,13 +302,65 @@ def test_abelianization_empty():
     assert abelianization_rank_gf2({}, []) == (0, 0, 0)
 
 
+CRITERION_4_WORD = [((3, 5), (1, 6, 4), 1), ((4, 6), (2, 5, 3), -1),
+                    ((4, 6), (1, 3, 5), 1), ((3, 5), (2, 4, 6), -1)]
+
+
+def _oriented_rows_oracle(n, k, extra_words=()):
+    """Relator and extra rows of the oriented variant as lists of columns,
+    each letter's class found by its own transposition-orbit search."""
+    _, reps = oriented_generator_classes(n, k)
+    column = {rep: c for c, rep in enumerate(reps)}
+
+    def col(P, Q):
+        return column[_oriented_canonical(least_rotation(P),
+                                          least_rotation(Q))]
+
+    rows = []
+    for d in enumerate_standard_gale(k + 1):
+        for M_set in itertools.combinations(range(1, n + 1), k + 1):
+            for M in itertools.permutations(M_set):
+                rows.append([col(tuple(M[j] for j in R), tuple(M[j] for j in L))
+                             for R, L in d.rl_position_sets()])
+    extra = [[col(Q, P) if sign == -1 else col(P, Q) for P, Q, sign in w]
+             for w in extra_words]
+    return len(reps), rows, extra
+
+
+# at k = 6 both 3-parts keep their cyclic orders, and (6, 6) has no relator
+# rows, so its extra word's rank sees those orders alone
+@pytest.mark.parametrize("n, k, extra_words", [
+    (6, 5, [CRITERION_4_WORD]), (7, 4, []),
+    (6, 6, [[((1, 3, 2), (4, 5, 6), 1), ((1, 2, 3), (4, 5, 6), 1)]])])
+def test_oriented_class_lookup_matches_orbit_search(n, k, extra_words):
+    classes, _ = oriented_generator_classes(n, k)
+    # every ordered pair of disjoint label sequences a letter can carry
+    for kset in itertools.combinations(range(1, n + 1), k):
+        for perm in itertools.permutations(kset):
+            for split in range(2, k - 1):
+                P, Q = perm[:split], perm[split:]
+                assert (classes[least_rotation(P), least_rotation(Q)]
+                        == classes[_oriented_canonical(P, Q)]), (P, Q)
+
+    ngen, rows, extra = _oriented_rows_oracle(n, k, extra_words)
+    full = np.zeros((len(rows) + len(extra), ngen), dtype=np.uint8)
+    for i, r in enumerate(rows + extra):
+        for c in r:
+            full[i, c] ^= 1
+    relators = full[:len(rows)]
+    expected = (ngen, len(rows), _gf2_rank_numpy(relators))
+    if extra:
+        expected += (_gf2_rank_numpy(full),)
+    assert gf2_rank(relators) == expected[2]
+    assert gf2_rank(full) == _gf2_rank_numpy(full)
+    assert oriented_abelianization_gf2(n, k, extra_words) == expected
+
+
 def test_oriented_abelianization_structure():
     # generator count and relation instance count are pinned; the computed
     # rank and the +1 jump from the extra word are asserted as computed
     # (the acceptance suite compares them against the published values)
-    res = oriented_abelianization_gf2(
-        6, 5, extra_words=[[((3, 5), (1, 6, 4), 1), ((4, 6), (2, 5, 3), -1),
-                            ((4, 6), (1, 3, 5), 1), ((3, 5), (2, 4, 6), -1)]])
+    res = oriented_abelianization_gf2(6, 5, extra_words=[CRITERION_4_WORD])
     assert res[0] == 120
     assert res[1] == 1440
     assert res[3] == res[2] + 1      # the extra word is independent

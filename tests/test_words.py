@@ -3,7 +3,9 @@ import random
 import pytest
 
 from gnk.words import (Alphabet, CyclicWord, UnknownSymbolError, Word,
-                       complexity, format_word, parse_word, word)
+                       complexity, cyclic_reduce, distinct_cyclic_words,
+                       format_word, inverse_letters, least_rotation,
+                       parse_word, word)
 
 
 def naive_reduce(alphabet, letters):
@@ -111,6 +113,67 @@ def test_cyclic_all_rotations_equal():
         r = rng.randrange(len(w.letters))
         rotated = Word(ab, w.letters[r:] + w.letters[:r])
         assert CyclicWord(rotated) == canon
+
+
+def _least_rotation_quadratic(seq, key=lambda x: x):
+    """Reference: every rotation built, compared item by item under key."""
+    seq = tuple(seq)
+    return min((seq[i:] + seq[:i] for i in range(len(seq))),
+               key=lambda rot: [key(x) for x in rot], default=())
+
+
+def test_least_rotation_matches_quadratic_oracle():
+    rng = random.Random(43)
+    for _ in range(3000):
+        base = [rng.randint(0, 3) for _ in range(rng.randint(0, 5))]
+        seq = base * rng.randint(1, 4)              # periodic ones too
+        if rng.random() < 0.5:
+            seq = [rng.randint(0, 2) for _ in range(rng.randint(0, 16))]
+        assert least_rotation(seq) == _least_rotation_quadratic(seq), seq
+        assert (least_rotation(seq, key=lambda x: -x)
+                == _least_rotation_quadratic(seq, key=lambda x: -x)), seq
+
+
+def test_cyclic_word_matches_quadratic_least_rotation():
+    rng = random.Random(44)
+    # declared order differs from name order; inverses sort after positives
+    ab = Alphabet(["c", "a", "b"], involutive=False)
+
+    def key(letter):
+        return (ab.index[letter[0]], 0 if letter[1] == 1 else 1)
+
+    for _ in range(500):
+        base = [(rng.choice(ab.symbols), rng.choice((1, -1)))
+                for _ in range(rng.randint(0, 7))]
+        w = Word(ab, base * rng.randint(1, 3))
+        expected = _least_rotation_quadratic(cyclic_reduce(ab, w.letters), key)
+        assert CyclicWord(w).letters == expected, w
+
+
+def test_distinct_cyclic_words_keeps_first_of_each_class():
+    rng = random.Random(45)
+    ab = Alphabet(["a", "b", "c"], involutive=False)
+    bases = [Word(ab, [(rng.choice(ab.symbols), rng.choice((1, -1)))
+                       for _ in range(rng.randint(1, 6))]) for _ in range(30)]
+    words = []
+    for _ in range(300):
+        w = rng.choice(bases)
+        if rng.random() < 0.5:
+            w = w.inverse()
+        r = rng.randrange(len(w) or 1)
+        words.append(Word(ab, w.letters[r:] + w.letters[:r]))
+
+    def conjugates(w):
+        c = cyclic_reduce(ab, w.letters)
+        return frozenset(s[i:] + s[:i] for s in (c, inverse_letters(ab, c))
+                         for i in range(len(s) or 1))
+
+    expected, seen = [], set()
+    for w in words:
+        if conjugates(w) not in seen:
+            seen.add(conjugates(w))
+            expected.append(CyclicWord(w))
+    assert distinct_cyclic_words(words) == expected
 
 
 def test_complexity():
