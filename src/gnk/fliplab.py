@@ -2,9 +2,12 @@
 
 Edge labels live in the field of rational functions Q(x_1, ..., x_X); a flip
 replaces the diagonal x of a quadrilateral with boundary a, b, c, d (cyclic)
-by y = (a*c + b*d) / x.  Equality of labels is decided exactly by
-cross-multiplied expanded comparison; polynomials stay expanded in a
-canonical monomial order and no gcd is ever taken.
+by y = (a*c + b*d) / x.  Polynomials stay expanded in a canonical monomial
+order, and every label is kept in a reduced form (see ``RationalExpr``):
+a label that is a Laurent polynomial -- every Ptolemy label is, by the
+Laurent phenomenon -- is stored as a numerator over a monic monomial, so
+label size stays bounded along a flip sequence.  Equality of labels is
+decided exactly by cross-multiplied expanded comparison.
 
 Also here: the tropical flip x + y = max(a+c, b+d), the SL2 edge matrices of
 truncated triangles, and the ratio-coordinate basic algebraic system with
@@ -22,8 +25,19 @@ def _monomial_guard():
     return int(os.environ.get("GNK_MAX_DEGREE_GUARD", "1000000"))
 
 
+def _rational(c):
+    """A coefficient as an int when it is integral, else as a Fraction:
+    int arithmetic is several times faster and the values compare, hash
+    and print the same."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class Polynomial:
-    """Multivariate polynomial over Q: {exponent tuple: coefficient}."""
+    """Multivariate polynomial over Q: {exponent tuple: coefficient}, each
+    coefficient an int or a non-integral Fraction."""
 
     __slots__ = ("vars", "coeffs")
 
@@ -32,7 +46,7 @@ class Polynomial:
         self.coeffs = {}
         if coeffs:
             for mono, c in coeffs.items():
-                c = Fraction(c)
+                c = _rational(c)
                 if c:
                     self.coeffs[tuple(mono)] = c
         if len(self.coeffs) > _monomial_guard():
@@ -41,14 +55,14 @@ class Polynomial:
     @classmethod
     def constant(cls, variables, value):
         z = tuple(0 for _ in variables)
-        return cls(variables, {z: Fraction(value)})
+        return cls(variables, {z: value})
 
     @classmethod
     def variable(cls, variables, name):
         mono = tuple(1 if v == name else 0 for v in variables)
         if sum(mono) != 1:
             raise KeyError(name)
-        return cls(variables, {mono: Fraction(1)})
+        return cls(variables, {mono: 1})
 
     def _check(self, other):
         if self.vars != other.vars:
@@ -58,7 +72,7 @@ class Polynomial:
         self._check(other)
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            out[m] = out.get(m, 0) + c
         return Polynomial(self.vars, out)
 
     def __neg__(self):
@@ -74,13 +88,51 @@ class Polynomial:
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
+                out[m] = out.get(m, 0) + c1 * c2
                 if len(out) > guard:
                     raise OverflowError("monomial count guard exceeded")
         return Polynomial(self.vars, out)
 
     def is_zero(self):
         return not self.coeffs
+
+    def monomial_content(self):
+        """Exponent tuple of the largest monomial dividing every term."""
+        return tuple(map(min, zip(*self.coeffs)))
+
+    def shifted(self, mono):
+        """self divided by the monomial ``mono``, which divides every term."""
+        return Polynomial(self.vars, {tuple(a - b for a, b in zip(m, mono)): c
+                                      for m, c in self.coeffs.items()})
+
+    def exact_quotient(self, divisor):
+        """self / divisor if the division is exact, else None.
+
+        Lex-order division: the leading term of the remainder must be
+        divisible by the divisor's, else the division is inexact.  Each step
+        lowers the remainder's leading monomial, and lex order on exponent
+        tuples is a well-order, so the loop ends on every input.
+        """
+        self._check(divisor)
+        lead = max(divisor.coeffs)
+        lead_c = divisor.coeffs[lead]
+        rem = dict(self.coeffs)
+        quot = {}
+        while rem:
+            top = max(rem)
+            q = tuple(a - b for a, b in zip(top, lead))
+            if any(e < 0 for e in q):
+                return None
+            qc = _rational(Fraction(rem[top]) / lead_c)
+            quot[q] = qc
+            for m, c in divisor.coeffs.items():
+                t = tuple(a + b for a, b in zip(q, m))
+                v = rem.get(t, 0) - qc * c
+                if v:
+                    rem[t] = v
+                else:
+                    del rem[t]
+        return Polynomial(self.vars, quot)
 
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.vars == other.vars \
@@ -125,7 +177,18 @@ class Polynomial:
 
 
 class RationalExpr:
-    """Fraction of polynomials; equality by cross-multiplied expansion."""
+    """Fraction of polynomials in a reduced form set by the constructor.
+
+    The common monomial factor of num and den is cancelled.  Then num is
+    divided exactly by den's non-monomial part (den over its monomial
+    content; a constant when den is one term); when that division leaves
+    no remainder the quotient is stored over a monic monomial den.  So
+    every Laurent polynomial -- every Ptolemy label among them -- is stored
+    as a numerator over a monic monomial, a form unique to the function;
+    expressions that are not Laurent (SL2 entries such as c/(b*y) with y a
+    Ptolemy label) keep num/den as computed.  Equality is decided by
+    cross-multiplied expansion either way.
+    """
 
     __slots__ = ("num", "den")
 
@@ -134,6 +197,18 @@ class RationalExpr:
             den = Polynomial.constant(num.vars, 1)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator polynomial")
+        if num.is_zero():
+            den = Polynomial.constant(num.vars, 1)
+        else:
+            common = tuple(map(min, num.monomial_content(),
+                               den.monomial_content()))
+            if any(common):
+                num, den = num.shifted(common), den.shifted(common)
+            mono = den.monomial_content()
+            if den.coeffs != {mono: 1}:
+                quot = num.exact_quotient(den.shifted(mono))
+                if quot is not None:
+                    num, den = quot, Polynomial(num.vars, {mono: 1})
         self.num = num
         self.den = den
 

@@ -145,6 +145,7 @@ class GaleDiagram:
         for p, q in itertools.combinations(self.positions, 2):
             if (p - q) % (2 * l) == l:
                 raise ValueError("two points on one diameter")
+        self._rl = None
 
     def canonical(self) -> "GaleDiagram":
         n = 2 * self.l
@@ -177,8 +178,11 @@ class GaleDiagram:
         """(R(i), L(i)) index pairs, points taken in ccw position order.
 
         R(i)/L(i) are the indices of the points strictly right/left of the
-        oriented line spanned by point i.
+        oriented line spanned by point i.  Computed once per diagram: every
+        labeling M of the diagram reads the same pairs.
         """
+        if self._rl is not None:
+            return self._rl
         pts = self.positions
         out = []
         for i, pi in enumerate(pts):
@@ -192,7 +196,8 @@ class GaleDiagram:
                 else:
                     R.append(j)
             out.append((tuple(R), tuple(L)))
-        return out
+        self._rl = tuple(out)
+        return self._rl
 
     def __eq__(self, other):
         return (isinstance(other, GaleDiagram) and self.l == other.l
@@ -453,13 +458,16 @@ def polytope_faces_via_gale(points):
 # GF(2) abelianization ranks
 
 
-def gf2_rank(rows) -> int:
+def gf2_rank(rows, basis=None) -> int:
     """Rank over GF(2) by XOR elimination on Python-int bitsets.
 
     ``rows`` is any iterable of rows; a row is a sequence of 0/1 entries
-    (read mod 2) or an int whose bit c is its entry in column c.
+    (read mod 2) or an int whose bit c is its entry in column c.  A given
+    ``basis`` (leading bit -> row, as left by an earlier call) is extended
+    in place, and the rank returned is that of its rows and ``rows``.
     """
-    basis = {}                          # leading bit -> row
+    if basis is None:
+        basis = {}
     for row in rows:
         if not isinstance(row, int):
             row = sum(1 << c for c, x in enumerate(row) if x % 2)
@@ -473,22 +481,30 @@ def gf2_rank(rows) -> int:
 
 
 def abelianization_rank_gf2(generator_index, relator_rows, extra_rows=()):
-    """(num_generators, num_relations, rank) of a GF(2) exponent matrix.
+    """(num_generators, num_relations, rank [, rank with extras]) of a GF(2)
+    exponent matrix.
 
     ``generator_index`` maps generator keys to column numbers, and keys
     that name one generator share its column; ``relator_rows`` is an
     iterable of generator-key multisets (iterables), each XOR-accumulated
-    into one row; ``extra_rows`` add to the rank, not to the relations.
+    into one row.  When ``extra_rows`` are given, a fourth entry is the
+    rank with them added; the relator rows are eliminated once, and the
+    extra rows are reduced against that basis.
     """
-    relator_rows = list(relator_rows)
-    rows = []
-    for rel in itertools.chain(relator_rows, extra_rows):
+    def bits(rel):
         row = 0
         for key in rel:
             row ^= 1 << generator_index[key]
-        rows.append(row)
-    return (len(set(generator_index.values())), len(relator_rows),
-            gf2_rank(rows))
+        return row
+
+    rows = [bits(rel) for rel in relator_rows]
+    basis = {}
+    out = (len(set(generator_index.values())), len(rows),
+           gf2_rank(rows, basis))
+    extra_rows = list(extra_rows)
+    if extra_rows:
+        out += (gf2_rank(map(bits, extra_rows), basis),)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +576,8 @@ def _oriented_canonical(cp, cq):
 def oriented_abelianization_gf2(n: int, k: int, extra_words=()):
     """GF(2) abelianization data of the oriented flip group.
 
-    Returns (num_generators, num_relations, rank [, rank with each extra]).
+    Returns (num_generators, num_relations, rank [, rank with the extra
+    words' rows added]).
     Relator instances: for each standard Gale diagram of order k+1, each
     (k+1)-subset M and each ordering of M, one polygon row; letters are the
     oriented classes of (M_R(i), M_L(i)); a letter with inverse sign
@@ -580,7 +597,4 @@ def oriented_abelianization_gf2(n: int, k: int, extra_words=()):
                                      tuple(M[j] for j in L)) for R, L in rl))
     extra = [letters((Q, P) if sign == -1 else (P, Q) for P, Q, sign in word)
              for word in extra_words]
-    out = abelianization_rank_gf2(classes, rows)
-    if extra:
-        out += abelianization_rank_gf2(classes, rows, extra)[2:]
-    return out
+    return abelianization_rank_gf2(classes, rows, extra)

@@ -1,6 +1,8 @@
 import json
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 
 def run_cli(args, **kw):
@@ -108,6 +110,99 @@ def test_fliplab_pentagon_cli():
     out = run_cli(["fliplab", "pentagon", "--symbolic"])
     assert out.returncode == 0
     assert "pentagon_identity: True" in out.stdout
+
+
+def _flip(tris, e):
+    """Flip the diagonal e of a polygon triangulation given as sorted
+    vertex triples; returns the new triangles and the new diagonal."""
+    a, b = e
+    p, q = [next(v for v in t if v not in e)
+            for t in sorted(tris) if a in t and b in t]
+    tris = tris - {tuple(sorted((a, b, p))), tuple(sorted((a, b, q)))}
+    tris |= {tuple(sorted((p, q, a))), tuple(sorted((p, q, b)))}
+    return tris, (p, q)
+
+
+def _fraction_replay(tris, values, moves):
+    """Ptolemy flips on Fraction labels: the new diagonal (p, q) of the
+    quadrilateral around (a, b) gets (|pa| |qb| + |aq| |bp|) / |ab|."""
+    labels = dict(values)
+
+    def lab(u, v):
+        return labels[tuple(sorted((u, v)))]
+
+    for a, b in moves:
+        tris, (p, q) = _flip(tris, (a, b))
+        y = (lab(p, a) * lab(q, b) + lab(a, q) * lab(b, p)) / labels.pop((a, b))
+        labels[tuple(sorted((p, q)))] = y
+    return labels
+
+
+def _eval_label(text, values):
+    """Value of a printed label 'poly' or '(poly) / (poly)'; a poly is
+    terms joined by ' + ' / ' - ', each '*'-joined numbers and 'v' or 'v^e'."""
+    if text.startswith("("):
+        num, den = text[1:-1].split(") / (")
+        return _eval_label(num, values) / _eval_label(den, values)
+    total = Fraction(0)
+    for term in text.replace(" - ", " + -").split(" + "):
+        value = Fraction(-1 if term.startswith("-") else 1)
+        for factor in term.lstrip("-").split("*"):
+            name, _, exp = factor.partition("^")
+            value *= (values[name] ** int(exp or 1) if name in values
+                      else Fraction(name))
+        total += value
+    return total
+
+
+def _edges(tris):
+    return sorted({(t[i], t[j]) for t in tris for i, j in ((0, 1), (0, 2), (1, 2))})
+
+
+def test_fliplab_replay_matches_fraction_replay(tmp_path):
+    rng = random.Random(7)
+    start = {(1, k, k + 1) for k in range(2, 6)}
+    tris, moves = set(start), []
+    for _ in range(12):
+        e = rng.choice([e for e in _edges(tris) if 1 < e[1] - e[0] < 5])
+        tris, _ = _flip(tris, e)
+        moves.append(e)
+    f = tmp_path / "hexagon.json"
+    f.write_text(json.dumps({
+        "labels": {"%d-%d" % e: "e%d_%d" % e for e in _edges(start)},
+        "triangles": [list(t) for t in sorted(start)],
+        "moves": [list(e) for e in moves]}))
+    out = run_cli(["--format", "json", "fliplab", "replay", str(f)])
+    assert out.returncode == 0, out.stderr
+    printed = json.loads(out.stdout)["labels"]
+    for _ in range(3):
+        values = {e: Fraction(rng.randint(1, 50), rng.randint(1, 50))
+                  for e in _edges(start)}
+        by_name = {"e%d_%d" % e: v for e, v in values.items()}
+        assert {tuple(map(int, k.split("-"))): _eval_label(text, by_name)
+                for k, text in printed.items()} \
+            == _fraction_replay(start, values, moves)
+    # reduced form: a Laurent numerator over a monomial
+    for text in printed.values():
+        assert " + " not in text.partition(") / (")[2]
+
+
+def test_fliplab_replay_pinned_text(tmp_path):
+    spec = {"labels": {"1-2": "a", "2-3": "b", "3-4": "c", "4-5": "d",
+                       "5-6": "e", "1-6": "f", "1-3": "x", "1-4": "y",
+                       "1-5": "z"},
+            "triangles": [[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6]],
+            "moves": [[1, 4], [1, 3], [3, 5], [1, 5]]}
+    f = tmp_path / "pinned.json"
+    f.write_text(json.dumps(spec))
+    out = run_cli(["--format", "json", "fliplab", "replay", str(f)])
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == (
+        '{"labels": {"1-2": "a", "1-6": "f", "2-3": "b", '
+        '"2-4": "(a*c + b*y) / (x)", '
+        '"2-5": "(a*c*z + a*d*x + b*y*z) / (x*y)", '
+        '"2-6": "(a*c*f*z + a*d*f*x + a*e*x*y + b*f*y*z) / (x*y*z)", '
+        '"3-4": "c", "4-5": "d", "5-6": "e"}, "schema": 1}\n')
 
 
 def test_braid_map_cli(tmp_path):

@@ -296,6 +296,10 @@ def test_abelianization_rank_invariance():
     doubled = [r + r for r in rels]
     ng, nr, rk = abelianization_rank_gf2(gens, rels + doubled)
     assert rk == base[2]
+    # extra rows: one more entry, the rank of relators and extras together
+    extra = [[rng.choice(list(gens))] for _ in range(3)]
+    assert abelianization_rank_gf2(gens, rels, extra) == base + (
+        abelianization_rank_gf2(gens, rels + extra)[2],)
 
 
 def test_abelianization_empty():
