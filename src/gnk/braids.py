@@ -324,7 +324,7 @@ def pb_to_gamma4_graded(b: PureBraidWord, groups=None):
     r = n - 4
     ncomp = r // 2 + 1
     if groups is None:
-        groups = [Gamma4Group(n) for _ in range(ncomp)]
+        groups = [Gamma4Group(n)] * ncomp
     comps = _gamma_walk(b, ncomp, lambda z: min(z % r, (-z) % r))
     return tuple(g.word_from_quads(c) for g, c in zip(groups, comps))
 

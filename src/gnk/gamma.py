@@ -49,9 +49,10 @@ class Gamma4Group:
             raise ValueError("need n >= 4 labels")
         self.n = n
         self.labels = labels
-        # three dihedral classes per 4-subset, keyed by their least quads
+        # three dihedral classes per 4-subset, keyed by their least quads:
+        # with a < b < c < d each quad below already is its least form
         self.alphabet = Alphabet({
-            d_symbol(quad): quad
+            "d_" + labels_text(quad): quad
             for a, b, c, d in itertools.combinations(labels, 4)
             for quad in ((a, b, c, d), (a, b, d, c), (a, c, b, d))})
 

@@ -7,15 +7,17 @@ parameter.  Each segment is first put into an integer frame (every
 coordinate multiplied by the lcm of the segment's denominators); the wall
 predicates are homogeneous, so the frame keeps every sign and every
 predicate polynomial has Python int coefficients.  Event times are isolated
-into rational brackets (never evaluated numerically: only the event ORDER
-and exact side decisions matter), letters are emitted per event in time
-order, and the concatenation freely reduces to the invariant word.
+into rational brackets, kept as int triples until an event is reported
+(never evaluated numerically: only the event ORDER and exact side
+decisions matter), letters are emitted per event in time order, and the
+concatenation freely reduces to the invariant word.
 
 No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -79,12 +81,25 @@ def orient3d(a, b, c, d):
 
 # ---------------------------------------------------------------------------
 # univariate quadratics with integer coefficients
-
-_ZERO, _ONE = Fraction(0), Fraction(1)
+#
+# A bracket is an int triple (lo, hi, den), den > 0, standing for the open
+# interval (lo/den, hi/den).  Brackets are never reduced: bisection doubles
+# den, and comparisons cross-multiply.
 
 
 def _sgn(x) -> int:
     return (x > 0) - (x < 0)
+
+
+def _linear_root(c1, c0):
+    """The root -c0/c1 of c1 t + c0 (c1 != 0) as (num, den), den > 0."""
+    return (-c0, c1) if c1 > 0 else (c0, -c1)
+
+
+def _inside(num, d, bracket) -> bool:
+    """Does num/d (d > 0) lie strictly inside the bracket?"""
+    lo, hi, den = bracket
+    return lo * d < num * den < hi * d
 
 
 class PredicatePoly:
@@ -120,9 +135,8 @@ class PredicatePoly:
             raise DegenerateTrajectory("predicate degree exceeds 2")
         return poly
 
-    def sign(self, t) -> int:
-        """Sign of p at the rational t = u/v, v > 0: that of v^2 p(u/v)."""
-        u, v = t.numerator, t.denominator
+    def sign(self, u, v) -> int:
+        """Sign of p at t = u/v, v > 0: that of v^2 p(u/v)."""
         s = (self.c2 * u + self.c1 * v) * u + self.c0 * v * v
         return (s > 0) - (s < 0)
 
@@ -130,7 +144,7 @@ class PredicatePoly:
         return self.c2 == 0 and self.c1 == 0 and self.c0 == 0
 
     def roots_in_unit_interval(self):
-        """Isolating brackets (lo, hi) with sign changes, for roots in (0,1).
+        """Isolating brackets with sign changes, for roots in (0, 1).
 
         Raises DegenerateTrajectory on identically-zero polynomials, roots at
         segment endpoints, and tangencies (double roots).
@@ -144,8 +158,8 @@ class PredicatePoly:
         if c2 == 0:
             if s0 == s1:
                 return []
-            root = Fraction(-c0, c1)
-            return [self._bracket_rational_root(root, _ZERO, _ONE)]
+            r, d = _linear_root(c1, c0)
+            return [self._bracket_rational_root(r, 0, d, d)]
         disc = c1 * c1 - 4 * c2 * c0
         if disc < 0:
             return []
@@ -156,45 +170,49 @@ class PredicatePoly:
                 raise DegenerateTrajectory("tangential (double-root) event")
             return []
         if not vertex_inside:
-            return [(_ZERO, _ONE)] if s0 != s1 else []
+            return [(0, 1, 1)] if s0 != s1 else []
         # p(vertex) = -disc / (4 c2) is nonzero, of the sign opposite to c2
         sv = -_sgn(c2)
-        vertex = Fraction(-c1, 2 * c2)
-        return ([(_ZERO, vertex)] if s0 != sv else []) + \
-            ([(vertex, _ONE)] if sv != s1 else [])
+        v, d = _linear_root(2 * c2, c1)
+        return ([(0, v, d)] if s0 != sv else []) + \
+            ([(v, d, d)] if sv != s1 else [])
 
-    def _bracket_rational_root(self, r, lo_lim, hi_lim):
-        delta = Fraction(1, 4) * min(r - lo_lim, hi_lim - r)
+    def _bracket_rational_root(self, r, lo, hi, den):
+        """A sign-change bracket around the simple root r/den, inside the
+        limits (lo/den, hi/den): half-width a quarter of the distance to the
+        nearer limit, halved until both ends are off the root."""
+        m = min(r - lo, hi - r)
+        r, den = 4 * r, 4 * den
         while True:
-            lo, hi = r - delta, r + delta
-            if self.sign(lo) != 0 and self.sign(hi) != 0 \
-                    and self.sign(lo) != self.sign(hi):
-                return (lo, hi)
-            delta /= 2
+            slo, shi = self.sign(r - m, den), self.sign(r + m, den)
+            if slo != 0 and shi != 0 and slo != shi:
+                return (r - m, r + m, den)
+            r, den = 2 * r, 2 * den
 
-    def bisect(self, lo, hi):
+    def bisect(self, bracket):
         """Halve a sign-change bracket, keeping the root."""
-        mid = (lo + hi) / 2
-        smid = self.sign(mid)
+        lo, hi, den = bracket
+        mid, den2 = lo + hi, 2 * den
+        smid = self.sign(mid, den2)
         if smid == 0:
-            return self._bracket_rational_root(mid, lo, hi)
-        if smid == self.sign(lo):
-            return (mid, hi)
-        return (lo, mid)
+            return self._bracket_rational_root(mid, 2 * lo, 2 * hi, den2)
+        if smid == self.sign(lo, den):
+            return (mid, 2 * hi, den2)
+        return (2 * lo, mid, den2)
 
-    def shares_root(self, other: "PredicatePoly", lo, hi) -> bool:
-        """Does ``other`` vanish at a root of self inside (lo, hi)?"""
+    def shares_root(self, other: "PredicatePoly", bracket) -> bool:
+        """Does ``other`` vanish at a root of self inside the bracket?"""
         a, b = self, other
         if a.c2 == 0 and a.c1 == 0:
             return False
         if a.c2 == 0:                        # self linear: test its root
-            r = Fraction(-a.c0, a.c1)
-            return lo < r < hi and b.sign(r) == 0
+            r, d = _linear_root(a.c1, a.c0)
+            return _inside(r, d, bracket) and b.sign(r, d) == 0
         if b.c2 == 0 and b.c1 == 0:
             return False
         if b.c2 == 0:
-            r = Fraction(-b.c0, b.c1)
-            return lo < r < hi and a.sign(r) == 0
+            r, d = _linear_root(b.c1, b.c0)
+            return _inside(r, d, bracket) and a.sign(r, d) == 0
         # both quadratic: eliminate t^2; any common root satisfies the
         # linear combination L = a.c2 * b - b.c2 * a
         l1 = a.c2 * b.c1 - b.c2 * a.c1
@@ -203,42 +221,44 @@ class PredicatePoly:
             return True                      # proportional quadratics
         if l1 == 0:
             return False
-        r = Fraction(-l0, l1)
-        return lo < r < hi and a.sign(r) == 0 and b.sign(r) == 0
+        r, d = _linear_root(l1, l0)
+        return _inside(r, d, bracket) and a.sign(r, d) == 0 \
+            and b.sign(r, d) == 0
 
 
 def sign_at_root(main: PredicatePoly, bracket, aux: PredicatePoly):
     """Exact sign of aux at main's isolated root; 0 when they share it."""
-    lo, hi = bracket
     if aux.is_zero():
         return 0
-    if main.shares_root(aux, lo, hi):
+    if main.shares_root(aux, bracket):
         return 0
     while True:
-        slo, shi = aux.sign(lo), aux.sign(hi)
+        lo, hi, den = bracket
+        slo, shi = aux.sign(lo, den), aux.sign(hi, den)
         if slo != 0 and slo == shi:
             # aux could still dip through zero inside; rule out via its roots
-            if not _aux_root_inside(aux, lo, hi):
+            if not _aux_root_inside(aux, bracket):
                 return slo
-        lo, hi = main.bisect(lo, hi)
+        bracket = main.bisect(bracket)
 
 
-def _aux_root_inside(aux, lo, hi) -> bool:
+def _aux_root_inside(aux, bracket) -> bool:
     if aux.c2 == 0:
         if aux.c1 == 0:
             return False
-        r = Fraction(-aux.c0, aux.c1)
-        return lo < r < hi
+        return _inside(*_linear_root(aux.c1, aux.c0), bracket)
     disc = aux.c1 * aux.c1 - 4 * aux.c2 * aux.c0
     if disc < 0:
         return False
-    if aux.sign(lo) != aux.sign(hi):
+    lo, hi, den = bracket
+    slo = aux.sign(lo, den)
+    if slo != aux.sign(hi, den):
         return True
-    vertex = Fraction(-aux.c1, 2 * aux.c2)
-    if not (lo < vertex < hi):
+    v, d = _linear_root(2 * aux.c2, aux.c1)
+    if not _inside(v, d, bracket):
         return False
-    svertex = aux.sign(vertex)
-    return svertex != aux.sign(lo) or svertex == 0
+    svertex = aux.sign(v, d)
+    return svertex != slo or svertex == 0
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +285,16 @@ class Trajectory:
         self.initial = [_to_fraction_point(p) for p in points]
         self.n = len(self.initial)
         self.moves = [(int(p), _to_fraction_point(to)) for p, to in moves]
-        for p, _ in self.moves:
+        for k, pt in enumerate(self.initial):
+            if len(pt) != dim:
+                raise ValueError("point %d has %d coordinates, dim is %d"
+                                 % (k + 1, len(pt), dim))
+        for k, (p, to) in enumerate(self.moves):
             if not 1 <= p <= self.n:
                 raise ValueError("mover index out of range")
+            if len(to) != dim:
+                raise ValueError("target of move %d has %d coordinates, dim "
+                                 "is %d" % (k + 1, len(to), dim))
 
     def configurations(self):
         """Config before each segment, plus the final one."""
@@ -303,8 +330,19 @@ class Trajectory:
     def from_json(cls, text: str) -> "Trajectory":
         data = json.loads(text)
         def dec_pt(pt):
+            if not all(type(c) is list and len(c) == 2
+                       and all(type(x) is int for x in c) for c in pt):
+                raise ValueError("point %r: coordinates must be [num, den] "
+                                 "pairs of ints" % (pt,))
+            if any(den == 0 for _, den in pt):
+                raise ValueError("zero denominator in point %r" % (pt,))
             return tuple(Fraction(num, den) for num, den in pt)
         points = [dec_pt(p) for p in data["points"]]
+        if data.get("n", len(points)) != len(points):
+            raise ValueError("n is %r but there are %d points"
+                             % (data["n"], len(points)))
+        if not all(type(m["p"]) is int for m in data["moves"]):
+            raise ValueError("mover indices must be ints")
         moves = [(m["p"], dec_pt(m["to"])) for m in data["moves"]]
         return cls(points, moves, data.get("dim", 2))
 
@@ -336,27 +374,62 @@ def _moving_coords(a, b):
     return lambda t: tuple(x + t * dx for x, dx in zip(a, d))
 
 
+# sort key of brackets by left end, compared exactly
+_by_left_end = functools.cmp_to_key(lambda b1, b2: b1[0] * b2[2] - b2[0] * b1[2])
+
+
 def _separate_events(events):
-    """Refine brackets until pairwise disjoint within one segment."""
-    for e1, e2 in itertools.combinations(events, 2):
+    """Refine brackets until pairwise disjoint within one segment, and sort
+    the events by time.
+
+    Brackets only shrink, so a pair that is disjoint at the start stays
+    disjoint, and shares_root, whose candidate root does not depend on the
+    bracket, answers a pair once.  The pairs that overlap at the start are
+    refined in itertools.combinations order, as if every pair were visited.
+    """
+    brs = [e.bracket for e in events]
+    for i, j in _overlapping_pairs(brs):
+        p1, p2 = events[i].poly, events[j].poly
+        b1, b2 = brs[i], brs[j]
         guard = 0
-        while not (e1.bracket[1] <= e2.bracket[0]
-                   or e2.bracket[1] <= e1.bracket[0]):
-            if e1.poly.shares_root(e2.poly, *_overlap(e1.bracket, e2.bracket)):
+        while not (b1[1] * b2[2] <= b2[0] * b1[2]
+                   or b2[1] * b1[2] <= b1[0] * b2[2]):
+            if guard == 0 and p1.shares_root(p2, _overlap(b1, b2)):
                 raise DegenerateTrajectory(
                     "simultaneous events %r and %r in segment %d"
-                    % (e1.participants, e2.participants, e1.segment))
-            e1.bracket = e1.poly.bisect(*e1.bracket)
-            e2.bracket = e2.poly.bisect(*e2.bracket)
+                    % (events[i].participants, events[j].participants,
+                       events[i].segment))
+            b1, b2 = p1.bisect(b1), p2.bisect(b2)
             guard += 1
             if guard > 4000:
                 raise DegenerateTrajectory("cannot separate event brackets")
-    events.sort(key=lambda e: e.bracket[0])
+        brs[i], brs[j] = b1, b2
+    for e, br in zip(events, brs):
+        e.bracket = br
+    # disjoint brackets: left ends are distinct
+    events.sort(key=lambda e: _by_left_end(e.bracket))
     return events
 
 
+def _overlapping_pairs(brs):
+    """Index pairs i < j of overlapping brackets, in lexicographic order:
+    a sweep over the brackets sorted by left end."""
+    order = sorted(range(len(brs)), key=lambda i: _by_left_end(brs[i]))
+    pairs = []
+    for k, i in enumerate(order):
+        hi, den = brs[i][1], brs[i][2]
+        for j in order[k + 1:]:
+            if brs[j][0] * den >= hi * brs[j][2]:
+                break
+            pairs.append((i, j) if i < j else (j, i))
+    pairs.sort()
+    return pairs
+
+
 def _overlap(b1, b2):
-    return (max(b1[0], b2[0]), min(b1[1], b2[1]))
+    """The intersection of two overlapping brackets, on the product den."""
+    return (max(b1[0] * b2[2], b2[0] * b1[2]),
+            min(b1[1] * b2[2], b2[1] * b1[2]), b1[2] * b2[2])
 
 
 def _static_genericity_2d(conf, mover, circles=False):
@@ -435,8 +508,11 @@ def detect_events(tr: Trajectory, kind: str):
                         events.append(ev)
         else:
             raise ValueError("unknown event kind %r" % kind)
-        separated = _separate_events(events)
-        out.extend(e for e in separated if e.kind != "_separator")
+        for e in _separate_events(events):
+            if e.kind != "_separator":
+                lo, hi, den = e.bracket
+                e.bracket = (Fraction(lo, den), Fraction(hi, den))
+                out.append(e)
         conf[mover] = to
     return out
 
@@ -560,6 +636,10 @@ def _det3(u, v, w):
 # compilation to words
 
 
+_TARGET_DIM = {"gn3": 2, "gn4": 2, "gamma4": 2, "gamma4_graded": 2,
+               "gamma4_space": 3}
+
+
 def compile_word(tr: Trajectory, target: str, groups=None):
     """Compile a trajectory into a word (or graded tuple) of the target group.
 
@@ -568,6 +648,11 @@ def compile_word(tr: Trajectory, target: str, groups=None):
     (all concyclicity events, split by inside count mod n-4),
     'gamma4_space' (3D special singular moments).
     """
+    if target not in _TARGET_DIM:
+        raise ValueError("unknown compile target %r" % target)
+    if tr.dim != _TARGET_DIM[target]:
+        raise ValueError("target %s needs dim %d, the trajectory has dim %d"
+                         % (target, _TARGET_DIM[target], tr.dim))
     n = tr.n
     if target == "gn3":
         group = groups or GnkGroup(n, 3)
@@ -582,26 +667,24 @@ def compile_word(tr: Trajectory, target: str, groups=None):
         kind = "delaunay_flip" if target == "gamma4" else "coplanar_special"
         events = detect_events(tr, kind)
         return group.word_from_quads([e.quad for e in events]), events
-    if target == "gamma4_graded":
-        if n <= 5:
-            raise ValueError("graded target needs n > 5")
-        r = n - 4
-        ncomp = r // 2 + 1
-        gs = groups or [Gamma4Group(n) for _ in range(ncomp)]
-        events = detect_events(tr, "concyclic4")
-        comps = [[] for _ in range(ncomp)]
-        conf_list = tr.configurations()
-        for e in events:
-            conf = _integer_frame(conf_list[e.segment])
-            mover = tr.moves[e.segment][0] - 1
-            trip = tuple(q - 1 for q in e.participants if q - 1 != mover)
-            z = inside_count(conf, trip) - (1 if _mover_started_inside(
-                conf, trip, mover) else 0)
-            alpha = min(z % r, (-z) % r)
-            quad = e.quad if e.quad else tuple(sorted(e.participants))
-            comps[alpha].append(quad)
-        return tuple(gs[t].word_from_quads(c) for t, c in enumerate(comps)), events
-    raise ValueError("unknown compile target %r" % target)
+    if n <= 5:
+        raise ValueError("graded target needs n > 5")
+    r = n - 4
+    ncomp = r // 2 + 1
+    gs = groups or [Gamma4Group(n)] * ncomp
+    events = detect_events(tr, "concyclic4")
+    comps = [[] for _ in range(ncomp)]
+    conf_list = tr.configurations()
+    for e in events:
+        conf = _integer_frame(conf_list[e.segment])
+        mover = tr.moves[e.segment][0] - 1
+        trip = tuple(q - 1 for q in e.participants if q - 1 != mover)
+        z = inside_count(conf, trip) - (1 if _mover_started_inside(
+            conf, trip, mover) else 0)
+        alpha = min(z % r, (-z) % r)
+        quad = e.quad if e.quad else tuple(sorted(e.participants))
+        comps[alpha].append(quad)
+    return tuple(gs[t].word_from_quads(c) for t, c in enumerate(comps)), events
 
 
 def _mover_started_inside(conf, triple, mover) -> bool:

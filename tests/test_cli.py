@@ -4,6 +4,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 
 def run_cli(args, **kw):
     return subprocess.run([sys.executable, "-m", "gnk.cli"] + args,
@@ -64,6 +66,52 @@ def test_compile_trajectory_degenerate_exit_code(tmp_path):
     f.write_text(tr.to_json())
     out = run_cli(["compile-trajectory", str(f), "--target", "gn3"])
     assert out.returncode == 3
+
+
+def _trajectory_file(points, moves, n=None, dim=2):
+    enc = [[[x, 1] for x in p] for p in points]
+    return {"n": len(points) if n is None else n, "dim": dim, "points": enc,
+            "moves": [{"p": p, "to": [[x, 1] for x in to]} for p, to in moves]}
+
+
+_PLANE = [(0, 0), (7, 1), (3, 8), (9, 6)]
+_SPACE = [(0, 0, 0), (7, 1, 2), (3, 8, 5), (9, 6, 1)]
+_MALFORMED_TRAJECTORIES = {
+    "long_point": (_trajectory_file(_PLANE[:3] + [(9, 6, 4)], [(1, (1, 7))]),
+                   "gn3", "point 4 has 3 coordinates"),
+    "short_target": (_trajectory_file(_PLANE, [(1, (1,))]),
+                     "gn3", "target of move 1 has 1 coordinates"),
+    "wrong_n": (_trajectory_file(_PLANE, [(1, (1, 7))], n=5),
+                "gn3", "n is 5 but there are 4 points"),
+    "dim3_to_gn3": (_trajectory_file(_SPACE, [(1, (1, 7, 3))], dim=3),
+                    "gn3", "target gn3 needs dim 2"),
+    "zero_denominator": (_trajectory_file(_PLANE, [(1, (1, 7))])
+                         | {"points": [[[0, 1], [0, 0]]] + [
+                             [[x, 1] for x in p] for p in _PLANE[1:]]},
+                         "gn3", "zero denominator"),
+    "dim2_to_space": (_trajectory_file(_PLANE, [(1, (1, 7))]),
+                      "gamma4_space", "target gamma4_space needs dim 3"),
+    "float_coordinate": (_trajectory_file(_PLANE, [(1, (1, 7))])
+                         | {"points": [[[0.5, 1], [0, 1]]] + [
+                             [[x, 1] for x in p] for p in _PLANE[1:]]},
+                         "gn3", "coordinates must be [num, den] pairs of ints"),
+    "fractional_mover": (_trajectory_file(_PLANE, [(1.7, (1, 7))]),
+                         "gn3", "mover indices must be ints"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_TRAJECTORIES))
+def test_compile_trajectory_rejects_malformed_file(tmp_path, capsys, case):
+    # a malformed file is a precondition violation: exit 2 with a message,
+    # never a word, a traceback or a silently dropped coordinate
+    from gnk.cli import main
+    data, target, message = _MALFORMED_TRAJECTORIES[case]
+    f = tmp_path / "traj.json"
+    f.write_text(json.dumps(data))
+    code = main(["compile-trajectory", str(f), "--target", target])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == "", out
+    assert out.err.startswith("error: ") and message in out.err, out.err
 
 
 def test_gale_cli():

@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gnk.gamma import (GammaGroup, GaleDiagram, _oriented_canonical,
-                       abelianization_rank_gf2, dihedral_canonical,
+from gnk.gamma import (Gamma4Group, GammaGroup, GaleDiagram,
+                       _oriented_canonical, abelianization_rank_gf2,
+                       d_symbol, dihedral_canonical,
                        enumerate_standard_gale, gale_diagram,
                        gale_relation_word, gale_transform, gamma4_presentation,
                        gamma_presentation, gf2_rank, in_relative_interior_zero,
@@ -34,6 +35,17 @@ def test_dihedral_canonical():
     assert dihedral_canonical((1, 2, 4, 5)) != dihedral_canonical(quad)
     for q in itertools.permutations(range(1, 8), 4):
         assert dihedral_canonical(q) == min(_dihedral_images(q)), q
+
+
+def test_gamma4_alphabet_keys_are_dihedral_symbols():
+    # the alphabet is keyed without canonicalising; it must equal the one
+    # keyed by d_symbol, which canonicalises every quad
+    for n in range(4, 13):
+        want = {d_symbol(quad): quad
+                for a, b, c, d in itertools.combinations(range(1, n + 1), 4)
+                for quad in ((a, b, c, d), (a, b, d, c), (a, c, b, d))}
+        alphabet = Gamma4Group(n).alphabet
+        assert alphabet.symbols == tuple(want) and alphabet.key == want, n
 
 
 def test_enumerate_counts():

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -32,14 +33,24 @@ def test_incircle_signs():
     assert point_in_circumcircle(a, b, c, (0, -1)) == 0
 
 
+def _fractions(bracket):
+    """An int-triple bracket (lo, hi, den) as the Fraction pair it stands
+    for."""
+    lo, hi, den = bracket
+    assert all(type(x) is int for x in bracket) and den > 0
+    return F(lo, den), F(hi, den)
+
+
 def test_predicate_poly_roots():
     p = PredicatePoly(1, -1, F(3, 16))      # roots 1/4 and 3/4
-    brs = p.roots_in_unit_interval()
+    brs = [_fractions(br) for br in p.roots_in_unit_interval()]
     assert len(brs) == 2
     assert brs[0][0] < F(1, 4) < brs[0][1] <= brs[1][0] < F(3, 4) < brs[1][1]
+    assert brs == OraclePoly(1, -1, F(3, 16)).roots_in_unit_interval()
     q = PredicatePoly(0, 1, F(-1, 2))       # root 1/2
-    (lo, hi), = q.roots_in_unit_interval()
+    (lo, hi), = [_fractions(br) for br in q.roots_in_unit_interval()]
     assert lo < F(1, 2) < hi
+    assert [(lo, hi)] == OraclePoly(0, 1, F(-1, 2)).roots_in_unit_interval()
     assert PredicatePoly(1, 0, 1).roots_in_unit_interval() == []
     with pytest.raises(DegenerateTrajectory):
         PredicatePoly(0, 0, 0).roots_in_unit_interval()
@@ -50,10 +61,16 @@ def test_predicate_poly_roots():
 def test_sign_at_root():
     p = PredicatePoly(0, 1, F(-1, 2))       # root at 1/2
     br = p.roots_in_unit_interval()[0]
+    oracle_p = OraclePoly(0, 1, F(-1, 2))
+    oracle_br = oracle_p.roots_in_unit_interval()[0]
+    assert _fractions(br) == oracle_br
     aux = PredicatePoly(0, 1, F(-3, 4))     # negative at 1/2
     assert sign_at_root(p, br, aux) == -1
+    assert oracle_sign_at_root(oracle_p, oracle_br,
+                               OraclePoly(0, 1, F(-3, 4))) == -1
     aux2 = PredicatePoly(0, 2, -1)          # shares the root
     assert sign_at_root(p, br, aux2) == 0
+    assert oracle_sign_at_root(oracle_p, oracle_br, OraclePoly(0, 2, -1)) == 0
 
 
 def test_no_events_for_distant_parallel_mover():
@@ -728,7 +745,7 @@ def test_predicate_poly_clears_denominators():
     p = PredicatePoly(1, -1, F(3, 16))
     assert (p.c2, p.c1, p.c0) == (16, -16, 3)
     assert all(type(c) is int for c in (p.c2, p.c1, p.c0))
-    brs = p.roots_in_unit_interval()
+    brs = [_fractions(br) for br in p.roots_in_unit_interval()]
     assert brs == OraclePoly(1, -1, F(3, 16)).roots_in_unit_interval()
     assert brs[0][0] < F(1, 4) < brs[0][1] and brs[1][0] < F(3, 4) < brs[1][1]
 
@@ -739,8 +756,9 @@ CANONICAL_TARGETS = {"circle_gn3": ("gn3",), "parabola_gn4": ("gn4",),
 
 def test_canonical_compiles_decide_on_ints_and_fractions(monkeypatch):
     # every wall predicate runs on an integer frame, every predicate
-    # polynomial has int coefficients, and every point a sign is taken at
-    # is a Fraction, never an int / int float
+    # polynomial has int coefficients, every point a sign is taken at is an
+    # int pair (u, v) standing for u / v with v > 0, never a float, and
+    # reported brackets are Fractions
     polys, points, coords = [], [], set()
     interpolate, sign = PredicatePoly.interpolate.__func__, PredicatePoly.sign
 
@@ -757,9 +775,9 @@ def test_canonical_compiles_decide_on_ints_and_fractions(monkeypatch):
         polys.append(interpolate(cls, f))
         return polys[-1]
 
-    def recording_sign(self, t):
-        points.append(t)
-        return sign(self, t)
+    def recording_sign(self, u, v):
+        points.append((u, v))
+        return sign(self, u, v)
 
     monkeypatch.setattr(PredicatePoly, "interpolate",
                         classmethod(recording_interpolate))
@@ -782,4 +800,93 @@ def test_canonical_compiles_decide_on_ints_and_fractions(monkeypatch):
     assert polys and points and brackets
     assert coords == {int}
     assert all(type(c) is int for p in polys for c in (p.c2, p.c1, p.c0))
-    assert all(type(t) is Fraction for t in points)
+    assert all(type(u) is int and type(v) is int and v > 0
+               for u, v in points)
+
+
+# ---------------------------------------------------------------------------
+# separation on crowded segments: many events whose first brackets overlap
+
+DENSE_CASES = [("gn3", 2, (8, 9, 10), (3, 4)), ("gamma4", 2, (6, 7), (2, 3)),
+               ("gamma4_space", 3, (6, 7), (2, 3))]
+
+
+def _dense_trajectories(target, dim, ns, segments, count=10):
+    rng = random.Random("dense:" + target)
+    return [_random_trajectory(rng, ns[k % len(ns)], dim, rng.choice(segments))
+            for k in range(count)]
+
+
+def _overlapping_at_start(brackets):
+    """Index pairs i < j whose brackets overlap, by brute force."""
+    fr = [_fractions(br) for br in brackets]
+    return [(i, j) for i, j in itertools.combinations(range(len(fr)), 2)
+            if fr[i][0] < fr[j][1] and fr[j][0] < fr[i][1]]
+
+
+@pytest.mark.parametrize("target,dim,ns,segments", DENSE_CASES,
+                         ids=[c[0] for c in DENSE_CASES])
+def test_dense_separation_matches_fraction_oracle(monkeypatch, target, dim,
+                                                  ns, segments):
+    # full event logs, brackets included, as the Fraction detector gives
+    # them, on segments that start with overlapping brackets; the sweep
+    # finds exactly the overlapping pairs
+    separate, overlapping = geometry._separate_events, [0]
+
+    def checking_separate(events):
+        want = _overlapping_at_start([e.bracket for e in events])
+        assert geometry._overlapping_pairs([e.bracket for e in events]) == want
+        overlapping[0] += len(want)
+        return separate(events)
+
+    monkeypatch.setattr(geometry, "_separate_events", checking_separate)
+    events = 0
+    for tr in _dense_trajectories(target, dim, ns, segments):
+        want = _outcome(oracle_compile, tr, target)
+        assert _outcome(compile_word, tr, target) == want
+        if want[0] != "degenerate":
+            events += len(want[1])
+    assert events > 0 and overlapping[0] > 0
+
+
+def test_separation_asks_shares_root_once_per_pair(monkeypatch):
+    # a pair's overlap only shrinks, so whether the two polys share a root
+    # in it is decided once per event pair, not once per bisection
+    separate = geometry._separate_events
+    shares_root, bisect = PredicatePoly.shares_root, PredicatePoly.bisect
+    calls, totals = None, {"calls": 0, "bisections": 0}
+
+    def counting_separate(events):
+        nonlocal calls
+        pairs = collections.Counter(
+            (id(e1.poly), id(e2.poly))
+            for e1, e2 in itertools.combinations(events, 2))
+        calls = collections.Counter()
+        try:
+            return separate(events)
+        finally:
+            assert all(c <= pairs[key] for key, c in calls.items())
+            totals["calls"] += sum(calls.values())
+            calls = None
+
+    def counting_shares_root(self, other, bracket):
+        if calls is not None:
+            calls[id(self), id(other)] += 1
+        return shares_root(self, other, bracket)
+
+    def counting_bisect(self, bracket):
+        if calls is not None:
+            totals["bisections"] += 1
+        return bisect(self, bracket)
+
+    monkeypatch.setattr(geometry, "_separate_events", counting_separate)
+    monkeypatch.setattr(PredicatePoly, "shares_root", counting_shares_root)
+    monkeypatch.setattr(PredicatePoly, "bisect", counting_bisect)
+    for tr in _dense_trajectories("gn3", 2, (8, 9, 10), (3, 4)):
+        try:
+            compile_word(tr, "gn3")
+        except DegenerateTrajectory:
+            pass
+    # each round bisects both brackets: more than two bisections per call
+    # means some pair took several rounds
+    assert 0 < 2 * totals["calls"] < totals["bisections"]
