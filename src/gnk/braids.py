@@ -1,18 +1,24 @@
 """Pure braid words and their homomorphisms into the invariant groups.
 
 A pure braid on n strands is a word in the generators b_ij (1 <= i < j <= n).
-The maps implemented here:
 
-* pb_to_gn3   -- trisecant compiler image in G_n^3, via the circle dynamics:
-                 c_{i,j} = prod_{k>j} a_{ijk} * prod_{k<j} a_{ijk} and
-                 b_ij -> c_{i,i+1}^-1 .. c_{i,j-1}^-1 c_{i,j}^2 c_{i,j-1} .. c_{i,i+1}.
-* pb_to_gn4   -- concyclicity compiler image in G_n^4 (parabola dynamics).
-* pb_to_gamma4 -- empty-circle (Delaunay flip) compiler image in Gamma_n^4.
-* pb_to_gamma4_graded -- refinement splitting flip letters by the number of
-                 points inside the event circle mod (n-4).
-* strand deletion p_m / q_m, Brunnian certificates, the free-product
-  invariants phi_{(i,j,k)}, and the crossing-parity machinery connecting
-  G_n^2 to its parity and dotted enrichments.
+The four compiler images share one walk (``_walk``): the mover i hops past
+the anchors i+1 .. j-1, loops around j, and comes back, so each b_ij^e
+becomes (u * mid * u^-1)^e with u the phases of the anchors i+1 .. j-1.
+
+* pb_to_gn3 (G_n^3, circle dynamics): the phase of m is c_{i,m}^-1 and mid
+  is c_{i,j}^2, with c_{i,j} = prod_{k>j} a_{ijk} * prod_{k<j} a_{ijk}.
+* pb_to_gn4, pb_to_gamma4, pb_to_gamma4_graded (parabola dynamics): a phase
+  is the circles through the anchor that the mover crosses passing it, the
+  mover placed after the anchor; mid passes j with the mover after, then
+  before it (``_crossings``, which gives each circle's inside count z).
+  G_n^4 keeps every crossing as a 4-set, Gamma_n^4 the empty circles
+  (z = 0) as flip letters, and the graded map every flip letter in the
+  component z mod (n-4), folded to at most (n-4)/2.
+
+Also here: strand deletion p_m / q_m, Brunnian certificates, the
+free-product invariants phi_{(i,j,k)}, and the crossing-parity machinery
+connecting G_n^2 to its parity and dotted enrichments.
 
 Strand-label bookkeeping: maps that drop a strand keep the surviving labels
 by default (matching the worked examples); pass renumber=True where the
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 
 from .gamma import Gamma4Group
 from .gnk import GnkGroup
@@ -95,15 +102,18 @@ def format_braid(b: PureBraidWord) -> str:
                     for (i, j), e in b.letters)
 
 
+_BRAID_TOKEN = re.compile(r"b_([0-9]+)_([0-9]+)(\^-1)?")
+
+
 def parse_braid(n: int, text: str) -> PureBraidWord:
+    """Parse tokens b_<i>_<j> or b_<i>_<j>^-1; others raise ValueError."""
     letters = []
     for tok in text.split():
-        e = 1
-        if tok.endswith("^-1"):
-            e = -1
-            tok = tok[:-3]
-        _, i, j = tok.split("_")
-        letters.append(((int(i), int(j)), e))
+        m = _BRAID_TOKEN.fullmatch(tok)
+        if not m:
+            raise ValueError("braid letter %r: expected b_<i>_<j> or "
+                             "b_<i>_<j>^-1" % tok)
+        letters.append(((int(m[1]), int(m[2])), -1 if m[3] else 1))
     return PureBraidWord(n, letters)
 
 
@@ -129,194 +139,101 @@ def pb_relation_pairs(n: int):
 
 
 # ---------------------------------------------------------------------------
-# PB_n -> G_n^3
+# the walk: PB_n -> G_n^3, G_n^4, Gamma_n^4 and the graded product
 
 
-def c_ij_gn3(group: GnkGroup, i: int, j: int) -> Word:
-    """c_{i,j} = prod_{k=j+1}^n a_{ijk} * prod_{k=1}^{j-1} a_{ijk} (k != i)."""
-    n = group.n
-    subs = [tuple(sorted((i, j, k))) for k in range(j + 1, n + 1) if k != i]
-    subs += [tuple(sorted((i, j, k))) for k in range(1, j) if k != i]
-    return group.word_from_subsets(subs)
-
-
-def pb_to_gn3(b: PureBraidWord, group: GnkGroup = None) -> Word:
-    if group is None:
-        group = GnkGroup(b.n, 3)
-    out = Word(group.alphabet)
+def _walk(b: PureBraidWord, phase, mid) -> list:
+    """Keys of the image of b: each b_ij^e becomes (u mid u^-1)^e, where u
+    is ``phase(i, m)`` for the anchors m = i+1 .. j-1 and mid is
+    ``mid(i, j)``.  Every target alphabet is involutive, so an inverse is
+    the key list reversed."""
+    out = []
     for (i, j), e in b.letters:
-        cs = [c_ij_gn3(group, i, m) for m in range(i + 1, j + 1)]
-        img = Word(group.alphabet)
-        for c in cs[:-1]:
-            img = img * c.inverse()
-        img = img * cs[-1] * cs[-1]
-        for c in reversed(cs[:-1]):
-            img = img * c
-        out = out * (img if e == 1 else img.inverse())
+        u = [key for m in range(i + 1, j) for key in phase(i, m)]
+        img = [*u, *mid(i, j), *u[::-1]]
+        out += img if e == 1 else img[::-1]
     return out
 
 
-# ---------------------------------------------------------------------------
-# PB_n -> G_n^4 (parabola dynamics)
+def _c3(n, i, j):
+    """Subsets of c_{i,j} = prod_{k=j+1}^n a_{ijk} * prod_{k=1}^{j-1} a_{ijk}
+    (k != i)."""
+    return [tuple(sorted((i, j, k)))
+            for k in itertools.chain(range(j + 1, n + 1), range(1, j)) if k != i]
 
 
-def _quad(group, i, j, p, q):
-    m = (i, j, p, q)
-    if len(set(m)) != 4 or not all(x in group.labels for x in m):
-        return None
-    return tuple(sorted(m))
+def c_ij_gn3(group: GnkGroup, i: int, j: int) -> Word:
+    return word_from_keys(group.alphabet, _c3(group.n, i, j))
 
 
-def c_ij_gn4(group: GnkGroup, i: int, j: int) -> Word:
-    """c_ij = c^II * c^I * c^III: concyclicity letters met while the mover
-    passes the anchor j, grouped by the straddling / below / above pairs."""
+def pb_to_gn3(b: PureBraidWord, group: GnkGroup = None) -> Word:
+    """The walk in G_n^3 with phase c_{i,m}^-1 and mid c_{i,j}^2."""
+    if group is None:
+        group = GnkGroup(b.n, 3)
     n = group.n
-    subs = []
-    for p in range(1, j):                      # II: one index below j, one above
-        for q in range(1, n - j + 1):
-            m = _quad(group, i, j, j - p, j + q)
-            if m:
-                subs.append(m)
-    for p in range(2, j):                      # I: both below j
-        for q in range(1, p):
-            m = _quad(group, i, j, p, q)
-            if m:
-                subs.append(m)
-    for p in range(1, n - j):                  # III: both above j
-        for q in range(0, p):
-            m = _quad(group, i, j, n - p, n - q)
-            if m:
-                subs.append(m)
-    return group.word_from_subsets(subs)
+    return word_from_keys(group.alphabet, _walk(
+        b, lambda i, m: _c3(n, i, m)[::-1], lambda i, j: 2 * _c3(n, i, j)))
+
+
+def _crossings(n, i, m, side):
+    """(z, quad) for each circle through the anchor m and two other points
+    p, q that the mover i crosses while passing m on the parabola.
+
+    Pairs come straddling m (II), then both below (I), then both above
+    (III).  z is the circle's inside count, less one when the mover starts
+    inside, so z = 0 means the circle is empty at the event.  quad is the
+    sorted triple with the mover inserted after or before m.
+    """
+    pairs = itertools.chain(
+        ((m - p, m + q) for p in range(1, m) for q in range(1, n - m + 1)),
+        ((p, q) for p in range(2, m) for q in range(1, p)),
+        ((n - p, n - q) for p in range(1, n - m) for q in range(p)))
+    for p, q in pairs:
+        if i in (p, q):
+            continue
+        s1, s2, s3 = t = sorted((p, q, m))
+        z = (s1 - 1) + (s3 - s2 - 1) - (i < s1 or s2 < i < s3)
+        t.insert(t.index(m) + (side == "after"), i)
+        yield z, tuple(t)
+
+
+def _gamma_walk(b: PureBraidWord) -> list:
+    """(z, quad) of every crossing of the parabola walk of b: the mover
+    passes each anchor i+1 .. j with the mover after it, and loops around j
+    by passing it once more with the mover before it."""
+    n = b.n
+    return _walk(b, lambda i, m: _crossings(n, i, m, "after"),
+                 lambda i, j: [*_crossings(n, i, j, "after"),
+                               *_crossings(n, i, j, "before")])
 
 
 def pb_to_gn4(b: PureBraidWord, group: GnkGroup = None) -> Word:
+    """Concyclicity image in G_n^4: every crossing of the walk as the
+    sorted 4-set of its circle and mover."""
     if b.n < 4:
         raise ValueError("G_n^4 needs n >= 4")
     if group is None:
         group = GnkGroup(b.n, 4)
-    out = Word(group.alphabet)
-    for (i, j), e in b.letters:
-        cs = [c_ij_gn4(group, i, m) for m in range(i + 1, j + 1)]
-        img = Word(group.alphabet)
-        for c in cs[:-1]:
-            img = img * c
-        img = img * cs[-1] * cs[-1]
-        for c in reversed(cs[:-1]):
-            img = img * c.inverse()
-        out = out * (img if e == 1 else img.inverse())
-    return out
-
-
-# ---------------------------------------------------------------------------
-# PB_n -> Gamma_n^4
-
-
-def _inside_data(n, i, c, p, q):
-    """Static inside count of the circle through {p, q, c} on the parabola
-    configuration, and whether the mover i starts inside it."""
-    s1, s2, s3 = sorted((p, q, c))
-    count = (s1 - 1) + (s3 - s2 - 1)
-    mover_inside = i < s1 or s2 < i < s3
-    return count, mover_inside
-
-
-def _insert_adjacent(triple_sorted, anchor, mover, side):
-    """Insert the mover next to the anchor in the cyclic order of the
-    sorted triple; side='after' or 'before' (increasing-label direction)."""
-    t = list(triple_sorted)
-    pos = t.index(anchor)
-    if side == "after":
-        t.insert(pos + 1, mover)
-    else:
-        t.insert(pos, mover)
-    return tuple(t)
-
-
-def _gamma_phase_pairs(n, i, anchor):
-    """Pair enumeration (II then I then III) for the pass of one anchor."""
-    pairs = []
-    m = anchor
-    for p in range(1, m):
-        for q in range(1, n - m + 1):
-            pairs.append((m - p, m + q))
-    for p in range(2, m):
-        for q in range(1, p):
-            pairs.append((p, q))
-    for p in range(1, n - m):
-        for q in range(0, p):
-            pairs.append((n - p, n - q))
-    out = []
-    for p, q in pairs:
-        if len({p, q, i, m}) == 4 and 1 <= p <= n and 1 <= q <= n:
-            out.append((p, q))
-    return out
-
-
-def _phase_crossings(n, i, anchor, side):
-    """(z, quad) for each circle through the anchor that the mover i crosses
-    while passing it: z is the circle's static inside count, less one when
-    the mover starts inside (z = 0 means the circle is empty at the event),
-    and quad the flip letter with the mover adjacent to the anchor."""
-    for p, q in _gamma_phase_pairs(n, i, anchor):
-        count, mover_inside = _inside_data(n, i, anchor, p, q)
-        yield (count - (1 if mover_inside else 0),
-               _insert_adjacent(sorted((p, q, anchor)), anchor, i, side))
-
-
-def _gamma_phase(group: Gamma4Group, i, anchor, side):
-    """Empty-circle letters emitted while the mover i passes the anchor."""
-    return group.word_from_quads(
-        quad for z, quad in _phase_crossings(group.n, i, anchor, side) if z == 0)
-
-
-def _gamma_walk(b: PureBraidWord, ncomp, component):
-    """Flip quads of the image of b, one list per component.
-
-    Each crossing of the walk in ``pb_to_gamma4`` goes to the component
-    ``component(z)`` names (None drops it).  Flip letters are involutions,
-    so an inverse phase or an inverse letter is its quad list reversed.
-    """
-    out = [[] for _ in range(ncomp)]
-    for (i, j), e in b.letters:
-        img = [[] for _ in range(ncomp)]
-        phases = ([(m, "after", 1) for m in range(i + 1, j + 1)]
-                  + [(j, "before", 1)]
-                  + [(m, "after", -1) for m in range(j - 1, i, -1)])
-        for anchor, side, sign in phases:
-            quads = [[] for _ in range(ncomp)]
-            for z, quad in _phase_crossings(b.n, i, anchor, side):
-                t = component(z)
-                if t is not None:
-                    quads[t].append(quad)
-            for acc, qs in zip(img, quads):
-                acc.extend(qs if sign == 1 else reversed(qs))
-        for acc, qs in zip(out, img):
-            acc.extend(qs if e == 1 else reversed(qs))
-    return out
+    return word_from_keys(group.alphabet,
+                          [tuple(sorted(q)) for _, q in _gamma_walk(b)])
 
 
 def pb_to_gamma4(b: PureBraidWord, group: Gamma4Group = None) -> Word:
-    """Delaunay-flip compiler image of a pure braid in Gamma_n^4.
-
-    The mover i hops past the anchors i+1 .. j, loops around j, and returns;
-    each hop crosses all circles through the anchor, and crossing an empty
-    circle emits the flip letter with the mover adjacent to the anchor.
-    """
+    """Delaunay-flip image in Gamma_n^4: every crossing of an empty circle
+    (z = 0) emits its flip letter, the mover adjacent to the anchor."""
     if b.n < 4:
         raise ValueError("Gamma_n^4 needs n >= 4")
     if group is None:
         group = Gamma4Group(b.n)
-    (quads,) = _gamma_walk(b, 1, lambda z: 0 if z == 0 else None)
-    return group.word_from_quads(quads)
+    return group.word_from_quads(q for z, q in _gamma_walk(b) if z == 0)
 
 
 def pb_to_gamma4_graded(b: PureBraidWord, groups=None):
     """Image in the product of floor(r/2)+1 copies of Gamma_n^4, r = n-4.
 
-    Every concyclicity moment emits its flip letter into the component
-    indexed by the inside-point count of the event circle taken mod r and
-    folded to a representative alpha <= r/2.
+    Every crossing of the walk emits its flip letter into the component
+    indexed by z, the inside-point count of the event circle, taken mod r
+    and folded to a representative alpha <= r/2.
     """
     n = b.n
     if n <= 5:
@@ -325,7 +242,9 @@ def pb_to_gamma4_graded(b: PureBraidWord, groups=None):
     ncomp = r // 2 + 1
     if groups is None:
         groups = [Gamma4Group(n)] * ncomp
-    comps = _gamma_walk(b, ncomp, lambda z: min(z % r, (-z) % r))
+    comps = [[] for _ in range(ncomp)]
+    for z, q in _gamma_walk(b):
+        comps[min(z % r, -z % r)].append(q)
     return tuple(g.word_from_quads(c) for g, c in zip(groups, comps))
 
 

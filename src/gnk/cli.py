@@ -63,14 +63,11 @@ def cmd_invariant(args):
         _emit(args, {"chain": "mn[m=%s]" % (args.m,),
                      "value": format_word(value) or "1",
                      "unknotting_lower_bound": str(bound)})
-    elif args.map == "phi-ijk":
+    else:
         triple = tuple(int(t) for t in args.m.split(","))
         value = braids.phi_ijk(group, w, triple)
         _emit(args, {"chain": "phi_(%s)" % (args.m,),
                      "value": format_word(value) or "1"})
-    else:
-        print("error: unknown invariant map %r" % (args.map,), file=sys.stderr)
-        return 2
     return 0
 
 
@@ -82,14 +79,11 @@ def cmd_braid_map(args):
         w = braids.pb_to_gn4(b)
     elif args.target == "gamma4":
         w = braids.pb_to_gamma4(b)
-    elif args.target == "gamma4-graded":
+    else:
         ws = braids.pb_to_gamma4_graded(b)
         _emit(args, {"chain": "pb_to_gamma4_graded",
                      "components": [format_word(w) or "1" for w in ws]})
         return 0
-    else:
-        print("error: unknown target", file=sys.stderr)
-        return 2
     _emit(args, {"chain": "pb_to_%s" % args.target,
                  "word": format_word(w) or "1", "length": len(w)})
     return 0
@@ -97,11 +91,7 @@ def cmd_braid_map(args):
 
 def cmd_compile_trajectory(args):
     tr = geometry.Trajectory.from_json(_read(args.path))
-    try:
-        result, events = geometry.compile_word(tr, args.target)
-    except geometry.DegenerateTrajectory as exc:
-        print("degenerate trajectory: %s" % exc, file=sys.stderr)
-        return 3
+    result, events = geometry.compile_word(tr, args.target)
     log = [{"segment": e.segment,
             "bracket": [str(e.bracket[0]), str(e.bracket[1])],
             "participants": list(e.participants)} for e in events]
@@ -129,6 +119,8 @@ def cmd_gale(args):
 
 
 def cmd_gamma_presentation(args):
+    if args.extra_word and not args.abelianization_gf2:
+        raise ValueError("--extra-word needs --abelianization-gf2")
     if args.abelianization_gf2:
         extra = []
         if args.extra_word:
@@ -188,34 +180,34 @@ def _parse_oriented_word(text, n, k):
 
 
 def cmd_fliplab(args):
+    from . import fliplab
     if args.mode == "pentagon":
-        from . import fliplab
         tri = fliplab.pentagon_triangulation()
         seq = fliplab.pentagon_flip_cycle(tri)
         ok = seq[-1].labels_equal(seq[0])
         _emit(args, {"pentagon_identity": ok, "symbolic": True})
         return 0 if ok else 2
-    if args.mode == "replay":
-        from . import fliplab
-        spec_ = json.loads(_read(args.path))
-        names = sorted(spec_["labels"].values())
-        syms = dict(zip(names, fliplab.symbols(names)))
-        labels = {tuple(int(v) for v in key.split("-")): syms[name]
-                  for key, name in spec_["labels"].items()}
-        tri = fliplab.LabeledTriangulation(
-            [tuple(t) for t in spec_["triangles"]], labels)
-        for e in spec_["moves"]:
-            tri = tri.ptolemy_flip(tuple(e))
-        out = {"-".join(str(v) for v in e): str(expr)
-               for e, expr in sorted(tri.labels.items())}
-        _emit(args, {"labels": json.dumps(out, sort_keys=True)
-                     if args.format == "text" else out})
-        return 0
-    print("error: unknown fliplab mode", file=sys.stderr)
-    return 2
+    if args.path is None:
+        raise ValueError("fliplab replay needs a spec path")
+    spec_ = json.loads(_read(args.path))
+    names = sorted(spec_["labels"].values())
+    syms = dict(zip(names, fliplab.symbols(names)))
+    labels = {tuple(int(v) for v in key.split("-")): syms[name]
+              for key, name in spec_["labels"].items()}
+    tri = fliplab.LabeledTriangulation(
+        [tuple(t) for t in spec_["triangles"]], labels)
+    for e in spec_["moves"]:
+        tri = tri.ptolemy_flip(tuple(e))
+    out = {"-".join(str(v) for v in e): str(expr)
+           for e, expr in sorted(tri.labels.items())}
+    _emit(args, {"labels": json.dumps(out, sort_keys=True)
+                 if args.format == "text" else out})
+    return 0
 
 
 def cmd_cancel(args):
+    if args.mode == "dehn" and args.word is None:
+        raise ValueError("cancel dehn needs --word")
     text = _read(args.presentation)
     alphabet = _token_alphabet(text, involutive=False)
     relators = [parse_word(alphabet, line).letters
@@ -228,21 +220,18 @@ def cmd_cancel(args):
                      "holds": holds,
                      "witness": format_word(witness[0]) if witness else None})
         return 0
-    if args.mode == "dehn":
-        w = parse_word(alphabet, _read(args.word))
-        try:
-            res = cancel.dehn_reduce_syllables(
-                alphabet, cancel.to_syllables(alphabet, w.letters), R)
-        except cancel.PresentationNotC16 as exc:
-            print("presentation is not C'(1/6): %s" % exc, file=sys.stderr)
-            return 2
-        _emit(args, {"reduced_length": res.letter_count,
-                     "trivial": res.is_trivial(),
-                     "max_overlap": res.trace.max_overlap_at_fixpoint,
-                     "steps": len(res.trace.steps)})
-        return 0
-    print("error: unknown cancel mode", file=sys.stderr)
-    return 2
+    w = parse_word(alphabet, _read(args.word))
+    try:
+        res = cancel.dehn_reduce_syllables(
+            alphabet, cancel.to_syllables(alphabet, w.letters), R)
+    except cancel.PresentationNotC16 as exc:
+        print("presentation is not C'(1/6): %s" % exc, file=sys.stderr)
+        return 2
+    _emit(args, {"reduced_length": res.letter_count,
+                 "trivial": res.is_trivial(),
+                 "max_overlap": res.trace.max_overlap_at_fixpoint,
+                 "steps": len(res.trace.steps)})
+    return 0
 
 
 def cmd_brunnian(args):

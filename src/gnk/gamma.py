@@ -16,6 +16,7 @@ enumeration, and GF(2) abelianization ranks live here too.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import gcd
@@ -38,6 +39,17 @@ def d_symbol(quad) -> str:
     return "d_" + labels_text(dihedral_canonical(quad))
 
 
+@functools.lru_cache(maxsize=32)
+def _quad_alphabet(labels) -> Alphabet:
+    """The d-letters of Gamma^4 over a label set, built once per label set:
+    three dihedral classes per 4-subset, keyed by their least quads (with
+    a < b < c < d each quad below already is its least form)."""
+    return Alphabet({
+        "d_" + labels_text(quad): quad
+        for a, b, c, d in itertools.combinations(labels, 4)
+        for quad in ((a, b, c, d), (a, b, d, c), (a, c, b, d))})
+
+
 class Gamma4Group:
     """Gamma_n^4 over an explicit label set; generators are involutive."""
 
@@ -49,12 +61,7 @@ class Gamma4Group:
             raise ValueError("need n >= 4 labels")
         self.n = n
         self.labels = labels
-        # three dihedral classes per 4-subset, keyed by their least quads:
-        # with a < b < c < d each quad below already is its least form
-        self.alphabet = Alphabet({
-            "d_" + labels_text(quad): quad
-            for a, b, c, d in itertools.combinations(labels, 4)
-            for quad in ((a, b, c, d), (a, b, d, c), (a, c, b, d))})
+        self.alphabet = _quad_alphabet(labels)
 
     def generator(self, quad) -> Word:
         return self.word_from_quads([quad])

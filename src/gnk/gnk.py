@@ -15,6 +15,7 @@ greedy bigon reduction heuristic for G_n^2.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -25,6 +26,14 @@ from .words import (Alphabet, CyclicWord, Word, distinct_cyclic_words,
 def subset_symbol(m) -> str:
     """Generator token for a k-subset: a_123 for labels <= 9, else a_{10,11,...}."""
     return "a_" + labels_text(sorted(m))
+
+
+@functools.lru_cache(maxsize=32)
+def _subset_codec(labels, k):
+    """The k-subsets of a label set in lexicographic order and their
+    alphabet, built once per (labels, k)."""
+    subsets = tuple(itertools.combinations(labels, k))
+    return subsets, Alphabet({subset_symbol(m): m for m in subsets})
 
 
 class GnkGroup:
@@ -41,8 +50,8 @@ class GnkGroup:
         self.n = n
         self.k = k
         self.labels = labels
-        self.subsets = list(itertools.combinations(labels, k))
-        self.alphabet = Alphabet({subset_symbol(m): m for m in self.subsets})
+        subsets, self.alphabet = _subset_codec(labels, k)
+        self.subsets = list(subsets)
 
     def generator(self, m) -> Word:
         # not via word_from_subsets, whose calls perfbench counts as

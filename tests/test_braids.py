@@ -10,6 +10,7 @@ from gnk.braids import (DottedGroup, ParityGroup, PureBraidWord, brunnian_certif
                         pb_relation_pairs, pb_to_gamma4, pb_to_gamma4_graded,
                         pb_to_gn3, pb_to_gn4, phi_ijk, phi_parity, pr, r_m,
                         w_parity)
+from gnk.gamma import Gamma4Group
 from gnk.gnk import GnkGroup, MNContext, is_even, mn_invariant
 from gnk.words import Word, format_word, word, word_from_keys
 
@@ -84,13 +85,17 @@ def test_pb_to_gamma4_identity():
 
 
 def test_pb_to_gamma4_delta_pieces():
-    # the worked example's phase decomposition
-    from gnk.braids import _gamma_phase
-    from gnk.gamma import Gamma4Group
+    # the worked example's phase decomposition: the empty circles (z = 0)
+    # the mover crosses while passing one anchor
+    from gnk.braids import _crossings
     g = Gamma4Group(5)
-    assert format_word(_gamma_phase(g, 1, 2, "after")) == "d_1254 d_1243"
-    assert format_word(_gamma_phase(g, 1, 3, "after")) == "d_1324"
-    assert format_word(_gamma_phase(g, 1, 3, "before")) == "d_1243"
+
+    def phase(anchor, side):
+        return format_word(g.word_from_quads(
+            q for z, q in _crossings(5, 1, anchor, side) if z == 0))
+    assert phase(2, "after") == "d_1254 d_1243"
+    assert phase(3, "after") == "d_1324"
+    assert phase(3, "before") == "d_1243"
 
 
 def test_relator_pairs_invariant_indistinguishable():
@@ -123,6 +128,165 @@ def test_graded_relator_images_even():
 def test_graded_component_count():
     comps = pb_to_gamma4_graded(generator(6, 1, 2))
     assert len(comps) == (6 - 4) // 2 + 1
+
+
+# ---------------------------------------------------------------------------
+# oracle: the four images written out walk by walk as products of Words
+
+
+def _oracle_c_ij_gn3(group, i, j):
+    n = group.n
+    subs = [tuple(sorted((i, j, k))) for k in range(j + 1, n + 1) if k != i]
+    subs += [tuple(sorted((i, j, k))) for k in range(1, j) if k != i]
+    return group.word_from_subsets(subs)
+
+
+def _oracle_pb_to_gn3(b, group=None):
+    if group is None:
+        group = GnkGroup(b.n, 3)
+    out = Word(group.alphabet)
+    for (i, j), e in b.letters:
+        cs = [_oracle_c_ij_gn3(group, i, m) for m in range(i + 1, j + 1)]
+        img = Word(group.alphabet)
+        for c in cs[:-1]:
+            img = img * c.inverse()
+        img = img * cs[-1] * cs[-1]
+        for c in reversed(cs[:-1]):
+            img = img * c
+        out = out * (img if e == 1 else img.inverse())
+    return out
+
+
+def _oracle_quad(group, i, j, p, q):
+    m = (i, j, p, q)
+    if len(set(m)) != 4 or not all(x in group.labels for x in m):
+        return None
+    return tuple(sorted(m))
+
+
+def _oracle_c_ij_gn4(group, i, j):
+    """c_ij = c^II * c^I * c^III: concyclicity letters met while the mover
+    passes the anchor j, grouped by the straddling / below / above pairs."""
+    n = group.n
+    subs = []
+    for p in range(1, j):
+        for q in range(1, n - j + 1):
+            m = _oracle_quad(group, i, j, j - p, j + q)
+            if m:
+                subs.append(m)
+    for p in range(2, j):
+        for q in range(1, p):
+            m = _oracle_quad(group, i, j, p, q)
+            if m:
+                subs.append(m)
+    for p in range(1, n - j):
+        for q in range(0, p):
+            m = _oracle_quad(group, i, j, n - p, n - q)
+            if m:
+                subs.append(m)
+    return group.word_from_subsets(subs)
+
+
+def _oracle_pb_to_gn4(b, group=None):
+    if group is None:
+        group = GnkGroup(b.n, 4)
+    out = Word(group.alphabet)
+    for (i, j), e in b.letters:
+        cs = [_oracle_c_ij_gn4(group, i, m) for m in range(i + 1, j + 1)]
+        img = Word(group.alphabet)
+        for c in cs[:-1]:
+            img = img * c
+        img = img * cs[-1] * cs[-1]
+        for c in reversed(cs[:-1]):
+            img = img * c.inverse()
+        out = out * (img if e == 1 else img.inverse())
+    return out
+
+
+def _oracle_gamma_phase_pairs(n, i, anchor):
+    pairs = []
+    m = anchor
+    for p in range(1, m):
+        for q in range(1, n - m + 1):
+            pairs.append((m - p, m + q))
+    for p in range(2, m):
+        for q in range(1, p):
+            pairs.append((p, q))
+    for p in range(1, n - m):
+        for q in range(0, p):
+            pairs.append((n - p, n - q))
+    return [(p, q) for p, q in pairs
+            if len({p, q, i, m}) == 4 and 1 <= p <= n and 1 <= q <= n]
+
+
+def _oracle_phase_crossings(n, i, anchor, side):
+    for p, q in _oracle_gamma_phase_pairs(n, i, anchor):
+        s1, s2, s3 = sorted((p, q, anchor))
+        count = (s1 - 1) + (s3 - s2 - 1)
+        mover_inside = i < s1 or s2 < i < s3
+        t = [s1, s2, s3]
+        pos = t.index(anchor)
+        t.insert(pos + 1 if side == "after" else pos, i)
+        yield count - (1 if mover_inside else 0), tuple(t)
+
+
+def _oracle_gamma_walk(b, ncomp, component):
+    out = [[] for _ in range(ncomp)]
+    for (i, j), e in b.letters:
+        img = [[] for _ in range(ncomp)]
+        phases = ([(m, "after", 1) for m in range(i + 1, j + 1)]
+                  + [(j, "before", 1)]
+                  + [(m, "after", -1) for m in range(j - 1, i, -1)])
+        for anchor, side, sign in phases:
+            quads = [[] for _ in range(ncomp)]
+            for z, quad in _oracle_phase_crossings(b.n, i, anchor, side):
+                t = component(z)
+                if t is not None:
+                    quads[t].append(quad)
+            for acc, qs in zip(img, quads):
+                acc.extend(qs if sign == 1 else reversed(qs))
+        for acc, qs in zip(out, img):
+            acc.extend(qs if e == 1 else reversed(qs))
+    return out
+
+
+def _oracle_pb_to_gamma4(b):
+    (quads,) = _oracle_gamma_walk(b, 1, lambda z: 0 if z == 0 else None)
+    return Gamma4Group(b.n).word_from_quads(quads)
+
+
+def _oracle_pb_to_gamma4_graded(b):
+    r = b.n - 4
+    ncomp = r // 2 + 1
+    comps = _oracle_gamma_walk(b, ncomp, lambda z: min(z % r, (-z) % r))
+    return tuple(Gamma4Group(b.n).word_from_quads(c) for c in comps)
+
+
+def _oracle_inputs(n):
+    """Every b_ij^{+-1}, seeded random braids of up to 40 letters, and the
+    products u v^-1 of the defining relation pairs of PB_n."""
+    rng = random.Random(500 + n)
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    out = [generator(n, i, j, e) for i, j in pairs for e in (1, -1)]
+    out += [PureBraidWord(n, [(rng.choice(pairs), rng.choice((1, -1)))
+                              for _ in range(rng.randint(1, 40))])
+            for _ in range(4)]
+    rel = pb_relation_pairs(n)
+    out += [u * v.inverse() for u, v in rng.sample(rel, min(6, len(rel)))]
+    return out
+
+
+@pytest.mark.parametrize("n", range(4, 12))
+def test_walk_matches_oracle_letter_for_letter(n):
+    g3, g4 = GnkGroup(n, 3), GnkGroup(n, 4)
+    for b in _oracle_inputs(n):
+        assert pb_to_gn3(b, g3).letters == _oracle_pb_to_gn3(b, g3).letters, b
+        assert pb_to_gn4(b, g4).letters == _oracle_pb_to_gn4(b, g4).letters, b
+        assert pb_to_gamma4(b).letters == _oracle_pb_to_gamma4(b).letters, b
+        if n >= 6:
+            got = pb_to_gamma4_graded(b)
+            want = _oracle_pb_to_gamma4_graded(b)
+            assert [w.letters for w in got] == [w.letters for w in want], b
 
 
 # ---------------------------------------------------------------------------
@@ -470,20 +634,23 @@ def test_graded_components_match_parabola_inside_counts():
     # inside count of the event circle on the parabola configuration, folded
     # mod r; the counts come from the exact geometric oracle
     from fractions import Fraction as F
-    from gnk.braids import _gamma_phase_pairs, _inside_data
+    from gnk.braids import _crossings
     from gnk.geometry import inside_count as geo_inside_count
+    from gnk.geometry import point_in_circumcircle
     n, r = 6, 2
     pts = [(F(k), F(k * k)) for k in range(1, n + 1)]
     for i, j in ((1, 2), (2, 4)):
         for anchor in range(i + 1, j + 1):
-            for p, q in _gamma_phase_pairs(n, i, anchor):
-                count, mover_inside = _inside_data(n, i, anchor, p, q)
-                trip = tuple(sorted((p, q, anchor)))
-                oracle = geo_inside_count(pts, tuple(t - 1 for t in trip))
-                assert count == oracle
-                z = count - (1 if mover_inside else 0)
-                alpha = min(z % r, (-z) % r)
-                assert 0 <= alpha <= r // 2
+            for side in ("after", "before"):
+                for z, quad in _crossings(n, i, anchor, side):
+                    trip = tuple(sorted(x for x in quad if x != i))
+                    assert anchor in trip
+                    oracle = geo_inside_count(pts, tuple(t - 1 for t in trip))
+                    mover_inside = point_in_circumcircle(
+                        *(pts[t - 1] for t in trip), pts[i - 1]) > 0
+                    assert z + mover_inside == oracle
+                    alpha = min(z % r, (-z) % r)
+                    assert 0 <= alpha <= r // 2
 
 
 # labels >= 10: names carry braces, and the maps read keys, not characters

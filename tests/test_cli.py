@@ -352,3 +352,34 @@ def test_main_calls_share_one_parser(tmp_path, capsys):
     assert build_parser() is build_parser()
     for _ in range(2):
         assert [run(argv) for argv in calls] == fresh
+
+
+@pytest.mark.parametrize("command", [["braid-map", "--target", "gn3"],
+                                     ["brunnian"]])
+def test_braid_commands_reject_malformed_tokens(tmp_path, capsys, command):
+    from gnk.cli import main
+    f = tmp_path / "b.txt"
+    for bad in ("a_1_2", "zz_1_3^-1", "b_1_3^-2", "b_1", "b_1_2_3", "b_x_2"):
+        f.write_text("b_1_2 %s\n" % bad)
+        code = main(command[:1] + [str(f), "--n", "4"] + command[1:])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == "", bad
+        assert repr(bad) in out.err, out.err
+
+
+@pytest.mark.parametrize("argv, hint", [
+    (["fliplab", "replay"], "spec path"),
+    (["cancel", "dehn", "{pres}"], "--word"),
+    (["gamma-presentation", "--n", "6", "--k", "5", "--extra-word", "{extra}"],
+     "--abelianization-gf2"),
+])
+def test_missing_inputs_exit_2(tmp_path, capsys, argv, hint):
+    from gnk.cli import main
+    pres = tmp_path / "pres.txt"
+    pres.write_text("x y x^-1 y^-1\n")
+    extra = tmp_path / "extra.txt"
+    extra.write_text(CRITERION4_EXTRA + "\n")
+    code = main([a.format(pres=pres, extra=extra) for a in argv])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == "", argv
+    assert out.err.startswith("error: ") and hint in out.err, out.err
