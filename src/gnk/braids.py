@@ -31,7 +31,7 @@ import functools
 import itertools
 import re
 
-from .gamma import Gamma4Group
+from .gamma import Gamma4Group, graded_words
 from .gnk import GnkGroup
 from .words import (Alphabet, Word, labels_text, state_alphabet, state_key,
                     word_from_keys)
@@ -71,12 +71,8 @@ class PureBraidWord:
         return PureBraidWord(self.n, [(ij, -e) for ij, e in reversed(self.letters)])
 
     def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        w = PureBraidWord(self.n)
-        for _ in range(k):
-            w = w * self
-        return w
+        w = self if k >= 0 else self.inverse()
+        return PureBraidWord(self.n, w.letters * abs(k))
 
     def __eq__(self, other):
         return (isinstance(other, PureBraidWord) and self.n == other.n
@@ -218,34 +214,25 @@ def pb_to_gn4(b: PureBraidWord, group: GnkGroup = None) -> Word:
                           [tuple(sorted(q)) for _, q in _gamma_walk(b)])
 
 
-def pb_to_gamma4(b: PureBraidWord, group: Gamma4Group = None) -> Word:
+def pb_to_gamma4(b: PureBraidWord) -> Word:
     """Delaunay-flip image in Gamma_n^4: every crossing of an empty circle
     (z = 0) emits its flip letter, the mover adjacent to the anchor."""
     if b.n < 4:
         raise ValueError("Gamma_n^4 needs n >= 4")
-    if group is None:
-        group = Gamma4Group(b.n)
-    return group.word_from_quads(q for z, q in _gamma_walk(b) if z == 0)
+    return Gamma4Group(b.n).word_from_quads(
+        q for z, q in _gamma_walk(b) if z == 0)
 
 
-def pb_to_gamma4_graded(b: PureBraidWord, groups=None):
+def pb_to_gamma4_graded(b: PureBraidWord):
     """Image in the product of floor(r/2)+1 copies of Gamma_n^4, r = n-4.
 
     Every crossing of the walk emits its flip letter into the component
     indexed by z, the inside-point count of the event circle, taken mod r
     and folded to a representative alpha <= r/2.
     """
-    n = b.n
-    if n <= 5:
+    if b.n <= 5:
         raise ValueError("graded map needs n > 5")
-    r = n - 4
-    ncomp = r // 2 + 1
-    if groups is None:
-        groups = [Gamma4Group(n)] * ncomp
-    comps = [[] for _ in range(ncomp)]
-    for z, q in _gamma_walk(b):
-        comps[min(z % r, -z % r)].append(q)
-    return tuple(g.word_from_quads(c) for g, c in zip(groups, comps))
+    return graded_words(b.n, _gamma_walk(b))
 
 
 # ---------------------------------------------------------------------------

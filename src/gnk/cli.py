@@ -244,7 +244,6 @@ def cmd_brunnian(args):
         # a residue with a nonzero generator exponent sum is nontrivial in
         # the pure braid group, certifying non-Brunnian-ness; a residue that
         # merely fails to reduce freely stays inconclusive
-        exp_sums = {}
         for v in cert.values():
             sums = {}
             for ij, e in v.letters:

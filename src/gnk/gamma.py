@@ -30,9 +30,11 @@ from .words import (Alphabet, CyclicWord, Word, distinct_cyclic_words,
 
 
 def dihedral_canonical(quad):
-    """Least representative of the dihedral class of a cyclic 4-tuple."""
-    quad = tuple(quad)
-    return min(least_rotation(quad), least_rotation(quad[::-1]))
+    """Least representative of the dihedral class of a cyclic 4-tuple of
+    distinct labels: the least label first, its smaller neighbour second."""
+    k = quad.index(min(quad))
+    a, b, c, d = quad[k:] + quad[:k]
+    return (a, b, c, d) if b < d else (a, d, c, b)
 
 
 def d_symbol(quad) -> str:
@@ -69,6 +71,17 @@ class Gamma4Group:
     def word_from_quads(self, quads) -> Word:
         return word_from_keys(self.alphabet,
                               (dihedral_canonical(q) for q in quads))
+
+
+def graded_words(n: int, pairs):
+    """The graded image in floor(r/2)+1 copies of Gamma_n^4, r = n - 4
+    (n > 5): each (z, quad) puts the flip letter of quad into component
+    min(z mod r, -z mod r)."""
+    r = n - 4
+    comps = [[] for _ in range(r // 2 + 1)]
+    for z, quad in pairs:
+        comps[min(z % r, -z % r)].append(quad)
+    return tuple(map(Gamma4Group(n).word_from_quads, comps))
 
 
 def gamma4_presentation(n: int):

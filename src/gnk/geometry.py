@@ -23,7 +23,7 @@ import json
 import math
 from fractions import Fraction
 
-from .gamma import Gamma4Group, dihedral_canonical
+from .gamma import Gamma4Group, dihedral_canonical, graded_words
 from .gnk import GnkGroup
 
 
@@ -369,9 +369,11 @@ class Event:
             self.bracket[0], self.bracket[1])
 
 
-def _moving_coords(a, b):
+def _mover_positions(a, b):
+    """The mover's positions a + t (b - a) at t = 0, 1, 2, 3: the only times
+    at which PredicatePoly.interpolate evaluates a predicate."""
     d = [y - x for x, y in zip(a, b)]
-    return lambda t: tuple(x + t * dx for x, dx in zip(a, d))
+    return [tuple(x + t * dx for x, dx in zip(a, d)) for t in range(4)]
 
 
 # sort key of brackets by left end, compared exactly
@@ -443,6 +445,75 @@ def _static_genericity_2d(conf, mover, circles=False):
                 raise DegenerateTrajectory("four static points concyclic")
 
 
+# the wall predicates of the mover at at[t] (t = 0..3) against a line
+# through two static points, or a circle or a plane through three
+def _line(at, p, q):
+    return lambda t: orient2d(p, q, at[t])
+
+
+def _circle(at, p, q, r):
+    return lambda t: incircle(p, q, r, at[t])
+
+
+def _plane(at, p, q, r):
+    return lambda t: orient3d(p, q, r, at[t])
+
+
+def _walls(frame, statics, at, wall, size):
+    """(static tuple, poly, bracket) for every root in (0, 1) of the wall
+    predicate of every ``size``-subset of the statics, in combinations
+    order."""
+    for tup in itertools.combinations(statics, size):
+        poly = PredicatePoly.interpolate(wall(at, *[frame[s] for s in tup]))
+        for br in poly.roots_in_unit_interval():
+            yield tup, poly, br
+
+
+def _convex_quad(pts, side_sign):
+    """The dihedral class of the four points pts (0-based) around their
+    convex hull, or None when they are not in convex position.
+
+    A pair is a diagonal iff the other two points lie on opposite sides of
+    its line, as ``side_sign(x, y, z)`` tells."""
+    for x, y in itertools.combinations(pts, 2):
+        z, w = [q for q in pts if q not in (x, y)]
+        if side_sign(x, y, z) * side_sign(x, y, w) < 0:
+            return dihedral_canonical((x + 1, z + 1, y + 1, w + 1))
+    return None
+
+
+def _side_at_root(poly, br, predicate, point, mover=None):
+    """side_sign(x, y, z) for _convex_quad: the sign of ``predicate`` on the
+    points x, y, z (``point(q, t)`` is point q at time t) at the root of poly
+    in br.  With ``mover`` given, a triple without it is signed directly on
+    its static points."""
+    def side_sign(x, y, z):
+        if mover is not None and mover not in (x, y, z):
+            return _sgn(predicate(point(x, 0), point(y, 0), point(z, 0)))
+        aux = PredicatePoly.interpolate(
+            lambda t: predicate(point(x, t), point(y, t), point(z, t)))
+        return sign_at_root(poly, br, aux)
+    return side_sign
+
+
+def _labels(statics, p):
+    """The sorted 1-based labels of the static points and the mover p."""
+    return tuple(sorted([s + 1 for s in statics] + [p]))
+
+
+def _inside_circle(conf, triple, mover=None):
+    """For every point but the triple and the mover, in index order: does it
+    lie strictly inside the circle through the triple?"""
+    a, b, c = (conf[s] for s in triple)
+    return (point_in_circumcircle(a, b, c, conf[x]) > 0
+            for x in range(len(conf)) if x not in triple and x != mover)
+
+
+def inside_count(conf, triple) -> int:
+    """Number of configuration points strictly inside circle(triple)."""
+    return sum(_inside_circle(conf, triple))
+
+
 def detect_events(tr: Trajectory, kind: str):
     """All isolated wall crossings of the requested kind, in time order.
 
@@ -450,64 +521,64 @@ def detect_events(tr: Trajectory, kind: str):
     empty circle), 'coplanar_special' (3D: convex coplanar quadruple with
     all other points strictly on one side).
     """
+    if kind not in ("collinear3", "concyclic4", "delaunay_flip",
+                    "coplanar_special"):
+        raise ValueError("unknown event kind %r" % kind)
     out = []
     conf = list(tr.initial)
     for seg, (p, to) in enumerate(tr.moves):
         mover = p - 1
         # the segment's integer frame: the configuration, then the target
         *frame, b = _integer_frame(conf + [to])
-        a = frame[mover]
-        pos = _moving_coords(a, b)
+        at = _mover_positions(frame[mover], b)
+
+        def point(q, t):
+            return at[t] if q == mover else frame[q]
+
         events = []
         statics = [q for q in range(tr.n) if q != mover]
-        if kind == "collinear3":
-            _static_genericity_2d(frame, mover)
-            for s1, s2 in itertools.combinations(statics, 2):
-                poly = PredicatePoly.interpolate(
-                    lambda t, s1=s1, s2=s2:
-                        orient2d(frame[s1], frame[s2], pos(t)))
-                for br in poly.roots_in_unit_interval():
-                    events.append(Event(seg, br, kind,
-                                        tuple(sorted((s1 + 1, s2 + 1, p))), poly))
-        elif kind in ("concyclic4", "delaunay_flip"):
-            _static_genericity_2d(frame, mover, circles=True)
-            for s1, s2, s3 in itertools.combinations(statics, 3):
-                poly = PredicatePoly.interpolate(
-                    lambda t, s1=s1, s2=s2, s3=s3:
-                        incircle(frame[s1], frame[s2], frame[s3], pos(t)))
-                for br in poly.roots_in_unit_interval():
-                    trip = (s1, s2, s3)
-                    if kind == "delaunay_flip" and not _circle_empty(
-                            frame, trip, mover):
+        if kind == "coplanar_special":
+            for trip, poly, br in _walls(frame, statics, at, _plane, 3):
+                s1, s2, s3 = (frame[s] for s in trip)
+                sides = {_sgn(orient3d(s1, s2, s3, frame[x]))
+                         for x in statics if x not in trip}
+                if 0 in sides:
+                    raise DegenerateTrajectory("static point on event plane")
+                if len(sides) > 1:
+                    continue
+                # sides within the statics' plane: det[y - x, z - x, normal]
+                normal = _cross(_sub(s2, s1), _sub(s3, s1))
+                quad = _convex_quad(trip + (mover,), _side_at_root(
+                    poly, br, lambda px, py, pz:
+                        _det3(_sub(py, px), _sub(pz, px), normal), point))
+                if quad is not None:
+                    events.append(Event(seg, br, kind, _labels(trip, p), poly,
+                                        quad, sides.pop() if sides else 1))
+        else:
+            _static_genericity_2d(frame, mover, circles=kind != "collinear3")
+            if kind != "collinear3":
+                for trip, poly, br in _walls(frame, statics, at, _circle, 3):
+                    if kind == "delaunay_flip" and any(
+                            _inside_circle(frame, trip, mover)):
                         continue
-                    ev = Event(seg, br, kind,
-                               tuple(sorted((s1 + 1, s2 + 1, s3 + 1, p))), poly)
-                    ev.quad = _cyclic_order_at_event(frame, trip, mover, a, b,
-                                                     poly, ev)
-                    events.append(ev)
-            # hull changes (collinearity crossings) alter the Delaunay
-            # triangulation without a cocircularity; keep the event
-            # brackets clear of them so that between bracket endpoints the
-            # only combinatorial change is the event's own flip
-            for s1, s2 in itertools.combinations(statics, 2):
-                poly = PredicatePoly.interpolate(
-                    lambda t, s1=s1, s2=s2:
-                        orient2d(frame[s1], frame[s2], pos(t)))
-                for br in poly.roots_in_unit_interval():
+                    quad = _convex_quad(trip + (mover,), _side_at_root(
+                        poly, br, orient2d, point, mover))
+                    if quad is None:
+                        raise DegenerateTrajectory(
+                            "event points not in convex position")
+                    events.append(Event(seg, br, kind, _labels(trip, p), poly,
+                                        quad))
+            # for the circle kinds: hull changes (collinearity crossings)
+            # alter the Delaunay triangulation without a cocircularity; keep
+            # the event brackets clear of them so that between bracket
+            # endpoints the only combinatorial change is the event's own flip
+            for (s1, s2), poly, br in _walls(frame, statics, at, _line, 2):
+                if kind == "collinear3":
+                    events.append(Event(seg, br, kind, _labels((s1, s2), p),
+                                        poly))
+                else:
                     events.append(Event(seg, br, "_separator",
                                         (s1 + 1, s2 + 1, p), poly))
-        elif kind == "coplanar_special":
-            for s1, s2, s3 in itertools.combinations(statics, 3):
-                base = (frame[s1], frame[s2], frame[s3])
-                poly = PredicatePoly.interpolate(
-                    lambda t, base=base: orient3d(base[0], base[1], base[2], pos(t)))
-                for br in poly.roots_in_unit_interval():
-                    ev = _special_moment_event(tr, frame, (s1, s2, s3), mover,
-                                               a, b, poly, br, seg)
-                    if ev is not None:
-                        events.append(ev)
-        else:
-            raise ValueError("unknown event kind %r" % kind)
         for e in _separate_events(events):
             if e.kind != "_separator":
                 lo, hi, den = e.bracket
@@ -515,105 +586,6 @@ def detect_events(tr: Trajectory, kind: str):
                 out.append(e)
         conf[mover] = to
     return out
-
-
-def _circle_empty(conf, triple, mover) -> bool:
-    """No static point strictly inside the circumcircle of the triple."""
-    s1, s2, s3 = triple
-    for x in range(len(conf)):
-        if x in triple or x == mover:
-            continue
-        if point_in_circumcircle(conf[s1], conf[s2], conf[s3], conf[x]) > 0:
-            return False
-    return True
-
-
-def inside_count(conf, triple) -> int:
-    """Number of configuration points strictly inside circle(triple)."""
-    s1, s2, s3 = triple
-    cnt = 0
-    for x in range(len(conf)):
-        if x in triple:
-            continue
-        if point_in_circumcircle(conf[s1], conf[s2], conf[s3], conf[x]) > 0:
-            cnt += 1
-    return cnt
-
-
-def _cyclic_order_at_event(conf, triple, mover, a, b, poly, ev):
-    """Cyclic order of the four cocircular points at the isolated event.
-
-    Diagonal detection: a pair is a diagonal iff the other two points lie on
-    opposite sides of its line; side signs involving the mover are decided
-    exactly at the event root.
-    """
-    pos = _moving_coords(a, b)
-    pts = list(triple) + [mover]
-
-    def side_sign(x, y, z):
-        if mover not in (x, y, z):
-            v = orient2d(conf[x], conf[y], conf[z])
-            return (v > 0) - (v < 0)
-        def f(t):
-            def gp(q):
-                return pos(t) if q == mover else conf[q]
-            return orient2d(gp(x), gp(y), gp(z))
-        aux = PredicatePoly.interpolate(f)
-        return sign_at_root(poly, ev.bracket, aux)
-
-    diag = None
-    for x, y in itertools.combinations(pts, 2):
-        z, w = [q for q in pts if q not in (x, y)]
-        if side_sign(x, y, z) * side_sign(x, y, w) < 0:
-            diag = ((x, y), (z, w))
-            break
-    if diag is None:
-        raise DegenerateTrajectory("event points not in convex position")
-    (x, y), (z, w) = diag
-    quad = (x + 1, z + 1, y + 1, w + 1)
-    return dihedral_canonical(quad)
-
-
-def _special_moment_event(tr, conf, triple, mover, a, b, poly, br, seg):
-    """Check 3D special-singular-moment conditions; return an Event or None."""
-    s1, s2, s3 = triple
-    others = [x for x in range(tr.n) if x not in triple and x != mover]
-    sides = []
-    for x in others:
-        v = orient3d(conf[s1], conf[s2], conf[s3], conf[x])
-        if v == 0:
-            raise DegenerateTrajectory("static point on event plane")
-        sides.append((v > 0) - (v < 0))
-    if sides and len(set(sides)) != 1:
-        return None
-    side = sides[0] if sides else 1
-    pos = _moving_coords(a, b)
-    pts = list(triple) + [mover]
-    ev = Event(seg, br, "coplanar_special",
-               tuple(sorted(q + 1 for q in pts)), poly, side=side)
-
-    def inplane_sign(x, y, z):
-        # sign of det[y-x, z-x, n] with n the plane normal of the statics
-        def f(t):
-            def gp(q):
-                return pos(t) if q == mover else conf[q]
-            px, py, pz = gp(x), gp(y), gp(z)
-            n = _cross(_sub(conf[s2], conf[s1]), _sub(conf[s3], conf[s1]))
-            return _det3(_sub(py, px), _sub(pz, px), n)
-        aux = PredicatePoly.interpolate(f)
-        return sign_at_root(poly, ev.bracket, aux)
-
-    diag = None
-    for x, y in itertools.combinations(pts, 2):
-        z, w = [q for q in pts if q not in (x, y)]
-        if inplane_sign(x, y, z) * inplane_sign(x, y, w) < 0:
-            diag = ((x, y), (z, w))
-            break
-    if diag is None:
-        return None                # not a convex quadrilateral
-    (x, y), (z, w) = diag
-    ev.quad = dihedral_canonical((x + 1, z + 1, y + 1, w + 1))
-    return ev
 
 
 def _sub(u, v):
@@ -636,11 +608,13 @@ def _det3(u, v, w):
 # compilation to words
 
 
-_TARGET_DIM = {"gn3": 2, "gn4": 2, "gamma4": 2, "gamma4_graded": 2,
-               "gamma4_space": 3}
+# target: (trajectory dim, event kind)
+_TARGETS = {"gn3": (2, "collinear3"), "gn4": (2, "concyclic4"),
+            "gamma4": (2, "delaunay_flip"), "gamma4_graded": (2, "concyclic4"),
+            "gamma4_space": (3, "coplanar_special")}
 
 
-def compile_word(tr: Trajectory, target: str, groups=None):
+def compile_word(tr: Trajectory, target: str):
     """Compile a trajectory into a word (or graded tuple) of the target group.
 
     Targets: 'gn3' (collinearity letters a_ijk), 'gn4' (concyclicity letters
@@ -648,48 +622,33 @@ def compile_word(tr: Trajectory, target: str, groups=None):
     (all concyclicity events, split by inside count mod n-4),
     'gamma4_space' (3D special singular moments).
     """
-    if target not in _TARGET_DIM:
+    if target not in _TARGETS:
         raise ValueError("unknown compile target %r" % target)
-    if tr.dim != _TARGET_DIM[target]:
+    dim, kind = _TARGETS[target]
+    if tr.dim != dim:
         raise ValueError("target %s needs dim %d, the trajectory has dim %d"
-                         % (target, _TARGET_DIM[target], tr.dim))
+                         % (target, dim, tr.dim))
     n = tr.n
-    if target == "gn3":
-        group = groups or GnkGroup(n, 3)
-        events = detect_events(tr, "collinear3")
-        return group.word_from_subsets([e.participants for e in events]), events
-    if target == "gn4":
-        group = groups or GnkGroup(n, 4)
-        events = detect_events(tr, "concyclic4")
-        return group.word_from_subsets([e.participants for e in events]), events
-    if target in ("gamma4", "gamma4_space"):
-        group = groups or Gamma4Group(n)
-        kind = "delaunay_flip" if target == "gamma4" else "coplanar_special"
+    if target == "gamma4_graded":
+        if n <= 5:
+            raise ValueError("graded target needs n > 5")
         events = detect_events(tr, kind)
-        return group.word_from_quads([e.quad for e in events]), events
-    if n <= 5:
-        raise ValueError("graded target needs n > 5")
-    r = n - 4
-    ncomp = r // 2 + 1
-    gs = groups or [Gamma4Group(n)] * ncomp
-    events = detect_events(tr, "concyclic4")
-    comps = [[] for _ in range(ncomp)]
-    conf_list = tr.configurations()
-    for e in events:
-        conf = _integer_frame(conf_list[e.segment])
-        mover = tr.moves[e.segment][0] - 1
-        trip = tuple(q - 1 for q in e.participants if q - 1 != mover)
-        z = inside_count(conf, trip) - (1 if _mover_started_inside(
-            conf, trip, mover) else 0)
-        alpha = min(z % r, (-z) % r)
-        quad = e.quad if e.quad else tuple(sorted(e.participants))
-        comps[alpha].append(quad)
-    return tuple(gs[t].word_from_quads(c) for t, c in enumerate(comps)), events
-
-
-def _mover_started_inside(conf, triple, mover) -> bool:
-    s1, s2, s3 = triple
-    return point_in_circumcircle(conf[s1], conf[s2], conf[s3], conf[mover]) > 0
+        confs = tr.configurations()
+        pairs = []
+        for e in events:
+            # z: the static points inside the event circle at the segment start
+            mover = tr.moves[e.segment][0] - 1
+            trip = tuple(q - 1 for q in e.participants if q - 1 != mover)
+            frame = _integer_frame(confs[e.segment])
+            pairs.append((sum(_inside_circle(frame, trip, mover)), e.quad))
+        return graded_words(n, pairs), events
+    if target in ("gn3", "gn4"):
+        group = GnkGroup(n, 3 if target == "gn3" else 4)
+        events = detect_events(tr, kind)
+        return group.word_from_subsets([e.participants for e in events]), events
+    group = Gamma4Group(n)
+    events = detect_events(tr, kind)
+    return group.word_from_quads([e.quad for e in events]), events
 
 
 # ---------------------------------------------------------------------------
@@ -794,8 +753,7 @@ def canonical_generator_trajectory(n, i, j, style):
         for m in range(i, j - 1):
             path.append(_between_angle_point(pts[m - 1], pts[m], inner))
             path.append(_scale_point(pts[m], inner))
-        path.append(_between_angle_point(pts[j - 2] if j - 1 >= 1 else pts[-1],
-                                         pts[j - 1], inner))
+        path.append(_between_angle_point(pts[j - 2], pts[j - 1], inner))
         # loop around P_j: enter close, circle it on four corners
         center = pts[j - 1]
         eps = Fraction(1, 40)
@@ -805,13 +763,8 @@ def canonical_generator_trajectory(n, i, j, style):
             (center[0] + eps, center[1] + eps),
             (center[0] - eps, center[1] + eps),
         ]
-        loop = corners + [corners[0]]
-        forward = path + loop
-        back = path[::-1]
-        waypoints = forward + back + [pts[i - 1]]
-        moves = [(i, w) for w in waypoints]
-        return Trajectory(pts, moves)
-    if style == "parabola_gn4":
+        forward = path + corners + [corners[0]]
+    elif style == "parabola_gn4":
         ts = [Fraction(k) for k in range(1, n + 1)]
         pts = [(t, t * t) for t in ts]
         hop = Fraction(1, 5)
@@ -823,8 +776,7 @@ def canonical_generator_trajectory(n, i, j, style):
         end = (ts[j - 1] + Fraction(1, 3), (ts[j - 1] + Fraction(1, 3)) ** 2
                + Fraction(1, 11))
         forward = path + [end]
-        back = path[::-1]
-        waypoints = forward + back + [pts[i - 1]]
-        moves = [(i, w) for w in waypoints]
-        return Trajectory(pts, moves)
-    raise ValueError("unknown style %r" % style)
+    else:
+        raise ValueError("unknown style %r" % style)
+    waypoints = forward + path[::-1] + [pts[i - 1]]
+    return Trajectory(pts, [(i, w) for w in waypoints])

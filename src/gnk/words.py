@@ -176,12 +176,8 @@ class Word:
         return Word(self.alphabet, inverse_letters(self.alphabet, self.letters))
 
     def __pow__(self, n: int) -> "Word":
-        if n < 0:
-            return self.inverse() ** (-n)
-        w = Word(self.alphabet)
-        for _ in range(n):
-            w = w * self
-        return w
+        w = self if n >= 0 else self.inverse()
+        return Word(self.alphabet, w.letters * abs(n))
 
     def __eq__(self, other):
         return (isinstance(other, Word) and self.alphabet == other.alphabet

@@ -30,6 +30,18 @@ def test_braid_free_reduction_and_grammar():
     assert format_braid(b2) == "b_1_2 b_3_4^-1"
 
 
+def test_power_is_repeated_product():
+    rng = random.Random(7)
+    for _ in range(10):
+        b = PureBraidWord(5, [(rng.choice(list(itertools.combinations(
+            range(1, 6), 2))), rng.choice((1, -1))) for _ in range(6)])
+        for k in range(-3, 4):
+            want = PureBraidWord(5)
+            for _ in range(abs(k)):
+                want = want * (b if k > 0 else b.inverse())
+            assert b ** k == want, (b, k)
+
+
 def test_pb_to_gn3_n3_generator_collapses():
     assert len(pb_to_gn3(generator(3, 1, 2))) == 0
 
@@ -112,7 +124,7 @@ def test_relator_pairs_invariant_indistinguishable():
 
 
 def test_graded_map_preconditions_and_identity():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^graded map needs n > 5$"):
         pb_to_gamma4_graded(generator(5, 1, 2))
     comps = pb_to_gamma4_graded(PureBraidWord(6))
     assert all(len(c) == 0 for c in comps)

@@ -68,6 +68,16 @@ def test_compile_trajectory_degenerate_exit_code(tmp_path):
     assert out.returncode == 3
 
 
+def test_compile_trajectory_graded_needs_n_above_5(tmp_path):
+    from gnk.geometry import canonical_generator_trajectory
+    f = tmp_path / "n5.json"
+    f.write_text(canonical_generator_trajectory(5, 1, 2, "circle_gamma4")
+                 .to_json())
+    out = run_cli(["compile-trajectory", str(f), "--target", "gamma4_graded"])
+    assert out.returncode == 2
+    assert out.stderr == "error: graded target needs n > 5\n"
+
+
 def _trajectory_file(points, moves, n=None, dim=2):
     enc = [[[x, 1] for x in p] for p in points]
     return {"n": len(points) if n is None else n, "dim": dim, "points": enc,

@@ -33,7 +33,7 @@ def test_dihedral_canonical():
     assert all(dihedral_canonical(q) == dihedral_canonical(quad)
                for q in images)
     assert dihedral_canonical((1, 2, 4, 5)) != dihedral_canonical(quad)
-    for q in itertools.permutations(range(1, 8), 4):
+    for q in itertools.permutations(range(1, 13), 4):
         assert dihedral_canonical(q) == min(_dihedral_images(q)), q
 
 

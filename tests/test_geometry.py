@@ -157,6 +157,23 @@ def test_inside_count_vs_per_point_oracle():
                      and point_in_circumcircle(pts[trip[0]], pts[trip[1]],
                                                pts[trip[2]], pts[t]) > 0)
         assert cnt == oracle
+        for mover in set(range(7)) - set(trip):
+            _check_inside_without_mover(pts, trip, mover)
+    # only point 0 lies inside the circle through points 1, 2, 3
+    pts = [(0, 0), (10, 0), (0, 10), (-10, 0), (50, 50), (60, -40), (-7, -70)]
+    assert _check_inside_without_mover(pts, (1, 2, 3), 4) == [0]
+    assert _check_inside_without_mover(pts, (1, 2, 3), 0) == []
+
+
+def _check_inside_without_mover(pts, trip, mover):
+    """The points other than the triple and the mover inside the circle of
+    the triple, checked against the count and the emptiness test the graded
+    compile and the Delaunay flips read."""
+    inside = [t for t in range(len(pts)) if t not in trip and t != mover
+              and point_in_circumcircle(*(pts[q] for q in trip), pts[t]) > 0]
+    assert sum(geometry._inside_circle(pts, trip, mover)) == len(inside)
+    assert any(geometry._inside_circle(pts, trip, mover)) == bool(inside)
+    return inside
 
 
 def test_event_set_matches_dense_sampling_oracle():
@@ -272,6 +289,24 @@ def test_trajectory_json_round_trip():
     assert tr2.initial == tr.initial
     assert tr2.moves == tr.moves
     assert tr.is_closed()
+
+
+def test_unknown_kind_and_target_raise():
+    tr = Trajectory([(0, 0), (4, 0), (0, 4), (1, 1)], [(4, (3, 3))])
+    with pytest.raises(ValueError, match="unknown event kind"):
+        detect_events(tr, "collinear4")
+    with pytest.raises(ValueError, match="unknown compile target"):
+        compile_word(tr, "gn5")
+
+
+def test_graded_compile_needs_n_above_5():
+    tr = canonical_generator_trajectory(5, 1, 2, "circle_gamma4")
+    with pytest.raises(ValueError, match=r"^graded target needs n > 5$"):
+        compile_word(tr, "gamma4_graded")
+    # the dimension is checked first
+    tr3 = Trajectory([p + (0,) for p in tr.initial], [], dim=3)
+    with pytest.raises(ValueError, match="needs dim 2"):
+        compile_word(tr3, "gamma4_graded")
 
 
 def test_graded_compile_components_match_inside_counts():

@@ -176,6 +176,19 @@ def test_distinct_cyclic_words_keeps_first_of_each_class():
     assert distinct_cyclic_words(words) == expected
 
 
+@pytest.mark.parametrize("involutive", [False, True])
+def test_power_is_repeated_product(involutive):
+    ab = Alphabet(["x", "y", "z"], involutive=involutive)
+    rng = random.Random(11)
+    for _ in range(20):
+        w = Word(ab, random_letters(rng, ab, rng.randint(0, 8)))
+        for k in range(-3, 4):
+            want = Word(ab)
+            for _ in range(abs(k)):
+                want = want * (w if k > 0 else w.inverse())
+            assert w ** k == want, (w, k)
+
+
 def test_complexity():
     ab = Alphabet(["a", "b", "c"], involutive=True)
     assert complexity(word(ab, [])) == 0
