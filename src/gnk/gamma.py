@@ -20,9 +20,10 @@ import functools
 import itertools
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 
-from .words import (Alphabet, CyclicWord, Word, distinct_cyclic_words,
-                    labels_text, least_rotation, word_from_keys)
+from .words import (Alphabet, CyclicWord, Word, labels_text, least_rotation,
+                    word_from_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +86,8 @@ def graded_words(n: int, pairs):
 
 
 def gamma4_presentation(n: int):
-    """Relators of Gamma_n^4: involutions, far commutativity (|∩|<3), pentagons."""
+    """Relators of Gamma_n^4: involutions, far commutativity (|∩|<3), and one
+    pentagon (i, j, k, l, m) per rotation/reversal class: i least, j < m."""
     g = Gamma4Group(n)
     rels = []
     quads = list(g.alphabet.symbol)
@@ -94,11 +96,11 @@ def gamma4_presentation(n: int):
     for q1, q2 in itertools.combinations(quads, 2):
         if len(set(q1) & set(q2)) < 3:
             rels.append(CyclicWord((g.generator(q1) * g.generator(q2)) ** 2))
-    pentagons = distinct_cyclic_words(
-        g.word_from_quads([(i, j, k, l), (i, j, l, m), (j, k, l, m),
-                           (i, j, k, m), (i, k, l, m)])
-        for five in itertools.combinations(g.labels, 5)
-        for i, j, k, l, m in itertools.permutations(five))
+    pentagons = [
+        CyclicWord(g.word_from_quads([(i, j, k, l), (i, j, l, m), (j, k, l, m),
+                                      (i, j, k, m), (i, k, l, m)]))
+        for i, *rest in itertools.combinations(g.labels, 5)
+        for j, k, l, m in itertools.permutations(rest) if j < m]
     return g, rels + pentagons
 
 
@@ -167,16 +169,7 @@ class GaleDiagram:
             if (p - q) % (2 * l) == l:
                 raise ValueError("two points on one diameter")
         self._rl = None
-
-    def canonical(self) -> "GaleDiagram":
-        n = 2 * self.l
-        best = None
-        for r in range(n):
-            for sgn in (1, -1):
-                cand = tuple(sorted((sgn * p + r) % n for p in self.positions))
-                if best is None or cand < best:
-                    best = cand
-        return GaleDiagram(self.l, best)
+        self._symmetries = None
 
     def satisfies_halfplane_condition(self) -> bool:
         """Every open half-plane bounded by a diameter holds >= 2 points."""
@@ -220,6 +213,21 @@ class GaleDiagram:
         self._rl = tuple(out)
         return self._rl
 
+    def symmetries(self):
+        """Index permutations s, point i to point s[i], of the 2l-gon
+        isometries other than the identity that map the positions onto
+        themselves; computed once per diagram.  Relabeling M by
+        M∘s = (M[s[0]], ..., M[s[l-1]]) rotates its relator when the
+        isometry is a rotation and inverts it when it is a reflection."""
+        if self._symmetries is None:
+            n, pts = 2 * self.l, self.positions
+            images = (tuple((sgn * p + r) % n for p in pts)
+                      for r in range(n) for sgn in (1, -1))
+            self._symmetries = tuple(
+                tuple(map(pts.index, image)) for image in images
+                if image != pts and sorted(image) == list(pts))
+        return self._symmetries
+
     def __eq__(self, other):
         return (isinstance(other, GaleDiagram) and self.l == other.l
                 and self.positions == other.positions)
@@ -232,19 +240,21 @@ class GaleDiagram:
 
 
 def enumerate_standard_gale(l: int):
-    """All standard Gale diagrams of order l, canonical up to 2l-gon isometry."""
+    """All standard Gale diagrams of order l, canonical up to 2l-gon isometry:
+    the transversals through 0 that no isometry sending a point to 0 makes
+    smaller (the least image contains 0)."""
     if l < 5:
         raise ValueError("standard Gale diagrams need l >= 5")
-    seen = set()
+    n = 2 * l
     out = []
-    for bits in itertools.product((0, 1), repeat=l):
-        pos = tuple((p + b * l) % (2 * l) for p, b in enumerate(bits))
-        d = GaleDiagram(l, pos).canonical()
-        if d.positions in seen:
-            continue
-        seen.add(d.positions)
-        if d.satisfies_halfplane_condition():
-            out.append(d)
+    for bits in itertools.product((0, l), repeat=l - 1):
+        pos = (0,) + tuple(p + b for p, b in enumerate(bits, 1))
+        least = tuple(sorted(pos))
+        if all(least <= tuple(sorted(sgn * (x - p) % n for x in pos))
+               for p in pos for sgn in (1, -1)):
+            d = GaleDiagram(l, pos)
+            if d.satisfies_halfplane_condition():
+                out.append(d)
     out.sort(key=lambda d: d.positions)
     return out
 
@@ -287,24 +297,24 @@ def gamma_presentation(n: int, k: int):
 
     Returns (group, far_commutativity, polygon_relators): inverse
     normalisation is structural (a_{Q,P} stored as a_{P,Q}^{-1}), so no
-    inverse-pair relators are listed; polygon relators are deduplicated up
-    to rotation and inversion.
+    inverse-pair relators are listed.  Polygon relators are formed once per
+    class up to rotation and inversion, for the labelings M <= M∘s of each
+    diagram symmetry s (``GaleDiagram.symmetries``).
     """
     group = GammaGroup(n, k)
-    far = []
-    for (P, Q), (P2, Q2) in itertools.combinations(group.splits, 2):
-        u, v = set(P) | set(Q), set(P2) | set(Q2)
-        if (len(set(P) & v) < len(P) and len(set(Q) & v) < len(Q)
-                and len(set(P2) & u) < len(P2) and len(set(Q2) & u) < len(Q2)):
-            w1 = group.word_from_pairs([(P, Q), (P2, Q2)])
-            w2 = group.word_from_pairs([(P2, Q2), (P, Q)])
-            far.append(CyclicWord(w1 * w2.inverse()))
-    diagrams = enumerate_standard_gale(k + 1)
-    polygons = distinct_cyclic_words(
-        gale_relation_word(group, d, M)
-        for M_set in itertools.combinations(group.labels, k + 1)
-        for M in itertools.permutations(M_set)
-        for d in diagrams)
+    splits = [(P, Q, set(P), set(Q), set(P + Q)) for P, Q in group.splits]
+    far = [CyclicWord(group.word_from_pairs(
+               [(P, Q), (P2, Q2), (Q, P), (Q2, P2)]))
+           for (P, Q, p, q, u), (P2, Q2, p2, q2, v)
+           in itertools.combinations(splits, 2)
+           if not (p <= v or q <= v or p2 <= u or q2 <= u)]
+    diagrams = [(d, [itemgetter(*s) for s in d.symmetries()])
+                for d in enumerate_standard_gale(k + 1)]
+    polygons = [CyclicWord(gale_relation_word(group, d, M))
+                for M_set in itertools.combinations(group.labels, k + 1)
+                for M in itertools.permutations(M_set)
+                for d, images in diagrams
+                if all(M <= image(M) for image in images)]
     return group, far, polygons
 
 

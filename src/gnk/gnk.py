@@ -4,7 +4,8 @@ Generators a_m are indexed by k-element subsets m of the strand label set
 (default 1..n); every generator is an involution.  Relations: far
 commutativity a_m a_m' = a_m' a_m whenever |m ∩ m'| <= k-2, and the
 tetrahedron relations (a_{m^1} ... a_{m^{k+1}})^2 = 1, one per ordering of a
-(k+1)-subset U, where m^j = U minus its j-th element.
+(k+1)-subset U up to rotation and reversal (which rotate or invert the
+relator), where m^j = U minus its j-th element.
 
 Also here: the index-forgetting and strand-deletion homomorphisms, the MN
 invariant on even words (valued in a free product of Z_2's indexed by a
@@ -19,8 +20,8 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .words import (Alphabet, CyclicWord, Word, distinct_cyclic_words,
-                    labels_text, state_alphabet, state_key, word_from_keys)
+from .words import (Alphabet, CyclicWord, Word, labels_text, state_alphabet,
+                    state_key, word_from_keys)
 
 
 def subset_symbol(m) -> str:
@@ -81,7 +82,7 @@ def tetrahedron_relation_count(n: int, k: int) -> int:
 
 
 class GnkPresentation:
-    """Relators of G_n^k, deduplicated up to rotation and reversal."""
+    """Relators of G_n^k, one per class up to rotation and inversion."""
 
     def __init__(self, group: GnkGroup):
         self.group = group
@@ -95,17 +96,19 @@ class GnkPresentation:
             if len(set(m1) & set(m2)) <= k - 2:
                 w = (group.generator(m1) * group.generator(m2)) ** 2
                 self.far_commutativity_relators.append(CyclicWord(w))
-        self.tetrahedron_relators = distinct_cyclic_words(
-            self._tetrahedron(group))
+        self.tetrahedron_relators = [
+            CyclicWord(w) for w in self._tetrahedron(group)]
 
     @staticmethod
     def _tetrahedron(group: GnkGroup):
-        """Squared tetrahedron words, one per ordering of a (k+1)-subset."""
+        """Squared tetrahedron words, one per ordering of a (k+1)-subset up
+        to rotation and reversal: least label first, second <= last."""
         for U in itertools.combinations(group.labels, group.k + 1):
-            for perm in itertools.permutations(U):
-                base = group.word_from_subsets(
-                    [tuple(sorted(set(U) - {u})) for u in perm])
-                yield base * base
+            for rest in itertools.permutations(U[1:]):
+                if rest[0] <= rest[-1]:
+                    base = group.word_from_subsets(
+                        [tuple(sorted(set(U) - {u})) for u in U[:1] + rest])
+                    yield base * base
 
     @property
     def relators(self):

@@ -268,20 +268,6 @@ class CyclicWord:
         return CyclicWord(self.to_word().inverse())
 
 
-def distinct_cyclic_words(words) -> list:
-    """The CyclicWord of each word, keeping only the first of each class up
-    to rotation and inversion, in input order."""
-    seen = set()
-    out = []
-    for w in words:
-        cw = CyclicWord(w)
-        key = min(cw.letters, cw.reversal().letters)
-        if key not in seen:
-            seen.add(key)
-            out.append(cw)
-    return out
-
-
 def word(alphabet: Alphabet, letters: Iterable) -> Word:
     """Build a Word from (symbol, sign) pairs or bare symbol names."""
     norm = []

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from gnk.gamma import (Gamma4Group, GammaGroup, GaleDiagram,
                        polytope_faces_via_gale, pq_to_d_quad,
                        standard_gale_count_formula)
 from gnk.words import CyclicWord, format_word, least_rotation
+from relator_oracles import distinct_cyclic_words, standard_gale_brute_force
 
 
 def _dihedral_images(quad):
@@ -59,6 +61,13 @@ def test_enumeration_matches_closed_formula():
         assert len(enumerate_standard_gale(l)) == standard_gale_count_formula(l)
 
 
+@pytest.mark.parametrize("l", range(5, 13))
+def test_enumeration_matches_brute_force(l):
+    got = enumerate_standard_gale(l)
+    assert got == standard_gale_brute_force(l)
+    assert len(got) == standard_gale_count_formula(l)
+
+
 def test_enumerated_diagrams_satisfy_conditions():
     for l in (5, 6, 7, 8):
         for d in enumerate_standard_gale(l):
@@ -84,6 +93,65 @@ def test_polygon_relator_rl_structure():
             for i, (R, L) in enumerate(d.rl_position_sets()):
                 assert len(R) + len(L) == l - 1
                 assert i not in R and i not in L
+
+
+@pytest.mark.parametrize("l", range(5, 10))
+def test_symmetries_are_the_diagram_isometries(l):
+    n = 2 * l
+    for d in enumerate_standard_gale(l):
+        pts, syms = d.positions, d.symmetries()
+        # orbit-stabiliser: 4l isometries over the stabiliser's order
+        images = {frozenset((sgn * p + r) % n for p in pts)
+                  for r in range(n) for sgn in (1, -1)}
+        assert len(images) * (len(syms) + 1) == 4 * l
+        assert len(set(syms)) == len(syms)
+        assert tuple(range(l)) not in syms
+        for s in syms:
+            assert any(all((sgn * p + r) % n == pts[j] for p, j in zip(pts, s))
+                       for r in range(n) for sgn in (1, -1)), (d, s)
+
+
+@pytest.mark.parametrize("l", range(5, 9))
+def test_symmetry_rotates_or_inverts_relator(l):
+    # the lemma behind forming one labeling per orbit: relabeling M by a
+    # rotation s of the diagram rotates the relator, a reflection inverts it
+    rng = random.Random(l)
+    group = GammaGroup(l + 2, l - 1)
+    for d in enumerate_standard_gale(l):
+        for _ in range(10):
+            M = tuple(rng.sample(group.labels, l))
+            w = gale_relation_word(group, d, M)
+            for s in d.symmetries():
+                image = gale_relation_word(group, d, tuple(M[i] for i in s))
+                rotation = all((s[i + 1] - s[i]) % l == 1
+                               for i in range(l - 1))
+                assert CyclicWord(image) == CyclicWord(
+                    w if rotation else w.inverse()), (d, M, s)
+
+
+@pytest.mark.parametrize("n, k", [(6, 4), (7, 4), (6, 5), (7, 5), (8, 5),
+                                  (7, 6)])
+def test_polygon_relators_match_all_labelings_oracle(n, k):
+    group, _, polygons = gamma_presentation(n, k)
+    diagrams = enumerate_standard_gale(k + 1)
+    assert polygons == distinct_cyclic_words(
+        gale_relation_word(group, d, M)
+        for M_set in itertools.combinations(group.labels, k + 1)
+        for M in itertools.permutations(M_set)
+        for d in diagrams)
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_gamma4_pentagons_match_all_orderings_oracle(n):
+    g, rels = gamma4_presentation(n)
+    want = distinct_cyclic_words(
+        g.word_from_quads([(i, j, k, l), (i, j, l, m), (j, k, l, m),
+                           (i, j, k, m), (i, k, l, m)])
+        for five in itertools.combinations(g.labels, 5)
+        for i, j, k, l, m in itertools.permutations(five))
+    assert rels[len(rels) - len(want):] == want
+    assert [cw for cw in rels if len(cw) == 5] == want
+    assert len(want) == 12 * math.comb(n, 5)
 
 
 def test_pentagon_labelings_reproduce_d_family():

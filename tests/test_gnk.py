@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from gnk.gnk import (Gk1kContext, GnkGroup, MNContext, bigon_reduce_g2,
                      is_relator_consequence_in_s3, mn_invariant, relators,
                      tetrahedron_relation_count, unknotting_lower_bound, z_ij)
 from gnk.words import Word, format_word
+from relator_oracles import distinct_cyclic_words
 
 
 def test_generator_counts_and_order():
@@ -31,6 +33,28 @@ def test_relators_dedup_43():
     # 3!/2 relations suffice for the single 4-subset
     assert len(pres.tetrahedron_relators) == 3
     assert not pres.far_commutativity_relators    # n = k + 1
+
+
+@pytest.mark.parametrize("n, k", [
+    (5, 2), (6, 2), (6, 3), (7, 3), (8, 3), (7, 4), (8, 4), (7, 5),
+    (2, 1), (3, 1), (5, 1), (3, 2), (4, 3), (5, 4), (6, 5)])
+def test_tetrahedron_relators_match_all_orderings_oracle(n, k):
+    # one ordering per rotation/reversal class, in the order of the first
+    # of each class among all orderings
+    group = GnkGroup(n, k)
+
+    def squared(perm, U):
+        base = group.word_from_subsets([set(U) - {u} for u in perm])
+        return base * base
+
+    want = distinct_cyclic_words(
+        squared(perm, U)
+        for U in itertools.combinations(group.labels, k + 1)
+        for perm in itertools.permutations(U))
+    got = relators(n, k).tetrahedron_relators
+    assert got == want
+    # k!/2 orderings per (k+1)-subset, and one when k = 1
+    assert len(got) == math.comb(n, k + 1) * max(1, math.factorial(k) // 2)
 
 
 def test_relators_32_single_triangle():
