@@ -168,15 +168,20 @@ def check_tq(R: SymmetrisedSet, q: int) -> bool:
 # syllable-encoded cyclic words
 
 
-def to_syllables(alphabet, letters):
-    """Run-length encoding of the free reduction of ``letters``."""
+def _runs(letters):
+    """Run-length encoding of a freely reduced letter sequence."""
     out = []
-    for s, e in reduce_letters(alphabet, letters):
+    for s, e in letters:
         if out and out[-1][0] == s:       # reduced: equal neighbours agree in sign
             out[-1] = (s, out[-1][1] + e)
         else:
             out.append((s, e))
     return out
+
+
+def to_syllables(alphabet, letters):
+    """Run-length encoding of the free reduction of ``letters``."""
+    return _runs(reduce_letters(alphabet, letters))
 
 
 def syllable_length(sylls):
@@ -229,13 +234,13 @@ class DehnResult:
 def _replacement_table(alphabet, rel_elems):
     """Every prefix V, |V| > |r|/2, of each r = V C in R_*, mapped to
     (r, C^-1 as runs).  Under C'(1/6) no two elements share such a prefix;
-    without it the first element in sorted order wins."""
+    without it the first element in sorted order wins.  C^-1 is reduced,
+    as r is, so it is run-length encoded as it stands."""
     table = {}
     for r in rel_elems:
         for k in range(len(r) // 2 + 1, len(r) + 1):
             if r[:k] not in table:
-                table[r[:k]] = (r, to_syllables(
-                    alphabet, inverse_letters(alphabet, r[k:])))
+                table[r[:k]] = (r, _runs(inverse_letters(alphabet, r[k:])))
     return table
 
 
@@ -275,6 +280,7 @@ def _stack_pass(alphabet, sylls, table, steps):
     covers the whole run is in no element, and one inside the run was looked
     up one letter earlier; so only the first ``max_run`` letters of a run
     are pushed one at a time, and the rest of it in one step.
+    The fixpoint's overlap statistic is read afterwards (``_max_overlap``).
     """
     invol = alphabet.involutive
     lengths = sorted({len(v) for v in table}, reverse=True)
@@ -369,7 +375,9 @@ def _rotate(runs, offset):
 
 def dehn_reduce_syllables(alphabet: Alphabet, sylls, R: SymmetrisedSet,
                           check_c16=True) -> DehnResult:
-    """dehn_reduce on run-length input; never expands a run to letters."""
+    """dehn_reduce on run-length input; never expands a run to letters.
+    ``trace.max_overlap_at_fixpoint`` is read by walking a trie of R_* from
+    each start a factor can have: O(max |r|) per start (``_max_overlap``)."""
     if check_c16:
         holds, witness = check_metric_condition(R, Fraction(1, 6))
         if not holds:
@@ -389,7 +397,7 @@ def dehn_reduce_syllables(alphabet: Alphabet, sylls, R: SymmetrisedSet,
         runs = _cancel_seam(alphabet, _stack_pass(
             alphabet, _rotate(runs, cut), table, trace.steps))
     if runs:
-        trace.max_overlap_at_fixpoint = _best_overlap(runs, rel_elems)[0]
+        trace.max_overlap_at_fixpoint = _max_overlap(runs, rel_elems)
     return DehnResult(alphabet, runs, trace)
 
 
@@ -411,48 +419,34 @@ def dehn_reduce(alphabet: Alphabet, letters, R: SymmetrisedSet,
     return res.word(), res.trace
 
 
-def _best_overlap(sylls, rel_elems):
-    """Longest (overlap, start, relator) of a relator prefix appearing as a
-    factor of the cyclic word, ties leftmost; scans the run-length encoding
-    (a factor can start mid-run only near the run's end, bounded by the
-    relator's leading run)."""
-    n_sylls = len(sylls)
-    n_letters = syllable_length(sylls)
+def _max_overlap(runs, rel_elems):
+    """Longest prefix of an element of R_* that is a factor of the cyclic
+    run list, by walks down a trie of R_* from each run's first and last
+    ``max_lead`` letters (a factor starts mid-run only that near its end)."""
+    trie = {}
+    for r in rel_elems:
+        node = trie
+        for letter in r:
+            node = node.setdefault(letter, {})
     max_lead = max(_leading_run(r) for r in rel_elems)
-    max_rel = max(len(r) for r in rel_elems)
-
-    def letters_from(si, off, want):
-        out = []
-        idx = si
-        o = off
-        steps = 0
-        while len(out) < want and steps <= n_sylls + 1:
-            s, e = sylls[idx % n_sylls]
-            run = abs(e)
-            sign = 1 if e > 0 else -1
-            take = min(run - o, want - len(out))
-            out.extend([(s, sign)] * take)
-            idx += 1
-            o = 0
-            steps += 1
-        return out
-
-    best = (0, None, None)
-    letter_index = 0
-    for si in range(n_sylls):
-        s, e = sylls[si]
-        run = abs(e)
-        offsets = {0}
-        for back in range(1, min(run - 1, max_lead) + 1):
-            offsets.add(run - back)
-        for off in sorted(offsets):
-            window = letters_from(si, off, min(max_rel, n_letters))
-            pos = letter_index + off
-            for rel in rel_elems:
-                length = _lcp(window, rel)
-                if length > best[0]:
-                    best = (length, pos, rel)
-        letter_index += run
+    runs = [((s, 1 if e > 0 else -1), abs(e)) for s, e in runs]
+    n_letters = sum(size for _, size in runs)
+    best = 0
+    for si, (_, size) in enumerate(runs):
+        # a start leaves ``left`` letters of its run to read
+        for left in {size, *range(1, min(size - 1, max_lead) + 1)}:
+            node, depth, i = trie, 0, si
+            while depth < n_letters:
+                letter, steps = runs[i][0], 0
+                while steps < left and letter in node:
+                    node = node[letter]
+                    steps += 1
+                depth += steps
+                if steps < left:
+                    break
+                i = (i + 1) % len(runs)
+                left = runs[i][1]
+            best = max(best, min(depth, n_letters))
     return best
 
 

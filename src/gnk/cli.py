@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import braids, cancel, gamma, geometry, gnk
-from .words import Alphabet, format_word, parse_word
+from .words import Alphabet, Word, format_word, parse_word, read_letters
 
 REPORT_SCHEMA = 1
 
@@ -34,17 +34,9 @@ def _read(path):
         return fh.read()
 
 
-def _token_alphabet(text, involutive):
-    """Alphabet of the sorted distinct symbols of a word text."""
-    tokens = {tok[:-3] if tok.endswith("^-1") else tok
-              for tok in text.split() if tok != "1"}
-    return Alphabet(sorted(tokens), involutive=involutive)
-
-
 def cmd_reduce(args):
-    text = _read(args.path)
-    alphabet = _token_alphabet(text, involutive=not args.free)
-    w = parse_word(alphabet, text)
+    letters, symbols = read_letters(_read(args.path))
+    w = Word(Alphabet(symbols, involutive=not args.free), letters)
     _emit(args, {"word": format_word(w) or "1", "length": len(w)})
     return 0
 
@@ -110,10 +102,14 @@ def cmd_gale(args):
                "formula": gamma.standard_gale_count_formula(args.order),
                "diagrams": [list(d.positions) for d in diagrams]}
     if args.emit_relations:
-        group = gamma.GammaGroup(args.order, args.order - 1)
-        words = [format_word(gamma.gale_relation_word(
-            group, d, tuple(range(1, args.order + 1)))) for d in diagrams]
-        payload["relations"] = words
+        # only the splits used; labels 1..l keep each side sorted
+        splits = {tuple(sorted(tuple(j + 1 for j in side) for side in rl))
+                  for d in diagrams for rl in d.rl_position_sets()}
+        group = gamma.GammaGroup(args.order, args.order - 1,
+                                 splits=sorted(splits))
+        M = tuple(range(1, args.order + 1))
+        payload["relations"] = [format_word(gamma.gale_relation_word(
+            group, d, M)) for d in diagrams]
     _emit(args, payload)
     return 0
 
@@ -209,8 +205,8 @@ def cmd_cancel(args):
     if args.mode == "dehn" and args.word is None:
         raise ValueError("cancel dehn needs --word")
     text = _read(args.presentation)
-    alphabet = _token_alphabet(text, involutive=False)
-    relators = [parse_word(alphabet, line).letters
+    alphabet = Alphabet(read_letters(text)[1], involutive=False)
+    relators = [read_letters(line)[0]
                 for line in text.splitlines() if line.strip()]
     R = cancel.symmetrise(alphabet, relators)
     if args.mode == "check":
@@ -220,10 +216,9 @@ def cmd_cancel(args):
                      "holds": holds,
                      "witness": format_word(witness[0]) if witness else None})
         return 0
-    w = parse_word(alphabet, _read(args.word))
+    sylls = cancel.to_syllables(alphabet, read_letters(_read(args.word))[0])
     try:
-        res = cancel.dehn_reduce_syllables(
-            alphabet, cancel.to_syllables(alphabet, w.letters), R)
+        res = cancel.dehn_reduce_syllables(alphabet, sylls, R)
     except cancel.PresentationNotC16 as exc:
         print("presentation is not C'(1/6): %s" % exc, file=sys.stderr)
         return 2

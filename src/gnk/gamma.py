@@ -116,25 +116,25 @@ class GammaGroup:
     """Gamma_n^k for k >= 4: generators a_{P,Q}, a_{Q,P} = a_{P,Q}^{-1}.
 
     The stored symbol always has min(P ∪ Q) in P; the other orientation is
-    the formal inverse.
+    the formal inverse.  ``splits``, sorted (P, Q) pairs, limits the
+    alphabet to those generators, for words that use no others.
     """
 
-    def __init__(self, n: int, k: int, labels=None):
-        if labels is None:
-            labels = tuple(range(1, n + 1))
-        labels = tuple(sorted(labels))
-        if len(labels) != n or not 4 <= k <= n:
+    def __init__(self, n: int, k: int, splits=None):
+        if not 4 <= k <= n:
             raise ValueError("need 4 <= k <= n")
         self.n = n
         self.k = k
-        self.labels = labels
-        self.splits = []
-        for kset in itertools.combinations(labels, k):
-            for psz in range(2, k - 1):
-                for P in itertools.combinations(kset, psz):
-                    Q = tuple(x for x in kset if x not in P)
-                    if min(P) < min(Q):
-                        self.splits.append((P, Q))
+        self.labels = tuple(range(1, n + 1))
+        self.splits = splits
+        if splits is None:
+            self.splits = []
+            for kset in itertools.combinations(self.labels, k):
+                for psz in range(2, k - 1):
+                    for P in itertools.combinations(kset, psz):
+                        Q = tuple(x for x in kset if x not in P)
+                        if min(P) < min(Q):
+                            self.splits.append((P, Q))
         self.alphabet = Alphabet({pq_symbol(P, Q): (P, Q)
                                   for P, Q in self.splits}, involutive=False)
 

@@ -15,7 +15,9 @@ maps read ``alphabet.key[symbol]`` and write ``alphabet.symbol[key]``, so
 names are only formatted when an alphabet is built.
 
 Text grammar: whitespace-separated tokens, ``^-1`` suffix for an inverse,
-e.g. ``a_123 a_234^-1``.  Parsing and printing round-trip exactly.
+e.g. ``a_123 a_234^-1``.  ``read_letters`` reads each distinct token once;
+``reduce_letters`` looks each letter up in a table the alphabet fills
+lazily.  Parsing and printing round-trip exactly.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ class Alphabet:
         else:
             self.key = self.index
             self.symbol = self.symbols
+        # (symbol, sign) -> (letter as stored, its inverse), filled lazily
+        self.letter_table = {}
 
     def is_involutive(self, symbol: str) -> bool:
         return self.involutive
@@ -104,22 +108,32 @@ def reduce_letters(alphabet: Alphabet, letters: Iterable[Letter]) -> tuple:
     """Freely reduce a raw letter sequence (stack pass, linear time).
 
     Adjacent g g^-1 cancel; for involutive g, adjacent g g cancel.  The
-    result is the unique reduced form (cancellation is confluent).
+    result is the unique reduced form (cancellation is confluent).  Letters
+    enter ``letter_table`` once validated and never change, so the top
+    cancels exactly when it is the inverse object.
     """
-    index = alphabet.index
-    invol = alphabet.involutive
+    table = alphabet.letter_table
     out = []
-    for symbol, sign in letters:
-        if symbol not in index:
-            raise UnknownSymbolError(symbol)
-        if sign != 1 and sign != -1:
-            raise ValueError("sign must be +1 or -1")
-        if invol:
-            sign = 1
-        if out and out[-1][0] == symbol and (invol or out[-1][1] == -sign):
+    for letter in letters:
+        try:
+            norm, inv = table[letter]
+        except (KeyError, TypeError):
+            symbol, sign = letter
+            if symbol not in alphabet.index:
+                raise UnknownSymbolError(symbol)
+            if sign != 1 and sign != -1:
+                raise ValueError("sign must be +1 or -1")
+            pos = (symbol, 1)
+            if alphabet.involutive:
+                table[symbol, sign] = table.setdefault(pos, (pos, pos))
+            elif pos not in table:
+                neg = (symbol, -1)
+                table[pos], table[neg] = (pos, neg), (neg, pos)
+            norm, inv = table[symbol, sign]
+        if out and out[-1] is inv:
             out.pop()
         else:
-            out.append((symbol, sign))
+            out.append(norm)
     return tuple(out)
 
 
@@ -270,13 +284,8 @@ class CyclicWord:
 
 def word(alphabet: Alphabet, letters: Iterable) -> Word:
     """Build a Word from (symbol, sign) pairs or bare symbol names."""
-    norm = []
-    for item in letters:
-        if isinstance(item, str):
-            norm.append((item, 1))
-        else:
-            norm.append(tuple(item))
-    return Word(alphabet, norm)
+    return Word(alphabet, [(x, 1) if isinstance(x, str) else x
+                           for x in letters])
 
 
 def word_from_keys(alphabet: Alphabet, keys) -> Word:
@@ -297,14 +306,16 @@ def format_word(w) -> str:
     return " ".join(parts)
 
 
+def read_letters(text: str):
+    """(letters, sorted distinct symbols) of a text in the token grammar,
+    unreduced; each distinct token becomes a letter once, through a dict."""
+    tokens = text.split()
+    letter_of = {tok: (tok[:-3], -1) if tok.endswith("^-1") else (tok, 1)
+                 for tok in set(tokens) if tok != "1"}
+    return (list(filter(None, map(letter_of.get, tokens))),
+            sorted({s for s, _ in letter_of.values()}))
+
+
 def parse_word(alphabet: Alphabet, text: str) -> Word:
     """Parse the whitespace token grammar; ``^-1`` marks an inverse."""
-    letters = []
-    for tok in text.split():
-        if tok.endswith("^-1"):
-            letters.append((tok[:-3], -1))
-        elif tok == "1":
-            continue
-        else:
-            letters.append((tok, 1))
-    return Word(alphabet, letters)
+    return Word(alphabet, read_letters(text)[0])

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from gnk.cancel import (PresentationNotC16, _best_overlap, _lcp, check_cp,
-                        check_metric_condition, check_tq, dehn_reduce,
-                        dehn_reduce_syllables, from_syllables,
-                        max_piece_prefixes, piece_table, symmetrise,
-                        syllable_length, to_syllables)
+from certificate_oracles import best_overlap, old_to_syllables
+from gnk.cancel import (PresentationNotC16, _lcp, _max_overlap,
+                        _replacement_table, check_cp, check_metric_condition,
+                        check_tq, dehn_reduce, dehn_reduce_syllables,
+                        from_syllables, max_piece_prefixes, piece_table,
+                        symmetrise, syllable_length, to_syllables)
 from gnk.words import (Alphabet, cyclic_reduce, inverse_letters,
                        reduce_letters)
 
@@ -253,7 +254,7 @@ def oracle_dehn(alphabet, letters, R):
     sylls = _oracle_normalise(alphabet, to_syllables(alphabet, letters))
     steps = []
     while syllable_length(sylls):
-        length, pos, rel = _best_overlap(sylls, R.elements)
+        length, pos, rel = best_overlap(sylls, R.elements)
         if rel is None or length <= len(rel) // 2:
             break
         flat = from_syllables(sylls)
@@ -283,6 +284,9 @@ def _check_against_oracle(alphabet, R, letters):
     res = dehn_reduce_syllables(alphabet, to_syllables(alphabet, letters), R)
     want, want_steps = oracle_dehn(alphabet, letters, R)
     assert res.is_trivial() == (syllable_length(want) == 0), letters
+    if res.syllables:
+        assert res.trace.max_overlap_at_fixpoint == best_overlap(
+            res.syllables, R.elements)[0], letters
     fix = res.word().letters
     assert cyclic_reduce(alphabet, reduce_letters(alphabet, fix)) == fix
     doubled = fix + fix
@@ -327,6 +331,7 @@ def test_dehn_matches_oracle_one_relator():
         if not check_metric_condition(R, Fraction(1, 6))[0]:
             continue
         presentations += 1
+        _check_replacement_table(ab, R)
         # each half-plus-one prefix as a cyclic word: some end inside a run
         for e in R.elements:
             _check_against_oracle(ab, R, list(e[:len(e) // 2 + 1]))
@@ -348,6 +353,7 @@ def test_dehn_matches_oracle_involutive():
             continue
         if check_metric_condition(R, Fraction(1, 6))[0]:
             break
+    _check_replacement_table(ab, R)
     for t in range(60):
         w = _conjugate_product(rng, ab, R, rng.randint(16, 200))
         if t % 2:
@@ -380,3 +386,114 @@ def test_symmetrise_involutive_alphabet():
     assert all(len(r) == 6 for r in R.elements)
     holds, _ = check_metric_condition(R, Fraction(1, 2))
     assert isinstance(holds, bool)
+
+
+# ---------------------------------------------------------------------------
+# the replacement table and the overlap statistic against their oracles
+
+
+def _reducing_replacement_table(alphabet, rel_elems):
+    """The replacement table built as before: each C^-1 reduced again on
+    its way to runs."""
+    table = {}
+    for r in rel_elems:
+        for k in range(len(r) // 2 + 1, len(r) + 1):
+            if r[:k] not in table:
+                table[r[:k]] = (r, old_to_syllables(
+                    alphabet, inverse_letters(alphabet, r[k:])))
+    return table
+
+
+def _random_relators(rng, ab, count, lo, hi):
+    rels = []
+    while len(rels) < count:
+        w = [(rng.choice(ab.symbols), rng.choice((1, -1)))
+             for _ in range(rng.randint(lo, hi))]
+        if cyclic_reduce(ab, reduce_letters(ab, w)):
+            rels.append(w)
+    return rels
+
+
+def _check_replacement_table(alphabet, R):
+    assert _replacement_table(alphabet, R.elements) == \
+        _reducing_replacement_table(alphabet, R.elements)
+
+
+def _presentations():
+    """The presentations of this file's tests, but for the random ones of
+    the Dehn oracle tests, which check their tables themselves; then seeded
+    random ones of the same kinds: free and involutive, one to three
+    relators."""
+    abc = Alphabet(["a", "b", "c"], involutive=False)
+    ab = Alphabet(["a", "b"], involutive=False)
+    yield FREE_XY, [COMM + COMM]
+    yield abc, [[("a", 1), ("b", 1), ("c", 1)]]
+    yield Alphabet(["a"], involutive=False), [[("a", 1), ("a", 1)]]
+    yield ab, [[("a", 1)] * 3 + [("b", 1)], [("a", 1)] * 3 + [("b", -1)]]
+    yield ab, [[("a", 1), ("b", 1)]]
+    yield (Alphabet(["a", "b", "c"], involutive=True),
+           [[("a", 1), ("b", 1), ("c", 1)] * 2])
+    rng = random.Random(41)
+    for t in range(60):
+        alphabet = Alphabet(["x", "y", "z"][:2 + t % 2], involutive=t % 5 == 0)
+        yield alphabet, _random_relators(rng, alphabet, 1 + t % 3, 3, 24)
+
+
+def test_replacement_table_equals_reducing_table():
+    for alphabet, rels in _presentations():
+        _check_replacement_table(alphabet, symmetrise(alphabet, rels))
+
+
+def _random_cyclic_runs(rng, symbols, count, longest):
+    """At most ``count`` runs, neighbours (the last and the first too) of
+    distinct symbols, with exponents up to ``longest`` in size."""
+    runs = []
+    while len(runs) < count:
+        s = rng.choice(symbols)
+        if not runs or s != runs[-1][0]:
+            runs.append((s, rng.choice((1, -1)) * rng.randint(1, longest)))
+    if len(runs) > 1 and runs[-1][0] == runs[0][0]:
+        runs.pop()
+    return runs
+
+
+def test_max_overlap_matches_scan_on_random_runs():
+    # relators with long leading runs make starts inside a run matter, and
+    # short words make the walk wrap around the cyclic word
+    rng = random.Random(43)
+    for t in range(300):
+        ab = Alphabet(["x", "y", "z"][:2 + t % 2], involutive=False)
+        rels = []
+        for _ in range(1 + t % 3):
+            r = []
+            for _ in range(rng.randint(1, 4)):
+                r += [(rng.choice(ab.symbols), rng.choice((1, -1)))] \
+                    * rng.randint(1, 4)
+            if cyclic_reduce(ab, reduce_letters(ab, r)):
+                rels.append(r)
+        if not rels:
+            continue
+        R = symmetrise(ab, rels)
+        runs = _random_cyclic_runs(rng, ab.symbols, rng.randint(1, 12),
+                                   rng.choice((1, 3, 9)))
+        assert _max_overlap(runs, R.elements) == \
+            best_overlap(runs, R.elements)[0], (rels, runs)
+
+
+def test_max_overlap_matches_scan_on_random_fixpoints():
+    rng = random.Random(44)
+    R = symmetrise(FREE_XY, [COMM + COMM])
+    for _ in range(20):
+        sylls = _random_cyclic_runs(rng, ["x", "y"], rng.randint(2, 200),
+                                    2000)
+        res = dehn_reduce_syllables(FREE_XY, sylls, R)
+        assert res.syllables
+        assert res.trace.max_overlap_at_fixpoint == best_overlap(
+            res.syllables, R.elements)[0]
+
+
+def test_max_overlap_criterion6_runs():
+    R = symmetrise(FREE_XY, [COMM + COMM])
+    sylls = [("x", 1000), ("y", 1000), ("x", -1000), ("y", -1000)] * 1000
+    assert _max_overlap(sylls, R.elements) == \
+        best_overlap(sylls, R.elements)[0] == 2

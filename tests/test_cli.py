@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 import subprocess
@@ -393,3 +394,228 @@ def test_missing_inputs_exit_2(tmp_path, capsys, argv, hint):
     out = capsys.readouterr()
     assert code == 2 and out.out == "", argv
     assert out.err.startswith("error: ") and hint in out.err, out.err
+
+
+# ---------------------------------------------------------------------------
+# reduce and cancel against the path that read each word twice
+
+
+def _old_command(args):
+    """``gnk reduce`` and ``gnk cancel`` as they read words before the
+    one-pass reader: a token alphabet, then a parse and a reduction, and for
+    ``cancel dehn`` a second reduction on the way to runs; the overlap is
+    the scan over every element of R_*."""
+    from certificate_oracles import (best_overlap, old_parse_letters,
+                                     old_reduce_letters, old_to_syllables,
+                                     old_token_alphabet)
+    from gnk import cancel
+    from gnk.cli import _emit, _read
+    from gnk.words import format_word
+
+    def parse(alphabet, text):
+        return old_reduce_letters(alphabet, old_parse_letters(text))
+
+    if args.command == "reduce":
+        text = _read(args.path)
+        letters = parse(old_token_alphabet(text, not args.free), text)
+        _emit(args, {"word": format_word(letters) or "1",
+                     "length": len(letters)})
+        return 0
+    if args.mode == "dehn" and args.word is None:
+        raise ValueError("cancel dehn needs --word")
+    text = _read(args.presentation)
+    alphabet = old_token_alphabet(text, involutive=False)
+    R = cancel.symmetrise(alphabet, [parse(alphabet, line) for line in
+                                     text.splitlines() if line.strip()])
+    if args.mode == "check":
+        lam = Fraction(args.lam)
+        holds, witness = cancel.check_metric_condition(R, lam)
+        _emit(args, {"symmetrised": len(R), "lambda": str(lam),
+                     "holds": holds,
+                     "witness": format_word(witness[0]) if witness else None})
+        return 0
+    w = parse(alphabet, _read(args.word))
+    try:
+        res = cancel.dehn_reduce_syllables(
+            alphabet, old_to_syllables(alphabet, w), R)
+    except cancel.PresentationNotC16 as exc:
+        print("presentation is not C'(1/6): %s" % exc, file=sys.stderr)
+        return 2
+    _emit(args, {"reduced_length": res.letter_count,
+                 "trivial": res.is_trivial(),
+                 "max_overlap": (best_overlap(res.syllables, R.elements)[0]
+                                 if res.syllables else 0),
+                 "steps": len(res.trace.steps)})
+    return 0
+
+
+def _old_cli(argv):
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    from gnk.cli import build_parser
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = _old_command(build_parser().parse_args(argv))
+        except (ValueError, KeyError) as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            code = 2
+    return code, out.getvalue(), err.getvalue()
+
+
+def _new_cli(argv, capsys):
+    from gnk.cli import main
+    code = main(argv)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _token_text(rng, letters, ones=True):
+    """Letters as word text, with '1' tokens and blank lines strewn in."""
+    toks = [s if e == 1 else s + "^-1" for s, e in letters]
+    if ones:
+        for _ in range(rng.randint(0, 4)):
+            toks.insert(rng.randint(0, len(toks)), "1")
+    return "".join(t + rng.choice((" ", " ", "\n", "\n\n  ")) for t in toks)
+
+
+def _nested_letters(rng, symbols, length, free):
+    """Blocks, some followed by their inverse: nested cancellations."""
+    letters = []
+    while len(letters) < length:
+        block = [(rng.choice(symbols), rng.choice((1, -1)))
+                 for _ in range(rng.randint(1, 40))]
+        if rng.random() < 0.4:
+            block += [(s, -e if free else e) for s, e in reversed(block)]
+        letters += block
+    return letters
+
+
+def test_reduce_matches_old_path(tmp_path, capsys):
+    rng = random.Random(71)
+    symbols = ["a", "b_1", "g12", "g3", "g10"]
+    texts = ["", "\n\n   \n", "1", "1 1\n\n1", "g12^-1 1 g12", "a^-1 a^-1"]
+    for length in (1, 5, 30, 200, 4500):
+        for free in (False, True):
+            texts.append(_token_text(rng, _nested_letters(
+                rng, symbols, length, free)))
+    path = tmp_path / "w.txt"
+    for text in texts:
+        path.write_text(text)
+        for fmt in ("text", "json"):
+            for free in ([], ["--free"]):
+                argv = ["--format", fmt, "reduce", str(path)] + free
+                got = _new_cli(argv, capsys)
+                assert got == _old_cli(argv), (text[:80], argv)
+                assert got[0] == 0
+
+
+def _presentations(rng):
+    """(text, relators): the commutator square, with blank lines, two random
+    C'(1/6) relators of 24 letters over x, y, z, and two random relator
+    pairs, which are most likely not C'(1/6)."""
+    from gnk import cancel
+    from gnk.words import Alphabet
+    xyz = Alphabet(["x", "y", "z"], involutive=False)
+
+    def relator(length):
+        return [(rng.choice("xyz"), rng.choice((1, -1)))
+                for _ in range(length)]
+
+    comm = [("x", 1), ("y", 1), ("x", -1), ("y", -1)] * 2
+    out = [[comm], [comm]]
+    while len(out) < 4:
+        r = relator(24)
+        try:
+            R = cancel.symmetrise(xyz, [r])
+        except ValueError:
+            continue
+        if cancel.check_metric_condition(R, Fraction(1, 6))[0] \
+                and len({s for s, _ in r}) == 3:
+            out.append([r])
+    out += [[relator(8), relator(12)], [relator(6), relator(16)]]
+    for t, rels in enumerate(out):
+        text = "\n".join(" ".join(s if e == 1 else s + "^-1" for s, e in r)
+                         for r in rels)
+        yield ("\n" + text + "\n\n" if t == 1 else text), rels
+
+
+def test_cancel_matches_old_path(tmp_path, capsys):
+    rng = random.Random(72)
+    pres, word = tmp_path / "pres.txt", tmp_path / "w.txt"
+    seen = set()
+    for ptext, rels in _presentations(rng):
+        pres.write_text(ptext)
+        symbols = sorted({s for r in rels for s, _ in r})
+        for t in range(8):
+            if t % 2:
+                # conjugates of relators and their inverses: trivial
+                letters = []
+                for _ in range(rng.randint(1, 30)):
+                    g = [(rng.choice(symbols), rng.choice((1, -1)))
+                         for _ in range(rng.randint(0, 3))]
+                    r = rng.choice(rels)
+                    if rng.random() < 0.5:
+                        r = [(s, -e) for s, e in reversed(r)]
+                    letters += g + r + [(s, -e) for s, e in reversed(g)]
+            else:
+                letters = _nested_letters(rng, symbols, rng.choice(
+                    (1, 50, 700, 4200)), free=True)
+            if t == 6:
+                letters.append(("w", 1))       # a symbol not in the relators
+            word.write_text(_token_text(rng, letters))
+            for fmt in ("text", "json"):
+                for argv in (["cancel", "dehn", str(pres), "--word",
+                              str(word)],
+                             ["cancel", "check", str(pres)],
+                             ["cancel", "check", str(pres), "--lambda",
+                              "1/4"]):
+                    argv = ["--format", fmt] + argv
+                    got = _new_cli(argv, capsys)
+                    assert got == _old_cli(argv), (ptext, argv)
+                    if argv[2:4] == ["cancel", "dehn"]:
+                        seen.add((got[0], "trivial: True" in got[1]))
+    # trivial and nontrivial certificates, and refusals (not C'(1/6), or a
+    # word symbol outside the presentation)
+    assert seen == {(0, True), (0, False), (2, False)}
+
+
+def test_cancel_dehn_unknown_word_symbol(tmp_path):
+    pres = tmp_path / "pres.txt"
+    pres.write_text("x y x^-1 y^-1 x y x^-1 y^-1\n")
+    word = tmp_path / "w.txt"
+    word.write_text("x y g12^-1 x\n")
+    out = run_cli(["cancel", "dehn", str(pres), "--word", str(word)])
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == "error: 'g12'\n"
+
+
+def _old_gale_relations(order):
+    """The relations of ``gale --emit-relations`` over all of
+    GammaGroup(l, l - 1)."""
+    from gnk import gamma
+    from gnk.words import format_word
+    group = gamma.GammaGroup(order, order - 1)
+    return [format_word(gamma.gale_relation_word(
+        group, d, tuple(range(1, order + 1))))
+        for d in gamma.enumerate_standard_gale(order)]
+
+
+def test_gale_emit_relations_matches_full_alphabet(capsys):
+    from gnk import gamma
+    from gnk.cli import _emit, main
+    for order in range(5, 13):
+        diagrams = gamma.enumerate_standard_gale(order)
+        payload = {"order": order, "count": len(diagrams),
+                   "formula": gamma.standard_gale_count_formula(order),
+                   "diagrams": [list(d.positions) for d in diagrams],
+                   "relations": _old_gale_relations(order)}
+        for fmt in ("text", "json"):
+            _emit(argparse.Namespace(format=fmt), payload)
+            want = capsys.readouterr().out
+            code = main(["--format", fmt, "gale", "--order", str(order),
+                         "--emit-relations"])
+            got = capsys.readouterr()
+            assert code == 0 and got.err == ""
+            assert got.out == want, (order, fmt)

@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+from certificate_oracles import (old_parse_letters, old_reduce_letters,
+                                 old_token_alphabet)
 from gnk.words import (Alphabet, CyclicWord, UnknownSymbolError, Word,
                        complexity, cyclic_reduce, format_word, inverse_letters,
-                       least_rotation, parse_word, word)
+                       least_rotation, parse_word, read_letters,
+                       reduce_letters, word)
 from relator_oracles import distinct_cyclic_words
 
 
@@ -53,6 +56,8 @@ def test_reduce_matches_oracle_on_random_words():
         for _ in range(40):
             raw = [(rng.choice(ab.symbols), rng.choice((1, -1)))
                    for _ in range(200)]
+            # a suffix followed by its inverse: nested cancellations
+            raw += inverse_letters(ab, raw[rng.randint(150, 200):])
             assert Word(ab, raw).letters == naive_reduce(ab, [
                 (s, 1 if ab.is_involutive(s) else e) for s, e in raw])
 
@@ -222,3 +227,66 @@ def test_free_product_z2_normal_form_unique():
         s = rng.choice(ab.symbols)
         padded = raw[:t] + [(s, 1), (s, 1)] + raw[t:]
         assert Word(ab, padded) == u
+
+
+# ---------------------------------------------------------------------------
+# the one-pass reader and the table-driven reduction
+
+
+def test_reduce_raises_after_table_filled():
+    for invol in (True, False):
+        ab = Alphabet(["a", "b"], involutive=invol)
+        assert reduce_letters(ab, [("a", 1), ("b", -1), ("a", -1)])
+        filled = dict(ab.letter_table)
+        assert filled
+        with pytest.raises(UnknownSymbolError):
+            reduce_letters(ab, [("a", 1), ("c", 1)])
+        for bad in (2, 0, -2):
+            with pytest.raises(ValueError, match="sign must be"):
+                reduce_letters(ab, [("a", 1), ("b", 1), ("a", bad)])
+        # a letter that fails validation is never entered
+        assert ab.letter_table == filled
+        with pytest.raises(ValueError, match="sign must be"):
+            reduce_letters(ab, [("a", 2)])
+
+
+def test_involutive_and_free_tables_apart():
+    inv = Alphabet(["a", "b"], involutive=True)
+    free = Alphabet(["a", "b"], involutive=False)
+    letters = [("a", 1), ("a", 1), ("b", 1), ("b", -1)]
+    for _ in range(2):
+        assert reduce_letters(inv, letters) == ()
+        assert reduce_letters(free, letters) == (("a", 1), ("a", 1))
+    assert inv.letter_table is not free.letter_table
+    assert inv.letter_table[("b", -1)] == (("b", 1), ("b", 1))
+    assert free.letter_table[("b", -1)] == (("b", -1), ("b", 1))
+    # an equal alphabet has a table of its own
+    assert Alphabet(["a", "b"]).letter_table == {}
+
+
+def test_letters_as_lists_reduce():
+    for invol in (False, True):
+        ab = Alphabet(["x", "y"], involutive=invol)
+        # list letters alone, after their tuples were entered, and before
+        for letters in ([["x", 1], ["y", -1], ["y", 1], ["x", 1]],
+                        [("x", 1), ["x", -1], ["y", 1], ("y", -1)],
+                        [["y", 1], ["y", 1], ("x", -1), ["x", 1]]):
+            assert reduce_letters(ab, letters) == \
+                old_reduce_letters(ab, letters), (invol, letters)
+        assert word(ab, [("x", 1)]).letters == (("x", 1),)
+        with pytest.raises(UnknownSymbolError):
+            reduce_letters(ab, [["z", 1]])
+
+
+def test_read_letters_matches_old_reader():
+    rng = random.Random(6)
+    pool = ["a", "g12", "g3^-1", "1", "b_1^-1", "x", "^-1", "g12^-1"]
+    for _ in range(200):
+        toks = [rng.choice(pool) for _ in range(rng.randint(0, 30))]
+        text = "".join(t + rng.choice((" ", "\n", "\t", "  \n\n"))
+                       for t in toks)
+        letters, symbols = read_letters(text)
+        assert letters == old_parse_letters(text), text
+        assert symbols == list(old_token_alphabet(text, True).symbols)
+    assert read_letters("") == ([], [])
+    assert read_letters(" 1 \n\n 1") == ([], [])
