@@ -16,13 +16,13 @@ becomes (u * mid * u^-1)^e with u the phases of the anchors i+1 .. j-1.
   (z = 0) as flip letters, and the graded map every flip letter in the
   component z mod (n-4), folded to at most (n-4)/2.
 
-Also here: strand deletion p_m / q_m, Brunnian certificates, the
-free-product invariants phi_{(i,j,k)}, and the crossing-parity machinery
-connecting G_n^2 to its parity and dotted enrichments.
+Also here: strand deletion p_m (q_m is ``gnk.delete_strand``), Brunnian
+certificates, the free-product invariants phi_{(i,j,k)}, and the
+crossing-parity machinery connecting G_n^2 to its parity and dotted
+enrichments.
 
-Strand-label bookkeeping: maps that drop a strand keep the surviving labels
-by default (matching the worked examples); pass renumber=True where the
-classical table form with shifted indices is wanted.
+Strand-label bookkeeping: maps that drop a strand shift the surviving
+labels above it down by one (the classical table form).
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import re
 
 from .gamma import Gamma4Group, graded_words
 from .gnk import GnkGroup
-from .words import (Alphabet, Word, labels_text, state_alphabet, state_key,
-                    word_from_keys)
+from .words import (Alphabet, UnknownSymbolError, Word, labels_text,
+                    reduce_letters, state_alphabet, state_key, word_from_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -45,22 +45,24 @@ def b_symbol(i, j):
     return "b_%d_%d" % (i, j)
 
 
+@functools.lru_cache(maxsize=32)
+def _braid_alphabet(n):
+    """Free alphabet of PB_n: the pairs (i, j), 1 <= i < j <= n."""
+    return Alphabet(itertools.combinations(range(1, n + 1), 2),
+                    involutive=False)
+
+
 class PureBraidWord:
-    """Freely reduced word over the generators b_ij of PB_n."""
+    """Freely reduced word over the generators b_ij of PB_n; its letters
+    are ((i, j), +-1)."""
 
     def __init__(self, n: int, letters=()):
         self.n = n
-        out = []
-        for (i, j), e in letters:
-            if not (1 <= i < j <= n):
-                raise ValueError("bad generator index (i,j)=(%d,%d)" % (i, j))
-            if e not in (1, -1):
-                raise ValueError("exponent must be +-1")
-            if out and out[-1][0] == (i, j) and out[-1][1] == -e:
-                out.pop()
-            else:
-                out.append(((i, j), e))
-        self.letters = tuple(out)
+        try:
+            self.letters = reduce_letters(_braid_alphabet(n), letters)
+        except UnknownSymbolError as exc:
+            raise ValueError("bad generator index (i,j)=(%d,%d)"
+                             % exc.args[0]) from None
 
     def __mul__(self, other):
         if other.n != self.n:
@@ -259,12 +261,6 @@ def is_brunnian(b: PureBraidWord) -> bool:
 def brunnian_certificate(b: PureBraidWord):
     """Per-strand free reductions of the deletions; empty lists certify."""
     return {m: delete_pb_strand(b, m) for m in range(1, b.n + 1)}
-
-
-def delete_gn3_strand(group: GnkGroup, w: Word, m: int, renumber=True):
-    """q_m: G_{n+1}^3 -> G_n^3, killing letters whose triple contains m."""
-    from .gnk import delete_strand
-    return delete_strand(group, w, m, renumber=renumber)
 
 
 # ---------------------------------------------------------------------------

@@ -138,8 +138,9 @@ def check_tq(R: SymmetrisedSet, q: int) -> bool:
     for u in elems:
         ui = index[u]
         last = u[-1]
+        u_inv = inverse_letters(alphabet, u)
         for v in elems:
-            if v == inverse_letters(alphabet, u):
+            if v == u_inv:
                 continue
             first = v[0]
             if last[0] == first[0] and (alphabet.involutive
@@ -373,15 +374,14 @@ def _rotate(runs, offset):
         offset -= abs(e)
 
 
-def dehn_reduce_syllables(alphabet: Alphabet, sylls, R: SymmetrisedSet,
-                          check_c16=True) -> DehnResult:
+def dehn_reduce_syllables(alphabet: Alphabet, sylls,
+                          R: SymmetrisedSet) -> DehnResult:
     """dehn_reduce on run-length input; never expands a run to letters.
     ``trace.max_overlap_at_fixpoint`` is read by walking a trie of R_* from
     each start a factor can have: O(max |r|) per start (``_max_overlap``)."""
-    if check_c16:
-        holds, witness = check_metric_condition(R, Fraction(1, 6))
-        if not holds:
-            raise PresentationNotC16(str(witness))
+    holds, witness = check_metric_condition(R, Fraction(1, 6))
+    if not holds:
+        raise PresentationNotC16(str(witness))
     trace = DehnTrace()
     rel_elems = R.elements
     trace.half_threshold = min(len(r) for r in rel_elems) // 2
@@ -401,8 +401,7 @@ def dehn_reduce_syllables(alphabet: Alphabet, sylls, R: SymmetrisedSet,
     return DehnResult(alphabet, runs, trace)
 
 
-def dehn_reduce(alphabet: Alphabet, letters, R: SymmetrisedSet,
-                check_c16=True):
+def dehn_reduce(alphabet: Alphabet, letters, R: SymmetrisedSet):
     """Greendlinger-justified Dehn reduction of a cyclic word.
 
     Wherever the cyclic word contains a factor V matching more than half of
@@ -414,8 +413,7 @@ def dehn_reduce(alphabet: Alphabet, letters, R: SymmetrisedSet,
     nontriviality certificate.  ``trace.steps`` lists the replacements made,
     as (offset of V in the word the pass was building, r, |V|).
     """
-    res = dehn_reduce_syllables(alphabet, to_syllables(alphabet, letters),
-                                R, check_c16=check_c16)
+    res = dehn_reduce_syllables(alphabet, to_syllables(alphabet, letters), R)
     return res.word(), res.trace
 
 

@@ -17,12 +17,10 @@ its three axioms (rotation of order three, pentagon, symmetry).
 from __future__ import annotations
 
 import itertools
-import os
 from fractions import Fraction
 
-
-def _monomial_guard():
-    return int(os.environ.get("GNK_MAX_DEGREE_GUARD", "1000000"))
+# most monomials a polynomial may have, so runaway inputs fail fast
+MAX_MONOMIALS = 10 ** 6
 
 
 def _rational(c):
@@ -49,7 +47,7 @@ class Polynomial:
                 c = _rational(c)
                 if c:
                     self.coeffs[tuple(mono)] = c
-        if len(self.coeffs) > _monomial_guard():
+        if len(self.coeffs) > MAX_MONOMIALS:
             raise OverflowError("monomial count guard exceeded")
 
     @classmethod
@@ -84,12 +82,11 @@ class Polynomial:
     def __mul__(self, other):
         self._check(other)
         out = {}
-        guard = _monomial_guard()
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
                 out[m] = out.get(m, 0) + c1 * c2
-                if len(out) > guard:
+                if len(out) > MAX_MONOMIALS:
                     raise OverflowError("monomial count guard exceeded")
         return Polynomial(self.vars, out)
 

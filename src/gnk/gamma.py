@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter
 
 from .words import (Alphabet, CyclicWord, Word, labels_text, least_rotation,
@@ -385,13 +385,9 @@ def primitive_direction(vec):
     vec = [Fraction(x) for x in vec]
     if all(x == 0 for x in vec):
         return tuple(0 for _ in vec)
-    den = 1
-    for x in vec:
-        den = den * x.denominator // gcd(den, x.denominator)
+    den = lcm(*(x.denominator for x in vec))
     ints = [int(x * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    g = gcd(*ints)
     return tuple(x // g for x in ints)
 
 

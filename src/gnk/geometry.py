@@ -107,15 +107,13 @@ class PredicatePoly:
     coefficients.
 
     Only the signs and roots of p are ever read, and a positive factor keeps
-    both, so rational coefficients are cleared to ints on construction."""
+    both, so a polynomial with rational coefficients is given by an int
+    multiple of it."""
 
     __slots__ = ("c2", "c1", "c0")
 
-    def __init__(self, c2, c1, c0):
-        coeffs = [Fraction(c2), Fraction(c1), Fraction(c0)]
-        scale = math.lcm(*(c.denominator for c in coeffs))
-        self.c2, self.c1, self.c0 = (c.numerator * (scale // c.denominator)
-                                     for c in coeffs)
+    def __init__(self, c2: int, c1: int, c0: int):
+        self.c2, self.c1, self.c0 = c2, c1, c0
 
     @classmethod
     def interpolate(cls, f):
@@ -127,13 +125,10 @@ class PredicatePoly:
         walls with one linear mover are degree <= 2, anything else is a
         programming error."""
         f0, f1, f2 = f(0), f(1), f(2)
-        poly = cls.__new__(cls)          # integral already: skip __init__
-        poly.c2 = f0 - 2 * f1 + f2
-        poly.c1 = 4 * f1 - 3 * f0 - f2
-        poly.c0 = 2 * f0
-        if 9 * poly.c2 + 3 * poly.c1 + poly.c0 != 2 * f(3):
+        c2, c1, c0 = f0 - 2 * f1 + f2, 4 * f1 - 3 * f0 - f2, 2 * f0
+        if 9 * c2 + 3 * c1 + c0 != 2 * f(3):
             raise DegenerateTrajectory("predicate degree exceeds 2")
-        return poly
+        return cls(c2, c1, c0)
 
     def sign(self, u, v) -> int:
         """Sign of p at t = u/v, v > 0: that of v^2 p(u/v)."""
@@ -700,7 +695,7 @@ def delaunay(points):
 # canonical generator trajectories
 
 
-def circle_points(n, radius=Fraction(1), nudge=True):
+def circle_points(n):
     """n exact rational points in ccw order near the n-th roots of unity.
 
     Tangent half-angle parametrisation keeps coordinates rational; small
@@ -708,11 +703,8 @@ def circle_points(n, radius=Fraction(1), nudge=True):
     cocircularity among the points."""
     pts = []
     for k in range(n):
-        t = _tan_half_approx(k, n)
-        r = radius
-        if nudge:
-            t += Fraction(1, 997 + 89 * k)
-            r = radius * (1 + Fraction(k + 1, 100000 + 13 * k))
+        t = _tan_half_approx(k, n) + Fraction(1, 997 + 89 * k)
+        r = 1 + Fraction(k + 1, 100000 + 13 * k)
         den = 1 + t * t
         pts.append((r * (1 - t * t) / den, r * 2 * t / den))
     return pts

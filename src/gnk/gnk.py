@@ -124,36 +124,33 @@ def relators(n: int, k: int) -> GnkPresentation:
 # structural homomorphisms
 
 
-def _strand_map(group: GnkGroup, w: Word, l: int, renumber: bool,
-                forget: bool):
+def _strand_map(group: GnkGroup, w: Word, l: int, forget: bool):
     """Drop label l: keep the letters a_m with l in m as a_{m minus l}
     (``forget``) or those with l not in m unchanged; labels above l shift
-    down by one when ``renumber``."""
+    down by one."""
     if l not in group.labels:
         raise ValueError("label %r not in group" % (l,))
-    shift = (lambda x: x - 1 if x > l else x) if renumber else (lambda x: x)
     dst = GnkGroup(group.n - 1, group.k - 1 if forget else group.k,
-                   tuple(shift(x) for x in group.labels if x != l))
+                   tuple(x - (x > l) for x in group.labels if x != l))
     key = w.alphabet.key
-    images = [tuple(shift(x) for x in m if x != l)
+    images = [tuple(x - (x > l) for x in m if x != l)
               for m in (key[sym] for sym, _ in w) if (l in m) == forget]
     return dst.word_from_subsets(images), dst
 
 
-def forget_index(group: GnkGroup, w: Word, l: int,
-                 renumber: bool = True) -> Word:
+def forget_index(group: GnkGroup, w: Word, l: int) -> tuple[Word, GnkGroup]:
     """Index-forgetting homomorphism G_n^k -> G_{n-1}^{k-1}.
 
     a_m -> 1 when l not in m, else a_{m minus l}; labels above l shift down
-    by one when ``renumber`` (the default).
+    by one.  Returns the image and its group.
     """
-    return _strand_map(group, w, l, renumber, forget=True)
+    return _strand_map(group, w, l, forget=True)
 
 
-def delete_strand(group: GnkGroup, w: Word, j: int,
-                  renumber: bool = True) -> Word:
-    """Strand-deletion homomorphism G_n^k -> G_{n-1}^k: kill a_m with j in m."""
-    return _strand_map(group, w, j, renumber, forget=False)
+def delete_strand(group: GnkGroup, w: Word, j: int) -> tuple[Word, GnkGroup]:
+    """Strand-deletion homomorphism G_n^k -> G_{n-1}^k: kill a_m with j in m;
+    labels above j shift down by one.  Returns the image and its group."""
+    return _strand_map(group, w, j, forget=False)
 
 
 def is_even(w: Word) -> bool:

@@ -40,6 +40,7 @@ def labels_text(labels) -> str:
 
 class Alphabet:
     """Finite ordered set of generator names, all involutive or all free.
+    A name is any hashable value (PB_n's are the pairs (i, j)).
 
     ``symbols`` lists the names, or maps each name to its key.  A plain list
     keys each symbol by its position, so ``key`` and ``symbol`` are then the
@@ -64,9 +65,6 @@ class Alphabet:
             self.symbol = self.symbols
         # (symbol, sign) -> (letter as stored, its inverse), filled lazily
         self.letter_table = {}
-
-    def is_involutive(self, symbol: str) -> bool:
-        return self.involutive
 
     def __contains__(self, symbol):
         return symbol in self.index

@@ -4,14 +4,15 @@ import random
 import pytest
 
 from gnk.braids import (DottedGroup, ParityGroup, PureBraidWord, brunnian_certificate,
-                        c_ij_gn3, chi, commutator, delete_gn3_strand,
-                        delete_pb_strand, eta, format_braid, generator, iota,
-                        is_brunnian, kappa, omega_m, parse_braid,
+                        c_ij_gn3, chi, commutator, delete_pb_strand, eta,
+                        format_braid, generator, iota, is_brunnian, kappa,
+                        omega_m, parse_braid,
                         pb_relation_pairs, pb_to_gamma4, pb_to_gamma4_graded,
                         pb_to_gn3, pb_to_gn4, phi_ijk, phi_parity, pr, r_m,
                         w_parity)
 from gnk.gamma import Gamma4Group
-from gnk.gnk import GnkGroup, MNContext, is_even, mn_invariant
+from gnk.gnk import (GnkGroup, MNContext, delete_strand, is_even,
+                     mn_invariant)
 from gnk.words import Word, format_word, word, word_from_keys
 
 
@@ -28,6 +29,46 @@ def test_braid_free_reduction_and_grammar():
     assert len(b) == 0
     b2 = parse_braid(4, "b_1_2 b_3_4^-1")
     assert format_braid(b2) == "b_1_2 b_3_4^-1"
+
+
+def _stack_reduce_braid(n, letters):
+    """Oracle: the inline stack reduction PureBraidWord once had, which
+    checks each letter and cancels it against the top of the stack."""
+    out = []
+    for (i, j), e in letters:
+        if not (1 <= i < j <= n):
+            raise ValueError("bad generator index (i,j)=(%d,%d)" % (i, j))
+        if e not in (1, -1):
+            raise ValueError("exponent must be +-1")
+        if out and out[-1][0] == (i, j) and out[-1][1] == -e:
+            out.pop()
+        else:
+            out.append(((i, j), e))
+    return tuple(out)
+
+
+def test_pure_braid_word_matches_stack_oracle():
+    rng = random.Random(13)
+    for t in range(240):
+        n = 2 + t % 11
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        # a few generators, so that cancellations nest
+        gens = rng.sample(pairs, min(len(pairs), rng.randint(1, 3)))
+        letters = [(rng.choice(gens), rng.choice((1, -1)))
+                   for _ in range(rng.randint(0, 40))]
+        cut = rng.randint(0, len(letters))
+        letters += [(ij, -e) for ij, e in reversed(letters[cut:])]
+        want = _stack_reduce_braid(n, letters)
+        b = PureBraidWord(n, letters)
+        assert b.letters == want, (n, letters)
+        assert PureBraidWord(n, want) == b
+    for n, letters in ((4, [((1, 5), 1)]), (4, [((2, 1), -1)]),
+                       (3, [((1, 2), 1), ((0, 1), 1)])):
+        with pytest.raises(ValueError) as err:
+            PureBraidWord(n, letters)
+        with pytest.raises(ValueError) as want:
+            _stack_reduce_braid(n, letters)
+        assert str(err.value) == str(want.value)
 
 
 def test_power_is_repeated_product():
@@ -338,10 +379,10 @@ def test_six_strand_brunnian():
 def test_q_m_kills_c_in():
     g = GnkGroup(4, 3)
     c = c_ij_gn3(g, 1, 4)
-    img, _ = delete_gn3_strand(g, c, 4)
+    img, _ = delete_strand(g, c, 4)
     assert len(img) == 0
     c12 = c_ij_gn3(g, 1, 2)
-    img2, _ = delete_gn3_strand(g, c12, 4)
+    img2, _ = delete_strand(g, c12, 4)
     assert format_word(img2) == format_word(c_ij_gn3(GnkGroup(3, 3), 1, 2))
 
 
@@ -353,7 +394,7 @@ def test_commuting_square_q_phi():
             b = generator(n, i, j)
             img = pb_to_gn3(b, g)
             for m in range(1, n + 1):
-                qm, _ = delete_gn3_strand(g, img, m)
+                qm, _ = delete_strand(g, img, m)
                 pm = delete_pb_strand(b, m)
                 assert qm.letters == pb_to_gn3(pm, g2).letters
 

@@ -378,6 +378,23 @@ def test_braid_commands_reject_malformed_tokens(tmp_path, capsys, command):
         assert repr(bad) in out.err, out.err
 
 
+@pytest.mark.parametrize("command", [["braid-map", "--target", "gn3"],
+                                     ["brunnian"]])
+@pytest.mark.parametrize("token, pair", [("b_1_5", (1, 5)), ("b_2_1", (2, 1)),
+                                         ("b_0_1^-1", (0, 1))])
+def test_braid_commands_reject_generators_out_of_range(tmp_path, capsys,
+                                                       command, token, pair):
+    # well-formed tokens naming no generator b_ij, 1 <= i < j <= n = 4
+    from gnk.cli import main
+    f = tmp_path / "b.txt"
+    f.write_text("b_1_2 %s b_3_4\n" % token)
+    code = main(command[:1] + [str(f), "--n", "4"] + command[1:])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: ") and "(%d,%d)" % pair in out.err
+    assert out.err.count("\n") == 1, out.err
+
+
 @pytest.mark.parametrize("argv, hint", [
     (["fliplab", "replay"], "spec path"),
     (["cancel", "dehn", "{pres}"], "--word"),

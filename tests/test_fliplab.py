@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gnk import fliplab
 from gnk.fliplab import (LabeledTriangulation, Polynomial, RationalExpr,
                          bas_axiom_pentagon, bas_axiom_rotation,
                          bas_axiom_symmetry, bas_flip, bas_ratio_check,
@@ -43,7 +44,7 @@ def test_zero_denominator_rejected():
 
 
 def test_monomial_guard(monkeypatch):
-    monkeypatch.setenv("GNK_MAX_DEGREE_GUARD", "3")
+    monkeypatch.setattr(fliplab, "MAX_MONOMIALS", 3)
     names = tuple("abcdef")
     vals = symbols(names)
     with pytest.raises(OverflowError):

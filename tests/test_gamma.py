@@ -14,6 +14,7 @@ from gnk.gamma import (Gamma4Group, GammaGroup, GaleDiagram,
                        gamma_presentation, gf2_rank, in_relative_interior_zero,
                        oriented_abelianization_gf2, oriented_generator_classes,
                        polytope_faces_via_gale, pq_to_d_quad,
+                       primitive_direction,
                        standard_gale_count_formula)
 from gnk.words import CyclicWord, format_word, least_rotation
 from relator_oracles import distinct_cyclic_words, standard_gale_brute_force
@@ -307,6 +308,28 @@ def test_gale_diagram_directions():
         # same ray: cross product zero and positive dot product
         assert y[0] * d[1] - y[1] * d[0] == 0
         assert y[0] * d[0] + y[1] * d[1] > 0
+
+
+def test_primitive_direction():
+    F = Fraction
+    assert primitive_direction([0, 0, 0]) == (0, 0, 0)
+    assert primitive_direction([F(0), F(0)]) == (0, 0)
+    assert primitive_direction([F(-1, 2), F(3, 4), 0]) == (-2, 3, 0)
+    assert primitive_direction([-6, -4]) == (-3, -2)
+    assert primitive_direction([F(2, 3), F(-5, 6), F(1, 9)]) == (12, -15, 2)
+    rng = random.Random(5)
+    for _ in range(200):
+        vec = [F(rng.randint(-12, 12), rng.randint(1, 12))
+               for _ in range(rng.randint(1, 5))]
+        d = primitive_direction(vec)
+        assert all(type(x) is int for x in d) and len(d) == len(vec)
+        if not any(vec):
+            assert d == (0,) * len(vec)
+            continue
+        assert math.gcd(*d) == 1
+        # d = c * vec with c > 0: every ratio agrees, and no sign flips
+        c = next(x / v for x, v in zip(d, vec) if v)
+        assert c > 0 and all(x == c * v for x, v in zip(d, vec))
 
 
 def _gf2_rank_numpy(rows) -> int:

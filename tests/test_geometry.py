@@ -42,12 +42,12 @@ def _fractions(bracket):
 
 
 def test_predicate_poly_roots():
-    p = PredicatePoly(1, -1, F(3, 16))      # roots 1/4 and 3/4
+    p = PredicatePoly(16, -16, 3)           # roots 1/4 and 3/4
     brs = [_fractions(br) for br in p.roots_in_unit_interval()]
     assert len(brs) == 2
     assert brs[0][0] < F(1, 4) < brs[0][1] <= brs[1][0] < F(3, 4) < brs[1][1]
     assert brs == OraclePoly(1, -1, F(3, 16)).roots_in_unit_interval()
-    q = PredicatePoly(0, 1, F(-1, 2))       # root 1/2
+    q = PredicatePoly(0, 2, -1)             # root 1/2
     (lo, hi), = [_fractions(br) for br in q.roots_in_unit_interval()]
     assert lo < F(1, 2) < hi
     assert [(lo, hi)] == OraclePoly(0, 1, F(-1, 2)).roots_in_unit_interval()
@@ -55,16 +55,16 @@ def test_predicate_poly_roots():
     with pytest.raises(DegenerateTrajectory):
         PredicatePoly(0, 0, 0).roots_in_unit_interval()
     with pytest.raises(DegenerateTrajectory):
-        PredicatePoly(1, -1, F(1, 4)).roots_in_unit_interval()  # double root
+        PredicatePoly(4, -4, 1).roots_in_unit_interval()  # double root
 
 
 def test_sign_at_root():
-    p = PredicatePoly(0, 1, F(-1, 2))       # root at 1/2
+    p = PredicatePoly(0, 2, -1)             # root at 1/2
     br = p.roots_in_unit_interval()[0]
     oracle_p = OraclePoly(0, 1, F(-1, 2))
     oracle_br = oracle_p.roots_in_unit_interval()[0]
     assert _fractions(br) == oracle_br
-    aux = PredicatePoly(0, 1, F(-3, 4))     # negative at 1/2
+    aux = PredicatePoly(0, 4, -3)           # negative at 1/2
     assert sign_at_root(p, br, aux) == -1
     assert oracle_sign_at_root(oracle_p, oracle_br,
                                OraclePoly(0, 1, F(-3, 4))) == -1
@@ -776,9 +776,9 @@ def test_degenerate_messages_match_fraction_oracle(points, moves, target):
     assert _outcome(compile_word, tr, target) == want
 
 
-def test_predicate_poly_clears_denominators():
-    p = PredicatePoly(1, -1, F(3, 16))
-    assert (p.c2, p.c1, p.c0) == (16, -16, 3)
+def test_predicate_poly_interpolate_stores_twice_p():
+    p = PredicatePoly.interpolate(lambda t: 16 * t * t - 16 * t + 3)
+    assert (p.c2, p.c1, p.c0) == (32, -32, 6)
     assert all(type(c) is int for c in (p.c2, p.c1, p.c0))
     brs = [_fractions(br) for br in p.roots_in_unit_interval()]
     assert brs == OraclePoly(1, -1, F(3, 16)).roots_in_unit_interval()

@@ -71,3 +71,18 @@ def test_cancel_dehn_reduces_word_once(tmp_path, monkeypatch, capsys):
     # goes through to_syllables; the replacement table reduces nothing
     assert encoded == [letters]
     assert len(reduced) == 2 and reduced[1] == letters
+
+
+def test_braid_map_reduces_braid_once(tmp_path, monkeypatch, capsys):
+    from gnk import cli, words
+    reduced = _count_calls(monkeypatch, words, "reduce_letters")
+    path = tmp_path / "b.txt"
+    path.write_text("b_1_3 b_2_4^-1 b_2_4 b_1_2 b_1_3^-1\n")
+    assert cli.main(["braid-map", str(path), "--n", "4",
+                     "--target", "gn3"]) == 0
+    assert capsys.readouterr().err == ""
+    # the braid's letters are ((i, j), +-1); its image's symbols are names
+    braid_calls = [c for c in reduced
+                   if any(type(s) is tuple for s, _ in c)]
+    assert braid_calls == [(((1, 3), 1), ((2, 4), -1), ((2, 4), 1),
+                            ((1, 2), 1), ((1, 3), -1))]

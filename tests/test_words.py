@@ -19,7 +19,7 @@ def naive_reduce(alphabet, letters):
         changed = False
         for t in range(len(letters) - 1):
             (s1, e1), (s2, e2) = letters[t], letters[t + 1]
-            if s1 == s2 and (alphabet.is_involutive(s1) or e1 == -e2):
+            if s1 == s2 and (alphabet.involutive or e1 == -e2):
                 del letters[t:t + 2]
                 changed = True
                 break
@@ -28,7 +28,7 @@ def naive_reduce(alphabet, letters):
 
 def random_letters(rng, alphabet, n):
     return [(rng.choice(alphabet.symbols),
-             1 if alphabet.is_involutive(alphabet.symbols[0]) else rng.choice((1, -1)))
+             1 if alphabet.involutive else rng.choice((1, -1)))
             for _ in range(n)]
 
 
@@ -59,7 +59,7 @@ def test_reduce_matches_oracle_on_random_words():
             # a suffix followed by its inverse: nested cancellations
             raw += inverse_letters(ab, raw[rng.randint(150, 200):])
             assert Word(ab, raw).letters == naive_reduce(ab, [
-                (s, 1 if ab.is_involutive(s) else e) for s, e in raw])
+                (s, 1 if ab.involutive else e) for s, e in raw])
 
 
 def test_reduce_idempotent_and_confluent():
