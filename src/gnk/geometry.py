@@ -364,11 +364,10 @@ class Event:
             self.bracket[0], self.bracket[1])
 
 
-def _mover_positions(a, b):
-    """The mover's positions a + t (b - a) at t = 0, 1, 2, 3: the only times
-    at which PredicatePoly.interpolate evaluates a predicate."""
-    d = [y - x for x, y in zip(a, b)]
-    return [tuple(x + t * dx for x, dx in zip(a, d)) for t in range(4)]
+def _mover_positions(x0, d):
+    """The mover's positions x0 + t d at t = 0, 1, 2, 3: the only times at
+    which PredicatePoly.interpolate evaluates a predicate."""
+    return [tuple(x + t * dx for x, dx in zip(x0, d)) for t in range(4)]
 
 
 # sort key of brackets by left end, compared exactly
@@ -379,48 +378,33 @@ def _separate_events(events):
     """Refine brackets until pairwise disjoint within one segment, and sort
     the events by time.
 
-    Brackets only shrink, so a pair that is disjoint at the start stays
-    disjoint, and shares_root, whose candidate root does not depend on the
-    bracket, answers a pair once.  The pairs that overlap at the start are
-    refined in itertools.combinations order, as if every pair were visited.
+    One pass over the pairs i < j in lexicographic order refines each pair
+    while its current brackets overlap; row i holds b_i, which no later row
+    changes.  Brackets only shrink, so a pair disjoint at the start is
+    passed over, and shares_root, whose candidate root does not depend on
+    the bracket, answers a pair once.
     """
-    brs = [e.bracket for e in events]
-    for i, j in _overlapping_pairs(brs):
-        p1, p2 = events[i].poly, events[j].poly
-        b1, b2 = brs[i], brs[j]
-        guard = 0
-        while not (b1[1] * b2[2] <= b2[0] * b1[2]
-                   or b2[1] * b1[2] <= b1[0] * b2[2]):
-            if guard == 0 and p1.shares_root(p2, _overlap(b1, b2)):
-                raise DegenerateTrajectory(
-                    "simultaneous events %r and %r in segment %d"
-                    % (events[i].participants, events[j].participants,
-                       events[i].segment))
-            b1, b2 = p1.bisect(b1), p2.bisect(b2)
-            guard += 1
-            if guard > 4000:
-                raise DegenerateTrajectory("cannot separate event brackets")
-        brs[i], brs[j] = b1, b2
-    for e, br in zip(events, brs):
-        e.bracket = br
+    for i, e1 in enumerate(events):
+        p1, b1 = e1.poly, e1.bracket
+        for e2 in events[i + 1:]:
+            p2, b2 = e2.poly, e2.bracket
+            guard = 0
+            while not (b1[1] * b2[2] <= b2[0] * b1[2]
+                       or b2[1] * b1[2] <= b1[0] * b2[2]):
+                if guard == 0 and p1.shares_root(p2, _overlap(b1, b2)):
+                    raise DegenerateTrajectory(
+                        "simultaneous events %r and %r in segment %d"
+                        % (e1.participants, e2.participants, e1.segment))
+                b1, b2 = p1.bisect(b1), p2.bisect(b2)
+                guard += 1
+                if guard > 4000:
+                    raise DegenerateTrajectory(
+                        "cannot separate event brackets")
+            e2.bracket = b2
+        e1.bracket = b1
     # disjoint brackets: left ends are distinct
     events.sort(key=lambda e: _by_left_end(e.bracket))
     return events
-
-
-def _overlapping_pairs(brs):
-    """Index pairs i < j of overlapping brackets, in lexicographic order:
-    a sweep over the brackets sorted by left end."""
-    order = sorted(range(len(brs)), key=lambda i: _by_left_end(brs[i]))
-    pairs = []
-    for k, i in enumerate(order):
-        hi, den = brs[i][1], brs[i][2]
-        for j in order[k + 1:]:
-            if brs[j][0] * den >= hi * brs[j][2]:
-                break
-            pairs.append((i, j) if i < j else (j, i))
-    pairs.sort()
-    return pairs
 
 
 def _overlap(b1, b2):
@@ -430,36 +414,60 @@ def _overlap(b1, b2):
 
 
 def _static_genericity_2d(conf, mover, circles=False):
-    statics = [q for q in range(len(conf)) if q != mover]
+    statics = [pt for q, pt in enumerate(conf) if q != mover]
     for a, b, c in itertools.combinations(statics, 3):
-        if orient2d(conf[a], conf[b], conf[c]) == 0:
+        if orient2d(a, b, c) == 0:
             raise DegenerateTrajectory("three static points collinear")
     if circles:
-        for a, b, c, d in itertools.combinations(statics, 4):
-            if incircle(conf[a], conf[b], conf[c], conf[d]) == 0:
-                raise DegenerateTrajectory("four static points concyclic")
+        for i, j, k in itertools.combinations(range(len(statics)), 3):
+            a = statics[i]
+            lx, ly, area = _circle_coeffs(a, statics[j], statics[k])
+            for x, y in statics[k + 1:]:
+                px, py = x - a[0], y - a[1]
+                if lx * px + ly * py == area * (px * px + py * py):
+                    raise DegenerateTrajectory("four static points concyclic")
 
 
-# the wall predicates of the mover at at[t] (t = 0..3) against a line
-# through two static points, or a circle or a plane through three
-def _line(at, p, q):
-    return lambda t: orient2d(p, q, at[t])
+# the walls of the mover x0 + t d against a line through two static points,
+# or a circle or a plane through three: the poly 2 w(x0 + t d) of the wall
+# predicate w, as PredicatePoly.interpolate stores it, written down from the
+# points (DECISIONS.md gives the closed forms)
+def _line(x0, d, p, q):
+    ux, uy = q[0] - p[0], q[1] - p[1]
+    return PredicatePoly(0, 2 * (ux * d[1] - uy * d[0]),
+                         2 * (ux * (x0[1] - p[1]) - uy * (x0[0] - p[0])))
 
 
-def _circle(at, p, q, r):
-    return lambda t: incircle(p, q, r, at[t])
+def _circle_coeffs(a, b, c):
+    """(lx, ly, A) with incircle(a, b, c, x) = lx px + ly py - A |p|^2 for
+    p = x - a; A is orient2d(a, b, c)."""
+    bx, by, cx, cy = b[0] - a[0], b[1] - a[1], c[0] - a[0], c[1] - a[1]
+    bb, cc = bx * bx + by * by, cx * cx + cy * cy
+    return bb * cy - cc * by, cc * bx - bb * cx, bx * cy - by * cx
 
 
-def _plane(at, p, q, r):
-    return lambda t: orient3d(p, q, r, at[t])
+def _circle(x0, d, a, b, c):
+    lx, ly, area = _circle_coeffs(a, b, c)
+    wx, wy, dx, dy = x0[0] - a[0], x0[1] - a[1], d[0], d[1]
+    return PredicatePoly(
+        -2 * area * (dx * dx + dy * dy),
+        2 * (lx * dx + ly * dy) - 4 * area * (wx * dx + wy * dy),
+        2 * (lx * wx + ly * wy - area * (wx * wx + wy * wy)))
 
 
-def _walls(frame, statics, at, wall, size):
+def _plane(x0, d, p, q, r):
+    nx, ny, nz = _cross(_sub(q, p), _sub(r, p))
+    wx, wy, wz = _sub(x0, p)
+    return PredicatePoly(0, 2 * (nx * d[0] + ny * d[1] + nz * d[2]),
+                         2 * (nx * wx + ny * wy + nz * wz))
+
+
+def _walls(frame, statics, x0, d, wall, size):
     """(static tuple, poly, bracket) for every root in (0, 1) of the wall
-    predicate of every ``size``-subset of the statics, in combinations
+    polynomial of every ``size``-subset of the statics, in combinations
     order."""
     for tup in itertools.combinations(statics, size):
-        poly = PredicatePoly.interpolate(wall(at, *[frame[s] for s in tup]))
+        poly = wall(x0, d, *[frame[s] for s in tup])
         for br in poly.roots_in_unit_interval():
             yield tup, poly, br
 
@@ -525,7 +533,9 @@ def detect_events(tr: Trajectory, kind: str):
         mover = p - 1
         # the segment's integer frame: the configuration, then the target
         *frame, b = _integer_frame(conf + [to])
-        at = _mover_positions(frame[mover], b)
+        x0 = frame[mover]
+        d = _sub(b, x0)
+        at = _mover_positions(x0, d)
 
         def point(q, t):
             return at[t] if q == mover else frame[q]
@@ -533,7 +543,7 @@ def detect_events(tr: Trajectory, kind: str):
         events = []
         statics = [q for q in range(tr.n) if q != mover]
         if kind == "coplanar_special":
-            for trip, poly, br in _walls(frame, statics, at, _plane, 3):
+            for trip, poly, br in _walls(frame, statics, x0, d, _plane, 3):
                 s1, s2, s3 = (frame[s] for s in trip)
                 sides = {_sgn(orient3d(s1, s2, s3, frame[x]))
                          for x in statics if x not in trip}
@@ -550,9 +560,13 @@ def detect_events(tr: Trajectory, kind: str):
                     events.append(Event(seg, br, kind, _labels(trip, p), poly,
                                         quad, sides.pop() if sides else 1))
         else:
-            _static_genericity_2d(frame, mover, circles=kind != "collinear3")
+            # the statics, and so their degeneracies, change with the mover
+            if seg == 0 or tr.moves[seg - 1][0] != p:
+                _static_genericity_2d(frame, mover,
+                                      circles=kind != "collinear3")
             if kind != "collinear3":
-                for trip, poly, br in _walls(frame, statics, at, _circle, 3):
+                for trip, poly, br in _walls(frame, statics, x0, d,
+                                             _circle, 3):
                     if kind == "delaunay_flip" and any(
                             _inside_circle(frame, trip, mover)):
                         continue
@@ -567,7 +581,8 @@ def detect_events(tr: Trajectory, kind: str):
             # alter the Delaunay triangulation without a cocircularity; keep
             # the event brackets clear of them so that between bracket
             # endpoints the only combinatorial change is the event's own flip
-            for (s1, s2), poly, br in _walls(frame, statics, at, _line, 2):
+            for (s1, s2), poly, br in _walls(frame, statics, x0, d,
+                                             _line, 2):
                 if kind == "collinear3":
                     events.append(Event(seg, br, kind, _labels((s1, s2), p),
                                         poly))
@@ -629,12 +644,13 @@ def compile_word(tr: Trajectory, target: str):
             raise ValueError("graded target needs n > 5")
         events = detect_events(tr, kind)
         confs = tr.configurations()
-        pairs = []
+        pairs, seg = [], None
         for e in events:
             # z: the static points inside the event circle at the segment start
             mover = tr.moves[e.segment][0] - 1
             trip = tuple(q - 1 for q in e.participants if q - 1 != mover)
-            frame = _integer_frame(confs[e.segment])
+            if e.segment != seg:
+                seg, frame = e.segment, _integer_frame(confs[e.segment])
             pairs.append((sum(_inside_circle(frame, trip, mover)), e.quad))
         return graded_words(n, pairs), events
     if target in ("gn3", "gn4"):

@@ -1,0 +1,46 @@
+"""Event separation as it ran before the row-wise pass: a sweep lists the
+bracket pairs that overlap at the start, and only those are refined.  The
+tests compare the row-wise pass with it."""
+
+from gnk.geometry import DegenerateTrajectory, _by_left_end, _overlap
+
+
+def sweep_separate_events(events):
+    """Refine the brackets of the pairs that overlap at the start, in
+    itertools.combinations order, until pairwise disjoint; sort by time."""
+    brs = [e.bracket for e in events]
+    for i, j in overlapping_pairs(brs):
+        p1, p2 = events[i].poly, events[j].poly
+        b1, b2 = brs[i], brs[j]
+        guard = 0
+        while not (b1[1] * b2[2] <= b2[0] * b1[2]
+                   or b2[1] * b1[2] <= b1[0] * b2[2]):
+            if guard == 0 and p1.shares_root(p2, _overlap(b1, b2)):
+                raise DegenerateTrajectory(
+                    "simultaneous events %r and %r in segment %d"
+                    % (events[i].participants, events[j].participants,
+                       events[i].segment))
+            b1, b2 = p1.bisect(b1), p2.bisect(b2)
+            guard += 1
+            if guard > 4000:
+                raise DegenerateTrajectory("cannot separate event brackets")
+        brs[i], brs[j] = b1, b2
+    for e, br in zip(events, brs):
+        e.bracket = br
+    events.sort(key=lambda e: _by_left_end(e.bracket))
+    return events
+
+
+def overlapping_pairs(brs):
+    """Index pairs i < j of overlapping brackets, in lexicographic order:
+    a sweep over the brackets sorted by left end."""
+    order = sorted(range(len(brs)), key=lambda i: _by_left_end(brs[i]))
+    pairs = []
+    for k, i in enumerate(order):
+        hi, den = brs[i][1], brs[i][2]
+        for j in order[k + 1:]:
+            if brs[j][0] * den >= hi * brs[j][2]:
+                break
+            pairs.append((i, j) if i < j else (j, i))
+    pairs.sort()
+    return pairs

@@ -15,6 +15,7 @@ from gnk.geometry import (DegenerateConfiguration, DegenerateTrajectory,
                           point_in_circumcircle, sign_at_root)
 from gnk.gnk import GnkGroup
 from gnk.words import format_word
+from geometry_oracles import overlapping_pairs, sweep_separate_events
 
 F = Fraction
 
@@ -765,6 +766,11 @@ DEGENERATE_CASES = [
     # a static point on the plane of an event
     ([(0, 0, 0), (3, 0, 0), (0, 3, 0), (1, 1, 0), (1, 1, 5)],
      [(5, (1, 1, -2))], "gamma4_space"),
+    # the first mover ends where it makes the second mover's statics
+    # collinear, or concyclic: the first segment reports an endpoint event
+    ([(0, 0), (2, 0), (0, 2), (3, 3)], [(4, (1, 0)), (3, (2, 2))], "gn3"),
+    ([(1, 0), (0, 1), (-1, 0), (3, 3), (2, -3)],
+     [(4, (0, -1)), (5, (3, -3))], "gn4"),
 ]
 
 
@@ -785,17 +791,58 @@ def test_predicate_poly_interpolate_stores_twice_p():
     assert brs[0][0] < F(1, 4) < brs[0][1] and brs[1][0] < F(3, 4) < brs[1][1]
 
 
+def _wall_frames(rng):
+    """(dim, integer frame, mover index, target): random small-int frames,
+    then the frames of the segments of a circle_points(9) trajectory, in the
+    plane and lifted onto the paraboloid z = x^2 + y^2."""
+    for dim in (2, 3):
+        for _ in range(40):
+            frame = [tuple(rng.randint(-50, 50) for _ in range(dim))
+                     for _ in range(6)]
+            yield dim, frame, rng.randrange(6), tuple(
+                rng.randint(-50, 50) for _ in range(dim))
+    tr = canonical_generator_trajectory(9, 1, 9, "circle_gn3")
+    for conf, (p, to) in zip(tr.configurations(), tr.moves):
+        for lift in (False, True):
+            pts = [(x, y, x * x + y * y) if lift else (x, y)
+                   for x, y in conf + [to]]
+            *frame, b = geometry._integer_frame(pts)
+            yield 2 + lift, frame, p - 1, b
+
+
+def test_closed_form_walls_match_interpolate():
+    # the line, circle and plane walls written down from the points equal
+    # the interpolated ones coefficient for coefficient
+    walls = {2: ((geometry._line, orient2d, 2),
+                 (geometry._circle, incircle, 3)),
+             3: ((geometry._plane, orient3d, 3),)}
+    checked = 0
+    for dim, frame, mover, b in _wall_frames(random.Random("walls")):
+        x0 = frame[mover]
+        d = tuple(y - x for x, y in zip(x0, b))
+        statics = [pt for q, pt in enumerate(frame) if q != mover]
+        for wall, predicate, size in walls[dim]:
+            for tup in itertools.combinations(statics, size):
+                want = PredicatePoly.interpolate(lambda t: predicate(
+                    *tup, tuple(x + t * dx for x, dx in zip(x0, d))))
+                got = wall(x0, d, *tup)
+                assert (got.c2, got.c1, got.c0) == (want.c2, want.c1, want.c0)
+                checked += 1
+    assert checked > 5000
+
+
 CANONICAL_TARGETS = {"circle_gn3": ("gn3",), "parabola_gn4": ("gn4",),
                      "circle_gamma4": ("gamma4", "gamma4_graded")}
 
 
 def test_canonical_compiles_decide_on_ints_and_fractions(monkeypatch):
     # every wall predicate runs on an integer frame, every predicate
-    # polynomial has int coefficients, every point a sign is taken at is an
-    # int pair (u, v) standing for u / v with v > 0, never a float, and
-    # reported brackets are Fractions
+    # polynomial (wall or side sign) has int coefficients, every point a
+    # sign is taken at is an int pair (u, v) standing for u / v with v > 0,
+    # never a float, and reported brackets are Fractions
     polys, points, coords = [], [], set()
     interpolate, sign = PredicatePoly.interpolate.__func__, PredicatePoly.sign
+    roots = PredicatePoly.roots_in_unit_interval
 
     def recording(predicate):
         def wrapper(*pts):
@@ -814,9 +861,15 @@ def test_canonical_compiles_decide_on_ints_and_fractions(monkeypatch):
         points.append((u, v))
         return sign(self, u, v)
 
+    def recording_roots(self):
+        polys.append(self)
+        return roots(self)
+
     monkeypatch.setattr(PredicatePoly, "interpolate",
                         classmethod(recording_interpolate))
     monkeypatch.setattr(PredicatePoly, "sign", recording_sign)
+    monkeypatch.setattr(PredicatePoly, "roots_in_unit_interval",
+                        recording_roots)
     brackets = 0
     for n in range(4, 8):
         for i, j in itertools.combinations(range(1, n + 1), 2):
@@ -859,20 +912,39 @@ def _overlapping_at_start(brackets):
             if fr[i][0] < fr[j][1] and fr[j][0] < fr[i][1]]
 
 
+def _separation(separate, events):
+    """The events' positions in the list, with their brackets, in the order
+    ``separate`` sorts them into; or its DegenerateTrajectory message."""
+    position = {id(e): k for k, e in enumerate(events)}
+    try:
+        return [(position[id(e)], e.bracket) for e in separate(events)]
+    except DegenerateTrajectory as exc:
+        return str(exc)
+
+
 @pytest.mark.parametrize("target,dim,ns,segments", DENSE_CASES,
                          ids=[c[0] for c in DENSE_CASES])
 def test_dense_separation_matches_fraction_oracle(monkeypatch, target, dim,
                                                   ns, segments):
     # full event logs, brackets included, as the Fraction detector gives
-    # them, on segments that start with overlapping brackets; the sweep
-    # finds exactly the overlapping pairs
+    # them, on segments that start with overlapping brackets; on every
+    # segment the row-wise pass gives the brackets and order of the sweep
+    # over the pairs that overlap at the start, and the sweep finds exactly
+    # those pairs
     separate, overlapping = geometry._separate_events, [0]
 
     def checking_separate(events):
         want = _overlapping_at_start([e.bracket for e in events])
-        assert geometry._overlapping_pairs([e.bracket for e in events]) == want
+        assert overlapping_pairs([e.bracket for e in events]) == want
         overlapping[0] += len(want)
-        return separate(events)
+        copies = [geometry.Event(e.segment, e.bracket, e.kind, e.participants,
+                                 e.poly, e.quad, e.side) for e in events]
+        want = _separation(sweep_separate_events, copies)
+        got = _separation(separate, events)
+        assert got == want
+        if isinstance(got, str):
+            raise DegenerateTrajectory(got)
+        return events                   # sorted in place
 
     monkeypatch.setattr(geometry, "_separate_events", checking_separate)
     events = 0
