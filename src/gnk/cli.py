@@ -134,7 +134,7 @@ def cmd_gamma_presentation(args):
         "generators": len(group.alphabet),
         "far_commutativity": len(far),
         "polygon_relators": len(polygons),
-        "relators": "\n".join(format_word(cw.to_word()) for cw in polygons),
+        "relators": "\n".join(map(format_word, polygons)),
     })
     return 0
 

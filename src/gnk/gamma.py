@@ -22,8 +22,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
 
-from .words import (Alphabet, CyclicWord, Word, labels_text, least_rotation,
-                    word_from_keys)
+from .words import (Alphabet, CyclicWord, Word, cyclic_word_from_period,
+                    labels_text, least_rotation, word_from_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -66,9 +66,6 @@ class Gamma4Group:
         self.labels = labels
         self.alphabet = _quad_alphabet(labels)
 
-    def generator(self, quad) -> Word:
-        return self.word_from_quads([quad])
-
     def word_from_quads(self, quads) -> Word:
         return word_from_keys(self.alphabet,
                               (dihedral_canonical(q) for q in quads))
@@ -87,21 +84,31 @@ def graded_words(n: int, pairs):
 
 def gamma4_presentation(n: int):
     """Relators of Gamma_n^4: involutions, far commutativity (|∩|<3), and one
-    pentagon (i, j, k, l, m) per rotation/reversal class: i least, j < m."""
+    pentagon (i, j, k, l, m) per rotation/reversal class: i least, j < m.
+
+    The involution relators are empty (the alphabet is involutive); the
+    others are written straight into their canonical rotation
+    (``cyclic_word_from_period``), one letter-table lookup per quad.
+    """
     g = Gamma4Group(n)
-    rels = []
-    quads = list(g.alphabet.symbol)
-    for q in quads:
-        rels.append(CyclicWord(g.generator(q) * g.generator(q)))
-    for q1, q2 in itertools.combinations(quads, 2):
-        if len(set(q1) & set(q2)) < 3:
-            rels.append(CyclicWord((g.generator(q1) * g.generator(q2)) ** 2))
-    pentagons = [
-        CyclicWord(g.word_from_quads([(i, j, k, l), (i, j, l, m), (j, k, l, m),
-                                      (i, j, k, m), (i, k, l, m)]))
-        for i, *rest in itertools.combinations(g.labels, 5)
-        for j, k, l, m in itertools.permutations(rest) if j < m]
-    return g, rels + pentagons
+    alphabet = g.alphabet
+    quads = list(alphabet.symbol)
+    # every ordering of a quad's dihedral class -> (its letter, its key)
+    entry = {}
+    for i, (s, quad) in enumerate(alphabet.key.items()):
+        for image in (quad, quad[::-1]):
+            for r in range(4):
+                entry[image[r:] + image[:r]] = ((s, 1), 2 * i)
+    rels = [CyclicWord(Word(alphabet))] * len(quads)
+    rels += [cyclic_word_from_period(alphabet, *zip(entry[q1], entry[q2]), 2)
+             for q1, q2 in itertools.combinations(quads, 2)
+             if len(set(q1) & set(q2)) < 3]
+    rels += [cyclic_word_from_period(alphabet, *zip(
+                 entry[i, j, k, l], entry[i, j, l, m], entry[j, k, l, m],
+                 entry[i, j, k, m], entry[i, k, l, m]))
+             for i, *rest in itertools.combinations(g.labels, 5)
+             for j, k, l, m in itertools.permutations(rest) if j < m]
+    return g, rels
 
 
 # ---------------------------------------------------------------------------
@@ -137,16 +144,27 @@ class GammaGroup:
                             self.splits.append((P, Q))
         self.alphabet = Alphabet({pq_symbol(P, Q): (P, Q)
                                   for P, Q in self.splits}, involutive=False)
+        self._split_letters = None
 
-    def letter(self, P, Q):
-        """(symbol, sign) for a_{P,Q}, normalising inverses."""
-        P, Q = tuple(sorted(P)), tuple(sorted(Q))
-        if min(P) < min(Q):
-            return (self.alphabet.symbol[P, Q], 1)
-        return (self.alphabet.symbol[Q, P], -1)
+    def split_letters(self):
+        """(label mask of P, label mask of Q) -> (letter of a_{P,Q}, its
+        canonical key 2 * index + (sign != +1)), both orientations of each
+        split; built once.  A label x is bit 1 << x of a mask."""
+        if self._split_letters is None:
+            table = {}
+            for i, (s, (P, Q)) in enumerate(self.alphabet.key.items()):
+                p, q = _label_mask(P), _label_mask(Q)
+                table[p, q] = ((s, 1), 2 * i)
+                table[q, p] = ((s, -1), 2 * i + 1)
+            self._split_letters = table
+        return self._split_letters
 
-    def word_from_pairs(self, pairs) -> Word:
-        return Word(self.alphabet, [self.letter(P, Q) for P, Q in pairs])
+
+def _label_mask(labels) -> int:
+    mask = 0
+    for x in labels:
+        mask |= 1 << x
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +299,37 @@ def gale_relation_word(group: GammaGroup, diagram: GaleDiagram, M) -> Word:
     """(k+1)-gon relator for an ordered labeling M of a standard diagram.
 
     M lists the labels assigned to the diagram's points in ccw order; the
-    relator is the product over i of a_{M_R(i), M_L(i)}.
+    relator is the product over i of a_{M_R(i), M_L(i)}.  ValueError when M
+    does not list l distinct labels of the group, or when l != k + 1.
     """
     M = tuple(M)
+    if diagram.l != group.k + 1:
+        raise ValueError("a diagram of order %d needs k = %d, not %d"
+                         % (diagram.l, diagram.l - 1, group.k))
     if len(M) != diagram.l:
         raise ValueError("labeling must list l labels")
-    pairs = []
-    for R, L in diagram.rl_position_sets():
-        pairs.append((tuple(M[j] for j in R), tuple(M[j] for j in L)))
-    return group.word_from_pairs(pairs)
+    if len(set(M)) != len(M) or not set(M) <= set(group.labels):
+        raise ValueError("labeling %r: labels must be distinct and in 1..%d"
+                         % (M, group.n))
+    letters, _ = _gale_letters(group.split_letters(),
+                               diagram.rl_position_sets(), M)
+    return Word(group.alphabet, letters)
+
+
+def _gale_letters(table, rl, M):
+    """(letters, keys) of the relator of a labeling M of distinct labels:
+    one ``split_letters`` lookup per point, by the masks of M_R(i) and
+    M_L(i) over the (R, L) index pairs ``rl``."""
+    bits = [1 << x for x in M]
+    entries = []
+    for R, L in rl:
+        r = l = 0
+        for j in R:
+            r |= bits[j]
+        for j in L:
+            l |= bits[j]
+        entries.append(table[r, l])
+    return tuple(zip(*entries))
 
 
 def gamma_presentation(n: int, k: int):
@@ -299,21 +339,26 @@ def gamma_presentation(n: int, k: int):
     normalisation is structural (a_{Q,P} stored as a_{P,Q}^{-1}), so no
     inverse-pair relators are listed.  Polygon relators are formed once per
     class up to rotation and inversion, for the labelings M <= M∘s of each
-    diagram symmetry s (``GaleDiagram.symmetries``).
+    diagram symmetry s (``GaleDiagram.symmetries``).  Every relator is
+    written straight into its canonical rotation
+    (``cyclic_word_from_period``) from ``GammaGroup.split_letters``.
     """
     group = GammaGroup(n, k)
-    splits = [(P, Q, set(P), set(Q), set(P + Q)) for P, Q in group.splits]
-    far = [CyclicWord(group.word_from_pairs(
-               [(P, Q), (P2, Q2), (Q, P), (Q2, P2)]))
-           for (P, Q, p, q, u), (P2, Q2, p2, q2, v)
+    alphabet, table = group.alphabet, group.split_letters()
+    splits = [(s, i, set(P), set(Q), set(P + Q))
+              for i, (s, (P, Q)) in enumerate(alphabet.key.items())]
+    far = [cyclic_word_from_period(
+               alphabet, ((s, 1), (s2, 1), (s, -1), (s2, -1)),
+               (2 * i, 2 * j, 2 * i + 1, 2 * j + 1))
+           for (s, i, p, q, u), (s2, j, p2, q2, v)
            in itertools.combinations(splits, 2)
            if not (p <= v or q <= v or p2 <= u or q2 <= u)]
-    diagrams = [(d, [itemgetter(*s) for s in d.symmetries()])
+    diagrams = [(d.rl_position_sets(), [itemgetter(*s) for s in d.symmetries()])
                 for d in enumerate_standard_gale(k + 1)]
-    polygons = [CyclicWord(gale_relation_word(group, d, M))
+    polygons = [cyclic_word_from_period(alphabet, *_gale_letters(table, rl, M))
                 for M_set in itertools.combinations(group.labels, k + 1)
                 for M in itertools.permutations(M_set)
-                for d, images in diagrams
+                for rl, images in diagrams
                 if all(M <= image(M) for image in images)]
     return group, far, polygons
 
@@ -611,9 +656,11 @@ def oriented_abelianization_gf2(n: int, k: int, extra_words=()):
     contributes to the class of the swapped pair.
     """
     classes, _ = oriented_generator_classes(n, k)
+    # the rows read about 150 distinct side tuples at (6, 5)
+    rotation = functools.cache(least_rotation)
 
     def letters(pairs):
-        return [(least_rotation(P), least_rotation(Q)) for P, Q in pairs]
+        return [(rotation(P), rotation(Q)) for P, Q in pairs]
 
     rows = []
     for d in enumerate_standard_gale(k + 1):

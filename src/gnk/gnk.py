@@ -19,9 +19,10 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from operator import itemgetter
 
-from .words import (Alphabet, CyclicWord, Word, labels_text, state_alphabet,
-                    state_key, word_from_keys)
+from .words import (Alphabet, CyclicWord, Word, cyclic_word_from_period,
+                    labels_text, state_alphabet, state_key, word_from_keys)
 
 
 def subset_symbol(m) -> str:
@@ -54,11 +55,6 @@ class GnkGroup:
         subsets, self.alphabet = _subset_codec(labels, k)
         self.subsets = list(subsets)
 
-    def generator(self, m) -> Word:
-        # not via word_from_subsets, whose calls perfbench counts as
-        # tetrahedron candidates
-        return word_from_keys(self.alphabet, [tuple(sorted(m))])
-
     def word_from_subsets(self, subsets) -> Word:
         return word_from_keys(self.alphabet, (tuple(sorted(m)) for m in subsets))
 
@@ -82,33 +78,48 @@ def tetrahedron_relation_count(n: int, k: int) -> int:
 
 
 class GnkPresentation:
-    """Relators of G_n^k, one per class up to rotation and inversion."""
+    """Relators of G_n^k, one per class up to rotation and inversion.
+
+    The alphabet is involutive, so a_m a_m cancels structurally: the
+    involution relators are C(n,k) empty cyclic words.  The other relators
+    are written straight into their canonical rotation
+    (``cyclic_word_from_period``), one letter-table lookup per subset.
+    """
 
     def __init__(self, group: GnkGroup):
         self.group = group
-        self.involution_relators = [
-            CyclicWord(group.generator(m) * group.generator(m))
-            for m in group.subsets
-        ]
-        self.far_commutativity_relators = []
+        alphabet = group.alphabet
+        self.involution_relators = [CyclicWord(Word(alphabet))] * len(
+            group.subsets)
+        # subset -> (its letter, its canonical key 2 * index)
+        entry = {m: ((s, 1), 2 * i)
+                 for i, (s, m) in enumerate(alphabet.key.items())}
         k = group.k
-        for m1, m2 in itertools.combinations(group.subsets, 2):
-            if len(set(m1) & set(m2)) <= k - 2:
-                w = (group.generator(m1) * group.generator(m2)) ** 2
-                self.far_commutativity_relators.append(CyclicWord(w))
-        self.tetrahedron_relators = [
-            CyclicWord(w) for w in self._tetrahedron(group)]
+        self.far_commutativity_relators = [
+            cyclic_word_from_period(alphabet, *zip(entry[m1], entry[m2]), 2)
+            for m1, m2 in itertools.combinations(group.subsets, 2)
+            if len(set(m1) & set(m2)) <= k - 2]
+        self.tetrahedron_relators = list(self._tetrahedron(group, entry))
 
     @staticmethod
-    def _tetrahedron(group: GnkGroup):
-        """Squared tetrahedron words, one per ordering of a (k+1)-subset up
-        to rotation and reversal: least label first, second <= last."""
-        for U in itertools.combinations(group.labels, group.k + 1):
-            for rest in itertools.permutations(U[1:]):
-                if rest[0] <= rest[-1]:
-                    base = group.word_from_subsets(
-                        [tuple(sorted(set(U) - {u})) for u in U[:1] + rest])
-                    yield base * base
+    def _tetrahedron(group: GnkGroup, entry):
+        """Squared tetrahedron relators, one per ordering of a (k+1)-subset U
+        up to rotation and reversal: least label first, second <= last.
+        Position j of an ordering of U's indices names the letter of U
+        minus U[j]; U is sorted, so index order is label order."""
+        k = group.k
+        if k == group.n:
+            return      # no (k+1)-subset: skip the k!/2 orderings
+        orders = [itemgetter(0, *rest)
+                  for rest in itertools.permutations(range(1, k + 1))
+                  if rest[0] <= rest[-1]]
+        alphabet = group.alphabet
+        for U in itertools.combinations(group.labels, k + 1):
+            letters, keys = zip(*(entry[U[:j] + U[j + 1:]]
+                                  for j in range(k + 1)))
+            for order in orders:
+                yield cyclic_word_from_period(alphabet, order(letters),
+                                              order(keys), 2)
 
     @property
     def relators(self):

@@ -280,6 +280,40 @@ class CyclicWord:
         return CyclicWord(self.to_word().inverse())
 
 
+def cyclic_word_from_period(alphabet: Alphabet, letters, keys,
+                            power: int = 1) -> CyclicWord:
+    """CyclicWord of ``letters`` repeated ``power`` times, neither reduced
+    nor searched for its least rotation.
+
+    ``letters`` is one period, as the alphabet stores letters, and
+    ``keys[i]`` is the canonical key of ``letters[i]``: 2 * index + (sign
+    != +1).  The least key must occur once in the period and no letter
+    may cancel its cyclic successor in the period (a one-letter period is
+    its own successor).  The word is then cyclically
+    reduced, and its least rotation starts at that key, since every start
+    of a least rotation carries the least key.  ValueError otherwise.
+    """
+    letters = tuple(letters)
+    if keys:
+        least = min(keys)
+        if keys.count(least) != 1:
+            raise ValueError("least key %d occurs %d times in one period"
+                             % (least, keys.count(least)))
+        involutive = alphabet.involutive
+        prev = keys[-1]
+        for key in keys:
+            if key >> 1 == prev >> 1 and (involutive or key != prev):
+                raise ValueError("adjacent letters with keys %d and %d "
+                                 "cancel" % (prev, key))
+            prev = key
+        i = keys.index(least)
+        letters = letters[i:] + letters[:i]
+    cw = object.__new__(CyclicWord)
+    object.__setattr__(cw, "alphabet", alphabet)
+    object.__setattr__(cw, "letters", letters * power)
+    return cw
+
+
 def word(alphabet: Alphabet, letters: Iterable) -> Word:
     """Build a Word from (symbol, sign) pairs or bare symbol names."""
     return Word(alphabet, [(x, 1) if isinstance(x, str) else x

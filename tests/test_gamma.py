@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,9 @@ from gnk.gamma import (Gamma4Group, GammaGroup, GaleDiagram,
                        primitive_direction,
                        standard_gale_count_formula)
 from gnk.words import CyclicWord, format_word, least_rotation
-from relator_oracles import distinct_cyclic_words, standard_gale_brute_force
+from relator_oracles import (distinct_cyclic_words, gale_relation_pq_word,
+                             gamma4_relator_words, gamma_relator_words,
+                             standard_gale_brute_force)
 
 
 def _dihedral_images(quad):
@@ -130,8 +133,51 @@ def test_symmetry_rotates_or_inverts_relator(l):
                     w if rotation else w.inverse()), (d, M, s)
 
 
-@pytest.mark.parametrize("n, k", [(6, 4), (7, 4), (6, 5), (7, 5), (8, 5),
-                                  (7, 6)])
+def test_gale_relation_word_matches_sorted_side_letters():
+    rng = random.Random(12)
+    for l in range(5, 9):
+        group = GammaGroup(l + 3, l - 1)
+        for d in enumerate_standard_gale(l):
+            for _ in range(20):
+                M = tuple(rng.sample(group.labels, l))
+                assert (gale_relation_word(group, d, M)
+                        == gale_relation_pq_word(group, d, M)), (d, M)
+
+
+@pytest.mark.parametrize("M", [(1, 2, 3, 4, 4), (1, 2, 2, 4, 5),
+                               (1, 2, 3, 4, 7), (0, 1, 2, 3, 4)])
+def test_gale_relation_word_rejects_bad_labelings(M):
+    # a repeated label or one outside 1..n; with label masks a repeated
+    # label could otherwise alias another (2 * (1 << x) == 1 << (x + 1))
+    group = GammaGroup(6, 4)
+    d = enumerate_standard_gale(5)[0]
+    with pytest.raises(ValueError, match=re.escape(repr(M))):
+        gale_relation_word(group, d, M)
+
+
+def test_gale_relation_word_rejects_diagram_of_other_order():
+    with pytest.raises(ValueError, match="needs k = 4, not 5"):
+        gale_relation_word(GammaGroup(7, 5), enumerate_standard_gale(5)[0],
+                           (1, 2, 3, 4, 5))
+
+
+PRESENTATION_SIZES = [(6, 4), (7, 4), (6, 5), (7, 5), (8, 5), (7, 6)]
+
+
+@pytest.mark.parametrize("n, k", PRESENTATION_SIZES)
+def test_gamma_presentation_matches_word_builders(n, k):
+    # relators written in their canonical rotation equal the reduced
+    # Words' CyclicWords, list order included
+    _, far, polygons = gamma_presentation(n, k)
+    assert (far, polygons) == gamma_relator_words(n, k)
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_gamma4_presentation_matches_word_builders(n):
+    assert gamma4_presentation(n)[1] == gamma4_relator_words(n)
+
+
+@pytest.mark.parametrize("n, k", PRESENTATION_SIZES)
 def test_polygon_relators_match_all_labelings_oracle(n, k):
     group, _, polygons = gamma_presentation(n, k)
     diagrams = enumerate_standard_gale(k + 1)

@@ -10,8 +10,8 @@ from gnk.gnk import (Gk1kContext, GnkGroup, MNContext, bigon_reduce_g2,
                      generators, index_word_to_F, is_even,
                      is_relator_consequence_in_s3, mn_invariant, relators,
                      tetrahedron_relation_count, unknotting_lower_bound, z_ij)
-from gnk.words import Word, format_word
-from relator_oracles import distinct_cyclic_words
+from gnk.words import CyclicWord, Word, format_word
+from relator_oracles import distinct_cyclic_words, gnk_relator_words
 
 
 def test_generator_counts_and_order():
@@ -35,9 +35,25 @@ def test_relators_dedup_43():
     assert not pres.far_commutativity_relators    # n = k + 1
 
 
-@pytest.mark.parametrize("n, k", [
+PRESENTATION_SIZES = [
     (5, 2), (6, 2), (6, 3), (7, 3), (8, 3), (7, 4), (8, 4), (7, 5),
-    (2, 1), (3, 1), (5, 1), (3, 2), (4, 3), (5, 4), (6, 5)])
+    (2, 1), (3, 1), (5, 1), (3, 2), (4, 3), (5, 4), (6, 5)]
+
+
+@pytest.mark.parametrize("n, k", PRESENTATION_SIZES)
+def test_relators_match_word_builders(n, k):
+    # each relator written in its canonical rotation equals the reduced
+    # Word's CyclicWord, list order included
+    pres = relators(n, k)
+    want = gnk_relator_words(GnkGroup(n, k))
+    got = (pres.involution_relators, pres.far_commutativity_relators,
+           pres.tetrahedron_relators)
+    assert got == want
+    assert pres.involution_relators == [CyclicWord(Word(pres.group.alphabet))
+                                        ] * math.comb(n, k)
+
+
+@pytest.mark.parametrize("n, k", PRESENTATION_SIZES)
 def test_tetrahedron_relators_match_all_orderings_oracle(n, k):
     # one ordering per rotation/reversal class, in the order of the first
     # of each class among all orderings

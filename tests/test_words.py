@@ -5,9 +5,9 @@ import pytest
 from certificate_oracles import (old_parse_letters, old_reduce_letters,
                                  old_token_alphabet)
 from gnk.words import (Alphabet, CyclicWord, UnknownSymbolError, Word,
-                       complexity, cyclic_reduce, format_word, inverse_letters,
-                       least_rotation, parse_word, read_letters,
-                       reduce_letters, word)
+                       complexity, cyclic_reduce, cyclic_word_from_period,
+                       format_word, inverse_letters, least_rotation,
+                       parse_word, read_letters, reduce_letters, word)
 from relator_oracles import distinct_cyclic_words
 
 
@@ -153,6 +153,40 @@ def test_cyclic_word_matches_quadratic_least_rotation():
         w = Word(ab, base * rng.randint(1, 3))
         expected = _least_rotation_quadratic(cyclic_reduce(ab, w.letters), key)
         assert CyclicWord(w).letters == expected, w
+
+
+@pytest.mark.parametrize("involutive", [False, True])
+def test_cyclic_word_from_period_matches_cyclic_word(involutive):
+    # equal to CyclicWord(Word(...)) when the least key occurs once in the
+    # period and no letter cancels its cyclic successor there; else a
+    # ValueError
+    rng = random.Random(46 + involutive)
+    ab = Alphabet(["c", "a", "d", "b"], involutive=involutive)
+
+    def key(letter):
+        return 2 * ab.index[letter[0]] + (letter[1] != 1)
+
+    def cancels(x, y):
+        return x[0] == y[0] and (involutive or x[1] == -y[1])
+
+    kept = raised = 0
+    for _ in range(3000):
+        period = tuple(random_letters(rng, ab, rng.randint(0, 6)))
+        power = rng.randint(1, 3)
+        keys = [key(x) for x in period]
+        meets = (not keys or keys.count(min(keys)) == 1) and not any(
+            cancels(x, period[(i + 1) % len(period)])
+            for i, x in enumerate(period))
+        if meets:
+            got = cyclic_word_from_period(ab, period, keys, power)
+            want = CyclicWord(Word(ab, period * power))
+            assert got == want and got.letters == want.letters, period
+            kept += 1
+        else:
+            with pytest.raises(ValueError):
+                cyclic_word_from_period(ab, period, keys, power)
+            raised += 1
+    assert kept > 500 and raised > 500
 
 
 def test_distinct_cyclic_words_keeps_first_of_each_class():
