@@ -34,7 +34,7 @@ import re
 from .gamma import Gamma4Group, graded_words
 from .gnk import GnkGroup
 from .words import (Alphabet, UnknownSymbolError, Word, labels_text,
-                    reduce_letters, state_alphabet, state_key, word_from_keys)
+                    state_alphabet, state_key, word, word_from_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -53,35 +53,44 @@ def _braid_alphabet(n):
 
 
 class PureBraidWord:
-    """Freely reduced word over the generators b_ij of PB_n; its letters
-    are ((i, j), +-1)."""
+    """Freely reduced word over the generators b_ij of PB_n, made from
+    letters ((i, j), +-1); ``word`` is its Word over the free alphabet of
+    the pairs (i, j), and ``letters`` its letters."""
 
     def __init__(self, n: int, letters=()):
-        self.n = n
         try:
-            self.letters = reduce_letters(_braid_alphabet(n), letters)
+            self.word = word(_braid_alphabet(n), letters)
         except UnknownSymbolError as exc:
             raise ValueError("bad generator index (i,j)=(%d,%d)"
                              % exc.args[0]) from None
+        self.n = n
+
+    @property
+    def letters(self):
+        return self.word.letters
+
+    def _braid(self, w):
+        b = object.__new__(PureBraidWord)
+        b.n, b.word = self.n, w
+        return b
 
     def __mul__(self, other):
         if other.n != self.n:
             raise ValueError("strand count mismatch")
-        return PureBraidWord(self.n, self.letters + other.letters)
+        return self._braid(self.word * other.word)
 
     def inverse(self):
-        return PureBraidWord(self.n, [(ij, -e) for ij, e in reversed(self.letters)])
+        return self._braid(self.word.inverse())
 
     def __pow__(self, k):
-        w = self if k >= 0 else self.inverse()
-        return PureBraidWord(self.n, w.letters * abs(k))
+        return self._braid(self.word ** k)
 
     def __eq__(self, other):
         return (isinstance(other, PureBraidWord) and self.n == other.n
-                and self.letters == other.letters)
+                and self.word == other.word)
 
     def __len__(self):
-        return len(self.letters)
+        return len(self.word)
 
     def __repr__(self):
         return "PureBraidWord(%s)" % (format_braid(self) or "1")
@@ -287,11 +296,9 @@ def phi_ijk(group: GnkGroup, w: Word, triple):
         raise ValueError("triple must have three distinct labels")
     others = [l for l in group.labels if l not in (i, j, k)]
     target = _phi_alphabet(2 * len(others))
-    key = w.alphabet.key
     counts = {}
     out = []
-    for sym, _ in w:
-        sub = key[sym]
+    for sub in w.keys():
         if sub == (i, j, k):
             bits = []
             for l in others:
@@ -351,27 +358,22 @@ def iota(g2: GnkGroup, w: Word, target: ParityGroup = None) -> Word:
     """Embedding G_n^2 -> parity group: a_ij -> a_ij^0."""
     if target is None:
         target = ParityGroup(g2.labels)
-    key = w.alphabet.key
-    return target.word_from_letters((key[sym], 0) for sym, _ in w)
+    return target.word_from_letters((ij, 0) for ij in w.keys())
 
 
 def pr(pg: ParityGroup, w: Word, target: GnkGroup = None) -> Word:
     """Projection parity -> G_n^2: even letters survive, odd letters die."""
     if target is None:
         target = GnkGroup(len(pg.labels), 2, pg.labels)
-    key = w.alphabet.key
-    return target.word_from_subsets(
-        ij for ij, eps in (key[sym] for sym, _ in w) if eps == 0)
+    return target.word_from_subsets(ij for ij, eps in w.keys() if eps == 0)
 
 
 def eta(pg: ParityGroup, w: Word, target: DottedGroup = None) -> Word:
     """Parity -> dotted: a_ij^0 -> a_ij, a_ij^1 -> t_i a_ij t_i."""
     if target is None:
         target = DottedGroup(pg.labels)
-    key = w.alphabet.key
     out = []
-    for sym, _ in w:
-        (i, j), eps = key[sym]
+    for (i, j), eps in w.keys():
         out += [(i, j)] if eps == 0 else [i, (i, j), i]
     return word_from_keys(target.alphabet, out)
 
@@ -384,11 +386,9 @@ def chi(dg: DottedGroup, w: Word, target: ParityGroup = None) -> Word:
     """
     if target is None:
         target = ParityGroup(dg.labels)
-    key = w.alphabet.key
     ncount = {l: 0 for l in dg.labels}
     out = []
-    for sym, _ in w:
-        k = key[sym]
+    for k in w.keys():
         if isinstance(k, int):
             ncount[k] += 1
         else:
@@ -408,10 +408,8 @@ def omega_m(g2: GnkGroup, w: Word, m: int, target: DottedGroup = None) -> Word:
     rest = tuple(l for l in g2.labels if l != m)
     if target is None:
         target = DottedGroup(rest)
-    key = w.alphabet.key
     out = []
-    for sym, _ in w:
-        i, j = key[sym]
+    for i, j in w.keys():
         out.append(j if m == i else i if m == j else (i, j))
     return word_from_keys(target.alphabet, out)
 
@@ -423,9 +421,8 @@ def kappa(dg: DottedGroup, w: Word, new_label: int = None):
         new_label = max(dg.labels) + 1
     labels = dg.labels + (new_label,)
     target = GnkGroup(len(labels), 2, labels)
-    key = w.alphabet.key
     letters = [tuple(sorted((k, new_label))) if isinstance(k, int) else k
-               for k in (key[sym] for sym, _ in w)]
+               for k in w.keys()]
     changed = True
     while changed:
         changed = False
@@ -454,11 +451,9 @@ def w_parity(pg: ParityGroup, w: Word, pair):
     i, j = sorted(pair)
     others = [l for l in pg.labels if l not in (i, j)]
     target = state_alphabet(len(others), lambda x: "z_" + labels_text(x))
-    key = w.alphabet.key
     counts = {}
     out = []
-    for sym, _ in w:
-        k = key[sym]
+    for k in w.keys():
         ij, eps = k
         if ij == (i, j):
             out.append(state_key(
@@ -483,7 +478,5 @@ def r_m(group: GnkGroup, w: Word, m: int, target: GnkGroup = None) -> Word:
     rest = tuple(l for l in group.labels if l != m)
     if target is None:
         target = GnkGroup(len(rest), 2, rest)
-    key = w.alphabet.key
     return target.word_from_subsets(
-        tuple(x for x in t if x != m)
-        for t in (key[sym] for sym, _ in w) if m in t)
+        tuple(x for x in t if x != m) for t in w.keys() if m in t)

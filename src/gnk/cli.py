@@ -15,7 +15,8 @@ import sys
 from fractions import Fraction
 
 from . import braids, cancel, gamma, geometry, gnk
-from .words import Alphabet, Word, format_word, parse_word, read_letters
+from .words import (Alphabet, Word, format_word, parse_word, read_letters,
+                    read_symbols)
 
 REPORT_SCHEMA = 1
 
@@ -35,8 +36,9 @@ def _read(path):
 
 
 def cmd_reduce(args):
-    letters, symbols = read_letters(_read(args.path))
-    w = Word(Alphabet(symbols, involutive=not args.free), letters)
+    text = _read(args.path)
+    alphabet = Alphabet(read_symbols(text), involutive=not args.free)
+    w = Word(alphabet, read_letters(alphabet, text))
     _emit(args, {"word": format_word(w) or "1", "length": len(w)})
     return 0
 
@@ -205,8 +207,9 @@ def cmd_cancel(args):
     if args.mode == "dehn" and args.word is None:
         raise ValueError("cancel dehn needs --word")
     text = _read(args.presentation)
-    alphabet = Alphabet(read_letters(text)[1], involutive=False)
-    relators = [read_letters(line)[0]
+    alphabet = Alphabet(read_symbols(text), involutive=False)
+    # symmetrise reads relators as (symbol, sign) letters
+    relators = [alphabet.decode(read_letters(alphabet, line))
                 for line in text.splitlines() if line.strip()]
     R = cancel.symmetrise(alphabet, relators)
     if args.mode == "check":
@@ -214,9 +217,11 @@ def cmd_cancel(args):
         holds, witness = cancel.check_metric_condition(R, lam)
         _emit(args, {"symmetrised": len(R), "lambda": str(lam),
                      "holds": holds,
-                     "witness": format_word(witness[0]) if witness else None})
+                     "witness": (format_word(Word(alphabet, witness[0]))
+                                 if witness else None)})
         return 0
-    sylls = cancel.to_syllables(alphabet, read_letters(_read(args.word))[0])
+    sylls = cancel.to_syllables(alphabet,
+                                read_letters(alphabet, _read(args.word)))
     try:
         res = cancel.dehn_reduce_syllables(alphabet, sylls, R)
     except cancel.PresentationNotC16 as exc:

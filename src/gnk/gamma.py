@@ -88,24 +88,24 @@ def gamma4_presentation(n: int):
 
     The involution relators are empty (the alphabet is involutive); the
     others are written straight into their canonical rotation
-    (``cyclic_word_from_period``), one letter-table lookup per quad.
+    (``cyclic_word_from_period``), one code lookup per quad.
     """
     g = Gamma4Group(n)
     alphabet = g.alphabet
-    quads = list(alphabet.symbol)
-    # every ordering of a quad's dihedral class -> (its letter, its key)
-    entry = {}
-    for i, (s, quad) in enumerate(alphabet.key.items()):
+    quads = alphabet.keys
+    # every ordering of a quad's dihedral class -> its code
+    code = {}
+    for quad, c in alphabet.code.items():
         for image in (quad, quad[::-1]):
             for r in range(4):
-                entry[image[r:] + image[:r]] = ((s, 1), 2 * i)
+                code[image[r:] + image[:r]] = c
     rels = [CyclicWord(Word(alphabet))] * len(quads)
-    rels += [cyclic_word_from_period(alphabet, *zip(entry[q1], entry[q2]), 2)
+    rels += [cyclic_word_from_period(alphabet, (code[q1], code[q2]), 2)
              for q1, q2 in itertools.combinations(quads, 2)
              if len(set(q1) & set(q2)) < 3]
-    rels += [cyclic_word_from_period(alphabet, *zip(
-                 entry[i, j, k, l], entry[i, j, l, m], entry[j, k, l, m],
-                 entry[i, j, k, m], entry[i, k, l, m]))
+    rels += [cyclic_word_from_period(alphabet, (
+                 code[i, j, k, l], code[i, j, l, m], code[j, k, l, m],
+                 code[i, j, k, m], code[i, k, l, m]))
              for i, *rest in itertools.combinations(g.labels, 5)
              for j, k, l, m in itertools.permutations(rest) if j < m]
     return g, rels
@@ -144,20 +144,13 @@ class GammaGroup:
                             self.splits.append((P, Q))
         self.alphabet = Alphabet({pq_symbol(P, Q): (P, Q)
                                   for P, Q in self.splits}, involutive=False)
-        self._split_letters = None
-
-    def split_letters(self):
-        """(label mask of P, label mask of Q) -> (letter of a_{P,Q}, its
-        canonical key 2 * index + (sign != +1)), both orientations of each
-        split; built once.  A label x is bit 1 << x of a mask."""
-        if self._split_letters is None:
-            table = {}
-            for i, (s, (P, Q)) in enumerate(self.alphabet.key.items()):
-                p, q = _label_mask(P), _label_mask(Q)
-                table[p, q] = ((s, 1), 2 * i)
-                table[q, p] = ((s, -1), 2 * i + 1)
-            self._split_letters = table
-        return self._split_letters
+        # (label mask of P, label mask of Q) -> code of a_{P,Q}, both
+        # orientations of each split; a label x is bit 1 << x of a mask
+        self.split_codes = {}
+        for (P, Q), c in self.alphabet.code.items():
+            p, q = _label_mask(P), _label_mask(Q)
+            self.split_codes[p, q] = c
+            self.split_codes[q, p] = self.alphabet.inverse(c)
 
 
 def _label_mask(labels) -> int:
@@ -311,25 +304,24 @@ def gale_relation_word(group: GammaGroup, diagram: GaleDiagram, M) -> Word:
     if len(set(M)) != len(M) or not set(M) <= set(group.labels):
         raise ValueError("labeling %r: labels must be distinct and in 1..%d"
                          % (M, group.n))
-    letters, _ = _gale_letters(group.split_letters(),
-                               diagram.rl_position_sets(), M)
-    return Word(group.alphabet, letters)
+    return Word(group.alphabet, _gale_letters(
+        group.split_codes, diagram.rl_position_sets(), M))
 
 
 def _gale_letters(table, rl, M):
-    """(letters, keys) of the relator of a labeling M of distinct labels:
-    one ``split_letters`` lookup per point, by the masks of M_R(i) and
-    M_L(i) over the (R, L) index pairs ``rl``."""
+    """Codes of the relator of a labeling M of distinct labels: one
+    ``split_codes`` lookup per point, by the masks of M_R(i) and M_L(i)
+    over the (R, L) index pairs ``rl``."""
     bits = [1 << x for x in M]
-    entries = []
+    codes = []
     for R, L in rl:
         r = l = 0
         for j in R:
             r |= bits[j]
         for j in L:
             l |= bits[j]
-        entries.append(table[r, l])
-    return tuple(zip(*entries))
+        codes.append(table[r, l])
+    return codes
 
 
 def gamma_presentation(n: int, k: int):
@@ -341,21 +333,19 @@ def gamma_presentation(n: int, k: int):
     class up to rotation and inversion, for the labelings M <= M∘s of each
     diagram symmetry s (``GaleDiagram.symmetries``).  Every relator is
     written straight into its canonical rotation
-    (``cyclic_word_from_period``) from ``GammaGroup.split_letters``.
+    (``cyclic_word_from_period``) from ``GammaGroup.split_codes``.
     """
     group = GammaGroup(n, k)
-    alphabet, table = group.alphabet, group.split_letters()
-    splits = [(s, i, set(P), set(Q), set(P + Q))
-              for i, (s, (P, Q)) in enumerate(alphabet.key.items())]
-    far = [cyclic_word_from_period(
-               alphabet, ((s, 1), (s2, 1), (s, -1), (s2, -1)),
-               (2 * i, 2 * j, 2 * i + 1, 2 * j + 1))
-           for (s, i, p, q, u), (s2, j, p2, q2, v)
+    alphabet, table = group.alphabet, group.split_codes
+    splits = [(c, alphabet.inverse(c), set(P), set(Q), set(P + Q))
+              for (P, Q), c in alphabet.code.items()]
+    far = [cyclic_word_from_period(alphabet, (a, b, a_inv, b_inv))
+           for (a, a_inv, p, q, u), (b, b_inv, p2, q2, v)
            in itertools.combinations(splits, 2)
            if not (p <= v or q <= v or p2 <= u or q2 <= u)]
     diagrams = [(d.rl_position_sets(), [itemgetter(*s) for s in d.symmetries()])
                 for d in enumerate_standard_gale(k + 1)]
-    polygons = [cyclic_word_from_period(alphabet, *_gale_letters(table, rl, M))
+    polygons = [cyclic_word_from_period(alphabet, _gale_letters(table, rl, M))
                 for M_set in itertools.combinations(group.labels, k + 1)
                 for M in itertools.permutations(M_set)
                 for rl, images in diagrams

@@ -506,10 +506,18 @@ def _labels(statics, p):
 
 def _inside_circle(conf, triple, mover=None):
     """For every point but the triple and the mover, in index order: does it
-    lie strictly inside the circle through the triple?"""
-    a, b, c = (conf[s] for s in triple)
-    return (point_in_circumcircle(a, b, c, conf[x]) > 0
-            for x in range(len(conf)) if x not in triple and x != mover)
+    lie strictly inside the circle through the triple?  Each point is one
+    evaluation of the triple's ``_circle_coeffs``, signed by its area, as
+    ``point_in_circumcircle`` signs ``incircle``; a collinear triple raises
+    at the first point tested."""
+    (ax, ay), b, c = (conf[s] for s in triple)
+    lx, ly, area = _circle_coeffs((ax, ay), b, c)
+    for x, (px, py) in enumerate(conf):
+        if x not in triple and x != mover:
+            if area == 0:
+                raise DegenerateTrajectory("collinear circle points")
+            px, py = px - ax, py - ay
+            yield (lx * px + ly * py - area * (px * px + py * py)) * area > 0
 
 
 def inside_count(conf, triple) -> int:

@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
 
 from .words import (Alphabet, CyclicWord, Word, cyclic_word_from_period,
-                    labels_text, state_alphabet, state_key, word_from_keys)
+                    labels_text, reduce_letters, state_alphabet, state_key,
+                    word_from_keys)
 
 
 def subset_symbol(m) -> str:
@@ -83,7 +85,7 @@ class GnkPresentation:
     The alphabet is involutive, so a_m a_m cancels structurally: the
     involution relators are C(n,k) empty cyclic words.  The other relators
     are written straight into their canonical rotation
-    (``cyclic_word_from_period``), one letter-table lookup per subset.
+    (``cyclic_word_from_period``), one code lookup per subset.
     """
 
     def __init__(self, group: GnkGroup):
@@ -91,18 +93,16 @@ class GnkPresentation:
         alphabet = group.alphabet
         self.involution_relators = [CyclicWord(Word(alphabet))] * len(
             group.subsets)
-        # subset -> (its letter, its canonical key 2 * index)
-        entry = {m: ((s, 1), 2 * i)
-                 for i, (s, m) in enumerate(alphabet.key.items())}
+        code = alphabet.code
         k = group.k
         self.far_commutativity_relators = [
-            cyclic_word_from_period(alphabet, *zip(entry[m1], entry[m2]), 2)
+            cyclic_word_from_period(alphabet, (code[m1], code[m2]), 2)
             for m1, m2 in itertools.combinations(group.subsets, 2)
             if len(set(m1) & set(m2)) <= k - 2]
-        self.tetrahedron_relators = list(self._tetrahedron(group, entry))
+        self.tetrahedron_relators = list(self._tetrahedron(group))
 
     @staticmethod
-    def _tetrahedron(group: GnkGroup, entry):
+    def _tetrahedron(group: GnkGroup):
         """Squared tetrahedron relators, one per ordering of a (k+1)-subset U
         up to rotation and reversal: least label first, second <= last.
         Position j of an ordering of U's indices names the letter of U
@@ -113,13 +113,11 @@ class GnkPresentation:
         orders = [itemgetter(0, *rest)
                   for rest in itertools.permutations(range(1, k + 1))
                   if rest[0] <= rest[-1]]
-        alphabet = group.alphabet
+        alphabet, code = group.alphabet, group.alphabet.code
         for U in itertools.combinations(group.labels, k + 1):
-            letters, keys = zip(*(entry[U[:j] + U[j + 1:]]
-                                  for j in range(k + 1)))
+            letters = [code[U[:j] + U[j + 1:]] for j in range(k + 1)]
             for order in orders:
-                yield cyclic_word_from_period(alphabet, order(letters),
-                                              order(keys), 2)
+                yield cyclic_word_from_period(alphabet, order(letters), 2)
 
     @property
     def relators(self):
@@ -143,9 +141,8 @@ def _strand_map(group: GnkGroup, w: Word, l: int, forget: bool):
         raise ValueError("label %r not in group" % (l,))
     dst = GnkGroup(group.n - 1, group.k - 1 if forget else group.k,
                    tuple(x - (x > l) for x in group.labels if x != l))
-    key = w.alphabet.key
     images = [tuple(x - (x > l) for x in m if x != l)
-              for m in (key[sym] for sym, _ in w) if (l in m) == forget]
+              for m in w.keys() if (l in m) == forget]
     return dst.word_from_subsets(images), dst
 
 
@@ -217,9 +214,8 @@ class MNContext:
 
     def psi_word(self, w: Word) -> tuple:
         vec = [0] * self.dim
-        key = w.alphabet.key
-        for sym, _ in w:
-            for t, b in enumerate(self.psi(key[sym])):
+        for m in w.keys():
+            for t, b in enumerate(self.psi(m)):
                 vec[t] ^= b
         return tuple(vec)
 
@@ -238,10 +234,8 @@ def mn_invariant(group: GnkGroup, w: Word, m, ctx: MNContext = None,
         ctx = MNContext(group, m)
     m = ctx.m
     x = list(start) if start is not None else [0] * ctx.dim
-    key = w.alphabet.key
     emitted = []
-    for sym, _ in reversed(w.letters):
-        subset = key[sym]
+    for subset in reversed(w.keys()):
         if subset == m:
             emitted.append(state_key(x))
         else:
@@ -264,10 +258,9 @@ def z_ij(ctx: MNContext, i: int, j: int) -> tuple:
 
 def mn_value_support(value: Word):
     """Z_2[Z] projection of an MN value: the set of odd-count states."""
-    key = value.alphabet.key
     dim = len(value.alphabet).bit_length() - 1
-    return {tuple(key[sym] >> t & 1 for t in range(dim - 1, -1, -1))
-            for sym, c in value.symbol_counts().items() if c % 2 == 1}
+    return {tuple(key >> t & 1 for t in range(dim - 1, -1, -1))
+            for key, c in Counter(value.keys()).items() if c % 2 == 1}
 
 
 def coset_overlap_bound(ctx: MNContext, support) -> Fraction:
@@ -314,15 +307,14 @@ class Gk1kContext:
         self.k = k
         self.group = GnkGroup(k + 1, k)
         self.subsets = self.group.subsets          # already lex sorted
-        self.b_index = {sym: j + 1
-                        for j, sym in enumerate(self.group.alphabet.symbols)}
+        self.b_index = {m: j + 1 for j, m in enumerate(self.subsets)}
         self.f_alphabet = state_alphabet(k - 1, lambda x: "c_" + labels_text(x))
 
     def b_word(self, js) -> Word:
         return self.group.word_from_subsets([self.subsets[j - 1] for j in js])
 
     def to_indices(self, w: Word):
-        return [self.b_index[sym] for sym, _ in w]
+        return [self.b_index[m] for m in w.keys()]
 
 
 def index_word_to_F(ctx: Gk1kContext, w: Word) -> Word:
@@ -345,16 +337,6 @@ def index_word_to_F(ctx: Gk1kContext, w: Word) -> Word:
     return word_from_keys(ctx.f_alphabet, out)
 
 
-def _reduce_involutive(seq):
-    out = []
-    for j in seq:
-        if out and out[-1] == j:
-            out.pop()
-        else:
-            out.append(j)
-    return out
-
-
 def eliminate_last_letter(ctx: Gk1kContext, w: Word):
     """Rewrite w, when its F-image is trivial, into a word with no b_{k+1}.
 
@@ -365,55 +347,35 @@ def eliminate_last_letter(ctx: Gk1kContext, w: Word):
     """
     if len(index_word_to_F(ctx, w)) != 0:
         return None
-    k = ctx.k
-    letters = _reduce_involutive(ctx.to_indices(w))
+    alphabet = ctx.group.alphabet
+    # the letters b_1 .. b_k, and b_{k+1}
+    *firsts, last = map(alphabet.code.__getitem__, ctx.subsets)
 
-    def occ_positions(ls):
-        return [p for p, j in enumerate(ls) if j == k + 1]
-
-    while True:
-        occ = occ_positions(letters)
-        if not occ:
-            break
+    letters = w.codes
+    while last in letters:
+        occ = [p for p, c in enumerate(letters) if c == last]
         # locate the leftmost adjacent occurrence pair with same-parity gap
-        target = None
         for a, b in zip(occ, occ[1:]):
             between = letters[a + 1:b]
-            cnt = [0] * (k + 1)
-            for j in between:
-                cnt[j] += 1
-            if len({c % 2 for c in cnt[1:]}) == 1:
-                target = (a, b)
+            if len({between.count(c) % 2 for c in firsts}) == 1:
                 break
-        if target is None:
-            raise AssertionError("trivial F-image but no adjacent equal pair")
-        a, b = target
-        B = _reduce_involutive(letters[a + 1:b])
-        prefix = []
-        while True:
-            rep = None
-            seen_at = {}
-            for p, j in enumerate(B):
-                if j in seen_at:
-                    rep = (seen_at[j], p)
-                    break
-                seen_at[j] = p
-            if rep is None:
-                break
-            jpos, p = rep
-            S = B[:p]                     # distinct letters, B[p] repeats S[jpos]
-            ij = B[p]
-            P = [t for t in range(1, k + 1) if t not in set(S)]
-            Q = [t for t in S if t != ij]
-            prefix += P[::-1] + S[::-1] + Q + [ij] + P
-            B = _reduce_involutive(Q + B[p + 1:])
-        if B:                             # full permutation of 1..k: reverse it
-            replacement = prefix + B[::-1]
         else:
-            replacement = prefix
-        letters = _reduce_involutive(
-            letters[:a] + replacement + letters[b + 1:])
-    return ctx.b_word(letters)
+            raise AssertionError("trivial F-image but no adjacent equal pair")
+        B = reduce_letters(alphabet, letters[a + 1:b])
+        prefix = ()
+        while len(set(B)) < len(B):
+            # S = B[:p] is distinct letters, and ij = B[p] repeats one of them
+            p = next(p for p, c in enumerate(B) if c in B[:p])
+            S, ij = B[:p], B[p]
+            P = tuple(c for c in firsts if c not in S)
+            Q = tuple(c for c in S if c != ij)
+            prefix += P[::-1] + S[::-1] + Q + (ij,) + P
+            B = reduce_letters(alphabet, Q + B[p + 1:])
+        # what is left of B is empty or a full permutation of b_1 .. b_k:
+        # reverse it
+        letters = reduce_letters(
+            alphabet, letters[:a] + prefix + B[::-1] + letters[b + 1:])
+    return Word(alphabet, letters)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +393,7 @@ def bigon_reduce_g2(group: GnkGroup, w: Word) -> Word:
     """
     if group.k != 2:
         raise ValueError("bigon reduction applies to k = 2 only")
-    letters = [w.alphabet.key[sym] for sym, _ in w]
+    letters = w.keys()
     changed = True
     while changed:
         changed = False
@@ -466,11 +428,13 @@ def is_relator_consequence_in_s3(assignment) -> bool:
     as image tuples.
     """
     pres = relators(3, 2)
+    alphabet = pres.group.alphabet
+    image = {m: assignment[s] for s, m in zip(alphabet.symbols, alphabet.keys)}
     identity = (0, 1, 2)
     for rel in pres.relators:
         acc = identity
-        for sym, _ in rel:
-            acc = _perm_mul(acc, assignment[sym])
+        for m in rel.keys():
+            acc = _perm_mul(acc, image[m])
         if acc != identity:
             return False
     return True

@@ -1,29 +1,33 @@
 """Word algebra over finitely presented alphabets.
 
 Everything downstream (group elements, relators, invariant values) is a
-``Word``: a freely reduced sequence of signed letters over an ``Alphabet``.
-An alphabet is either involutive (every g^2 = 1) or free; involutive letters
-are stored with sign +1 and adjacent equal involutive letters cancel, so the
-square relation is structural rather than a rewrite rule.
+``Word``: a freely reduced sequence of letters over an ``Alphabet``.  An
+alphabet is either involutive (every g^2 = 1) or free.
 
-Free products of Z_2 (all-involutive alphabets) therefore have a unique
-normal form: two words are equal in the group iff they are letter-identical.
+A letter is an int code.  The symbol at position i of the alphabet is the
+code 2i, and on a free alphabet its inverse is 2i + 1 = 2i ^ 1.  An
+involutive letter is its own inverse, so its code is always even, and
+adjacent equal involutive letters cancel: the square relation is structural
+rather than a rewrite rule.  Free products of Z_2 (all-involutive
+alphabets) therefore have a unique normal form: two words are equal in the
+group iff their codes are equal.
 
-An alphabet is also the codec between symbol names and the index sets the
-maps work on: each symbol has one key (a subset, a quad, a split, ...), and
-maps read ``alphabet.key[symbol]`` and write ``alphabet.symbol[key]``, so
-names are only formatted when an alphabet is built.
+An alphabet is the one codec.  Each symbol has one key (a subset, a quad, a
+split, ...): maps read a word's keys with ``Word.keys()`` and write a word
+from keys with ``word_from_keys``, through the alphabet's ``keys`` and
+``code`` tables.  (symbol, sign) pairs and text tokens become codes where a
+word is made (``word``, ``read_letters``, ``Alphabet.encode``), and codes
+become pairs and text only in ``Alphabet.decode``, the ``.letters`` views
+and ``format_word``.
 
 Text grammar: whitespace-separated tokens, ``^-1`` suffix for an inverse,
-e.g. ``a_123 a_234^-1``.  ``read_letters`` reads each distinct token once;
-``reduce_letters`` looks each letter up in a table the alphabet fills
-lazily.  Parsing and printing round-trip exactly.
+e.g. ``a_123 a_234^-1``.  Parsing and printing round-trip exactly.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Tuple
+from collections import Counter
 
 
 class UnknownSymbolError(KeyError):
@@ -43,10 +47,10 @@ class Alphabet:
     A name is any hashable value (PB_n's are the pairs (i, j)).
 
     ``symbols`` lists the names, or maps each name to its key.  A plain list
-    keys each symbol by its position, so ``key`` and ``symbol`` are then the
-    existing ``index`` and ``symbols`` tables.  The declared order of symbols
-    is the canonical symbol order used for cyclic-word canonicalization and
-    deterministic sorting.
+    keys each symbol by its position.  ``keys[i]`` is the key of symbol i,
+    and ``code[key]`` the code of its letter, one int object per letter for
+    a keyed alphabet.  The declared order of symbols is the canonical symbol
+    order used for cyclic-word canonicalization and deterministic sorting.
     """
 
     def __init__(self, symbols, involutive=True):
@@ -55,19 +59,37 @@ class Alphabet:
         if len(self.index) != len(self.symbols):
             raise ValueError("duplicate symbol names")
         self.involutive = bool(involutive)
+        codes = range(0, 2 * len(self.symbols), 2)
         if isinstance(symbols, dict):
-            self.key = dict(symbols)
-            self.symbol = {k: s for s, k in symbols.items()}
-            if len(self.symbol) != len(self.symbols):
+            self.keys = tuple(symbols.values())
+            self.code = dict(zip(self.keys, codes))
+            if len(self.code) != len(self.symbols):
                 raise ValueError("duplicate symbol keys")
         else:
-            self.key = self.index
-            self.symbol = self.symbols
-        # (symbol, sign) -> (letter as stored, its inverse), filled lazily
-        self.letter_table = {}
+            self.keys = range(len(self.symbols))
+            self.code = codes
 
-    def __contains__(self, symbol):
-        return symbol in self.index
+    def inverse(self, code: int) -> int:
+        """Code of the inverse letter."""
+        return code if self.involutive else code ^ 1
+
+    def encode(self, letters) -> list:
+        """Codes of (symbol, sign) pairs.  UnknownSymbolError for a symbol
+        outside the alphabet, ValueError for a sign other than +1 or -1."""
+        index, neg = self.index, 0 if self.involutive else 1
+        out = []
+        for symbol, sign in letters:
+            if symbol not in index:
+                raise UnknownSymbolError(symbol)
+            if sign != 1 and sign != -1:
+                raise ValueError("sign must be +1 or -1")
+            out.append(2 * index[symbol] + (sign == -1 and neg))
+        return out
+
+    def decode(self, codes) -> tuple:
+        """(symbol, sign) pairs of codes."""
+        symbols = self.symbols
+        return tuple([(symbols[c >> 1], -1 if c & 1 else 1) for c in codes])
 
     def __len__(self):
         return len(self.symbols)
@@ -99,127 +121,112 @@ def state_key(bits) -> int:
     return key
 
 
-Letter = Tuple[str, int]
-
-
-def reduce_letters(alphabet: Alphabet, letters: Iterable[Letter]) -> tuple:
-    """Freely reduce a raw letter sequence (stack pass, linear time).
+def reduce_letters(alphabet: Alphabet, letters) -> tuple:
+    """Freely reduce a code sequence (stack pass, linear time).
 
     Adjacent g g^-1 cancel; for involutive g, adjacent g g cancel.  The
-    result is the unique reduced form (cancellation is confluent).  Letters
-    enter ``letter_table`` once validated and never change, so the top
-    cancels exactly when it is the inverse object.
+    result is the unique reduced form (cancellation is confluent).
     """
-    table = alphabet.letter_table
+    flip = 0 if alphabet.involutive else 1
     out = []
-    for letter in letters:
-        try:
-            norm, inv = table[letter]
-        except (KeyError, TypeError):
-            symbol, sign = letter
-            if symbol not in alphabet.index:
-                raise UnknownSymbolError(symbol)
-            if sign != 1 and sign != -1:
-                raise ValueError("sign must be +1 or -1")
-            pos = (symbol, 1)
-            if alphabet.involutive:
-                table[symbol, sign] = table.setdefault(pos, (pos, pos))
-            elif pos not in table:
-                neg = (symbol, -1)
-                table[pos], table[neg] = (pos, neg), (neg, pos)
-            norm, inv = table[symbol, sign]
-        if out and out[-1] is inv:
+    for c in letters:
+        if out and out[-1] == c ^ flip:
             out.pop()
         else:
-            out.append(norm)
+            out.append(c)
     return tuple(out)
 
 
 def inverse_letters(alphabet: Alphabet, letters) -> tuple:
-    """Formal inverse of a letter sequence: reversed, signs flipped."""
+    """Formal inverse of a code sequence: reversed, each letter inverted."""
     if alphabet.involutive:
         return tuple(reversed(letters))
-    return tuple((s, -e) for s, e in reversed(letters))
+    return tuple([c ^ 1 for c in reversed(letters)])
 
 
 def cyclic_reduce(alphabet: Alphabet, letters) -> tuple:
-    """Cyclically reduce a freely reduced sequence: cancel across the seam
-    until the first and last letters no longer cancel."""
+    """Cyclically reduce a freely reduced code sequence: cancel across the
+    seam until the first and last letters no longer cancel."""
     lo, hi = 0, len(letters)
-    while hi - lo >= 2:
-        (s1, e1), (s2, e2) = letters[lo], letters[hi - 1]
-        if s1 != s2 or not (alphabet.involutive or e1 == -e2):
-            break
+    while hi - lo >= 2 and letters[lo] == alphabet.inverse(letters[hi - 1]):
         lo += 1
         hi -= 1
     return tuple(letters[lo:hi])
 
 
-class Word:
-    """Freely reduced word; immutable and hashable."""
+class _Codes:
+    """An immutable code sequence over an alphabet, with its decoded
+    views."""
 
-    __slots__ = ("alphabet", "letters")
-
-    def __init__(self, alphabet: Alphabet, letters: Iterable[Letter] = ()):
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "letters", reduce_letters(alphabet, letters))
+    __slots__ = ("alphabet", "codes")
 
     def __setattr__(self, *a):
-        raise AttributeError("Word is immutable")
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def _set(self, alphabet, codes):
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "codes", codes)
+
+    @property
+    def letters(self) -> tuple:
+        """The letters as (symbol, sign) pairs."""
+        return self.alphabet.decode(self.codes)
+
+    def keys(self) -> list:
+        """The key of each letter's symbol, in order."""
+        keys = self.alphabet.keys
+        return [keys[c >> 1] for c in self.codes]
 
     def __len__(self):
-        return len(self.letters)
+        return len(self.codes)
 
     def __iter__(self):
         return iter(self.letters)
 
-    def __getitem__(self, i):
-        return self.letters[i]
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.alphabet == other.alphabet
+                and self.codes == other.codes)
 
-    def __bool__(self):
-        return bool(self.letters)
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, format_word(self) or "1")
+
+
+class Word(_Codes):
+    """Freely reduced word; immutable and hashable."""
+
+    __slots__ = ()
+
+    def __init__(self, alphabet: Alphabet, letters=()):
+        self._set(alphabet, reduce_letters(alphabet, letters))
 
     def __mul__(self, other: "Word") -> "Word":
         if other.alphabet != self.alphabet:
             raise ValueError("alphabet mismatch")
-        return Word(self.alphabet, self.letters + other.letters)
+        return Word(self.alphabet, self.codes + other.codes)
 
     def inverse(self) -> "Word":
-        return Word(self.alphabet, inverse_letters(self.alphabet, self.letters))
+        return Word(self.alphabet, inverse_letters(self.alphabet, self.codes))
 
     def __pow__(self, n: int) -> "Word":
         w = self if n >= 0 else self.inverse()
-        return Word(self.alphabet, w.letters * abs(n))
-
-    def __eq__(self, other):
-        return (isinstance(other, Word) and self.alphabet == other.alphabet
-                and self.letters == other.letters)
+        return Word(self.alphabet, w.codes * abs(n))
 
     def __hash__(self):
-        return hash(self.letters)
+        return hash(self.codes)
 
-    def __repr__(self):
-        return "Word(%s)" % (format_word(self) or "1")
-
-    def symbol_counts(self) -> dict:
-        counts = {}
-        for s, _ in self.letters:
-            counts[s] = counts.get(s, 0) + 1
-        return counts
+    def symbol_counts(self) -> Counter:
+        return Counter(s for s, _ in self.letters)
 
 
-def least_rotation(seq, key=None) -> tuple:
+def least_rotation(seq) -> tuple:
     """Lexicographically least rotation of a sequence, as a tuple.
 
-    Items compare by ``key(item)`` when a key is given; the key must be
-    injective for the least rotation to be unique.  Linear time: two
-    candidate starts are compared, and the loser skips past the run they
-    share.
+    Linear time: two candidate starts are compared, and the loser skips
+    past the run they share.
     """
     seq = tuple(seq)
     n = len(seq)
-    ks = [key(x) for x in seq] if key else list(seq)
-    ks += ks
+    ks = seq + seq
     # start i never passes the first least start, so it ends on it
     i, j, t = 0, 1, 0
     while j < n and t < n:
@@ -237,117 +244,110 @@ def least_rotation(seq, key=None) -> tuple:
     return seq[i:] + seq[:i]
 
 
-class CyclicWord:
+class CyclicWord(_Codes):
     """Conjugacy-class key: cyclically reduced, rotation-canonical word.
 
-    Canonical form = lexicographically least rotation under the alphabet's
-    declared symbol order (inverse letters sort after positive ones).
+    Canonical form = least rotation of the codes, that is, under the
+    alphabet's declared symbol order with inverse letters after positive
+    ones.
     """
 
-    __slots__ = ("alphabet", "letters")
+    __slots__ = ()
 
     def __init__(self, word: Word):
-        index = word.alphabet.index
-        letters = least_rotation(
-            cyclic_reduce(word.alphabet, word.letters),
-            key=lambda letter: 2 * index[letter[0]] + (letter[1] != 1))
-        object.__setattr__(self, "alphabet", word.alphabet)
-        object.__setattr__(self, "letters", letters)
-
-    def __setattr__(self, *a):
-        raise AttributeError("CyclicWord is immutable")
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __eq__(self, other):
-        return (isinstance(other, CyclicWord) and self.alphabet == other.alphabet
-                and self.letters == other.letters)
+        self._set(word.alphabet, least_rotation(
+            cyclic_reduce(word.alphabet, word.codes)))
 
     def __hash__(self):
-        return hash(("cyc", self.letters))
-
-    def __repr__(self):
-        return "CyclicWord(%s)" % (format_word(self) or "1")
+        return hash(("cyc", self.codes))
 
     def to_word(self) -> Word:
-        return Word(self.alphabet, self.letters)
+        return Word(self.alphabet, self.codes)
 
     def reversal(self) -> "CyclicWord":
         return CyclicWord(self.to_word().inverse())
 
 
-def cyclic_word_from_period(alphabet: Alphabet, letters, keys,
+def cyclic_word_from_period(alphabet: Alphabet, letters,
                             power: int = 1) -> CyclicWord:
-    """CyclicWord of ``letters`` repeated ``power`` times, neither reduced
-    nor searched for its least rotation.
+    """CyclicWord of the codes ``letters`` repeated ``power`` times, neither
+    reduced nor searched for its least rotation.
 
-    ``letters`` is one period, as the alphabet stores letters, and
-    ``keys[i]`` is the canonical key of ``letters[i]``: 2 * index + (sign
-    != +1).  The least key must occur once in the period and no letter
-    may cancel its cyclic successor in the period (a one-letter period is
-    its own successor).  The word is then cyclically
-    reduced, and its least rotation starts at that key, since every start
-    of a least rotation carries the least key.  ValueError otherwise.
+    The least code must occur once in the period and no letter may cancel
+    its cyclic successor in the period (a one-letter period is its own
+    successor).  The word is then cyclically reduced, and its least
+    rotation starts at that code, since every start of a least rotation
+    carries the least code.  ValueError otherwise.
     """
     letters = tuple(letters)
-    if keys:
-        least = min(keys)
-        if keys.count(least) != 1:
-            raise ValueError("least key %d occurs %d times in one period"
-                             % (least, keys.count(least)))
-        involutive = alphabet.involutive
-        prev = keys[-1]
-        for key in keys:
-            if key >> 1 == prev >> 1 and (involutive or key != prev):
-                raise ValueError("adjacent letters with keys %d and %d "
-                                 "cancel" % (prev, key))
-            prev = key
-        i = keys.index(least)
+    if letters:
+        least = min(letters)
+        if letters.count(least) != 1:
+            raise ValueError("least letter %d occurs %d times in one period"
+                             % (least, letters.count(least)))
+        flip = 0 if alphabet.involutive else 1
+        prev = letters[-1]
+        for c in letters:
+            if c == prev ^ flip:
+                raise ValueError("adjacent letters %d and %d cancel"
+                                 % (prev, c))
+            prev = c
+        i = letters.index(least)
         letters = letters[i:] + letters[:i]
     cw = object.__new__(CyclicWord)
-    object.__setattr__(cw, "alphabet", alphabet)
-    object.__setattr__(cw, "letters", letters * power)
+    cw._set(alphabet, letters * power)
     return cw
 
 
-def word(alphabet: Alphabet, letters: Iterable) -> Word:
+def word(alphabet: Alphabet, letters) -> Word:
     """Build a Word from (symbol, sign) pairs or bare symbol names."""
-    return Word(alphabet, [(x, 1) if isinstance(x, str) else x
-                           for x in letters])
+    return Word(alphabet, alphabet.encode(
+        (x, 1) if isinstance(x, str) else x for x in letters))
 
 
 def word_from_keys(alphabet: Alphabet, keys) -> Word:
     """Word of the symbols with the given keys, each with sign +1."""
-    symbol = alphabet.symbol
-    return Word(alphabet, [(symbol[k], 1) for k in keys])
-
-
-def complexity(w) -> int:
-    """Letter count of the given reduced representative."""
-    return len(w)
+    code = alphabet.code
+    return Word(alphabet, [code[k] for k in keys])
 
 
 def format_word(w) -> str:
-    parts = []
-    for s, e in w:
-        parts.append(s if e == 1 else s + "^-1")
-    return " ".join(parts)
+    """Text of a Word or CyclicWord in the token grammar; each distinct
+    letter is formatted once."""
+    symbols = w.alphabet.symbols
+    token = {c: symbols[c >> 1] + "^-1" if c & 1 else symbols[c >> 1]
+             for c in set(w.codes)}
+    return " ".join(map(token.__getitem__, w.codes))
 
 
-def read_letters(text: str):
-    """(letters, sorted distinct symbols) of a text in the token grammar,
-    unreduced; each distinct token becomes a letter once, through a dict."""
+def _token_letter(tok):
+    return (tok[:-3], -1) if tok.endswith("^-1") else (tok, 1)
+
+
+def read_symbols(text: str) -> list:
+    """Sorted distinct symbols of a text in the token grammar."""
+    tokens = set(text.split())
+    tokens.discard("1")
+    return sorted({_token_letter(tok)[0] for tok in tokens})
+
+
+def read_letters(alphabet: Alphabet, text: str) -> list:
+    """Codes of a text in the token grammar, unreduced; each distinct token
+    is encoded once, so equal letters share one int object.  An unknown
+    symbol raises UnknownSymbolError naming the first in the text."""
     tokens = text.split()
-    letter_of = {tok: (tok[:-3], -1) if tok.endswith("^-1") else (tok, 1)
-                 for tok in set(tokens) if tok != "1"}
-    return (list(filter(None, map(letter_of.get, tokens))),
-            sorted({s for s, _ in letter_of.values()}))
+    if "1" in tokens:
+        tokens = [tok for tok in tokens if tok != "1"]
+    distinct = set(tokens)
+    try:
+        code = dict(zip(distinct, alphabet.encode(map(_token_letter,
+                                                      distinct))))
+    except UnknownSymbolError:
+        alphabet.encode(map(_token_letter, tokens))   # in text order
+        raise
+    return list(map(code.__getitem__, tokens))
 
 
 def parse_word(alphabet: Alphabet, text: str) -> Word:
     """Parse the whitespace token grammar; ``^-1`` marks an inverse."""
-    return Word(alphabet, read_letters(text)[0])
+    return Word(alphabet, read_letters(alphabet, text))

@@ -9,8 +9,8 @@ they wrote each relator straight into its canonical rotation.
 import itertools
 
 from gnk.gamma import Gamma4Group, GammaGroup, GaleDiagram, \
-    enumerate_standard_gale
-from gnk.words import CyclicWord, Word
+    enumerate_standard_gale, pq_symbol
+from gnk.words import CyclicWord, word
 
 
 def distinct_cyclic_words(words) -> list:
@@ -82,7 +82,7 @@ def gamma4_relator_words(n):
     def generator(quad):
         return g.word_from_quads([quad])
 
-    quads = list(g.alphabet.symbol)
+    quads = g.alphabet.keys
     rels = [CyclicWord(generator(q) * generator(q)) for q in quads]
     rels += [CyclicWord((generator(q1) * generator(q2)) ** 2)
              for q1, q2 in itertools.combinations(quads, 2)
@@ -99,12 +99,12 @@ def pq_letter(group, P, Q):
     """(symbol, sign) of a_{P,Q}: the stored split has min(P ∪ Q) in P."""
     P, Q = tuple(sorted(P)), tuple(sorted(Q))
     if min(P) < min(Q):
-        return (group.alphabet.symbol[P, Q], 1)
-    return (group.alphabet.symbol[Q, P], -1)
+        return (pq_symbol(P, Q), 1)
+    return (pq_symbol(Q, P), -1)
 
 
 def pq_word(group, pairs):
-    return Word(group.alphabet, [pq_letter(group, P, Q) for P, Q in pairs])
+    return word(group.alphabet, [pq_letter(group, P, Q) for P, Q in pairs])
 
 
 def gale_relation_pq_word(group, diagram, M):

@@ -222,11 +222,11 @@ def test_criterion_9_property_suites():
     def body():
         rng = random.Random(99)
         # (a) reduction confluence on 500 random words
-        from gnk.words import Alphabet
+        from gnk.words import Alphabet, word
         ab = Alphabet(["a", "b", "c", "d"], involutive=True)
         for _ in range(500):
             raw = [(rng.choice(ab.symbols), 1) for _ in range(rng.randint(0, 24))]
-            w = Word(ab, raw)
+            w = word(ab, raw)
             letters = list(raw)
             while True:
                 spots = [t for t in range(len(letters) - 1)

@@ -598,7 +598,7 @@ def test_w_parity_relation_invariance():
         base = pg.word_from_letters(letters)
         rel = rng.choice(relations)
         t = rng.randint(0, len(base.letters))
-        ins = Word(pg.alphabet, base.letters[:t] + rel.letters + base.letters[t:])
+        ins = Word(pg.alphabet, base.codes[:t] + rel.codes + base.codes[t:])
         for pair in itertools.combinations(labels, 2):
             assert w_parity(pg, ins, pair) == w_parity(pg, base, pair)
 

@@ -4,18 +4,35 @@ from fractions import Fraction
 
 import pytest
 
-from certificate_oracles import best_overlap, old_to_syllables
+from certificate_oracles import (best_overlap, old_dehn_reduce_syllables,
+                                 old_inverse_letters, old_to_syllables)
 from gnk.cancel import (PresentationNotC16, _lcp, _max_overlap,
-                        _replacement_table, check_cp, check_metric_condition,
-                        check_tq, dehn_reduce, dehn_reduce_syllables,
-                        from_syllables, max_piece_prefixes, piece_table,
-                        symmetrise, syllable_length, to_syllables)
-from gnk.words import (Alphabet, cyclic_reduce, inverse_letters,
-                       reduce_letters)
+                        _replacement_trie, _symbol_runs, check_cp,
+                        check_metric_condition, check_tq, dehn_reduce,
+                        dehn_reduce_syllables, max_piece_prefixes,
+                        piece_table, symmetrise, syllable_length,
+                        to_syllables)
+from gnk.words import Alphabet, cyclic_reduce, reduce_letters
 
 FREE_XY = Alphabet(["x", "y"], involutive=False)
 x, X, y, Y = ("x", 1), ("x", -1), ("y", 1), ("y", -1)
 COMM = [x, y, X, Y]
+
+
+def letters_of(R):
+    """The elements of R_* as (symbol, sign) tuples, in their order."""
+    return [R.alphabet.decode(r) for r in R.elements]
+
+
+def code_runs(alphabet, sylls):
+    """(code, count) runs of (symbol, exponent) runs."""
+    codes = alphabet.encode((s, 1 if e > 0 else -1) for s, e in sylls)
+    return [(c, abs(e)) for c, (_, e) in zip(codes, sylls)]
+
+
+def reduces_to_nothing(alphabet, letters):
+    return not cyclic_reduce(alphabet, reduce_letters(
+        alphabet, alphabet.encode(letters)))
 
 
 def test_symmetrise_abc():
@@ -34,12 +51,13 @@ def test_symmetrise_commutator_squared():
 def test_symmetrise_power_dedup():
     ab = Alphabet(["a"], involutive=False)
     R = symmetrise(ab, [[("a", 1), ("a", 1)]])
-    assert set(R.elements) == {(("a", 1), ("a", 1)), (("a", -1), ("a", -1))}
+    assert set(letters_of(R)) == {(("a", 1), ("a", 1)),
+                                  (("a", -1), ("a", -1))}
 
 
 def test_symmetrise_idempotent():
     R = symmetrise(FREE_XY, [COMM + COMM])
-    R2 = symmetrise(FREE_XY, list(R.elements))
+    R2 = symmetrise(FREE_XY, letters_of(R))
     assert R2.elements == R.elements
 
 
@@ -148,7 +166,7 @@ def test_cp_matches_brute_force_jumps():
         for _ in range(1 + t % 3):
             w = [(rng.choice(ab.symbols), rng.choice((1, -1)))
                  for _ in range(rng.randint(3, 10))]
-            if cyclic_reduce(ab, reduce_letters(ab, w)):
+            if not reduces_to_nothing(ab, w):
                 rels.append(w)
         if not rels:
             continue
@@ -199,7 +217,7 @@ def test_dehn_big_certificate():
 def test_dehn_random_conjugated_relator_products():
     rng = random.Random(35)
     R = symmetrise(FREE_XY, [COMM + COMM])
-    elems = list(R.elements)
+    elems = letters_of(R)
     for _ in range(200):
         wordl = []
         for _ in range(rng.randint(1, 4)):
@@ -247,33 +265,43 @@ def _oracle_normalise(alphabet, sylls):
     return out
 
 
+def _from_syllables(sylls):
+    out = []
+    for s, e in sylls:
+        out.extend([(s, 1 if e > 0 else -1)] * abs(e))
+    return tuple(out)
+
+
 def oracle_dehn(alphabet, letters, R):
     """Greedy Dehn reduction: the longest factor matching more than half of
     an element of R_* first, ties leftmost; the whole word is rescanned
     after every replacement.  Returns (fixpoint runs, steps)."""
-    sylls = _oracle_normalise(alphabet, to_syllables(alphabet, letters))
+    elements = letters_of(R)
+    sylls = _oracle_normalise(alphabet, old_to_syllables(alphabet, letters))
     steps = []
     while syllable_length(sylls):
-        length, pos, rel = best_overlap(sylls, R.elements)
+        length, pos, rel = best_overlap(sylls, elements)
         if rel is None or length <= len(rel) // 2:
             break
-        flat = from_syllables(sylls)
+        flat = _from_syllables(sylls)
         doubled = flat + flat
-        new_flat = (inverse_letters(alphabet, rel[length:])
+        new_flat = (old_inverse_letters(alphabet, rel[length:])
                     + doubled[pos + length:pos + len(flat)])
         steps.append((pos, rel, length))
-        sylls = _oracle_normalise(alphabet, to_syllables(alphabet, new_flat))
+        sylls = _oracle_normalise(alphabet,
+                                  old_to_syllables(alphabet, new_flat))
     return sylls, steps
 
 
 def _conjugate_product(rng, alphabet, R, length):
     """Product of conjugates g r g^-1 (r in R_*, |g| <= 3): trivial."""
     w = []
+    elements = letters_of(R)
     while len(w) < length:
         g = [(rng.choice(alphabet.symbols), rng.choice((1, -1)))
              for _ in range(rng.randint(0, 3))]
-        w += g + list(rng.choice(R.elements)) \
-            + list(inverse_letters(alphabet, g))
+        w += g + list(rng.choice(elements)) \
+            + list(old_inverse_letters(alphabet, g))
     return w
 
 
@@ -281,13 +309,14 @@ def _check_against_oracle(alphabet, R, letters):
     """Same verdict as the oracle; the fixpoint is cyclically reduced and,
     by brute force over its cyclic factors, no factor is more than half of
     any element of R_*."""
-    res = dehn_reduce_syllables(alphabet, to_syllables(alphabet, letters), R)
+    res = dehn_reduce_syllables(
+        alphabet, to_syllables(alphabet, alphabet.encode(letters)), R)
     want, want_steps = oracle_dehn(alphabet, letters, R)
     assert res.is_trivial() == (syllable_length(want) == 0), letters
     if res.syllables:
         assert res.trace.max_overlap_at_fixpoint == best_overlap(
-            res.syllables, R.elements)[0], letters
-    fix = res.word().letters
+            res.syllables, letters_of(R))[0], letters
+    fix = res.word().codes
     assert cyclic_reduce(alphabet, reduce_letters(alphabet, fix)) == fix
     doubled = fix + fix
     width = min(len(fix), max(len(r) for r in R.elements))
@@ -333,7 +362,7 @@ def test_dehn_matches_oracle_one_relator():
         presentations += 1
         _check_replacement_table(ab, R)
         # each half-plus-one prefix as a cyclic word: some end inside a run
-        for e in R.elements:
+        for e in letters_of(R):
             _check_against_oracle(ab, R, list(e[:len(e) // 2 + 1]))
         for _ in range(4):
             w = _conjugate_product(rng, ab, R, rng.randint(24, 200))
@@ -366,7 +395,8 @@ def test_dehn_scaling_100k_letters():
     R = symmetrise(FREE_XY, [COMM + COMM])
     w = _conjugate_product(rng, FREE_XY, R, 100000)
     t0 = time.time()
-    res = dehn_reduce_syllables(FREE_XY, to_syllables(FREE_XY, w), R)
+    res = dehn_reduce_syllables(FREE_XY, to_syllables(
+        FREE_XY, FREE_XY.encode(w)), R)
     elapsed = time.time() - t0
     assert res.is_trivial() and res.trace.steps
     assert elapsed < 5.0
@@ -400,7 +430,7 @@ def _reducing_replacement_table(alphabet, rel_elems):
         for k in range(len(r) // 2 + 1, len(r) + 1):
             if r[:k] not in table:
                 table[r[:k]] = (r, old_to_syllables(
-                    alphabet, inverse_letters(alphabet, r[k:])))
+                    alphabet, old_inverse_letters(alphabet, r[k:])))
     return table
 
 
@@ -409,14 +439,28 @@ def _random_relators(rng, ab, count, lo, hi):
     while len(rels) < count:
         w = [(rng.choice(ab.symbols), rng.choice((1, -1)))
              for _ in range(rng.randint(lo, hi))]
-        if cyclic_reduce(ab, reduce_letters(ab, w)):
+        if not reduces_to_nothing(ab, w):
             rels.append(w)
     return rels
 
 
+def _trie_table(trie, key=()):
+    """{key: entry} of a trie of keys read last letter first."""
+    table = {}
+    for c, child in trie.items():
+        if c is None:
+            table[key] = child
+        else:
+            table.update(_trie_table(child, (c,) + key))
+    return table
+
+
 def _check_replacement_table(alphabet, R):
-    assert _replacement_table(alphabet, R.elements) == \
-        _reducing_replacement_table(alphabet, R.elements)
+    decode = alphabet.decode
+    assert {decode(v): (decode(r), _symbol_runs(alphabet, runs))
+            for v, (r, runs)
+            in _trie_table(_replacement_trie(alphabet, R.elements)).items()
+            } == _reducing_replacement_table(alphabet, letters_of(R))
 
 
 def _presentations():
@@ -431,6 +475,10 @@ def _presentations():
     yield Alphabet(["a"], involutive=False), [[("a", 1), ("a", 1)]]
     yield ab, [[("a", 1)] * 3 + [("b", 1)], [("a", 1)] * 3 + [("b", -1)]]
     yield ab, [[("a", 1), ("b", 1)]]
+    # a prefix shared by two elements, where the element that wins it does
+    # not come first among the elements whose backward walks meet it
+    yield abc, [[("b", 1), ("a", -1), ("a", -1)],
+                [("b", -1), ("b", 1), ("b", 1), ("a", -1)]]
     yield (Alphabet(["a", "b", "c"], involutive=True),
            [[("a", 1), ("b", 1), ("c", 1)] * 2])
     rng = random.Random(41)
@@ -469,15 +517,15 @@ def test_max_overlap_matches_scan_on_random_runs():
             for _ in range(rng.randint(1, 4)):
                 r += [(rng.choice(ab.symbols), rng.choice((1, -1)))] \
                     * rng.randint(1, 4)
-            if cyclic_reduce(ab, reduce_letters(ab, r)):
+            if not reduces_to_nothing(ab, r):
                 rels.append(r)
         if not rels:
             continue
         R = symmetrise(ab, rels)
         runs = _random_cyclic_runs(rng, ab.symbols, rng.randint(1, 12),
                                    rng.choice((1, 3, 9)))
-        assert _max_overlap(runs, R.elements) == \
-            best_overlap(runs, R.elements)[0], (rels, runs)
+        assert _max_overlap(code_runs(ab, runs), R.elements) == \
+            best_overlap(runs, letters_of(R))[0], (rels, runs)
 
 
 def test_max_overlap_matches_scan_on_random_fixpoints():
@@ -489,11 +537,70 @@ def test_max_overlap_matches_scan_on_random_fixpoints():
         res = dehn_reduce_syllables(FREE_XY, sylls, R)
         assert res.syllables
         assert res.trace.max_overlap_at_fixpoint == best_overlap(
-            res.syllables, R.elements)[0]
+            res.syllables, letters_of(R))[0]
 
 
 def test_max_overlap_criterion6_runs():
     R = symmetrise(FREE_XY, [COMM + COMM])
     sylls = [("x", 1000), ("y", 1000), ("x", -1000), ("y", -1000)] * 1000
-    assert _max_overlap(sylls, R.elements) == \
-        best_overlap(sylls, R.elements)[0] == 2
+    assert _max_overlap(code_runs(FREE_XY, sylls), R.elements) == \
+        best_overlap(sylls, letters_of(R))[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# the (code, count) stack and its suffix trie against the old stack
+
+
+def _c16_presentation(rng, ab, length):
+    while True:
+        r = [(rng.choice(ab.symbols),
+              1 if ab.involutive else rng.choice((1, -1)))
+             for _ in range(length)]
+        try:
+            R = symmetrise(ab, [r])
+        except ValueError:
+            continue
+        if check_metric_condition(R, Fraction(1, 6))[0]:
+            return R
+
+
+def _check_against_old_stack(alphabet, R, sylls):
+    res = dehn_reduce_syllables(alphabet, sylls, R)
+    runs, steps = old_dehn_reduce_syllables(alphabet, sylls, letters_of(R))
+    assert res.syllables == runs, sylls
+    assert [(size, alphabet.decode(rel), k)
+            for size, rel, k in res.trace.steps] == steps, sylls
+    assert res.trace.max_overlap_at_fixpoint == (
+        best_overlap(runs, letters_of(R))[0] if runs else 0), sylls
+    return res
+
+
+def test_dehn_stack_matches_old_stack_at_labels_10():
+    rng = random.Random(47)
+    verdicts = set()
+    for involutive in (False, True):
+        ab = Alphabet(["g10", "g11", "g12", "a_{1,10}"], involutive=involutive)
+        for _ in range(3):
+            R = _c16_presentation(rng, ab, 16 if involutive else 24)
+            for t in range(40):
+                w = _conjugate_product(rng, ab, R, rng.randint(1, 300))
+                for _ in range(t % 3):
+                    w.insert(rng.randrange(len(w) + 1),
+                             (rng.choice(ab.symbols), rng.choice((1, -1))))
+                sylls = old_to_syllables(ab, w)
+                if t % 4 == 0:
+                    # runs as given, unreduced, some of them long
+                    sylls = [(s, e * rng.randint(0, 9)) for s, e in
+                             _random_cyclic_runs(rng, ab.symbols, 30, 3)]
+                res = _check_against_old_stack(ab, R, sylls)
+                verdicts.add((involutive, res.is_trivial()))
+    assert verdicts == {(False, True), (False, False), (True, True),
+                        (True, False)}
+
+
+def test_dehn_stack_criterion6_certificate():
+    R = symmetrise(FREE_XY, [COMM + COMM])
+    sylls = [("x", 1000), ("y", 1000), ("x", -1000), ("y", -1000)] * 1000
+    res = _check_against_old_stack(FREE_XY, R, sylls)
+    assert (res.is_trivial(), res.trace.max_overlap_at_fixpoint,
+            len(res.trace.steps)) == (False, 2, 0)

@@ -419,15 +419,16 @@ def test_missing_inputs_exit_2(tmp_path, capsys, argv, hint):
 
 def _old_command(args):
     """``gnk reduce`` and ``gnk cancel`` as they read words before the
-    one-pass reader: a token alphabet, then a parse and a reduction, and for
-    ``cancel dehn`` a second reduction on the way to runs; the overlap is
-    the scan over every element of R_*."""
-    from certificate_oracles import (best_overlap, old_parse_letters,
+    one-pass reader, on (symbol, sign) letters: a token alphabet, then a
+    parse and a reduction, and for ``cancel dehn`` a second reduction on the
+    way to runs and the Dehn stack that copied its suffix after every push;
+    the overlap is the scan over every element of R_*."""
+    from certificate_oracles import (best_overlap, old_dehn_reduce_syllables,
+                                     old_format_letters, old_parse_letters,
                                      old_reduce_letters, old_to_syllables,
                                      old_token_alphabet)
     from gnk import cancel
     from gnk.cli import _emit, _read
-    from gnk.words import format_word
 
     def parse(alphabet, text):
         return old_reduce_letters(alphabet, old_parse_letters(text))
@@ -435,7 +436,7 @@ def _old_command(args):
     if args.command == "reduce":
         text = _read(args.path)
         letters = parse(old_token_alphabet(text, not args.free), text)
-        _emit(args, {"word": format_word(letters) or "1",
+        _emit(args, {"word": old_format_letters(letters) or "1",
                      "length": len(letters)})
         return 0
     if args.mode == "dehn" and args.word is None:
@@ -444,25 +445,27 @@ def _old_command(args):
     alphabet = old_token_alphabet(text, involutive=False)
     R = cancel.symmetrise(alphabet, [parse(alphabet, line) for line in
                                      text.splitlines() if line.strip()])
+    elements = [alphabet.decode(r) for r in R.elements]
+    lam = Fraction(args.lam if args.mode == "check" else "1/6")
+    holds, witness = cancel.check_metric_condition(R, lam)
+    witness = witness and tuple(map(alphabet.decode, witness))
     if args.mode == "check":
-        lam = Fraction(args.lam)
-        holds, witness = cancel.check_metric_condition(R, lam)
         _emit(args, {"symmetrised": len(R), "lambda": str(lam),
                      "holds": holds,
-                     "witness": format_word(witness[0]) if witness else None})
+                     "witness": (old_format_letters(witness[0]) if witness
+                                 else None)})
         return 0
     w = parse(alphabet, _read(args.word))
-    try:
-        res = cancel.dehn_reduce_syllables(
-            alphabet, old_to_syllables(alphabet, w), R)
-    except cancel.PresentationNotC16 as exc:
-        print("presentation is not C'(1/6): %s" % exc, file=sys.stderr)
+    if not holds:
+        print("presentation is not C'(1/6): %s" % (witness,), file=sys.stderr)
         return 2
-    _emit(args, {"reduced_length": res.letter_count,
-                 "trivial": res.is_trivial(),
-                 "max_overlap": (best_overlap(res.syllables, R.elements)[0]
-                                 if res.syllables else 0),
-                 "steps": len(res.trace.steps)})
+    runs, steps = old_dehn_reduce_syllables(
+        alphabet, old_to_syllables(alphabet, w), elements)
+    _emit(args, {"reduced_length": sum(abs(e) for _, e in runs),
+                 "trivial": not runs,
+                 "max_overlap": (best_overlap(runs, elements)[0]
+                                 if runs else 0),
+                 "steps": len(steps)})
     return 0
 
 

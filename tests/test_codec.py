@@ -7,6 +7,7 @@ import pytest
 from gnk.braids import DottedGroup, ParityGroup
 from gnk.gamma import Gamma4Group, GammaGroup, dihedral_canonical
 from gnk.gnk import GnkGroup
+from gnk.words import format_word, word_from_keys
 
 
 def families(n):
@@ -25,31 +26,37 @@ def families(n):
     yield DottedGroup(labels).alphabet, pairs + list(labels)
 
 
+def name(alphabet, key):
+    """Printed name of the letter with the given key."""
+    return format_word(word_from_keys(alphabet, [key]))
+
+
 @pytest.mark.parametrize("n", [5, 9, 10, 12])
 def test_every_family_round_trips_through_its_keys(n):
     for alphabet, keys in families(n):
-        assert [alphabet.key[s] for s in alphabet.symbols] == keys
+        assert list(alphabet.keys) == keys
         assert len(set(alphabet.symbols)) == len(keys)
-        for s in alphabet.symbols:
-            assert alphabet.symbol[alphabet.key[s]] == s
-    assert all(q == dihedral_canonical(q) for q in Gamma4Group(n).alphabet.symbol)
+        for s, key in zip(alphabet.symbols, keys):
+            assert word_from_keys(alphabet, [key]).keys() == [key]
+            assert name(alphabet, key) == s
+    assert all(q == dihedral_canonical(q) for q in Gamma4Group(n).alphabet.keys)
 
 
 def test_literal_names():
     labels = tuple(range(1, 13))
     g3 = GnkGroup(12, 3).alphabet
-    assert g3.symbol[1, 2, 3] == "a_123"
-    assert g3.symbol[1, 10, 11] == "a_{1,10,11}"
+    assert name(g3, (1, 2, 3)) == "a_123"
+    assert name(g3, (1, 10, 11)) == "a_{1,10,11}"
     g4 = Gamma4Group(12).alphabet
-    assert g4.symbol[1, 2, 4, 3] == "d_1243"
-    assert g4.symbol[1, 2, 11, 10] == "d_{1,2,11,10}"
+    assert name(g4, (1, 2, 4, 3)) == "d_1243"
+    assert name(g4, (1, 2, 11, 10)) == "d_{1,2,11,10}"
     g5 = GammaGroup(12, 5).alphabet
-    assert g5.symbol[(1, 2), (3, 4, 5)] == "a_12,345"
-    assert g5.symbol[(1, 10), (3, 4, 5)] == "a_{1,10},345"
+    assert name(g5, ((1, 2), (3, 4, 5))) == "a_12,345"
+    assert name(g5, ((1, 10), (3, 4, 5))) == "a_{1,10},345"
     pg = ParityGroup(labels).alphabet
-    assert pg.symbol[(1, 2), 1] == "a_12^1"
-    assert pg.symbol[(2, 11), 0] == "a_{2,11}^0"
+    assert name(pg, ((1, 2), 1)) == "a_12^1"
+    assert name(pg, ((2, 11), 0)) == "a_{2,11}^0"
     dg = DottedGroup(labels).alphabet
-    assert dg.symbol[3] == "t_3"
-    assert dg.symbol[11] == "t_11"
-    assert dg.symbol[1, 12] == "a_{1,12}"
+    assert name(dg, 3) == "t_3"
+    assert name(dg, 11) == "t_11"
+    assert name(dg, (1, 12)) == "a_{1,12}"

@@ -51,7 +51,8 @@ def test_gamma4_alphabet_keys_are_dihedral_symbols():
                 for a, b, c, d in itertools.combinations(range(1, n + 1), 4)
                 for quad in ((a, b, c, d), (a, b, d, c), (a, c, b, d))}
         alphabet = Gamma4Group(n).alphabet
-        assert alphabet.symbols == tuple(want) and alphabet.key == want, n
+        assert alphabet.symbols == tuple(want), n
+        assert alphabet.keys == tuple(want.values()), n
 
 
 def test_enumerate_counts():
@@ -214,11 +215,7 @@ def test_pentagon_labelings_reproduce_d_family():
     seen = set()
     for M in itertools.permutations(range(1, 6)):
         w = gale_relation_word(group, d, M)
-        quads = []
-        for sym, _ in w:
-            P, Q = group.alphabet.key[sym]
-            quads.append(pq_to_d_quad(P, Q))
-        dw = g4.word_from_quads(quads)
+        dw = g4.word_from_quads(pq_to_d_quad(P, Q) for P, Q in w.keys())
         cw = CyclicWord(dw)
         seen.add(min(cw.letters, cw.reversal().letters))
     assert seen == pentagon_keys
@@ -264,9 +261,8 @@ def test_gamma4_far_commutativity_condition():
     g4, rels = gamma4_presentation(5)
     # commuting pairs have |intersection| < 3
     for cw in rels:
-        if len(cw) == 4 and len(set(cw.letters)) == 2:
-            q1 = set(g4.alphabet.key[cw.letters[0][0]])
-            q2 = set(g4.alphabet.key[cw.letters[1][0]])
+        if len(cw) == 4 and len(set(cw.codes)) == 2:
+            q1, q2, _, _ = map(set, cw.keys())
             assert len(q1 & q2) < 3
 
 

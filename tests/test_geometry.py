@@ -166,6 +166,22 @@ def test_inside_count_vs_per_point_oracle():
     assert _check_inside_without_mover(pts, (1, 2, 3), 0) == []
 
 
+def test_inside_circle_on_circle_and_collinear_triples():
+    # a point on the circle is not inside, for either orientation
+    square = [(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)]
+    for trip in ((0, 1, 2), (0, 2, 1)):
+        assert list(geometry._inside_circle(square, trip)) == [False, True]
+        assert point_in_circumcircle(*(square[q] for q in trip),
+                                     square[3]) == 0
+    # a collinear triple raises, but only once a point is tested
+    pts = [(0, 0), (1, 1), (2, 2), (5, 0)]
+    assert list(geometry._inside_circle(pts[:3], (0, 1, 2))) == []
+    with pytest.raises(DegenerateTrajectory, match="collinear circle points"):
+        inside_count(pts, (0, 1, 2))
+    with pytest.raises(DegenerateTrajectory, match="collinear circle points"):
+        point_in_circumcircle(*pts)
+
+
 def _check_inside_without_mover(pts, trip, mover):
     """The points other than the triple and the mover inside the circle of
     the triple, checked against the count and the emptiness test the graded

@@ -27,13 +27,14 @@ def test_span_targets_resolve():
 
 def _count_calls(monkeypatch, module, name):
     """Replace ``module.name`` wherever a gnk module binds it, as the
-    tracer does, by a shim that records the letters of each call."""
+    tracer does, by a shim that records the alphabet and the letter codes
+    of each call."""
     fn = getattr(module, name)
     calls = []
 
     def shim(alphabet, letters):
         letters = tuple(letters)
-        calls.append(letters)
+        calls.append((alphabet, letters))
         return fn(alphabet, letters)
 
     for modname, m in list(sys.modules.items()):
@@ -48,11 +49,15 @@ def test_reduce_reduces_once(tmp_path, monkeypatch, capsys):
     from gnk import cli, words
     reduced = _count_calls(monkeypatch, words, "reduce_letters")
     path = tmp_path / "w.txt"
-    path.write_text("g1 g2 1 g2^-1 g12\n\ng1 g1^-1\n")
-    for argv in (["reduce", str(path)], ["reduce", str(path), "--free"]):
+    text = "g1 g2 1 g2^-1 g12\n\ng1 g1^-1\n"
+    path.write_text(text)
+    for argv, involutive in ((["reduce", str(path)], True),
+                             (["reduce", str(path), "--free"], False)):
         reduced.clear()
         assert cli.main(argv) == 0
-        assert reduced == [tuple(words.read_letters(path.read_text())[0])]
+        alphabet = words.Alphabet(["g1", "g12", "g2"], involutive)
+        assert reduced == [(alphabet, tuple(words.read_letters(alphabet,
+                                                               text)))]
     assert capsys.readouterr().err == ""
 
 
@@ -61,28 +66,34 @@ def test_cancel_dehn_reduces_word_once(tmp_path, monkeypatch, capsys):
     reduced = _count_calls(monkeypatch, words, "reduce_letters")
     encoded = _count_calls(monkeypatch, cancel, "to_syllables")
     pres = tmp_path / "pres.txt"
-    pres.write_text("x y x^-1 y^-1 x y x^-1 y^-1\n")
+    relator = "x y x^-1 y^-1 x y x^-1 y^-1\n"
+    pres.write_text(relator)
     word = tmp_path / "w.txt"
-    word.write_text("y x y x^-1 y^-1 x y x^-1 y^-1 1 x x^-1 y^-1\n")
+    text = "y x y x^-1 y^-1 x y x^-1 y^-1 1 x x^-1 y^-1\n"
+    word.write_text(text)
     assert cli.main(["cancel", "dehn", str(pres), "--word", str(word)]) == 0
     assert "trivial: True" in capsys.readouterr().out
-    letters = tuple(words.read_letters(word.read_text())[0])
+    alphabet = words.Alphabet(["x", "y"], involutive=False)
+    letters = tuple(words.read_letters(alphabet, text))
     # one reduction for the relator (symmetrise), one for the word, which
-    # goes through to_syllables; the replacement table reduces nothing
-    assert encoded == [letters]
-    assert len(reduced) == 2 and reduced[1] == letters
+    # goes through to_syllables; the replacement trie reduces nothing
+    assert encoded == [(alphabet, letters)]
+    assert reduced == [
+        (alphabet, tuple(words.read_letters(alphabet, relator))),
+        (alphabet, letters)]
 
 
 def test_braid_map_reduces_braid_once(tmp_path, monkeypatch, capsys):
-    from gnk import cli, words
+    from gnk import braids, cli, words
     reduced = _count_calls(monkeypatch, words, "reduce_letters")
     path = tmp_path / "b.txt"
     path.write_text("b_1_3 b_2_4^-1 b_2_4 b_1_2 b_1_3^-1\n")
     assert cli.main(["braid-map", str(path), "--n", "4",
                      "--target", "gn3"]) == 0
     assert capsys.readouterr().err == ""
-    # the braid's letters are ((i, j), +-1); its image's symbols are names
-    braid_calls = [c for c in reduced
-                   if any(type(s) is tuple for s, _ in c)]
-    assert braid_calls == [(((1, 3), 1), ((2, 4), -1), ((2, 4), 1),
-                            ((1, 2), 1), ((1, 3), -1))]
+    # the braid's symbols are the pairs (i, j); its image's are names
+    pb4 = braids._braid_alphabet(4)
+    braid_calls = [c for c in reduced if c[0] == pb4]
+    assert braid_calls == [(pb4, tuple(pb4.encode(
+        [((1, 3), 1), ((2, 4), -1), ((2, 4), 1), ((1, 2), 1),
+         ((1, 3), -1)])))]

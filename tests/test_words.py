@@ -5,9 +5,9 @@ import pytest
 from certificate_oracles import (old_parse_letters, old_reduce_letters,
                                  old_token_alphabet)
 from gnk.words import (Alphabet, CyclicWord, UnknownSymbolError, Word,
-                       complexity, cyclic_reduce, cyclic_word_from_period,
-                       format_word, inverse_letters, least_rotation,
-                       parse_word, read_letters, reduce_letters, word)
+                       cyclic_reduce, cyclic_word_from_period, format_word,
+                       inverse_letters, least_rotation, parse_word,
+                       read_letters, read_symbols, reduce_letters, word)
 from relator_oracles import distinct_cyclic_words
 
 
@@ -57,8 +57,8 @@ def test_reduce_matches_oracle_on_random_words():
             raw = [(rng.choice(ab.symbols), rng.choice((1, -1)))
                    for _ in range(200)]
             # a suffix followed by its inverse: nested cancellations
-            raw += inverse_letters(ab, raw[rng.randint(150, 200):])
-            assert Word(ab, raw).letters == naive_reduce(ab, [
+            raw += [(s, -e) for s, e in reversed(raw[rng.randint(150, 200):])]
+            assert word(ab, raw).letters == naive_reduce(ab, [
                 (s, 1 if ab.involutive else e) for s, e in raw])
 
 
@@ -67,8 +67,9 @@ def test_reduce_idempotent_and_confluent():
     ab = Alphabet(["a", "b", "c"], involutive=True)
     for _ in range(500):
         raw = [(rng.choice(ab.symbols), 1) for _ in range(rng.randint(0, 30))]
-        w = Word(ab, raw)
-        assert Word(ab, w.letters).letters == w.letters
+        w = word(ab, raw)
+        assert word(ab, w.letters).letters == w.letters
+        assert Word(ab, w.codes).codes == w.codes
         # random single-cancellation orders reach the same normal form
         letters = list(raw)
         while True:
@@ -85,9 +86,9 @@ def test_subadditive_length():
     rng = random.Random(2)
     ab = Alphabet(["a", "b", "c"], involutive=False)
     for _ in range(100):
-        u = Word(ab, [(rng.choice(ab.symbols), rng.choice((1, -1)))
+        u = word(ab, [(rng.choice(ab.symbols), rng.choice((1, -1)))
                       for _ in range(rng.randint(0, 20))])
-        v = Word(ab, [(rng.choice(ab.symbols), rng.choice((1, -1)))
+        v = word(ab, [(rng.choice(ab.symbols), rng.choice((1, -1)))
                       for _ in range(rng.randint(0, 20))])
         assert len(u * v) <= len(u) + len(v)
 
@@ -101,7 +102,7 @@ def test_cyclic_rotation_invariance():
 
 def test_cyclic_conjugation_collapse():
     ab = Alphabet(["a", "b"], involutive=False)
-    w = Word(ab, [("a", 1), ("b", 1), ("a", -1)])
+    w = word(ab, [("a", 1), ("b", 1), ("a", -1)])
     cw = CyclicWord(w)
     assert cw.letters == (("b", 1),)
 
@@ -110,13 +111,13 @@ def test_cyclic_all_rotations_equal():
     rng = random.Random(3)
     ab = Alphabet(["a", "b", "c", "d"], involutive=True)
     base = [(rng.choice(ab.symbols), 1) for _ in range(12)]
-    w = Word(ab, base)
-    if not w.letters:
+    w = word(ab, base)
+    if not w.codes:
         return
     canon = CyclicWord(w)
     for _ in range(100):
-        r = rng.randrange(len(w.letters))
-        rotated = Word(ab, w.letters[r:] + w.letters[:r])
+        r = rng.randrange(len(w.codes))
+        rotated = Word(ab, w.codes[r:] + w.codes[:r])
         assert CyclicWord(rotated) == canon
 
 
@@ -135,8 +136,6 @@ def test_least_rotation_matches_quadratic_oracle():
         if rng.random() < 0.5:
             seq = [rng.randint(0, 2) for _ in range(rng.randint(0, 16))]
         assert least_rotation(seq) == _least_rotation_quadratic(seq), seq
-        assert (least_rotation(seq, key=lambda x: -x)
-                == _least_rotation_quadratic(seq, key=lambda x: -x)), seq
 
 
 def test_cyclic_word_matches_quadratic_least_rotation():
@@ -150,21 +149,19 @@ def test_cyclic_word_matches_quadratic_least_rotation():
     for _ in range(500):
         base = [(rng.choice(ab.symbols), rng.choice((1, -1)))
                 for _ in range(rng.randint(0, 7))]
-        w = Word(ab, base * rng.randint(1, 3))
-        expected = _least_rotation_quadratic(cyclic_reduce(ab, w.letters), key)
+        w = word(ab, base * rng.randint(1, 3))
+        expected = _least_rotation_quadratic(
+            ab.decode(cyclic_reduce(ab, w.codes)), key)
         assert CyclicWord(w).letters == expected, w
 
 
 @pytest.mark.parametrize("involutive", [False, True])
 def test_cyclic_word_from_period_matches_cyclic_word(involutive):
-    # equal to CyclicWord(Word(...)) when the least key occurs once in the
+    # equal to CyclicWord(Word(...)) when the least code occurs once in the
     # period and no letter cancels its cyclic successor there; else a
     # ValueError
     rng = random.Random(46 + involutive)
     ab = Alphabet(["c", "a", "d", "b"], involutive=involutive)
-
-    def key(letter):
-        return 2 * ab.index[letter[0]] + (letter[1] != 1)
 
     def cancels(x, y):
         return x[0] == y[0] and (involutive or x[1] == -y[1])
@@ -173,18 +170,18 @@ def test_cyclic_word_from_period_matches_cyclic_word(involutive):
     for _ in range(3000):
         period = tuple(random_letters(rng, ab, rng.randint(0, 6)))
         power = rng.randint(1, 3)
-        keys = [key(x) for x in period]
-        meets = (not keys or keys.count(min(keys)) == 1) and not any(
+        codes = ab.encode(period)
+        meets = (not codes or codes.count(min(codes)) == 1) and not any(
             cancels(x, period[(i + 1) % len(period)])
             for i, x in enumerate(period))
         if meets:
-            got = cyclic_word_from_period(ab, period, keys, power)
-            want = CyclicWord(Word(ab, period * power))
+            got = cyclic_word_from_period(ab, codes, power)
+            want = CyclicWord(word(ab, period * power))
             assert got == want and got.letters == want.letters, period
             kept += 1
         else:
             with pytest.raises(ValueError):
-                cyclic_word_from_period(ab, period, keys, power)
+                cyclic_word_from_period(ab, codes, power)
             raised += 1
     assert kept > 500 and raised > 500
 
@@ -192,7 +189,7 @@ def test_cyclic_word_from_period_matches_cyclic_word(involutive):
 def test_distinct_cyclic_words_keeps_first_of_each_class():
     rng = random.Random(45)
     ab = Alphabet(["a", "b", "c"], involutive=False)
-    bases = [Word(ab, [(rng.choice(ab.symbols), rng.choice((1, -1)))
+    bases = [word(ab, [(rng.choice(ab.symbols), rng.choice((1, -1)))
                        for _ in range(rng.randint(1, 6))]) for _ in range(30)]
     words = []
     for _ in range(300):
@@ -200,10 +197,10 @@ def test_distinct_cyclic_words_keeps_first_of_each_class():
         if rng.random() < 0.5:
             w = w.inverse()
         r = rng.randrange(len(w) or 1)
-        words.append(Word(ab, w.letters[r:] + w.letters[:r]))
+        words.append(Word(ab, w.codes[r:] + w.codes[:r]))
 
     def conjugates(w):
-        c = cyclic_reduce(ab, w.letters)
+        c = cyclic_reduce(ab, w.codes)
         return frozenset(s[i:] + s[:i] for s in (c, inverse_letters(ab, c))
                          for i in range(len(s) or 1))
 
@@ -220,7 +217,7 @@ def test_power_is_repeated_product(involutive):
     ab = Alphabet(["x", "y", "z"], involutive=involutive)
     rng = random.Random(11)
     for _ in range(20):
-        w = Word(ab, random_letters(rng, ab, rng.randint(0, 8)))
+        w = word(ab, random_letters(rng, ab, rng.randint(0, 8)))
         for k in range(-3, 4):
             want = Word(ab)
             for _ in range(abs(k)):
@@ -229,10 +226,11 @@ def test_power_is_repeated_product(involutive):
 
 
 def test_complexity():
+    # the complexity of a word is the letter count of its reduced form
     ab = Alphabet(["a", "b", "c"], involutive=True)
-    assert complexity(word(ab, [])) == 0
-    assert complexity(word(ab, ["a", "b", "c", "a", "b"])) == 5
-    assert complexity(word(ab, ["a", "b", "b", "a", "c"])) == 1
+    assert len(word(ab, [])) == 0
+    assert len(word(ab, ["a", "b", "c", "a", "b"])) == 5
+    assert len(word(ab, ["a", "b", "b", "a", "c"])) == 1
 
 
 def test_complexity_reduced_involutive_example():
@@ -255,72 +253,108 @@ def test_free_product_z2_normal_form_unique():
     ab = Alphabet(["x", "y", "z"], involutive=True)
     for _ in range(200):
         raw = [(rng.choice(ab.symbols), 1) for _ in range(rng.randint(0, 14))]
-        u = Word(ab, raw)
+        u = word(ab, raw)
         # padding with squares anywhere leaves the normal form unchanged
         t = rng.randint(0, len(raw))
         s = rng.choice(ab.symbols)
         padded = raw[:t] + [(s, 1), (s, 1)] + raw[t:]
-        assert Word(ab, padded) == u
+        assert word(ab, padded) == u
 
 
 # ---------------------------------------------------------------------------
-# the one-pass reader and the table-driven reduction
+# the codec, the one-pass reader and the code reduction
 
 
-def test_reduce_raises_after_table_filled():
+LABELS10 = ["a_{1,10}", "a_{2,11}", "a_{10,12}", "g10", "g11", "t_12"]
+
+
+def test_encode_rejects_unknown_symbol_and_bad_sign():
+    # validation happens where codes are made; reduction trusts its codes
     for invol in (True, False):
-        ab = Alphabet(["a", "b"], involutive=invol)
-        assert reduce_letters(ab, [("a", 1), ("b", -1), ("a", -1)])
-        filled = dict(ab.letter_table)
-        assert filled
-        with pytest.raises(UnknownSymbolError):
-            reduce_letters(ab, [("a", 1), ("c", 1)])
-        for bad in (2, 0, -2):
-            with pytest.raises(ValueError, match="sign must be"):
-                reduce_letters(ab, [("a", 1), ("b", 1), ("a", bad)])
-        # a letter that fails validation is never entered
-        assert ab.letter_table == filled
-        with pytest.raises(ValueError, match="sign must be"):
-            reduce_letters(ab, [("a", 2)])
+        ab = Alphabet(LABELS10, involutive=invol)
+        assert word(ab, [("a_{1,10}", 1), ("g10", -1)])
+        for make in (lambda ls: word(ab, ls), ab.encode):
+            with pytest.raises(UnknownSymbolError) as exc:
+                make([("a_{1,10}", 1), ("a_{1,11}", 1), ("g12", 1)])
+            assert exc.value.args == ("a_{1,11}",)
+            for bad in (2, 0, -2, "1"):
+                with pytest.raises(ValueError, match="sign must be"):
+                    make([("g10", 1), ("g11", 1), ("g10", bad)])
+        with pytest.raises(UnknownSymbolError) as exc:
+            parse_word(ab, "g10 t_12^-1 1 g12^-1 a_{1,11}")
+        assert exc.value.args == ("g12",)
+        # the first unknown in the text, whatever the order of a set
+        unknown = ["u%d^-1" % i for i in range(50)]
+        for t in range(5):
+            text = " ".join(["g10"] + unknown[t:] + unknown[:t])
+            with pytest.raises(UnknownSymbolError) as exc:
+                read_letters(ab, text)
+            assert exc.value.args == ("u%d" % t,)
 
 
-def test_involutive_and_free_tables_apart():
-    inv = Alphabet(["a", "b"], involutive=True)
-    free = Alphabet(["a", "b"], involutive=False)
-    letters = [("a", 1), ("a", 1), ("b", 1), ("b", -1)]
-    for _ in range(2):
-        assert reduce_letters(inv, letters) == ()
-        assert reduce_letters(free, letters) == (("a", 1), ("a", 1))
-    assert inv.letter_table is not free.letter_table
-    assert inv.letter_table[("b", -1)] == (("b", 1), ("b", 1))
-    assert free.letter_table[("b", -1)] == (("b", -1), ("b", 1))
-    # an equal alphabet has a table of its own
-    assert Alphabet(["a", "b"]).letter_table == {}
+def test_involutive_and_free_codes_apart():
+    inv = Alphabet(LABELS10, involutive=True)
+    free = Alphabet(LABELS10, involutive=False)
+    letters = [("g10", 1), ("g10", 1), ("g11", 1), ("g11", -1)]
+    assert inv.encode(letters) == [6, 6, 8, 8]
+    assert free.encode(letters) == [6, 6, 8, 9]
+    assert reduce_letters(inv, inv.encode(letters)) == ()
+    assert reduce_letters(free, free.encode(letters)) == (6, 6)
+    assert word(free, letters).letters == (("g10", 1), ("g10", 1))
+    assert inv.decode([6, 8]) == free.decode([6, 8]) == (("g10", 1),
+                                                        ("g11", 1))
+    assert free.decode([9]) == (("g11", -1),)
+    assert [inv.inverse(c) for c in (6, 7)] == [6, 7]
+    assert [free.inverse(c) for c in (6, 7)] == [7, 6]
 
 
 def test_letters_as_lists_reduce():
     for invol in (False, True):
         ab = Alphabet(["x", "y"], involutive=invol)
-        # list letters alone, after their tuples were entered, and before
         for letters in ([["x", 1], ["y", -1], ["y", 1], ["x", 1]],
                         [("x", 1), ["x", -1], ["y", 1], ("y", -1)],
                         [["y", 1], ["y", 1], ("x", -1), ["x", 1]]):
-            assert reduce_letters(ab, letters) == \
+            assert word(ab, letters).letters == \
                 old_reduce_letters(ab, letters), (invol, letters)
-        assert word(ab, [("x", 1)]).letters == (("x", 1),)
         with pytest.raises(UnknownSymbolError):
-            reduce_letters(ab, [["z", 1]])
+            word(ab, [["z", 1]])
+
+
+def test_reduce_matches_old_reduction_at_labels_10():
+    rng = random.Random(7)
+    for invol in (False, True):
+        ab = Alphabet(LABELS10, involutive=invol)
+        for _ in range(200):
+            block = [(rng.choice(ab.symbols), rng.choice((1, -1)))
+                     for _ in range(rng.randint(0, 30))]
+            letters = block + [(s, -e) for s, e in reversed(block)] \
+                if rng.random() < 0.4 else block
+            letters += [(rng.choice(ab.symbols), rng.choice((1, -1)))
+                        for _ in range(rng.randint(0, 10))]
+            want = old_reduce_letters(ab, letters)
+            assert word(ab, letters).letters == want, letters
+            assert ab.decode(reduce_letters(ab, ab.encode(letters))) == want
 
 
 def test_read_letters_matches_old_reader():
     rng = random.Random(6)
-    pool = ["a", "g12", "g3^-1", "1", "b_1^-1", "x", "^-1", "g12^-1"]
+    pool = ["a", "g12", "g3^-1", "1", "b_1^-1", "x", "^-1", "g12^-1",
+            "a_{1,10}", "a_{1,10}^-1"]
     for _ in range(200):
         toks = [rng.choice(pool) for _ in range(rng.randint(0, 30))]
         text = "".join(t + rng.choice((" ", "\n", "\t", "  \n\n"))
                        for t in toks)
-        letters, symbols = read_letters(text)
-        assert letters == old_parse_letters(text), text
+        symbols = read_symbols(text)
         assert symbols == list(old_token_alphabet(text, True).symbols)
-    assert read_letters("") == ([], [])
-    assert read_letters(" 1 \n\n 1") == ([], [])
+        for invol in (True, False):
+            ab = Alphabet(symbols, involutive=invol)
+            codes = read_letters(ab, text)
+            assert list(ab.decode(codes)) == [
+                (s, 1 if invol else e) for s, e in old_parse_letters(text)]
+    assert read_symbols("") == read_symbols(" 1 \n\n 1") == []
+    assert read_letters(Alphabet([]), " 1 \n\n 1") == []
+    # each distinct token is encoded once: equal letters share one int
+    big = Alphabet(["g%d" % i for i in range(200)], involutive=False)
+    codes = read_letters(big, "g150 g199^-1 g150 g199^-1")
+    assert codes == [300, 399, 300, 399]
+    assert codes[0] is codes[2] and codes[1] is codes[3]
