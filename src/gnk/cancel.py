@@ -251,19 +251,21 @@ def _replacement_trie(alphabet, rel_elems):
     the end of each element meets every V.  Under C'(1/6) no two elements
     share such a prefix; without it the first element in sorted order
     wins.  C^-1 is reduced, as r is, so it is run-length encoded as it
-    stands."""
+    stands: the runs of s^-1 less its first k letters."""
     rank = {r: i for i, r in enumerate(rel_elems)}
     trie = {}
     for s in rel_elems:
         n = len(s)
-        inverse = inverse_letters(alphabet, s)      # C^-1 is inverse[k:]
+        tail = _runs(inverse_letters(alphabet, s))
         node = trie
         for k, c in enumerate(reversed(s), 1):
             node = node.setdefault(c, {})
+            first, count = tail[0]
+            tail = [(first, count - 1)] + tail[1:] if count > 1 else tail[1:]
             if 2 * k > n:
                 r = s[n - k:] + s[:n - k]
                 if None not in node or rank[r] < rank[node[None][0]]:
-                    node[None] = (r, _runs(inverse[k:]))
+                    node[None] = (r, tail)
     return trie
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import braids, cancel, gamma, geometry, gnk
 from .words import (Alphabet, Word, format_word, parse_word, read_letters,
-                    read_symbols)
+                    read_symbols, read_text)
 
 REPORT_SCHEMA = 1
 
@@ -36,9 +36,7 @@ def _read(path):
 
 
 def cmd_reduce(args):
-    text = _read(args.path)
-    alphabet = Alphabet(read_symbols(text), involutive=not args.free)
-    w = Word(alphabet, read_letters(alphabet, text))
+    w = Word(*read_text(_read(args.path), involutive=not args.free))
     _emit(args, {"word": format_word(w) or "1", "length": len(w)})
     return 0
 
@@ -132,11 +130,14 @@ def cmd_gamma_presentation(args):
         _emit(args, payload)
         return 0
     group, far, polygons = gamma.gamma_presentation(args.n, args.k)
+    # one token per letter code of the group alphabet
+    token = [t for s in group.alphabet.symbols for t in (s, s + "^-1")]
     _emit(args, {
         "generators": len(group.alphabet),
-        "far_commutativity": len(far),
+        "far_commutativity": sum(1 for _ in far),
         "polygon_relators": len(polygons),
-        "relators": "\n".join(map(format_word, polygons)),
+        "relators": "\n".join(" ".join(map(token.__getitem__, cw.codes))
+                               for cw in polygons),
     })
     return 0
 

@@ -23,7 +23,8 @@ from math import gcd, lcm
 from operator import itemgetter
 
 from .words import (Alphabet, CyclicWord, Word, cyclic_word_from_period,
-                    labels_text, least_rotation, word_from_keys)
+                    labels_text, least_rotation, relabel_cyclic_words,
+                    word_from_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -324,33 +325,65 @@ def _gale_letters(table, rl, M):
     return codes
 
 
+def far_commutator_pairs(group: GammaGroup):
+    """Code pairs (a, b) of the far commutators a b a^-1 b^-1 of Gamma_n^k,
+    in the order of the pairs of stored splits.
+
+    Splits (P, Q) and (P2, Q2) are far when neither side of one lies in
+    the label set of the other: on label masks, p & ~v, q & ~v, p2 & ~u and
+    q2 & ~u are all nonzero, where u = p | q and v = p2 | q2.
+    """
+    code = group.alphabet.code
+    splits = []
+    for P, Q in group.alphabet.keys:
+        p, q = _label_mask(P), _label_mask(Q)
+        splits.append((code[P, Q], p, q, ~(p | q)))
+    for i, (a, p, q, not_u) in enumerate(splits):
+        for b, p2, q2, not_v in splits[i + 1:]:
+            if p & not_v and q & not_v and p2 & not_u and q2 & not_u:
+                yield a, b
+
+
 def gamma_presentation(n: int, k: int):
     """Generators and relation families of Gamma_n^k.
 
     Returns (group, far_commutativity, polygon_relators): inverse
     normalisation is structural (a_{Q,P} stored as a_{P,Q}^{-1}), so no
-    inverse-pair relators are listed.  Polygon relators are formed once per
-    class up to rotation and inversion, for the labelings M <= M∘s of each
-    diagram symmetry s (``GaleDiagram.symmetries``).  Every relator is
-    written straight into its canonical rotation
-    (``cyclic_word_from_period``) from ``GammaGroup.split_codes``.
+    inverse-pair relators are listed.  ``far_commutativity`` is the lazy
+    ``far_commutator_pairs``: only counted, never formed.
+
+    Polygon relators are formed once per class up to rotation and
+    inversion, for the labelings M <= M∘s of each diagram symmetry s
+    (``GaleDiagram.symmetries``).  They are derived once over the base
+    labels 1..k+1, as codes of ``GammaGroup(k + 1, k)``, and each
+    (k+1)-subset relabels them with one lookup per letter: the increasing
+    map onto the subset keeps the order of the labelings, every M <= M∘s
+    test and the order of the splits, hence of the codes
+    (``DECISIONS.md``).  So each base relator is written into its
+    canonical rotation once (``cyclic_word_from_period``), and its images
+    are already in theirs (``relabel_cyclic_words``).
     """
     group = GammaGroup(n, k)
-    alphabet, table = group.alphabet, group.split_codes
-    splits = [(c, alphabet.inverse(c), set(P), set(Q), set(P + Q))
-              for (P, Q), c in alphabet.code.items()]
-    far = [cyclic_word_from_period(alphabet, (a, b, a_inv, b_inv))
-           for (a, a_inv, p, q, u), (b, b_inv, p2, q2, v)
-           in itertools.combinations(splits, 2)
-           if not (p <= v or q <= v or p2 <= u or q2 <= u)]
+    alphabet, code = group.alphabet, group.alphabet.code
+    base = GammaGroup(k + 1, k)
     diagrams = [(d.rl_position_sets(), [itemgetter(*s) for s in d.symmetries()])
                 for d in enumerate_standard_gale(k + 1)]
-    polygons = [cyclic_word_from_period(alphabet, _gale_letters(table, rl, M))
-                for M_set in itertools.combinations(group.labels, k + 1)
-                for M in itertools.permutations(M_set)
-                for rl, images in diagrams
-                if all(M <= image(M) for image in images)]
-    return group, far, polygons
+    templates = [cyclic_word_from_period(base.alphabet, _gale_letters(
+                     base.split_codes, rl, M))
+                 for M in itertools.permutations(base.labels)
+                 for rl, images in diagrams
+                 if all(M <= image(M) for image in images)]
+    # base label x is position x - 1 of the subset
+    sides = [(itemgetter(*(x - 1 for x in P)), itemgetter(*(x - 1 for x in Q)))
+             for P, Q in base.alphabet.keys]
+    polygons = []
+    for M_set in itertools.combinations(group.labels, k + 1):
+        relabel = []                # base code -> code, both orientations
+        for P, Q in sides:
+            c = code[P(M_set), Q(M_set)]
+            relabel += (c, c ^ 1)
+        polygons += relabel_cyclic_words(alphabet, relabel, templates)
+    return group, far_commutator_pairs(group), polygons
 
 
 def pq_to_d_quad(P, Q):
@@ -635,30 +668,41 @@ def _oriented_canonical(cp, cq):
     return min(seen)
 
 
-def oriented_abelianization_gf2(n: int, k: int, extra_words=()):
-    """GF(2) abelianization data of the oriented flip group.
+def oriented_relator_rows(n: int, k: int, extra_words=()):
+    """(num_generators, relator rows, extra rows) of the oriented flip
+    group, each row the list of its letters' class columns.
 
-    Returns (num_generators, num_relations, rank [, rank with the extra
-    words' rows added]).
     Relator instances: for each standard Gale diagram of order k+1, each
     (k+1)-subset M and each ordering of M, one polygon row; letters are the
     oriented classes of (M_R(i), M_L(i)); a letter with inverse sign
     contributes to the class of the swapped pair.
     """
-    classes, _ = oriented_generator_classes(n, k)
-    # the rows read about 150 distinct side tuples at (6, 5)
-    rotation = functools.cache(least_rotation)
-
-    def letters(pairs):
-        return [(rotation(P), rotation(Q)) for P, Q in pairs]
-
+    classes, reps = oriented_generator_classes(n, k)
+    # every rotation of each side names its class's column, so a letter is
+    # one lookup by the sides as the labeling lists them
+    column = {}
+    for (P, Q), c in classes.items():
+        for i in range(len(P)):
+            for j in range(len(Q)):
+                column[P[i:] + P[:i], Q[j:] + Q[:j]] = c
     rows = []
     for d in enumerate_standard_gale(k + 1):
-        rl = d.rl_position_sets()
+        sides = [(itemgetter(*R), itemgetter(*L))
+                 for R, L in d.rl_position_sets()]
         for M_set in itertools.combinations(range(1, n + 1), k + 1):
             for M in itertools.permutations(M_set):
-                rows.append(letters((tuple(M[j] for j in R),
-                                     tuple(M[j] for j in L)) for R, L in rl))
-    extra = [letters((Q, P) if sign == -1 else (P, Q) for P, Q, sign in word)
+                rows.append([column[R(M), L(M)] for R, L in sides])
+    extra = [[column[(Q, P) if sign == -1 else (P, Q)] for P, Q, sign in word]
              for word in extra_words]
-    return abelianization_rank_gf2(classes, rows, extra)
+    return len(reps), rows, extra
+
+
+def oriented_abelianization_gf2(n: int, k: int, extra_words=()):
+    """GF(2) abelianization data of the oriented flip group.
+
+    Returns (num_generators, num_relations, rank [, rank with the extra
+    words' rows added]) of the rows of ``oriented_relator_rows``.
+    """
+    ngen, rows, extra = oriented_relator_rows(n, k, extra_words)
+    # a row lists columns, so each column is its own generator key
+    return abelianization_rank_gf2({c: c for c in range(ngen)}, rows, extra)

@@ -170,6 +170,13 @@ def is_even(w: Word) -> bool:
 # MN invariant
 
 
+@functools.lru_cache(maxsize=8)
+def _mn_alphabet(dim):
+    """Target of the MN invariant: the 2^dim states of Z, built once per
+    dimension."""
+    return state_alphabet(dim, lambda x: "f_" + labels_text(x))
+
+
 class MNContext:
     """State space for the MN invariant of G_n^k with a fixed k-subset m.
 
@@ -192,8 +199,7 @@ class MNContext:
         self.coords = [(p, i) for p in self.complement
                        for i in range(1, group.k)]
         self.coord_index = {pi: t for t, pi in enumerate(self.coords)}
-        self.target_alphabet = state_alphabet(
-            self.dim, lambda x: "f_" + labels_text(x))
+        self.target_alphabet = _mn_alphabet(self.dim)
 
     def psi(self, subset) -> tuple:
         """psi of a single generator a_subset, as a Z_2 vector."""

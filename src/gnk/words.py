@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from operator import itemgetter
 
 
 class UnknownSymbolError(KeyError):
@@ -299,6 +300,36 @@ def cyclic_word_from_period(alphabet: Alphabet, letters,
     return cw
 
 
+def relabel_cyclic_words(alphabet: Alphabet, table, words) -> list:
+    """The CyclicWords ``words`` of a free alphabet carried into the free
+    ``alphabet`` by the code map ``table`` (code c to table[c]), neither
+    reduced nor searched for their least rotation.
+
+    ``table`` must send the letters, in order, to inverse pairs of codes
+    of ``alphabet`` in increasing order: table[2i] even, table[2i + 1] =
+    table[2i] + 1 and table[2i] < table[2i + 2].  It then keeps every
+    cancellation and every comparison of codes, so each word stays
+    cyclically reduced and in its least rotation.  ValueError otherwise.
+    """
+    starts = table[0::2]
+    if (alphabet.involutive or len(table) % 2
+            or any(c & 1 or d != c + 1 for c, d in zip(starts, table[1::2]))
+            or any(c >= d for c, d in zip(starts, starts[1:]))
+            or table and table[-1] >= 2 * len(alphabet)):
+        raise ValueError("the table must send letters in increasing order "
+                         "to inverse pairs of a free alphabet")
+    out = []
+    for w in words:
+        codes = w.codes
+        # itemgetter of two or more codes gives an exact-size tuple, which
+        # tuple(map(...)) would overallocate
+        cw = object.__new__(CyclicWord)
+        cw._set(alphabet, itemgetter(*codes)(table) if len(codes) > 1
+                else tuple(table[c] for c in codes))
+        out.append(cw)
+    return out
+
+
 def word(alphabet: Alphabet, letters) -> Word:
     """Build a Word from (symbol, sign) pairs or bare symbol names."""
     return Word(alphabet, alphabet.encode(
@@ -324,21 +355,21 @@ def _token_letter(tok):
     return (tok[:-3], -1) if tok.endswith("^-1") else (tok, 1)
 
 
-def read_symbols(text: str) -> list:
-    """Sorted distinct symbols of a text in the token grammar."""
-    tokens = set(text.split())
-    tokens.discard("1")
-    return sorted({_token_letter(tok)[0] for tok in tokens})
-
-
-def read_letters(alphabet: Alphabet, text: str) -> list:
-    """Codes of a text in the token grammar, unreduced; each distinct token
-    is encoded once, so equal letters share one int object.  An unknown
-    symbol raises UnknownSymbolError naming the first in the text."""
+def _tokens(text: str) -> list:
+    """The tokens of a text, the identity ``1`` left out."""
     tokens = text.split()
     if "1" in tokens:
         tokens = [tok for tok in tokens if tok != "1"]
-    distinct = set(tokens)
+    return tokens
+
+
+def read_symbols(text: str) -> list:
+    """Sorted distinct symbols of a text in the token grammar."""
+    return sorted({_token_letter(tok)[0] for tok in set(_tokens(text))})
+
+
+def _encode_tokens(alphabet: Alphabet, tokens, distinct) -> list:
+    """Codes of ``tokens``, each of the ``distinct`` ones encoded once."""
     try:
         code = dict(zip(distinct, alphabet.encode(map(_token_letter,
                                                       distinct))))
@@ -346,6 +377,25 @@ def read_letters(alphabet: Alphabet, text: str) -> list:
         alphabet.encode(map(_token_letter, tokens))   # in text order
         raise
     return list(map(code.__getitem__, tokens))
+
+
+def read_letters(alphabet: Alphabet, text: str) -> list:
+    """Codes of a text in the token grammar, unreduced; each distinct token
+    is encoded once, so equal letters share one int object.  An unknown
+    symbol raises UnknownSymbolError naming the first in the text."""
+    tokens = _tokens(text)
+    return _encode_tokens(alphabet, tokens, set(tokens))
+
+
+def read_text(text: str, involutive: bool = True):
+    """(alphabet, codes) of a text in the token grammar, from one split:
+    the alphabet of its sorted distinct symbols (``read_symbols``) and the
+    codes ``read_letters`` gives over it."""
+    tokens = _tokens(text)
+    distinct = set(tokens)
+    alphabet = Alphabet(sorted({_token_letter(tok)[0] for tok in distinct}),
+                        involutive)
+    return alphabet, _encode_tokens(alphabet, tokens, distinct)
 
 
 def parse_word(alphabet: Alphabet, text: str) -> Word:

@@ -14,10 +14,12 @@ from gnk.gamma import (Gamma4Group, GammaGroup, GaleDiagram,
                        gale_relation_word, gale_transform, gamma4_presentation,
                        gamma_presentation, gf2_rank, in_relative_interior_zero,
                        oriented_abelianization_gf2, oriented_generator_classes,
+                       oriented_relator_rows,
                        polytope_faces_via_gale, pq_to_d_quad,
                        primitive_direction,
                        standard_gale_count_formula)
-from gnk.words import CyclicWord, format_word, least_rotation
+from gnk.words import (CyclicWord, cyclic_word_from_period, format_word,
+                       least_rotation)
 from relator_oracles import (distinct_cyclic_words, gale_relation_pq_word,
                              gamma4_relator_words, gamma_relator_words,
                              standard_gale_brute_force)
@@ -168,8 +170,11 @@ PRESENTATION_SIZES = [(6, 4), (7, 4), (6, 5), (7, 5), (8, 5), (7, 6)]
 @pytest.mark.parametrize("n, k", PRESENTATION_SIZES)
 def test_gamma_presentation_matches_word_builders(n, k):
     # relators written in their canonical rotation equal the reduced
-    # Words' CyclicWords, list order included
-    _, far, polygons = gamma_presentation(n, k)
+    # Words' CyclicWords, list order included; the far commutators are
+    # yielded as code pairs (a, b) of a b a^-1 b^-1
+    group, far, polygons = gamma_presentation(n, k)
+    far = [cyclic_word_from_period(group.alphabet, (a, b, a ^ 1, b ^ 1))
+           for a, b in far]
     assert (far, polygons) == gamma_relator_words(n, k)
 
 
@@ -477,10 +482,12 @@ def _oriented_rows_oracle(n, k, extra_words=()):
 
 
 # at k = 6 both 3-parts keep their cyclic orders, and (6, 6) has no relator
-# rows, so its extra word's rank sees those orders alone
+# rows, so its extra words' ranks see those orders alone; the second word's
+# sides are not least rotations
 @pytest.mark.parametrize("n, k, extra_words", [
     (6, 5, [CRITERION_4_WORD]), (7, 4, []),
-    (6, 6, [[((1, 3, 2), (4, 5, 6), 1), ((1, 2, 3), (4, 5, 6), 1)]])])
+    (6, 6, [[((1, 3, 2), (4, 5, 6), 1), ((1, 2, 3), (4, 5, 6), 1)],
+            [((2, 1, 3), (5, 6, 4), -1)]])])
 def test_oriented_class_lookup_matches_orbit_search(n, k, extra_words):
     classes, _ = oriented_generator_classes(n, k)
     # every ordered pair of disjoint label sequences a letter can carry
@@ -492,6 +499,8 @@ def test_oriented_class_lookup_matches_orbit_search(n, k, extra_words):
                         == classes[_oriented_canonical(P, Q)]), (P, Q)
 
     ngen, rows, extra = _oriented_rows_oracle(n, k, extra_words)
+    # the rows read each letter's column by its sides as listed
+    assert oriented_relator_rows(n, k, extra_words) == (ngen, rows, extra)
     full = np.zeros((len(rows) + len(extra), ngen), dtype=np.uint8)
     for i, r in enumerate(rows + extra):
         for c in r:

@@ -7,7 +7,8 @@ from certificate_oracles import (old_parse_letters, old_reduce_letters,
 from gnk.words import (Alphabet, CyclicWord, UnknownSymbolError, Word,
                        cyclic_reduce, cyclic_word_from_period, format_word,
                        inverse_letters, least_rotation, parse_word,
-                       read_letters, read_symbols, reduce_letters, word)
+                       read_letters, read_symbols, read_text,
+                       reduce_letters, relabel_cyclic_words, word)
 from relator_oracles import distinct_cyclic_words
 
 
@@ -186,6 +187,45 @@ def test_cyclic_word_from_period_matches_cyclic_word(involutive):
     assert kept > 500 and raised > 500
 
 
+def test_relabel_cyclic_words_matches_cyclic_word():
+    # an increasing map of inverse pairs keeps every word's reduction and
+    # least rotation, so the images equal CyclicWords of relabelled words
+    rng = random.Random(47)
+    source = Alphabet(["a", "b", "c", "d"], involutive=False)
+    target = Alphabet(["g%d" % i for i in range(10)], involutive=False)
+    for _ in range(300):
+        starts = sorted(rng.sample(range(10), 4))
+        table = [c for i in starts for c in (2 * i, 2 * i + 1)]
+        words = [CyclicWord(word(source, random_letters(rng, source,
+                                                        rng.randint(0, 8))))
+                 for _ in range(5)]
+        assert relabel_cyclic_words(target, table, words) == [
+            CyclicWord(Word(target, [table[c] for c in w.codes]))
+            for w in words]
+
+
+@pytest.mark.parametrize("table", [
+    [2, 3, 0, 1],            # decreasing
+    [2, 3, 2, 3],            # not injective
+    [1, 2, 4, 5],            # a letter to an inverse letter
+    [0, 2, 4, 5],            # a pair to two letters
+    [0, 1, 2],               # an odd length
+    [0, 1, 20, 21]])         # a code outside the alphabet
+def test_relabel_cyclic_words_rejects_bad_tables(table):
+    source = Alphabet(["a", "b"], involutive=False)
+    target = Alphabet(["g%d" % i for i in range(10)], involutive=False)
+    w = CyclicWord(word(source, [("a", 1), ("b", 1)]))
+    with pytest.raises(ValueError, match="increasing order"):
+        relabel_cyclic_words(target, table, [w])
+
+
+def test_relabel_cyclic_words_needs_free_target():
+    source = Alphabet(["a", "b"], involutive=False)
+    w = CyclicWord(word(source, [("a", 1), ("b", 1)]))
+    with pytest.raises(ValueError, match="free alphabet"):
+        relabel_cyclic_words(Alphabet(["x", "y"]), [0, 1, 2, 3], [w])
+
+
 def test_distinct_cyclic_words_keeps_first_of_each_class():
     rng = random.Random(45)
     ab = Alphabet(["a", "b", "c"], involutive=False)
@@ -351,6 +391,8 @@ def test_read_letters_matches_old_reader():
             codes = read_letters(ab, text)
             assert list(ab.decode(codes)) == [
                 (s, 1 if invol else e) for s, e in old_parse_letters(text)]
+            # one split gives the same alphabet and codes
+            assert read_text(text, invol) == (ab, codes)
     assert read_symbols("") == read_symbols(" 1 \n\n 1") == []
     assert read_letters(Alphabet([]), " 1 \n\n 1") == []
     # each distinct token is encoded once: equal letters share one int
