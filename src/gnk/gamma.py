@@ -8,7 +8,9 @@ For general k the generators a_{P,Q} encode exchange moves T_P -> T_Q on
 k-point subconfigurations (P, Q disjoint, |P ∪ Q| = k, both sides of size
 at least 2), with a_{Q,P} = a_{P,Q}^{-1}; the (k+1)-gon relations are read
 off standard Gale diagrams of order k+1.  The oriented variant carries
-cyclic orders on P and Q, identified under simultaneous transpositions.
+cyclic orders on P and Q, identified under simultaneous transpositions: in
+closed form, one class per ordered split (P, Q), two when |P| and |Q| are
+both odd, told apart by the parity of the two sides as listed.
 
 Gale transforms of exact rational point sets, standard Gale diagram
 enumeration, and GF(2) abelianization ranks live here too.
@@ -23,8 +25,7 @@ from math import gcd, lcm
 from operator import itemgetter
 
 from .words import (Alphabet, CyclicWord, Word, cyclic_word_from_period,
-                    labels_text, least_rotation, relabel_cyclic_words,
-                    word_from_keys)
+                    labels_text, relabel_cyclic_words, word_from_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -136,13 +137,8 @@ class GammaGroup:
         self.labels = tuple(range(1, n + 1))
         self.splits = splits
         if splits is None:
-            self.splits = []
-            for kset in itertools.combinations(self.labels, k):
-                for psz in range(2, k - 1):
-                    for P in itertools.combinations(kset, psz):
-                        Q = tuple(x for x in kset if x not in P)
-                        if min(P) < min(Q):
-                            self.splits.append((P, Q))
+            self.splits = [(P, Q) for P, Q in _ordered_splits(self.labels, k)
+                           if P[0] < Q[0]]
         self.alphabet = Alphabet({pq_symbol(P, Q): (P, Q)
                                   for P, Q in self.splits}, involutive=False)
         # (label mask of P, label mask of Q) -> code of a_{P,Q}, both
@@ -152,6 +148,15 @@ class GammaGroup:
             p, q = _label_mask(P), _label_mask(Q)
             self.split_codes[p, q] = c
             self.split_codes[q, p] = self.alphabet.inverse(c)
+
+
+def _ordered_splits(labels, k):
+    """Ordered splits (P, Q), both sorted, of each k-subset of the sorted
+    ``labels`` into sides of at least two: by k-subset, then |P|, then P."""
+    for kset in itertools.combinations(labels, k):
+        for psz in range(2, k - 1):
+            for P in itertools.combinations(kset, psz):
+                yield P, tuple(x for x in kset if x not in P)
 
 
 def _label_mask(labels) -> int:
@@ -606,66 +611,36 @@ def abelianization_rank_gf2(generator_index, relator_rows, extra_rows=()):
 # the oriented variant
 
 
-def oriented_generator_classes(n: int, k: int):
-    """Generator classes of the oriented variant: ordered pairs of cyclically
-    oriented disjoint sets, modulo simultaneous transpositions.
+def oriented_columns(n: int, k: int):
+    """(number of columns, column of every listing) of the oriented
+    variant's generator classes.
 
-    A transposition on a part of size 2 fixes its cyclic order, so for parts
-    of size 2 the partner's orientation collapses; classes are computed as
-    orbits of (cyc P, cyc Q) under pairs of equal-parity permutations.
-
-    Returns (classes, reps): ``reps`` lists the least pair of each class in
-    column order, and ``classes`` maps every pair (cyc P, cyc Q), each part
-    a least rotation, to the column of its class.
+    The classes are the ordered splits (P, Q) of ``_ordered_splits``, each
+    side cyclically oriented, modulo simultaneous transpositions: the pairs
+    (σ, τ) of equal sign act on the pairs of cyclic orders.  A cyclic order
+    of s labels is fixed by an s-cycle, of sign (-1)^(s-1), so a split with
+    a side of even size is one class, and a split with both sides odd is
+    two, told apart by parity(p) ^ parity(q) (inversion counts mod 2, which
+    rotating an odd-length side keeps).  Columns follow the splits, the
+    class of sorted sides first; ``column`` maps every listing (p, q) of
+    the two sides, in any order, to its class's column.
     """
-    classes = {}
-    reps = []
-    labels = range(1, n + 1)
-    for kset in itertools.combinations(labels, k):
-        for psz in range(2, k - 1):
-            for P in itertools.combinations(kset, psz):
-                Q = tuple(x for x in kset if x not in P)
-                for cp in _cyclic_orders(P):
-                    for cq in _cyclic_orders(Q):
-                        key = _oriented_canonical(cp, cq)
-                        if key not in classes:
-                            classes[key] = len(reps)
-                            reps.append(key)
-                        classes[cp, cq] = classes[key]
-    return classes, reps
-
-
-def _cyclic_orders(S):
-    """Every cyclic order of a set of at least two labels, as the rotation
-    that starts at its least label."""
-    first, *rest = sorted(S)
-    return [(first,) + order for order in itertools.permutations(rest)]
-
-
-def _oriented_canonical(cp, cq):
-    """Canonical orbit representative under simultaneous transpositions."""
-    def transpositions(cyc):
-        n = len(cyc)
-        out = set()
-        for i in range(n):
-            for j in range(i + 1, n):
-                lst = list(cyc)
-                lst[i], lst[j] = lst[j], lst[i]
-                out.add(least_rotation(lst))
-        return out
-    seen = {(least_rotation(cp), least_rotation(cq))}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for p, q in frontier:
-            for p2 in transpositions(p):
-                for q2 in transpositions(q):
-                    cand = (p2, q2)
-                    if cand not in seen:
-                        seen.add(cand)
-                        nxt.append(cand)
-        frontier = nxt
-    return min(seen)
+    if not 4 <= k <= n:
+        raise ValueError("need 4 <= k <= n")
+    # inversion parity of each permutation of range(s), in the order
+    # itertools.permutations lists the orderings of a sorted side
+    parities = [[sum(a > b for a, b in itertools.combinations(perm, 2)) & 1
+                 for perm in itertools.permutations(range(s))]
+                for s in range(k - 1)]
+    column = {}
+    ncols = 0
+    for P, Q in _ordered_splits(range(1, n + 1), k):
+        odd = len(P) & len(Q) & 1
+        for p, a in zip(itertools.permutations(P), parities[len(P)]):
+            for q, b in zip(itertools.permutations(Q), parities[len(Q)]):
+                column[p, q] = ncols + (odd & (a ^ b))
+        ncols += 1 + odd
+    return ncols, column
 
 
 def oriented_relator_rows(n: int, k: int, extra_words=()):
@@ -677,14 +652,7 @@ def oriented_relator_rows(n: int, k: int, extra_words=()):
     oriented classes of (M_R(i), M_L(i)); a letter with inverse sign
     contributes to the class of the swapped pair.
     """
-    classes, reps = oriented_generator_classes(n, k)
-    # every rotation of each side names its class's column, so a letter is
-    # one lookup by the sides as the labeling lists them
-    column = {}
-    for (P, Q), c in classes.items():
-        for i in range(len(P)):
-            for j in range(len(Q)):
-                column[P[i:] + P[:i], Q[j:] + Q[:j]] = c
+    ngen, column = oriented_columns(n, k)
     rows = []
     for d in enumerate_standard_gale(k + 1):
         sides = [(itemgetter(*R), itemgetter(*L))
@@ -694,7 +662,7 @@ def oriented_relator_rows(n: int, k: int, extra_words=()):
                 rows.append([column[R(M), L(M)] for R, L in sides])
     extra = [[column[(Q, P) if sign == -1 else (P, Q)] for P, Q, sign in word]
              for word in extra_words]
-    return len(reps), rows, extra
+    return ngen, rows, extra
 
 
 def oriented_abelianization_gf2(n: int, k: int, extra_words=()):

@@ -1,4 +1,5 @@
-"""Oracles for the relator lists and the Gale enumeration.
+"""Oracles for the relator lists, the Gale enumeration and the oriented
+generator classes.
 
 Form-then-deduplicate oracles check that one representative per symmetry
 class is formed.  The Word builders form each relator as a reduced Word and
@@ -10,7 +11,7 @@ import itertools
 
 from gnk.gamma import Gamma4Group, GammaGroup, GaleDiagram, \
     enumerate_standard_gale, pq_symbol
-from gnk.words import CyclicWord, word
+from gnk.words import CyclicWord, least_rotation, word
 
 
 def distinct_cyclic_words(words) -> list:
@@ -130,3 +131,61 @@ def gamma_relator_words(n, k):
                 for d in diagrams
                 if all(M <= tuple(M[i] for i in s) for s in d.symmetries())]
     return far, polygons
+
+
+# ---------------------------------------------------------------------------
+# oriented generator classes by transposition-orbit search
+
+
+def oriented_generator_classes(n, k):
+    """Generator classes of the oriented variant, each found as an orbit of
+    pairs of cyclic orders (cyc P, cyc Q) under simultaneous transpositions.
+
+    Returns (classes, reps): ``reps`` lists the least pair of each class in
+    order of first appearance, and ``classes`` maps every pair (cyc P,
+    cyc Q), each part a least rotation, to the index of its class.
+    """
+    classes = {}
+    reps = []
+    for kset in itertools.combinations(range(1, n + 1), k):
+        for psz in range(2, k - 1):
+            for P in itertools.combinations(kset, psz):
+                Q = tuple(x for x in kset if x not in P)
+                for cp in cyclic_orders(P):
+                    for cq in cyclic_orders(Q):
+                        key = oriented_canonical(cp, cq)
+                        if key not in classes:
+                            classes[key] = len(reps)
+                            reps.append(key)
+                        classes[cp, cq] = classes[key]
+    return classes, reps
+
+
+def cyclic_orders(S):
+    """Every cyclic order of a set of at least two labels, as the rotation
+    that starts at its least label."""
+    first, *rest = sorted(S)
+    return [(first,) + order for order in itertools.permutations(rest)]
+
+
+def oriented_canonical(cp, cq):
+    """Least pair of least rotations in the orbit of (cp, cq) under
+    simultaneous transpositions, by breadth-first search."""
+    def transpositions(cyc):
+        out = set()
+        for i, j in itertools.combinations(range(len(cyc)), 2):
+            lst = list(cyc)
+            lst[i], lst[j] = lst[j], lst[i]
+            out.add(least_rotation(lst))
+        return out
+    seen = {(least_rotation(cp), least_rotation(cq))}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for p, q in frontier:
+            for cand in itertools.product(transpositions(p), transpositions(q)):
+                if cand not in seen:
+                    seen.add(cand)
+                    nxt.append(cand)
+        frontier = nxt
+    return min(seen)

@@ -2,18 +2,19 @@ import itertools
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gnk.gamma import (Gamma4Group, GammaGroup, GaleDiagram,
-                       _oriented_canonical, abelianization_rank_gf2,
+                       abelianization_rank_gf2,
                        d_symbol, dihedral_canonical,
                        enumerate_standard_gale, gale_diagram,
                        gale_relation_word, gale_transform, gamma4_presentation,
                        gamma_presentation, gf2_rank, in_relative_interior_zero,
-                       oriented_abelianization_gf2, oriented_generator_classes,
+                       oriented_abelianization_gf2, oriented_columns,
                        oriented_relator_rows,
                        polytope_faces_via_gale, pq_to_d_quad,
                        primitive_direction,
@@ -22,6 +23,7 @@ from gnk.words import (CyclicWord, cyclic_word_from_period, format_word,
                        least_rotation)
 from relator_oracles import (distinct_cyclic_words, gale_relation_pq_word,
                              gamma4_relator_words, gamma_relator_words,
+                             oriented_generator_classes,
                              standard_gale_brute_force)
 
 
@@ -258,8 +260,8 @@ def test_gamma_presentation_n6_k5_counts():
     # 6 five-subsets x 20 ordered splits, stored with inverse normalisation
     assert len(group.alphabet) == 60
     assert all(len(cw) == 6 for cw in polygons)
-    classes, reps = oriented_generator_classes(6, 5)
-    assert len(reps) == 120
+    ngen, _ = oriented_columns(6, 5)
+    assert ngen == 120
 
 
 def test_gamma4_far_commutativity_condition():
@@ -460,15 +462,14 @@ CRITERION_4_WORD = [((3, 5), (1, 6, 4), 1), ((4, 6), (2, 5, 3), -1),
                     ((4, 6), (1, 3, 5), 1), ((3, 5), (2, 4, 6), -1)]
 
 
-def _oriented_rows_oracle(n, k, extra_words=()):
-    """Relator and extra rows of the oriented variant as lists of columns,
-    each letter's class found by its own transposition-orbit search."""
-    _, reps = oriented_generator_classes(n, k)
-    column = {rep: c for c, rep in enumerate(reps)}
+def _oriented_oracle(n, k, extra_words=()):
+    """(class of a listing, number of classes, relator rows, extra rows)
+    of the oriented variant, the classes found by transposition-orbit
+    search and each row the list of its letters' classes."""
+    classes, reps = oriented_generator_classes(n, k)
 
     def col(P, Q):
-        return column[_oriented_canonical(least_rotation(P),
-                                          least_rotation(Q))]
+        return classes[least_rotation(P), least_rotation(Q)]
 
     rows = []
     for d in enumerate_standard_gale(k + 1):
@@ -478,29 +479,43 @@ def _oriented_rows_oracle(n, k, extra_words=()):
                              for R, L in d.rl_position_sets()])
     extra = [[col(Q, P) if sign == -1 else col(P, Q) for P, Q, sign in w]
              for w in extra_words]
-    return len(reps), rows, extra
+    return col, len(reps), rows, extra
 
 
 # at k = 6 both 3-parts keep their cyclic orders, and (6, 6) has no relator
 # rows, so its extra words' ranks see those orders alone; the second word's
-# sides are not least rotations
-@pytest.mark.parametrize("n, k, extra_words", [
+# sides are not least rotations.  (7, 6) has relator rows as well, and its
+# first word carries both orientations of one 3+3 split
+ORIENTED_CASES = [
     (6, 5, [CRITERION_4_WORD]), (7, 4, []),
     (6, 6, [[((1, 3, 2), (4, 5, 6), 1), ((1, 2, 3), (4, 5, 6), 1)],
-            [((2, 1, 3), (5, 6, 4), -1)]])])
-def test_oriented_class_lookup_matches_orbit_search(n, k, extra_words):
-    classes, _ = oriented_generator_classes(n, k)
-    # every ordered pair of disjoint label sequences a letter can carry
-    for kset in itertools.combinations(range(1, n + 1), k):
-        for perm in itertools.permutations(kset):
-            for split in range(2, k - 1):
-                P, Q = perm[:split], perm[split:]
-                assert (classes[least_rotation(P), least_rotation(Q)]
-                        == classes[_oriented_canonical(P, Q)]), (P, Q)
+            [((2, 1, 3), (5, 6, 4), -1)]]),
+    (7, 6, [[((1, 2, 3), (4, 5, 6), 1), ((1, 3, 2), (4, 5, 6), 1)],
+            [((2, 1, 3), (6, 5, 4), -1), ((3, 7), (1, 2, 4, 6), 1)]])]
 
-    ngen, rows, extra = _oriented_rows_oracle(n, k, extra_words)
+
+@pytest.mark.parametrize("n, k, extra_words", ORIENTED_CASES)
+def test_oriented_class_lookup_matches_orbit_search(n, k, extra_words):
+    col, ngen, rows, extra = _oriented_oracle(n, k, extra_words)
+    ncols, column = oriented_columns(n, k)
+    assert ncols == ngen
+    # every ordered pair of disjoint label sequences a letter can carry
+    listings = [(perm[:split], perm[split:])
+                for kset in itertools.combinations(range(1, n + 1), k)
+                for perm in itertools.permutations(kset)
+                for split in range(2, k - 1)]
+    assert len(column) == len(listings)
+    for P, Q in listings:
+        assert column[P, Q] == col(P, Q), (P, Q)
     # the rows read each letter's column by its sides as listed
     assert oriented_relator_rows(n, k, extra_words) == (ngen, rows, extra)
+
+
+# numpy elimination of (7, 6)'s 25,200 rows takes seconds; its rows are
+# checked above
+@pytest.mark.parametrize("n, k, extra_words", ORIENTED_CASES[:3])
+def test_oriented_ranks_match_numpy_oracle(n, k, extra_words):
+    ngen, rows, extra = oriented_relator_rows(n, k, extra_words)
     full = np.zeros((len(rows) + len(extra), ngen), dtype=np.uint8)
     for i, r in enumerate(rows + extra):
         for c in r:
@@ -512,6 +527,44 @@ def test_oriented_class_lookup_matches_orbit_search(n, k, extra_words):
     assert gf2_rank(relators) == expected[2]
     assert gf2_rank(full) == _gf2_rank_numpy(full)
     assert oriented_abelianization_gf2(n, k, extra_words) == expected
+
+
+@pytest.mark.parametrize("n, k, count", [
+    (6, 5, 120), (7, 6, 490), (8, 7, 896), (8, 8, 350)])
+def test_oriented_column_count_formula(n, k, count):
+    # one column per ordered split, two when both sides have odd size;
+    # (8, 7) is past the reach of the orbit search (about 10 s there)
+    formula = math.comb(n, k) * sum(
+        math.comb(k, s) * (1 + (s % 2 == 1 and (k - s) % 2 == 1))
+        for s in range(2, k - 1))
+    assert formula == count
+    start = time.perf_counter()
+    ncols, column = oriented_columns(n, k)
+    assert time.perf_counter() - start < 2.0
+    assert ncols == count
+    assert sorted(set(column.values())) == list(range(count))
+
+
+@pytest.mark.parametrize("n, k", [(5, 6), (0, 9), (6, 3)])
+def test_oriented_rows_reject_k_outside_4_to_n(n, k):
+    with pytest.raises(ValueError, match="need 4 <= k <= n"):
+        oriented_relator_rows(n, k)
+    with pytest.raises(ValueError, match="need 4 <= k <= n"):
+        oriented_abelianization_gf2(n, k)
+
+
+def test_criterion_4_rank_comes_from_one_diagram():
+    # computed values only (criterion 4 asserts the published ones): at
+    # (6, 5) the rows are 720 per diagram, diagram by diagram, and the
+    # second diagram's rows lie in the span of the first's
+    _, rows, _ = oriented_relator_rows(6, 5)
+    first, second = rows[:720], rows[720:]
+    assert len(second) == 720 and len(enumerate_standard_gale(6)) == 2
+
+    def rank(rows):
+        return abelianization_rank_gf2({c: c for c in range(120)}, rows)[2]
+
+    assert (rank(first), rank(second), rank(rows)) == (91, 81, 91)
 
 
 def test_oriented_abelianization_structure():
