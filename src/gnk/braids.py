@@ -5,6 +5,9 @@ A pure braid on n strands is a word in the generators b_ij (1 <= i < j <= n).
 The four compiler images share one walk (``_walk``): the mover i hops past
 the anchors i+1 .. j-1, loops around j, and comes back, so each b_ij^e
 becomes (u * mid * u^-1)^e with u the phases of the anchors i+1 .. j-1.
+Each call forms each phase (i, m) and each generator's image once, already
+in the target's letter codes, and writes the word out from that table; the
+word is freely reduced once at the end.
 
 * pb_to_gn3 (G_n^3, circle dynamics): the phase of m is c_{i,m}^-1 and mid
   is c_{i,j}^2, with c_{i,j} = prod_{k>j} a_{ijk} * prod_{k<j} a_{ijk}.
@@ -31,7 +34,7 @@ import functools
 import itertools
 import re
 
-from .gamma import Gamma4Group, graded_words
+from .gamma import Gamma4Group, dihedral_canonical
 from .gnk import GnkGroup
 from .words import (Alphabet, UnknownSymbolError, Word, labels_text,
                     state_alphabet, state_key, word, word_from_keys)
@@ -150,15 +153,27 @@ def pb_relation_pairs(n: int):
 
 
 def _walk(b: PureBraidWord, phase, mid) -> list:
-    """Keys of the image of b: each b_ij^e becomes (u mid u^-1)^e, where u
-    is ``phase(i, m)`` for the anchors m = i+1 .. j-1 and mid is
-    ``mid(i, j)``.  Every target alphabet is involutive, so an inverse is
-    the key list reversed."""
-    out = []
-    for (i, j), e in b.letters:
-        u = [key for m in range(i + 1, j) for key in phase(i, m)]
-        img = [*u, *mid(i, j), *u[::-1]]
-        out += img if e == 1 else img[::-1]
+    """The image of b, unreduced: each b_ij^e becomes (u mid u^-1)^e, where
+    u is ``phase(i, m)`` for the anchors m = i+1 .. j-1 and mid is
+    ``mid(i, j)``, both lists.  Each phase and each generator's image is
+    formed on its first letter and kept in tables local to the call.  Every
+    target alphabet is involutive, so an inverse is the image reversed."""
+    pairs = b.word.alphabet.symbols
+    phases, images, out = {}, {}, []
+    for c in b.word.codes:
+        img = images.get(c)
+        if img is None:
+            i, j = pairs[c >> 1]
+            u = []
+            for m in range(i + 1, j):
+                p = phases.get((i, m))
+                if p is None:
+                    p = phases[i, m] = phase(i, m)
+                u += p
+            img = [*u, *mid(i, j), *u[::-1]]
+            images[c & ~1], images[c | 1] = img, img[::-1]
+            img = images[c]
+        out += img
     return out
 
 
@@ -177,9 +192,12 @@ def pb_to_gn3(b: PureBraidWord, group: GnkGroup = None) -> Word:
     """The walk in G_n^3 with phase c_{i,m}^-1 and mid c_{i,j}^2."""
     if group is None:
         group = GnkGroup(b.n, 3)
-    n = group.n
-    return word_from_keys(group.alphabet, _walk(
-        b, lambda i, m: _c3(n, i, m)[::-1], lambda i, j: 2 * _c3(n, i, j)))
+    n, code = group.n, group.alphabet.code
+
+    def c(i, j):
+        return [code[s] for s in _c3(n, i, j)]
+    return Word(group.alphabet, _walk(b, lambda i, m: c(i, m)[::-1],
+                                      lambda i, j: 2 * c(i, j)))
 
 
 def _crossings(n, i, m, side):
@@ -204,14 +222,16 @@ def _crossings(n, i, m, side):
         yield z, tuple(t)
 
 
-def _gamma_walk(b: PureBraidWord) -> list:
-    """(z, quad) of every crossing of the parabola walk of b: the mover
-    passes each anchor i+1 .. j with the mover after it, and loops around j
-    by passing it once more with the mover before it."""
+def _gamma_walk(b: PureBraidWord, encode) -> list:
+    """The crossings of the parabola walk of b, each phase's (z, quad)
+    pairs passed through ``encode``: the mover passes each anchor
+    i+1 .. j with the mover after it, and loops around j by passing it once
+    more with the mover before it."""
     n = b.n
-    return _walk(b, lambda i, m: _crossings(n, i, m, "after"),
-                 lambda i, j: [*_crossings(n, i, j, "after"),
-                               *_crossings(n, i, j, "before")])
+    return _walk(b, lambda i, m: encode(_crossings(n, i, m, "after")),
+                 lambda i, j: encode(itertools.chain(
+                     _crossings(n, i, j, "after"),
+                     _crossings(n, i, j, "before"))))
 
 
 def pb_to_gn4(b: PureBraidWord, group: GnkGroup = None) -> Word:
@@ -221,8 +241,9 @@ def pb_to_gn4(b: PureBraidWord, group: GnkGroup = None) -> Word:
         raise ValueError("G_n^4 needs n >= 4")
     if group is None:
         group = GnkGroup(b.n, 4)
-    return word_from_keys(group.alphabet,
-                          [tuple(sorted(q)) for _, q in _gamma_walk(b)])
+    code = group.alphabet.code
+    return Word(group.alphabet, _gamma_walk(
+        b, lambda xs: [code[tuple(sorted(q))] for _, q in xs]))
 
 
 def pb_to_gamma4(b: PureBraidWord) -> Word:
@@ -230,8 +251,10 @@ def pb_to_gamma4(b: PureBraidWord) -> Word:
     (z = 0) emits its flip letter, the mover adjacent to the anchor."""
     if b.n < 4:
         raise ValueError("Gamma_n^4 needs n >= 4")
-    return Gamma4Group(b.n).word_from_quads(
-        q for z, q in _gamma_walk(b) if z == 0)
+    alphabet = Gamma4Group(b.n).alphabet
+    code = alphabet.code
+    return Word(alphabet, _gamma_walk(
+        b, lambda xs: [code[dihedral_canonical(q)] for z, q in xs if z == 0]))
 
 
 def pb_to_gamma4_graded(b: PureBraidWord):
@@ -243,7 +266,15 @@ def pb_to_gamma4_graded(b: PureBraidWord):
     """
     if b.n <= 5:
         raise ValueError("graded map needs n > 5")
-    return graded_words(b.n, _gamma_walk(b))
+    r = b.n - 4
+    alphabet = Gamma4Group(b.n).alphabet
+    code = alphabet.code
+    comps = [[] for _ in range(r // 2 + 1)]
+    # the component rule of gamma.graded_words, which compile_word uses
+    for t, c in _gamma_walk(b, lambda xs: [
+            (min(z % r, -z % r), code[dihedral_canonical(q)]) for z, q in xs]):
+        comps[t].append(c)
+    return tuple(Word(alphabet, cs) for cs in comps)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +325,8 @@ def phi_ijk(group: GnkGroup, w: Word, triple):
     i, j, k = sorted(triple)
     if len({i, j, k}) != 3:
         raise ValueError("triple must have three distinct labels")
+    if any(x not in group.labels for x in (i, j, k)):
+        raise ValueError("triple must be a 3-subset of the labels")
     others = [l for l in group.labels if l not in (i, j, k)]
     target = _phi_alphabet(2 * len(others))
     counts = {}

@@ -50,8 +50,9 @@ def cmd_invariant(args):
         if not gnk.is_even(w):
             print("error: mn invariant needs an even word", file=sys.stderr)
             return 2
-        value = gnk.mn_invariant(group, w, m)
-        bound = gnk.unknotting_lower_bound(group, w, m)
+        ctx = gnk.MNContext(group, m)
+        value = gnk.mn_invariant(group, w, m, ctx)
+        bound = gnk.coset_overlap_bound(ctx, gnk.mn_value_support(value))
         _emit(args, {"chain": "mn[m=%s]" % (args.m,),
                      "value": format_word(value) or "1",
                      "unknotting_lower_bound": str(bound)})

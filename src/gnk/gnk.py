@@ -163,7 +163,7 @@ def delete_strand(group: GnkGroup, w: Word, j: int) -> tuple[Word, GnkGroup]:
 
 def is_even(w: Word) -> bool:
     """True iff every generator occurs an even number of times."""
-    return all(c % 2 == 0 for c in w.symbol_counts().values())
+    return all(c % 2 == 0 for c in Counter(c >> 1 for c in w.codes).values())
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +184,14 @@ class MNContext:
     over the complement of m (ascending), i over 1..k-1.  psi_p sends
     a_{m[i]} (m with its i-th smallest element replaced by p) to e_{(p,i)}
     for i < k and a_{m[k]} to the sum of the e_{(p,i)}; everything else to 0.
+    A state is also read as its key in the target alphabet (``state_key``):
+    coordinate t is the bit 2^(dim-1-t).
     """
 
     def __init__(self, group: GnkGroup, m):
         m = tuple(sorted(m))
-        if len(m) != group.k or any(x not in group.labels for x in m):
+        if (len(set(m)) != group.k or len(m) != group.k
+                or any(x not in group.labels for x in m)):
             raise ValueError("m must be a k-subset of the labels")
         self.group = group
         self.m = m
@@ -196,34 +199,39 @@ class MNContext:
         self.dim = (group.k - 1) * len(self.complement)
         if self.dim > 16:
             raise ValueError("MN state space too large (dim %d)" % self.dim)
-        self.coords = [(p, i) for p in self.complement
-                       for i in range(1, group.k)]
-        self.coord_index = {pi: t for t, pi in enumerate(self.coords)}
         self.target_alphabet = _mn_alphabet(self.dim)
+
+    def psi_key(self, subset) -> int:
+        """psi of a single generator a_subset, as a state key."""
+        k = self.group.k
+        extra = set(subset).difference(self.m)
+        if len(extra) != 1:
+            return 0
+        (p,) = extra
+        (dropped,) = set(self.m).difference(subset)
+        i = self.m.index(dropped) + 1
+        top = self.dim - self.complement.index(p) * (k - 1)
+        if i < k:
+            return 1 << (top - i)
+        return (1 << top) - (1 << (top - k + 1))
 
     def psi(self, subset) -> tuple:
         """psi of a single generator a_subset, as a Z_2 vector."""
-        subset = tuple(sorted(subset))
-        vec = [0] * self.dim
-        inter = set(subset) & set(self.m)
-        if subset == self.m or len(inter) != self.group.k - 1:
-            return tuple(vec)
-        p = next(iter(set(subset) - set(self.m)))
-        dropped = next(iter(set(self.m) - set(subset)))
-        i = self.m.index(dropped) + 1
-        if i < self.group.k:
-            vec[self.coord_index[(p, i)]] ^= 1
-        else:
-            for ii in range(1, self.group.k):
-                vec[self.coord_index[(p, ii)]] ^= 1
-        return tuple(vec)
+        return _state_bits(self.psi_key(subset), self.dim)
 
     def psi_word(self, w: Word) -> tuple:
-        vec = [0] * self.dim
-        for m in w.keys():
-            for t, b in enumerate(self.psi(m)):
-                vec[t] ^= b
-        return tuple(vec)
+        """psi of a word: the letters of odd count, their psi keys XORed."""
+        keys = w.alphabet.keys
+        x = 0
+        for c, count in Counter(w.codes).items():
+            if count & 1:
+                x ^= self.psi_key(keys[c >> 1])
+        return _state_bits(x, self.dim)
+
+
+def _state_bits(key: int, dim: int) -> tuple:
+    """The bit vector of a state key, most significant bit first."""
+    return tuple(key >> t & 1 for t in range(dim - 1, -1, -1))
 
 
 def mn_invariant(group: GnkGroup, w: Word, m, ctx: MNContext = None,
@@ -233,20 +241,26 @@ def mn_invariant(group: GnkGroup, w: Word, m, ctx: MNContext = None,
     The group acts on Z x H with the rightmost letter acting first; an
     occurrence of a_m at position t therefore contributes f_x where x is the
     psi-sum of the letters after position t (plus the optional start state).
+    The state is kept as its key and each letter XORs in its generator's
+    psi key, formed once per call from a table of the generators met.
     """
     if not is_even(w) and start is None:
         raise ValueError("mn_invariant requires an even word")
     if ctx is None:
         ctx = MNContext(group, m)
-    m = ctx.m
-    x = list(start) if start is not None else [0] * ctx.dim
+    keys, m = w.alphabet.keys, ctx.m
+    masks = {}     # code -> psi key of its generator, -1 for a_m
+    x = state_key(start) if start is not None else 0
     emitted = []
-    for subset in reversed(w.keys()):
-        if subset == m:
-            emitted.append(state_key(x))
+    for c in reversed(w.codes):
+        d = masks.get(c)
+        if d is None:
+            subset = keys[c >> 1]
+            d = masks[c] = -1 if subset == m else ctx.psi_key(subset)
+        if d < 0:
+            emitted.append(x)
         else:
-            for t, b in enumerate(ctx.psi(subset)):
-                x[t] ^= b
+            x ^= d
     emitted.reverse()
     return word_from_keys(ctx.target_alphabet, emitted)
 
@@ -254,18 +268,17 @@ def mn_invariant(group: GnkGroup, w: Word, m, ctx: MNContext = None,
 def z_ij(ctx: MNContext, i: int, j: int) -> tuple:
     """z_{ij} = sum of psi(m') over k-subsets m' containing {i,j} with
     |m ∩ m'| = k-1."""
-    vec = [0] * ctx.dim
+    x = 0
     for mp in ctx.group.subsets:
-        if i in mp and j in mp and len(set(mp) & set(ctx.m)) == ctx.group.k - 1:
-            for t, b in enumerate(ctx.psi(mp)):
-                vec[t] ^= b
-    return tuple(vec)
+        if i in mp and j in mp:
+            x ^= ctx.psi_key(mp)    # 0 unless |m ∩ m'| = k-1
+    return _state_bits(x, ctx.dim)
 
 
 def mn_value_support(value: Word):
     """Z_2[Z] projection of an MN value: the set of odd-count states."""
     dim = len(value.alphabet).bit_length() - 1
-    return {tuple(key >> t & 1 for t in range(dim - 1, -1, -1))
+    return {_state_bits(key, dim)
             for key, c in Counter(value.keys()).items() if c % 2 == 1}
 
 

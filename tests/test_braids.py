@@ -14,6 +14,7 @@ from gnk.gamma import Gamma4Group
 from gnk.gnk import (GnkGroup, MNContext, delete_strand, is_even,
                      mn_invariant)
 from gnk.words import Word, format_word, word, word_from_keys
+import braid_oracles
 
 
 def ab2(w):
@@ -329,17 +330,73 @@ def _oracle_inputs(n):
     return out
 
 
+def _repetitive_braids(n, rng):
+    """The empty word and seeded braids over a few generators, in runs of
+    repeated letters of both signs, so the tables are hit again and again."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    out = [PureBraidWord(n)]
+    for _ in range(3):
+        gens = rng.sample(pairs, min(len(pairs), rng.randint(1, 4)))
+        letters = []
+        while len(letters) < 30:
+            letters += [(rng.choice(gens), rng.choice((1, -1)))] \
+                * rng.randint(1, 3)
+        out.append(PureBraidWord(n, letters))
+    return out
+
+
 @pytest.mark.parametrize("n", range(4, 12))
 def test_walk_matches_oracle_letter_for_letter(n):
+    # both the independent oracles above and the per-letter walk that each
+    # call's image tables replaced
+    rng = random.Random(900 + n)
     g3, g4 = GnkGroup(n, 3), GnkGroup(n, 4)
-    for b in _oracle_inputs(n):
-        assert pb_to_gn3(b, g3).letters == _oracle_pb_to_gn3(b, g3).letters, b
-        assert pb_to_gn4(b, g4).letters == _oracle_pb_to_gn4(b, g4).letters, b
-        assert pb_to_gamma4(b).letters == _oracle_pb_to_gamma4(b).letters, b
+    for b in _repetitive_braids(n, rng) + _oracle_inputs(n):
+        got = pb_to_gn3(b, g3).letters
+        assert got == _oracle_pb_to_gn3(b, g3).letters, b
+        assert got == braid_oracles.pb_to_gn3(b, g3).letters, b
+        got = pb_to_gn4(b, g4).letters
+        assert got == _oracle_pb_to_gn4(b, g4).letters, b
+        assert got == braid_oracles.pb_to_gn4(b, g4).letters, b
+        got = pb_to_gamma4(b).letters
+        assert got == _oracle_pb_to_gamma4(b).letters, b
+        assert got == braid_oracles.pb_to_gamma4(b).letters, b
         if n >= 6:
-            got = pb_to_gamma4_graded(b)
-            want = _oracle_pb_to_gamma4_graded(b)
-            assert [w.letters for w in got] == [w.letters for w in want], b
+            got = [w.letters for w in pb_to_gamma4_graded(b)]
+            assert got == [w.letters for w in _oracle_pb_to_gamma4_graded(b)], b
+            assert got == [w.letters
+                           for w in braid_oracles.pb_to_gamma4_graded(b)], b
+
+
+def test_images_form_each_phase_and_generator_once(monkeypatch):
+    # a 2,000-letter braid at n = 5: the phases and the generator images
+    # are formed once per call, so the count of phase calls is bounded by
+    # the distinct phases and generators, not by the letters
+    import gnk.braids as braids
+    rng = random.Random(2000)
+    pairs = list(itertools.combinations(range(1, 6), 2))
+    b = PureBraidWord(5, [(rng.choice(pairs), rng.choice((1, -1)))
+                          for _ in range(2000)])
+    assert len(b) > 1000
+    gens = {ij for ij, _ in b.letters}
+    phases = {(i, m) for i, j in gens for m in range(i + 1, j)}
+    calls = []
+
+    def counting(name):
+        fn = getattr(braids, name)
+
+        def wrapper(*args):
+            calls.append(args)
+            return fn(*args)
+        monkeypatch.setattr(braids, name, wrapper)
+
+    counting("_crossings")
+    counting("_c3")
+    for image in (pb_to_gamma4, pb_to_gn4, pb_to_gn3):
+        calls.clear()
+        image(b)
+        # one call per phase (i, m); mid passes j twice (gamma) or once (gn3)
+        assert 0 < len(calls) <= len(phases) + 2 * len(gens), image
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +480,14 @@ def test_phi_ijk_pinned_values_and_shared_alphabet(n):
     v2 = phi_ijk(g, w, (1, 2, 3))
     assert v2.alphabet is v1.alphabet
     assert len(v1.alphabet) == 4 ** (n - 3)
+
+
+def test_phi_ijk_rejects_labels_outside_the_group():
+    g = GnkGroup(5, 3)
+    w = g.word_from_subsets([(1, 2, 4), (1, 2, 4)])
+    for triple in ((1, 2, 9), (0, 1, 2), (1, 1, 2)):
+        with pytest.raises(ValueError):
+            phi_ijk(g, w, triple)
 
 
 def test_phi_ijk_no_occurrences():

@@ -11,6 +11,7 @@ from gnk.gnk import (Gk1kContext, GnkGroup, MNContext, bigon_reduce_g2,
                      is_relator_consequence_in_s3, mn_invariant, relators,
                      tetrahedron_relation_count, unknotting_lower_bound, z_ij)
 from gnk.words import CyclicWord, Word, format_word
+import braid_oracles
 from relator_oracles import distinct_cyclic_words, gnk_relator_words
 
 
@@ -170,6 +171,44 @@ def test_mn_requires_even():
     g = GnkGroup(4, 3)
     with pytest.raises(ValueError):
         mn_invariant(g, g.word_from_subsets([(1, 2, 3)]), (1, 2, 3))
+
+
+def test_mn_context_rejects_repeated_and_foreign_labels():
+    g = GnkGroup(5, 3)
+    for m in ((1, 1, 2), (1, 2), (1, 2, 3, 4), (1, 2, 6)):
+        with pytest.raises(ValueError, match="k-subset"):
+            MNContext(g, m)
+
+
+@pytest.mark.parametrize("n, k", [(4, 3), (5, 3), (8, 3), (11, 3),
+                                  (5, 4), (7, 4), (9, 4)])
+def test_mn_invariant_matches_per_letter_oracle(n, k):
+    # dim (k-1)(n-k) reaches the limit 16 at (11, 3); (9, 4) has dim 15
+    rng = random.Random(70 + 10 * n + k)
+    g = GnkGroup(n, k)
+    for _ in range(6):
+        m = tuple(sorted(rng.sample(g.labels, k)))
+        ctx = MNContext(g, m)
+        # a_m, its neighbours (|m ∩ m'| = k-1) and a few far generators
+        near = [s for s in g.subsets if len(set(s) & set(m)) >= k - 1]
+        subs = near + rng.sample(g.subsets, min(4, len(g.subsets)))
+        for s in subs:
+            assert ctx.psi(s) == braid_oracles.psi(ctx, s), (m, s)
+        for i, j in itertools.combinations(m, 2):
+            assert z_ij(ctx, i, j) == braid_oracles.z_ij(ctx, i, j), (m, i, j)
+        for _ in range(8):
+            picks = [rng.choice(subs) for _ in range(rng.randint(0, 12))]
+            even = picks * 2
+            rng.shuffle(even)
+            w = g.word_from_subsets(even)
+            assert mn_invariant(g, w, m, ctx) == \
+                braid_oracles.mn_invariant(g, w, m, ctx)
+            assert mn_invariant(g, w, m) == mn_invariant(g, w, m, ctx)
+            odd = g.word_from_subsets(picks)
+            start = tuple(rng.randint(0, 1) for _ in range(ctx.dim))
+            assert ctx.psi_word(odd) == braid_oracles.psi_word(ctx, odd)
+            assert mn_invariant(g, odd, m, ctx, start=start) == \
+                braid_oracles.mn_invariant(g, odd, m, ctx, start=start)
 
 
 def _random_even_word(rng, g, pairs):
