@@ -37,7 +37,8 @@ import re
 from .gamma import Gamma4Group, dihedral_canonical
 from .gnk import GnkGroup
 from .words import (Alphabet, UnknownSymbolError, Word, labels_text,
-                    state_alphabet, state_key, word, word_from_keys)
+                    reduce_commuting, state_alphabet, state_key, word,
+                    word_from_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -205,21 +206,25 @@ def _crossings(n, i, m, side):
     p, q that the mover i crosses while passing m on the parabola.
 
     Pairs come straddling m (II), then both below (I), then both above
-    (III).  z is the circle's inside count, less one when the mover starts
-    inside, so z = 0 means the circle is empty at the event.  quad is the
-    sorted triple with the mover inserted after or before m.
+    (III), each family already yielding the sorted triple (s1, s2, s3) with
+    m at a fixed place.  z is the circle's inside count, less one when the
+    mover starts inside, so z = 0 means the circle is empty at the event.
+    quad is the triple with the mover inserted after or before m.
     """
-    pairs = itertools.chain(
-        ((m - p, m + q) for p in range(1, m) for q in range(1, n - m + 1)),
-        ((p, q) for p in range(2, m) for q in range(1, p)),
-        ((n - p, n - q) for p in range(1, n - m) for q in range(p)))
-    for p, q in pairs:
-        if i in (p, q):
-            continue
-        s1, s2, s3 = t = sorted((p, q, m))
-        z = (s1 - 1) + (s3 - s2 - 1) - (i < s1 or s2 < i < s3)
-        t.insert(t.index(m) + (side == "after"), i)
-        yield z, tuple(t)
+    after = side == "after"
+    families = (
+        (1, ((m - p, m, m + q) for p in range(1, m)
+             for q in range(1, n - m + 1))),
+        (2, ((q, p, m) for p in range(2, m) for q in range(1, p))),
+        (0, ((m, n - p, n - q) for p in range(1, n - m) for q in range(p))))
+    for at, triples in families:
+        at += after
+        for t in triples:
+            if i in t:
+                continue
+            s1, s2, s3 = t
+            z = (s1 - 1) + (s3 - s2 - 1) - (i < s1 or s2 < i < s3)
+            yield z, t[:at] + (i,) + t[at:]
 
 
 def _gamma_walk(b: PureBraidWord, encode) -> list:
@@ -307,14 +312,6 @@ def brunnian_certificate(b: PureBraidWord):
 # free-product invariants phi_{(i,j,k)} of G_n^3
 
 
-@functools.lru_cache(maxsize=8)
-def _phi_alphabet(dim):
-    """Target of phi_ijk: the 2^dim states, one bit pair per label outside
-    the triple.  Built once per dimension (it has 4^(n-3) symbols)."""
-    return state_alphabet(dim, lambda x: "s_" + ",".join(
-        labels_text(x[t:t + 2]) for t in range(0, len(x), 2)))
-
-
 def phi_ijk(group: GnkGroup, w: Word, triple):
     """Free-product value of an even-ish G_n^3 word at a fixed triple.
 
@@ -328,7 +325,8 @@ def phi_ijk(group: GnkGroup, w: Word, triple):
     if any(x not in group.labels for x in (i, j, k)):
         raise ValueError("triple must be a 3-subset of the labels")
     others = [l for l in group.labels if l not in (i, j, k)]
-    target = _phi_alphabet(2 * len(others))
+    # one bit pair per label outside the triple
+    target = state_alphabet(2 * len(others), "s_", 2)
     counts = {}
     out = []
     for sub in w.keys():
@@ -449,29 +447,23 @@ def omega_m(g2: GnkGroup, w: Word, m: int, target: DottedGroup = None) -> Word:
 
 def kappa(dg: DottedGroup, w: Word, new_label: int = None):
     """Dotted group -> G_{n+1}^2 modulo the forbidden moves: a_ij -> a_ij,
-    t_i -> a_{i,new}; adjacent new-strand letters commute and cancel."""
+    t_i -> a_{i,new}; new-strand letters commute and cancel across each
+    other (``words.reduce_commuting``), and each run of them is sorted."""
     if new_label is None:
         new_label = max(dg.labels) + 1
     labels = dg.labels + (new_label,)
     target = GnkGroup(len(labels), 2, labels)
-    letters = [tuple(sorted((k, new_label))) if isinstance(k, int) else k
-               for k in w.keys()]
-    changed = True
-    while changed:
-        changed = False
-        out = []
-        for m in letters:
-            if out and out[-1] == m:
-                out.pop()
-                changed = True
-            elif (out and new_label in m and new_label in out[-1]
-                  and m < out[-1]):
-                out.insert(len(out) - 1, m)   # commute adjacent new-letters
-                changed = True
-            else:
-                out.append(m)
-        letters = out
-    return target.word_from_subsets(letters), target
+    alphabet, code = target.alphabet, target.alphabet.code
+    strand = [new_label in m for m in alphabet.keys]
+    codes = reduce_commuting(
+        alphabet,
+        [code[tuple(sorted((k, new_label))) if isinstance(k, int) else k]
+         for k in w.keys()],
+        lambda a, b: strand[a >> 1] and strand[b >> 1])
+    out = []
+    for on_strand, run in itertools.groupby(codes, lambda c: strand[c >> 1]):
+        out += sorted(run) if on_strand else run
+    return Word(alphabet, out), target
 
 
 def w_parity(pg: ParityGroup, w: Word, pair):
@@ -483,7 +475,7 @@ def w_parity(pg: ParityGroup, w: Word, pair):
     """
     i, j = sorted(pair)
     others = [l for l in pg.labels if l not in (i, j)]
-    target = state_alphabet(len(others), lambda x: "z_" + labels_text(x))
+    target = state_alphabet(len(others), "z_")
     counts = {}
     out = []
     for k in w.keys():

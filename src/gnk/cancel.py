@@ -151,21 +151,12 @@ def check_tq(R: SymmetrisedSet, q: int) -> bool:
         for v in elems:
             if v != u_inv and v[0] == last_inv:
                 succ[ui].append(index[v])
-    # closed walks of length l in the cancellation graph
-    n = len(elems)
-    for l in range(3, q):
-        # closed walks of length l via boolean adjacency powers
-        cur = {}
-        for u in range(n):
-            for v in succ[u]:
-                cur[(u, v)] = True
-        for _ in range(l - 1):
-            nxt = {}
-            for (u, v) in cur:
-                for w in succ[v]:
-                    nxt[(u, w)] = True
-            cur = nxt
-        if any(u == v for (u, v) in cur):
+    # (start, end) of the walks of length l in the cancellation graph, one
+    # edge added per length; a closed one of length 3 <= l < q breaks T(q)
+    walks = {(u, v) for u, vs in enumerate(succ) for v in vs}
+    for l in range(2, q):
+        walks = {(u, w) for u, v in walks for w in succ[v]}
+        if l >= 3 and any(u == v for u, v in walks):
             return False
     return True
 

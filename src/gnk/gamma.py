@@ -56,17 +56,14 @@ def _quad_alphabet(labels) -> Alphabet:
 
 
 class Gamma4Group:
-    """Gamma_n^4 over an explicit label set; generators are involutive."""
+    """Gamma_n^4 over the labels 1..n; generators are involutive."""
 
-    def __init__(self, n: int, labels=None):
-        if labels is None:
-            labels = tuple(range(1, n + 1))
-        labels = tuple(sorted(labels))
-        if len(labels) != n or n < 4:
+    def __init__(self, n: int):
+        if n < 4:
             raise ValueError("need n >= 4 labels")
         self.n = n
-        self.labels = labels
-        self.alphabet = _quad_alphabet(labels)
+        self.labels = tuple(range(1, n + 1))
+        self.alphabet = _quad_alphabet(self.labels)
 
     def word_from_quads(self, quads) -> Word:
         return word_from_keys(self.alphabet,

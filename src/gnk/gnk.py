@@ -10,8 +10,8 @@ relator), where m^j = U minus its j-th element.
 Also here: the index-forgetting and strand-deletion homomorphisms, the MN
 invariant on even words (valued in a free product of Z_2's indexed by a
 Z_2-vector state), the derived unknotting lower bound, the obstruction map
-G_{k+1}^k -> F_{k-1} with its constructive last-letter elimination, and the
-greedy bigon reduction heuristic for G_n^2.
+G_{k+1}^k -> F_{k-1} with its constructive last-letter elimination, and
+bigon reduction in G_n^2.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .words import (Alphabet, CyclicWord, Word, cyclic_word_from_period,
-                    labels_text, reduce_letters, state_alphabet, state_key,
-                    word_from_keys)
+                    labels_text, reduce_commuting, reduce_letters,
+                    state_alphabet, state_key, word_from_keys)
 
 
 def subset_symbol(m) -> str:
@@ -34,10 +34,11 @@ def subset_symbol(m) -> str:
 
 @functools.lru_cache(maxsize=32)
 def _subset_codec(labels, k):
-    """The k-subsets of a label set in lexicographic order and their
-    alphabet, built once per (labels, k)."""
+    """The k-subsets of a label set in lexicographic order, their alphabet
+    and their label masks, built once per (labels, k)."""
     subsets = tuple(itertools.combinations(labels, k))
-    return subsets, Alphabet({subset_symbol(m): m for m in subsets})
+    masks = tuple(sum(1 << x for x in m) for m in subsets)
+    return subsets, Alphabet({subset_symbol(m): m for m in subsets}), masks
 
 
 class GnkGroup:
@@ -54,8 +55,14 @@ class GnkGroup:
         self.n = n
         self.k = k
         self.labels = labels
-        subsets, self.alphabet = _subset_codec(labels, k)
+        subsets, self.alphabet, self._masks = _subset_codec(labels, k)
         self.subsets = list(subsets)
+
+    def far(self, a: int, b: int) -> bool:
+        """Far commutativity of the letters with codes a and b: their
+        subsets share at most k - 2 labels."""
+        masks = self._masks
+        return (masks[a >> 1] & masks[b >> 1]).bit_count() <= self.k - 2
 
     def word_from_subsets(self, subsets) -> Word:
         return word_from_keys(self.alphabet, (tuple(sorted(m)) for m in subsets))
@@ -93,12 +100,11 @@ class GnkPresentation:
         alphabet = group.alphabet
         self.involution_relators = [CyclicWord(Word(alphabet))] * len(
             group.subsets)
-        code = alphabet.code
-        k = group.k
+        far = group.far
         self.far_commutativity_relators = [
-            cyclic_word_from_period(alphabet, (code[m1], code[m2]), 2)
-            for m1, m2 in itertools.combinations(group.subsets, 2)
-            if len(set(m1) & set(m2)) <= k - 2]
+            cyclic_word_from_period(alphabet, (a, b), 2)
+            for a, b in itertools.combinations(alphabet.code.values(), 2)
+            if far(a, b)]
         self.tetrahedron_relators = list(self._tetrahedron(group))
 
     @staticmethod
@@ -170,13 +176,6 @@ def is_even(w: Word) -> bool:
 # MN invariant
 
 
-@functools.lru_cache(maxsize=8)
-def _mn_alphabet(dim):
-    """Target of the MN invariant: the 2^dim states of Z, built once per
-    dimension."""
-    return state_alphabet(dim, lambda x: "f_" + labels_text(x))
-
-
 class MNContext:
     """State space for the MN invariant of G_n^k with a fixed k-subset m.
 
@@ -199,7 +198,7 @@ class MNContext:
         self.dim = (group.k - 1) * len(self.complement)
         if self.dim > 16:
             raise ValueError("MN state space too large (dim %d)" % self.dim)
-        self.target_alphabet = _mn_alphabet(self.dim)
+        self.target_alphabet = state_alphabet(self.dim, "f_")
 
     def psi_key(self, subset) -> int:
         """psi of a single generator a_subset, as a state key."""
@@ -283,24 +282,15 @@ def mn_value_support(value: Word):
 
 
 def coset_overlap_bound(ctx: MNContext, support) -> Fraction:
-    """Half the maximal intersection of the support with a coset of Z_0,
-    Z_0 the span of the z_{ij} over pairs {i,j} in m."""
-    support = set(support)
-    if not support:
-        return Fraction(0)
-    basis = [z_ij(ctx, i, j) for i, j in itertools.combinations(ctx.m, 2)]
-    z0 = {tuple([0] * ctx.dim)}
-    for b in basis:
-        z0 |= {tuple(x ^ y for x, y in zip(v, b)) for v in z0}
-    best = 0
-    seen_cosets = set()
-    for s in support:
-        coset = frozenset(tuple(x ^ y for x, y in zip(s, v)) for v in z0)
-        if coset in seen_cosets:
-            continue
-        seen_cosets.add(coset)
-        best = max(best, len(support & coset))
-    return Fraction(best, 2)
+    """Half the maximal intersection of the support, a set of bit vectors,
+    with a coset of Z_0, Z_0 the span of the z_{ij} over pairs {i,j} in m.
+    States are worked on as keys, and each coset is named by its least."""
+    z0 = {0}
+    for i, j in itertools.combinations(ctx.m, 2):
+        z = state_key(z_ij(ctx, i, j))
+        z0 |= {v ^ z for v in z0}
+    cosets = Counter(min(state_key(s) ^ v for v in z0) for s in set(support))
+    return Fraction(max(cosets.values(), default=0), 2)
 
 
 def unknotting_lower_bound(group: GnkGroup, w: Word, m) -> Fraction:
@@ -327,7 +317,7 @@ class Gk1kContext:
         self.group = GnkGroup(k + 1, k)
         self.subsets = self.group.subsets          # already lex sorted
         self.b_index = {m: j + 1 for j, m in enumerate(self.subsets)}
-        self.f_alphabet = state_alphabet(k - 1, lambda x: "c_" + labels_text(x))
+        self.f_alphabet = state_alphabet(k - 1, "c_")
 
     def b_word(self, js) -> Word:
         return self.group.word_from_subsets([self.subsets[j - 1] for j in js])
@@ -398,38 +388,22 @@ def eliminate_last_letter(ctx: Gk1kContext, w: Word):
 
 
 # ---------------------------------------------------------------------------
-# bigon reduction heuristic for G_n^2
+# bigon reduction in G_n^2
 
 
 def bigon_reduce_g2(group: GnkGroup, w: Word) -> Word:
-    """Greedy bigon cancellation in G_n^2.
+    """Bigon cancellation in G_n^2: a_m u a_m -> u whenever every letter of
+    u is disjoint from m, so that it commutes past a_m by far
+    commutativity (``words.reduce_commuting`` with ``GnkGroup.far``).
 
-    Repeatedly removes a pair a_m ... a_m whose interleaved letters are all
-    disjoint from m (so they commute past by far commutativity and the pair
-    cancels).  Leftmost eligible pair first; fixed point of the rule.  This
-    is a heuristic: the result is equal to w in G_n^2 and no longer than w,
-    but is not guaranteed globally minimal.
+    The result is equal to w in G_n^2 and is a shortest word equal to w
+    modulo far commutativity and a_m^2 = 1 alone; the tetrahedron relations
+    may shorten it further.
     """
     if group.k != 2:
         raise ValueError("bigon reduction applies to k = 2 only")
-    letters = w.keys()
-    changed = True
-    while changed:
-        changed = False
-        n = len(letters)
-        for p in range(n):
-            if changed:
-                break
-            for q in range(p + 1, n):
-                if letters[p] != letters[q]:
-                    continue
-                mset = set(letters[p])
-                if all(not (set(letters[t]) & mset) for t in range(p + 1, q)):
-                    del letters[q]
-                    del letters[p]
-                    changed = True
-                    break
-    return group.word_from_subsets(letters)
+    return Word(group.alphabet,
+                reduce_commuting(group.alphabet, w.codes, group.far))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ e.g. ``a_123 a_234^-1``.  Parsing and printing round-trip exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from operator import itemgetter
@@ -107,10 +108,16 @@ class Alphabet:
         return "Alphabet(%d symbols)" % len(self.symbols)
 
 
-def state_alphabet(dim: int, name) -> Alphabet:
+@functools.lru_cache(maxsize=16)
+def state_alphabet(dim: int, prefix: str, group: int = None) -> Alphabet:
     """Involutive alphabet of the 2^dim bit vectors in binary order, each
-    named ``name(bits)``; a vector's key is its position (``state_key``)."""
-    return Alphabet([name(x) for x in itertools.product((0, 1), repeat=dim)])
+    named ``prefix`` and its bits, in comma-separated runs of ``group`` bits
+    when ``group`` is given; a vector's key is its position
+    (``state_key``).  Built once per (dim, prefix, group)."""
+    step = group or max(dim, 1)
+    return Alphabet([prefix + ",".join("".join(bits[t:t + step])
+                                       for t in range(0, dim, step))
+                     for bits in itertools.product("01", repeat=dim)])
 
 
 def state_key(bits) -> int:
@@ -133,6 +140,35 @@ def reduce_letters(alphabet: Alphabet, letters) -> tuple:
     for c in letters:
         if out and out[-1] == c ^ flip:
             out.pop()
+        else:
+            out.append(c)
+    return tuple(out)
+
+
+def reduce_commuting(alphabet: Alphabet, letters, commutes) -> tuple:
+    """Reduce a code sequence modulo cancellation and the commutations
+    ``commutes(a, b)``, a symmetric test on codes that inverting either
+    letter does not change (stack pass).
+
+    Each letter scans back over the stack letters it commutes with: if it
+    meets its inverse, the two cancel, otherwise it is pushed.  Survivors
+    keep their order.  The result has no factor a u a^-1 with every letter
+    of u commuting with a, so by Tits' lemma it is a shortest word among
+    those that commutations and cancellations reach from ``letters``
+    (``DECISIONS.md``).
+    """
+    flip = 0 if alphabet.involutive else 1
+    out = []
+    for c in letters:
+        inv = c ^ flip
+        for t in range(len(out) - 1, -1, -1):
+            d = out[t]
+            if d == inv:
+                del out[t]
+                break
+            if not commutes(c, d):
+                out.append(c)
+                break
         else:
             out.append(c)
     return tuple(out)

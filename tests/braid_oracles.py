@@ -1,4 +1,5 @@
-"""Per-letter oracles for the pure-braid images and the MN invariant.
+"""Per-letter oracles for the pure-braid images and the MN invariant, and
+the fixpoint loops of the reductions modulo commutation.
 
 These are the maps as they were before each call tabled its generator
 images: the walk rebuilds the whole image of b_ij (its crossings, sorts and
@@ -7,7 +8,14 @@ and z_ij recompute psi of every letter as a bit vector, from sets.  The fast
 maps in ``gnk.braids`` and ``gnk.gnk`` must agree with them letter for letter.
 They share ``_c3`` and ``_crossings`` with the maps, which the independent
 oracles in ``test_braids.py`` check.
+
+``kappa`` and ``bigon_reduce_g2`` are the rescanning loops that ran before
+both became one stack pass (``words.reduce_commuting``), and
+``coset_overlap_bound`` the bound over bit tuples and frozenset cosets.
 """
+
+import itertools
+from fractions import Fraction
 
 from gnk.braids import _c3, _crossings
 from gnk.gamma import Gamma4Group, graded_words
@@ -108,3 +116,74 @@ def mn_invariant(group, w, m, ctx=None, start=None):
                 x[t] ^= bit
     emitted.reverse()
     return word_from_keys(ctx.target_alphabet, emitted)
+
+
+def coset_overlap_bound(ctx, support):
+    """Half the maximal intersection of the support with a coset of Z_0,
+    each coset formed as a frozenset of bit tuples."""
+    support = set(support)
+    if not support:
+        return Fraction(0)
+    basis = [z_ij(ctx, i, j) for i, j in itertools.combinations(ctx.m, 2)]
+    z0 = {tuple([0] * ctx.dim)}
+    for b in basis:
+        z0 |= {tuple(x ^ y for x, y in zip(v, b)) for v in z0}
+    best = 0
+    seen_cosets = set()
+    for s in support:
+        coset = frozenset(tuple(x ^ y for x, y in zip(s, v)) for v in z0)
+        if coset in seen_cosets:
+            continue
+        seen_cosets.add(coset)
+        best = max(best, len(support & coset))
+    return Fraction(best, 2)
+
+
+def kappa(dg, w, new_label=None):
+    """Dotted group -> G_{n+1}^2: passes over the keys until no adjacent
+    pair cancels and no adjacent new-strand pair is out of order."""
+    if new_label is None:
+        new_label = max(dg.labels) + 1
+    labels = dg.labels + (new_label,)
+    target = GnkGroup(len(labels), 2, labels)
+    letters = [tuple(sorted((k, new_label))) if isinstance(k, int) else k
+               for k in w.keys()]
+    changed = True
+    while changed:
+        changed = False
+        out = []
+        for m in letters:
+            if out and out[-1] == m:
+                out.pop()
+                changed = True
+            elif (out and new_label in m and new_label in out[-1]
+                  and m < out[-1]):
+                out.insert(len(out) - 1, m)   # commute adjacent new-letters
+                changed = True
+            else:
+                out.append(m)
+        letters = out
+    return target.word_from_subsets(letters), target
+
+
+def bigon_reduce_g2(group, w):
+    """Leftmost pair a_m ... a_m whose interleaved letters are all disjoint
+    from m removed first, rescanning until no pair is left."""
+    letters = w.keys()
+    changed = True
+    while changed:
+        changed = False
+        n = len(letters)
+        for p in range(n):
+            if changed:
+                break
+            for q in range(p + 1, n):
+                if letters[p] != letters[q]:
+                    continue
+                mset = set(letters[p])
+                if all(not (set(letters[t]) & mset) for t in range(p + 1, q)):
+                    del letters[q]
+                    del letters[p]
+                    changed = True
+                    break
+    return group.word_from_subsets(letters)

@@ -715,6 +715,20 @@ def test_kappa_omega_inverse():
         assert img2.letters == img.letters
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 10])
+def test_kappa_matches_rescanning_oracle(n):
+    rng = random.Random(500 + n)
+    dg = DottedGroup(range(1, n + 1))
+    for _ in range(300):
+        w = Word(dg.alphabet, [rng.randrange(0, 2 * len(dg.alphabet), 2)
+                               for _ in range(rng.randint(0, 20))])
+        for new_label in (None, 0, n + 7):
+            img, target = kappa(dg, w, new_label)
+            want, want_target = braid_oracles.kappa(dg, w, new_label)
+            assert img == want
+            assert target.alphabet == want_target.alphabet
+
+
 def test_phi_parity_chain_helper():
     g = GnkGroup(4, 2)
     beta = g.word_from_subsets([(1, 2), (3, 4), (1, 3), (3, 4), (1, 3), (1, 2)])
@@ -745,6 +759,15 @@ def test_phi_ijk_vanishes_on_random_brunnian_n6():
         for t in itertools.combinations(range(1, n + 1), 3):
             assert len(phi_ijk(g, img, t)) == 0
         found += 1
+
+
+def test_crossings_match_oracle_for_every_mover_and_anchor():
+    from gnk.braids import _crossings
+    for n in range(4, 13):
+        for i, anchor in itertools.product(range(1, n + 1), repeat=2):
+            for side in ("after", "before"):
+                assert list(_crossings(n, i, anchor, side)) == list(
+                    _oracle_phase_crossings(n, i, anchor, side))
 
 
 def test_graded_components_match_parabola_inside_counts():

@@ -12,7 +12,8 @@ from gnk.cancel import (PresentationNotC16, _lcp, _max_overlap,
                         dehn_reduce_syllables, max_piece_prefixes,
                         piece_table, symmetrise, syllable_length,
                         to_syllables)
-from gnk.words import Alphabet, cyclic_reduce, reduce_letters
+from gnk.words import (Alphabet, cyclic_reduce, inverse_letters,
+                       reduce_letters)
 
 FREE_XY = Alphabet(["x", "y"], involutive=False)
 x, X, y, Y = ("x", 1), ("x", -1), ("y", 1), ("y", -1)
@@ -116,6 +117,44 @@ def test_t3_always_holds():
             continue
         R = symmetrise(ab, rels)
         assert check_tq(R, 3)
+
+
+def _tq_by_chains(R, q):
+    """T(q) by brute force: extend every chain r_1 .. r_l of elements, each
+    beginning with the inverse of the last letter of the one before and
+    none the inverse of the one before, up to length q - 1; T(q) fails when
+    r_1 follows r_l in the same way at some length l >= 3."""
+    ab = R.alphabet
+
+    def follows(u, v):
+        return v[0] == ab.inverse(u[-1]) and v != inverse_letters(ab, u)
+
+    def closes(chain):
+        if len(chain) >= 3 and follows(chain[-1], chain[0]):
+            return True
+        return len(chain) < q - 1 and any(
+            closes(chain + [v]) for v in R.elements if follows(chain[-1], v))
+    return not any(closes([r]) for r in R.elements)
+
+
+@pytest.mark.parametrize("q", [4, 5, 6, 7])
+def test_tq_matches_brute_force_chains(q):
+    rng = random.Random(5)
+    verdicts = set()
+    for _ in range(200):
+        size = rng.randint(2, 4)
+        ab = Alphabet(["x%d" % s for s in range(size)], involutive=False)
+        rels = [[(rng.choice(ab.symbols), rng.choice((1, -1)))
+                 for _ in range(rng.randint(2, 5))]
+                for _ in range(rng.randint(1, 2))]
+        try:
+            R = symmetrise(ab, rels)
+        except ValueError:
+            continue
+        holds = check_tq(R, q)
+        assert holds == _tq_by_chains(R, q), rels
+        verdicts.add(holds)
+    assert verdicts == {True, False}
 
 
 def test_c_prime_implies_cp():

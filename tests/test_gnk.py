@@ -37,8 +37,8 @@ def test_relators_dedup_43():
 
 
 PRESENTATION_SIZES = [
-    (5, 2), (6, 2), (6, 3), (7, 3), (8, 3), (7, 4), (8, 4), (7, 5),
-    (2, 1), (3, 1), (5, 1), (3, 2), (4, 3), (5, 4), (6, 5)]
+    (5, 2), (6, 2), (6, 3), (7, 3), (8, 3), (7, 4), (8, 4), (9, 4), (7, 5),
+    (2, 1), (3, 1), (5, 1), (3, 2), (4, 3), (5, 4), (6, 5), (12, 2)]
 
 
 @pytest.mark.parametrize("n, k", PRESENTATION_SIZES)
@@ -281,6 +281,28 @@ def test_unknotting_bound_switch_monotonicity():
                     assert coset_overlap_bound(ctx, smaller) <= base
 
 
+@pytest.mark.parametrize("n, k", [(4, 3), (5, 3), (6, 3), (7, 3), (6, 4),
+                                  (7, 5)])
+def test_coset_bound_matches_tuple_oracle(n, k):
+    from gnk.gnk import coset_overlap_bound
+    rng = random.Random(80 + 10 * n + k)
+    g = GnkGroup(n, k)
+    for m in itertools.combinations(g.labels, k):
+        ctx = MNContext(g, m)
+        zs = [braid_oracles.z_ij(ctx, i, j)
+              for i, j in itertools.combinations(m, 2)]
+        for _ in range(20):
+            # a few random walks along the z_ij, each inside one coset
+            support = set()
+            for _ in range(rng.randint(0, 4)):
+                s = tuple(rng.randint(0, 1) for _ in range(ctx.dim))
+                for _ in range(rng.randint(1, 8)):
+                    support.add(s)
+                    s = tuple(a ^ b for a, b in zip(s, rng.choice(zs)))
+            assert coset_overlap_bound(ctx, support) == \
+                braid_oracles.coset_overlap_bound(ctx, support)
+
+
 # ---------------------------------------------------------------------------
 # G_{k+1}^k
 
@@ -427,6 +449,18 @@ def test_bigon_reduction():
     w2 = g.word_from_subsets([(1, 2), (1, 3), (1, 2)])
     assert bigon_reduce_g2(g, w2) == w2
     assert len(bigon_reduce_g2(g, Word(g.alphabet))) == 0
+
+
+@pytest.mark.parametrize("n, labels", [
+    (4, None), (5, None), (6, None), (12, None),
+    (5, (8, 9, 10, 11, 12)), (6, (1, 10, 11, 12, 13, 14))])
+def test_bigon_matches_rescanning_oracle(n, labels):
+    rng = random.Random(60 + n)
+    g = GnkGroup(n, 2, labels)
+    for _ in range(300):
+        w = g.word_from_subsets([rng.choice(g.subsets)
+                                 for _ in range(rng.randint(0, 24))])
+        assert bigon_reduce_g2(g, w) == braid_oracles.bigon_reduce_g2(g, w)
 
 
 def test_bigon_only_shortens_and_is_fixed_point():

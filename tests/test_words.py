@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,8 +8,9 @@ from certificate_oracles import (old_parse_letters, old_reduce_letters,
 from gnk.words import (Alphabet, CyclicWord, UnknownSymbolError, Word,
                        cyclic_reduce, cyclic_word_from_period, format_word,
                        inverse_letters, least_rotation, parse_word,
-                       read_letters, read_symbols, read_text,
-                       reduce_letters, relabel_cyclic_words, word)
+                       labels_text, read_letters, read_symbols, read_text,
+                       reduce_commuting, reduce_letters, relabel_cyclic_words,
+                       state_alphabet, word)
 from relator_oracles import distinct_cyclic_words
 
 
@@ -400,3 +402,76 @@ def test_read_letters_matches_old_reader():
     codes = read_letters(big, "g150 g199^-1 g150 g199^-1")
     assert codes == [300, 399, 300, 399]
     assert codes[0] is codes[2] and codes[1] is codes[3]
+
+
+def _shortest_by_rewrites(alphabet, letters, commutes):
+    """The shortest words that swaps of adjacent commuting letters and
+    cancellations of adjacent inverse pairs reach from ``letters``,
+    found breadth first."""
+    start = tuple(letters)
+    seen, todo = {start}, [start]
+    for w in todo:
+        for t in range(len(w) - 1):
+            a, b = w[t], w[t + 1]
+            moves = []
+            if b == alphabet.inverse(a):
+                moves.append(w[:t] + w[t + 2:])
+            if commutes(a, b):
+                moves.append(w[:t] + (b, a) + w[t + 2:])
+            for nxt in moves:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+    least = min(map(len, seen))
+    return {w for w in seen if len(w) == least}
+
+
+@pytest.mark.parametrize("involutive", [False, True])
+def test_reduce_commuting_matches_breadth_first_search(involutive):
+    # random commutation graphs on up to four symbols, a symbol commuting
+    # with itself or not; the stack pass reaches a shortest word
+    rng = random.Random(71 + involutive)
+    step = 2 if involutive else 1
+    for _ in range(200):
+        size = rng.randint(1, 4)
+        ab = Alphabet(["x%d" % s for s in range(size)], involutive)
+        edges = {(s, t) for s in range(size) for t in range(s, size)
+                 if rng.random() < 0.5}
+
+        def commutes(a, b):
+            return tuple(sorted((a >> 1, b >> 1))) in edges
+        letters = [rng.randrange(0, 2 * size, step)
+                   for _ in range(rng.randint(0, 9))]
+        got = reduce_commuting(ab, letters, commutes)
+        assert got in _shortest_by_rewrites(ab, letters, commutes), letters
+    ab = Alphabet(["a", "b", "c"], involutive)
+    a, b, c = 0, 2, 4
+    # a commutes with b only: a b a^-1 -> b, a c a^-1 stays
+    inv = ab.inverse
+    assert reduce_commuting(ab, [a, b, inv(a), c],
+                            lambda x, y: {x >> 1, y >> 1} == {0, 1}) == (b, c)
+    assert reduce_commuting(ab, [a, c, inv(a)], lambda x, y: False) == (
+        a, c, inv(a))
+
+
+def test_state_alphabet_names_and_cache():
+    # the names of the four state targets: the MN values f_, the F-image
+    # c_, w_parity z_ (one run of bits) and phi_ijk s_ (bit pairs)
+    def name(prefix, bits, group=None):
+        if group is None:
+            return prefix + labels_text(bits)
+        return prefix + ",".join(labels_text(bits[t:t + group])
+                                 for t in range(0, len(bits), group))
+    for dim in range(0, 11):
+        vectors = list(itertools.product((0, 1), repeat=dim))
+        for prefix, group in (("f_", None), ("c_", None), ("z_", None),
+                              ("s_", 2)):
+            if group and dim % group:
+                continue
+            ab = state_alphabet(dim, prefix, group)
+            assert ab.symbols == tuple(name(prefix, x, group)
+                                       for x in vectors)
+            assert ab.involutive
+            assert state_alphabet(dim, prefix, group) is ab
+    assert state_alphabet(0, "f_").symbols == ("f_",)
+    assert state_alphabet(4, "s_", 2).symbols[6] == "s_01,10"
