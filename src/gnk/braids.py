@@ -34,7 +34,7 @@ import functools
 import itertools
 import re
 
-from .gamma import Gamma4Group, dihedral_canonical
+from .gamma import Gamma4Group
 from .gnk import GnkGroup
 from .words import (Alphabet, UnknownSymbolError, Word, labels_text,
                     reduce_commuting, state_alphabet, state_key, word,
@@ -256,10 +256,9 @@ def pb_to_gamma4(b: PureBraidWord) -> Word:
     (z = 0) emits its flip letter, the mover adjacent to the anchor."""
     if b.n < 4:
         raise ValueError("Gamma_n^4 needs n >= 4")
-    alphabet = Gamma4Group(b.n).alphabet
-    code = alphabet.code
-    return Word(alphabet, _gamma_walk(
-        b, lambda xs: [code[dihedral_canonical(q)] for z, q in xs if z == 0]))
+    group = Gamma4Group(b.n)
+    return Word(group.alphabet, _gamma_walk(
+        b, lambda xs: [group.letter(q) for z, q in xs if z == 0]))
 
 
 def pb_to_gamma4_graded(b: PureBraidWord):
@@ -267,19 +266,13 @@ def pb_to_gamma4_graded(b: PureBraidWord):
 
     Every crossing of the walk emits its flip letter into the component
     indexed by z, the inside-point count of the event circle, taken mod r
-    and folded to a representative alpha <= r/2.
+    and folded to a representative alpha <= r/2 (``graded_words``).
     """
     if b.n <= 5:
         raise ValueError("graded map needs n > 5")
-    r = b.n - 4
-    alphabet = Gamma4Group(b.n).alphabet
-    code = alphabet.code
-    comps = [[] for _ in range(r // 2 + 1)]
-    # the component rule of gamma.graded_words, which compile_word uses
-    for t, c in _gamma_walk(b, lambda xs: [
-            (min(z % r, -z % r), code[dihedral_canonical(q)]) for z, q in xs]):
-        comps[t].append(c)
-    return tuple(Word(alphabet, cs) for cs in comps)
+    group = Gamma4Group(b.n)
+    return group.graded_words(_gamma_walk(
+        b, lambda xs: [(z, group.letter(q)) for z, q in xs]))
 
 
 # ---------------------------------------------------------------------------

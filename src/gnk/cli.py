@@ -31,8 +31,20 @@ def _emit(args, payload):
 
 
 def _read(path):
-    with open(path) as fh:
-        return fh.read()
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValueError("cannot read %s: %s" % (path, exc.strerror)) from None
+
+
+def _labels(text, count):
+    """The ``count`` comma-separated labels of ``invariant --m``."""
+    m = text.split(",")
+    if len(m) != count or not all(t.strip().isdecimal() for t in m):
+        raise ValueError("--m %s: expected %d comma-separated labels"
+                         % (text, count))
+    return tuple(map(int, m))
 
 
 def cmd_reduce(args):
@@ -45,8 +57,8 @@ def cmd_invariant(args):
     n, k = args.n, args.k
     group = gnk.GnkGroup(n, k)
     w = parse_word(group.alphabet, _read(args.path))
+    m = _labels(args.m, k if args.map == "mn" else 3)
     if args.map == "mn":
-        m = tuple(int(t) for t in args.m.split(","))
         if not gnk.is_even(w):
             print("error: mn invariant needs an even word", file=sys.stderr)
             return 2
@@ -57,8 +69,7 @@ def cmd_invariant(args):
                      "value": format_word(value) or "1",
                      "unknotting_lower_bound": str(bound)})
     else:
-        triple = tuple(int(t) for t in args.m.split(","))
-        value = braids.phi_ijk(group, w, triple)
+        value = braids.phi_ijk(group, w, m)
         _emit(args, {"chain": "phi_(%s)" % (args.m,),
                      "value": format_word(value) or "1"})
     return 0
@@ -190,6 +201,8 @@ def cmd_fliplab(args):
     if args.path is None:
         raise ValueError("fliplab replay needs a spec path")
     spec_ = json.loads(_read(args.path))
+    if not isinstance(spec_, dict):
+        raise ValueError("replay spec: the top level must be a JSON object")
     names = sorted(spec_["labels"].values())
     syms = dict(zip(names, fliplab.symbols(names)))
     labels = {tuple(int(v) for v in key.split("-")): syms[name]
@@ -215,7 +228,11 @@ def cmd_cancel(args):
                 for line in text.splitlines() if line.strip()]
     R = cancel.symmetrise(alphabet, relators)
     if args.mode == "check":
-        lam = Fraction(args.lam)
+        try:
+            lam = Fraction(args.lam)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError("--lambda %s: expected a fraction p/q, q != 0"
+                             % args.lam) from None
         holds, witness = cancel.check_metric_condition(R, lam)
         _emit(args, {"symmetrised": len(R), "lambda": str(lam),
                      "holds": holds,

@@ -270,8 +270,7 @@ class LabeledTriangulation:
     """Triangulated polygon with labels on (unordered) edges.
 
     Labels are attached to edges oriented from the smaller to the larger
-    vertex index; the opposite orientation carries the negated label.
-    Triangles are stored as sorted vertex triples.
+    vertex index.  Triangles are stored as sorted vertex triples.
     """
 
     def __init__(self, triangles, labels):
@@ -281,10 +280,6 @@ class LabeledTriangulation:
             for e in itertools.combinations(t, 2):
                 if tuple(sorted(e)) not in self.labels:
                     raise ValueError("edge %r has no label" % (e,))
-
-    def label(self, a, b):
-        v = self.labels[tuple(sorted((a, b)))]
-        return v if a < b else -v
 
     def edge_triangles(self, e):
         e = tuple(sorted(e))

@@ -25,7 +25,7 @@ from math import gcd, lcm
 from operator import itemgetter
 
 from .words import (Alphabet, CyclicWord, Word, cyclic_word_from_period,
-                    labels_text, relabel_cyclic_words, word_from_keys)
+                    labels_text, relabel_cyclic_words)
 
 
 # ---------------------------------------------------------------------------
@@ -40,19 +40,16 @@ def dihedral_canonical(quad):
     return (a, b, c, d) if b < d else (a, d, c, b)
 
 
-def d_symbol(quad) -> str:
-    return "d_" + labels_text(dihedral_canonical(quad))
-
-
 @functools.lru_cache(maxsize=32)
-def _quad_alphabet(labels) -> Alphabet:
-    """The d-letters of Gamma^4 over a label set, built once per label set:
-    three dihedral classes per 4-subset, keyed by their least quads (with
-    a < b < c < d each quad below already is its least form)."""
-    return Alphabet({
-        "d_" + labels_text(quad): quad
-        for a, b, c, d in itertools.combinations(labels, 4)
-        for quad in ((a, b, c, d), (a, b, d, c), (a, c, b, d))})
+def _quad_alphabet(labels):
+    """The d-letters of Gamma^4 over a label set and their label masks,
+    built once per label set: three dihedral classes per 4-subset, keyed by
+    their least quads (with a < b < c < d each quad below already is its
+    least form)."""
+    quads = [quad for a, b, c, d in itertools.combinations(labels, 4)
+             for quad in ((a, b, c, d), (a, b, d, c), (a, c, b, d))]
+    return (Alphabet({"d_" + labels_text(quad): quad for quad in quads}),
+            tuple(map(_label_mask, quads)))
 
 
 class Gamma4Group:
@@ -63,48 +60,51 @@ class Gamma4Group:
             raise ValueError("need n >= 4 labels")
         self.n = n
         self.labels = tuple(range(1, n + 1))
-        self.alphabet = _quad_alphabet(self.labels)
+        self.alphabet, self._masks = _quad_alphabet(self.labels)
+
+    def letter(self, quad) -> int:
+        """Code of the flip letter of any cyclic ordering of four labels."""
+        return self.alphabet.code[dihedral_canonical(quad)]
+
+    def far(self, a: int, b: int) -> bool:
+        """Far commutativity of the letters with codes a and b: their quads
+        share at most two labels."""
+        masks = self._masks
+        return (masks[a >> 1] & masks[b >> 1]).bit_count() < 3
+
+    def graded_words(self, pairs) -> tuple:
+        """The graded image in floor(r/2)+1 copies of Gamma_n^4, r = n - 4
+        (n > 5): each (z, code) puts the letter into component
+        min(z mod r, -z mod r)."""
+        r = self.n - 4
+        comps = [[] for _ in range(r // 2 + 1)]
+        # residue x = z mod r goes to min(x, r - x) = min(z mod r, -z mod r)
+        fold = [comps[min(x, r - x)] for x in range(r)]
+        for z, c in pairs:
+            fold[z % r].append(c)
+        return tuple(Word(self.alphabet, cs) for cs in comps)
 
     def word_from_quads(self, quads) -> Word:
-        return word_from_keys(self.alphabet,
-                              (dihedral_canonical(q) for q in quads))
-
-
-def graded_words(n: int, pairs):
-    """The graded image in floor(r/2)+1 copies of Gamma_n^4, r = n - 4
-    (n > 5): each (z, quad) puts the flip letter of quad into component
-    min(z mod r, -z mod r)."""
-    r = n - 4
-    comps = [[] for _ in range(r // 2 + 1)]
-    for z, quad in pairs:
-        comps[min(z % r, -z % r)].append(quad)
-    return tuple(map(Gamma4Group(n).word_from_quads, comps))
+        return Word(self.alphabet, map(self.letter, quads))
 
 
 def gamma4_presentation(n: int):
-    """Relators of Gamma_n^4: involutions, far commutativity (|∩|<3), and one
-    pentagon (i, j, k, l, m) per rotation/reversal class: i least, j < m.
+    """Relators of Gamma_n^4: involutions, far commutativity (``far``), and
+    one pentagon (i, j, k, l, m) per rotation/reversal class: i least, j < m.
 
     The involution relators are empty (the alphabet is involutive); the
     others are written straight into their canonical rotation
-    (``cyclic_word_from_period``), one code lookup per quad.
+    (``cyclic_word_from_period``), one ``letter`` per quad.
     """
     g = Gamma4Group(n)
-    alphabet = g.alphabet
-    quads = alphabet.keys
-    # every ordering of a quad's dihedral class -> its code
-    code = {}
-    for quad, c in alphabet.code.items():
-        for image in (quad, quad[::-1]):
-            for r in range(4):
-                code[image[r:] + image[:r]] = c
-    rels = [CyclicWord(Word(alphabet))] * len(quads)
-    rels += [cyclic_word_from_period(alphabet, (code[q1], code[q2]), 2)
-             for q1, q2 in itertools.combinations(quads, 2)
-             if len(set(q1) & set(q2)) < 3]
-    rels += [cyclic_word_from_period(alphabet, (
-                 code[i, j, k, l], code[i, j, l, m], code[j, k, l, m],
-                 code[i, j, k, m], code[i, k, l, m]))
+    alphabet, letter, far = g.alphabet, g.letter, g.far
+    codes = alphabet.code.values()
+    rels = [CyclicWord(Word(alphabet))] * len(codes)
+    rels += [cyclic_word_from_period(alphabet, (a, b), 2)
+             for a, b in itertools.combinations(codes, 2) if far(a, b)]
+    rels += [cyclic_word_from_period(alphabet, map(letter, (
+                 (i, j, k, l), (i, j, l, m), (j, k, l, m), (i, j, k, m),
+                 (i, k, l, m))))
              for i, *rest in itertools.combinations(g.labels, 5)
              for j, k, l, m in itertools.permutations(rest) if j < m]
     return g, rels
@@ -386,13 +386,6 @@ def gamma_presentation(n: int, k: int):
             relabel += (c, c ^ 1)
         polygons += relabel_cyclic_words(alphabet, relabel, templates)
     return group, far_commutator_pairs(group), polygons
-
-
-def pq_to_d_quad(P, Q):
-    """Dictionary between a_{P,Q} (k = 4) and the dihedral 4-tuple class:
-    the diagonals P and Q interleave around the quadrilateral."""
-    P, Q = sorted(P), sorted(Q)
-    return dihedral_canonical((P[0], Q[0], P[1], Q[1]))
 
 
 # ---------------------------------------------------------------------------

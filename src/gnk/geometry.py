@@ -23,7 +23,7 @@ import json
 import math
 from fractions import Fraction
 
-from .gamma import Gamma4Group, dihedral_canonical, graded_words
+from .gamma import Gamma4Group, dihedral_canonical
 from .gnk import GnkGroup
 
 
@@ -324,6 +324,8 @@ class Trajectory:
     @classmethod
     def from_json(cls, text: str) -> "Trajectory":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("trajectory: the top level must be a JSON object")
         def dec_pt(pt):
             if not all(type(c) is list and len(c) == 2
                        and all(type(x) is int for x in c) for c in pt):
@@ -647,27 +649,26 @@ def compile_word(tr: Trajectory, target: str):
         raise ValueError("target %s needs dim %d, the trajectory has dim %d"
                          % (target, dim, tr.dim))
     n = tr.n
-    if target == "gamma4_graded":
-        if n <= 5:
-            raise ValueError("graded target needs n > 5")
-        events = detect_events(tr, kind)
-        confs = tr.configurations()
-        pairs, seg = [], None
-        for e in events:
-            # z: the static points inside the event circle at the segment start
-            mover = tr.moves[e.segment][0] - 1
-            trip = tuple(q - 1 for q in e.participants if q - 1 != mover)
-            if e.segment != seg:
-                seg, frame = e.segment, _integer_frame(confs[e.segment])
-            pairs.append((sum(_inside_circle(frame, trip, mover)), e.quad))
-        return graded_words(n, pairs), events
-    if target in ("gn3", "gn4"):
-        group = GnkGroup(n, 3 if target == "gn3" else 4)
-        events = detect_events(tr, kind)
-        return group.word_from_subsets([e.participants for e in events]), events
-    group = Gamma4Group(n)
+    if target == "gamma4_graded" and n <= 5:
+        raise ValueError("graded target needs n > 5")
+    gn = target in ("gn3", "gn4")
+    group = GnkGroup(n, 3 if target == "gn3" else 4) if gn else Gamma4Group(n)
     events = detect_events(tr, kind)
-    return group.word_from_quads([e.quad for e in events]), events
+    if gn:
+        return group.word_from_subsets([e.participants for e in events]), events
+    if target != "gamma4_graded":
+        return group.word_from_quads([e.quad for e in events]), events
+    confs = tr.configurations()
+    pairs, seg = [], None
+    for e in events:
+        # z: the static points inside the event circle at the segment start
+        mover = tr.moves[e.segment][0] - 1
+        trip = tuple(q - 1 for q in e.participants if q - 1 != mover)
+        if e.segment != seg:
+            seg, frame = e.segment, _integer_frame(confs[e.segment])
+        pairs.append((sum(_inside_circle(frame, trip, mover)),
+                      group.letter(e.quad)))
+    return group.graded_words(pairs), events
 
 
 # ---------------------------------------------------------------------------

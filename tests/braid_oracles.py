@@ -18,9 +18,10 @@ import itertools
 from fractions import Fraction
 
 from gnk.braids import _c3, _crossings
-from gnk.gamma import Gamma4Group, graded_words
+from gnk.gamma import Gamma4Group
 from gnk.gnk import GnkGroup, MNContext, is_even
 from gnk.words import state_key, word_from_keys
+from relator_oracles import quad_word
 
 
 def walk(b, phase, mid) -> list:
@@ -58,12 +59,15 @@ def pb_to_gn4(b, group=None):
 
 
 def pb_to_gamma4(b):
-    return Gamma4Group(b.n).word_from_quads(
-        q for z, q in gamma_walk(b) if z == 0)
+    return quad_word(Gamma4Group(b.n), (q for z, q in gamma_walk(b) if z == 0))
 
 
 def pb_to_gamma4_graded(b):
-    return graded_words(b.n, gamma_walk(b))
+    r = b.n - 4
+    comps = [[] for _ in range(r // 2 + 1)]
+    for z, q in gamma_walk(b):
+        comps[min(z % r, -z % r)].append(q)
+    return tuple(quad_word(Gamma4Group(b.n), c) for c in comps)
 
 
 def psi(ctx: MNContext, subset) -> tuple:

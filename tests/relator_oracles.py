@@ -5,13 +5,18 @@ Form-then-deduplicate oracles check that one representative per symmetry
 class is formed.  The Word builders form each relator as a reduced Word and
 canonicalise it through ``CyclicWord``, as the presentations did before
 they wrote each relator straight into its canonical rotation.
+
+``d_symbol``, ``quad_word`` and ``pq_to_d_quad`` name Gamma_n^4's flip
+letters and look them up by their least dihedral forms, without
+``Gamma4Group.letter``.
 """
 
 import itertools
 
 from gnk.gamma import Gamma4Group, GammaGroup, GaleDiagram, \
-    enumerate_standard_gale, pq_symbol
-from gnk.words import CyclicWord, least_rotation, word
+    dihedral_canonical, enumerate_standard_gale, pq_symbol
+from gnk.words import (CyclicWord, labels_text, least_rotation, word,
+                       word_from_keys)
 
 
 def distinct_cyclic_words(words) -> list:
@@ -76,19 +81,38 @@ def gnk_relator_words(group):
     return involution, far, tetrahedron
 
 
+def d_symbol(quad) -> str:
+    """Name of the flip letter of a cyclic 4-tuple: d_ and its least
+    dihedral form."""
+    return "d_" + labels_text(dihedral_canonical(quad))
+
+
+def quad_word(group, quads):
+    """Word of the flip letters of cyclic 4-tuples, each keyed by its least
+    dihedral form."""
+    return word_from_keys(group.alphabet, map(dihedral_canonical, quads))
+
+
+def pq_to_d_quad(P, Q):
+    """Dictionary between a_{P,Q} (k = 4) and the dihedral 4-tuple class:
+    the diagonals P and Q interleave around the quadrilateral."""
+    P, Q = sorted(P), sorted(Q)
+    return dihedral_canonical((P[0], Q[0], P[1], Q[1]))
+
+
 def gamma4_relator_words(n):
     """Relators of Gamma_n^4: involutions, far commutativity, pentagons."""
     g = Gamma4Group(n)
 
     def generator(quad):
-        return g.word_from_quads([quad])
+        return quad_word(g, [quad])
 
     quads = g.alphabet.keys
     rels = [CyclicWord(generator(q) * generator(q)) for q in quads]
     rels += [CyclicWord((generator(q1) * generator(q2)) ** 2)
              for q1, q2 in itertools.combinations(quads, 2)
              if len(set(q1) & set(q2)) < 3]
-    rels += [CyclicWord(g.word_from_quads(
+    rels += [CyclicWord(quad_word(g,
                  [(i, j, k, l), (i, j, l, m), (j, k, l, m), (i, j, k, m),
                   (i, k, l, m)]))
              for i, *rest in itertools.combinations(g.labels, 5)

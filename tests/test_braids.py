@@ -15,6 +15,7 @@ from gnk.gnk import (GnkGroup, MNContext, delete_strand, is_even,
                      mn_invariant)
 from gnk.words import Word, format_word, word, word_from_keys
 import braid_oracles
+from relator_oracles import quad_word
 
 
 def ab2(w):
@@ -306,14 +307,14 @@ def _oracle_gamma_walk(b, ncomp, component):
 
 def _oracle_pb_to_gamma4(b):
     (quads,) = _oracle_gamma_walk(b, 1, lambda z: 0 if z == 0 else None)
-    return Gamma4Group(b.n).word_from_quads(quads)
+    return quad_word(Gamma4Group(b.n), quads)
 
 
 def _oracle_pb_to_gamma4_graded(b):
     r = b.n - 4
     ncomp = r // 2 + 1
     comps = _oracle_gamma_walk(b, ncomp, lambda z: min(z % r, (-z) % r))
-    return tuple(Gamma4Group(b.n).word_from_quads(c) for c in comps)
+    return tuple(quad_word(Gamma4Group(b.n), c) for c in comps)
 
 
 def _oracle_inputs(n):

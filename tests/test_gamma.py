@@ -10,20 +10,21 @@ import pytest
 
 from gnk.gamma import (Gamma4Group, GammaGroup, GaleDiagram,
                        abelianization_rank_gf2,
-                       d_symbol, dihedral_canonical,
+                       dihedral_canonical,
                        enumerate_standard_gale, gale_diagram,
                        gale_relation_word, gale_transform, gamma4_presentation,
                        gamma_presentation, gf2_rank, in_relative_interior_zero,
                        oriented_abelianization_gf2, oriented_columns,
                        oriented_relator_rows,
-                       polytope_faces_via_gale, pq_to_d_quad,
+                       polytope_faces_via_gale,
                        primitive_direction,
                        standard_gale_count_formula)
-from gnk.words import (CyclicWord, cyclic_word_from_period, format_word,
-                       least_rotation)
-from relator_oracles import (distinct_cyclic_words, gale_relation_pq_word,
-                             gamma4_relator_words, gamma_relator_words,
-                             oriented_generator_classes,
+from gnk.words import (CyclicWord, Word, cyclic_word_from_period,
+                       format_word, least_rotation)
+from relator_oracles import (d_symbol, distinct_cyclic_words,
+                             gale_relation_pq_word, gamma4_relator_words,
+                             gamma_relator_words, oriented_generator_classes,
+                             pq_to_d_quad, quad_word,
                              standard_gale_brute_force)
 
 
@@ -57,6 +58,42 @@ def test_gamma4_alphabet_keys_are_dihedral_symbols():
         alphabet = Gamma4Group(n).alphabet
         assert alphabet.symbols == tuple(want), n
         assert alphabet.keys == tuple(want.values()), n
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 12])
+def test_gamma4_letter_of_every_ordering(n):
+    g = Gamma4Group(n)
+    code = g.alphabet.code
+    for four in itertools.combinations(g.labels, 4):
+        for q in itertools.permutations(four):
+            assert g.letter(q) == code[dihedral_canonical(q)], q
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_gamma4_far_matches_set_intersection(n):
+    g = Gamma4Group(n)
+    items = list(g.alphabet.code.items())
+    for (q1, a), (q2, b) in itertools.product(items, repeat=2):
+        assert g.far(a, b) == (len(set(q1) & set(q2)) < 3), (q1, q2)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9, 10, 13])
+def test_gamma4_graded_words_match_component_oracle(n):
+    # the oracle keeps its own copy of the rule: component z mod r, folded
+    # to the representative at most r/2, r = n - 4
+    g = Gamma4Group(n)
+    r = n - 4
+    rng = random.Random(70 + n)
+    codes = list(g.alphabet.code.values())
+    for _ in range(30):
+        pairs = [(rng.randint(-3 * n, 3 * n), rng.choice(codes))
+                 for _ in range(rng.randint(0, 40))]
+        comps = [[] for _ in range(r // 2 + 1)]
+        for z, c in pairs:
+            t = z % r
+            comps[t if 2 * t <= r else r - t].append(c)
+        assert g.graded_words(pairs) == tuple(
+            Word(g.alphabet, cs) for cs in comps), pairs
 
 
 def test_enumerate_counts():
@@ -200,8 +237,8 @@ def test_polygon_relators_match_all_labelings_oracle(n, k):
 def test_gamma4_pentagons_match_all_orderings_oracle(n):
     g, rels = gamma4_presentation(n)
     want = distinct_cyclic_words(
-        g.word_from_quads([(i, j, k, l), (i, j, l, m), (j, k, l, m),
-                           (i, j, k, m), (i, k, l, m)])
+        quad_word(g, [(i, j, k, l), (i, j, l, m), (j, k, l, m),
+                      (i, j, k, m), (i, k, l, m)])
         for five in itertools.combinations(g.labels, 5)
         for i, j, k, l, m in itertools.permutations(five))
     assert rels[len(rels) - len(want):] == want

@@ -16,6 +16,7 @@ from gnk.geometry import (DegenerateConfiguration, DegenerateTrajectory,
 from gnk.gnk import GnkGroup
 from gnk.words import format_word
 from geometry_oracles import overlapping_pairs, sweep_separate_events
+from relator_oracles import quad_word
 
 F = Fraction
 
@@ -695,7 +696,7 @@ def oracle_compile(tr, target):
     if target in ("gamma4", "gamma4_space"):
         events = oracle_detect_events(
             tr, "delaunay_flip" if target == "gamma4" else "coplanar_special")
-        return Gamma4Group(n).word_from_quads([e.quad for e in events]), events
+        return quad_word(Gamma4Group(n), [e.quad for e in events]), events
     r = n - 4
     comps = [[] for _ in range(r // 2 + 1)]
     events = oracle_detect_events(tr, "concyclic4")
@@ -708,7 +709,7 @@ def oracle_compile(tr, target):
         if point_in_circumcircle(*(conf[q] for q in trip), conf[mover]) > 0:
             z -= 1
         comps[min(z % r, (-z) % r)].append(e.quad)
-    return (tuple(Gamma4Group(n).word_from_quads(c) for c in comps), events)
+    return (tuple(quad_word(Gamma4Group(n), c) for c in comps), events)
 
 
 def _event_log(events):
