@@ -185,10 +185,6 @@ def _c3(n, i, j):
             for k in itertools.chain(range(j + 1, n + 1), range(1, j)) if k != i]
 
 
-def c_ij_gn3(group: GnkGroup, i: int, j: int) -> Word:
-    return word_from_keys(group.alphabet, _c3(group.n, i, j))
-
-
 def pb_to_gn3(b: PureBraidWord, group: GnkGroup = None) -> Word:
     """The walk in G_n^3 with phase c_{i,m}^-1 and mid c_{i,j}^2."""
     if group is None:
@@ -289,11 +285,6 @@ def delete_pb_strand(b: PureBraidWord, m: int) -> PureBraidWord:
         j2 = j if j < m else j - 1
         letters.append(((i2, j2), e))
     return PureBraidWord(b.n - 1, letters)
-
-
-def is_brunnian(b: PureBraidWord) -> bool:
-    """Sound, incomplete Brunnian certificate: every p_m(b) freely trivial."""
-    return all(len(delete_pb_strand(b, m)) == 0 for m in range(1, b.n + 1))
 
 
 def brunnian_certificate(b: PureBraidWord):

@@ -1,29 +1,28 @@
 """Small-cancellation toolkit: pieces, C'(lambda), C(p), T(q), Dehn reduction.
 
-Relators and words come in as (symbol, sign) letters over an Alphabet
-(usually free, i.e. non-involutive) and are worked on as the alphabet's
-letter codes.  The symmetrisation of a relator set is the deduplicated
-closure under cyclic rotation and inversion, each element cyclically
-reduced; a piece is a common beginning of two distinct elements of the
-symmetrisation.
+Relators come in as (symbol, sign) letters over an Alphabet (usually free,
+i.e. non-involutive) and are worked on as the alphabet's letter codes.  The
+symmetrisation of a relator set is the deduplicated closure under cyclic
+rotation and inversion, each element cyclically reduced; a piece is a
+common beginning of two distinct elements of the symmetrisation.
 
-dehn_reduce works on a run-length (syllable) encoding of the cyclic word in
-one stack pass, so words like nested-commutator powers with millions of
-letters stay cheap: a relator factor can overlap a long run only near its
-ends.  Runs come in and go out as (symbol, exponent) pairs and are worked on
-as (code, count) pairs, count > 0.
+``dehn_reduce_syllables`` works on a run-length (syllable) encoding of the
+cyclic word, which ``to_syllables`` makes from letter codes, in one stack
+pass, so words like nested-commutator powers with millions of letters stay
+cheap: a relator factor can overlap a long run only near its ends.  Runs
+come in as (symbol, exponent) pairs and are worked on as (code, count)
+pairs, count > 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .words import (Alphabet, Word, cyclic_reduce, inverse_letters,
-                    reduce_letters)
+from .words import Alphabet, cyclic_reduce, inverse_letters, reduce_letters
 
 
 class PresentationNotC16(Exception):
-    """dehn_reduce demands a verified C'(1/6) presentation."""
+    """dehn_reduce_syllables demands a verified C'(1/6) presentation."""
 
 
 class SymmetrisedSet:
@@ -85,13 +84,6 @@ def max_piece_prefixes(R: SymmetrisedSet):
             best = max(best, _lcp(r, elems[t + 1]))
         out[r] = best
     return out
-
-
-def piece_table(R: SymmetrisedSet):
-    """All maximal pieces (as words): longest common prefixes of distinct
-    element pairs, deduplicated."""
-    prefixes = max_piece_prefixes(R)
-    return sorted({r[:n] for r, n in prefixes.items() if n > 0})
 
 
 def check_metric_condition(R: SymmetrisedSet, lam) -> tuple:
@@ -205,9 +197,8 @@ class DehnTrace:
 
 
 class DehnResult:
-    """Fixed point of the reduction, kept as (code, count) runs (words can
-    be huge); ``syllables`` is its (symbol, exponent) view, and .word()
-    materialises it when small."""
+    """Fixed point of the reduction, kept as (code, count) runs: words can
+    be huge."""
 
     def __init__(self, alphabet, runs, trace):
         self.alphabet = alphabet
@@ -215,18 +206,11 @@ class DehnResult:
         self.trace = trace
 
     @property
-    def syllables(self):
-        return _symbol_runs(self.alphabet, self.runs)
-
-    @property
     def letter_count(self):
         return syllable_length(self.runs)
 
     def is_trivial(self):
         return self.letter_count == 0
-
-    def word(self):
-        return Word(self.alphabet, [c for c, n in self.runs for _ in range(n)])
 
     def __repr__(self):
         return "DehnResult(letters=%d, %r)" % (self.letter_count, self.trace)
@@ -396,10 +380,20 @@ def _rotate(runs, offset):
 
 def dehn_reduce_syllables(alphabet: Alphabet, sylls,
                           R: SymmetrisedSet) -> DehnResult:
-    """dehn_reduce on (symbol, exponent) runs; never expands a run to
-    letters.  ``trace.max_overlap_at_fixpoint`` is read by walking a trie of
-    R_* from each start a factor can have: O(max |r|) per start
-    (``_max_overlap``)."""
+    """Greendlinger-justified Dehn reduction of a cyclic word given as
+    (symbol, exponent) runs, which ``to_syllables`` makes from letter codes.
+
+    Wherever the cyclic word contains a factor V matching more than half of
+    a symmetrised relator r = V C, replace V by C^-1 (strictly shorter) and
+    reduce freely, in one left-to-right stack pass (time linear in the
+    word's length) followed by passes for factors across the seam; no run
+    is expanded to letters.  On a C'(1/6) presentation the fixed point is
+    empty iff the word is trivial; a nonempty fixed point plus the
+    max-overlap statistic is the nontriviality certificate.
+    ``trace.steps`` lists the replacements made, as (offset of V in the
+    word the pass was building, r, |V|).  ``trace.max_overlap_at_fixpoint``
+    is read by walking a trie of R_* from each start a factor can have:
+    O(max |r|) per start (``_max_overlap``)."""
     holds, witness = check_metric_condition(R, Fraction(1, 6))
     if not holds:
         raise PresentationNotC16(str(tuple(map(R.alphabet.decode, witness))))
@@ -425,24 +419,6 @@ def dehn_reduce_syllables(alphabet: Alphabet, sylls,
     if runs:
         trace.max_overlap_at_fixpoint = _max_overlap(runs, rel_elems)
     return DehnResult(alphabet, runs, trace)
-
-
-def dehn_reduce(alphabet: Alphabet, letters, R: SymmetrisedSet):
-    """Greendlinger-justified Dehn reduction of a cyclic word given as
-    (symbol, sign) letters.
-
-    Wherever the cyclic word contains a factor V matching more than half of
-    a symmetrised relator r = V C, replace V by C^-1 (strictly shorter) and
-    reduce freely, in one left-to-right stack pass (time linear in the
-    word's length) followed by passes for factors across the seam.  On a
-    C'(1/6) presentation the fixed point is empty iff the word is trivial;
-    a nonempty fixed point plus the max-overlap statistic is the
-    nontriviality certificate.  ``trace.steps`` lists the replacements made,
-    as (offset of V in the word the pass was building, r, |V|).
-    """
-    res = dehn_reduce_syllables(
-        alphabet, to_syllables(alphabet, alphabet.encode(letters)), R)
-    return res.word(), res.trace
 
 
 def _max_overlap(runs, rel_elems):

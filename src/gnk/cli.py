@@ -60,8 +60,7 @@ def cmd_invariant(args):
     m = _labels(args.m, k if args.map == "mn" else 3)
     if args.map == "mn":
         if not gnk.is_even(w):
-            print("error: mn invariant needs an even word", file=sys.stderr)
-            return 2
+            raise ValueError("mn invariant needs an even word")
         ctx = gnk.MNContext(group, m)
         value = gnk.mn_invariant(group, w, m, ctx)
         bound = gnk.coset_overlap_bound(ctx, gnk.mn_value_support(value))
@@ -190,6 +189,40 @@ def _parse_oriented_word(text, n, k):
     return letters
 
 
+def _replay_spec(text):
+    """({edge: label name}, triangles, moves) of a ``fliplab replay`` spec:
+    "labels" maps "i-j" to a name, "triangles" and "moves" list label
+    triples and pairs.  A missing or mistyped field raises ValueError
+    naming it."""
+    spec = json.loads(text)
+    if not isinstance(spec, dict):
+        raise ValueError("replay spec: the top level must be a JSON object")
+    labels = spec.get("labels")
+    if type(labels) is not dict:
+        raise ValueError('replay spec: "labels" must be a JSON object')
+    edges = {}
+    for key, name in labels.items():
+        ends = key.split("-")
+        if (len(ends) != 2 or not all(e.isdecimal() for e in ends)
+                or type(name) is not str):
+            raise ValueError('replay spec: label %s: %s is not "i-j": name'
+                             % (json.dumps(key), json.dumps(name)))
+        edge = tuple(sorted(map(int, ends)))
+        if edge in edges:
+            raise ValueError("replay spec: edge %d-%d is labelled twice" % edge)
+        edges[edge] = name
+    lists = []
+    for field, size in (("triangles", 3), ("moves", 2)):
+        value = spec.get(field)
+        if type(value) is not list or not all(
+                type(t) is list and len(t) == size
+                and all(type(v) is int for v in t) for t in value):
+            raise ValueError('replay spec: "%s" must be a JSON list of lists '
+                             'of %d ints' % (field, size))
+        lists.append([tuple(t) for t in value])
+    return edges, *lists
+
+
 def cmd_fliplab(args):
     from . import fliplab
     if args.mode == "pentagon":
@@ -200,17 +233,13 @@ def cmd_fliplab(args):
         return 0 if ok else 2
     if args.path is None:
         raise ValueError("fliplab replay needs a spec path")
-    spec_ = json.loads(_read(args.path))
-    if not isinstance(spec_, dict):
-        raise ValueError("replay spec: the top level must be a JSON object")
-    names = sorted(spec_["labels"].values())
+    edges, triangles, moves = _replay_spec(_read(args.path))
+    names = sorted(set(edges.values()))
     syms = dict(zip(names, fliplab.symbols(names)))
-    labels = {tuple(int(v) for v in key.split("-")): syms[name]
-              for key, name in spec_["labels"].items()}
     tri = fliplab.LabeledTriangulation(
-        [tuple(t) for t in spec_["triangles"]], labels)
-    for e in spec_["moves"]:
-        tri = tri.ptolemy_flip(tuple(e))
+        triangles, {e: syms[name] for e, name in edges.items()})
+    for e in moves:
+        tri = tri.ptolemy_flip(e)
     out = {"-".join(str(v) for v in e): str(expr)
            for e, expr in sorted(tri.labels.items())}
     _emit(args, {"labels": json.dumps(out, sort_keys=True)

@@ -406,19 +406,9 @@ class SL2Label:
         return SL2Label(a * e + b * g, a * f + b * h,
                         c * e + d * g, c * f + d * h, check=False)
 
-    def det(self):
-        (a, b), (c, d) = self.m
-        return a * d - b * c
-
     def __eq__(self, other):
         return all(self.m[i][j] == other.m[i][j]
                    for i in range(2) for j in range(2))
-
-    def is_identity(self):
-        (a, b), (c, d) = self.m
-        one = _one_like(a)
-        zero = one - one
-        return a == one and d == one and b == zero and c == zero
 
 
 def _one_like(x: RationalExpr):

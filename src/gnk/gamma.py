@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import itemgetter
 
 from .words import (Alphabet, CyclicWord, Word, cyclic_word_from_period,
@@ -443,22 +443,6 @@ def gale_transform(points):
     return [tuple(basis[r][j] for r in range(len(basis))) for j in range(n)]
 
 
-def primitive_direction(vec):
-    """Scale a rational vector to a primitive integer vector (keep sign)."""
-    vec = [Fraction(x) for x in vec]
-    if all(x == 0 for x in vec):
-        return tuple(0 for _ in vec)
-    den = lcm(*(x.denominator for x in vec))
-    ints = [int(x * den) for x in vec]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints)
-
-
-def gale_diagram(points):
-    """Normalized-direction multiset of the Gale transform."""
-    return [primitive_direction(v) for v in gale_transform(points)]
-
-
 def in_relative_interior_zero(vectors) -> bool:
     """Exact test: does 0 lie in the relative interior of conv(vectors)?
 
@@ -551,16 +535,14 @@ def polytope_faces_via_gale(points):
 def gf2_rank(rows, basis=None) -> int:
     """Rank over GF(2) by XOR elimination on Python-int bitsets.
 
-    ``rows`` is any iterable of rows; a row is a sequence of 0/1 entries
-    (read mod 2) or an int whose bit c is its entry in column c.  A given
-    ``basis`` (leading bit -> row, as left by an earlier call) is extended
-    in place, and the rank returned is that of its rows and ``rows``.
+    ``rows`` is any iterable of rows; a row is an int whose bit c is its
+    entry in column c.  A given ``basis`` (leading bit -> row, as left by an
+    earlier call) is extended in place, and the rank returned is that of its
+    rows and ``rows``.
     """
     if basis is None:
         basis = {}
     for row in rows:
-        if not isinstance(row, int):
-            row = sum(1 << c for c, x in enumerate(row) if x % 2)
         while row:
             top = row.bit_length() - 1
             if top not in basis:

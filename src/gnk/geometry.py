@@ -308,9 +308,6 @@ class Trajectory:
             moves.append((p, confs[idx][p - 1]))
         return Trajectory(confs[-1], moves, self.dim)
 
-    def is_closed(self) -> bool:
-        return self.configurations()[-1] == self.initial
-
     def to_json(self) -> str:
         def enc_pt(pt):
             return [[x.numerator, x.denominator] for x in pt]
@@ -323,23 +320,33 @@ class Trajectory:
 
     @classmethod
     def from_json(cls, text: str) -> "Trajectory":
+        """Read the JSON form that ``to_json`` writes; a missing or
+        mistyped field raises ValueError naming it."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("trajectory: the top level must be a JSON object")
         def dec_pt(pt):
-            if not all(type(c) is list and len(c) == 2
-                       and all(type(x) is int for x in c) for c in pt):
+            if type(pt) is not list or not all(
+                    type(c) is list and len(c) == 2
+                    and all(type(x) is int for x in c) for c in pt):
                 raise ValueError("point %r: coordinates must be [num, den] "
                                  "pairs of ints" % (pt,))
             if any(den == 0 for _, den in pt):
                 raise ValueError("zero denominator in point %r" % (pt,))
             return tuple(Fraction(num, den) for num, den in pt)
+        for key in ("points", "moves"):
+            if type(data.get(key)) is not list:
+                raise ValueError('trajectory: "%s" must be a JSON list' % key)
         points = [dec_pt(p) for p in data["points"]]
         if data.get("n", len(points)) != len(points):
             raise ValueError("n is %r but there are %d points"
                              % (data["n"], len(points)))
-        if not all(type(m["p"]) is int for m in data["moves"]):
-            raise ValueError("mover indices must be ints")
+        for k, m in enumerate(data["moves"], 1):
+            if type(m) is not dict or "p" not in m or "to" not in m:
+                raise ValueError('trajectory: move %d must be a JSON object '
+                                 'with "p" and "to"' % k)
+            if type(m["p"]) is not int:
+                raise ValueError("mover indices must be ints")
         moves = [(m["p"], dec_pt(m["to"])) for m in data["moves"]]
         return cls(points, moves, data.get("dim", 2))
 
@@ -520,11 +527,6 @@ def _inside_circle(conf, triple, mover=None):
                 raise DegenerateTrajectory("collinear circle points")
             px, py = px - ax, py - ay
             yield (lx * px + ly * py - area * (px * px + py * py)) * area > 0
-
-
-def inside_count(conf, triple) -> int:
-    """Number of configuration points strictly inside circle(triple)."""
-    return sum(_inside_circle(conf, triple))
 
 
 def detect_events(tr: Trajectory, kind: str):

@@ -71,13 +71,6 @@ class GnkGroup:
         return "GnkGroup(n=%d, k=%d)" % (self.n, self.k)
 
 
-def generators(n: int, k: int):
-    """All C(n,k) generator index sets in lexicographic order."""
-    if k > n:
-        raise ValueError("k > n")
-    return GnkGroup(n, k).subsets
-
-
 def tetrahedron_relation_count(n: int, k: int) -> int:
     """Nominal tetrahedron relation count: (k+1)! C(n,k+1) / 2."""
     from math import comb, factorial
@@ -124,15 +117,6 @@ class GnkPresentation:
             letters = [code[U[:j] + U[j + 1:]] for j in range(k + 1)]
             for order in orders:
                 yield cyclic_word_from_period(alphabet, order(letters), 2)
-
-    @property
-    def relators(self):
-        return (self.involution_relators + self.far_commutativity_relators
-                + self.tetrahedron_relators)
-
-
-def relators(n: int, k: int) -> GnkPresentation:
-    return GnkPresentation(GnkGroup(n, k))
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +197,6 @@ class MNContext:
         if i < k:
             return 1 << (top - i)
         return (1 << top) - (1 << (top - k + 1))
-
-    def psi(self, subset) -> tuple:
-        """psi of a single generator a_subset, as a Z_2 vector."""
-        return _state_bits(self.psi_key(subset), self.dim)
 
     def psi_word(self, w: Word) -> tuple:
         """psi of a word: the letters of odd count, their psi keys XORed."""
@@ -319,9 +299,6 @@ class Gk1kContext:
         self.b_index = {m: j + 1 for j, m in enumerate(self.subsets)}
         self.f_alphabet = state_alphabet(k - 1, "c_")
 
-    def b_word(self, js) -> Word:
-        return self.group.word_from_subsets([self.subsets[j - 1] for j in js])
-
     def to_indices(self, w: Word):
         return [self.b_index[m] for m in w.keys()]
 
@@ -405,29 +382,3 @@ def bigon_reduce_g2(group: GnkGroup, w: Word) -> Word:
     return Word(group.alphabet,
                 reduce_commuting(group.alphabet, w.codes, group.far))
 
-
-# ---------------------------------------------------------------------------
-# the S_3 sanity example for G_3^2
-
-
-def _perm_mul(p, q):
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
-def is_relator_consequence_in_s3(assignment) -> bool:
-    """Check that a map {a_12, a_13, a_23} -> S_3 kills every G_3^2 relator.
-
-    ``assignment`` maps generator symbols to permutations of (0,1,2) given
-    as image tuples.
-    """
-    pres = relators(3, 2)
-    alphabet = pres.group.alphabet
-    image = {m: assignment[s] for s, m in zip(alphabet.symbols, alphabet.keys)}
-    identity = (0, 1, 2)
-    for rel in pres.relators:
-        acc = identity
-        for m in rel.keys():
-            acc = _perm_mul(acc, image[m])
-        if acc != identity:
-            return False
-    return True

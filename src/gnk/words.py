@@ -298,12 +298,6 @@ class CyclicWord(_Codes):
     def __hash__(self):
         return hash(("cyc", self.codes))
 
-    def to_word(self) -> Word:
-        return Word(self.alphabet, self.codes)
-
-    def reversal(self) -> "CyclicWord":
-        return CyclicWord(self.to_word().inverse())
-
 
 def cyclic_word_from_period(alphabet: Alphabet, letters,
                             power: int = 1) -> CyclicWord:

@@ -1,8 +1,18 @@
 """Event separation as it ran before the row-wise pass: a sweep lists the
 bracket pairs that overlap at the start, and only those are refined.  The
-tests compare the row-wise pass with it."""
+tests compare the row-wise pass with it.  Also the in-circle count point by
+point, by ``point_in_circumcircle``."""
 
-from gnk.geometry import DegenerateTrajectory, _by_left_end, _overlap
+from gnk.geometry import (DegenerateTrajectory, _by_left_end, _overlap,
+                          point_in_circumcircle)
+
+
+def inside_count(conf, triple) -> int:
+    """Number of configuration points strictly inside circle(triple), one
+    ``point_in_circumcircle`` call per point."""
+    a, b, c = (conf[q] for q in triple)
+    return sum(1 for t, pt in enumerate(conf) if t not in triple
+               and point_in_circumcircle(a, b, c, pt) > 0)
 
 
 def sweep_separate_events(events):

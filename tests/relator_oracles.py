@@ -15,8 +15,15 @@ import itertools
 
 from gnk.gamma import Gamma4Group, GammaGroup, GaleDiagram, \
     dihedral_canonical, enumerate_standard_gale, pq_symbol
-from gnk.words import (CyclicWord, labels_text, least_rotation, word,
+from gnk.words import (CyclicWord, Word, labels_text, least_rotation, word,
                        word_from_keys)
+
+
+def class_key(cw) -> tuple:
+    """The letters of a cyclic word or of its inverse, whichever is less:
+    one key per class up to rotation and inversion."""
+    inverse = Word(cw.alphabet, cw.codes).inverse()
+    return min(cw.letters, CyclicWord(inverse).letters)
 
 
 def distinct_cyclic_words(words) -> list:
@@ -26,7 +33,7 @@ def distinct_cyclic_words(words) -> list:
     out = []
     for w in words:
         cw = CyclicWord(w)
-        key = min(cw.letters, cw.reversal().letters)
+        key = class_key(cw)
         if key not in seen:
             seen.add(key)
             out.append(cw)

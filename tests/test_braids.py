@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from gnk.braids import (DottedGroup, ParityGroup, PureBraidWord, brunnian_certificate,
-                        c_ij_gn3, chi, commutator, delete_pb_strand, eta,
-                        format_braid, generator, iota, is_brunnian, kappa,
-                        omega_m, parse_braid,
+from gnk.braids import (DottedGroup, ParityGroup, PureBraidWord, _c3,
+                        brunnian_certificate, chi, commutator,
+                        delete_pb_strand, eta, format_braid, generator, iota,
+                        kappa, omega_m, parse_braid,
                         pb_relation_pairs, pb_to_gamma4, pb_to_gamma4_graded,
                         pb_to_gn3, pb_to_gn4, phi_ijk, phi_parity, pr, r_m,
                         w_parity)
@@ -95,8 +95,13 @@ def test_pb_to_gn3_identity():
 
 def test_c_ij_structure():
     g = GnkGroup(4, 3)
-    c12 = c_ij_gn3(g, 1, 2)
+    c12 = word_from_keys(g.alphabet, _c3(4, 1, 2))
     assert format_word(c12) == "a_123 a_124"
+    for n in (4, 5, 7):
+        g = GnkGroup(n, 3)
+        for i, j in itertools.permutations(range(1, n + 1), 2):
+            assert (word_from_keys(g.alphabet, _c3(n, i, j))
+                    == _oracle_c_ij_gn3(g, i, j)), (n, i, j)
 
 
 def test_pb_to_gn3_images_even():
@@ -111,7 +116,7 @@ def test_pb_to_gn3_z_cross_check():
     # psi-value vanishes (even word), and z_12 in the n=4 context is psi(a_124)
     g = GnkGroup(4, 3)
     ctx = MNContext(g, (1, 2, 3))
-    assert ctx.psi((1, 2, 4)) == (1, 1)
+    assert ctx.psi_key((1, 2, 4)) == 0b11
     w = pb_to_gn3(generator(4, 1, 2), g)
     assert ctx.psi_word(w) == (0, 0)
 
@@ -414,10 +419,15 @@ def test_p_m_identity():
     assert len(delete_pb_strand(PureBraidWord(4), 2)) == 0
 
 
+def _certified(b):
+    """The ``brunnian`` command's verdict: every p_m(b) freely trivial."""
+    return all(len(v) == 0 for v in brunnian_certificate(b).values())
+
+
 def test_commutator_is_brunnian_pb3():
     b = commutator(generator(3, 1, 2), generator(3, 1, 3))
-    assert is_brunnian(b)
-    assert not is_brunnian(generator(3, 1, 2))
+    assert _certified(b)
+    assert not _certified(generator(3, 1, 2))
 
 
 def brunnian_six():
@@ -429,19 +439,20 @@ def brunnian_six():
 
 def test_six_strand_brunnian():
     beta = brunnian_six()
-    assert is_brunnian(beta)
     cert = brunnian_certificate(beta)
+    assert sorted(cert) == list(range(1, 7))
     assert all(len(v) == 0 for v in cert.values())
 
 
 def test_q_m_kills_c_in():
     g = GnkGroup(4, 3)
-    c = c_ij_gn3(g, 1, 4)
+    c = _oracle_c_ij_gn3(g, 1, 4)
     img, _ = delete_strand(g, c, 4)
     assert len(img) == 0
-    c12 = c_ij_gn3(g, 1, 2)
+    c12 = _oracle_c_ij_gn3(g, 1, 2)
     img2, _ = delete_strand(g, c12, 4)
-    assert format_word(img2) == format_word(c_ij_gn3(GnkGroup(3, 3), 1, 2))
+    assert format_word(img2) == format_word(
+        _oracle_c_ij_gn3(GnkGroup(3, 3), 1, 2))
 
 
 def test_commuting_square_q_phi():
@@ -519,7 +530,7 @@ def test_phi_ijk_vanishes_on_brunnian():
         cover = set()
         for p in used:
             cover |= set(p)
-        if cover != set(range(1, n + 1)) or not is_brunnian(b):
+        if cover != set(range(1, n + 1)) or not _certified(b):
             continue
         img = pb_to_gn3(b, g)
         for t in itertools.combinations(range(1, n + 1), 3):
@@ -754,7 +765,7 @@ def test_phi_ijk_vanishes_on_random_brunnian_n6():
             commutator(commutator(generator(n, *used[0]), generator(n, *used[1])),
                        generator(n, *used[2])),
             commutator(generator(n, *used[3]), generator(n, *used[4])))
-        if not is_brunnian(b):
+        if not _certified(b):
             continue
         img = pb_to_gn3(b, g)
         for t in itertools.combinations(range(1, n + 1), 3):
@@ -777,8 +788,8 @@ def test_graded_components_match_parabola_inside_counts():
     # mod r; the counts come from the exact geometric oracle
     from fractions import Fraction as F
     from gnk.braids import _crossings
-    from gnk.geometry import inside_count as geo_inside_count
     from gnk.geometry import point_in_circumcircle
+    from geometry_oracles import inside_count as geo_inside_count
     n, r = 6, 2
     pts = [(F(k), F(k * k)) for k in range(1, n + 1)]
     for i, j in ((1, 2), (2, 4)):

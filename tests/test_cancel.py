@@ -8,10 +8,9 @@ from certificate_oracles import (best_overlap, old_dehn_reduce_syllables,
                                  old_inverse_letters, old_to_syllables)
 from gnk.cancel import (PresentationNotC16, _lcp, _max_overlap,
                         _replacement_trie, _symbol_runs, check_cp,
-                        check_metric_condition, check_tq, dehn_reduce,
+                        check_metric_condition, check_tq,
                         dehn_reduce_syllables, max_piece_prefixes,
-                        piece_table, symmetrise, syllable_length,
-                        to_syllables)
+                        symmetrise, syllable_length, to_syllables)
 from gnk.words import (Alphabet, cyclic_reduce, inverse_letters,
                        reduce_letters)
 
@@ -23,6 +22,13 @@ COMM = [x, y, X, Y]
 def letters_of(R):
     """The elements of R_* as (symbol, sign) tuples, in their order."""
     return [R.alphabet.decode(r) for r in R.elements]
+
+
+def _dehn(alphabet, letters, R):
+    """``dehn_reduce_syllables`` of a word given as (symbol, sign) letters,
+    run-length encoded by ``to_syllables`` as ``cancel dehn`` does."""
+    return dehn_reduce_syllables(
+        alphabet, to_syllables(alphabet, alphabet.encode(letters)), R)
 
 
 def code_runs(alphabet, sylls):
@@ -225,10 +231,8 @@ def test_cp_small_relator():
 
 def test_dehn_relator_and_conjugate_trivial():
     R = symmetrise(FREE_XY, [COMM + COMM])
-    w, tr = dehn_reduce(FREE_XY, COMM + COMM, R)
-    assert len(w) == 0
-    w2, _ = dehn_reduce(FREE_XY, [y] + COMM + COMM + [Y], R)
-    assert len(w2) == 0
+    assert _dehn(FREE_XY, COMM + COMM, R).is_trivial()
+    assert _dehn(FREE_XY, [y] + COMM + COMM + [Y], R).is_trivial()
 
 
 def test_dehn_refuses_non_c16():
@@ -237,7 +241,7 @@ def test_dehn_refuses_non_c16():
     r2 = [("a", 1)] * 3 + [("b", -1)]
     R = symmetrise(ab, [r1, r2])
     with pytest.raises(PresentationNotC16):
-        dehn_reduce(ab, r1, R)
+        _dehn(ab, r1, R)
 
 
 def test_dehn_big_certificate():
@@ -264,16 +268,15 @@ def test_dehn_random_conjugated_relator_products():
                  for _ in range(rng.randint(0, 3))]
             r = list(rng.choice(elems))
             wordl += g + r + [(s, -e) for s, e in reversed(g)]
-        w, tr = dehn_reduce(FREE_XY, wordl, R)
-        assert len(w) == 0, wordl
+        assert _dehn(FREE_XY, wordl, R).is_trivial(), wordl
 
 
 def test_dehn_strictly_decreasing_steps():
     R = symmetrise(FREE_XY, [COMM + COMM])
     wordl = COMM + COMM + [x] + COMM + COMM + [X]
-    w, tr = dehn_reduce(FREE_XY, wordl, R)
-    assert len(w) == 0
-    assert len(tr.steps) <= len(wordl)
+    res = _dehn(FREE_XY, wordl, R)
+    assert res.is_trivial()
+    assert len(res.trace.steps) <= len(wordl)
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +351,13 @@ def _check_against_oracle(alphabet, R, letters):
     """Same verdict as the oracle; the fixpoint is cyclically reduced and,
     by brute force over its cyclic factors, no factor is more than half of
     any element of R_*."""
-    res = dehn_reduce_syllables(
-        alphabet, to_syllables(alphabet, alphabet.encode(letters)), R)
+    res = _dehn(alphabet, letters, R)
     want, want_steps = oracle_dehn(alphabet, letters, R)
     assert res.is_trivial() == (syllable_length(want) == 0), letters
-    if res.syllables:
+    if res.runs:
         assert res.trace.max_overlap_at_fixpoint == best_overlap(
-            res.syllables, letters_of(R))[0], letters
-    fix = res.word().codes
+            _symbol_runs(alphabet, res.runs), letters_of(R))[0], letters
+    fix = tuple(c for c, n in res.runs for _ in range(n))
     assert cyclic_reduce(alphabet, reduce_letters(alphabet, fix)) == fix
     doubled = fix + fix
     width = min(len(fix), max(len(r) for r in R.elements))
@@ -442,9 +444,9 @@ def test_dehn_scaling_100k_letters():
 
 
 def test_piece_table_contents():
+    # every element of R_* has a one-letter piece prefix and no longer one
     R = symmetrise(FREE_XY, [COMM + COMM])
-    pieces = piece_table(R)
-    assert all(len(p) == 1 for p in pieces)
+    assert set(max_piece_prefixes(R).values()) == {1}
 
 
 def test_symmetrise_involutive_alphabet():
@@ -574,9 +576,9 @@ def test_max_overlap_matches_scan_on_random_fixpoints():
         sylls = _random_cyclic_runs(rng, ["x", "y"], rng.randint(2, 200),
                                     2000)
         res = dehn_reduce_syllables(FREE_XY, sylls, R)
-        assert res.syllables
+        assert res.runs
         assert res.trace.max_overlap_at_fixpoint == best_overlap(
-            res.syllables, letters_of(R))[0]
+            _symbol_runs(FREE_XY, res.runs), letters_of(R))[0]
 
 
 def test_max_overlap_criterion6_runs():
@@ -606,7 +608,7 @@ def _c16_presentation(rng, ab, length):
 def _check_against_old_stack(alphabet, R, sylls):
     res = dehn_reduce_syllables(alphabet, sylls, R)
     runs, steps = old_dehn_reduce_syllables(alphabet, sylls, letters_of(R))
-    assert res.syllables == runs, sylls
+    assert _symbol_runs(alphabet, res.runs) == runs, sylls
     assert [(size, alphabet.decode(rel), k)
             for size, rel, k in res.trace.steps] == steps, sylls
     assert res.trace.max_overlap_at_fixpoint == (

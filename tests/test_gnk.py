@@ -5,22 +5,28 @@ from fractions import Fraction
 
 import pytest
 
-from gnk.gnk import (Gk1kContext, GnkGroup, MNContext, bigon_reduce_g2,
-                     delete_strand, eliminate_last_letter, forget_index,
-                     generators, index_word_to_F, is_even,
-                     is_relator_consequence_in_s3, mn_invariant, relators,
+from gnk.gnk import (Gk1kContext, GnkGroup, GnkPresentation, MNContext,
+                     bigon_reduce_g2, delete_strand, eliminate_last_letter,
+                     forget_index, index_word_to_F, is_even, mn_invariant,
                      tetrahedron_relation_count, unknotting_lower_bound, z_ij)
-from gnk.words import CyclicWord, Word, format_word
+from gnk.words import CyclicWord, Word, format_word, state_key
 import braid_oracles
-from relator_oracles import distinct_cyclic_words, gnk_relator_words
+from relator_oracles import (class_key, distinct_cyclic_words,
+                             gnk_relator_words)
+
+
+def _relators(pres):
+    """Every relator of a GnkPresentation: its three families in order."""
+    return (pres.involution_relators + pres.far_commutativity_relators
+            + pres.tetrahedron_relators)
 
 
 def test_generator_counts_and_order():
-    assert generators(3, 2) == [(1, 2), (1, 3), (2, 3)]
-    assert len(generators(4, 3)) == 4
-    assert generators(5, 5) == [(1, 2, 3, 4, 5)]
+    assert GnkGroup(3, 2).subsets == [(1, 2), (1, 3), (2, 3)]
+    assert len(GnkGroup(4, 3).subsets) == 4
+    assert GnkGroup(5, 5).subsets == [(1, 2, 3, 4, 5)]
     with pytest.raises(ValueError):
-        generators(3, 4)
+        GnkGroup(3, 4)
 
 
 def test_nominal_tetrahedron_count():
@@ -30,7 +36,7 @@ def test_nominal_tetrahedron_count():
 
 
 def test_relators_dedup_43():
-    pres = relators(4, 3)
+    pres = GnkPresentation(GnkGroup(4, 3))
     # 3!/2 relations suffice for the single 4-subset
     assert len(pres.tetrahedron_relators) == 3
     assert not pres.far_commutativity_relators    # n = k + 1
@@ -45,7 +51,7 @@ PRESENTATION_SIZES = [
 def test_relators_match_word_builders(n, k):
     # each relator written in its canonical rotation equals the reduced
     # Word's CyclicWord, list order included
-    pres = relators(n, k)
+    pres = GnkPresentation(GnkGroup(n, k))
     want = gnk_relator_words(GnkGroup(n, k))
     got = (pres.involution_relators, pres.far_commutativity_relators,
            pres.tetrahedron_relators)
@@ -68,26 +74,49 @@ def test_tetrahedron_relators_match_all_orderings_oracle(n, k):
         squared(perm, U)
         for U in itertools.combinations(group.labels, k + 1)
         for perm in itertools.permutations(U))
-    got = relators(n, k).tetrahedron_relators
+    got = GnkPresentation(GnkGroup(n, k)).tetrahedron_relators
     assert got == want
     # k!/2 orderings per (k+1)-subset, and one when k = 1
     assert len(got) == math.comb(n, k + 1) * max(1, math.factorial(k) // 2)
 
 
 def test_relators_32_single_triangle():
-    pres = relators(3, 2)
+    pres = GnkPresentation(GnkGroup(3, 2))
     assert len(pres.tetrahedron_relators) == 1
     rel = pres.tetrahedron_relators[0]
     assert len(rel) == 6                          # (abc)^2
 
 
 def test_far_commutativity_count_53():
-    pres = relators(5, 3)
-    subs = generators(5, 3)
+    pres = GnkPresentation(GnkGroup(5, 3))
+    subs = GnkGroup(5, 3).subsets
     expected = sum(1 for m1, m2 in itertools.combinations(subs, 2)
                    if len(set(m1) & set(m2)) <= 1)
     assert len(pres.far_commutativity_relators) == expected
     assert expected == 15
+
+
+def _perm_mul(p, q):
+    return tuple(p[q[i]] for i in range(len(p)))
+
+
+def is_relator_consequence_in_s3(assignment) -> bool:
+    """Check that a map {a_12, a_13, a_23} -> S_3 kills every G_3^2 relator.
+
+    ``assignment`` maps generator symbols to permutations of (0,1,2) given
+    as image tuples.
+    """
+    pres = GnkPresentation(GnkGroup(3, 2))
+    alphabet = pres.group.alphabet
+    image = {m: assignment[s] for s, m in zip(alphabet.symbols, alphabet.keys)}
+    identity = (0, 1, 2)
+    for rel in _relators(pres):
+        acc = identity
+        for m in rel.keys():
+            acc = _perm_mul(acc, image[m])
+        if acc != identity:
+            return False
+    return True
 
 
 def test_s3_assignment():
@@ -120,23 +149,19 @@ def test_delete_strand_examples():
 
 
 def _is_relator_of(pres, w):
-    from gnk.words import CyclicWord
     if len(w) == 0:
         return True
-    cw = CyclicWord(w)
-    keys = {r.letters for r in pres.relators}
-    keys |= {r.reversal().letters for r in pres.relators}
-    return cw.letters in keys
+    return class_key(CyclicWord(w)) in {class_key(r) for r in _relators(pres)}
 
 
 def test_structural_maps_send_relators_to_relators():
     for n, k in ((4, 3), (5, 3), (5, 4)):
         g = GnkGroup(n, k)
-        pres = relators(n, k)
-        target_f = relators(n - 1, k - 1)
-        target_d = relators(n - 1, k)
-        for rel in pres.relators:
-            w = rel.to_word()
+        pres = GnkPresentation(GnkGroup(n, k))
+        target_f = GnkPresentation(GnkGroup(n - 1, k - 1))
+        target_d = GnkPresentation(GnkGroup(n - 1, k))
+        for rel in _relators(pres):
+            w = Word(rel.alphabet, rel.codes)
             for l in g.labels:
                 img, _ = forget_index(g, w, l)
                 assert _is_relator_of(target_f, img), (n, k, l, img)
@@ -193,7 +218,8 @@ def test_mn_invariant_matches_per_letter_oracle(n, k):
         near = [s for s in g.subsets if len(set(s) & set(m)) >= k - 1]
         subs = near + rng.sample(g.subsets, min(4, len(g.subsets)))
         for s in subs:
-            assert ctx.psi(s) == braid_oracles.psi(ctx, s), (m, s)
+            assert ctx.psi_key(s) == state_key(braid_oracles.psi(ctx, s)), (
+                m, s)
         for i, j in itertools.combinations(m, 2):
             assert z_ij(ctx, i, j) == braid_oracles.z_ij(ctx, i, j), (m, i, j)
         for _ in range(8):
@@ -235,8 +261,8 @@ def test_mn_composition_law():
 def test_mn_invariant_under_relator_insertion():
     rng = random.Random(8)
     g = GnkGroup(4, 3)
-    pres = relators(4, 3)
-    rels = [r.to_word() for r in pres.relators]
+    pres = GnkPresentation(GnkGroup(4, 3))
+    rels = [Word(r.alphabet, r.codes) for r in _relators(pres)]
     m = (1, 2, 3)
     ctx = MNContext(g, m)
     beta = g.word_from_subsets(BETA_SUBSETS)
@@ -307,21 +333,26 @@ def test_coset_bound_matches_tuple_oracle(n, k):
 # G_{k+1}^k
 
 
+def _b_word(ctx, js):
+    """The word b_{j_1} b_{j_2} ... of G_{k+1}^k, b_j the j-th k-subset."""
+    return ctx.group.word_from_subsets([ctx.subsets[j - 1] for j in js])
+
+
 def test_index_word_no_last_letter():
     ctx = Gk1kContext(3)
-    w = ctx.b_word([1, 2, 3])
+    w = _b_word(ctx, [1, 2, 3])
     assert len(index_word_to_F(ctx, w)) == 0
 
 
 def test_index_word_equal_adjacent_cancel():
     ctx = Gk1kContext(3)
-    w = ctx.b_word([4, 1, 1, 4])
+    w = _b_word(ctx, [4, 1, 1, 4])
     assert len(index_word_to_F(ctx, w)) == 0
 
 
 def test_index_word_nontrivial():
     ctx = Gk1kContext(3)
-    w = ctx.b_word([4, 1, 4])
+    w = _b_word(ctx, [4, 1, 4])
     v = index_word_to_F(ctx, w)
     assert format_word(v) == "c_00 c_10"
 
@@ -330,10 +361,10 @@ def test_index_word_relator_invariance():
     rng = random.Random(9)
     for k in (3, 4):
         ctx = Gk1kContext(k)
-        pres = relators(k + 1, k)
-        rels = [r.to_word() for r in pres.relators]
+        pres = GnkPresentation(GnkGroup(k + 1, k))
+        rels = [Word(r.alphabet, r.codes) for r in _relators(pres)]
         for _ in range(60):
-            base = ctx.b_word([rng.randint(1, k + 1)
+            base = _b_word(ctx, [rng.randint(1, k + 1)
                                for _ in range(rng.randint(0, 10))])
             value = index_word_to_F(ctx, base)
             rel = rng.choice(rels)
@@ -345,23 +376,23 @@ def test_index_word_relator_invariance():
 
 def test_eliminate_identity_cases():
     ctx = Gk1kContext(3)
-    w = ctx.b_word([1, 2, 1])
+    w = _b_word(ctx, [1, 2, 1])
     assert eliminate_last_letter(ctx, w) == w
 
 
 def test_eliminate_distinct_batch():
     ctx = Gk1kContext(3)
     # b4 B b4 with B = b1 b2 b3 (all distinct, same parity)
-    w = ctx.b_word([4, 1, 2, 3, 4])
+    w = _b_word(ctx, [4, 1, 2, 3, 4])
     out = eliminate_last_letter(ctx, w)
     assert out is not None
     assert 4 not in ctx.to_indices(out)
-    assert out.letters == ctx.b_word([3, 2, 1]).letters
+    assert out.letters == _b_word(ctx, [3, 2, 1]).letters
 
 
 def test_eliminate_failure_certificate():
     ctx = Gk1kContext(3)
-    w = ctx.b_word([4, 1, 4])
+    w = _b_word(ctx, [4, 1, 4])
     assert eliminate_last_letter(ctx, w) is None
 
 
@@ -409,7 +440,7 @@ def test_eliminate_matches_index_oracle():
         ctx = Gk1kContext(k)
         for _ in range(300):
             js = [rng.randint(1, k + 1) for _ in range(rng.randint(0, 16))]
-            w = ctx.b_word(js)
+            w = _b_word(ctx, js)
             out = eliminate_last_letter(ctx, w)
             if out is not None:
                 assert ctx.to_indices(out) == _old_eliminate_indices(
@@ -429,7 +460,7 @@ def test_eliminate_preserves_invariants():
         g = ctx.group
         for _ in range(40):
             js = [rng.randint(1, k + 1) for _ in range(rng.randint(0, 12))]
-            w = ctx.b_word(js)
+            w = _b_word(ctx, js)
             out = eliminate_last_letter(ctx, w)
             if out is None:
                 assert len(index_word_to_F(ctx, w)) > 0
@@ -477,8 +508,8 @@ def test_bigon_only_shortens_and_is_fixed_point():
 def test_mn_invariant_relator_insertion_random_words():
     rng = random.Random(40)
     g = GnkGroup(4, 3)
-    pres = relators(4, 3)
-    rels = [r.to_word() for r in pres.relators]
+    pres = GnkPresentation(GnkGroup(4, 3))
+    rels = [Word(r.alphabet, r.codes) for r in _relators(pres)]
     m = (1, 2, 3)
     ctx = MNContext(g, m)
     for _ in range(200):
@@ -495,7 +526,7 @@ def test_eliminate_last_letter_k5_random():
     ctx = Gk1kContext(5)
     for _ in range(25):
         js = [rng.randint(1, 6) for _ in range(rng.randint(0, 14))]
-        w = ctx.b_word(js)
+        w = _b_word(ctx, js)
         out = eliminate_last_letter(ctx, w)
         value = index_word_to_F(ctx, w)
         if out is None:
