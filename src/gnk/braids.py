@@ -37,7 +37,7 @@ import re
 from .gamma import Gamma4Group
 from .gnk import GnkGroup
 from .words import (Alphabet, UnknownSymbolError, Word, labels_text,
-                    reduce_commuting, state_alphabet, state_key, word,
+                    parity_walk, reduce_commuting, state_alphabet, word,
                     word_from_keys)
 
 
@@ -301,7 +301,8 @@ def phi_ijk(group: GnkGroup, w: Word, triple):
 
     Each occurrence c of a_{ijk} contributes the map
     l -> (N_jkl + N_ijl, N_ikl + N_ijl) mod 2 over l outside the triple,
-    where the counts are of occurrences before c.
+    where the counts are of occurrences before c: a parity walk with the
+    masks of ``DECISIONS.md``, "One parity walk".
     """
     i, j, k = sorted(triple)
     if len({i, j, k}) != 3:
@@ -309,21 +310,13 @@ def phi_ijk(group: GnkGroup, w: Word, triple):
     if any(x not in group.labels for x in (i, j, k)):
         raise ValueError("triple must be a 3-subset of the labels")
     others = [l for l in group.labels if l not in (i, j, k)]
-    # one bit pair per label outside the triple
-    target = state_alphabet(2 * len(others), "s_", 2)
-    counts = {}
-    out = []
-    for sub in w.keys():
-        if sub == (i, j, k):
-            bits = []
-            for l in others:
-                njkl = counts.get(tuple(sorted((j, k, l))), 0)
-                nijl = counts.get(tuple(sorted((i, j, l))), 0)
-                nikl = counts.get(tuple(sorted((i, k, l))), 0)
-                bits += [(njkl + nijl) % 2, (nikl + nijl) % 2]
-            out.append(state_key(bits))
-        counts[sub] = counts.get(sub, 0) + 1
-    return word_from_keys(target, out)
+    # bit pair t holds (N_jkl + N_ijl, N_ikl + N_ijl) for l = others[t]
+    dim = 2 * len(others)
+    target = state_alphabet(dim, "s_", 2)
+    masks = {tuple(sorted((a, b, l))): pair << (dim - 2 - 2 * t)
+             for t, l in enumerate(others)
+             for a, b, pair in ((j, k, 0b10), (i, j, 0b11), (i, k, 0b01))}
+    return parity_walk(w.alphabet, w.codes, target, masks.get, {(i, j, k): 0})
 
 
 # ---------------------------------------------------------------------------
@@ -454,23 +447,20 @@ def w_parity(pg: ParityGroup, w: Word, pair):
     """Free-product parity invariant w^P_{i,j} of a parity word.
 
     Each occurrence of a_ij^eps contributes the bit vector over the other
-    labels k: N_ik^0 + N_jk^0 (eps = 0) or N_ik^0 + N_jk^1 (eps = 1), the
-    counts taken over the letters before the occurrence.
+    labels l: N_il^0 + N_jl^0 (eps = 0) or N_il^0 + N_jl^1 (eps = 1), the
+    counts taken over the letters before the occurrence: a parity walk
+    whose state holds the eps = 0 vector above the eps = 1 one.
     """
     i, j = sorted(pair)
     others = [l for l in pg.labels if l not in (i, j)]
-    target = state_alphabet(len(others), "z_")
-    counts = {}
-    out = []
-    for k in w.keys():
-        ij, eps = k
-        if ij == (i, j):
-            out.append(state_key(
-                (counts.get((tuple(sorted((i, l))), 0), 0)
-                 + counts.get((tuple(sorted((j, l))), eps), 0)) % 2
-                for l in others))
-        counts[k] = counts.get(k, 0) + 1
-    return word_from_keys(target, out)
+    dim = len(others)
+    target = state_alphabet(dim, "z_")
+    high = 1 << dim     # bit t of each half is l = others[t]
+    masks = {(tuple(sorted((a, l))), eps): half << (dim - 1 - t)
+             for t, l in enumerate(others)
+             for a, eps, half in ((i, 0, high | 1), (j, 0, high), (j, 1, 1))}
+    return parity_walk(w.alphabet, w.codes, target, masks.get,
+                       {((i, j), 0): dim, ((i, j), 1): 0})
 
 
 def phi_parity(g2: GnkGroup, w: Word, m: int, pair):

@@ -21,10 +21,6 @@ from fractions import Fraction
 from .words import Alphabet, cyclic_reduce, inverse_letters, reduce_letters
 
 
-class PresentationNotC16(Exception):
-    """dehn_reduce_syllables demands a verified C'(1/6) presentation."""
-
-
 class SymmetrisedSet:
     """Closure of a relator set, given as (symbol, sign) sequences, under
     rotation and inversion, deduplicated; the elements are sorted code
@@ -394,9 +390,12 @@ def dehn_reduce_syllables(alphabet: Alphabet, sylls,
     word the pass was building, r, |V|).  ``trace.max_overlap_at_fixpoint``
     is read by walking a trie of R_* from each start a factor can have:
     O(max |r|) per start (``_max_overlap``)."""
+    if not R.elements:
+        raise ValueError("the relator set is empty")
     holds, witness = check_metric_condition(R, Fraction(1, 6))
     if not holds:
-        raise PresentationNotC16(str(tuple(map(R.alphabet.decode, witness))))
+        raise ValueError("presentation is not C'(1/6): %s" % (
+            tuple(map(R.alphabet.decode, witness)),))
     sylls = list(sylls)
     codes = alphabet.encode((s, 1 if e > 0 else -1) for s, e in sylls)
     runs = [(c, abs(e)) for c, (_, e) in zip(codes, sylls)]

@@ -322,7 +322,10 @@ class Trajectory:
     def from_json(cls, text: str) -> "Trajectory":
         """Read the JSON form that ``to_json`` writes; a missing or
         mistyped field raises ValueError naming it."""
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError("trajectory: not JSON: %s" % exc) from None
         if not isinstance(data, dict):
             raise ValueError("trajectory: the top level must be a JSON object")
         def dec_pt(pt):
@@ -348,7 +351,10 @@ class Trajectory:
             if type(m["p"]) is not int:
                 raise ValueError("mover indices must be ints")
         moves = [(m["p"], dec_pt(m["to"])) for m in data["moves"]]
-        return cls(points, moves, data.get("dim", 2))
+        dim = data.get("dim", 2)
+        if type(dim) is not int or dim not in (2, 3):
+            raise ValueError('trajectory: "dim" must be 2 or 3')
+        return cls(points, moves, dim)
 
 
 class Event:

@@ -23,8 +23,8 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .words import (Alphabet, CyclicWord, Word, cyclic_word_from_period,
-                    labels_text, reduce_commuting, reduce_letters,
-                    state_alphabet, state_key, word_from_keys)
+                    labels_text, parity_walk, reduce_commuting,
+                    reduce_letters, state_alphabet, state_key, word_from_keys)
 
 
 def subset_symbol(m) -> str:
@@ -180,8 +180,6 @@ class MNContext:
         self.m = m
         self.complement = tuple(x for x in group.labels if x not in m)
         self.dim = (group.k - 1) * len(self.complement)
-        if self.dim > 16:
-            raise ValueError("MN state space too large (dim %d)" % self.dim)
         self.target_alphabet = state_alphabet(self.dim, "f_")
 
     def psi_key(self, subset) -> int:
@@ -220,38 +218,22 @@ def mn_invariant(group: GnkGroup, w: Word, m, ctx: MNContext = None,
     The group acts on Z x H with the rightmost letter acting first; an
     occurrence of a_m at position t therefore contributes f_x where x is the
     psi-sum of the letters after position t (plus the optional start state).
-    The state is kept as its key and each letter XORs in its generator's
-    psi key, formed once per call from a table of the generators met.
+    That is the parity walk over the reversed word, psi keys as masks.
     """
     if not is_even(w) and start is None:
-        raise ValueError("mn_invariant requires an even word")
+        raise ValueError("mn invariant needs an even word")
     if ctx is None:
         ctx = MNContext(group, m)
-    keys, m = w.alphabet.keys, ctx.m
-    masks = {}     # code -> psi key of its generator, -1 for a_m
-    x = state_key(start) if start is not None else 0
-    emitted = []
-    for c in reversed(w.codes):
-        d = masks.get(c)
-        if d is None:
-            subset = keys[c >> 1]
-            d = masks[c] = -1 if subset == m else ctx.psi_key(subset)
-        if d < 0:
-            emitted.append(x)
-        else:
-            x ^= d
-    emitted.reverse()
-    return word_from_keys(ctx.target_alphabet, emitted)
+    return parity_walk(w.alphabet, w.codes[::-1], ctx.target_alphabet,
+                       ctx.psi_key, {ctx.m: 0},
+                       state_key(start or ())).inverse()
 
 
 def z_ij(ctx: MNContext, i: int, j: int) -> tuple:
     """z_{ij} = sum of psi(m') over k-subsets m' containing {i,j} with
-    |m ∩ m'| = k-1."""
-    x = 0
-    for mp in ctx.group.subsets:
-        if i in mp and j in mp:
-            x ^= ctx.psi_key(mp)    # 0 unless |m ∩ m'| = k-1
-    return _state_bits(x, ctx.dim)
+    |m ∩ m'| = k-1, psi being 0 on the others."""
+    return ctx.psi_word(ctx.group.word_from_subsets(
+        mp for mp in ctx.group.subsets if i in mp and j in mp))
 
 
 def mn_value_support(value: Word):
@@ -296,11 +278,7 @@ class Gk1kContext:
         self.k = k
         self.group = GnkGroup(k + 1, k)
         self.subsets = self.group.subsets          # already lex sorted
-        self.b_index = {m: j + 1 for j, m in enumerate(self.subsets)}
         self.f_alphabet = state_alphabet(k - 1, "c_")
-
-    def to_indices(self, w: Word):
-        return [self.b_index[m] for m in w.keys()]
 
 
 def index_word_to_F(ctx: Gk1kContext, w: Word) -> Word:
@@ -309,18 +287,13 @@ def index_word_to_F(ctx: Gk1kContext, w: Word) -> Word:
     Each occurrence of the last letter b_{k+1} carries the length-k parity
     string of preceding b_j counts; strings are taken modulo the all-ones
     flip (normalise the last bit to 0) and the first k-1 bits index c_m.
+    Bit t is then N_t + N_k mod 2: a parity walk in which b_k flips all.
     """
-    k = ctx.k
-    counts = [0] * (k + 2)
-    out = []
-    for j in ctx.to_indices(w):
-        if j == k + 1:
-            s = [counts[t] % 2 for t in range(1, k + 1)]
-            if s[-1] == 1:
-                s = [1 - b for b in s]
-            out.append(state_key(s[:-1]))
-        counts[j] += 1
-    return word_from_keys(ctx.f_alphabet, out)
+    *firsts, b_k, last = ctx.subsets
+    masks = {m: 1 << (ctx.k - 2 - t) for t, m in enumerate(firsts)}
+    masks[b_k] = (1 << (ctx.k - 1)) - 1
+    return parity_walk(w.alphabet, w.codes, ctx.f_alphabet, masks.get,
+                       {last: 0})
 
 
 def eliminate_last_letter(ctx: Gk1kContext, w: Word):

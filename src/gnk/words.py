@@ -32,8 +32,11 @@ from collections import Counter
 from operator import itemgetter
 
 
-class UnknownSymbolError(KeyError):
-    """A letter does not belong to the word's alphabet."""
+class UnknownSymbolError(ValueError):
+    """A letter outside the word's alphabet; ``args[0]`` is its symbol."""
+
+    def __str__(self):
+        return "unknown symbol %s" % (self.args[0],)
 
 
 def labels_text(labels) -> str:
@@ -108,16 +111,23 @@ class Alphabet:
         return "Alphabet(%d symbols)" % len(self.symbols)
 
 
+STATE_DIM_MAX = 18     # 2^18 state letters take about 0.15 s and 40 MB
+
+
 @functools.lru_cache(maxsize=16)
 def state_alphabet(dim: int, prefix: str, group: int = None) -> Alphabet:
     """Involutive alphabet of the 2^dim bit vectors in binary order, each
     named ``prefix`` and its bits, in comma-separated runs of ``group`` bits
     when ``group`` is given; a vector's key is its position
-    (``state_key``).  Built once per (dim, prefix, group)."""
+    (``state_key``).  Built once per (dim, prefix, group).  ValueError for
+    dim above ``STATE_DIM_MAX``."""
+    if dim > STATE_DIM_MAX:
+        raise ValueError("state space of dimension %d is too large (at most "
+                         "%d)" % (dim, STATE_DIM_MAX))
     step = group or max(dim, 1)
-    return Alphabet([prefix + ",".join("".join(bits[t:t + step])
-                                       for t in range(0, dim, step))
-                     for bits in itertools.product("01", repeat=dim)])
+    runs = [["".join(bits) for bits in itertools.product(
+        "01", repeat=min(step, dim - t))] for t in range(0, dim, step)]
+    return Alphabet([prefix + ",".join(p) for p in itertools.product(*runs)])
 
 
 def state_key(bits) -> int:
@@ -127,6 +137,28 @@ def state_key(bits) -> int:
     for b in bits:
         key = 2 * key + b
     return key
+
+
+def parity_walk(alphabet: Alphabet, codes, target: Alphabet, masks, emits,
+                start: int = 0) -> Word:
+    """Word over the state alphabet ``target`` read off a Z_2-linear walk
+    over ``codes`` (``DECISIONS.md``, "One parity walk").  The state is an
+    int, ``start`` at first.  A letter whose key is in ``emits`` writes the
+    letter of ``target`` keyed by the state's bits from ``emits[key]`` up;
+    any other letter XORs ``masks(key)`` into the state, None read as 0, so
+    a dict's ``get`` serves.  Each distinct letter is looked up once."""
+    keys, low = alphabet.keys, len(target) - 1
+    act = {}    # code -> its mask >= 0, or ~shift < 0 for an emitting letter
+    for c in set(codes):
+        key = keys[c >> 1]
+        act[c] = ~emits[key] if key in emits else masks(key) or 0
+    x, out = start, []
+    for a in map(act.__getitem__, codes):
+        if a < 0:
+            out.append(x >> ~a & low)
+        else:
+            x ^= a
+    return word_from_keys(target, out)
 
 
 def reduce_letters(alphabet: Alphabet, letters) -> tuple:

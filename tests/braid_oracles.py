@@ -1,5 +1,6 @@
-"""Per-letter oracles for the pure-braid images and the MN invariant, and
-the fixpoint loops of the reductions modulo commutation.
+"""Per-letter oracles for the pure-braid images and the MN invariant, the
+count loops of the other free-product invariants, and the fixpoint loops of
+the reductions modulo commutation.
 
 These are the maps as they were before each call tabled its generator
 images: the walk rebuilds the whole image of b_ij (its crossings, sorts and
@@ -8,6 +9,11 @@ and z_ij recompute psi of every letter as a bit vector, from sets.  The fast
 maps in ``gnk.braids`` and ``gnk.gnk`` must agree with them letter for letter.
 They share ``_c3`` and ``_crossings`` with the maps, which the independent
 oracles in ``test_braids.py`` check.
+
+``phi_ijk``, ``w_parity`` and ``index_word_to_F`` are the loops that ran
+before the four free-product invariants became one parity walk
+(``words.parity_walk``): each keeps its own counts of the letters seen and
+reads the state of every emitting letter off them.
 
 ``kappa`` and ``bigon_reduce_g2`` are the rescanning loops that ran before
 both became one stack pass (``words.reduce_commuting``), and
@@ -20,7 +26,7 @@ from fractions import Fraction
 from gnk.braids import _c3, _crossings
 from gnk.gamma import Gamma4Group
 from gnk.gnk import GnkGroup, MNContext, is_even
-from gnk.words import state_key, word_from_keys
+from gnk.words import state_alphabet, state_key, word_from_keys
 from relator_oracles import quad_word
 
 
@@ -120,6 +126,61 @@ def mn_invariant(group, w, m, ctx=None, start=None):
                 x[t] ^= bit
     emitted.reverse()
     return word_from_keys(ctx.target_alphabet, emitted)
+
+
+def phi_ijk(group, w, triple):
+    """phi_{(i,j,k)} from the counts N of the letters before each a_{ijk}."""
+    i, j, k = sorted(triple)
+    others = [l for l in group.labels if l not in (i, j, k)]
+    target = state_alphabet(2 * len(others), "s_", 2)
+    counts = {}
+    out = []
+    for sub in w.keys():
+        if sub == (i, j, k):
+            bits = []
+            for l in others:
+                njkl = counts.get(tuple(sorted((j, k, l))), 0)
+                nijl = counts.get(tuple(sorted((i, j, l))), 0)
+                nikl = counts.get(tuple(sorted((i, k, l))), 0)
+                bits += [(njkl + nijl) % 2, (nikl + nijl) % 2]
+            out.append(state_key(bits))
+        counts[sub] = counts.get(sub, 0) + 1
+    return word_from_keys(target, out)
+
+
+def w_parity(pg, w, pair):
+    """w^P_{i,j} from the counts N^eps of the letters before each a_ij^eps."""
+    i, j = sorted(pair)
+    others = [l for l in pg.labels if l not in (i, j)]
+    target = state_alphabet(len(others), "z_")
+    counts = {}
+    out = []
+    for k in w.keys():
+        ij, eps = k
+        if ij == (i, j):
+            out.append(state_key(
+                (counts.get((tuple(sorted((i, l))), 0), 0)
+                 + counts.get((tuple(sorted((j, l))), eps), 0)) % 2
+                for l in others))
+        counts[k] = counts.get(k, 0) + 1
+    return word_from_keys(target, out)
+
+
+def index_word_to_F(ctx, w):
+    """G_{k+1}^k -> F_{k-1} from the counts of b_1 .. b_k before each
+    b_{k+1}, the parity string flipped when its last bit is 1."""
+    k = ctx.k
+    b_index = {m: j + 1 for j, m in enumerate(ctx.subsets)}
+    counts = [0] * (k + 2)
+    out = []
+    for j in (b_index[m] for m in w.keys()):
+        if j == k + 1:
+            s = [counts[t] % 2 for t in range(1, k + 1)]
+            if s[-1] == 1:
+                s = [1 - b for b in s]
+            out.append(state_key(s[:-1]))
+        counts[j] += 1
+    return word_from_keys(ctx.f_alphabet, out)
 
 
 def coset_overlap_bound(ctx, support):

@@ -894,3 +894,37 @@ def test_w_parity_matches_key_counts_labels_ge_10(n):
                 expected.append("z_" + "".join(str(x) for x in bits))
         value = w_parity(pg, pg.word_from_letters(keys), (i, j))
         assert format_word(value) == " ".join(cancel_pairs(expected))
+
+
+@pytest.mark.parametrize("n", [4, 5, 9, 10, 11, 12])
+def test_phi_ijk_matches_count_oracle(n):
+    rng = random.Random(500 + n)
+    g = GnkGroup(n, 3)
+    for _ in range(6):
+        triple = tuple(sorted(rng.sample(g.labels, 3)))
+        if n >= 10 and rng.random() < 0.5:
+            triple = (2, n - 1, n)
+        # a_{ijk}, its neighbours (two labels shared) and a few others
+        near = [s for s in g.subsets if len(set(s) & set(triple)) >= 2]
+        subs = near + rng.sample(g.subsets, 4)
+        for _ in range(10):
+            w = g.word_from_subsets([rng.choice(subs)
+                                     for _ in range(rng.randint(0, 40))])
+            assert phi_ijk(g, w, triple) == braid_oracles.phi_ijk(
+                g, w, triple), (triple, w)
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 10, 11, 12])
+def test_w_parity_matches_count_oracle(n):
+    rng = random.Random(600 + n)
+    pg = ParityGroup(range(1, n + 1))
+    for _ in range(6):
+        pair = tuple(sorted(rng.sample(pg.labels, 2)))
+        if n >= 10 and rng.random() < 0.5:
+            pair = (1, n)
+        near = [key for key in pg.alphabet.keys if set(key[0]) & set(pair)]
+        for _ in range(10):
+            keys = [rng.choice(near) for _ in range(rng.randint(0, 40))]
+            w = word_from_keys(pg.alphabet, keys)
+            assert w_parity(pg, w, pair) == braid_oracles.w_parity(
+                pg, w, pair), (pair, w)

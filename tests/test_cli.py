@@ -457,8 +457,7 @@ def _old_command(args):
         return 0
     w = parse(alphabet, _read(args.word))
     if not holds:
-        print("presentation is not C'(1/6): %s" % (witness,), file=sys.stderr)
-        return 2
+        raise ValueError("presentation is not C'(1/6): %s" % (witness,))
     runs, steps = old_dehn_reduce_syllables(
         alphabet, old_to_syllables(alphabet, w), elements)
     _emit(args, {"reduced_length": sum(abs(e) for _, e in runs),
@@ -478,7 +477,7 @@ def _old_cli(argv):
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = _old_command(build_parser().parse_args(argv))
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             print("error: %s" % exc, file=sys.stderr)
             code = 2
     return code, out.getvalue(), err.getvalue()
@@ -608,7 +607,7 @@ def test_cancel_dehn_unknown_word_symbol(tmp_path):
     word.write_text("x y g12^-1 x\n")
     out = run_cli(["cancel", "dehn", str(pres), "--word", str(word)])
     assert out.returncode == 2 and out.stdout == ""
-    assert out.stderr == "error: 'g12'\n"
+    assert out.stderr == "error: unknown symbol g12\n"
 
 
 def _old_gale_relations(order):

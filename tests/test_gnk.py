@@ -208,7 +208,8 @@ def test_mn_context_rejects_repeated_and_foreign_labels():
 @pytest.mark.parametrize("n, k", [(4, 3), (5, 3), (8, 3), (11, 3),
                                   (5, 4), (7, 4), (9, 4)])
 def test_mn_invariant_matches_per_letter_oracle(n, k):
-    # dim (k-1)(n-k) reaches the limit 16 at (11, 3); (9, 4) has dim 15
+    # dim (k-1)(n-k) is 16 at (11, 3) and 15 at (9, 4), under the state
+    # cap words.STATE_DIM_MAX = 18
     rng = random.Random(70 + 10 * n + k)
     g = GnkGroup(n, k)
     for _ in range(6):
@@ -235,6 +236,21 @@ def test_mn_invariant_matches_per_letter_oracle(n, k):
             assert ctx.psi_word(odd) == braid_oracles.psi_word(ctx, odd)
             assert mn_invariant(g, odd, m, ctx, start=start) == \
                 braid_oracles.mn_invariant(g, odd, m, ctx, start=start)
+
+
+def test_state_dimension_cap():
+    # one cap for every state-valued map, checked before any walk
+    from gnk.braids import phi_ijk
+    from gnk.words import STATE_DIM_MAX, state_alphabet
+    assert STATE_DIM_MAX == 18
+    with pytest.raises(ValueError, match="dimension 19 is too large"):
+        state_alphabet(19, "f_")
+    g = GnkGroup(13, 3)
+    w = g.word_from_subsets([(1, 2, 3)] * 2)
+    with pytest.raises(ValueError, match="dimension 20 is too large"):
+        MNContext(g, (1, 2, 3))
+    with pytest.raises(ValueError, match="dimension 20 is too large"):
+        phi_ijk(g, w, (1, 2, 3))
 
 
 def _random_even_word(rng, g, pairs):
@@ -338,6 +354,11 @@ def _b_word(ctx, js):
     return ctx.group.word_from_subsets([ctx.subsets[j - 1] for j in js])
 
 
+def _indices(ctx, w):
+    """The indices j of the letters b_j of a G_{k+1}^k word."""
+    return [ctx.subsets.index(m) + 1 for m in w.keys()]
+
+
 def test_index_word_no_last_letter():
     ctx = Gk1kContext(3)
     w = _b_word(ctx, [1, 2, 3])
@@ -355,6 +376,17 @@ def test_index_word_nontrivial():
     w = _b_word(ctx, [4, 1, 4])
     v = index_word_to_F(ctx, w)
     assert format_word(v) == "c_00 c_10"
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_index_word_matches_count_oracle(k):
+    rng = random.Random(90 + k)
+    ctx = Gk1kContext(k)
+    for _ in range(200):
+        w = _b_word(ctx, [rng.randint(1, k + 1)
+                          for _ in range(rng.randint(0, 30))])
+        assert index_word_to_F(ctx, w) == braid_oracles.index_word_to_F(
+            ctx, w), _indices(ctx, w)
 
 
 def test_index_word_relator_invariance():
@@ -386,7 +418,7 @@ def test_eliminate_distinct_batch():
     w = _b_word(ctx, [4, 1, 2, 3, 4])
     out = eliminate_last_letter(ctx, w)
     assert out is not None
-    assert 4 not in ctx.to_indices(out)
+    assert 4 not in _indices(ctx, out)
     assert out.letters == _b_word(ctx, [3, 2, 1]).letters
 
 
@@ -443,8 +475,8 @@ def test_eliminate_matches_index_oracle():
             w = _b_word(ctx, js)
             out = eliminate_last_letter(ctx, w)
             if out is not None:
-                assert ctx.to_indices(out) == _old_eliminate_indices(
-                    k, ctx.to_indices(w)), js
+                assert _indices(ctx, out) == _old_eliminate_indices(
+                    k, _indices(ctx, w)), js
                 done += k + 1 in js
     assert done > 70
 
@@ -465,7 +497,7 @@ def test_eliminate_preserves_invariants():
             if out is None:
                 assert len(index_word_to_F(ctx, w)) > 0
                 continue
-            assert k + 1 not in ctx.to_indices(out)
+            assert k + 1 not in _indices(ctx, out)
             assert index_word_to_F(ctx, out) == index_word_to_F(ctx, w)
             assert _z2_abelianization(out) == _z2_abelianization(w)
             if is_even(w):
@@ -532,6 +564,6 @@ def test_eliminate_last_letter_k5_random():
         if out is None:
             assert len(value) > 0
         else:
-            assert 6 not in ctx.to_indices(out)
+            assert 6 not in _indices(ctx, out)
             assert index_word_to_F(ctx, out) == value
             assert _z2_abelianization(out) == _z2_abelianization(w)
