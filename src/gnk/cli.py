@@ -106,6 +106,10 @@ def cmd_compile_trajectory(args):
 
 
 def cmd_gale(args):
+    if args.order > gamma.GALE_ORDER_MAX:
+        raise ValueError("--order %d: at most %d (the enumeration walks "
+                         "2^(order-1) transversals)"
+                         % (args.order, gamma.GALE_ORDER_MAX))
     diagrams = gamma.enumerate_standard_gale(args.order)
     payload = {"order": args.order, "count": len(diagrams),
                "formula": gamma.standard_gale_count_formula(args.order),
@@ -124,6 +128,14 @@ def cmd_gale(args):
 
 
 def cmd_gamma_presentation(args):
+    if 4 <= args.k <= args.n:
+        sizes = gamma.gamma_sizes(args.n, args.k)
+        for size, cap, what in zip(sizes, (gamma.GAMMA_GENERATORS_MAX,
+                                           gamma.GAMMA_LABELINGS_MAX),
+                                   ("generators", "labelled polygons")):
+            if size > cap:
+                raise ValueError("--n %d --k %d: %d %s, at most %d"
+                                 % (args.n, args.k, size, what, cap))
     if args.extra_word and not args.abelianization_gf2:
         raise ValueError("--extra-word needs --abelianization-gf2")
     if args.abelianization_gf2:
@@ -259,6 +271,9 @@ def cmd_cancel(args):
     relators = [alphabet.decode(read_letters(alphabet, line))
                 for line in text.splitlines() if line.strip()]
     R = cancel.symmetrise(alphabet, relators)
+    if args.mode == "dehn" and not R.elements:
+        # before the word is read over the presentation's (no) symbols
+        raise ValueError("the relator set is empty")
     if args.mode == "check":
         try:
             lam = Fraction(args.lam)

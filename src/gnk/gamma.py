@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import comb, factorial, gcd
 from operator import itemgetter
 
 from .words import (Alphabet, CyclicWord, Word, cyclic_word_from_period,
@@ -289,6 +289,26 @@ def standard_gale_count_formula(l: int) -> int:
     total = Fraction(rot, 4 * l) + 2 ** ((l - 3) // 2) - (l + 1) // 2
     assert total.denominator == 1
     return int(total)
+
+
+# size caps of the CLI (DECISIONS.md, "Size caps"): the enumeration walks
+# 2^(l-1) transversals, about 1 s at l = 16; Gamma_10^7 has 6,720 generators,
+# whose far pairs are counted one by one, and walks 14,515,200 labelled
+# polygons
+GALE_ORDER_MAX = 16
+GAMMA_GENERATORS_MAX = 10_000
+GAMMA_LABELINGS_MAX = 20_000_000
+
+
+def gamma_sizes(n: int, k: int) -> tuple:
+    """(generators, labelled polygons) of Gamma_n^k, 4 <= k <= n, in closed
+    form: a k-subset has 2^(k-1) - k - 1 splits with at least two labels on
+    each side, and the relators walk every ordering of each (k+1)-subset,
+    or of the base labels 1..k+1 when n = k, for each standard Gale diagram
+    of order k + 1."""
+    return (comb(n, k) * (2 ** (k - 1) - k - 1),
+            max(comb(n, k + 1), 1) * factorial(k + 1)
+            * standard_gale_count_formula(k + 1))
 
 
 def gale_relation_word(group: GammaGroup, diagram: GaleDiagram, M) -> Word:

@@ -185,8 +185,16 @@ class PredicatePoly:
             r, den = 2 * r, 2 * den
 
     def bisect(self, bracket):
-        """Halve a sign-change bracket, keeping the root."""
+        """Halve a sign-change bracket, keeping the root.
+
+        A bracket of a linear poly is centred on its root:
+        ``_bracket_rational_root`` makes it so, and the rule below, which
+        then meets the root at the midpoint, makes the centred bracket of a
+        quarter of the half-width, written here in closed form
+        (DECISIONS.md, "Each exact sign decided once")."""
         lo, hi, den = bracket
+        if self.c2 == 0:
+            return (5 * lo + 3 * hi, 3 * lo + 5 * hi, 8 * den)
         mid, den2 = lo + hi, 2 * den
         smid = self.sign(mid, den2)
         if smid == 0:
@@ -500,17 +508,36 @@ def _convex_quad(pts, side_sign):
     return None
 
 
-def _side_at_root(poly, br, predicate, point, mover=None):
+def _side_at_root(poly, br, mover, predicate, point, line=None):
     """side_sign(x, y, z) for _convex_quad: the sign of ``predicate`` on the
     points x, y, z (``point(q, t)`` is point q at time t) at the root of poly
-    in br.  With ``mover`` given, a triple without it is signed directly on
-    its static points."""
+    in br.
+
+    The predicate is alternating, so each triple is signed once, sorted, and
+    a permutation multiplies that sign by its parity.  A triple of statics
+    is signed on its points; a triple with the mover by the sign at the root
+    of the predicate along the segment: for orient2d, ``line(p, q)`` is the
+    wall of the other two in cyclic order (a rotation keeps orient2d), else
+    the predicate is interpolated."""
+    signs = {}
+
     def side_sign(x, y, z):
-        if mover is not None and mover not in (x, y, z):
-            return _sgn(predicate(point(x, 0), point(y, 0), point(z, 0)))
-        aux = PredicatePoly.interpolate(
-            lambda t: predicate(point(x, t), point(y, t), point(z, t)))
-        return sign_at_root(poly, br, aux)
+        key = tuple(sorted((x, y, z)))
+        s = signs.get(key)
+        if s is None:
+            a, b, c = key
+            if mover not in key:
+                s = _sgn(predicate(point(a, 0), point(b, 0), point(c, 0)))
+            elif line is not None:
+                s = sign_at_root(poly, br, line(
+                    *((b, c) if a == mover else (c, a) if b == mover
+                      else (a, b))))
+            else:
+                s = sign_at_root(poly, br, PredicatePoly.interpolate(
+                    lambda t: predicate(point(a, t), point(b, t),
+                                        point(c, t))))
+            signs[key] = s
+        return -s if ((x > y) + (x > z) + (y > z)) & 1 else s
     return side_sign
 
 
@@ -563,33 +590,42 @@ def detect_events(tr: Trajectory, kind: str):
         if kind == "coplanar_special":
             for trip, poly, br in _walls(frame, statics, x0, d, _plane, 3):
                 s1, s2, s3 = (frame[s] for s in trip)
-                sides = {_sgn(orient3d(s1, s2, s3, frame[x]))
+                # orient3d(s1, s2, s3, x) = normal . (x - s1)
+                normal = _cross(_sub(s2, s1), _sub(s3, s1))
+                sides = {_sgn(_dot(normal, _sub(frame[x], s1)))
                          for x in statics if x not in trip}
                 if 0 in sides:
                     raise DegenerateTrajectory("static point on event plane")
                 if len(sides) > 1:
                     continue
                 # sides within the statics' plane: det[y - x, z - x, normal]
-                normal = _cross(_sub(s2, s1), _sub(s3, s1))
                 quad = _convex_quad(trip + (mover,), _side_at_root(
-                    poly, br, lambda px, py, pz:
+                    poly, br, mover, lambda px, py, pz:
                         _det3(_sub(py, px), _sub(pz, px), normal), point))
                 if quad is not None:
                     events.append(Event(seg, br, kind, _labels(trip, p), poly,
                                         quad, sides.pop() if sides else 1))
         else:
-            # the statics, and so their degeneracies, change with the mover
+            # the statics, and so their degeneracies and which circles are
+            # empty, change with the mover
             if seg == 0 or tr.moves[seg - 1][0] != p:
                 _static_genericity_2d(frame, mover,
                                       circles=kind != "collinear3")
+                empty = {}
             if kind != "collinear3":
+                def line(q1, q2):
+                    return _line(x0, d, frame[q1], frame[q2])
+
                 for trip, poly, br in _walls(frame, statics, x0, d,
                                              _circle, 3):
-                    if kind == "delaunay_flip" and any(
-                            _inside_circle(frame, trip, mover)):
-                        continue
+                    if kind == "delaunay_flip":
+                        if trip not in empty:
+                            empty[trip] = not any(
+                                _inside_circle(frame, trip, mover))
+                        if not empty[trip]:
+                            continue
                     quad = _convex_quad(trip + (mover,), _side_at_root(
-                        poly, br, orient2d, point, mover))
+                        poly, br, mover, orient2d, point, line))
                     if quad is None:
                         raise DegenerateTrajectory(
                             "event points not in convex position")
@@ -618,6 +654,10 @@ def detect_events(tr: Trajectory, kind: str):
 
 def _sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
 
 def _cross(u, v):

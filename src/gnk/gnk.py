@@ -152,8 +152,11 @@ def delete_strand(group: GnkGroup, w: Word, j: int) -> tuple[Word, GnkGroup]:
 
 
 def is_even(w: Word) -> bool:
-    """True iff every generator occurs an even number of times."""
-    return all(c % 2 == 0 for c in Counter(c >> 1 for c in w.codes).values())
+    """True iff every generator occurs an even number of times: the count
+    of each letter code c plus that of its inverse code c ^ 1 (absent on an
+    involutive alphabet) is even."""
+    counts = Counter(w.codes)
+    return all((m + counts.get(c ^ 1, 0)) % 2 == 0 for c, m in counts.items())
 
 
 # ---------------------------------------------------------------------------

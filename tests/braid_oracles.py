@@ -15,17 +15,21 @@ before the four free-product invariants became one parity walk
 (``words.parity_walk``): each keeps its own counts of the letters seen and
 reads the state of every emitting letter off them.
 
+``is_even`` counts the generator of every letter through a generator
+expression, as it did before ``gnk.is_even`` counted the letter codes.
+
 ``kappa`` and ``bigon_reduce_g2`` are the rescanning loops that ran before
 both became one stack pass (``words.reduce_commuting``), and
 ``coset_overlap_bound`` the bound over bit tuples and frozenset cosets.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 from gnk.braids import _c3, _crossings
 from gnk.gamma import Gamma4Group
-from gnk.gnk import GnkGroup, MNContext, is_even
+from gnk.gnk import GnkGroup, MNContext
 from gnk.words import state_alphabet, state_key, word_from_keys
 from relator_oracles import quad_word
 
@@ -108,6 +112,11 @@ def z_ij(ctx: MNContext, i, j) -> tuple:
             for t, bit in enumerate(psi(ctx, mp)):
                 vec[t] ^= bit
     return tuple(vec)
+
+
+def is_even(w) -> bool:
+    """True iff every generator occurs an even number of times."""
+    return all(c % 2 == 0 for c in Counter(c >> 1 for c in w.codes).values())
 
 
 def mn_invariant(group, w, m, ctx=None, start=None):

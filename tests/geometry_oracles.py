@@ -1,10 +1,42 @@
 """Event separation as it ran before the row-wise pass: a sweep lists the
 bracket pairs that overlap at the start, and only those are refined.  The
 tests compare the row-wise pass with it.  Also the in-circle count point by
-point, by ``point_in_circumcircle``."""
+point, by ``point_in_circumcircle``.
 
-from gnk.geometry import (DegenerateTrajectory, _by_left_end, _overlap,
-                          point_in_circumcircle)
+``general_bisect`` is ``PredicatePoly.bisect`` without its closed form for
+linear polys, and ``per_call_side_at_root`` the side signs of
+``_convex_quad`` without the memo by sorted triple: each call interpolates
+its triple in the order given and takes the sign at the root anew."""
+
+from gnk.geometry import (DegenerateTrajectory, PredicatePoly, _by_left_end,
+                          _overlap, _sgn, point_in_circumcircle, sign_at_root)
+
+
+def general_bisect(poly, bracket):
+    """Halve a sign-change bracket of poly by the sign at its midpoint; a
+    root met at the midpoint gets a new bracket centred on it."""
+    lo, hi, den = bracket
+    mid, den2 = lo + hi, 2 * den
+    smid = poly.sign(mid, den2)
+    if smid == 0:
+        return poly._bracket_rational_root(mid, 2 * lo, 2 * hi, den2)
+    if smid == poly.sign(lo, den):
+        return (mid, 2 * hi, den2)
+    return (2 * lo, mid, den2)
+
+
+def per_call_side_at_root(poly, br, predicate, point, mover=None):
+    """side_sign(x, y, z): the sign of ``predicate`` on the points x, y, z
+    (``point(q, t)`` is point q at time t) at the root of poly in br, one
+    interpolation and one ``sign_at_root`` per call.  With ``mover`` given,
+    a triple without it is signed directly on its static points."""
+    def side_sign(x, y, z):
+        if mover is not None and mover not in (x, y, z):
+            return _sgn(predicate(point(x, 0), point(y, 0), point(z, 0)))
+        aux = PredicatePoly.interpolate(
+            lambda t: predicate(point(x, t), point(y, t), point(z, t)))
+        return sign_at_root(poly, br, aux)
+    return side_sign
 
 
 def inside_count(conf, triple) -> int:

@@ -8,12 +8,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gnk.gamma import (Gamma4Group, GammaGroup, GaleDiagram,
-                       abelianization_rank_gf2,
+from gnk.gamma import (GALE_ORDER_MAX, GAMMA_GENERATORS_MAX,
+                       GAMMA_LABELINGS_MAX, Gamma4Group, GammaGroup,
+                       GaleDiagram, abelianization_rank_gf2,
                        dihedral_canonical,
                        enumerate_standard_gale,
                        gale_relation_word, gale_transform, gamma4_presentation,
-                       gamma_presentation, gf2_rank, in_relative_interior_zero,
+                       gamma_presentation, gamma_sizes, gf2_rank, in_relative_interior_zero,
                        oriented_abelianization_gf2, oriented_columns,
                        oriented_relator_rows,
                        polytope_faces_via_gale,
@@ -99,6 +100,29 @@ def test_enumerate_counts():
     assert len(enumerate_standard_gale(5)) == 1
     assert len(enumerate_standard_gale(6)) == 2
     assert len(enumerate_standard_gale(7)) == 5
+
+
+@pytest.mark.parametrize("n, k", [(4, 4), (5, 4), (6, 4), (5, 5), (6, 5),
+                                  (7, 5), (6, 6), (7, 6)])
+def test_gamma_sizes_count_generators_and_labelled_polygons(n, k):
+    generators, labelings = gamma_sizes(n, k)
+    assert generators == len(GammaGroup(n, k).alphabet)
+    if n > k:       # one oriented row per labelled polygon
+        assert labelings == len(oriented_relator_rows(n, k)[1])
+    else:           # the orderings of the base labels, per diagram
+        assert labelings == len(list(itertools.permutations(
+            range(k + 1)))) * len(enumerate_standard_gale(k + 1))
+
+
+def test_size_caps_admit_the_sizes_in_use():
+    # the tests and the benchmark enumerate Gale diagrams up to order 16,
+    # and the Gamma_n^k curve of ROADMAP item 6 goes up to (10, 7)
+    assert GALE_ORDER_MAX >= 16
+    for n in range(5, 11):
+        for k in range(4, min(n, 7) + 1):
+            generators, labelings = gamma_sizes(n, k)
+            assert generators <= GAMMA_GENERATORS_MAX
+            assert labelings <= GAMMA_LABELINGS_MAX
 
 
 def test_enumeration_matches_closed_formula():

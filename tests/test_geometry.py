@@ -15,7 +15,8 @@ from gnk.geometry import (DegenerateConfiguration, DegenerateTrajectory,
                           point_in_circumcircle, sign_at_root)
 from gnk.gnk import GnkGroup
 from gnk.words import format_word
-from geometry_oracles import (inside_count, overlapping_pairs,
+from geometry_oracles import (general_bisect, inside_count,
+                              overlapping_pairs, per_call_side_at_root,
                               sweep_separate_events)
 from relator_oracles import quad_word
 
@@ -1012,3 +1013,165 @@ def test_separation_asks_shares_root_once_per_pair(monkeypatch):
     # each round bisects both brackets: more than two bisections per call
     # means some pair took several rounds
     assert 0 < 2 * totals["calls"] < totals["bisections"]
+
+
+# ---------------------------------------------------------------------------
+# each exact sign decided once: linear bisection in closed form, one root
+# sign per sorted triple, Delaunay emptiness once per mover run
+
+
+def test_linear_bisection_matches_general_rule():
+    # a line or plane wall's bracket is centred on its root and stays so,
+    # so the closed form gives what the general rule gives, at every depth
+    depths = 0
+    for dim, frame, mover, b in _wall_frames(random.Random("linear bisect")):
+        x0 = frame[mover]
+        d = tuple(y - x for x, y in zip(x0, b))
+        statics = [pt for q, pt in enumerate(frame) if q != mover]
+        wall, size = ((geometry._line, 2) if dim == 2
+                      else (geometry._plane, 3))
+        for tup in itertools.combinations(statics, size):
+            poly = wall(x0, d, *tup)
+            try:
+                brackets = poly.roots_in_unit_interval()
+            except DegenerateTrajectory:
+                continue
+            for br in brackets:
+                for _ in range(24):
+                    want = general_bisect(poly, br)
+                    br = poly.bisect(br)
+                    assert br == want, (poly.c1, poly.c0)
+                depths += 1
+    assert depths > 300
+
+
+def _side_cases(rng):
+    """(dim, the event's four points, _side_at_root's arguments) for the
+    circle events of seeded plane frames and the plane events of seeded
+    space frames; then one event of each where the mover passes a static
+    point's line at the event time, so that some side signs are 0."""
+    frames = [(frame, rng.randrange(6), tuple(
+                  rng.randint(-50, 50) for _ in range(dim)))
+              for dim in (2, 3) for frame in (
+                  [tuple(rng.randint(-50, 50) for _ in range(dim))
+                   for _ in range(6)] for _ in range(30))]
+    frames += [([(1, 0), (-1, 0), (0, 1), (2, 2)], 3, (0, -2)),
+               ([(0, 0, 0), (3, 0, 0), (0, 3, 0), (1, -1, -1)], 3, (1, 1, 1))]
+    for frame, mover, b in frames:
+        x0 = frame[mover]
+        d = tuple(y - x for x, y in zip(x0, b))
+        at = geometry._mover_positions(x0, d)
+
+        def point(q, t, frame=frame, mover=mover, at=at):
+            return at[t] if q == mover else frame[q]
+
+        def line(q1, q2, frame=frame, x0=x0, d=d):
+            return geometry._line(x0, d, frame[q1], frame[q2])
+
+        statics = [q for q in range(len(frame)) if q != mover]
+        wall = geometry._circle if len(x0) == 2 else geometry._plane
+        for trip in itertools.combinations(statics, 3):
+            s1, s2, s3 = (frame[q] for q in trip)
+            poly = wall(x0, d, s1, s2, s3)
+            try:
+                brackets = poly.roots_in_unit_interval()
+            except DegenerateTrajectory:
+                continue
+            for br in brackets:
+                if len(x0) == 2:
+                    yield 2, trip + (mover,), (poly, br, mover, orient2d,
+                                               point, line)
+                    continue
+                normal = geometry._cross(geometry._sub(s2, s1),
+                                         geometry._sub(s3, s1))
+                yield 3, trip + (mover,), (
+                    poly, br, mover, lambda px, py, pz, normal=normal:
+                        geometry._det3(geometry._sub(py, px),
+                                       geometry._sub(pz, px), normal),
+                    point)
+
+
+def test_side_signs_once_per_triple_match_per_call_oracle(monkeypatch):
+    # orient2d and the in-plane determinant are alternating, so signing
+    # each sorted triple once and multiplying by the parity gives every
+    # side sign that a call per triple gives, with at most three signs at
+    # the root per event: one per triple with the mover
+    sign_at_root, calls = geometry.sign_at_root, []
+
+    def counting_sign_at_root(*args):
+        calls.append(args)
+        return sign_at_root(*args)
+
+    monkeypatch.setattr(geometry, "sign_at_root", counting_sign_at_root)
+    events, zeros = collections.Counter(), collections.Counter()
+    for dim, pts, args in _side_cases(random.Random("sides")):
+        poly, br, mover, predicate, point = args[:5]
+        # the call as detect_events made it: in space without the mover
+        want = per_call_side_at_root(poly, br, predicate, point,
+                                     mover if dim == 2 else None)
+        got = geometry._side_at_root(*args)
+        del calls[:]
+        assert geometry._convex_quad(pts, got) == \
+            geometry._convex_quad(pts, want)
+        for x, y, z in itertools.permutations(pts, 3):
+            assert got(x, y, z) == want(x, y, z), (dim, pts, (x, y, z))
+            zeros[dim] += want(x, y, z) == 0
+        assert len(calls) <= 3
+        events[dim] += 1
+    assert events[2] > 50 and events[3] > 50
+    assert zeros[2] > 0 and zeros[3] > 0
+
+
+def _mover_run_trajectory(rng, n, movers):
+    """Random points in a box and one random target per mover in
+    ``movers``."""
+    pts = [(_random_rational(rng, 10), _random_rational(rng, 10))
+           for _ in range(n)]
+    return Trajectory(pts, [(m, (_random_rational(rng, 10),
+                                 _random_rational(rng, 10)))
+                            for m in movers])
+
+
+def test_delaunay_emptiness_once_per_mover_run(monkeypatch):
+    # whether a static circle is empty depends only on the statics, which
+    # change only with the mover: each circle wall's emptiness is computed
+    # once per mover run, reused on the run's later roots, and computed
+    # again after the mover has changed; event logs equal the oracle's
+    runs, asked, computed = [0], [], []
+    genericity = geometry._static_genericity_2d
+    walls, inside = geometry._walls, geometry._inside_circle
+
+    def counting_genericity(*args, **kwargs):
+        runs[0] += 1
+        return genericity(*args, **kwargs)
+
+    def recording_walls(frame, statics, x0, d, wall, size):
+        for tup, poly, br in walls(frame, statics, x0, d, wall, size):
+            if wall is geometry._circle:
+                asked.append((runs[0], tup))
+            yield tup, poly, br
+
+    def recording_inside(conf, triple, mover=None):
+        computed.append((runs[0], triple))
+        return inside(conf, triple, mover)
+
+    monkeypatch.setattr(geometry, "_static_genericity_2d", counting_genericity)
+    monkeypatch.setattr(geometry, "_walls", recording_walls)
+    monkeypatch.setattr(geometry, "_inside_circle", recording_inside)
+    rng = random.Random("mover runs")
+    events = reused = again = 0
+    for trial in range(12):
+        a, b = rng.sample(range(1, 7), 2)
+        tr = _mover_run_trajectory(rng, 6 + trial % 2,
+                                   [a, a, b, a, a, b, b, a][:4 + trial % 5])
+        del asked[:], computed[:]
+        want = _outcome(oracle_compile, tr, "gamma4")
+        assert _outcome(compile_word, tr, "gamma4") == want, trial
+        if want[0] != "degenerate":
+            events += len(want[1])
+        assert sorted(computed) == sorted(set(asked))
+        reused += len(asked) - len(computed)
+        first_run = {}
+        for run, trip in computed:
+            again += first_run.setdefault(trip, run) != run
+    assert events > 0 and reused > 0 and again > 0

@@ -9,7 +9,7 @@ from gnk.gnk import (Gk1kContext, GnkGroup, GnkPresentation, MNContext,
                      bigon_reduce_g2, delete_strand, eliminate_last_letter,
                      forget_index, index_word_to_F, is_even, mn_invariant,
                      tetrahedron_relation_count, unknotting_lower_bound, z_ij)
-from gnk.words import CyclicWord, Word, format_word, state_key
+from gnk.words import Alphabet, CyclicWord, Word, format_word, state_key
 import braid_oracles
 from relator_oracles import (class_key, distinct_cyclic_words,
                              gnk_relator_words)
@@ -174,6 +174,32 @@ def test_is_even():
     assert is_even(g.word_from_subsets([(1, 2, 3), (2, 3, 4),
                                         (1, 2, 3), (2, 3, 4)]))
     assert not is_even(g.word_from_subsets([(1, 2, 3)]))
+
+
+def test_is_even_matches_oracle():
+    # seeded words over an involutive and a free alphabet: a random word
+    # followed by a shuffle of its letters is even, and one more letter
+    # makes it odd; free reduction keeps the parity of every generator
+    rng = random.Random("is_even")
+    alphabets = [GnkGroup(8, 3).alphabet, Alphabet(list("abcdef"), False)]
+    seen = set()
+    for alphabet in alphabets:
+        for trial in range(40):
+            codes = [rng.randrange(2 * len(alphabet)) for _ in range(
+                rng.randint(0, 60))]
+            if alphabet.involutive:
+                codes = [c & ~1 for c in codes]
+            half = codes[:]
+            rng.shuffle(half)
+            codes += half
+            if trial % 2:
+                codes.insert(rng.randint(0, len(codes)),
+                             codes[0] if codes else 0)
+            w = Word(alphabet, codes)
+            assert is_even(w) == braid_oracles.is_even(w), (alphabet, codes)
+            seen.add((alphabet.involutive, is_even(w)))
+    assert seen == {(True, True), (True, False), (False, True),
+                    (False, False)}
 
 
 BETA_SUBSETS = [(1, 2, 3), (2, 3, 4), (1, 2, 3), (1, 3, 4),
