@@ -377,7 +377,9 @@ def build_parser():
     p = sub.add_parser("fliplab", help="flip-label computations")
     p.add_argument("mode", choices=["pentagon", "replay"])
     p.add_argument("path", nargs="?")
-    p.add_argument("--symbolic", action="store_true")
+    p.add_argument("--symbolic", action="store_true",
+                   help="accepted and has no effect: labels are always "
+                        "symbolic")
     p.set_defaults(func=cmd_fliplab)
 
     p = sub.add_parser("cancel", help="small cancellation checks")

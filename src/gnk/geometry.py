@@ -230,38 +230,29 @@ class PredicatePoly:
 
 
 def sign_at_root(main: PredicatePoly, bracket, aux: PredicatePoly):
-    """Exact sign of aux at main's isolated root; 0 when they share it."""
-    if aux.is_zero():
-        return 0
-    if main.shares_root(aux, bracket):
-        return 0
-    while True:
-        lo, hi, den = bracket
-        slo, shi = aux.sign(lo, den), aux.sign(hi, den)
-        if slo != 0 and slo == shi:
-            # aux could still dip through zero inside; rule out via its roots
-            if not _aux_root_inside(aux, bracket):
-                return slo
-        bracket = main.bisect(bracket)
+    """Exact sign of the linear aux at main's isolated root; 0 when they
+    share it.
 
-
-def _aux_root_inside(aux, bracket) -> bool:
-    if aux.c2 == 0:
-        if aux.c1 == 0:
-            return False
-        return _inside(*_linear_root(aux.c1, aux.c0), bracket)
-    disc = aux.c1 * aux.c1 - 4 * aux.c2 * aux.c0
-    if disc < 0:
-        return False
+    The bracket holds one root of main and main is nonzero at its ends, so
+    aux = c1 (t - r) is signed by where r lies: at or left of the bracket,
+    right of it, or inside, where one sign of main at r tells (DECISIONS.md,
+    "Each exact sign decided once")."""
+    if aux.c2 != 0:
+        raise ValueError("sign_at_root needs a linear aux")
+    if aux.c1 == 0:
+        return _sgn(aux.c0)
+    r, d = _linear_root(aux.c1, aux.c0)
     lo, hi, den = bracket
-    slo = aux.sign(lo, den)
-    if slo != aux.sign(hi, den):
-        return True
-    v, d = _linear_root(2 * aux.c2, aux.c1)
-    if not _inside(v, d, bracket):
-        return False
-    svertex = aux.sign(v, d)
-    return svertex != slo or svertex == 0
+    if r * den <= lo * d:
+        right = True
+    elif r * den >= hi * d:
+        right = False
+    else:
+        s = main.sign(r, d)
+        if s == 0:
+            return 0
+        right = s == main.sign(lo, den)
+    return _sgn(aux.c1) if right else -_sgn(aux.c1)
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +360,10 @@ class Event:
     """One isolated wall crossing."""
 
     __slots__ = ("segment", "bracket", "kind", "participants", "poly",
-                 "quad", "side")
+                 "quad", "side", "inside")
 
     def __init__(self, segment, bracket, kind, participants, poly,
-                 quad=None, side=None):
+                 quad=None, side=None, inside=None):
         self.segment = segment
         self.bracket = bracket
         self.kind = kind
@@ -380,17 +371,12 @@ class Event:
         self.poly = poly
         self.quad = quad          # cyclic order for circle/plane events
         self.side = side          # pointing side for 3D events
+        self.inside = inside      # statics inside the circle, circle events
 
     def __repr__(self):
         return "Event(seg=%d, %s, %s, t in (%s, %s))" % (
             self.segment, self.kind, self.participants,
             self.bracket[0], self.bracket[1])
-
-
-def _mover_positions(x0, d):
-    """The mover's positions x0 + t d at t = 0, 1, 2, 3: the only times at
-    which PredicatePoly.interpolate evaluates a predicate."""
-    return [tuple(x + t * dx for x, dx in zip(x0, d)) for t in range(4)]
 
 
 # sort key of brackets by left end, compared exactly
@@ -508,17 +494,16 @@ def _convex_quad(pts, side_sign):
     return None
 
 
-def _side_at_root(poly, br, mover, predicate, point, line=None):
-    """side_sign(x, y, z) for _convex_quad: the sign of ``predicate`` on the
-    points x, y, z (``point(q, t)`` is point q at time t) at the root of poly
-    in br.
+def _side_at_root(poly, br, mover, static, line):
+    """side_sign(x, y, z) for _convex_quad: the sign of the side predicate
+    (orient2d, or in space det[y - x, z - x, normal]) on the points x, y, z
+    at the root of poly in br.
 
     The predicate is alternating, so each triple is signed once, sorted, and
-    a permutation multiplies that sign by its parity.  A triple of statics
-    is signed on its points; a triple with the mover by the sign at the root
-    of the predicate along the segment: for orient2d, ``line(p, q)`` is the
-    wall of the other two in cyclic order (a rotation keeps orient2d), else
-    the predicate is interpolated."""
+    a permutation multiplies that sign by its parity.  ``static`` is the
+    sign of the sorted triple of statics; a triple with the mover is signed
+    at the root by ``line(p, q)``, the predicate's poly on (p, q, mover) with
+    p, q the other two in cyclic order (a rotation keeps the sign)."""
     signs = {}
 
     def side_sign(x, y, z):
@@ -527,15 +512,11 @@ def _side_at_root(poly, br, mover, predicate, point, line=None):
         if s is None:
             a, b, c = key
             if mover not in key:
-                s = _sgn(predicate(point(a, 0), point(b, 0), point(c, 0)))
-            elif line is not None:
+                s = static
+            else:
                 s = sign_at_root(poly, br, line(
                     *((b, c) if a == mover else (c, a) if b == mover
                       else (a, b))))
-            else:
-                s = sign_at_root(poly, br, PredicatePoly.interpolate(
-                    lambda t: predicate(point(a, t), point(b, t),
-                                        point(c, t))))
             signs[key] = s
         return -s if ((x > y) + (x > z) + (y > z)) & 1 else s
     return side_sign
@@ -549,17 +530,19 @@ def _labels(statics, p):
 def _inside_circle(conf, triple, mover=None):
     """For every point but the triple and the mover, in index order: does it
     lie strictly inside the circle through the triple?  Each point is one
-    evaluation of the triple's ``_circle_coeffs``, signed by its area, as
-    ``point_in_circumcircle`` signs ``incircle``; a collinear triple raises
-    at the first point tested."""
+    evaluation of the triple's ``_circle_coeffs``, negated with a negative
+    area, as ``point_in_circumcircle`` signs ``incircle``; a collinear triple
+    raises at the first point tested."""
     (ax, ay), b, c = (conf[s] for s in triple)
     lx, ly, area = _circle_coeffs((ax, ay), b, c)
+    if area < 0:
+        lx, ly, area = -lx, -ly, -area
     for x, (px, py) in enumerate(conf):
         if x not in triple and x != mover:
             if area == 0:
                 raise DegenerateTrajectory("collinear circle points")
             px, py = px - ax, py - ay
-            yield (lx * px + ly * py - area * (px * px + py * py)) * area > 0
+            yield lx * px + ly * py > area * (px * px + py * py)
 
 
 def detect_events(tr: Trajectory, kind: str):
@@ -567,7 +550,8 @@ def detect_events(tr: Trajectory, kind: str):
 
     Kinds: 'collinear3', 'concyclic4', 'delaunay_flip' (concyclic with an
     empty circle), 'coplanar_special' (3D: convex coplanar quadruple with
-    all other points strictly on one side).
+    all other points strictly on one side).  A circle event carries the
+    number of static points inside its circle as ``inside``.
     """
     if kind not in ("collinear3", "concyclic4", "delaunay_flip",
                     "coplanar_special"):
@@ -580,11 +564,6 @@ def detect_events(tr: Trajectory, kind: str):
         *frame, b = _integer_frame(conf + [to])
         x0 = frame[mover]
         d = _sub(b, x0)
-        at = _mover_positions(x0, d)
-
-        def point(q, t):
-            return at[t] if q == mover else frame[q]
-
         events = []
         statics = [q for q in range(tr.n) if q != mover]
         if kind == "coplanar_special":
@@ -598,39 +577,40 @@ def detect_events(tr: Trajectory, kind: str):
                     raise DegenerateTrajectory("static point on event plane")
                 if len(sides) > 1:
                     continue
-                # sides within the statics' plane: det[y - x, z - x, normal]
+                # sides within the statics' plane: det[y - x, z - x, normal],
+                # which is |normal|^2 > 0 on the statics and, on (p, q, x),
+                # the wall of the plane through p, p + normal and q
                 quad = _convex_quad(trip + (mover,), _side_at_root(
-                    poly, br, mover, lambda px, py, pz:
-                        _det3(_sub(py, px), _sub(pz, px), normal), point))
+                    poly, br, mover, 1, lambda q1, q2: _plane(
+                        x0, d, frame[q1], _add(frame[q1], normal), frame[q2])))
                 if quad is not None:
                     events.append(Event(seg, br, kind, _labels(trip, p), poly,
                                         quad, sides.pop() if sides else 1))
         else:
-            # the statics, and so their degeneracies and which circles are
-            # empty, change with the mover
+            # the statics, and so their degeneracies and the points inside
+            # each circle, change with the mover
             if seg == 0 or tr.moves[seg - 1][0] != p:
                 _static_genericity_2d(frame, mover,
                                       circles=kind != "collinear3")
-                empty = {}
+                inside = {}
             if kind != "collinear3":
                 def line(q1, q2):
                     return _line(x0, d, frame[q1], frame[q2])
 
                 for trip, poly, br in _walls(frame, statics, x0, d,
                                              _circle, 3):
-                    if kind == "delaunay_flip":
-                        if trip not in empty:
-                            empty[trip] = not any(
-                                _inside_circle(frame, trip, mover))
-                        if not empty[trip]:
-                            continue
+                    if trip not in inside:
+                        inside[trip] = sum(_inside_circle(frame, trip, mover))
+                    if kind == "delaunay_flip" and inside[trip]:
+                        continue
                     quad = _convex_quad(trip + (mover,), _side_at_root(
-                        poly, br, mover, orient2d, point, line))
+                        poly, br, mover,
+                        _sgn(orient2d(*(frame[s] for s in trip))), line))
                     if quad is None:
                         raise DegenerateTrajectory(
                             "event points not in convex position")
                     events.append(Event(seg, br, kind, _labels(trip, p), poly,
-                                        quad))
+                                        quad, inside=inside[trip]))
             # for the circle kinds: hull changes (collinearity crossings)
             # alter the Delaunay triangulation without a cocircularity; keep
             # the event brackets clear of them so that between bracket
@@ -666,10 +646,8 @@ def _cross(u, v):
             u[0] * v[1] - u[1] * v[0])
 
 
-def _det3(u, v, w):
-    return (u[0] * (v[1] * w[2] - v[2] * w[1])
-            - u[1] * (v[0] * w[2] - v[2] * w[0])
-            + u[2] * (v[0] * w[1] - v[1] * w[0]))
+def _add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -706,17 +684,9 @@ def compile_word(tr: Trajectory, target: str):
         return group.word_from_subsets([e.participants for e in events]), events
     if target != "gamma4_graded":
         return group.word_from_quads([e.quad for e in events]), events
-    confs = tr.configurations()
-    pairs, seg = [], None
-    for e in events:
-        # z: the static points inside the event circle at the segment start
-        mover = tr.moves[e.segment][0] - 1
-        trip = tuple(q - 1 for q in e.participants if q - 1 != mover)
-        if e.segment != seg:
-            seg, frame = e.segment, _integer_frame(confs[e.segment])
-        pairs.append((sum(_inside_circle(frame, trip, mover)),
-                      group.letter(e.quad)))
-    return group.graded_words(pairs), events
+    # z: the static points inside the event circle
+    return group.graded_words(
+        [(e.inside, group.letter(e.quad)) for e in events]), events
 
 
 # ---------------------------------------------------------------------------

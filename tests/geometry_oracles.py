@@ -4,12 +4,15 @@ tests compare the row-wise pass with it.  Also the in-circle count point by
 point, by ``point_in_circumcircle``.
 
 ``general_bisect`` is ``PredicatePoly.bisect`` without its closed form for
-linear polys, and ``per_call_side_at_root`` the side signs of
-``_convex_quad`` without the memo by sorted triple: each call interpolates
-its triple in the order given and takes the sign at the root anew."""
+linear polys, ``bisection_sign_at_root`` is ``sign_at_root`` as a loop that
+bisects the bracket until aux keeps one sign on it, and
+``per_call_side_at_root`` the side signs of ``_convex_quad`` without the
+memo by sorted triple: each call interpolates its triple in the order given
+and takes the sign at the root anew."""
 
 from gnk.geometry import (DegenerateTrajectory, PredicatePoly, _by_left_end,
-                          _overlap, _sgn, point_in_circumcircle, sign_at_root)
+                          _inside, _linear_root, _overlap, _sgn,
+                          point_in_circumcircle)
 
 
 def general_bisect(poly, bracket):
@@ -25,17 +28,51 @@ def general_bisect(poly, bracket):
     return (2 * lo, mid, den2)
 
 
+def bisection_sign_at_root(main, bracket, aux):
+    """Exact sign of aux (degree <= 2) at main's isolated root, 0 when they
+    share it: bisect the bracket until aux has one nonzero sign at both
+    ends and no root inside."""
+    if aux.is_zero() or main.shares_root(aux, bracket):
+        return 0
+    while True:
+        lo, hi, den = bracket
+        slo, shi = aux.sign(lo, den), aux.sign(hi, den)
+        if slo != 0 and slo == shi and not _aux_root_inside(aux, bracket):
+            return slo
+        bracket = main.bisect(bracket)
+
+
+def _aux_root_inside(aux, bracket) -> bool:
+    if aux.c2 == 0:
+        if aux.c1 == 0:
+            return False
+        return _inside(*_linear_root(aux.c1, aux.c0), bracket)
+    disc = aux.c1 * aux.c1 - 4 * aux.c2 * aux.c0
+    if disc < 0:
+        return False
+    lo, hi, den = bracket
+    slo = aux.sign(lo, den)
+    if slo != aux.sign(hi, den):
+        return True
+    v, d = _linear_root(2 * aux.c2, aux.c1)
+    if not _inside(v, d, bracket):
+        return False
+    svertex = aux.sign(v, d)
+    return svertex != slo or svertex == 0
+
+
 def per_call_side_at_root(poly, br, predicate, point, mover=None):
     """side_sign(x, y, z): the sign of ``predicate`` on the points x, y, z
     (``point(q, t)`` is point q at time t) at the root of poly in br, one
-    interpolation and one ``sign_at_root`` per call.  With ``mover`` given,
-    a triple without it is signed directly on its static points."""
+    interpolation and one ``bisection_sign_at_root`` per call.  With
+    ``mover`` given, a triple without it is signed directly on its static
+    points."""
     def side_sign(x, y, z):
         if mover is not None and mover not in (x, y, z):
             return _sgn(predicate(point(x, 0), point(y, 0), point(z, 0)))
         aux = PredicatePoly.interpolate(
             lambda t: predicate(point(x, t), point(y, t), point(z, t)))
-        return sign_at_root(poly, br, aux)
+        return bisection_sign_at_root(poly, br, aux)
     return side_sign
 
 

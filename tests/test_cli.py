@@ -169,6 +169,10 @@ def test_fliplab_pentagon_cli():
     out = run_cli(["fliplab", "pentagon", "--symbolic"])
     assert out.returncode == 0
     assert "pentagon_identity: True" in out.stdout
+    # --symbolic is accepted and selects nothing: labels are always symbolic
+    plain = run_cli(["fliplab", "pentagon"])
+    assert (plain.returncode, plain.stdout, plain.stderr) == \
+        (out.returncode, out.stdout, out.stderr)
 
 
 def _flip(tris, e):

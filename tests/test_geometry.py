@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -15,9 +16,9 @@ from gnk.geometry import (DegenerateConfiguration, DegenerateTrajectory,
                           point_in_circumcircle, sign_at_root)
 from gnk.gnk import GnkGroup
 from gnk.words import format_word
-from geometry_oracles import (general_bisect, inside_count,
-                              overlapping_pairs, per_call_side_at_root,
-                              sweep_separate_events)
+from geometry_oracles import (bisection_sign_at_root, general_bisect,
+                              inside_count, overlapping_pairs,
+                              per_call_side_at_root, sweep_separate_events)
 from relator_oracles import quad_word
 
 F = Fraction
@@ -326,6 +327,17 @@ def test_graded_compile_needs_n_above_5():
         compile_word(tr3, "gamma4_graded")
 
 
+def _statics_inside(tr, e):
+    """The static points strictly inside the circle of event e at the start
+    of its segment, counted point by point."""
+    conf = tr.configurations()[e.segment]
+    mover = tr.moves[e.segment][0] - 1
+    trip = tuple(q - 1 for q in e.participants if q - 1 != mover)
+    z = inside_count(conf, trip)
+    return z - (point_in_circumcircle(*(conf[q] for q in trip),
+                                      conf[mover]) > 0)
+
+
 def test_graded_compile_components_match_inside_counts():
     # every emitted letter of the graded compile sits in the component given
     # by the event circle's inside count, folded mod r
@@ -333,23 +345,28 @@ def test_graded_compile_components_match_inside_counts():
     tr = canonical_generator_trajectory(n, 1, 2, "circle_gamma4")
     comps, events = compile_word(tr, "gamma4_graded")
     r = n - 4
-    confs = tr.configurations()
-    total = sum(len(c.letters) <= len(c.letters) for c in comps)
     per_alpha = [0] * (r // 2 + 1)
     for e in events:
-        conf = confs[e.segment]
-        mover = tr.moves[e.segment][0] - 1
-        trip = tuple(q - 1 for q in e.participants if q - 1 != mover)
-        z = inside_count(conf, trip)
-        if point_in_circumcircle(conf[trip[0]], conf[trip[1]], conf[trip[2]],
-                                 conf[mover]) > 0:
-            z -= 1
+        z = _statics_inside(tr, e)
         alpha = min(z % r, (-z) % r)
         per_alpha[alpha] += 1
     raw_counts = [len(c) for c in comps]
     # reduced words cannot have more letters than raw event counts per slot
     assert all(rc <= pa for rc, pa in zip(raw_counts, per_alpha))
     assert sum(per_alpha) == len(events)
+    # the count each circle event carries, taken once per mover run, is the
+    # count at its segment start, for both circle kinds; a Delaunay flip's
+    # circle is empty
+    rng = random.Random("inside counts")
+    seen = collections.Counter()
+    for tr in [tr] + [_mover_run_trajectory(rng, 6 + k % 2, [1, 1, 2, 1, 3, 3])
+                      for k in range(8)]:
+        for target in ("gamma4_graded", "gamma4"):
+            for e in compile_word(tr, target)[1]:
+                assert e.inside == _statics_inside(tr, e)
+                assert e.inside == 0 or target == "gamma4_graded"
+                seen[target, e.inside > 0] += 1
+    assert seen["gamma4_graded", True] > 0 and seen["gamma4", False] > 0
 
 
 def test_orient3d_and_coplanar_events():
@@ -826,12 +843,27 @@ def _wall_frames(rng):
             yield 2 + lift, frame, p - 1, b
 
 
+def _side_wall(x0, d, p, q, r):
+    """The in-plane side det[q - p, x - p, normal] of the mover x against
+    p and q, normal the normal of the plane through p, q, r: the plane
+    through p, p + normal and q."""
+    normal = geometry._cross(geometry._sub(q, p), geometry._sub(r, p))
+    return geometry._plane(x0, d, p, geometry._add(p, normal), q)
+
+
+def _side_predicate(p, q, r, x):
+    return _oracle_det3(_oracle_sub(q, p), _oracle_sub(x, p),
+                        _oracle_cross(_oracle_sub(q, p), _oracle_sub(r, p)))
+
+
 def test_closed_form_walls_match_interpolate():
-    # the line, circle and plane walls written down from the points equal
-    # the interpolated ones coefficient for coefficient
+    # the line, circle and plane walls written down from the points, and
+    # the side of the mover within a plane of statics, equal the
+    # interpolated ones coefficient for coefficient
     walls = {2: ((geometry._line, orient2d, 2),
                  (geometry._circle, incircle, 3)),
-             3: ((geometry._plane, orient3d, 3),)}
+             3: ((geometry._plane, orient3d, 3),
+                 (_side_wall, _side_predicate, 3))}
     checked = 0
     for dim, frame, mover, b in _wall_frames(random.Random("walls")):
         x0 = frame[mover]
@@ -1045,11 +1077,86 @@ def test_linear_bisection_matches_general_rule():
     assert depths > 300
 
 
+def _sign_at_root_mains(rng):
+    """Seeded mains with their root brackets: linear polys, quadratics with
+    two rational roots (so that a linear aux can share one), and
+    quadratics with random coefficients."""
+    mains = []
+    for _ in range(60):
+        b, e = rng.randint(1, 30), rng.randint(1, 30)
+        a, c = rng.randint(-b, 2 * b), rng.randint(-e, 2 * e)
+        s = rng.choice((-1, 1))
+        mains += [PredicatePoly(0, s * b, -s * a),
+                  PredicatePoly(s * b * e, -s * (b * c + a * e), s * a * c),
+                  PredicatePoly(*(rng.randint(-40, 40) for _ in range(3)))]
+    for main in mains:
+        try:
+            brackets = main.roots_in_unit_interval()
+        except DegenerateTrajectory:
+            continue
+        for br in brackets:
+            yield main, br
+
+
+def test_sign_at_root_matches_bisection_oracle():
+    # a linear aux's sign at main's root is decided by where the aux root
+    # lies against the bracket, with at most one sign of main: the loop
+    # that bisects until aux keeps one sign gives the same answer, on
+    # brackets bisected up to 24 times
+    rng = random.Random("sign at root")
+    cases, answers = collections.Counter(), collections.Counter()
+    for main, br in _sign_at_root_mains(rng):
+        for depth in range(25):
+            if depth in (0, 1, 2, 5, 11, 24):
+                lo, hi, den = br
+                auxes = {"at lo": (den, -lo), "at hi": (den, -hi),
+                         "inside": (2 * den, -(lo + hi)),
+                         "random": (rng.randint(-9, 9), rng.randint(-9, 9)),
+                         "constant": (0, rng.choice((-7, 3))),
+                         "zero": (0, 0)}
+                if main.c2 == 0:
+                    auxes["shared"] = (-3 * main.c1, -3 * main.c0)
+                for r, d in _rational_roots(main):
+                    if geometry._inside(r, d, br):
+                        auxes["shared"] = (d, -r)
+                for name, (c1, c0) in auxes.items():
+                    for sign in (1, -1):
+                        aux = PredicatePoly(0, sign * c1, sign * c0)
+                        got = sign_at_root(main, br, aux)
+                        assert got == bisection_sign_at_root(main, br, aux), (
+                            name, (main.c2, main.c1, main.c0), br)
+                        cases[name] += 1
+                        answers[name, got] += 1
+            br = main.bisect(br)
+    for name in ("at lo", "at hi", "inside", "random", "constant", "zero",
+                 "shared"):
+        assert cases[name] > 20, name
+    assert answers["shared", 0] == cases["shared"]
+    assert answers["zero", 0] == cases["zero"]
+    for name in ("at lo", "at hi", "inside"):
+        assert answers[name, 1] > 0 and answers[name, -1] > 0, name
+    with pytest.raises(ValueError, match="linear aux"):
+        sign_at_root(PredicatePoly(0, 2, -1), (1, 3, 4),
+                     PredicatePoly(1, 0, -1))
+
+
+def _rational_roots(poly):
+    """The rational roots of a quadratic poly as (num, den), den > 0; none
+    for a linear poly."""
+    c2, c1, c0 = poly.c2, poly.c1, poly.c0
+    disc = c1 * c1 - 4 * c2 * c0
+    if c2 == 0 or disc < 0 or math.isqrt(disc) ** 2 != disc:
+        return []
+    root = math.isqrt(disc)
+    return [geometry._linear_root(2 * c2, c1 + s * root) for s in (-1, 1)]
+
+
 def _side_cases(rng):
-    """(dim, the event's four points, _side_at_root's arguments) for the
-    circle events of seeded plane frames and the plane events of seeded
-    space frames; then one event of each where the mover passes a static
-    point's line at the event time, so that some side signs are 0."""
+    """(dim, the event's four points, the side predicate, the points at
+    time t, _side_at_root's arguments) for the circle events of seeded plane
+    frames and the plane events of seeded space frames; then one event of
+    each where the mover passes a static point's line at the event time, so
+    that some side signs are 0."""
     frames = [(frame, rng.randrange(6), tuple(
                   rng.randint(-50, 50) for _ in range(dim)))
               for dim in (2, 3) for frame in (
@@ -1060,13 +1167,11 @@ def _side_cases(rng):
     for frame, mover, b in frames:
         x0 = frame[mover]
         d = tuple(y - x for x, y in zip(x0, b))
-        at = geometry._mover_positions(x0, d)
 
-        def point(q, t, frame=frame, mover=mover, at=at):
-            return at[t] if q == mover else frame[q]
-
-        def line(q1, q2, frame=frame, x0=x0, d=d):
-            return geometry._line(x0, d, frame[q1], frame[q2])
+        def point(q, t, frame=frame, mover=mover, x0=x0, d=d):
+            if q == mover:
+                return tuple(x + t * dx for x, dx in zip(x0, d))
+            return frame[q]
 
         statics = [q for q in range(len(frame)) if q != mover]
         wall = geometry._circle if len(x0) == 2 else geometry._plane
@@ -1079,16 +1184,22 @@ def _side_cases(rng):
                 continue
             for br in brackets:
                 if len(x0) == 2:
-                    yield 2, trip + (mover,), (poly, br, mover, orient2d,
-                                               point, line)
+                    yield 2, trip + (mover,), orient2d, point, (
+                        poly, br, mover, geometry._sgn(orient2d(s1, s2, s3)),
+                        lambda q1, q2, frame=frame, x0=x0, d=d:
+                            geometry._line(x0, d, frame[q1], frame[q2]))
                     continue
-                normal = geometry._cross(geometry._sub(s2, s1),
-                                         geometry._sub(s3, s1))
+                normal = _oracle_cross(_oracle_sub(s2, s1),
+                                       _oracle_sub(s3, s1))
                 yield 3, trip + (mover,), (
-                    poly, br, mover, lambda px, py, pz, normal=normal:
-                        geometry._det3(geometry._sub(py, px),
-                                       geometry._sub(pz, px), normal),
-                    point)
+                    lambda px, py, pz, normal=normal: _oracle_det3(
+                        _oracle_sub(py, px), _oracle_sub(pz, px), normal)
+                ), point, (
+                    poly, br, mover, 1,
+                    lambda q1, q2, frame=frame, x0=x0, d=d, normal=normal:
+                        geometry._plane(x0, d, frame[q1],
+                                        geometry._add(frame[q1], normal),
+                                        frame[q2]))
 
 
 def test_side_signs_once_per_triple_match_per_call_oracle(monkeypatch):
@@ -1104,8 +1215,8 @@ def test_side_signs_once_per_triple_match_per_call_oracle(monkeypatch):
 
     monkeypatch.setattr(geometry, "sign_at_root", counting_sign_at_root)
     events, zeros = collections.Counter(), collections.Counter()
-    for dim, pts, args in _side_cases(random.Random("sides")):
-        poly, br, mover, predicate, point = args[:5]
+    for dim, pts, predicate, point, args in _side_cases(random.Random("sides")):
+        poly, br, mover = args[:3]
         # the call as detect_events made it: in space without the mover
         want = per_call_side_at_root(poly, br, predicate, point,
                                      mover if dim == 2 else None)

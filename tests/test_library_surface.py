@@ -22,6 +22,18 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # module.name or module.Class.method; the row of each is in DECISIONS.md,
 # "Library surface"
+BENCHMARK_NAMES = (
+    "braids.iota",                      # parity round trips
+    "braids.pr",
+    "fliplab.RationalExpr.substitute",  # label checks of the flip replays
+    "geometry.PredicatePoly.interpolate",   # wrapped: geometry.predicates
+    "geometry.Trajectory.reversed",     # reversal check of the compiles
+    "geometry.Trajectory.to_json",      # canonical trajectory inputs
+    "geometry.point_in_circumcircle",   # wrapped: geometry.exact_predicates
+    "gnk.GnkPresentation",              # G_n^k presentation jobs
+    "gnk.tetrahedron_relation_count",   # their tetrahedron count check
+)
+
 PAPER_STATEMENTS = (
     "braids.eta",                   # the map eta, parity -> dotted
     "braids.kappa",                 # the map kappa, dotted -> G_{n+1}^2
@@ -32,6 +44,7 @@ PAPER_STATEMENTS = (
     "fliplab.sl2_flip_equations",   # SL2 form of the Ptolemy flip
     "gamma.gamma4_presentation",    # the presentation of Gamma_n^4
     "gnk.forget_index",             # index forgetting G_n^k -> G_{n-1}^{k-1}
+    "gnk.delete_strand",            # strand deletion q_m: G_n^k -> G_{n-1}^k
     "gnk.MNContext.psi_word",       # psi of a word, the MN state map
     "gnk.eliminate_last_letter",    # last-letter elimination in G_{k+1}^k
     "gnk.bigon_reduce_g2",          # bigon reduction in G_n^2
@@ -69,30 +82,48 @@ def _definitions(tree):
 
 
 def _library_surface():
-    """{module.qualified name: reached} over ``src/gnk``."""
+    """{module.qualified name: the roots that reach it} over ``src/gnk``;
+    the roots are "src", "perfbench" and "acceptance"."""
     modules = {p.stem: ast.parse(p.read_text())
                for p in sorted((ROOT / "src" / "gnk").glob("*.py"))}
-    roots = list(modules.values()) + [
-        ast.parse(p.read_text())
-        for p in [*sorted((ROOT / "perfbench").glob("*.py")),
-                  ROOT / "tests" / "test_acceptance.py"]]
-    names, attributes = Counter(), Counter()
-    for tree in roots:
-        n, a, _ = _uses(tree)
-        names += n
-        attributes += a
-    perfbench_strings = Counter()
-    for p in sorted((ROOT / "perfbench").glob("*.py")):
-        perfbench_strings += _uses(ast.parse(p.read_text()))[2]
+    roots = {"src": list(modules.values()),
+             "perfbench": [ast.parse(p.read_text()) for p in
+                           sorted((ROOT / "perfbench").glob("*.py"))],
+             "acceptance": [ast.parse(
+                 (ROOT / "tests" / "test_acceptance.py").read_text())]}
+    uses = {}
+    for root, trees in roots.items():
+        names, attributes, strings = Counter(), Counter(), Counter()
+        for tree in trees:
+            n, a, s = _uses(tree)
+            names += n
+            attributes += a
+            strings += s
+        uses[root] = names, attributes, strings
+    # a function or class that perfbench defines itself (its oracles) is
+    # what perfbench means by that name, not the src name it shadows
+    own = {q for tree in roots["perfbench"] for q, _, method in
+           _definitions(tree) if not method}
     surface = {}
     for mod, tree in modules.items():
         for qual, node, method in _definitions(tree):
             own_names, own_attributes, _ = _uses(node)
-            used = attributes[node.name] - own_attributes[node.name]
-            if not method:
-                used += names[node.name] - own_names[node.name]
-            used += perfbench_strings[qual]
-            surface["%s.%s" % (mod, qual)] = used > 0
+            reached = set()
+            for root, (names, attributes, strings) in uses.items():
+                used = attributes[node.name]
+                if not method:
+                    used += names[node.name]
+                    if root == "perfbench" and node.name in own:
+                        used = 0
+                if root == "src":
+                    used -= own_attributes[node.name]
+                    if not method:
+                        used -= own_names[node.name]
+                if root == "perfbench":
+                    used += strings[qual]
+                if used > 0:
+                    reached.add(root)
+            surface["%s.%s" % (mod, qual)] = reached
     return surface
 
 
@@ -127,3 +158,19 @@ def test_paper_statements_are_defined_and_recorded():
         assert name in surface, "%s is not defined in src/gnk" % name
         assert rows.get(name) == "kept", (
             "%s has no \"kept\" row in DECISIONS.md" % name)
+
+
+def test_benchmark_only_names_are_recorded():
+    # a name that only perfbench/ reaches is kept because the benchmark
+    # calls or wraps it, not because a command or the paper needs it; each
+    # is listed, so that the next change to the benchmark can prune it
+    surface = _library_surface()
+    rows = _decision_rows()
+    benchmark_only = sorted(q for q, reached in surface.items()
+                            if reached == {"perfbench"})
+    assert benchmark_only == sorted(BENCHMARK_NAMES), (
+        "names reached only through perfbench/: %s" % benchmark_only)
+    for name in BENCHMARK_NAMES:
+        assert rows.get(name) == "kept for the benchmark", (
+            "%s has no \"kept for the benchmark\" row in DECISIONS.md"
+            % name)
