@@ -3,14 +3,15 @@
 A trajectory moves one point per segment along a straight line with rational
 endpoints; all wall predicates (three points collinear, four concyclic, four
 coplanar) specialise to univariate polynomials of degree <= 2 in the segment
-parameter.  Each segment is first put into an integer frame (every
-coordinate multiplied by the lcm of the segment's denominators); the wall
-predicates are homogeneous, so the frame keeps every sign and every
-predicate polynomial has Python int coefficients.  Event times are isolated
-into rational brackets, kept as int triples until an event is reported
-(never evaluated numerically: only the event ORDER and exact side
-decisions matter), letters are emitted per event in time order, and the
-concatenation freely reduces to the invariant word.
+parameter.  Each mover run (consecutive segments of one mover) is put into
+one integer frame (every coordinate of the statics and of the mover's
+waypoints multiplied by the lcm of their denominators); the wall predicates
+are homogeneous, so the frame keeps every sign and every predicate
+polynomial has Python int coefficients.  Event times are isolated into
+rational brackets, kept as int triples until an event is reported (never
+evaluated numerically: only the event ORDER and exact side decisions
+matter), letters are emitted per event in time order, and the concatenation
+freely reduces to the invariant word.
 
 No floating point is used anywhere.
 """
@@ -135,39 +136,37 @@ class PredicatePoly:
         s = (self.c2 * u + self.c1 * v) * u + self.c0 * v * v
         return (s > 0) - (s < 0)
 
-    def is_zero(self) -> bool:
-        return self.c2 == 0 and self.c1 == 0 and self.c0 == 0
-
     def roots_in_unit_interval(self):
         """Isolating brackets with sign changes, for roots in (0, 1).
 
         Raises DegenerateTrajectory on identically-zero polynomials, roots at
         segment endpoints, and tangencies (double roots).
         """
-        if self.is_zero():
-            raise DegenerateTrajectory("predicate vanishes identically")
         c2, c1, c0 = self.c2, self.c1, self.c0
-        if c0 == 0 or c2 + c1 + c0 == 0:
+        end = c2 + c1 + c0
+        if c0 == 0 or end == 0:
+            if c2 == 0 and c1 == 0 and c0 == 0:
+                raise DegenerateTrajectory("predicate vanishes identically")
             raise DegenerateTrajectory("event at a segment endpoint")
-        s0, s1 = _sgn(c0), _sgn(c2 + c1 + c0)
+        # the signs at 0 and 1, as "positive"
+        s0, s1 = c0 > 0, end > 0
         if c2 == 0:
             if s0 == s1:
                 return []
             r, d = _linear_root(c1, c0)
             return [self._bracket_rational_root(r, 0, d, d)]
+        # off the vertex -c1 / (2 c2) the poly is monotone on [0, 1]: one
+        # root iff the end signs differ (a double root or none outside
+        # keeps them equal), and the discriminant is not needed
+        if not (-2 * c2 < c1 < 0 if c2 > 0 else 0 < c1 < -2 * c2):
+            return [(0, 1, 1)] if s0 != s1 else []
         disc = c1 * c1 - 4 * c2 * c0
         if disc < 0:
             return []
-        # the vertex -c1 / (2 c2) lies in (0, 1)
-        vertex_inside = 0 < -c1 * _sgn(c2) < 2 * abs(c2)
         if disc == 0:
-            if vertex_inside:
-                raise DegenerateTrajectory("tangential (double-root) event")
-            return []
-        if not vertex_inside:
-            return [(0, 1, 1)] if s0 != s1 else []
+            raise DegenerateTrajectory("tangential (double-root) event")
         # p(vertex) = -disc / (4 c2) is nonzero, of the sign opposite to c2
-        sv = -_sgn(c2)
+        sv = c2 < 0
         v, d = _linear_root(2 * c2, c1)
         return ([(0, v, d)] if s0 != sv else []) + \
             ([(v, d, d)] if sv != s1 else [])
@@ -422,25 +421,10 @@ def _overlap(b1, b2):
             min(b1[1] * b2[2], b2[1] * b1[2]), b1[2] * b2[2])
 
 
-def _static_genericity_2d(conf, mover, circles=False):
-    statics = [pt for q, pt in enumerate(conf) if q != mover]
-    for a, b, c in itertools.combinations(statics, 3):
-        if orient2d(a, b, c) == 0:
-            raise DegenerateTrajectory("three static points collinear")
-    if circles:
-        for i, j, k in itertools.combinations(range(len(statics)), 3):
-            a = statics[i]
-            lx, ly, area = _circle_coeffs(a, statics[j], statics[k])
-            for x, y in statics[k + 1:]:
-                px, py = x - a[0], y - a[1]
-                if lx * px + ly * py == area * (px * px + py * py):
-                    raise DegenerateTrajectory("four static points concyclic")
-
-
 # the walls of the mover x0 + t d against a line through two static points,
-# or a circle or a plane through three: the poly 2 w(x0 + t d) of the wall
-# predicate w, as PredicatePoly.interpolate stores it, written down from the
-# points (DECISIONS.md gives the closed forms)
+# or a plane through three: the poly 2 w(x0 + t d) of the wall predicate w,
+# as PredicatePoly.interpolate stores it, written down from the points
+# (DECISIONS.md gives the closed forms); the side signs of an event use them
 def _line(x0, d, p, q):
     ux, uy = q[0] - p[0], q[1] - p[1]
     return PredicatePoly(0, 2 * (ux * d[1] - uy * d[0]),
@@ -455,15 +439,6 @@ def _circle_coeffs(a, b, c):
     return bb * cy - cc * by, cc * bx - bb * cx, bx * cy - by * cx
 
 
-def _circle(x0, d, a, b, c):
-    lx, ly, area = _circle_coeffs(a, b, c)
-    wx, wy, dx, dy = x0[0] - a[0], x0[1] - a[1], d[0], d[1]
-    return PredicatePoly(
-        -2 * area * (dx * dx + dy * dy),
-        2 * (lx * dx + ly * dy) - 4 * area * (wx * dx + wy * dy),
-        2 * (lx * wx + ly * wy - area * (wx * wx + wy * wy)))
-
-
 def _plane(x0, d, p, q, r):
     nx, ny, nz = _cross(_sub(q, p), _sub(r, p))
     wx, wy, wz = _sub(x0, p)
@@ -471,14 +446,82 @@ def _plane(x0, d, p, q, r):
                          2 * (nx * wx + ny * wy + nz * wz))
 
 
-def _walls(frame, statics, x0, d, wall, size):
-    """(static tuple, poly, bracket) for every root in (0, 1) of the wall
-    polynomial of every ``size``-subset of the statics, in combinations
-    order."""
-    for tup in itertools.combinations(statics, size):
-        poly = wall(x0, d, *[frame[s] for s in tup])
-        for br in poly.roots_in_unit_interval():
-            yield tup, poly, br
+def _lift(pt):
+    return pt if len(pt) == 3 else pt + (pt[0] * pt[0] + pt[1] * pt[1],)
+
+
+def _wall_table(frame, statics, kind):
+    """A mover run's walls, in detection order: circles then lines in the
+    plane, planes in space, each in combinations order.  A wall (statics,
+    c, k) is the doubled predicate 2 f = c . p + k at a lifted point p;
+    c[2] is -2 orient2d for a circle, 0 for a line.  Raises on collinear or
+    concyclic statics."""
+    if kind == "coplanar_special":
+        planes = []
+        for trip in itertools.combinations(statics, 3):
+            a, b, c = (frame[s] for s in trip)
+            n = _cross(_sub(b, a), _sub(c, a))
+            planes.append((trip, tuple(2 * x for x in n), -2 * _dot(n, a)))
+        return planes
+    later = {s: statics[k + 1:] for k, s in enumerate(statics)}
+
+    def tested(walls, message):
+        # every subset of the statics one larger than a wall's, once
+        for trip, (c0, c1, c2), k in walls:
+            for s in later[trip[-1]]:
+                x, y, z = frame[s]
+                if c0 * x + c1 * y + c2 * z + k == 0:
+                    raise DegenerateTrajectory(message)
+    lines = []
+    for i, j in itertools.combinations(statics, 2):
+        (ax, ay, _), (bx, by, _) = frame[i], frame[j]
+        lines.append(((i, j), (2 * (ay - by), 2 * (bx - ax), 0),
+                      2 * (ax * by - ay * bx)))
+    tested(lines, "three static points collinear")
+    if kind == "collinear3":
+        return lines
+    circles = []
+    for trip in itertools.combinations(statics, 3):
+        a = ax, ay, aa = frame[trip[0]]
+        lx, ly, area = _circle_coeffs(a, frame[trip[1]], frame[trip[2]])
+        circles.append((trip, (2 * (lx + 2 * area * ax),
+                               2 * (ly + 2 * area * ay), -2 * area),
+                        -2 * (lx * ax + ly * ay + area * aa)))
+    tested(circles, "four static points concyclic")
+    return circles + lines
+
+
+def _off_wall_signs(wall, frame, statics):
+    """The signs of 2 f at the statics off a circle or plane: its inside
+    count, or its sides."""
+    trip, (c0, c1, c2), k = wall
+    return [_sgn(c0 * x + c1 * y + c2 * z + k)
+            for x, y, z in (frame[s] for s in statics if s not in trip)]
+
+
+def _values(walls, pt):
+    """2 f of each wall at the waypoint pt."""
+    x, y, z = _lift(pt)
+    return [c0 * x + c1 * y + c2 * z + k for _, (c0, c1, c2), k in walls]
+
+
+def _segment_roots(walls, f0, f1, dd, seg, p):
+    """(wall, poly, bracket) for each root in (0, 1) of each wall's poly on
+    segment ``seg``: c0 = F0, c2 = c[2] dd, c1 = F1 - c0 - c2 from the
+    values F0, F1 at its ends and dd = |d|^2 in the plane, 0 in space
+    (DECISIONS.md, "Wall values once per waypoint").  A degenerate root
+    raises naming the segment, points and mover p."""
+    for wall, c0, e in zip(walls, f0, f1):
+        c2 = wall[1][2] * dd
+        poly = PredicatePoly(c2, e - c0 - c2, c0)
+        try:
+            brackets = poly.roots_in_unit_interval()
+        except DegenerateTrajectory as exc:
+            raise DegenerateTrajectory("%s: segment %d, points %r, mover %d"
+                                       % (exc, seg, _labels(wall[0], p), p)) \
+                from None
+        for br in brackets:
+            yield wall, poly, br
 
 
 def _convex_quad(pts, side_sign):
@@ -527,108 +570,100 @@ def _labels(statics, p):
     return tuple(sorted([s + 1 for s in statics] + [p]))
 
 
-def _inside_circle(conf, triple, mover=None):
-    """For every point but the triple and the mover, in index order: does it
-    lie strictly inside the circle through the triple?  Each point is one
-    evaluation of the triple's ``_circle_coeffs``, negated with a negative
-    area, as ``point_in_circumcircle`` signs ``incircle``; a collinear triple
-    raises at the first point tested."""
-    (ax, ay), b, c = (conf[s] for s in triple)
-    lx, ly, area = _circle_coeffs((ax, ay), b, c)
-    if area < 0:
-        lx, ly, area = -lx, -ly, -area
-    for x, (px, py) in enumerate(conf):
-        if x not in triple and x != mover:
-            if area == 0:
-                raise DegenerateTrajectory("collinear circle points")
-            px, py = px - ax, py - ay
-            yield lx * px + ly * py > area * (px * px + py * py)
-
-
 def detect_events(tr: Trajectory, kind: str):
     """All isolated wall crossings of the requested kind, in time order.
 
     Kinds: 'collinear3', 'concyclic4', 'delaunay_flip' (concyclic with an
     empty circle), 'coplanar_special' (3D: convex coplanar quadruple with
     all other points strictly on one side).  A circle event carries the
-    number of static points inside its circle as ``inside``.
+    number of static points inside its circle as ``inside``.  Each mover
+    run gets one integer frame and one wall table, and each wall is
+    evaluated once per waypoint.
     """
     if kind not in ("collinear3", "concyclic4", "delaunay_flip",
                     "coplanar_special"):
         raise ValueError("unknown event kind %r" % kind)
-    out = []
-    conf = list(tr.initial)
-    for seg, (p, to) in enumerate(tr.moves):
+    space = kind == "coplanar_special"
+    if tr.dim != (3 if space else 2):
+        raise ValueError("kind %s needs dim %d, the trajectory has dim %d"
+                         % (kind, 3 if space else 2, tr.dim))
+    out, conf, seg = [], list(tr.initial), 0
+    for p, run in itertools.groupby(tr.moves, key=lambda move: move[0]):
         mover = p - 1
-        # the segment's integer frame: the configuration, then the target
-        *frame, b = _integer_frame(conf + [to])
-        x0 = frame[mover]
-        d = _sub(b, x0)
-        events = []
         statics = [q for q in range(tr.n) if q != mover]
-        if kind == "coplanar_special":
-            for trip, poly, br in _walls(frame, statics, x0, d, _plane, 3):
-                s1, s2, s3 = (frame[s] for s in trip)
-                # orient3d(s1, s2, s3, x) = normal . (x - s1)
-                normal = _cross(_sub(s2, s1), _sub(s3, s1))
-                sides = {_sgn(_dot(normal, _sub(frame[x], s1)))
-                         for x in statics if x not in trip}
-                if 0 in sides:
-                    raise DegenerateTrajectory("static point on event plane")
-                if len(sides) > 1:
+        targets = [to for _, to in run]
+        # the run's frame: the statics, then the mover's waypoints
+        pts = _integer_frame([conf[q] for q in statics] + [conf[mover]]
+                             + targets)
+        frame = {q: _lift(pt) for q, pt in zip(statics, pts)}
+        walls = _wall_table(frame, statics, kind)
+        # what the statics alone decide about a circle or plane, taken at
+        # its first root in the run: the signs of its form off it
+        memo = {}
+        x0 = pts[len(statics)]
+        f0 = _values(walls, x0)
+        for x1 in pts[len(statics) + 1:]:
+            f1 = _values(walls, x1)
+            d = _sub(x1, x0)
+            events = []
+            for wall, poly, br in _segment_roots(
+                    walls, f0, f1, 0 if space else _dot(d, d), seg, p):
+                trip = wall[0]
+                if len(trip) == 2:
+                    # for the circle kinds: hull changes (collinearity
+                    # crossings) alter the Delaunay triangulation without a
+                    # cocircularity; keep the event brackets clear of them,
+                    # so that between bracket endpoints the only
+                    # combinatorial change is the event's own flip
+                    events.append(
+                        Event(seg, br, kind, _labels(trip, p), poly)
+                        if kind == "collinear3" else
+                        Event(seg, br, "_separator",
+                              (trip[0] + 1, trip[1] + 1, p), poly))
                     continue
-                # sides within the statics' plane: det[y - x, z - x, normal],
-                # which is |normal|^2 > 0 on the statics and, on (p, q, x),
-                # the wall of the plane through p, p + normal and q
-                quad = _convex_quad(trip + (mover,), _side_at_root(
-                    poly, br, mover, 1, lambda q1, q2: _plane(
-                        x0, d, frame[q1], _add(frame[q1], normal), frame[q2])))
-                if quad is not None:
-                    events.append(Event(seg, br, kind, _labels(trip, p), poly,
-                                        quad, sides.pop() if sides else 1))
-        else:
-            # the statics, and so their degeneracies and the points inside
-            # each circle, change with the mover
-            if seg == 0 or tr.moves[seg - 1][0] != p:
-                _static_genericity_2d(frame, mover,
-                                      circles=kind != "collinear3")
-                inside = {}
-            if kind != "collinear3":
-                def line(q1, q2):
-                    return _line(x0, d, frame[q1], frame[q2])
-
-                for trip, poly, br in _walls(frame, statics, x0, d,
-                                             _circle, 3):
-                    if trip not in inside:
-                        inside[trip] = sum(_inside_circle(frame, trip, mover))
-                    if kind == "delaunay_flip" and inside[trip]:
-                        continue
-                    quad = _convex_quad(trip + (mover,), _side_at_root(
-                        poly, br, mover,
-                        _sgn(orient2d(*(frame[s] for s in trip))), line))
-                    if quad is None:
+                if trip not in memo:
+                    memo[trip] = _off_wall_signs(wall, frame, statics)
+                signs = memo[trip]
+                if space:
+                    sides = set(signs)
+                    if 0 in sides:
                         raise DegenerateTrajectory(
-                            "event points not in convex position")
-                    events.append(Event(seg, br, kind, _labels(trip, p), poly,
-                                        quad, inside=inside[trip]))
-            # for the circle kinds: hull changes (collinearity crossings)
-            # alter the Delaunay triangulation without a cocircularity; keep
-            # the event brackets clear of them so that between bracket
-            # endpoints the only combinatorial change is the event's own flip
-            for (s1, s2), poly, br in _walls(frame, statics, x0, d,
-                                             _line, 2):
-                if kind == "collinear3":
-                    events.append(Event(seg, br, kind, _labels((s1, s2), p),
-                                        poly))
-                else:
-                    events.append(Event(seg, br, "_separator",
-                                        (s1 + 1, s2 + 1, p), poly))
-        for e in _separate_events(events):
-            if e.kind != "_separator":
-                lo, hi, den = e.bracket
-                e.bracket = (Fraction(lo, den), Fraction(hi, den))
-                out.append(e)
-        conf[mover] = to
+                            "static point on event plane")
+                    if len(sides) > 1:
+                        continue
+                    # sides within the statics' plane: det[y - x, z - x, n],
+                    # which is |n|^2 > 0 on the statics and, on (p, q, x),
+                    # the wall of the plane through p, p + n and q
+                    quad = _convex_quad(trip + (mover,), _side_at_root(
+                        poly, br, mover, 1, lambda q1, q2: _plane(
+                            x0, d, frame[q1], _add(frame[q1], wall[1]),
+                            frame[q2])))
+                    if quad is not None:
+                        events.append(Event(seg, br, kind, _labels(trip, p),
+                                            poly, quad,
+                                            sides.pop() if sides else 1))
+                    continue
+                # orient2d of the triple, and the statics inside
+                static = -_sgn(wall[1][2])
+                inside = signs.count(static)
+                if kind == "delaunay_flip" and inside:
+                    continue
+                quad = _convex_quad(trip + (mover,), _side_at_root(
+                    poly, br, mover, static,
+                    lambda q1, q2: _line(x0, d, frame[q1], frame[q2])))
+                if quad is None:
+                    raise DegenerateTrajectory(
+                        "event points not in convex position")
+                events.append(Event(seg, br, kind, _labels(trip, p), poly,
+                                    quad, inside=inside))
+            for e in _separate_events(events):
+                if e.kind != "_separator":
+                    lo, hi, den = e.bracket
+                    e.bracket = (Fraction(lo, den), Fraction(hi, den))
+                    out.append(e)
+            x0, f0 = x1, f1
+            seg += 1
+        conf[mover] = targets[-1]
     return out
 
 
@@ -677,6 +712,10 @@ def compile_word(tr: Trajectory, target: str):
     n = tr.n
     if target == "gamma4_graded" and n <= 5:
         raise ValueError("graded target needs n > 5")
+    least = 3 if target == "gn3" else 4
+    if n < least:
+        raise ValueError('trajectory: "points" has %d points; target %s '
+                         'needs at least %d' % (n, target, least))
     gn = target in ("gn3", "gn4")
     group = GnkGroup(n, 3 if target == "gn3" else 4) if gn else Gamma4Group(n)
     events = detect_events(tr, kind)

@@ -8,11 +8,26 @@ linear polys, ``bisection_sign_at_root`` is ``sign_at_root`` as a loop that
 bisects the bracket until aux keeps one sign on it, and
 ``per_call_side_at_root`` the side signs of ``_convex_quad`` without the
 memo by sorted triple: each call interpolates its triple in the order given
-and takes the sign at the root anew."""
+and takes the sign at the root anew.
 
-from gnk.geometry import (DegenerateTrajectory, PredicatePoly, _by_left_end,
-                          _inside, _linear_root, _overlap, _sgn,
-                          point_in_circumcircle)
+``discriminant_first_roots`` is ``PredicatePoly.roots_in_unit_interval``
+with the discriminant taken before the vertex test.
+``per_segment_detect_events`` is ``detect_events`` as it ran before the
+wall table: each segment puts all points into the integer frame of the
+lcm of their denominators and writes every wall poly down anew
+there (``circle_wall``, ``segment_walls``), tests the statics at each
+change of mover (``static_genericity_2d``) and counts the statics inside a
+circle point by point (``inside_circle``)."""
+
+import itertools
+from fractions import Fraction
+
+from gnk.geometry import (DegenerateTrajectory, Event, PredicatePoly,
+                          _by_left_end, _circle_coeffs, _convex_quad,
+                          _cross, _dot, _inside, _integer_frame, _labels,
+                          _line, _linear_root, _overlap, _plane,
+                          _separate_events, _sgn, _side_at_root, _sub, _add,
+                          orient2d, point_in_circumcircle)
 
 
 def general_bisect(poly, bracket):
@@ -32,7 +47,7 @@ def bisection_sign_at_root(main, bracket, aux):
     """Exact sign of aux (degree <= 2) at main's isolated root, 0 when they
     share it: bisect the bracket until aux has one nonzero sign at both
     ends and no root inside."""
-    if aux.is_zero() or main.shares_root(aux, bracket):
+    if (aux.c2, aux.c1, aux.c0) == (0, 0, 0) or main.shares_root(aux, bracket):
         return 0
     while True:
         lo, hi, den = bracket
@@ -123,3 +138,168 @@ def overlapping_pairs(brs):
             pairs.append((i, j) if i < j else (j, i))
     pairs.sort()
     return pairs
+
+
+def discriminant_first_roots(poly):
+    """``roots_in_unit_interval`` with the discriminant decided first and
+    the vertex test after it."""
+    c2, c1, c0 = poly.c2, poly.c1, poly.c0
+    if c2 == 0 and c1 == 0 and c0 == 0:
+        raise DegenerateTrajectory("predicate vanishes identically")
+    if c0 == 0 or c2 + c1 + c0 == 0:
+        raise DegenerateTrajectory("event at a segment endpoint")
+    s0, s1 = _sgn(c0), _sgn(c2 + c1 + c0)
+    if c2 == 0:
+        if s0 == s1:
+            return []
+        r, d = _linear_root(c1, c0)
+        return [poly._bracket_rational_root(r, 0, d, d)]
+    disc = c1 * c1 - 4 * c2 * c0
+    if disc < 0:
+        return []
+    vertex_inside = 0 < -c1 * _sgn(c2) < 2 * abs(c2)
+    if disc == 0:
+        if vertex_inside:
+            raise DegenerateTrajectory("tangential (double-root) event")
+        return []
+    if not vertex_inside:
+        return [(0, 1, 1)] if s0 != s1 else []
+    sv = -_sgn(c2)
+    v, d = _linear_root(2 * c2, c1)
+    return ([(0, v, d)] if s0 != sv else []) + \
+        ([(v, d, d)] if sv != s1 else [])
+
+
+def circle_wall(x0, d, a, b, c):
+    """The circle wall of the mover x0 + t d through a, b, c, as
+    ``PredicatePoly.interpolate`` stores it."""
+    lx, ly, area = _circle_coeffs(a, b, c)
+    wx, wy, dx, dy = x0[0] - a[0], x0[1] - a[1], d[0], d[1]
+    return PredicatePoly(
+        -2 * area * (dx * dx + dy * dy),
+        2 * (lx * dx + ly * dy) - 4 * area * (wx * dx + wy * dy),
+        2 * (lx * wx + ly * wy - area * (wx * wx + wy * wy)))
+
+
+def segment_walls(frame, statics, x0, d, wall, size, seg, p):
+    """(static tuple, poly, bracket) for every root in (0, 1) of the wall
+    polynomial of every ``size``-subset of the statics, in combinations
+    order; a degenerate root raises naming segment ``seg``, the points and
+    the mover p."""
+    for tup in itertools.combinations(statics, size):
+        poly = wall(x0, d, *[frame[s] for s in tup])
+        try:
+            brackets = poly.roots_in_unit_interval()
+        except DegenerateTrajectory as exc:
+            raise DegenerateTrajectory("%s: segment %d, points %r, mover %d"
+                                       % (exc, seg, _labels(tup, p), p)) \
+                from None
+        for br in brackets:
+            yield tup, poly, br
+
+
+def static_genericity_2d(conf, mover, circles=False):
+    """Raise on three collinear statics, and with ``circles`` on four
+    concyclic ones."""
+    statics = [pt for q, pt in enumerate(conf) if q != mover]
+    for a, b, c in itertools.combinations(statics, 3):
+        if orient2d(a, b, c) == 0:
+            raise DegenerateTrajectory("three static points collinear")
+    if circles:
+        for i, j, k in itertools.combinations(range(len(statics)), 3):
+            a = statics[i]
+            lx, ly, area = _circle_coeffs(a, statics[j], statics[k])
+            for x, y in statics[k + 1:]:
+                px, py = x - a[0], y - a[1]
+                if lx * px + ly * py == area * (px * px + py * py):
+                    raise DegenerateTrajectory("four static points concyclic")
+
+
+def inside_circle(conf, triple, mover=None):
+    """For every point but the triple and the mover, in index order: does it
+    lie strictly inside the circle through the triple?  Each point is one
+    evaluation of the triple's ``_circle_coeffs``, negated with a negative
+    area, as ``point_in_circumcircle`` signs ``incircle``; a collinear triple
+    raises at the first point tested."""
+    (ax, ay), b, c = (conf[s] for s in triple)
+    lx, ly, area = _circle_coeffs((ax, ay), b, c)
+    if area < 0:
+        lx, ly, area = -lx, -ly, -area
+    for x, (px, py) in enumerate(conf):
+        if x not in triple and x != mover:
+            if area == 0:
+                raise DegenerateTrajectory("collinear circle points")
+            px, py = px - ax, py - ay
+            yield lx * px + ly * py > area * (px * px + py * py)
+
+
+def per_segment_detect_events(tr, kind):
+    """``detect_events`` with one integer frame per segment and every wall
+    poly written down from the points of that frame."""
+    if kind not in ("collinear3", "concyclic4", "delaunay_flip",
+                    "coplanar_special"):
+        raise ValueError("unknown event kind %r" % kind)
+    out = []
+    conf = list(tr.initial)
+    for seg, (p, to) in enumerate(tr.moves):
+        mover = p - 1
+        *frame, b = _integer_frame(conf + [to])
+        x0 = frame[mover]
+        d = _sub(b, x0)
+        events = []
+        statics = [q for q in range(tr.n) if q != mover]
+        if kind == "coplanar_special":
+            for trip, poly, br in segment_walls(frame, statics, x0, d, _plane,
+                                                3, seg, p):
+                s1, s2, s3 = (frame[s] for s in trip)
+                normal = _cross(_sub(s2, s1), _sub(s3, s1))
+                sides = {_sgn(_dot(normal, _sub(frame[x], s1)))
+                         for x in statics if x not in trip}
+                if 0 in sides:
+                    raise DegenerateTrajectory("static point on event plane")
+                if len(sides) > 1:
+                    continue
+                quad = _convex_quad(trip + (mover,), _side_at_root(
+                    poly, br, mover, 1, lambda q1, q2: _plane(
+                        x0, d, frame[q1], _add(frame[q1], normal), frame[q2])))
+                if quad is not None:
+                    events.append(Event(seg, br, kind, _labels(trip, p), poly,
+                                        quad, sides.pop() if sides else 1))
+        else:
+            if seg == 0 or tr.moves[seg - 1][0] != p:
+                static_genericity_2d(frame, mover,
+                                     circles=kind != "collinear3")
+                inside = {}
+            if kind != "collinear3":
+                def line(q1, q2):
+                    return _line(x0, d, frame[q1], frame[q2])
+
+                for trip, poly, br in segment_walls(frame, statics, x0, d,
+                                                    circle_wall, 3, seg, p):
+                    if trip not in inside:
+                        inside[trip] = sum(inside_circle(frame, trip, mover))
+                    if kind == "delaunay_flip" and inside[trip]:
+                        continue
+                    quad = _convex_quad(trip + (mover,), _side_at_root(
+                        poly, br, mover,
+                        _sgn(orient2d(*(frame[s] for s in trip))), line))
+                    if quad is None:
+                        raise DegenerateTrajectory(
+                            "event points not in convex position")
+                    events.append(Event(seg, br, kind, _labels(trip, p), poly,
+                                        quad, inside=inside[trip]))
+            for (s1, s2), poly, br in segment_walls(frame, statics, x0, d,
+                                                    _line, 2, seg, p):
+                if kind == "collinear3":
+                    events.append(Event(seg, br, kind, _labels((s1, s2), p),
+                                        poly))
+                else:
+                    events.append(Event(seg, br, "_separator",
+                                        (s1 + 1, s2 + 1, p), poly))
+        for e in _separate_events(events):
+            if e.kind != "_separator":
+                lo, hi, den = e.bracket
+                e.bracket = (Fraction(lo, den), Fraction(hi, den))
+                out.append(e)
+        conf[mover] = to
+    return out

@@ -16,9 +16,11 @@ from gnk.geometry import (DegenerateConfiguration, DegenerateTrajectory,
                           point_in_circumcircle, sign_at_root)
 from gnk.gnk import GnkGroup
 from gnk.words import format_word
-from geometry_oracles import (bisection_sign_at_root, general_bisect,
-                              inside_count, overlapping_pairs,
-                              per_call_side_at_root, sweep_separate_events)
+from geometry_oracles import (bisection_sign_at_root, circle_wall,
+                              discriminant_first_roots, general_bisect,
+                              inside_circle, inside_count, overlapping_pairs,
+                              per_call_side_at_root, per_segment_detect_events,
+                              sweep_separate_events)
 from relator_oracles import quad_word
 
 F = Fraction
@@ -85,9 +87,49 @@ def test_no_events_for_distant_parallel_mover():
 
 
 def test_event_at_segment_endpoint_raises():
+    # the message names the segment, the wall's points and the mover
     tr = Trajectory([(0, 0), (2, 0), (0, 2), (1, 0)], [(4, (1, 2))])
-    with pytest.raises(DegenerateTrajectory):
+    with pytest.raises(DegenerateTrajectory, match=r"^event at a segment "
+                       r"endpoint: segment 0, points \(1, 2, 4\), mover 4$"):
         detect_events(tr, "collinear3")
+    tr = Trajectory([(1, 0), (0, 1), (-1, 0), (-3, -1), (5, 5)],
+                    [(5, (5, 7)), (4, (3, -1))])
+    with pytest.raises(DegenerateTrajectory, match=r"^tangential \(double-"
+                       r"root\) event: segment 1, points \(1, 2, 3, 4\), "
+                       r"mover 4$"):
+        detect_events(tr, "concyclic4")
+
+
+def test_too_few_points_name_the_field():
+    # each target accepts the n its group accepts, and below that names
+    # the field before any group is built
+    for target, dim, least in (("gn3", 2, 3), ("gn4", 2, 4), ("gamma4", 2, 4),
+                               ("gamma4_space", 3, 4)):
+        for n in (0, least - 1):
+            tr = Trajectory([(k, k * k, k ** 3)[:dim] for k in range(n)], [],
+                            dim)
+            with pytest.raises(ValueError, match='^trajectory: "points" has '
+                               '%d points; target %s needs at least %d$'
+                               % (n, target, least)):
+                compile_word(tr, target)
+        tr = Trajectory([(k, k * k, k ** 3)[:dim] for k in range(least)], [],
+                        dim)
+        assert compile_word(tr, target)[1] == []
+    with pytest.raises(ValueError, match=r"^graded target needs n > 5$"):
+        compile_word(Trajectory([], []), "gamma4_graded")
+
+
+def test_kind_and_dimension_must_agree():
+    # a circle form would read a point's z as x^2 + y^2: a kind of the other
+    # dimension raises before any wall is built
+    plane = Trajectory([(0, 0), (3, 0), (0, 2), (5, 7)], [(1, (2, 9))])
+    space = _lifted(plane)
+    for tr, kind in ((space, "collinear3"), (space, "concyclic4"),
+                     (space, "delaunay_flip"), (plane, "coplanar_special")):
+        want, got = (3, 2) if tr is plane else (2, 3)
+        with pytest.raises(ValueError, match="^kind %s needs dim %d, the "
+                           "trajectory has dim %d$" % (kind, want, got)):
+            detect_events(tr, kind)
 
 
 def test_delaunay_triangle_and_square():
@@ -144,7 +186,7 @@ def test_inside_count_parabola_nesting():
     n = 6
     pts = [(F(k), F(k * k)) for k in range(1, n + 1)]
     for j, p, q in itertools.combinations(range(1, n + 1), 3):
-        cnt = sum(geometry._inside_circle(pts, (j - 1, p - 1, q - 1)))
+        cnt = sum(inside_circle(pts, (j - 1, p - 1, q - 1)))
         assert cnt == (j - 1) + (q - p - 1)
 
 
@@ -157,7 +199,7 @@ def test_inside_count_vs_per_point_oracle():
         trip = tuple(rng.sample(range(7), 3))
         if orient2d(pts[trip[0]], pts[trip[1]], pts[trip[2]]) == 0:
             continue
-        assert sum(geometry._inside_circle(pts, trip)) == inside_count(
+        assert sum(inside_circle(pts, trip)) == inside_count(
             pts, trip)
         for mover in set(range(7)) - set(trip):
             _check_inside_without_mover(pts, trip, mover)
@@ -171,14 +213,14 @@ def test_inside_circle_on_circle_and_collinear_triples():
     # a point on the circle is not inside, for either orientation
     square = [(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)]
     for trip in ((0, 1, 2), (0, 2, 1)):
-        assert list(geometry._inside_circle(square, trip)) == [False, True]
+        assert list(inside_circle(square, trip)) == [False, True]
         assert point_in_circumcircle(*(square[q] for q in trip),
                                      square[3]) == 0
     # a collinear triple raises, but only once a point is tested
     pts = [(0, 0), (1, 1), (2, 2), (5, 0)]
-    assert list(geometry._inside_circle(pts[:3], (0, 1, 2))) == []
+    assert list(inside_circle(pts[:3], (0, 1, 2))) == []
     with pytest.raises(DegenerateTrajectory, match="collinear circle points"):
-        sum(geometry._inside_circle(pts, (0, 1, 2)))
+        sum(inside_circle(pts, (0, 1, 2)))
     with pytest.raises(DegenerateTrajectory, match="collinear circle points"):
         point_in_circumcircle(*pts)
 
@@ -189,8 +231,8 @@ def _check_inside_without_mover(pts, trip, mover):
     compile and the Delaunay flips read."""
     inside = [t for t in range(len(pts)) if t not in trip and t != mover
               and point_in_circumcircle(*(pts[q] for q in trip), pts[t]) > 0]
-    assert sum(geometry._inside_circle(pts, trip, mover)) == len(inside)
-    assert any(geometry._inside_circle(pts, trip, mover)) == bool(inside)
+    assert sum(inside_circle(pts, trip, mover)) == len(inside)
+    assert any(inside_circle(pts, trip, mover)) == bool(inside)
     return inside
 
 
@@ -541,6 +583,16 @@ def _oracle_aux_root_inside(aux, lo, hi):
     return aux.sign(vertex) != aux.sign(lo) or aux(vertex) == 0
 
 
+def _oracle_roots(poly, seg, labels, p):
+    """The poly's brackets; a degenerate root raises naming the segment,
+    the points and the mover, as the detector does."""
+    try:
+        return poly.roots_in_unit_interval()
+    except DegenerateTrajectory as exc:
+        raise DegenerateTrajectory("%s: segment %d, points %r, mover %d"
+                                   % (exc, seg, labels, p)) from None
+
+
 class OracleEvent:
     def __init__(self, segment, bracket, kind, participants, poly, side=None):
         self.segment, self.bracket, self.kind = segment, bracket, kind
@@ -607,23 +659,23 @@ def oracle_detect_events(tr, kind):
             for s1, s2 in itertools.combinations(statics, 2):
                 poly = OraclePoly.interpolate(
                     lambda t: orient2d(conf[s1], conf[s2], pos(t)))
-                for br in poly.roots_in_unit_interval():
-                    events.append(OracleEvent(seg, br, kind, tuple(
-                        sorted((s1 + 1, s2 + 1, p))), poly))
+                labels = tuple(sorted((s1 + 1, s2 + 1, p)))
+                for br in _oracle_roots(poly, seg, labels, p):
+                    events.append(OracleEvent(seg, br, kind, labels, poly))
         elif kind in ("concyclic4", "delaunay_flip"):
             _oracle_static_genericity(conf, mover, circles=True)
             for trip in itertools.combinations(statics, 3):
                 s1, s2, s3 = trip
                 poly = OraclePoly.interpolate(
                     lambda t: incircle(conf[s1], conf[s2], conf[s3], pos(t)))
-                for br in poly.roots_in_unit_interval():
+                labels = tuple(sorted((s1 + 1, s2 + 1, s3 + 1, p)))
+                for br in _oracle_roots(poly, seg, labels, p):
                     if kind == "delaunay_flip" and any(
                             point_in_circumcircle(conf[s1], conf[s2], conf[s3],
                                                   conf[x]) > 0
                             for x in statics if x not in trip):
                         continue
-                    ev = OracleEvent(seg, br, kind, tuple(sorted(
-                        (s1 + 1, s2 + 1, s3 + 1, p))), poly)
+                    ev = OracleEvent(seg, br, kind, labels, poly)
 
                     def side_sign(x, y, z, ev=ev):
                         if mover not in (x, y, z):
@@ -642,7 +694,8 @@ def oracle_detect_events(tr, kind):
             for s1, s2 in itertools.combinations(statics, 2):
                 poly = OraclePoly.interpolate(
                     lambda t: orient2d(conf[s1], conf[s2], pos(t)))
-                for br in poly.roots_in_unit_interval():
+                labels = tuple(sorted((s1 + 1, s2 + 1, p)))
+                for br in _oracle_roots(poly, seg, labels, p):
                     events.append(OracleEvent(seg, br, "_separator",
                                               (s1 + 1, s2 + 1, p), poly))
         else:                                   # coplanar_special
@@ -650,7 +703,8 @@ def oracle_detect_events(tr, kind):
                 s1, s2, s3 = trip
                 poly = OraclePoly.interpolate(
                     lambda t: orient3d(conf[s1], conf[s2], conf[s3], pos(t)))
-                for br in poly.roots_in_unit_interval():
+                labels = tuple(sorted((s1 + 1, s2 + 1, s3 + 1, p)))
+                for br in _oracle_roots(poly, seg, labels, p):
                     sides = []
                     for x in statics:
                         if x in trip:
@@ -662,9 +716,8 @@ def oracle_detect_events(tr, kind):
                         sides.append((v > 0) - (v < 0))
                     if sides and len(set(sides)) != 1:
                         continue
-                    ev = OracleEvent(seg, br, kind, tuple(sorted(
-                        (s1 + 1, s2 + 1, s3 + 1, p))), poly,
-                        side=sides[0] if sides else 1)
+                    ev = OracleEvent(seg, br, kind, labels, poly,
+                                     side=sides[0] if sides else 1)
                     normal = _oracle_cross(_oracle_sub(conf[s2], conf[s1]),
                                            _oracle_sub(conf[s3], conf[s1]))
 
@@ -804,6 +857,9 @@ DEGENERATE_CASES = [
     ([(0, 0), (2, 0), (0, 2), (3, 3)], [(4, (1, 0)), (3, (2, 2))], "gn3"),
     ([(1, 0), (0, 1), (-1, 0), (3, 3), (2, -3)],
      [(4, (0, -1)), (5, (3, -3))], "gn4"),
+    # the mover stays on the line through points 1 and 2: the line's
+    # predicate vanishes on the segment
+    ([(0, 0), (2, 0), (0, 2), (1, 0)], [(4, (1, 0))], "gn3"),
 ]
 
 
@@ -856,27 +912,56 @@ def _side_predicate(p, q, r, x):
                         _oracle_cross(_oracle_sub(q, p), _oracle_sub(r, p)))
 
 
-def test_closed_form_walls_match_interpolate():
-    # the line, circle and plane walls written down from the points, and
-    # the side of the mover within a plane of statics, equal the
-    # interpolated ones coefficient for coefficient
+def _detector_polys(monkeypatch, detect, tr, kind):
+    """The wall polys ``detect`` forms, segment by segment in the order it
+    forms them, with every root query answered by none; None when the
+    statics are degenerate."""
+    polys = []
+    with monkeypatch.context() as m:
+        m.setattr(PredicatePoly, "roots_in_unit_interval",
+                  lambda self: polys.append(self) or [])
+        try:
+            detect(tr, kind)
+        except DegenerateTrajectory:
+            return None
+    return polys
+
+
+def test_closed_form_walls_match_interpolate(monkeypatch):
+    # the line, circle and plane walls written down from the points, the
+    # side of the mover within a plane of statics, and the walls the
+    # detector forms from their values at the two ends of the segment,
+    # equal the interpolated ones coefficient for coefficient
     walls = {2: ((geometry._line, orient2d, 2),
-                 (geometry._circle, incircle, 3)),
+                 (circle_wall, incircle, 3)),
              3: ((geometry._plane, orient3d, 3),
                  (_side_wall, _side_predicate, 3))}
-    checked = 0
+    checked = end_checked = 0
     for dim, frame, mover, b in _wall_frames(random.Random("walls")):
         x0 = frame[mover]
         d = tuple(y - x for x, y in zip(x0, b))
         statics = [pt for q, pt in enumerate(frame) if q != mover]
+        end_values = []
         for wall, predicate, size in walls[dim]:
             for tup in itertools.combinations(statics, size):
                 want = PredicatePoly.interpolate(lambda t: predicate(
                     *tup, tuple(x + t * dx for x, dx in zip(x0, d))))
                 got = wall(x0, d, *tup)
                 assert (got.c2, got.c1, got.c0) == (want.c2, want.c1, want.c0)
+                if wall is not _side_wall:
+                    end_values.append((want.c2, want.c1, want.c0))
                 checked += 1
-    assert checked > 5000
+        # the detector forms circles before lines
+        if dim == 2:
+            lines = math.comb(len(statics), 2)
+            end_values = end_values[lines:] + end_values[:lines]
+        got = _detector_polys(monkeypatch, detect_events,
+                              Trajectory(frame, [(mover + 1, b)], dim),
+                              "concyclic4" if dim == 2 else "coplanar_special")
+        if got is not None:
+            assert [(p.c2, p.c1, p.c0) for p in got] == end_values
+            end_checked += len(got)
+    assert checked > 5000 and end_checked > 2500
 
 
 CANONICAL_TARGETS = {"circle_gn3": ("gn3",), "parabola_gn4": ("gn4",),
@@ -884,22 +969,26 @@ CANONICAL_TARGETS = {"circle_gn3": ("gn3",), "parabola_gn4": ("gn4",),
 
 
 def test_canonical_compiles_decide_on_ints_and_fractions(monkeypatch):
-    # every wall predicate runs on an integer frame, every predicate
-    # polynomial (wall or side sign) has int coefficients, every point a
-    # sign is taken at is an int pair (u, v) standing for u / v with v > 0,
-    # never a float, and reported brackets are Fractions
+    # every wall table is formed on an integer frame and evaluated at
+    # integer waypoints, every predicate polynomial (wall or side
+    # sign) has int coefficients, every point a sign is taken at is an int
+    # pair (u, v) standing for u / v with v > 0, never a float, and reported
+    # brackets are Fractions
     polys, points, coords = [], [], set()
     interpolate, sign = PredicatePoly.interpolate.__func__, PredicatePoly.sign
     roots = PredicatePoly.roots_in_unit_interval
+    wall_table, values = geometry._wall_table, geometry._values
 
-    def recording(predicate):
-        def wrapper(*pts):
-            coords.update(type(x) for pt in pts for x in pt)
-            return predicate(*pts)
-        return wrapper
+    def recording_wall_table(frame, statics, kind):
+        coords.update(type(x) for pt in frame.values() for x in pt)
+        return wall_table(frame, statics, kind)
 
-    for name in ("orient2d", "incircle", "orient3d"):
-        monkeypatch.setattr(geometry, name, recording(getattr(geometry, name)))
+    def recording_values(walls, pt):
+        coords.update(type(x) for x in pt)
+        return values(walls, pt)
+
+    monkeypatch.setattr(geometry, "_wall_table", recording_wall_table)
+    monkeypatch.setattr(geometry, "_values", recording_values)
 
     def recording_interpolate(cls, f):
         polys.append(interpolate(cls, f))
@@ -1174,7 +1263,7 @@ def _side_cases(rng):
             return frame[q]
 
         statics = [q for q in range(len(frame)) if q != mover]
-        wall = geometry._circle if len(x0) == 2 else geometry._plane
+        wall = circle_wall if len(x0) == 2 else geometry._plane
         for trip in itertools.combinations(statics, 3):
             s1, s2, s3 = (frame[q] for q in trip)
             poly = wall(x0, d, s1, s2, s3)
@@ -1249,26 +1338,26 @@ def test_delaunay_emptiness_once_per_mover_run(monkeypatch):
     # once per mover run, reused on the run's later roots, and computed
     # again after the mover has changed; event logs equal the oracle's
     runs, asked, computed = [0], [], []
-    genericity = geometry._static_genericity_2d
-    walls, inside = geometry._walls, geometry._inside_circle
+    wall_table = geometry._wall_table
+    segment_roots, inside = geometry._segment_roots, geometry._off_wall_signs
 
-    def counting_genericity(*args, **kwargs):
+    def counting_wall_table(*args):
         runs[0] += 1
-        return genericity(*args, **kwargs)
+        return wall_table(*args)
 
-    def recording_walls(frame, statics, x0, d, wall, size):
-        for tup, poly, br in walls(frame, statics, x0, d, wall, size):
-            if wall is geometry._circle:
-                asked.append((runs[0], tup))
-            yield tup, poly, br
+    def recording_roots(walls, *args):
+        for wall, poly, br in segment_roots(walls, *args):
+            if len(wall[0]) == 3:               # a circle
+                asked.append((runs[0], wall[0]))
+            yield wall, poly, br
 
-    def recording_inside(conf, triple, mover=None):
-        computed.append((runs[0], triple))
-        return inside(conf, triple, mover)
+    def recording_inside(wall, frame, statics):
+        computed.append((runs[0], wall[0]))
+        return inside(wall, frame, statics)
 
-    monkeypatch.setattr(geometry, "_static_genericity_2d", counting_genericity)
-    monkeypatch.setattr(geometry, "_walls", recording_walls)
-    monkeypatch.setattr(geometry, "_inside_circle", recording_inside)
+    monkeypatch.setattr(geometry, "_wall_table", counting_wall_table)
+    monkeypatch.setattr(geometry, "_segment_roots", recording_roots)
+    monkeypatch.setattr(geometry, "_off_wall_signs", recording_inside)
     rng = random.Random("mover runs")
     events = reused = again = 0
     for trial in range(12):
@@ -1286,3 +1375,191 @@ def test_delaunay_emptiness_once_per_mover_run(monkeypatch):
         for run, trip in computed:
             again += first_run.setdefault(trip, run) != run
     assert events > 0 and reused > 0 and again > 0
+
+
+# ---------------------------------------------------------------------------
+# wall values once per waypoint: one frame and one wall table per mover run,
+# each segment's poly from its two end values
+
+
+def _quadratic_cases(rng):
+    """(name, c2, c1, c0) of seeded quadratics m (den t - num)^2 - e: the
+    vertex num / den inside (0, 1), outside it, at exactly 0 and at 1; the
+    discriminant 4 m den^2 e negative, zero or positive; small and
+    1,000-bit m; then linear polys, for the shared early returns."""
+    vertices = {"inside": lambda: (rng.randint(1, 98), 99),
+                "outside": lambda: rng.choice(((-rng.randint(1, 50), 7),
+                                               (rng.randint(8, 60), 7))),
+                "at 0": lambda: (0, rng.randint(1, 9)),
+                "at 1": lambda: (3, 3)}
+    for _ in range(40):
+        for where, vertex in vertices.items():
+            for bits in (8, 1000):
+                num, den = vertex()
+                m = rng.choice((-1, 1)) * rng.getrandbits(bits) | 1
+                for disc in ("< 0", "= 0", "> 0"):
+                    # near the double root, or far enough to reach 0 or 1
+                    sign = {"< 0": -1, "= 0": 0, "> 0": 1}[disc]
+                    reach = rng.choice((2 ** (bits // 2),
+                                        4 * abs(m) * den * den))
+                    e = sign * (1 if m > 0 else -1) * rng.randint(1, reach)
+                    yield ((where, disc), m * den * den, -2 * m * den * num,
+                           m * num * num - e)
+    for _ in range(40):
+        yield ("linear",), 0, rng.randint(-50, 50), rng.randint(-50, 50)
+
+
+def _roots_outcome(roots, poly):
+    try:
+        return roots(poly)
+    except DegenerateTrajectory as exc:
+        return str(exc)
+
+
+def test_monotone_case_matches_discriminant_first():
+    # off the vertex the poly is monotone on [0, 1], so testing the vertex
+    # first and skipping the discriminant gives the answers and the raises
+    # of the order that took the discriminant first
+    answers = collections.Counter()
+    for name, c2, c1, c0 in _quadratic_cases(random.Random("monotone")):
+        poly = PredicatePoly(c2, c1, c0)
+        got = _roots_outcome(PredicatePoly.roots_in_unit_interval, poly)
+        assert got == _roots_outcome(discriminant_first_roots, poly), (
+            name, c2, c1, c0)
+        answers[name, got if isinstance(got, str) else len(got)] += 1
+    for where in ("inside", "outside", "at 0", "at 1"):
+        for disc in ("< 0", "= 0", "> 0"):
+            assert sum(c for (name, _), c in answers.items()
+                       if name == (where, disc)) >= 80
+    assert answers[("inside", "= 0"), "tangential (double-root) event"] > 0
+    assert answers[("inside", "> 0"), 2] > 0
+    assert answers[("outside", "> 0"), 1] > 0
+    assert answers[("outside", "> 0"), 0] > 0
+    assert answers[("at 0", "= 0"), "event at a segment endpoint"] > 0
+    assert answers[("at 1", "> 0"), 1] > 0
+
+
+def _rational_run_trajectory(rng, n, dim, movers, integer):
+    """Random points in a box and one random target per mover in
+    ``movers``: int coordinates, or rationals whose denominators are drawn
+    independently up to 1,000."""
+    def coord():
+        if integer:
+            return F(rng.randint(-10, 10))
+        return _random_rational(rng, 10)
+    pts = [tuple(coord() for _ in range(dim)) for _ in range(n)]
+    return Trajectory(pts, [(m, tuple(coord() for _ in range(dim)))
+                            for m in movers], dim)
+
+
+def _lifted(tr):
+    """The trajectory lifted onto the paraboloid z = x^2 + y^2, waypoints
+    included."""
+    def lift(pt):
+        return pt + (pt[0] * pt[0] + pt[1] * pt[1],)
+    return Trajectory([lift(p) for p in tr.initial],
+                      [(p, lift(to)) for p, to in tr.moves], 3)
+
+
+def _oracle_trajectories():
+    """(kinds, trajectory): seeded runs of movers A, A, B, A on int and on
+    rational waypoints, in the plane and in space, and the circle_points
+    loops at n = 5-12, also lifted into space."""
+    rng = random.Random("per segment")
+    plane = ("collinear3", "concyclic4", "delaunay_flip")
+    for trial in range(16):
+        a, b = rng.sample(range(1, 6), 2)
+        for integer in (True, False):
+            for dim, kinds in ((2, plane), (3, ("coplanar_special",))):
+                yield kinds, _rational_run_trajectory(
+                    rng, 5 + trial % 3, dim, [a, a, b, a], integer)
+    for n in range(5, 13):
+        i, j = (1, 2) if n % 2 else (1, 3)
+        tr = canonical_generator_trajectory(n, i, j, "circle_gamma4")
+        yield plane, tr
+        if n <= 8:
+            yield ("coplanar_special",), _lifted(tr)
+
+
+def _detector_outcome(detect, tr, kind):
+    """The event log, brackets included, as Fractions, or the type and
+    message of the raise."""
+    try:
+        events = detect(tr, kind)
+    except (DegenerateTrajectory, ValueError) as exc:
+        return type(exc), str(exc)
+    return [(e.segment, e.kind, e.participants, e.quad, e.side, e.inside,
+             e.bracket) for e in events]
+
+
+def test_detector_matches_per_segment_oracle():
+    # one frame and one wall table per mover run give the events, brackets
+    # and raises of one frame per segment, on runs that change mover, on
+    # int and rational waypoints and on the canonical circle loops
+    events, raises, rational = collections.Counter(), collections.Counter(), 0
+    for kinds, tr in _oracle_trajectories():
+        for kind in kinds:
+            want = _detector_outcome(per_segment_detect_events, tr, kind)
+            assert _detector_outcome(detect_events, tr, kind) == want, kind
+            if isinstance(want, tuple):
+                raises[want[1].split(":")[0]] += 1
+            else:
+                events[kind] += len(want)
+        rational += any(x.denominator != 1 for _, to in tr.moves for x in to)
+    for points, moves, target in DEGENERATE_CASES:
+        tr = Trajectory(points, moves, len(points[0]))
+        kind = geometry._TARGETS[target][1]
+        want = _detector_outcome(per_segment_detect_events, tr, kind)
+        assert _detector_outcome(detect_events, tr, kind) == want
+        raises[want[1].split(":")[0]] += 1
+    assert all(events[kind] > 20 for kind in (
+        "collinear3", "concyclic4", "delaunay_flip", "coplanar_special"))
+    assert rational > 20
+    for message in ("event at a segment endpoint",
+                    "tangential (double-root) event",
+                    "predicate vanishes identically",
+                    "three static points collinear",
+                    "four static points concyclic",
+                    "static point on event plane"):
+        assert raises[message] > 0, message
+
+
+def test_run_frame_polys_are_per_segment_polys_times_m(monkeypatch):
+    # the run's frame S is a multiple m L of each segment's frame L, the lcm
+    # of the denominators of the segment's n + 1 points, so each poly formed
+    # from end values is the per-segment frame's poly times m^degree: m^2
+    # for a line, m^4 for a circle, m^3 for a plane
+    rng = random.Random("run frame")
+    cases = [_rational_run_trajectory(rng, 6, dim, [2, 2, 5, 2, 2], False)
+             for dim in (2, 3) for _ in range(3)]
+    cases += [canonical_generator_trajectory(9, 1, 9, "circle_gn3"), _lifted(
+        canonical_generator_trajectory(7, 1, 2, "circle_gamma4"))]
+    seen = collections.Counter()
+    for tr in cases:
+        kind = "concyclic4" if tr.dim == 2 else "coplanar_special"
+        new = _detector_polys(monkeypatch, detect_events, tr, kind)
+        old = _detector_polys(monkeypatch, per_segment_detect_events, tr, kind)
+        assert len(new) == len(old)
+        m = tr.n - 1
+        powers = ([4] * math.comb(m, 3) + [2] * math.comb(m, 2)
+                  if tr.dim == 2 else [3] * math.comb(m, 3))
+        confs = tr.configurations()
+        for seg, (conf, (p, to)) in enumerate(zip(confs, tr.moves)):
+            first = seg
+            while first and tr.moves[first - 1][0] == p:
+                first -= 1
+            last = seg
+            while last + 1 < len(tr.moves) and tr.moves[last + 1][0] == p:
+                last += 1
+            run = confs[first] + [to for _, to in tr.moves[first:last + 1]]
+            scale = math.lcm(*(x.denominator for pt in run for x in pt))
+            full = math.lcm(*(x.denominator for pt in conf + [to]
+                              for x in pt))
+            assert scale % full == 0
+            seen[scale > full] += 1
+            for power in powers:
+                a, b = new.pop(0), old.pop(0)
+                factor = (scale // full) ** power
+                assert (a.c2, a.c1, a.c0) == (factor * b.c2, factor * b.c1,
+                                              factor * b.c0)
+    assert seen[True] > 10 and seen[False] > 0
