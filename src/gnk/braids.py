@@ -304,6 +304,9 @@ def phi_ijk(group: GnkGroup, w: Word, triple):
     where the counts are of occurrences before c: a parity walk with the
     masks of ``DECISIONS.md``, "One parity walk".
     """
+    if group.k != 3:
+        raise ValueError("phi_ijk is defined on G_n^3, not on k = %d"
+                         % group.k)
     i, j, k = sorted(triple)
     if len({i, j, k}) != 3:
         raise ValueError("triple must have three distinct labels")

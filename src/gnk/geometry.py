@@ -421,29 +421,15 @@ def _overlap(b1, b2):
             min(b1[1] * b2[2], b2[1] * b1[2]), b1[2] * b2[2])
 
 
-# the walls of the mover x0 + t d against a line through two static points,
-# or a plane through three: the poly 2 w(x0 + t d) of the wall predicate w,
-# as PredicatePoly.interpolate stores it, written down from the points
-# (DECISIONS.md gives the closed forms); the side signs of an event use them
-def _line(x0, d, p, q):
-    ux, uy = q[0] - p[0], q[1] - p[1]
-    return PredicatePoly(0, 2 * (ux * d[1] - uy * d[0]),
-                         2 * (ux * (x0[1] - p[1]) - uy * (x0[0] - p[0])))
-
-
-def _circle_coeffs(a, b, c):
-    """(lx, ly, A) with incircle(a, b, c, x) = lx px + ly py - A |p|^2 for
-    p = x - a; A is orient2d(a, b, c)."""
-    bx, by, cx, cy = b[0] - a[0], b[1] - a[1], c[0] - a[0], c[1] - a[1]
-    bb, cc = bx * bx + by * by, cx * cx + cy * cy
-    return bb * cy - cc * by, cc * bx - bb * cx, bx * cy - by * cx
-
-
-def _plane(x0, d, p, q, r):
-    nx, ny, nz = _cross(_sub(q, p), _sub(r, p))
-    wx, wy, wz = _sub(x0, p)
-    return PredicatePoly(0, 2 * (nx * d[0] + ny * d[1] + nz * d[2]),
-                         2 * (nx * wx + ny * wy + nz * wz))
+def _plane(p, q, r):
+    """The doubled orient3d form of the plane through the points p, q, r:
+    (c, k) with 2 orient3d(p, q, r, x) = c . x + k, that is c = 2 n and
+    k = -2 n . p for the normal n = (q - p) x (r - p)."""
+    ux, uy, uz = q[0] - p[0], q[1] - p[1], q[2] - p[2]
+    vx, vy, vz = r[0] - p[0], r[1] - p[1], r[2] - p[2]
+    nx, ny, nz = (2 * (uy * vz - uz * vy), 2 * (uz * vx - ux * vz),
+                  2 * (ux * vy - uy * vx))
+    return (nx, ny, nz), -(nx * p[0] + ny * p[1] + nz * p[2])
 
 
 def _lift(pt):
@@ -453,16 +439,13 @@ def _lift(pt):
 def _wall_table(frame, statics, kind):
     """A mover run's walls, in detection order: circles then lines in the
     plane, planes in space, each in combinations order.  A wall (statics,
-    c, k) is the doubled predicate 2 f = c . p + k at a lifted point p;
-    c[2] is -2 orient2d for a circle, 0 for a line.  Raises on collinear or
-    concyclic statics."""
+    c, k) is the doubled predicate 2 f = c . p + k at a lifted point p:
+    every wall is a plane of the lifted space (DECISIONS.md, "Every wall is
+    a plane in the lifted space").  c[2] is -2 orient2d for a circle, 0 for
+    a line.  Raises on collinear or concyclic statics."""
     if kind == "coplanar_special":
-        planes = []
-        for trip in itertools.combinations(statics, 3):
-            a, b, c = (frame[s] for s in trip)
-            n = _cross(_sub(b, a), _sub(c, a))
-            planes.append((trip, tuple(2 * x for x in n), -2 * _dot(n, a)))
-        return planes
+        return [(trip, *_plane(*(frame[s] for s in trip)))
+                for trip in itertools.combinations(statics, 3)]
     later = {s: statics[k + 1:] for k, s in enumerate(statics)}
 
     def tested(walls, message):
@@ -482,11 +465,9 @@ def _wall_table(frame, statics, kind):
         return lines
     circles = []
     for trip in itertools.combinations(statics, 3):
-        a = ax, ay, aa = frame[trip[0]]
-        lx, ly, area = _circle_coeffs(a, frame[trip[1]], frame[trip[2]])
-        circles.append((trip, (2 * (lx + 2 * area * ax),
-                               2 * (ly + 2 * area * ay), -2 * area),
-                        -2 * (lx * ax + ly * ay + area * aa)))
+        # incircle is minus orient3d of the lifted points
+        (c0, c1, c2), k = _plane(*(frame[s] for s in trip))
+        circles.append((trip, (-c0, -c1, -c2), -k))
     tested(circles, "four static points concyclic")
     return circles + lines
 
@@ -524,45 +505,25 @@ def _segment_roots(walls, f0, f1, dd, seg, p):
             yield wall, poly, br
 
 
-def _convex_quad(pts, side_sign):
-    """The dihedral class of the four points pts (0-based) around their
-    convex hull, or None when they are not in convex position.
+def _convex_quad(trip, mover, poly, br, static, ends):
+    """The dihedral class of the static triangle trip = (a, b, c) and the
+    mover around their convex hull at the root of poly in br, or None when
+    the four points are not in convex position.
 
-    A pair is a diagonal iff the other two points lie on opposite sides of
-    its line, as ``side_sign(x, y, z)`` tells."""
-    for x, y in itertools.combinations(pts, 2):
-        z, w = [q for q in pts if q not in (x, y)]
-        if side_sign(x, y, z) * side_sign(x, y, w) < 0:
-            return dihedral_canonical((x + 1, z + 1, y + 1, w + 1))
-    return None
-
-
-def _side_at_root(poly, br, mover, static, line):
-    """side_sign(x, y, z) for _convex_quad: the sign of the side predicate
-    (orient2d, or in space det[y - x, z - x, normal]) on the points x, y, z
-    at the root of poly in br.
-
-    The predicate is alternating, so each triple is signed once, sorted, and
-    a permutation multiplies that sign by its parity.  ``static`` is the
-    sign of the sorted triple of statics; a triple with the mover is signed
-    at the root by ``line(p, q)``, the predicate's poly on (p, q, mover) with
-    p, q the other two in cyclic order (a rotation keeps the sign)."""
-    signs = {}
-
-    def side_sign(x, y, z):
-        key = tuple(sorted((x, y, z)))
-        s = signs.get(key)
-        if s is None:
-            a, b, c = key
-            if mover not in key:
-                s = static
-            else:
-                s = sign_at_root(poly, br, line(
-                    *((b, c) if a == mover else (c, a) if b == mover
-                      else (a, b))))
-            signs[key] = s
-        return -s if ((x > y) + (x > z) + (y > z)) & 1 else s
-    return side_sign
+    They are in convex position iff the mover lies across exactly one edge
+    (x, y) of the triangle from its third vertex z, and their cyclic order
+    is then (x, mover, y, z).  ``ends`` gives, for the edges (a, b),
+    (a, c) and (b, c) in turn, the mover's side form of the edge at the
+    segment's two ends; ``static`` is the side sign of c from (a, b), which
+    a has from (b, c) and b, negated, from (a, c)."""
+    a, b, c = trip
+    crossed = [(x, y, z) for (x, y, z, s), (e0, e1) in zip(
+        ((a, b, c, static), (a, c, b, -static), (b, c, a, static)), ends)
+        if sign_at_root(poly, br, PredicatePoly(0, e1 - e0, e0)) == -s]
+    if len(crossed) != 1:
+        return None
+    (x, y, z), = crossed
+    return dihedral_canonical((x + 1, mover + 1, y + 1, z + 1))
 
 
 def _labels(statics, p):
@@ -597,6 +558,7 @@ def detect_events(tr: Trajectory, kind: str):
                              + targets)
         frame = {q: _lift(pt) for q, pt in zip(statics, pts)}
         walls = _wall_table(frame, statics, kind)
+        line_at = {w[0]: k for k, w in enumerate(walls) if len(w[0]) == 2}
         # what the statics alone decide about a circle or plane, taken at
         # its first root in the run: the signs of its form off it
         memo = {}
@@ -631,26 +593,34 @@ def detect_events(tr: Trajectory, kind: str):
                             "static point on event plane")
                     if len(sides) > 1:
                         continue
-                    # sides within the statics' plane: det[y - x, z - x, n],
-                    # which is |n|^2 > 0 on the statics and, on (p, q, x),
-                    # the wall of the plane through p, p + n and q
-                    quad = _convex_quad(trip + (mover,), _side_at_root(
-                        poly, br, mover, 1, lambda q1, q2: _plane(
-                            x0, d, frame[q1], _add(frame[q1], wall[1]),
-                            frame[q2])))
-                    if quad is not None:
-                        events.append(Event(seg, br, kind, _labels(trip, p),
-                                            poly, quad,
-                                            sides.pop() if sides else 1))
+                    # the mover's side of an edge (x, y) within the statics'
+                    # plane, read along its normal c: the plane through x,
+                    # x + c and y, where the third static's side of (a, b)
+                    # is |c|^2 > 0
+                    edges = [((x, y), *_plane(
+                        frame[x], _add(frame[x], wall[1]), frame[y]))
+                        for x, y in itertools.combinations(trip, 2)]
+                    quad = _convex_quad(trip, mover, poly, br, 1, zip(
+                        _values(edges, x0), _values(edges, x1)))
+                    # not convex: a point crosses a face of the hull, no
+                    # flip; kept, as the plane keeps its lines, to hold the
+                    # other event brackets clear of it
+                    events.append(
+                        Event(seg, br, kind, _labels(trip, p), poly, quad,
+                              sides.pop() if sides else 1)
+                        if quad else
+                        Event(seg, br, "_separator", _labels(trip, p), poly))
                     continue
                 # orient2d of the triple, and the statics inside
                 static = -_sgn(wall[1][2])
                 inside = signs.count(static)
                 if kind == "delaunay_flip" and inside:
                     continue
-                quad = _convex_quad(trip + (mover,), _side_at_root(
-                    poly, br, mover, static,
-                    lambda q1, q2: _line(x0, d, frame[q1], frame[q2])))
+                # the mover's sides of the triangle's edges: the edges' line
+                # walls at the segment's ends
+                quad = _convex_quad(trip, mover, poly, br, static, [
+                    (f0[k], f1[k]) for k in (
+                        line_at[e] for e in itertools.combinations(trip, 2))])
                 if quad is None:
                     raise DegenerateTrajectory(
                         "event points not in convex position")
@@ -673,12 +643,6 @@ def _sub(u, v):
 
 def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
-
-
-def _cross(u, v):
-    return (u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
 
 
 def _add(u, v):
@@ -751,21 +715,18 @@ def delaunay(points):
     lift = [(x, y, x * x + y * y) for x, y in pts]
     tris = set()
     for a, b, c in itertools.combinations(range(n), 3):
-        if orient2d(pts[a], pts[b], pts[c]) == 0:
+        o = orient2d(pts[a], pts[b], pts[c])
+        if o == 0:
             continue
-        below = above = 0
+        below = 0
         for x in range(n):
             if x in (a, b, c):
                 continue
             v = orient3d(lift[a], lift[b], lift[c], lift[x])
             if v == 0:
                 raise DegenerateConfiguration("four cocircular points")
-            o = orient2d(pts[a], pts[b], pts[c])
-            s = v if o > 0 else -v
-            if s < 0:
+            if (v if o > 0 else -v) < 0:
                 below += 1
-            else:
-                above += 1
         if below == 0:
             tris.add((a + 1, b + 1, c + 1))
     if not tris:

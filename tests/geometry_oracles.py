@@ -6,28 +6,33 @@ point, by ``point_in_circumcircle``.
 ``general_bisect`` is ``PredicatePoly.bisect`` without its closed form for
 linear polys, ``bisection_sign_at_root`` is ``sign_at_root`` as a loop that
 bisects the bracket until aux keeps one sign on it, and
-``per_call_side_at_root`` the side signs of ``_convex_quad`` without the
-memo by sorted triple: each call interpolates its triple in the order given
-and takes the sign at the root anew.
+``per_call_side_at_root`` a side sign as a call per ordered triple: each
+call interpolates its triple in the order given and takes the sign at the
+root anew.
 
 ``discriminant_first_roots`` is ``PredicatePoly.roots_in_unit_interval``
 with the discriminant taken before the vertex test.
 ``per_segment_detect_events`` is ``detect_events`` as it ran before the
 wall table: each segment puts all points into the integer frame of the
 lcm of their denominators and writes every wall poly down anew
-there (``circle_wall``, ``segment_walls``), tests the statics at each
-change of mover (``static_genericity_2d``) and counts the statics inside a
-circle point by point (``inside_circle``)."""
+there (``line_wall``, ``circle_wall``, ``plane_wall``,
+``segment_walls``), tests the statics at each change of mover
+(``static_genericity_2d``) and counts the statics inside a circle point by
+point (``inside_circle``).  It reads an event's cyclic order from its
+diagonals (``two_sided_quad``), signing each triple once by its sorted
+order and the parity (``side_at_root``), with the side polys written down
+from the points; a quadruple in space that is not in convex position
+becomes a separator, as in ``detect_events``."""
 
 import itertools
 from fractions import Fraction
 
+from gnk.gamma import dihedral_canonical
 from gnk.geometry import (DegenerateTrajectory, Event, PredicatePoly,
-                          _by_left_end, _circle_coeffs, _convex_quad,
-                          _cross, _dot, _inside, _integer_frame, _labels,
-                          _line, _linear_root, _overlap, _plane,
-                          _separate_events, _sgn, _side_at_root, _sub, _add,
-                          orient2d, point_in_circumcircle)
+                          _by_left_end, _dot, _inside, _integer_frame,
+                          _labels, _linear_root, _overlap, _separate_events,
+                          _sgn, _sub, _add, orient2d, point_in_circumcircle,
+                          sign_at_root)
 
 
 def general_bisect(poly, bracket):
@@ -89,6 +94,80 @@ def per_call_side_at_root(poly, br, predicate, point, mover=None):
             lambda t: predicate(point(x, t), point(y, t), point(z, t)))
         return bisection_sign_at_root(poly, br, aux)
     return side_sign
+
+
+def line_wall(x0, d, p, q):
+    """The wall of the mover x0 + t d against the line through p and q,
+    2 orient2d(p, q, x), as ``PredicatePoly.interpolate`` stores it."""
+    ux, uy = q[0] - p[0], q[1] - p[1]
+    return PredicatePoly(0, 2 * (ux * d[1] - uy * d[0]),
+                         2 * (ux * (x0[1] - p[1]) - uy * (x0[0] - p[0])))
+
+
+def circle_coeffs(a, b, c):
+    """(lx, ly, A) with incircle(a, b, c, x) = lx px + ly py - A |p|^2 for
+    p = x - a; A is orient2d(a, b, c)."""
+    bx, by, cx, cy = b[0] - a[0], b[1] - a[1], c[0] - a[0], c[1] - a[1]
+    bb, cc = bx * bx + by * by, cx * cx + cy * cy
+    return bb * cy - cc * by, cc * bx - bb * cx, bx * cy - by * cx
+
+
+def plane_wall(x0, d, p, q, r):
+    """The wall of the mover x0 + t d against the plane through p, q and r,
+    2 orient3d(p, q, r, x), as ``PredicatePoly.interpolate`` stores it."""
+    nx, ny, nz = cross(_sub(q, p), _sub(r, p))
+    wx, wy, wz = _sub(x0, p)
+    return PredicatePoly(0, 2 * (nx * d[0] + ny * d[1] + nz * d[2]),
+                         2 * (nx * wx + ny * wy + nz * wz))
+
+
+def cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def side_at_root(poly, br, mover, static, line):
+    """side_sign(x, y, z) for ``two_sided_quad``: the sign of the side
+    predicate (orient2d, or in space det[y - x, z - x, normal]) on the
+    points x, y, z at the root of poly in br.
+
+    The predicate is alternating, so each triple is signed once, sorted, and
+    a permutation multiplies that sign by its parity.  ``static`` is the
+    sign of the sorted triple of statics; a triple with the mover is signed
+    at the root by ``line(p, q)``, the predicate's poly on (p, q, mover) with
+    p, q the other two in cyclic order (a rotation keeps the sign)."""
+    signs = {}
+
+    def side_sign(x, y, z):
+        key = tuple(sorted((x, y, z)))
+        s = signs.get(key)
+        if s is None:
+            a, b, c = key
+            if mover not in key:
+                s = static
+            else:
+                s = sign_at_root(poly, br, line(
+                    *((b, c) if a == mover else (c, a) if b == mover
+                      else (a, b))))
+            signs[key] = s
+        return -s if ((x > y) + (x > z) + (y > z)) & 1 else s
+    return side_sign
+
+
+def two_sided_quad(pts, side_sign):
+    """The dihedral class of the four points pts (0-based) around their
+    convex hull, or None when they are not in convex position.
+
+    A pair is a diagonal iff it separates the other two and they separate
+    it, as ``side_sign(x, y, z)`` tells; a point inside the triangle of the
+    other three passes the first half only."""
+    for x, y in itertools.combinations(pts, 2):
+        z, w = [q for q in pts if q not in (x, y)]
+        if side_sign(x, y, z) * side_sign(x, y, w) < 0 \
+                and side_sign(z, w, x) * side_sign(z, w, y) < 0:
+            return dihedral_canonical((x + 1, z + 1, y + 1, w + 1))
+    return None
 
 
 def inside_count(conf, triple) -> int:
@@ -173,7 +252,7 @@ def discriminant_first_roots(poly):
 def circle_wall(x0, d, a, b, c):
     """The circle wall of the mover x0 + t d through a, b, c, as
     ``PredicatePoly.interpolate`` stores it."""
-    lx, ly, area = _circle_coeffs(a, b, c)
+    lx, ly, area = circle_coeffs(a, b, c)
     wx, wy, dx, dy = x0[0] - a[0], x0[1] - a[1], d[0], d[1]
     return PredicatePoly(
         -2 * area * (dx * dx + dy * dy),
@@ -208,7 +287,7 @@ def static_genericity_2d(conf, mover, circles=False):
     if circles:
         for i, j, k in itertools.combinations(range(len(statics)), 3):
             a = statics[i]
-            lx, ly, area = _circle_coeffs(a, statics[j], statics[k])
+            lx, ly, area = circle_coeffs(a, statics[j], statics[k])
             for x, y in statics[k + 1:]:
                 px, py = x - a[0], y - a[1]
                 if lx * px + ly * py == area * (px * px + py * py):
@@ -218,11 +297,11 @@ def static_genericity_2d(conf, mover, circles=False):
 def inside_circle(conf, triple, mover=None):
     """For every point but the triple and the mover, in index order: does it
     lie strictly inside the circle through the triple?  Each point is one
-    evaluation of the triple's ``_circle_coeffs``, negated with a negative
+    evaluation of the triple's ``circle_coeffs``, negated with a negative
     area, as ``point_in_circumcircle`` signs ``incircle``; a collinear triple
     raises at the first point tested."""
     (ax, ay), b, c = (conf[s] for s in triple)
-    lx, ly, area = _circle_coeffs((ax, ay), b, c)
+    lx, ly, area = circle_coeffs((ax, ay), b, c)
     if area < 0:
         lx, ly, area = -lx, -ly, -area
     for x, (px, py) in enumerate(conf):
@@ -249,22 +328,24 @@ def per_segment_detect_events(tr, kind):
         events = []
         statics = [q for q in range(tr.n) if q != mover]
         if kind == "coplanar_special":
-            for trip, poly, br in segment_walls(frame, statics, x0, d, _plane,
-                                                3, seg, p):
+            for trip, poly, br in segment_walls(frame, statics, x0, d,
+                                                plane_wall, 3, seg, p):
                 s1, s2, s3 = (frame[s] for s in trip)
-                normal = _cross(_sub(s2, s1), _sub(s3, s1))
+                normal = cross(_sub(s2, s1), _sub(s3, s1))
                 sides = {_sgn(_dot(normal, _sub(frame[x], s1)))
                          for x in statics if x not in trip}
                 if 0 in sides:
                     raise DegenerateTrajectory("static point on event plane")
                 if len(sides) > 1:
                     continue
-                quad = _convex_quad(trip + (mover,), _side_at_root(
-                    poly, br, mover, 1, lambda q1, q2: _plane(
+                quad = two_sided_quad(trip + (mover,), side_at_root(
+                    poly, br, mover, 1, lambda q1, q2: plane_wall(
                         x0, d, frame[q1], _add(frame[q1], normal), frame[q2])))
-                if quad is not None:
-                    events.append(Event(seg, br, kind, _labels(trip, p), poly,
-                                        quad, sides.pop() if sides else 1))
+                # not convex: a point crossing a face of the hull
+                events.append(
+                    Event(seg, br, kind, _labels(trip, p), poly, quad,
+                          sides.pop() if sides else 1) if quad else
+                    Event(seg, br, "_separator", _labels(trip, p), poly))
         else:
             if seg == 0 or tr.moves[seg - 1][0] != p:
                 static_genericity_2d(frame, mover,
@@ -272,7 +353,7 @@ def per_segment_detect_events(tr, kind):
                 inside = {}
             if kind != "collinear3":
                 def line(q1, q2):
-                    return _line(x0, d, frame[q1], frame[q2])
+                    return line_wall(x0, d, frame[q1], frame[q2])
 
                 for trip, poly, br in segment_walls(frame, statics, x0, d,
                                                     circle_wall, 3, seg, p):
@@ -280,7 +361,7 @@ def per_segment_detect_events(tr, kind):
                         inside[trip] = sum(inside_circle(frame, trip, mover))
                     if kind == "delaunay_flip" and inside[trip]:
                         continue
-                    quad = _convex_quad(trip + (mover,), _side_at_root(
+                    quad = two_sided_quad(trip + (mover,), side_at_root(
                         poly, br, mover,
                         _sgn(orient2d(*(frame[s] for s in trip))), line))
                     if quad is None:
@@ -289,7 +370,7 @@ def per_segment_detect_events(tr, kind):
                     events.append(Event(seg, br, kind, _labels(trip, p), poly,
                                         quad, inside=inside[trip]))
             for (s1, s2), poly, br in segment_walls(frame, statics, x0, d,
-                                                    _line, 2, seg, p):
+                                                    line_wall, 2, seg, p):
                 if kind == "collinear3":
                     events.append(Event(seg, br, kind, _labels((s1, s2), p),
                                         poly))

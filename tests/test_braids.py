@@ -500,6 +500,11 @@ def test_phi_ijk_rejects_labels_outside_the_group():
     for triple in ((1, 2, 9), (0, 1, 2), (1, 1, 2)):
         with pytest.raises(ValueError):
             phi_ijk(g, w, triple)
+    # phi_ijk is defined on G_n^3: a word of G_5^4 is refused, not read as 0
+    g4 = GnkGroup(5, 4)
+    w4 = g4.word_from_subsets([(1, 2, 3, 4), (1, 2, 3, 5)] * 2)
+    with pytest.raises(ValueError, match="k = 4"):
+        phi_ijk(g4, w4, (1, 2, 3))
 
 
 def test_phi_ijk_no_occurrences():

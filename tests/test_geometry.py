@@ -18,9 +18,10 @@ from gnk.gnk import GnkGroup
 from gnk.words import format_word
 from geometry_oracles import (bisection_sign_at_root, circle_wall,
                               discriminant_first_roots, general_bisect,
-                              inside_circle, inside_count, overlapping_pairs,
-                              per_call_side_at_root, per_segment_detect_events,
-                              sweep_separate_events)
+                              inside_circle, inside_count, line_wall,
+                              overlapping_pairs, per_call_side_at_root,
+                              per_segment_detect_events, plane_wall,
+                              sweep_separate_events, two_sided_quad)
 from relator_oracles import quad_word
 
 F = Fraction
@@ -413,14 +414,23 @@ def test_graded_compile_components_match_inside_counts():
 
 def test_orient3d_and_coplanar_events():
     assert orient3d((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)) > 0
+    # the mover crosses z = 0 at (1, 1, 0), inside the triangle of points
+    # 1, 2, 3: a point crossing a face of the hull, no flip and no event
     pts = [(0, 0, 0), (3, 0, 0), (0, 3, 0), (1, 1, 5), (1, 1, -2)]
     tr = Trajectory(pts, [(5, (1, 1, 2)), (5, (1, 1, -2))], dim=3)
+    assert detect_events(tr, "coplanar_special") == []
+    # at (2, 2, 0) it is across the edge 23 from point 1: the four points
+    # are in convex position, in the cyclic order 1, 2, 5, 3, on the way
+    # there and back
+    pts[4] = (2, 2, -2)
+    tr = Trajectory(pts, [(5, (2, 2, 2)), (5, (2, 2, -2))], dim=3)
     events = detect_events(tr, "coplanar_special")
-    assert events
+    assert [(e.segment, e.participants, e.quad) for e in events] == [
+        (0, (1, 2, 3, 5), (1, 2, 5, 3)), (1, (1, 2, 3, 5), (1, 2, 5, 3))]
     for e in events:
         assert e.kind == "coplanar_special"
-        assert e.quad is not None
-        assert e.side in (1, -1)
+        assert e.side == 1
+        assert e.bracket[0] < F(1, 2) < e.bracket[1]
 
 
 def test_circle_points_generic():
@@ -443,13 +453,22 @@ def test_trisecant_figure_word():
 
 
 def test_gamma4_space_compile_and_reversal():
-    pts = [(0, 0, 0), (3, 0, 0), (0, 3, 0), (1, 1, 5), (1, 1, -2)]
-    tr = Trajectory(pts, [(5, (1, 1, 2)), (5, (1, 1, -2))], dim=3)
-    w, evs = compile_word(tr, "gamma4_space")
-    wr, _ = compile_word(tr.reversed(), "gamma4_space")
-    assert wr.letters == w.inverse().letters
-    for e in evs:
-        assert len(e.participants) == 4
+    pts = [(0, 0, 0), (3, 0, 0), (0, 3, 0), (1, 1, 5), (2, 2, -2)]
+    for moves, word in (([(5, (2, 2, 2))], "d_1253"),
+                        ([(5, (2, 2, 2)), (5, (2, 2, -2))], ""),
+                        ([(5, (2, 2, 2)), (4, (2, 1, -5))],
+                         "d_1253 d_1354 d_2435")):
+        tr = Trajectory(pts, moves, dim=3)
+        w, evs = compile_word(tr, "gamma4_space")
+        assert format_word(w) == word
+        assert _outcome(compile_word, tr, "gamma4_space") == \
+            _outcome(oracle_compile, tr, "gamma4_space")
+        wr, revs = compile_word(tr.reversed(), "gamma4_space")
+        assert wr.letters == w.inverse().letters
+        assert [e.participants for e in revs] == \
+            [e.participants for e in evs][::-1]
+        for e in evs:
+            assert len(e.participants) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -632,9 +651,11 @@ def _oracle_static_genericity(conf, mover, circles=False):
 
 
 def _oracle_convex_quad(pts, side_sign):
+    # a diagonal separates the other two points, and they separate it
     for x, y in itertools.combinations(pts, 2):
         z, w = [q for q in pts if q not in (x, y)]
-        if side_sign(x, y, z) * side_sign(x, y, w) < 0:
+        if side_sign(x, y, z) * side_sign(x, y, w) < 0 \
+                and side_sign(z, w, x) * side_sign(z, w, y) < 0:
             return dihedral_canonical((x + 1, z + 1, y + 1, w + 1))
     return None
 
@@ -729,8 +750,9 @@ def oracle_detect_events(tr, kind):
 
                     ev.quad = _oracle_convex_quad(list(trip) + [mover],
                                                   inplane_sign)
-                    if ev.quad is not None:
-                        events.append(ev)
+                    if ev.quad is None:     # a point crossing a hull face
+                        ev.kind = "_separator"
+                    events.append(ev)
         out.extend(e for e in _oracle_separate(events)
                    if e.kind != "_separator")
         conf[mover] = to
@@ -899,17 +921,64 @@ def _wall_frames(rng):
             yield 2 + lift, frame, p - 1, b
 
 
-def _side_wall(x0, d, p, q, r):
-    """The in-plane side det[q - p, x - p, normal] of the mover x against
-    p and q, normal the normal of the plane through p, q, r: the plane
-    through p, p + normal and q."""
-    normal = geometry._cross(geometry._sub(q, p), geometry._sub(r, p))
-    return geometry._plane(x0, d, p, geometry._add(p, normal), q)
+def _normal(p, q, r):
+    """The normal of the doubled form of the plane through p, q and r."""
+    return tuple(2 * x for x in _oracle_cross(_oracle_sub(q, p),
+                                              _oracle_sub(r, p)))
 
 
 def _side_predicate(p, q, r, x):
+    """det[q - p, x - p, normal]: the side of x from (p, q) within the
+    plane through p, q and r."""
     return _oracle_det3(_oracle_sub(q, p), _oracle_sub(x, p),
-                        _oracle_cross(_oracle_sub(q, p), _oracle_sub(r, p)))
+                        _normal(p, q, r))
+
+
+def _side_wall(x0, d, p, q, r):
+    """The oracle's closed form of the side: the wall of the plane through
+    p, p + normal and q."""
+    return plane_wall(x0, d, p, tuple(x + y for x, y in zip(
+        p, _normal(p, q, r))), q)
+
+
+def _form_poly(form, x0, d):
+    """The poly of the doubled form (c, k) of a lifted wall along x0 + t d,
+    as the detector forms it: from the form's values at the two ends, with
+    c2 = c[2] |d|^2 in the plane and 0 in space."""
+    (c0, c1, c2), k = form
+    f0, f1 = (c0 * x + c1 * y + c2 * z + k
+              for x, y, z in (geometry._lift(x0), geometry._lift(
+                  tuple(x + dx for x, dx in zip(x0, d)))))
+    c2 *= sum(dx * dx for dx in d) if len(d) == 2 else 0
+    return PredicatePoly(c2, f1 - f0 - c2, f0)
+
+
+def _lifted_forms(dim, frame, statics):
+    """(predicate, statics, form) for the lifted forms of the statics: in
+    the plane the circles, each minus the plane through its lifted points,
+    then the wall table's lines (none when three statics are collinear);
+    in space the planes through three statics, then the mover's sides
+    within them, the plane through p, p + normal and q.  The walls come in
+    the detector's order."""
+    forms = []
+    if dim == 2:
+        lifted = {q: geometry._lift(frame[q]) for q in statics}
+        for tup in itertools.combinations(statics, 3):
+            c, k = geometry._plane(*(lifted[q] for q in tup))
+            forms.append((incircle, tup, (tuple(-x for x in c), -k)))
+        try:
+            lines = geometry._wall_table(lifted, statics, "collinear3")
+        except DegenerateTrajectory:
+            lines = []
+        return forms + [(orient2d, tup, (c, k)) for tup, c, k in lines]
+    for tup in itertools.combinations(statics, 3):
+        forms.append((orient3d, tup,
+                      geometry._plane(*(frame[q] for q in tup))))
+    for tup in itertools.combinations(statics, 3):
+        p, q, r = (frame[s] for s in tup)
+        forms.append((_side_predicate, tup, geometry._plane(
+            p, geometry._add(p, geometry._plane(p, q, r)[0]), q)))
+    return forms
 
 
 def _detector_polys(monkeypatch, detect, tr, kind):
@@ -928,40 +997,42 @@ def _detector_polys(monkeypatch, detect, tr, kind):
 
 
 def test_closed_form_walls_match_interpolate(monkeypatch):
-    # the line, circle and plane walls written down from the points, the
-    # side of the mover within a plane of statics, and the walls the
-    # detector forms from their values at the two ends of the segment,
-    # equal the interpolated ones coefficient for coefficient
-    walls = {2: ((geometry._line, orient2d, 2),
-                 (circle_wall, incircle, 3)),
-             3: ((geometry._plane, orient3d, 3),
-                 (_side_wall, _side_predicate, 3))}
-    checked = end_checked = 0
+    # every wall is a plane in the lifted space: the wall table's lines,
+    # a circle as minus the plane through its lifted points, the plane
+    # through three points and the mover's side within it (the plane
+    # through p, p + normal and q) give on each segment, from their values
+    # at its ends, the polys that interpolate orient2d, incircle, orient3d
+    # and the side determinant, coefficient for coefficient; so do the
+    # closed forms of the per-segment oracle and the walls the detector
+    # forms
+    oracle_walls = {orient2d: line_wall, incircle: circle_wall,
+                    orient3d: plane_wall, _side_predicate: _side_wall}
+    checked, end_checked = collections.Counter(), 0
     for dim, frame, mover, b in _wall_frames(random.Random("walls")):
         x0 = frame[mover]
         d = tuple(y - x for x, y in zip(x0, b))
-        statics = [pt for q, pt in enumerate(frame) if q != mover]
+        statics = [q for q in range(len(frame)) if q != mover]
         end_values = []
-        for wall, predicate, size in walls[dim]:
-            for tup in itertools.combinations(statics, size):
-                want = PredicatePoly.interpolate(lambda t: predicate(
-                    *tup, tuple(x + t * dx for x, dx in zip(x0, d))))
-                got = wall(x0, d, *tup)
-                assert (got.c2, got.c1, got.c0) == (want.c2, want.c1, want.c0)
-                if wall is not _side_wall:
-                    end_values.append((want.c2, want.c1, want.c0))
-                checked += 1
-        # the detector forms circles before lines
-        if dim == 2:
-            lines = math.comb(len(statics), 2)
-            end_values = end_values[lines:] + end_values[:lines]
+        for predicate, tup, form in _lifted_forms(dim, frame, statics):
+            pts = [frame[q] for q in tup]
+            want = PredicatePoly.interpolate(lambda t: predicate(
+                *pts, tuple(x + t * dx for x, dx in zip(x0, d))))
+            want = (want.c2, want.c1, want.c0)
+            for got in (_form_poly(form, x0, d),
+                        oracle_walls[predicate](x0, d, *pts)):
+                assert (got.c2, got.c1, got.c0) == want, predicate
+            if predicate is not _side_predicate:
+                end_values.append(want)
+            checked[predicate.__name__] += 1
         got = _detector_polys(monkeypatch, detect_events,
                               Trajectory(frame, [(mover + 1, b)], dim),
                               "concyclic4" if dim == 2 else "coplanar_special")
         if got is not None:
             assert [(p.c2, p.c1, p.c0) for p in got] == end_values
             end_checked += len(got)
-    assert checked > 5000 and end_checked > 2500
+    assert all(checked[name] > 1000 for name in (
+        "orient2d", "incircle", "orient3d", "_side_predicate"))
+    assert end_checked > 2500
 
 
 CANONICAL_TARGETS = {"circle_gn3": ("gn3",), "parabola_gn4": ("gn4",),
@@ -1149,8 +1220,7 @@ def test_linear_bisection_matches_general_rule():
         x0 = frame[mover]
         d = tuple(y - x for x, y in zip(x0, b))
         statics = [pt for q, pt in enumerate(frame) if q != mover]
-        wall, size = ((geometry._line, 2) if dim == 2
-                      else (geometry._plane, 3))
+        wall, size = (line_wall, 2) if dim == 2 else (plane_wall, 3)
         for tup in itertools.combinations(statics, size):
             poly = wall(x0, d, *tup)
             try:
@@ -1241,11 +1311,14 @@ def _rational_roots(poly):
 
 
 def _side_cases(rng):
-    """(dim, the event's four points, the side predicate, the points at
-    time t, _side_at_root's arguments) for the circle events of seeded plane
-    frames and the plane events of seeded space frames; then one event of
-    each where the mover passes a static point's line at the event time, so
-    that some side signs are 0."""
+    """(dim, the static triangle, the mover, the side predicate, the points
+    at time t, the event poly and bracket, the triangle's side sign, and
+    the mover's side of the edges (a, b), (a, c), (b, c) at the segment's
+    ends) for the circle events of seeded plane frames and the plane events
+    of seeded space frames; then one event of each where the mover passes a
+    static point's line at the event time, so that some side signs are 0.
+    The sides are written down from the points: orient2d(x, y, X) in the
+    plane, det[y - x, X - x, normal] in space."""
     frames = [(frame, rng.randrange(6), tuple(
                   rng.randint(-50, 50) for _ in range(dim)))
               for dim in (2, 3) for frame in (
@@ -1254,7 +1327,7 @@ def _side_cases(rng):
     frames += [([(1, 0), (-1, 0), (0, 1), (2, 2)], 3, (0, -2)),
                ([(0, 0, 0), (3, 0, 0), (0, 3, 0), (1, -1, -1)], 3, (1, 1, 1))]
     for frame, mover, b in frames:
-        x0 = frame[mover]
+        dim, x0 = len(b), frame[mover]
         d = tuple(y - x for x, y in zip(x0, b))
 
         def point(q, t, frame=frame, mover=mover, x0=x0, d=d):
@@ -1263,7 +1336,7 @@ def _side_cases(rng):
             return frame[q]
 
         statics = [q for q in range(len(frame)) if q != mover]
-        wall = circle_wall if len(x0) == 2 else geometry._plane
+        wall = circle_wall if dim == 2 else plane_wall
         for trip in itertools.combinations(statics, 3):
             s1, s2, s3 = (frame[q] for q in trip)
             poly = wall(x0, d, s1, s2, s3)
@@ -1271,55 +1344,61 @@ def _side_cases(rng):
                 brackets = poly.roots_in_unit_interval()
             except DegenerateTrajectory:
                 continue
-            for br in brackets:
-                if len(x0) == 2:
-                    yield 2, trip + (mover,), orient2d, point, (
-                        poly, br, mover, geometry._sgn(orient2d(s1, s2, s3)),
-                        lambda q1, q2, frame=frame, x0=x0, d=d:
-                            geometry._line(x0, d, frame[q1], frame[q2]))
-                    continue
+            if dim == 2:
+                predicate, static = orient2d, geometry._sgn(
+                    orient2d(s1, s2, s3))
+            else:
                 normal = _oracle_cross(_oracle_sub(s2, s1),
                                        _oracle_sub(s3, s1))
-                yield 3, trip + (mover,), (
-                    lambda px, py, pz, normal=normal: _oracle_det3(
-                        _oracle_sub(py, px), _oracle_sub(pz, px), normal)
-                ), point, (
-                    poly, br, mover, 1,
-                    lambda q1, q2, frame=frame, x0=x0, d=d, normal=normal:
-                        geometry._plane(x0, d, frame[q1],
-                                        geometry._add(frame[q1], normal),
-                                        frame[q2]))
+
+                def predicate(px, py, pz, normal=normal):
+                    return _oracle_det3(_oracle_sub(py, px),
+                                        _oracle_sub(pz, px), normal)
+                static = 1
+            ends = [tuple(predicate(frame[x], frame[y], end)
+                          for end in (x0, b))
+                    for x, y in itertools.combinations(trip, 2)]
+            for br in brackets:
+                yield (dim, trip, mover, predicate, point, poly, br, static,
+                       ends)
 
 
-def test_side_signs_once_per_triple_match_per_call_oracle(monkeypatch):
-    # orient2d and the in-plane determinant are alternating, so signing
-    # each sorted triple once and multiplying by the parity gives every
-    # side sign that a call per triple gives, with at most three signs at
-    # the root per event: one per triple with the mover
-    sign_at_root, calls = geometry.sign_at_root, []
+def test_crossed_edge_rule_matches_two_sided_per_call_oracle(monkeypatch):
+    # four points are in convex position iff the mover lies across exactly
+    # one edge of the static triangle, and that edge is then a diagonal:
+    # _convex_quad, with one sign at the root per edge, gives the cyclic
+    # orders and the non-convex answers of the two-sided diagonal test
+    # that takes a sign per call on every ordered triple, for circle events
+    # in the plane and plane events in space, with zero signs among them
+    sign_at_root, signs = geometry.sign_at_root, []
 
-    def counting_sign_at_root(*args):
-        calls.append(args)
-        return sign_at_root(*args)
+    def recording_sign_at_root(*args):
+        signs.append(sign_at_root(*args))
+        return signs[-1]
 
-    monkeypatch.setattr(geometry, "sign_at_root", counting_sign_at_root)
-    events, zeros = collections.Counter(), collections.Counter()
-    for dim, pts, predicate, point, args in _side_cases(random.Random("sides")):
-        poly, br, mover = args[:3]
-        # the call as detect_events made it: in space without the mover
-        want = per_call_side_at_root(poly, br, predicate, point,
+    monkeypatch.setattr(geometry, "sign_at_root", recording_sign_at_root)
+    events, zeros, convex = (collections.Counter() for _ in range(3))
+    for (dim, trip, mover, predicate, point, poly, br, static,
+         ends) in _side_cases(random.Random("sides")):
+        # as detect_events signed sides before: in space without the mover
+        side = per_call_side_at_root(poly, br, predicate, point,
                                      mover if dim == 2 else None)
-        got = geometry._side_at_root(*args)
-        del calls[:]
-        assert geometry._convex_quad(pts, got) == \
-            geometry._convex_quad(pts, want)
-        for x, y, z in itertools.permutations(pts, 3):
-            assert got(x, y, z) == want(x, y, z), (dim, pts, (x, y, z))
-            zeros[dim] += want(x, y, z) == 0
-        assert len(calls) <= 3
+        want = two_sided_quad(trip + (mover,), side)
+        del signs[:]
+        got = geometry._convex_quad(trip, mover, poly, br, static, ends)
+        assert got == want, (dim, trip, mover)
+        assert signs == [side(x, y, mover)
+                         for x, y in itertools.combinations(trip, 2)]
+        assert static == side(*trip)
         events[dim] += 1
+        zeros[dim] += 0 in signs
+        convex[dim, want is not None] += 1
     assert events[2] > 50 and events[3] > 50
     assert zeros[2] > 0 and zeros[3] > 0
+    # a circle's four points are in convex position unless the mover meets
+    # a static point; in space a quarter or so of the crossings are inside
+    assert convex[2, False] == zeros[2]
+    assert convex[3, True] > 20 and convex[3, False] > 20
 
 
 def _mover_run_trajectory(rng, n, movers):
