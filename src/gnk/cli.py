@@ -155,7 +155,7 @@ def cmd_gamma_presentation(args):
     token = [t for s in group.alphabet.symbols for t in (s, s + "^-1")]
     _emit(args, {
         "generators": len(group.alphabet),
-        "far_commutativity": sum(1 for _ in far),
+        "far_commutativity": far,
         "polygon_relators": len(polygons),
         "relators": "\n".join(" ".join(map(token.__getitem__, cw.codes))
                                for cw in polygons),

@@ -180,7 +180,7 @@ class GaleDiagram:
         if len(self.positions) != l:
             raise ValueError("need exactly l positions")
         for p, q in itertools.combinations(self.positions, 2):
-            if (p - q) % (2 * l) == l:
+            if (p - q) % l == 0:        # a repeated point included
                 raise ValueError("two points on one diameter")
         self._rl = None
         self._symmetries = None
@@ -255,20 +255,34 @@ class GaleDiagram:
 
 def enumerate_standard_gale(l: int):
     """All standard Gale diagrams of order l, canonical up to 2l-gon isometry:
-    the transversals through 0 that no isometry sending a point to 0 makes
-    smaller (the least image contains 0)."""
+    the least sorted position tuple of each class.
+
+    One sweep per class (``DECISIONS.md``, "Γ_n^k by class"): position p is
+    bit 2l-1-p of a mask, so the least tuple is the largest mask.  The low
+    l bits t < 2^(l-1) index the transversals through 0; the first unseen
+    one forms the 4l images of its class, marks those through 0 as seen,
+    and keeps the largest.
+    """
     if l < 5:
         raise ValueError("standard Gale diagrams need l >= 5")
-    n = 2 * l
+    n, low = 2 * l, (1 << l) - 1
+    full = (1 << n) - 1
+    seen = bytearray(1 << (l - 1))
     out = []
-    for bits in itertools.product((0, l), repeat=l - 1):
-        pos = (0,) + tuple(p + b for p, b in enumerate(bits, 1))
-        least = tuple(sorted(pos))
-        if all(least <= tuple(sorted(sgn * (x - p) % n for x in pos))
-               for p in pos for sgn in (1, -1)):
-            d = GaleDiagram(l, pos)
-            if d.satisfies_halfplane_condition():
-                out.append(d)
+    for t in range(1 << (l - 1)):
+        if seen[t]:
+            continue
+        mask = (low ^ t) << l | t
+        best = 0
+        for m in (mask, int(format(mask, "0%db" % n)[::-1], 2)):
+            for r in range(n):
+                image = (m >> r | m << (n - r)) & full
+                if image >> (n - 1):        # through 0
+                    seen[image & low] = 1
+                    best = max(best, image)
+        d = GaleDiagram(l, [n - 1 - b for b in range(n) if best >> b & 1])
+        if d.satisfies_halfplane_condition():
+            out.append(d)
     out.sort(key=lambda d: d.positions)
     return out
 
@@ -292,9 +306,8 @@ def standard_gale_count_formula(l: int) -> int:
 
 
 # size caps of the CLI (DECISIONS.md, "Size caps"): the enumeration walks
-# 2^(l-1) transversals, about 1 s at l = 16; Gamma_10^7 has 6,720 generators,
-# whose far pairs are counted one by one, and walks 14,515,200 labelled
-# polygons
+# 2^(l-1) transversals; Gamma_10^7 has 6,720 generators and walks 14,515,200
+# labelled polygons
 GALE_ORDER_MAX = 16
 GAMMA_GENERATORS_MAX = 10_000
 GAMMA_LABELINGS_MAX = 20_000_000
@@ -347,23 +360,20 @@ def _gale_letters(table, rl, M):
     return codes
 
 
-def far_commutator_pairs(group: GammaGroup):
-    """Code pairs (a, b) of the far commutators a b a^-1 b^-1 of Gamma_n^k,
-    in the order of the pairs of stored splits.
+def far_commutator_count(n: int, k: int) -> int:
+    """Number of far commutators of Gamma_n^k, in closed form.
 
-    Splits (P, Q) and (P2, Q2) are far when neither side of one lies in
-    the label set of the other: on label masks, p & ~v, q & ~v, p2 & ~u and
-    q2 & ~u are all nonzero, where u = p | q and v = p2 | q2.
+    Splits of U and V are far when both sides of the first meet U - V and
+    both sides of the second meet V - U, two conditions fixed by
+    i = |U ∩ V| (``DECISIONS.md``, "Γ_n^k by class"): C(n, k)/2 ·
+    sum_{i<k} C(k, i) C(n-k, k-i) g(i)^2, g(i) the splits of a k-set whose
+    sides both meet a fixed (k-i)-subset.
     """
-    code = group.alphabet.code
-    splits = []
-    for P, Q in group.alphabet.keys:
-        p, q = _label_mask(P), _label_mask(Q)
-        splits.append((code[P, Q], p, q, ~(p | q)))
-    for i, (a, p, q, not_u) in enumerate(splits):
-        for b, p2, q2, not_v in splits[i + 1:]:
-            if p & not_v and q & not_v and p2 & not_u and q2 & not_u:
-                yield a, b
+    def g(i):
+        return sum(comb(k, s) - comb(i, s) - comb(i, k - s)
+                   for s in range(2, k - 1)) // 2
+    return comb(n, k) * sum(comb(k, i) * comb(n - k, k - i) * g(i) ** 2
+                            for i in range(k)) // 2
 
 
 def gamma_presentation(n: int, k: int):
@@ -371,8 +381,8 @@ def gamma_presentation(n: int, k: int):
 
     Returns (group, far_commutativity, polygon_relators): inverse
     normalisation is structural (a_{Q,P} stored as a_{P,Q}^{-1}), so no
-    inverse-pair relators are listed.  ``far_commutativity`` is the lazy
-    ``far_commutator_pairs``: only counted, never formed.
+    inverse-pair relators are listed.  ``far_commutativity`` is
+    ``far_commutator_count``: only counted, never formed.
 
     Polygon relators are formed once per class up to rotation and
     inversion, for the labelings M <= M∘s of each diagram symmetry s
@@ -386,6 +396,9 @@ def gamma_presentation(n: int, k: int):
     are already in theirs (``relabel_cyclic_words``).
     """
     group = GammaGroup(n, k)
+    far = far_commutator_count(n, k)
+    if n == k:                  # no (k+1)-subset to carry templates to
+        return group, far, []
     alphabet, code = group.alphabet, group.alphabet.code
     base = GammaGroup(k + 1, k)
     diagrams = [(d.rl_position_sets(), [itemgetter(*s) for s in d.symmetries()])
@@ -405,7 +418,7 @@ def gamma_presentation(n: int, k: int):
             c = code[P(M_set), Q(M_set)]
             relabel += (c, c ^ 1)
         polygons += relabel_cyclic_words(alphabet, relabel, templates)
-    return group, far_commutator_pairs(group), polygons
+    return group, far, polygons
 
 
 # ---------------------------------------------------------------------------

@@ -146,15 +146,23 @@ def gale_relation_pq_word(group, diagram, M):
                            for R, L in diagram.rl_position_sets()])
 
 
+def far_split_pairs(group):
+    """Pairs of stored splits (P, Q), (P2, Q2) of far generators, in the
+    order of the pairs of splits: no side of one lies in the label set of
+    the other, tested on sets."""
+    splits = [(P, Q, set(P), set(Q), set(P + Q)) for P, Q in group.splits]
+    return [((P, Q), (P2, Q2))
+            for (P, Q, p, q, u), (P2, Q2, p2, q2, v)
+            in itertools.combinations(splits, 2)
+            if not (p <= v or q <= v or p2 <= u or q2 <= u)]
+
+
 def gamma_relator_words(n, k):
     """(far commutativity, polygon) relators of Gamma_n^k, the polygons
     for the labelings M <= M∘s of each diagram symmetry s."""
     group = GammaGroup(n, k)
-    splits = [(P, Q, set(P), set(Q), set(P + Q)) for P, Q in group.splits]
     far = [CyclicWord(pq_word(group, [(P, Q), (P2, Q2), (Q, P), (Q2, P2)]))
-           for (P, Q, p, q, u), (P2, Q2, p2, q2, v)
-           in itertools.combinations(splits, 2)
-           if not (p <= v or q <= v or p2 <= u or q2 <= u)]
+           for (P, Q), (P2, Q2) in far_split_pairs(group)]
     diagrams = enumerate_standard_gale(k + 1)
     polygons = [CyclicWord(gale_relation_pq_word(group, d, M))
                 for M_set in itertools.combinations(group.labels, k + 1)

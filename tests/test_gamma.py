@@ -12,18 +12,18 @@ from gnk.gamma import (GALE_ORDER_MAX, GAMMA_GENERATORS_MAX,
                        GAMMA_LABELINGS_MAX, Gamma4Group, GammaGroup,
                        GaleDiagram, abelianization_rank_gf2,
                        dihedral_canonical,
-                       enumerate_standard_gale,
+                       enumerate_standard_gale, far_commutator_count,
                        gale_relation_word, gale_transform, gamma4_presentation,
                        gamma_presentation, gamma_sizes, gf2_rank, in_relative_interior_zero,
                        oriented_abelianization_gf2, oriented_columns,
                        oriented_relator_rows,
                        polytope_faces_via_gale,
                        standard_gale_count_formula)
-from gnk.words import (CyclicWord, Word, cyclic_word_from_period,
-                       format_word, least_rotation)
+from gnk.words import CyclicWord, Word, format_word, least_rotation
 from relator_oracles import (class_key, d_symbol, distinct_cyclic_words,
-                             gale_relation_pq_word, gamma4_relator_words,
-                             gamma_relator_words, oriented_generator_classes,
+                             far_split_pairs, gale_relation_pq_word,
+                             gamma4_relator_words, gamma_relator_words,
+                             oriented_generator_classes,
                              pq_to_d_quad, quad_word,
                              standard_gale_brute_force)
 
@@ -126,7 +126,7 @@ def test_size_caps_admit_the_sizes_in_use():
 
 
 def test_enumeration_matches_closed_formula():
-    for l in range(5, 11):
+    for l in range(5, 17):
         assert len(enumerate_standard_gale(l)) == standard_gale_count_formula(l)
 
 
@@ -233,11 +233,26 @@ PRESENTATION_SIZES = [(6, 4), (7, 4), (6, 5), (7, 5), (8, 5), (7, 6)]
 def test_gamma_presentation_matches_word_builders(n, k):
     # relators written in their canonical rotation equal the reduced
     # Words' CyclicWords, list order included; the far commutators are
-    # yielded as code pairs (a, b) of a b a^-1 b^-1
+    # counted, not formed
     group, far, polygons = gamma_presentation(n, k)
-    far = [cyclic_word_from_period(group.alphabet, (a, b, a ^ 1, b ^ 1))
-           for a, b in far]
-    assert (far, polygons) == gamma_relator_words(n, k)
+    far_words, polygon_words = gamma_relator_words(n, k)
+    assert (far, polygons) == (len(far_words), polygon_words)
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(4, 9)
+                                  for k in range(4, n + 1)] + [(9, 5)])
+def test_far_commutator_count_matches_pair_test(n, k):
+    assert far_commutator_count(n, k) == len(
+        far_split_pairs(GammaGroup(n, k)))
+
+
+def test_gamma_presentation_n_equals_k_walks_no_templates():
+    # no (k+1)-subset exists, so no polygon, and the 9! orderings of the
+    # base labels per diagram are never walked
+    start = time.perf_counter()
+    group, far, polygons = gamma_presentation(8, 8)
+    assert time.perf_counter() - start < 0.5
+    assert (len(group.alphabet), far, polygons) == (119, 0, [])
 
 
 @pytest.mark.parametrize("n", range(5, 9))
@@ -604,5 +619,7 @@ def test_oriented_abelianization_structure():
 
 
 def test_gale_diagram_rejects_diameter_pairs():
-    with pytest.raises(ValueError):
-        GaleDiagram(5, (0, 5, 1, 2, 3))
+    # 10 is 0 mod 10: a repeated point, the same diameter twice
+    for positions in ((0, 5, 1, 2, 3), (0, 10, 1, 2, 3)):
+        with pytest.raises(ValueError, match="two points on one diameter"):
+            GaleDiagram(5, positions)

@@ -9,10 +9,15 @@ from pathlib import Path
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def test_span_targets_resolve():
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_span_targets_resolve():
+    spans = _spans()
     assert spans.TARGETS
     for modname, path, _, _ in spans.TARGETS:
         module = importlib.import_module("gnk." + modname)
@@ -23,6 +28,18 @@ def test_span_targets_resolve():
         else:
             target = getattr(module, path)
         assert callable(target), (modname, path)
+
+
+def test_gamma_presentation_span_reads_polygon_count():
+    # the span's info reads the polygons by their index in the returned
+    # tuple; a stale index would count something else
+    from gnk.gamma import gamma_presentation
+    from relator_oracles import gamma_relator_words
+    info = {(modname, path): info
+            for modname, path, _, info in _spans().TARGETS}[
+                "gamma", "gamma_presentation"]
+    result = gamma_presentation(6, 4)
+    assert info((6, 4), result) == len(gamma_relator_words(6, 4)[1]) == 72
 
 
 def _count_calls(monkeypatch, module, name):
