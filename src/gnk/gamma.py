@@ -24,8 +24,8 @@ from fractions import Fraction
 from math import comb, factorial, gcd
 from operator import itemgetter
 
-from .words import (Alphabet, CyclicWord, Word, cyclic_word_from_period,
-                    labels_text, relabel_cyclic_words)
+from .words import (Alphabet, CyclicWord, Word, far_commutators, labels_text,
+                    relabel_cyclic_words)
 
 
 # ---------------------------------------------------------------------------
@@ -92,21 +92,28 @@ def gamma4_presentation(n: int):
     """Relators of Gamma_n^4: involutions, far commutativity (``far``), and
     one pentagon (i, j, k, l, m) per rotation/reversal class: i least, j < m.
 
-    The involution relators are empty (the alphabet is involutive); the
-    others are written straight into their canonical rotation
-    (``cyclic_word_from_period``), one ``letter`` per quad.
+    The involution relators are empty (the alphabet is involutive).  The
+    12 pentagons of the labels 1..5 are formed once, over
+    ``Gamma4Group(5)``, and relabelled to each 5-subset by the images of
+    the base quads (``DECISIONS.md``, "Relators relabelled from the base
+    labels").
     """
     g = Gamma4Group(n)
-    alphabet, letter, far = g.alphabet, g.letter, g.far
-    codes = alphabet.code.values()
-    rels = [CyclicWord(Word(alphabet))] * len(codes)
-    rels += [cyclic_word_from_period(alphabet, (a, b), 2)
-             for a, b in itertools.combinations(codes, 2) if far(a, b)]
-    rels += [cyclic_word_from_period(alphabet, map(letter, (
-                 (i, j, k, l), (i, j, l, m), (j, k, l, m), (i, j, k, m),
-                 (i, k, l, m))))
-             for i, *rest in itertools.combinations(g.labels, 5)
-             for j, k, l, m in itertools.permutations(rest) if j < m]
+    alphabet = g.alphabet
+    rels = [CyclicWord(Word(alphabet))] * len(alphabet)
+    rels += far_commutators(alphabet, g.far)
+    base = Gamma4Group(5)
+    pentagons = [CyclicWord(base.word_from_quads([
+                     (1, j, k, l), (1, j, l, m), (j, k, l, m), (1, j, k, m),
+                     (1, k, l, m)]))
+                 for j, k, l, m in itertools.permutations(base.labels[1:])
+                 if j < m]
+    # base label x is position x - 1 of the subset
+    quads = [itemgetter(*(x - 1 for x in quad)) for quad in base.alphabet.keys]
+    code = alphabet.code
+    tables = ([code[quad(S)] for quad in quads]
+              for S in itertools.combinations(g.labels, 5))
+    rels += relabel_cyclic_words(alphabet, tables, pentagons)
     return g, rels
 
 
@@ -186,21 +193,22 @@ class GaleDiagram:
         self._symmetries = None
 
     def satisfies_halfplane_condition(self) -> bool:
-        """Every open half-plane bounded by a diameter holds >= 2 points."""
+        """Every open half-plane bounded by a diameter holds >= 2 points.
+
+        A line through vertices r and r + l leaves the l - 1 positions
+        r+1 .. r+l-1 on one side; a line through no vertex leaves l
+        positions on each side, a superset of such a run.  So the test is
+        that each of the 2l runs holds two points: one popcount each on
+        the position mask doubled around the 2l-gon.
+        """
         l = self.l
-        for q in range(2 * l):          # line direction angle pi*q/(2l)
-            left = right = 0
-            for p in self.positions:
-                d = (2 * p - q) % (4 * l)
-                if d == 0 or d == 2 * l:
-                    continue            # point on the line
-                if 0 < d < 2 * l:
-                    left += 1
-                else:
-                    right += 1
-            if left < 2 or right < 2:
-                return False
-        return True
+        mask = 0
+        for p in self.positions:
+            mask |= 1 << p
+        mask |= mask << 2 * l
+        run = (1 << l - 1) - 1
+        return all((mask >> r + 1 & run).bit_count() >= 2
+                   for r in range(2 * l))
 
     def rl_position_sets(self):
         """(R(i), L(i)) index pairs, points taken in ccw position order.
@@ -386,39 +394,33 @@ def gamma_presentation(n: int, k: int):
 
     Polygon relators are formed once per class up to rotation and
     inversion, for the labelings M <= M∘s of each diagram symmetry s
-    (``GaleDiagram.symmetries``).  They are derived once over the base
-    labels 1..k+1, as codes of ``GammaGroup(k + 1, k)``, and each
+    (``GaleDiagram.symmetries``).  They are formed once over the base
+    labels 1..k+1, as CyclicWords of ``GammaGroup(k + 1, k)``, and each
     (k+1)-subset relabels them with one lookup per letter: the increasing
     map onto the subset keeps the order of the labelings, every M <= M∘s
-    test and the order of the splits, hence of the codes
-    (``DECISIONS.md``).  So each base relator is written into its
-    canonical rotation once (``cyclic_word_from_period``), and its images
-    are already in theirs (``relabel_cyclic_words``).
+    test and the order of the splits, hence of the codes, so the images
+    are already in their canonical rotations (``words.relabel_cyclic_words``;
+    ``DECISIONS.md``, "Relators relabelled from the base labels").
     """
     group = GammaGroup(n, k)
     far = far_commutator_count(n, k)
     if n == k:                  # no (k+1)-subset to carry templates to
         return group, far, []
-    alphabet, code = group.alphabet, group.alphabet.code
     base = GammaGroup(k + 1, k)
     diagrams = [(d.rl_position_sets(), [itemgetter(*s) for s in d.symmetries()])
                 for d in enumerate_standard_gale(k + 1)]
-    templates = [cyclic_word_from_period(base.alphabet, _gale_letters(
-                     base.split_codes, rl, M))
+    templates = [CyclicWord(Word(base.alphabet, _gale_letters(
+                     base.split_codes, rl, M)))
                  for M in itertools.permutations(base.labels)
                  for rl, images in diagrams
                  if all(M <= image(M) for image in images)]
     # base label x is position x - 1 of the subset
     sides = [(itemgetter(*(x - 1 for x in P)), itemgetter(*(x - 1 for x in Q)))
              for P, Q in base.alphabet.keys]
-    polygons = []
-    for M_set in itertools.combinations(group.labels, k + 1):
-        relabel = []                # base code -> code, both orientations
-        for P, Q in sides:
-            c = code[P(M_set), Q(M_set)]
-            relabel += (c, c ^ 1)
-        polygons += relabel_cyclic_words(alphabet, relabel, templates)
-    return group, far, polygons
+    code = group.alphabet.code
+    tables = ([code[P(S), Q(S)] for P, Q in sides]
+              for S in itertools.combinations(group.labels, k + 1))
+    return group, far, relabel_cyclic_words(group.alphabet, tables, templates)
 
 
 # ---------------------------------------------------------------------------
@@ -585,33 +587,6 @@ def gf2_rank(rows, basis=None) -> int:
     return len(basis)
 
 
-def abelianization_rank_gf2(generator_index, relator_rows, extra_rows=()):
-    """(num_generators, num_relations, rank [, rank with extras]) of a GF(2)
-    exponent matrix.
-
-    ``generator_index`` maps generator keys to column numbers, and keys
-    that name one generator share its column; ``relator_rows`` is an
-    iterable of generator-key multisets (iterables), each XOR-accumulated
-    into one row.  When ``extra_rows`` are given, a fourth entry is the
-    rank with them added; the relator rows are eliminated once, and the
-    extra rows are reduced against that basis.
-    """
-    def bits(rel):
-        row = 0
-        for key in rel:
-            row ^= 1 << generator_index[key]
-        return row
-
-    rows = [bits(rel) for rel in relator_rows]
-    basis = {}
-    out = (len(set(generator_index.values())), len(rows),
-           gf2_rank(rows, basis))
-    extra_rows = list(extra_rows)
-    if extra_rows:
-        out += (gf2_rank(map(bits, extra_rows), basis),)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the oriented variant
 
@@ -674,8 +649,20 @@ def oriented_abelianization_gf2(n: int, k: int, extra_words=()):
     """GF(2) abelianization data of the oriented flip group.
 
     Returns (num_generators, num_relations, rank [, rank with the extra
-    words' rows added]) of the rows of ``oriented_relator_rows``.
+    words' rows added]) of the rows of ``oriented_relator_rows``, each
+    row's columns XORed into one int.  The relator rows are eliminated
+    once, and the extra rows are reduced against that basis.
     """
     ngen, rows, extra = oriented_relator_rows(n, k, extra_words)
-    # a row lists columns, so each column is its own generator key
-    return abelianization_rank_gf2({c: c for c in range(ngen)}, rows, extra)
+
+    def bits(row):
+        x = 0
+        for c in row:
+            x ^= 1 << c
+        return x
+
+    basis = {}
+    out = (ngen, len(rows), gf2_rank(map(bits, rows), basis))
+    if extra:
+        out += (gf2_rank(map(bits, extra), basis),)
+    return out

@@ -20,11 +20,11 @@ import functools
 import itertools
 from collections import Counter
 from fractions import Fraction
-from operator import itemgetter
 
-from .words import (Alphabet, CyclicWord, Word, cyclic_word_from_period,
-                    labels_text, parity_walk, reduce_commuting,
-                    reduce_letters, state_alphabet, state_key, word_from_keys)
+from .words import (Alphabet, CyclicWord, Word, far_commutators, labels_text,
+                    parity_walk, reduce_commuting, reduce_letters,
+                    relabel_cyclic_words, state_alphabet, state_key,
+                    word_from_keys)
 
 
 def subset_symbol(m) -> str:
@@ -83,9 +83,10 @@ class GnkPresentation:
     """Relators of G_n^k, one per class up to rotation and inversion.
 
     The alphabet is involutive, so a_m a_m cancels structurally: the
-    involution relators are C(n,k) empty cyclic words.  The other relators
-    are written straight into their canonical rotation
-    (``cyclic_word_from_period``), one code lookup per subset.
+    involution relators are C(n,k) empty cyclic words.  The far
+    commutators are written in their canonical rotation
+    (``words.far_commutators``), and the tetrahedra are relabelled from
+    the base labels 1..k+1 (``words.relabel_cyclic_words``).
     """
 
     def __init__(self, group: GnkGroup):
@@ -93,30 +94,31 @@ class GnkPresentation:
         alphabet = group.alphabet
         self.involution_relators = [CyclicWord(Word(alphabet))] * len(
             group.subsets)
-        far = group.far
-        self.far_commutativity_relators = [
-            cyclic_word_from_period(alphabet, (a, b), 2)
-            for a, b in itertools.combinations(alphabet.code.values(), 2)
-            if far(a, b)]
-        self.tetrahedron_relators = list(self._tetrahedron(group))
+        self.far_commutativity_relators = far_commutators(alphabet, group.far)
+        self.tetrahedron_relators = self._tetrahedron(group)
 
     @staticmethod
-    def _tetrahedron(group: GnkGroup):
+    def _tetrahedron(group: GnkGroup) -> list:
         """Squared tetrahedron relators, one per ordering of a (k+1)-subset U
         up to rotation and reversal: least label first, second <= last.
-        Position j of an ordering of U's indices names the letter of U
-        minus U[j]; U is sorted, so index order is label order."""
+        The k!/2 orderings are formed once, over the labels 1..k+1, and
+        relabelled to each U (``DECISIONS.md``, "Relators relabelled from
+        the base labels").  Position j of an ordering names the letter of
+        U minus U[j], base code 2(k - j): the base alphabet lists the
+        k-subsets in lexicographic order, U minus its last label first."""
         k = group.k
         if k == group.n:
-            return      # no (k+1)-subset: skip the k!/2 orderings
-        orders = [itemgetter(0, *rest)
-                  for rest in itertools.permutations(range(1, k + 1))
-                  if rest[0] <= rest[-1]]
-        alphabet, code = group.alphabet, group.alphabet.code
-        for U in itertools.combinations(group.labels, k + 1):
-            letters = [code[U[:j] + U[j + 1:]] for j in range(k + 1)]
-            for order in orders:
-                yield cyclic_word_from_period(alphabet, order(letters), 2)
+            return []   # no (k+1)-subset: skip the k!/2 orderings
+        base = GnkGroup(k + 1, k).alphabet
+        templates = []
+        for rest in itertools.permutations(range(1, k + 1)):
+            if rest[0] <= rest[-1]:
+                period = [2 * (k - j) for j in (0,) + rest]
+                templates.append(CyclicWord(Word(base, period * 2)))
+        code = group.alphabet.code
+        tables = ([code[U[:j] + U[j + 1:]] for j in range(k, -1, -1)]
+                  for U in itertools.combinations(group.labels, k + 1))
+        return relabel_cyclic_words(group.alphabet, tables, templates)
 
 
 # ---------------------------------------------------------------------------

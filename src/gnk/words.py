@@ -331,64 +331,71 @@ class CyclicWord(_Codes):
         return hash(("cyc", self.codes))
 
 
-def cyclic_word_from_period(alphabet: Alphabet, letters,
-                            power: int = 1) -> CyclicWord:
-    """CyclicWord of the codes ``letters`` repeated ``power`` times, neither
-    reduced nor searched for its least rotation.
-
-    The least code must occur once in the period and no letter may cancel
-    its cyclic successor in the period (a one-letter period is its own
-    successor).  The word is then cyclically reduced, and its least
-    rotation starts at that code, since every start of a least rotation
-    carries the least code.  ValueError otherwise.
-    """
-    letters = tuple(letters)
-    if letters:
-        least = min(letters)
-        if letters.count(least) != 1:
-            raise ValueError("least letter %d occurs %d times in one period"
-                             % (least, letters.count(least)))
-        flip = 0 if alphabet.involutive else 1
-        prev = letters[-1]
-        for c in letters:
-            if c == prev ^ flip:
-                raise ValueError("adjacent letters %d and %d cancel"
-                                 % (prev, c))
-            prev = c
-        i = letters.index(least)
-        letters = letters[i:] + letters[:i]
+def _cyclic_as_written(alphabet: Alphabet, codes: tuple) -> CyclicWord:
+    """CyclicWord of codes already cyclically reduced and in their least
+    rotation, neither checked nor searched."""
     cw = object.__new__(CyclicWord)
-    cw._set(alphabet, letters * power)
+    cw._set(alphabet, codes)
     return cw
 
 
-def relabel_cyclic_words(alphabet: Alphabet, table, words) -> list:
-    """The CyclicWords ``words`` of a free alphabet carried into the free
-    ``alphabet`` by the code map ``table`` (code c to table[c]), neither
-    reduced nor searched for their least rotation.
+def far_commutators(alphabet: Alphabet, far) -> list:
+    """The commutators (a b)^2 of the pairs of codes a < b of an involutive
+    ``alphabet`` with ``far(a, b)``, in ``combinations`` order.
 
-    ``table`` must send the letters, in order, to inverse pairs of codes
-    of ``alphabet`` in increasing order: table[2i] even, table[2i + 1] =
-    table[2i] + 1 and table[2i] < table[2i + 2].  It then keeps every
-    cancellation and every comparison of codes, so each word stays
-    cyclically reduced and in its least rotation.  ValueError otherwise.
+    Each is written as (a, b, a, b): distinct involutive letters never
+    cancel, and the least code, a, starts it, so it is already its
+    canonical CyclicWord.  ValueError on a free alphabet.
     """
-    starts = table[0::2]
-    if (alphabet.involutive or len(table) % 2
-            or any(c & 1 or d != c + 1 for c, d in zip(starts, table[1::2]))
-            or any(c >= d for c, d in zip(starts, starts[1:]))
-            or table and table[-1] >= 2 * len(alphabet)):
-        raise ValueError("the table must send letters in increasing order "
-                         "to inverse pairs of a free alphabet")
+    if not alphabet.involutive:
+        raise ValueError("far commutators need an involutive alphabet")
+    return [_cyclic_as_written(alphabet, (a, b, a, b))
+            for a, b in itertools.combinations(
+                range(0, 2 * len(alphabet), 2), 2) if far(a, b)]
+
+
+def _take(codes):
+    """Function of a table to the tuple of its entries at ``codes``:
+    itemgetter of two or more codes gives an exact-size tuple, which
+    tuple(map(...)) would overallocate."""
+    if len(codes) > 1:
+        return itemgetter(*codes)
+    return lambda table: tuple([table[c] for c in codes])
+
+
+def relabel_cyclic_words(alphabet: Alphabet, tables, words) -> list:
+    """The CyclicWords ``words``, all over one template alphabet, carried
+    into ``alphabet`` by each of ``tables`` in turn: every word's image by
+    the first table, then by the second, and so on.  The images are
+    neither reduced nor searched for their least rotation.
+
+    A table lists, for each symbol of the template alphabet, the code of
+    its image's symbol; an inverse letter goes to that code's inverse.
+    Each table must list strictly increasing even codes of ``alphabet``,
+    and the two alphabets must be both involutive or both free.  Such a
+    table keeps every cancellation and every comparison of codes, so each
+    image stays cyclically reduced and in its least rotation.  ValueError
+    otherwise.
+    """
+    words = list(words)
+    if not words:
+        return []
+    template = words[0].alphabet
+    if template.involutive != alphabet.involutive:
+        raise ValueError("the alphabets must be both involutive or both "
+                         "free")
+    flip = 0 if alphabet.involutive else 1
+    size, top = len(template), 2 * len(alphabet)
+    takes = [_take(w.codes) for w in words]
     out = []
-    for w in words:
-        codes = w.codes
-        # itemgetter of two or more codes gives an exact-size tuple, which
-        # tuple(map(...)) would overallocate
-        cw = object.__new__(CyclicWord)
-        cw._set(alphabet, itemgetter(*codes)(table) if len(codes) > 1
-                else tuple(table[c] for c in codes))
-        out.append(cw)
+    for table in tables:
+        if (len(table) != size
+                or any(c & 1 or not 0 <= c < top for c in table)
+                or any(c >= d for c, d in zip(table, table[1:]))):
+            raise ValueError("a table must list increasing even codes of "
+                             "the alphabet, one per template symbol")
+        image = [c ^ f for c in table for f in (0, flip)]
+        out += [_cyclic_as_written(alphabet, take(image)) for take in takes]
     return out
 
 

@@ -47,6 +47,26 @@ def canonical_positions(l, positions):
                for r in range(n) for sgn in (1, -1))
 
 
+def halfplane_condition_by_lines(diagram):
+    """Every open half-plane bounded by a line through the centre holds at
+    least two points, tested on the 2l line directions pi*q/(2l) point by
+    point."""
+    l = diagram.l
+    for q in range(2 * l):
+        left = right = 0
+        for p in diagram.positions:
+            d = (2 * p - q) % (4 * l)
+            if d == 0 or d == 2 * l:
+                continue            # point on the line
+            if 0 < d < 2 * l:
+                left += 1
+            else:
+                right += 1
+        if left < 2 or right < 2:
+            return False
+    return True
+
+
 def standard_gale_brute_force(l):
     """Every diameter transversal, canonicalised and deduplicated through a
     seen-set, kept when it meets the half-plane condition."""
@@ -57,7 +77,7 @@ def standard_gale_brute_force(l):
         if pos not in seen:
             seen.add(pos)
             d = GaleDiagram(l, pos)
-            if d.satisfies_halfplane_condition():
+            if halfplane_condition_by_lines(d):
                 out.append(d)
     out.sort(key=lambda d: d.positions)
     return out

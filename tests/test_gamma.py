@@ -10,7 +10,7 @@ import pytest
 
 from gnk.gamma import (GALE_ORDER_MAX, GAMMA_GENERATORS_MAX,
                        GAMMA_LABELINGS_MAX, Gamma4Group, GammaGroup,
-                       GaleDiagram, abelianization_rank_gf2,
+                       GaleDiagram,
                        dihedral_canonical,
                        enumerate_standard_gale, far_commutator_count,
                        gale_relation_word, gale_transform, gamma4_presentation,
@@ -24,8 +24,8 @@ from relator_oracles import (class_key, d_symbol, distinct_cyclic_words,
                              far_split_pairs, gale_relation_pq_word,
                              gamma4_relator_words, gamma_relator_words,
                              oriented_generator_classes,
-                             pq_to_d_quad, quad_word,
-                             standard_gale_brute_force)
+                             halfplane_condition_by_lines, pq_to_d_quad,
+                             quad_word, standard_gale_brute_force)
 
 
 def _dihedral_images(quad):
@@ -135,6 +135,18 @@ def test_enumeration_matches_brute_force(l):
     got = enumerate_standard_gale(l)
     assert got == standard_gale_brute_force(l)
     assert len(got) == standard_gale_count_formula(l)
+
+
+@pytest.mark.parametrize("l", range(5, 13))
+def test_halfplane_condition_matches_line_oracle(l):
+    # every diameter transversal, not only the canonical ones
+    kept = 0
+    for bits in itertools.product((0, 1), repeat=l):
+        d = GaleDiagram(l, [p + b * l for p, b in enumerate(bits)])
+        got = d.satisfies_halfplane_condition()
+        assert got == halfplane_condition_by_lines(d), d
+        kept += got
+    assert 0 < kept < 2 ** l
 
 
 def test_enumerated_diagrams_satisfy_conditions():
@@ -450,6 +462,14 @@ def _bits(row):
     return sum(1 << c for c, x in enumerate(row) if x)
 
 
+def _column_bits(columns):
+    """A row that lists its columns, each one toggling its bit."""
+    row = 0
+    for c in columns:
+        row ^= 1 << c
+    return row
+
+
 def test_gf2_rank_basics():
     assert gf2_rank([]) == 0
     assert gf2_rank([0, 0]) == 0
@@ -478,25 +498,33 @@ def test_gf2_rank_matches_numpy_oracle():
 
 def test_abelianization_rank_invariance():
     rng = random.Random(20)
-    gens = {"g%d" % t: t for t in range(8)}
-    rels = [[rng.choice(list(gens)) for _ in range(rng.randint(1, 6))]
+    cols = [[rng.randrange(8) for _ in range(rng.randint(1, 6))]
             for _ in range(10)]
-    base = abelianization_rank_gf2(gens, rels)
+    rels = list(map(_column_bits, cols))
+    base = gf2_rank(rels)
     shuffled = list(rels)
     rng.shuffle(shuffled)
-    assert abelianization_rank_gf2(gens, shuffled) == (base[0], base[1], base[2])
-    # relator inversion: over GF(2) the exponent row is unchanged
-    doubled = [r + r for r in rels]
-    ng, nr, rk = abelianization_rank_gf2(gens, rels + doubled)
-    assert rk == base[2]
-    # extra rows: one more entry, the rank of relators and extras together
-    extra = [[rng.choice(list(gens))] for _ in range(3)]
-    assert abelianization_rank_gf2(gens, rels, extra) == base + (
-        abelianization_rank_gf2(gens, rels + extra)[2],)
+    assert gf2_rank(shuffled) == base
+    # a relator and its inverse have one row, and a squared one a zero row
+    assert gf2_rank(rels + [_column_bits(c + c) for c in cols]) == base
+    # extra rows reduced against the relators' basis: the rank of the union
+    extra = [_column_bits([rng.randrange(8)]) for _ in range(3)]
+    basis = {}
+    assert gf2_rank(rels, basis) == base
+    assert gf2_rank(extra, basis) == gf2_rank(rels + extra)
+    # the oriented ranks: shuffled rows with their squares added
+    _, rows, _ = oriented_relator_rows(6, 5)
+    shuffled = rows + [r + r for r in rows]
+    rng.shuffle(shuffled)
+    assert gf2_rank(map(_column_bits, shuffled)) == (
+        oriented_abelianization_gf2(6, 5)[2])
 
 
 def test_abelianization_empty():
-    assert abelianization_rank_gf2({}, []) == (0, 0, 0)
+    # (4, 4) has 6 generators and no (k+1)-subset, so no relator row; an
+    # empty extra word adds a zero row, and a fourth entry
+    assert oriented_abelianization_gf2(4, 4) == (6, 0, 0)
+    assert oriented_abelianization_gf2(4, 4, [[]]) == (6, 0, 0, 0)
 
 
 CRITERION_4_WORD = [((3, 5), (1, 6, 4), 1), ((4, 6), (2, 5, 3), -1),
@@ -603,7 +631,7 @@ def test_criterion_4_rank_comes_from_one_diagram():
     assert len(second) == 720 and len(enumerate_standard_gale(6)) == 2
 
     def rank(rows):
-        return abelianization_rank_gf2({c: c for c in range(120)}, rows)[2]
+        return gf2_rank(map(_column_bits, rows))
 
     assert (rank(first), rank(second), rank(rows)) == (91, 81, 91)
 

@@ -42,6 +42,19 @@ def test_gamma_presentation_span_reads_polygon_count():
     assert info((6, 4), result) == len(gamma_relator_words(6, 4)[1]) == 72
 
 
+def test_gnk_presentation_span_reads_tetrahedron_count():
+    # the span's info reads the built presentation's tetrahedron list,
+    # which the relabel path returns as a list
+    from gnk.gnk import GnkGroup, GnkPresentation
+    from relator_oracles import gnk_relator_words
+    info = {(modname, path): info
+            for modname, path, _, info in _spans().TARGETS}[
+                "gnk", "GnkPresentation.__init__"]
+    group = GnkGroup(6, 3)
+    pres = GnkPresentation(group)
+    assert info((pres, group), None) == len(gnk_relator_words(group)[2]) == 45
+
+
 def _count_calls(monkeypatch, module, name):
     """Replace ``module.name`` wherever a gnk module binds it, as the
     tracer does, by a shim that records the alphabet and the letter codes

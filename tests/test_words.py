@@ -5,8 +5,10 @@ import pytest
 
 from certificate_oracles import (old_parse_letters, old_reduce_letters,
                                  old_token_alphabet)
+from gnk.gamma import Gamma4Group
+from gnk.gnk import GnkGroup
 from gnk.words import (Alphabet, CyclicWord, UnknownSymbolError, Word,
-                       cyclic_reduce, cyclic_word_from_period, format_word,
+                       cyclic_reduce, far_commutators, format_word,
                        inverse_letters, least_rotation, parse_word,
                        labels_text, read_letters, read_symbols, read_text,
                        reduce_commuting, reduce_letters, relabel_cyclic_words,
@@ -158,74 +160,65 @@ def test_cyclic_word_matches_quadratic_least_rotation():
         assert CyclicWord(w).letters == expected, w
 
 
-@pytest.mark.parametrize("involutive", [False, True])
-def test_cyclic_word_from_period_matches_cyclic_word(involutive):
-    # equal to CyclicWord(Word(...)) when the least code occurs once in the
-    # period and no letter cancels its cyclic successor there; else a
-    # ValueError
-    rng = random.Random(46 + involutive)
-    ab = Alphabet(["c", "a", "d", "b"], involutive=involutive)
-
-    def cancels(x, y):
-        return x[0] == y[0] and (involutive or x[1] == -y[1])
-
-    kept = raised = 0
-    for _ in range(3000):
-        period = tuple(random_letters(rng, ab, rng.randint(0, 6)))
-        power = rng.randint(1, 3)
-        codes = ab.encode(period)
-        meets = (not codes or codes.count(min(codes)) == 1) and not any(
-            cancels(x, period[(i + 1) % len(period)])
-            for i, x in enumerate(period))
-        if meets:
-            got = cyclic_word_from_period(ab, codes, power)
-            want = CyclicWord(word(ab, period * power))
-            assert got == want and got.letters == want.letters, period
-            kept += 1
-        else:
-            with pytest.raises(ValueError):
-                cyclic_word_from_period(ab, codes, power)
-            raised += 1
-    assert kept > 500 and raised > 500
+@pytest.mark.parametrize("group", [
+    GnkGroup(n, k) for n, k in [(4, 2), (5, 2), (6, 3), (7, 3), (7, 4)]] + [
+    Gamma4Group(n) for n in (5, 6, 7)])
+def test_far_commutators_match_cyclic_words(group):
+    # (a b)^2 of each far pair, in combinations order, is written as its
+    # canonical CyclicWord
+    ab = group.alphabet
+    want = [CyclicWord(Word(ab, (a, b) * 2))
+            for a, b in itertools.combinations(ab.code.values(), 2)
+            if group.far(a, b)]
+    got = far_commutators(ab, group.far)
+    assert got == want
+    with pytest.raises(ValueError, match="involutive"):
+        far_commutators(Alphabet(ab.symbols, involutive=False), group.far)
 
 
 def test_relabel_cyclic_words_matches_cyclic_word():
-    # an increasing map of inverse pairs keeps every word's reduction and
-    # least rotation, so the images equal CyclicWords of relabelled words
-    rng = random.Random(47)
-    source = Alphabet(["a", "b", "c", "d"], involutive=False)
-    target = Alphabet(["g%d" % i for i in range(10)], involutive=False)
-    for _ in range(300):
-        starts = sorted(rng.sample(range(10), 4))
-        table = [c for i in starts for c in (2 * i, 2 * i + 1)]
-        words = [CyclicWord(word(source, random_letters(rng, source,
-                                                        rng.randint(0, 8))))
-                 for _ in range(5)]
-        assert relabel_cyclic_words(target, table, words) == [
-            CyclicWord(Word(target, [table[c] for c in w.codes]))
-            for w in words]
+    # an increasing table of even codes keeps every word's reduction and
+    # least rotation, so the images, table by table, are the CyclicWords of
+    # the relabelled words, on an involutive and on a free alphabet
+    for involutive in (False, True):
+        rng = random.Random(47 + involutive)
+        source = Alphabet(["a", "b", "c", "d"], involutive)
+        target = Alphabet(["g%d" % i for i in range(10)], involutive)
+        for _ in range(100):
+            words = [CyclicWord(word(source, random_letters(
+                         rng, source, rng.randint(0, 8)))) for _ in range(5)]
+            tables = [[2 * i for i in sorted(rng.sample(range(10), 4))]
+                      for _ in range(rng.randint(0, 3))]
+            assert relabel_cyclic_words(target, iter(tables), words) == [
+                CyclicWord(Word(target, [t[c >> 1] ^ c & 1 for c in w.codes]))
+                for t in tables for w in words]
+        assert relabel_cyclic_words(target, tables, []) == []
 
 
 @pytest.mark.parametrize("table", [
-    [2, 3, 0, 1],            # decreasing
-    [2, 3, 2, 3],            # not injective
-    [1, 2, 4, 5],            # a letter to an inverse letter
-    [0, 2, 4, 5],            # a pair to two letters
-    [0, 1, 2],               # an odd length
-    [0, 1, 20, 21]])         # a code outside the alphabet
+    [2, 0],                  # decreasing
+    [2, 2],                  # repeated
+    [1, 2],                  # an odd code
+    [0, 20],                 # a code outside the alphabet
+    [-2, 0],                 # a negative code
+    [0, 2, 4]])              # not one code per template symbol
 def test_relabel_cyclic_words_rejects_bad_tables(table):
     source = Alphabet(["a", "b"], involutive=False)
     target = Alphabet(["g%d" % i for i in range(10)], involutive=False)
     w = CyclicWord(word(source, [("a", 1), ("b", 1)]))
-    with pytest.raises(ValueError, match="increasing order"):
-        relabel_cyclic_words(target, table, [w])
+    with pytest.raises(ValueError, match="increasing even codes"):
+        relabel_cyclic_words(target, [[0, 2], table], [w])
 
 
-def test_relabel_cyclic_words_needs_free_target():
-    source = Alphabet(["a", "b"], involutive=False)
-    w = CyclicWord(word(source, [("a", 1), ("b", 1)]))
-    with pytest.raises(ValueError, match="free alphabet"):
-        relabel_cyclic_words(Alphabet(["x", "y"]), [0, 1, 2, 3], [w])
+def test_relabel_cyclic_words_needs_matching_alphabets():
+    # an involutive target would send a free template's a and a^-1 to one
+    # letter, so either mix is refused
+    for involutive in (False, True):
+        source = Alphabet(["a", "b"], involutive)
+        w = CyclicWord(word(source, [("a", 1), ("b", 1)]))
+        with pytest.raises(ValueError, match="both involutive or both free"):
+            relabel_cyclic_words(Alphabet(["x", "y"], not involutive),
+                                 [[0, 2]], [w])
 
 
 def test_distinct_cyclic_words_keeps_first_of_each_class():
