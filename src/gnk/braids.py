@@ -37,7 +37,7 @@ import re
 from .gamma import Gamma4Group
 from .gnk import GnkGroup
 from .words import (Alphabet, UnknownSymbolError, Word, labels_text,
-                    parity_walk, reduce_commuting, state_alphabet, word,
+                    parity_walk, reduce_commuting, state_alphabet,
                     word_from_keys)
 
 
@@ -56,45 +56,28 @@ def _braid_alphabet(n):
                     involutive=False)
 
 
-class PureBraidWord:
-    """Freely reduced word over the generators b_ij of PB_n, made from
-    letters ((i, j), +-1); ``word`` is its Word over the free alphabet of
-    the pairs (i, j), and ``letters`` its letters."""
+class PureBraidWord(Word):
+    """Freely reduced word over the generators b_ij of PB_n: a Word over the
+    free alphabet of the pairs (i, j), made from letters ((i, j), +-1).
+    ``n`` is stored, not read off the alphabet, since PB_0 and PB_1 share
+    the empty one; products, inverses and powers carry it."""
+
+    __slots__ = ("n",)
 
     def __init__(self, n: int, letters=()):
+        alphabet = _braid_alphabet(n)
         try:
-            self.word = word(_braid_alphabet(n), letters)
+            codes = alphabet.encode(letters)
         except UnknownSymbolError as exc:
             raise ValueError("bad generator index (i,j)=(%d,%d)"
                              % exc.args[0]) from None
-        self.n = n
+        super().__init__(alphabet, codes)
+        object.__setattr__(self, "n", n)
 
-    @property
-    def letters(self):
-        return self.word.letters
-
-    def _braid(self, w):
-        b = object.__new__(PureBraidWord)
-        b.n, b.word = self.n, w
+    def _like(self, codes):
+        b = super()._like(codes)
+        object.__setattr__(b, "n", self.n)
         return b
-
-    def __mul__(self, other):
-        if other.n != self.n:
-            raise ValueError("strand count mismatch")
-        return self._braid(self.word * other.word)
-
-    def inverse(self):
-        return self._braid(self.word.inverse())
-
-    def __pow__(self, k):
-        return self._braid(self.word ** k)
-
-    def __eq__(self, other):
-        return (isinstance(other, PureBraidWord) and self.n == other.n
-                and self.word == other.word)
-
-    def __len__(self):
-        return len(self.word)
 
     def __repr__(self):
         return "PureBraidWord(%s)" % (format_braid(self) or "1")
@@ -159,9 +142,9 @@ def _walk(b: PureBraidWord, phase, mid) -> list:
     ``mid(i, j)``, both lists.  Each phase and each generator's image is
     formed on its first letter and kept in tables local to the call.  Every
     target alphabet is involutive, so an inverse is the image reversed."""
-    pairs = b.word.alphabet.symbols
+    pairs = b.alphabet.symbols
     phases, images, out = {}, {}, []
-    for c in b.word.codes:
+    for c in b.codes:
         img = images.get(c)
         if img is None:
             i, j = pairs[c >> 1]
@@ -379,14 +362,12 @@ def pr(pg: ParityGroup, w: Word, target: GnkGroup = None) -> Word:
     return target.word_from_subsets(ij for ij, eps in w.keys() if eps == 0)
 
 
-def eta(pg: ParityGroup, w: Word, target: DottedGroup = None) -> Word:
+def eta(pg: ParityGroup, w: Word) -> Word:
     """Parity -> dotted: a_ij^0 -> a_ij, a_ij^1 -> t_i a_ij t_i."""
-    if target is None:
-        target = DottedGroup(pg.labels)
     out = []
     for (i, j), eps in w.keys():
         out += [(i, j)] if eps == 0 else [i, (i, j), i]
-    return word_from_keys(target.alphabet, out)
+    return word_from_keys(DottedGroup(pg.labels).alphabet, out)
 
 
 def chi(dg: DottedGroup, w: Word, target: ParityGroup = None) -> Word:
@@ -411,18 +392,16 @@ def chi(dg: DottedGroup, w: Word, target: ParityGroup = None) -> Word:
     return target.word_from_letters(out)
 
 
-def omega_m(g2: GnkGroup, w: Word, m: int, target: DottedGroup = None) -> Word:
+def omega_m(g2: GnkGroup, w: Word, m: int) -> Word:
     """G_{n+1}^2 -> dotted group on the other n strands: crossings with
     strand m become points on the other strand."""
     if m not in g2.labels:
         raise ValueError("label %d not present" % m)
-    rest = tuple(l for l in g2.labels if l != m)
-    if target is None:
-        target = DottedGroup(rest)
+    dotted = DottedGroup(l for l in g2.labels if l != m)
     out = []
     for i, j in w.keys():
         out.append(j if m == i else i if m == j else (i, j))
-    return word_from_keys(target.alphabet, out)
+    return word_from_keys(dotted.alphabet, out)
 
 
 def kappa(dg: DottedGroup, w: Word, new_label: int = None):
@@ -474,11 +453,9 @@ def phi_parity(g2: GnkGroup, w: Word, m: int, pair):
     return w_parity(ParityGroup(rest), pw, pair)
 
 
-def r_m(group: GnkGroup, w: Word, m: int, target: GnkGroup = None) -> Word:
+def r_m(group: GnkGroup, w: Word, m: int) -> Word:
     """G_{n+1}^3 -> G_n^2: a_ijk -> a_{triple minus m} when m is in the
     triple, else 1.  Labels are preserved."""
     rest = tuple(l for l in group.labels if l != m)
-    if target is None:
-        target = GnkGroup(len(rest), 2, rest)
-    return target.word_from_subsets(
+    return GnkGroup(len(rest), 2, rest).word_from_subsets(
         tuple(x for x in t if x != m) for t in w.keys() if m in t)

@@ -130,9 +130,12 @@ def cmd_gale(args):
 def cmd_gamma_presentation(args):
     if 4 <= args.k <= args.n:
         sizes = gamma.gamma_sizes(args.n, args.k)
-        for size, cap, what in zip(sizes, (gamma.GAMMA_GENERATORS_MAX,
-                                           gamma.GAMMA_LABELINGS_MAX),
-                                   ("generators", "labelled polygons")):
+        caps = [(gamma.GAMMA_GENERATORS_MAX, "generators"),
+                (gamma.GAMMA_LABELINGS_MAX, "labelled polygons")]
+        if args.abelianization_gf2:     # its rows list the oriented columns
+            caps.append((gamma.GAMMA_LABELINGS_MAX,
+                         "oriented column listings"))
+        for size, (cap, what) in zip(sizes, caps):
             if size > cap:
                 raise ValueError("--n %d --k %d: %d %s, at most %d"
                                  % (args.n, args.k, size, what, cap))

@@ -322,14 +322,16 @@ GAMMA_LABELINGS_MAX = 20_000_000
 
 
 def gamma_sizes(n: int, k: int) -> tuple:
-    """(generators, labelled polygons) of Gamma_n^k, 4 <= k <= n, in closed
-    form: a k-subset has 2^(k-1) - k - 1 splits with at least two labels on
-    each side, and the relators walk every ordering of each (k+1)-subset,
-    or of the base labels 1..k+1 when n = k, for each standard Gale diagram
-    of order k + 1."""
+    """(generators, labelled polygons, oriented column listings) of
+    Gamma_n^k, 4 <= k <= n, in closed form: a k-subset has 2^(k-1) - k - 1
+    splits with at least two labels on each side; the relators walk every
+    ordering of each (k+1)-subset, none when n = k, for each standard Gale
+    diagram of order k + 1; and ``oriented_columns`` lists the k! orderings
+    of each k-subset once per side size |P| = 2 .. k - 2."""
     return (comb(n, k) * (2 ** (k - 1) - k - 1),
-            max(comb(n, k + 1), 1) * factorial(k + 1)
-            * standard_gale_count_formula(k + 1))
+            comb(n, k + 1) * factorial(k + 1)
+            * standard_gale_count_formula(k + 1),
+            comb(n, k) * (k - 3) * factorial(k))
 
 
 def gale_relation_word(group: GammaGroup, diagram: GaleDiagram, M) -> Word:

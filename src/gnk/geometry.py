@@ -775,15 +775,15 @@ def canonical_generator_trajectory(n, i, j, style):
     """Closed single-mover trajectory realising the pure braid b_ij.
 
     Styles: 'circle_gn3' and 'circle_gamma4' start from points on a circle
-    (the mover walks inside the disc past i+1 .. j-1, loops around j, and
-    retraces); 'parabola_gn4' uses points on a parabola with hops over the
-    passed points.
+    (the mover walks inside the disc at radius 1 - 1/(2n^2) past
+    i+1 .. j-1, loops around j, and retraces); 'parabola_gn4' uses points
+    on a parabola with hops over the passed points.
     """
     if not 1 <= i < j <= n:
         raise ValueError("need 1 <= i < j <= n")
     if style in ("circle_gn3", "circle_gamma4"):
         pts = circle_points(n)
-        inner = Fraction(85, 100)
+        inner = 1 - Fraction(1, 2 * n * n)
         path = [_scale_point(pts[i - 1], inner)]
         for m in range(i, j - 1):
             path.append(_between_angle_point(pts[m - 1], pts[m], inner))

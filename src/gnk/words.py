@@ -268,17 +268,24 @@ class Word(_Codes):
     def __init__(self, alphabet: Alphabet, letters=()):
         self._set(alphabet, reduce_letters(alphabet, letters))
 
+    def _like(self, codes) -> "Word":
+        """The reduced word of ``codes`` over this word's alphabet, of this
+        word's type, so that a braid times a braid is a braid."""
+        w = object.__new__(type(self))
+        w._set(self.alphabet, reduce_letters(self.alphabet, codes))
+        return w
+
     def __mul__(self, other: "Word") -> "Word":
         if other.alphabet != self.alphabet:
             raise ValueError("alphabet mismatch")
-        return Word(self.alphabet, self.codes + other.codes)
+        return self._like(self.codes + other.codes)
 
     def inverse(self) -> "Word":
-        return Word(self.alphabet, inverse_letters(self.alphabet, self.codes))
+        return self._like(inverse_letters(self.alphabet, self.codes))
 
     def __pow__(self, n: int) -> "Word":
         w = self if n >= 0 else self.inverse()
-        return Word(self.alphabet, w.codes * abs(n))
+        return self._like(w.codes * abs(n))
 
     def __hash__(self):
         return hash(self.codes)

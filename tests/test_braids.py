@@ -85,6 +85,64 @@ def test_power_is_repeated_product():
             assert b ** k == want, (b, k)
 
 
+def test_braid_operations_keep_type_strand_count_and_letters():
+    # a braid is a Word over the pairs (i, j); its products, inverses,
+    # powers and commutators are braids on the same strands, with the
+    # letters the stack oracle gives
+    rng = random.Random(31)
+    for n in range(1, 13):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        a, b = (PureBraidWord(n, [(rng.choice(pairs), rng.choice((1, -1)))
+                                  for _ in range(rng.randint(0, 8) * (n > 1))])
+                for _ in range(2))
+        inv_a = tuple((ij, -e) for ij, e in reversed(a.letters))
+        inv_b = tuple((ij, -e) for ij, e in reversed(b.letters))
+        for got, want in (
+                (a * b, a.letters + b.letters),
+                (a.inverse(), inv_a),
+                (a ** 3, 3 * a.letters),
+                (a ** -2, 2 * inv_a),
+                (a ** 0, ()),
+                (commutator(a, b), a.letters + b.letters + inv_a + inv_b)):
+            assert type(got) is PureBraidWord, (n, got)
+            assert got.n == n, (n, got)
+            assert got.letters == _stack_reduce_braid(n, want), (n, got)
+
+
+def test_strand_deletion_reaches_pb0():
+    # PB_0 and PB_1 share the empty alphabet; the strand count is stored
+    b = delete_pb_strand(PureBraidWord(1), 1)
+    assert (type(b), b.n, len(b)) == (PureBraidWord, 0, 0)
+    b = delete_pb_strand(generator(2, 1, 2), 2)
+    assert (b.n, len(b)) == (1, 0)
+    assert [v.n for v in brunnian_certificate(generator(3, 1, 2)).values()] \
+        == [2, 2, 2]
+
+
+def test_equal_braids_hash_equal():
+    a = parse_braid(5, "b_1_3 b_2_5^-1 b_4_5")
+    b = parse_braid(5, "b_1_3 b_1_2 b_1_2^-1 b_2_5^-1 b_4_5^-1 b_4_5 b_4_5")
+    c = generator(5, 1, 3) * generator(5, 2, 5, -1) * generator(5, 4, 5)
+    assert a == b == c
+    assert hash(a) == hash(b) == hash(c)
+    assert len({a, b, c, a.inverse()}) == 2
+    assert a != Word(a.alphabet, a.codes)      # a braid is not a plain Word
+
+
+def test_parity_maps_keep_their_target_alphabets():
+    g = GnkGroup(5, 2)
+    w = g.word_from_subsets([(1, 2), (2, 5), (3, 4), (1, 5), (4, 5)])
+    for m in (1, 3, 5):
+        rest = tuple(l for l in g.labels if l != m)
+        assert omega_m(g, w, m).alphabet == DottedGroup(rest).alphabet
+    pg = ParityGroup(g.labels)
+    pw = pg.word_from_letters([((1, 2), 1), ((3, 5), 0), ((2, 4), 1)])
+    assert eta(pg, pw).alphabet == DottedGroup(g.labels).alphabet
+    g3 = GnkGroup(5, 3)
+    w3 = g3.word_from_subsets([(1, 2, 3), (2, 4, 5), (1, 3, 5)])
+    assert r_m(g3, w3, 3).alphabet == GnkGroup(4, 2, (1, 2, 4, 5)).alphabet
+
+
 def test_pb_to_gn3_n3_generator_collapses():
     assert len(pb_to_gn3(generator(3, 1, 2))) == 0
 

@@ -105,13 +105,13 @@ def test_enumerate_counts():
 @pytest.mark.parametrize("n, k", [(4, 4), (5, 4), (6, 4), (5, 5), (6, 5),
                                   (7, 5), (6, 6), (7, 6)])
 def test_gamma_sizes_count_generators_and_labelled_polygons(n, k):
-    generators, labelings = gamma_sizes(n, k)
+    generators, labelings, listings = gamma_sizes(n, k)
     assert generators == len(GammaGroup(n, k).alphabet)
-    if n > k:       # one oriented row per labelled polygon
-        assert labelings == len(oriented_relator_rows(n, k)[1])
-    else:           # the orderings of the base labels, per diagram
-        assert labelings == len(list(itertools.permutations(
-            range(k + 1)))) * len(enumerate_standard_gale(k + 1))
+    # one oriented row and at most one polygon relator per labelled
+    # polygon; at n = k no path forms one
+    assert labelings == len(oriented_relator_rows(n, k)[1])
+    assert (labelings == 0) == (gamma_presentation(n, k)[2] == [])
+    assert listings == len(oriented_columns(n, k)[1])
 
 
 def test_size_caps_admit_the_sizes_in_use():
@@ -120,9 +120,10 @@ def test_size_caps_admit_the_sizes_in_use():
     assert GALE_ORDER_MAX >= 16
     for n in range(5, 11):
         for k in range(4, min(n, 7) + 1):
-            generators, labelings = gamma_sizes(n, k)
+            generators, labelings, listings = gamma_sizes(n, k)
             assert generators <= GAMMA_GENERATORS_MAX
             assert labelings <= GAMMA_LABELINGS_MAX
+            assert listings <= GAMMA_LABELINGS_MAX
 
 
 def test_enumeration_matches_closed_formula():
