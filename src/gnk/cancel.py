@@ -87,10 +87,12 @@ def check_metric_condition(R: SymmetrisedSet, lam) -> tuple:
 
     Returns (holds, witness); the witness is a violating (r, u) pair of
     code tuples, r the violator that comes first as (symbol, sign) letters
-    sort, so that the witness does not depend on the letter codes."""
+    sort, so that the witness does not depend on the letter codes.  For
+    lambda = p/q, q > 0, |u| < lambda * |r| is decided as q |u| < p |r|."""
     lam = Fraction(lam)
+    p, q = lam.numerator, lam.denominator
     bad = [(r, n) for r, n in max_piece_prefixes(R).items()
-           if n and not Fraction(n) < lam * len(r)]
+           if n and n * q >= p * len(r)]
     if not bad:
         return True, None
     r, n = min(bad, key=lambda rn: R.alphabet.decode(rn[0]))
@@ -212,32 +214,41 @@ class DehnResult:
         return "DehnResult(letters=%d, %r)" % (self.letter_count, self.trace)
 
 
-def _replacement_trie(alphabet, rel_elems):
-    """Every prefix V, |V| > |r|/2, of each r = V C in R_*, with (r, C^-1
-    as runs), in a trie of the V read last letter first: the node a V ends
-    at holds its entry under ``None``.
+def _replacement_trie(rel_elems):
+    """Every prefix V, |V| > |r|/2, of each r = V C in R_*, in a trie of the
+    V read last letter first: the node a V ends at holds its entry (s, k)
+    under ``None``, where V is the last k letters of the element s.
 
     The last k letters of s in R_* are the prefix V of its rotation
     r = s[-k:] + s[:-k], also in R_*, with C = s[:-k]; so one walk back from
-    the end of each element meets every V.  Under C'(1/6) no two elements
-    share such a prefix; without it the first element in sorted order
-    wins.  C^-1 is reduced, as r is, so it is run-length encoded as it
-    stands: the runs of s^-1 less its first k letters."""
-    rank = {r: i for i, r in enumerate(rel_elems)}
+    the end of each element meets every V, and r and C^-1 are formed only
+    when the entry fires (``_replacement``).  Under C'(1/6) no two elements
+    share such a prefix; without it the r first in sorted order wins, and
+    only then are rotations formed."""
     trie = {}
     for s in rel_elems:
         n = len(s)
-        tail = _runs(inverse_letters(alphabet, s))
         node = trie
         for k, c in enumerate(reversed(s), 1):
             node = node.setdefault(c, {})
-            first, count = tail[0]
-            tail = [(first, count - 1)] + tail[1:] if count > 1 else tail[1:]
             if 2 * k > n:
-                r = s[n - k:] + s[:n - k]
-                if None not in node or rank[r] < rank[node[None][0]]:
-                    node[None] = (r, tail)
+                old = node.get(None)
+                if old is None or _rotation(s, k) < _rotation(*old):
+                    node[None] = (s, k)
     return trie
+
+
+def _rotation(s, k):
+    """The element r = V C of R_* whose V is the last k letters of s."""
+    return s[len(s) - k:] + s[:len(s) - k]
+
+
+def _replacement(alphabet, entry):
+    """(r, C^-1 as runs) of a ``_replacement_trie`` entry (s, k).  C^-1 is
+    reduced, as r is, so it is run-length encoded as it stands."""
+    s, k = entry
+    return (_rotation(s, k),
+            _runs(inverse_letters(alphabet, s[:len(s) - k])))
 
 
 def _longest_key(trie, runs):
@@ -275,7 +286,8 @@ def _stack_pass(alphabet, runs, trie, max_run, steps):
     top (g g cancels too when the alphabet is involutive).  After each push
     ``trie`` is walked down from the stack top, and the longest suffix of
     the stack that is a key of it is popped and its C^-1 fed back in as
-    input, so the stack backs up only as far as a replacement reaches.  The
+    input, so the stack backs up only as far as a replacement reaches.  An
+    entry's r and C^-1 are formed when it first fires in the pass.  The
     returned runs are freely reduced and have no factor that is a key.
 
     Once the top run is longer than ``max_run``, the longest run in any
@@ -287,6 +299,7 @@ def _stack_pass(alphabet, runs, trie, max_run, steps):
     """
     invol, inverse = alphabet.involutive, alphabet.inverse
     stack = []          # runs; neighbouring runs are of distinct symbols
+    fired = {}          # entry: its _replacement
     size = 0            # letters on the stack
     todo = runs[::-1]
     while todo:
@@ -318,7 +331,10 @@ def _stack_pass(alphabet, runs, trie, max_run, steps):
             todo.append((c, n - 1))
         hit = _longest_key(trie, stack)
         if hit:
-            k, (rel, replacement) = hit
+            k, entry = hit
+            if entry not in fired:
+                fired[entry] = _replacement(alphabet, entry)
+            rel, replacement = fired[entry]
             size -= k
             steps.append((size, rel, k))
             while k:
@@ -402,7 +418,7 @@ def dehn_reduce_syllables(alphabet: Alphabet, sylls,
     trace = DehnTrace()
     rel_elems = R.elements
     trace.half_threshold = min(len(r) for r in rel_elems) // 2
-    trie = _replacement_trie(alphabet, rel_elems)
+    trie = _replacement_trie(rel_elems)
     max_run = max(_leading_run(r) for r in rel_elems)
     longest = max(len(r) for r in rel_elems)
     runs = _cancel_seam(alphabet, _stack_pass(alphabet, runs, trie, max_run,

@@ -24,8 +24,8 @@ from fractions import Fraction
 from math import comb, factorial, gcd
 from operator import itemgetter
 
-from .words import (Alphabet, CyclicWord, Word, far_commutators, labels_text,
-                    relabel_cyclic_words)
+from .words import (Alphabet, CyclicWord, Word, _cyclic_as_written,
+                    far_commutators, labels_text, relabel_cyclic_words)
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +397,15 @@ def gamma_presentation(n: int, k: int):
     Polygon relators are formed once per class up to rotation and
     inversion, for the labelings M <= M∘s of each diagram symmetry s
     (``GaleDiagram.symmetries``).  They are formed once over the base
-    labels 1..k+1, as CyclicWords of ``GammaGroup(k + 1, k)``, and each
-    (k+1)-subset relabels them with one lookup per letter: the increasing
-    map onto the subset keeps the order of the labelings, every M <= M∘s
-    test and the order of the splits, hence of the codes, so the images
-    are already in their canonical rotations (``words.relabel_cyclic_words``;
-    ``DECISIONS.md``, "Relators relabelled from the base labels").
+    labels 1..k+1, as CyclicWords of ``GammaGroup(k + 1, k)``: the letter
+    at point i splits the k labels other than M_i, so the letters are of
+    distinct symbols, nothing cancels, and each is written at the rotation
+    that starts at its least code.  Each (k+1)-subset relabels them with
+    one lookup per letter: the increasing map onto the subset keeps the
+    order of the labelings, every M <= M∘s test and the order of the
+    splits, hence of the codes, so the images are already in their
+    canonical rotations (``words.relabel_cyclic_words``; ``DECISIONS.md``,
+    "Relators relabelled from the base labels").
     """
     group = GammaGroup(n, k)
     far = far_commutator_count(n, k)
@@ -411,11 +414,14 @@ def gamma_presentation(n: int, k: int):
     base = GammaGroup(k + 1, k)
     diagrams = [(d.rl_position_sets(), [itemgetter(*s) for s in d.symmetries()])
                 for d in enumerate_standard_gale(k + 1)]
-    templates = [CyclicWord(Word(base.alphabet, _gale_letters(
-                     base.split_codes, rl, M)))
-                 for M in itertools.permutations(base.labels)
-                 for rl, images in diagrams
-                 if all(M <= image(M) for image in images)]
+    templates = []
+    for M in itertools.permutations(base.labels):
+        for rl, images in diagrams:
+            if all(M <= image(M) for image in images):
+                codes = _gale_letters(base.split_codes, rl, M)
+                i = codes.index(min(codes))
+                templates.append(_cyclic_as_written(
+                    base.alphabet, tuple(codes[i:] + codes[:i])))
     # base label x is position x - 1 of the subset
     sides = [(itemgetter(*(x - 1 for x in P)), itemgetter(*(x - 1 for x in Q)))
              for P, Q in base.alphabet.keys]

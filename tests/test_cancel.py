@@ -6,9 +6,9 @@ import pytest
 
 from certificate_oracles import (best_overlap, old_dehn_reduce_syllables,
                                  old_inverse_letters, old_to_syllables)
-from gnk.cancel import (_lcp, _max_overlap, _replacement_trie, _symbol_runs,
-                        check_cp, check_metric_condition, check_tq,
-                        dehn_reduce_syllables, max_piece_prefixes,
+from gnk.cancel import (_lcp, _max_overlap, _replacement, _replacement_trie,
+                        _symbol_runs, check_cp, check_metric_condition,
+                        check_tq, dehn_reduce_syllables, max_piece_prefixes,
                         symmetrise, syllable_length, to_syllables)
 from gnk.words import (Alphabet, cyclic_reduce, inverse_letters,
                        reduce_letters)
@@ -103,6 +103,69 @@ def test_single_relator_no_self_overlap_vacuous():
     R = symmetrise(ab, [[("a", 1), ("b", 1)]])
     # pieces may be empty; any positive lambda passes
     assert check_metric_condition(R, Fraction(1, 100))[0]
+
+
+def _shared_prefix_relators(prefix, length):
+    """Two relators u B and u C of ``length`` letters, all symbols distinct
+    but the shared prefix u of ``prefix`` letters: u and its subwords
+    (and their inverses) are the only pieces, so the longest is u."""
+    ab = Alphabet(["u%d" % i for i in range(prefix)]
+                  + ["%s%d" % (t, i) for t in "bc"
+                     for i in range(length - prefix)], involutive=False)
+    u = [("u%d" % i, 1) for i in range(prefix)]
+    return ab, [u + [("%s%d" % (t, i), 1) for i in range(length - prefix)]
+                for t in "bc"]
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 6), Fraction(1, 4),
+                                 Fraction(1, 3)])
+@pytest.mark.parametrize("length", [12, 24])
+def test_metric_condition_is_strict_at_an_integer_bound(lam, length):
+    # |u| < lambda |r| is strict: a piece of exactly lambda |r| letters
+    # breaks C'(lambda), one letter shorter keeps it
+    bound = int(lam * length)
+    for prefix, holds in ((bound, False), (bound - 1, True)):
+        ab, rels = _shared_prefix_relators(prefix, length)
+        R = symmetrise(ab, rels)
+        assert max(max_piece_prefixes(R).values()) == prefix
+        verdict, witness = check_metric_condition(R, lam)
+        assert verdict == holds
+        assert (witness is None) == holds
+        if witness:
+            r, u = witness
+            assert len(r) == length and len(u) == prefix == bound
+
+
+def _metric_condition_by_fractions(R, lam):
+    """C'(lambda) as it was decided before the integer test: pieces by
+    comparing every pair of elements, one Fraction per element."""
+    lam = Fraction(lam)
+    bad = []
+    for r in R.elements:
+        n = max((_lcp(r, other) for other in R.elements if other != r),
+                default=0)
+        if n and not Fraction(n) < lam * len(r):
+            bad.append((r, n))
+    if not bad:
+        return True, None
+    r, n = min(bad, key=lambda rn: R.alphabet.decode(rn[0]))
+    return False, (r, r[:n])
+
+
+def test_metric_condition_matches_fraction_oracle():
+    rng = random.Random(48)
+    lams = [Fraction(1, 6), Fraction(1, 4), Fraction(1, 3), Fraction(2, 7),
+            Fraction(1, 2), Fraction(1), Fraction(0), Fraction(-1, 5),
+            "1/6", 0.25]
+    verdicts = set()
+    for t in range(120):
+        ab = Alphabet(["x", "y", "z"][:2 + t % 2], involutive=t % 5 == 0)
+        R = symmetrise(ab, _random_relators(rng, ab, 1 + t % 2, 3, 24))
+        for lam in lams:
+            got = check_metric_condition(R, lam)
+            assert got == _metric_condition_by_fractions(R, lam), (t, lam)
+            verdicts.add(got[0])
+    assert verdicts == {True, False}
 
 
 def test_t3_always_holds():
@@ -496,10 +559,15 @@ def _trie_table(trie, key=()):
 
 
 def _check_replacement_table(alphabet, R):
+    """The trie's entries (s, k), each key the last k letters of s, give the
+    reducing table's r and C^-1 when they fire."""
     decode = alphabet.decode
+    table = _trie_table(_replacement_trie(R.elements))
+    assert all(v == s[len(s) - k:] for v, (s, k) in table.items())
+    replacements = {v: _replacement(alphabet, entry)
+                    for v, entry in table.items()}
     assert {decode(v): (decode(r), _symbol_runs(alphabet, runs))
-            for v, (r, runs)
-            in _trie_table(_replacement_trie(alphabet, R.elements)).items()
+            for v, (r, runs) in replacements.items()
             } == _reducing_replacement_table(alphabet, letters_of(R))
 
 
@@ -634,6 +702,46 @@ def test_dehn_stack_matches_old_stack_at_labels_10():
                              _random_cyclic_runs(rng, ab.symbols, 30, 3)]
                 res = _check_against_old_stack(ab, R, sylls)
                 verdicts.add((involutive, res.is_trivial()))
+    assert verdicts == {(False, True), (False, False), (True, True),
+                        (True, False)}
+
+
+def _reduced_relator(rng, ab, length):
+    """A cyclically reduced relator of exactly ``length`` letters."""
+    while True:
+        r = []
+        while len(r) < length:
+            s = rng.choice(ab.symbols)
+            e = 1 if ab.involutive else rng.choice((1, -1))
+            if not r or (r[-1][0] != s if ab.involutive else r[-1] != (s, -e)):
+                r.append((s, e))
+        # freely reduced as built; the ends may still cancel
+        if len(cyclic_reduce(ab, ab.encode(r))) == length:
+            return r
+
+
+@pytest.mark.parametrize("length", [36, 48])
+def test_dehn_stack_matches_old_stack_on_long_relators(length):
+    # the trie's entries are formed into r and C^-1 only when they fire:
+    # runs, steps (offset, r, |V|) and the overlap match the old stack,
+    # whose table formed every entry up front
+    rng = random.Random(length)
+    verdicts = set()
+    for involutive in (False, True):
+        ab = Alphabet(["g10", "g11", "g12", "a_{1,10}"], involutive=involutive)
+        while True:
+            R = symmetrise(ab, [_reduced_relator(rng, ab, length)])
+            if check_metric_condition(R, Fraction(1, 6))[0]:
+                break
+        assert {len(r) for r in R.elements} == {length}
+        _check_replacement_table(ab, R)
+        for t in range(12):
+            w = _conjugate_product(rng, ab, R, rng.randint(length, 400))
+            for _ in range(t % 3):
+                w.insert(rng.randrange(len(w) + 1),
+                         (rng.choice(ab.symbols), rng.choice((1, -1))))
+            res = _check_against_old_stack(ab, R, old_to_syllables(ab, w))
+            verdicts.add((involutive, res.is_trivial()))
     assert verdicts == {(False, True), (False, False), (True, True),
                         (True, False)}
 

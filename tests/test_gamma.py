@@ -252,6 +252,17 @@ def test_gamma_presentation_matches_word_builders(n, k):
     assert (far, polygons) == (len(far_words), polygon_words)
 
 
+@pytest.mark.parametrize("k, count", [(4, 12), (5, 480), (6, 10440)])
+def test_polygon_templates_written_from_least_code(k, count):
+    # at n = k + 1 the polygon relators are the templates: written from
+    # their least code, they equal the reduced Words' CyclicWords, list
+    # order included, and each is of distinct symbols
+    templates = gamma_presentation(k + 1, k)[2]
+    assert len(templates) == count
+    assert templates == gamma_relator_words(k + 1, k)[1]
+    assert all(len({s for s, _ in t.letters}) == len(t) for t in templates)
+
+
 @pytest.mark.parametrize("n, k", [(n, k) for n in range(4, 9)
                                   for k in range(4, n + 1)] + [(9, 5)])
 def test_far_commutator_count_matches_pair_test(n, k):
