@@ -97,6 +97,23 @@ def _linear_root(c1, c0):
     return (-c0, c1) if c1 > 0 else (c0, -c1)
 
 
+def _vertex_inside(c2, c1) -> bool:
+    """Does the vertex -c1 / (2 c2) of a quadratic lie in (0, 1)?"""
+    return -2 * c2 < c1 < 0 if c2 > 0 else 0 < c1 < -2 * c2
+
+
+def _rootless(c2, c1, c0) -> bool:
+    """Is c2 t^2 + c1 t + c0 of one nonzero sign on [0, 1]?  Decided from
+    its values at the ends: they share one nonzero sign, and the poly is
+    linear, bowed away from zero (c2 of the other sign), monotone on
+    [0, 1] (its vertex outside) or without a real root (DECISIONS.md,
+    "Wall roots from the end values")."""
+    end = c2 + c1 + c0
+    return c0 != 0 and end != 0 and (c0 > 0) == (end > 0) and (
+        c2 == 0 or (c2 > 0) != (end > 0) or not _vertex_inside(c2, c1)
+        or c1 * c1 < 4 * c2 * c0)
+
+
 def _inside(num, d, bracket) -> bool:
     """Does num/d (d > 0) lie strictly inside the bracket?"""
     lo, hi, den = bracket
@@ -143,64 +160,56 @@ class PredicatePoly:
         segment endpoints, and tangencies (double roots).
         """
         c2, c1, c0 = self.c2, self.c1, self.c0
+        if _rootless(c2, c1, c0):
+            return []
         end = c2 + c1 + c0
         if c0 == 0 or end == 0:
             if c2 == 0 and c1 == 0 and c0 == 0:
                 raise DegenerateTrajectory("predicate vanishes identically")
             raise DegenerateTrajectory("event at a segment endpoint")
-        # the signs at 0 and 1, as "positive"
-        s0, s1 = c0 > 0, end > 0
-        if c2 == 0:
-            if s0 == s1:
-                return []
-            r, d = _linear_root(c1, c0)
-            return [self._bracket_rational_root(r, 0, d, d)]
-        # off the vertex -c1 / (2 c2) the poly is monotone on [0, 1]: one
-        # root iff the end signs differ (a double root or none outside
-        # keeps them equal), and the discriminant is not needed
-        if not (-2 * c2 < c1 < 0 if c2 > 0 else 0 < c1 < -2 * c2):
-            return [(0, 1, 1)] if s0 != s1 else []
-        disc = c1 * c1 - 4 * c2 * c0
-        if disc < 0:
-            return []
-        if disc == 0:
+        if (c0 > 0) != (end > 0):
+            if c2 == 0:
+                # the sign-change bracket centred on r/d, of half-width a
+                # quarter of its distance to the nearer end of (0, 1)
+                r, d = _linear_root(c1, c0)
+                m = min(r, d - r)
+                return [(4 * r - m, 4 * r + m, 4 * d)]
+            # off the vertex the poly is monotone on [0, 1]; at it, of the
+            # sign opposite to c2, so the root lies left of it iff p(0) has
+            # the sign of c2
+            if not _vertex_inside(c2, c1):
+                return [(0, 1, 1)]
+            v, d = _linear_root(2 * c2, c1)
+            return [(0, v, d) if (c0 > 0) == (c2 > 0) else (v, d, d)]
+        # one sign at both ends, the vertex inside, bowed towards zero and
+        # with real roots: a double one, or one either side of the vertex
+        if c1 * c1 == 4 * c2 * c0:
             raise DegenerateTrajectory("tangential (double-root) event")
-        # p(vertex) = -disc / (4 c2) is nonzero, of the sign opposite to c2
-        sv = c2 < 0
         v, d = _linear_root(2 * c2, c1)
-        return ([(0, v, d)] if s0 != sv else []) + \
-            ([(v, d, d)] if sv != s1 else [])
-
-    def _bracket_rational_root(self, r, lo, hi, den):
-        """A sign-change bracket around the simple root r/den, inside the
-        limits (lo/den, hi/den): half-width a quarter of the distance to the
-        nearer limit, halved until both ends are off the root."""
-        m = min(r - lo, hi - r)
-        r, den = 4 * r, 4 * den
-        while True:
-            slo, shi = self.sign(r - m, den), self.sign(r + m, den)
-            if slo != 0 and shi != 0 and slo != shi:
-                return (r - m, r + m, den)
-            r, den = 2 * r, 2 * den
+        return [(0, v, d), (v, d, d)]
 
     def bisect(self, bracket):
-        """Halve a sign-change bracket, keeping the root.
+        """Halve a sign-change bracket from ``roots_in_unit_interval`` or
+        from an earlier halving, keeping the root.
 
-        A bracket of a linear poly is centred on its root:
-        ``_bracket_rational_root`` makes it so, and the rule below, which
-        then meets the root at the midpoint, makes the centred bracket of a
-        quarter of the half-width, written here in closed form
-        (DECISIONS.md, "Each exact sign decided once")."""
+        Such a bracket never holds the vertex of a quadratic left of its
+        root, so the sign at its left end is minus that of the slope there
+        where the slope is nonzero.  A bracket of a linear poly is centred
+        on its root, and so is a quadratic's whose root is met at the
+        midpoint; the centred bracket of a quarter of the half-width is
+        written in closed form (DECISIONS.md, "Each exact sign decided
+        once" and "Wall roots from the end values")."""
         lo, hi, den = bracket
-        if self.c2 == 0:
-            return (5 * lo + 3 * hi, 3 * lo + 5 * hi, 8 * den)
-        mid, den2 = lo + hi, 2 * den
-        smid = self.sign(mid, den2)
-        if smid == 0:
-            return self._bracket_rational_root(mid, 2 * lo, 2 * hi, den2)
-        if smid == self.sign(lo, den):
-            return (mid, 2 * hi, den2)
-        return (2 * lo, mid, den2)
+        c2 = self.c2
+        if c2:
+            mid, den2 = lo + hi, 2 * den
+            smid = self.sign(mid, den2)
+            if smid:
+                slope = 2 * c2 * lo + self.c1 * den
+                slo = -_sgn(slope) if slope else self.sign(lo, den)
+                return (mid, 2 * hi, den2) if smid == slo else \
+                    (2 * lo, mid, den2)
+        return (5 * lo + 3 * hi, 3 * lo + 5 * hi, 8 * den)
 
     def shares_root(self, other: "PredicatePoly", bracket) -> bool:
         """Does ``other`` vanish at a root of self inside the bracket?"""
@@ -259,7 +268,7 @@ def sign_at_root(main: PredicatePoly, bracket, aux: PredicatePoly):
 
 
 def _to_fraction_point(p):
-    return tuple(Fraction(x) for x in p)
+    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in p)
 
 
 def _integer_frame(points):
@@ -480,6 +489,21 @@ def _off_wall_signs(wall, frame, statics):
             for x, y, z in (frame[s] for s in statics if s not in trip)]
 
 
+def _circle_empty(wall, frame, statics):
+    """Does no static point lie strictly inside the circle wall?  Inside,
+    2 f has the sign of orient2d, that is of -c[2]; the first static found
+    there settles it."""
+    trip, (c0, c1, c2), k = wall
+    if c2 > 0:
+        c0, c1, c2, k = -c0, -c1, -c2, -k
+    for s in statics:
+        if s not in trip:
+            x, y, z = frame[s]
+            if c0 * x + c1 * y + c2 * z + k > 0:
+                return False
+    return True
+
+
 def _values(walls, pt):
     """2 f of each wall at the waypoint pt."""
     x, y, z = _lift(pt)
@@ -490,11 +514,15 @@ def _segment_roots(walls, f0, f1, dd, seg, p):
     """(wall, poly, bracket) for each root in (0, 1) of each wall's poly on
     segment ``seg``: c0 = F0, c2 = c[2] dd, c1 = F1 - c0 - c2 from the
     values F0, F1 at its ends and dd = |d|^2 in the plane, 0 in space
-    (DECISIONS.md, "Wall values once per waypoint").  A degenerate root
-    raises naming the segment, points and mover p."""
+    (DECISIONS.md, "Wall values once per waypoint").  No poly is formed
+    for a wall ``_rootless`` passes over.  A degenerate root raises naming
+    the segment, points and mover p."""
     for wall, c0, e in zip(walls, f0, f1):
         c2 = wall[1][2] * dd
-        poly = PredicatePoly(c2, e - c0 - c2, c0)
+        c1 = e - c0 - c2
+        if _rootless(c2, c1, c0):
+            continue
+        poly = PredicatePoly(c2, c1, c0)
         try:
             brackets = poly.roots_in_unit_interval()
         except DegenerateTrajectory as exc:
@@ -560,7 +588,8 @@ def detect_events(tr: Trajectory, kind: str):
         walls = _wall_table(frame, statics, kind)
         line_at = {w[0]: k for k, w in enumerate(walls) if len(w[0]) == 2}
         # what the statics alone decide about a circle or plane, taken at
-        # its first root in the run: the signs of its form off it
+        # its first root in the run: the signs of its form off it, or for
+        # delaunay_flip whether the circle is empty
         memo = {}
         x0 = pts[len(statics)]
         f0 = _values(walls, x0)
@@ -584,10 +613,11 @@ def detect_events(tr: Trajectory, kind: str):
                               (trip[0] + 1, trip[1] + 1, p), poly))
                     continue
                 if trip not in memo:
-                    memo[trip] = _off_wall_signs(wall, frame, statics)
-                signs = memo[trip]
+                    memo[trip] = (_circle_empty if kind == "delaunay_flip"
+                                  else _off_wall_signs)(wall, frame, statics)
+                known = memo[trip]
                 if space:
-                    sides = set(signs)
+                    sides = set(known)
                     if 0 in sides:
                         raise DegenerateTrajectory(
                             "static point on event plane")
@@ -613,8 +643,11 @@ def detect_events(tr: Trajectory, kind: str):
                     continue
                 # orient2d of the triple, and the statics inside
                 static = -_sgn(wall[1][2])
-                inside = signs.count(static)
-                if kind == "delaunay_flip" and inside:
+                if kind != "delaunay_flip":
+                    inside = known.count(static)
+                elif known:
+                    inside = 0
+                else:
                     continue
                 # the mover's sides of the triangle's edges: the edges' line
                 # walls at the segment's ends

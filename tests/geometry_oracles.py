@@ -3,8 +3,11 @@ bracket pairs that overlap at the start, and only those are refined.  The
 tests compare the row-wise pass with it.  Also the in-circle count point by
 point, by ``point_in_circumcircle``.
 
-``general_bisect`` is ``PredicatePoly.bisect`` without its closed form for
-linear polys, ``bisection_sign_at_root`` is ``sign_at_root`` as a loop that
+``bracket_rational_root`` is the bracket of a rational root as
+``PredicatePoly`` made it before its closed form: halved until both ends
+are off the root.  ``general_bisect`` is ``PredicatePoly.bisect`` without
+its closed forms, taking the signs at the midpoint and at the left end,
+and ``bisection_sign_at_root`` is ``sign_at_root`` as a loop that
 bisects the bracket until aux keeps one sign on it, and
 ``per_call_side_at_root`` a side sign as a call per ordered triple: each
 call interpolates its triple in the order given and takes the sign at the
@@ -35,14 +38,28 @@ from gnk.geometry import (DegenerateTrajectory, Event, PredicatePoly,
                           sign_at_root)
 
 
+def bracket_rational_root(poly, r, lo, hi, den):
+    """A sign-change bracket of poly around its simple root r/den, inside
+    the limits (lo/den, hi/den): half-width a quarter of the distance to
+    the nearer limit, halved until both ends are off the root."""
+    m = min(r - lo, hi - r)
+    r, den = 4 * r, 4 * den
+    while True:
+        slo, shi = poly.sign(r - m, den), poly.sign(r + m, den)
+        if slo != 0 and shi != 0 and slo != shi:
+            return (r - m, r + m, den)
+        r, den = 2 * r, 2 * den
+
+
 def general_bisect(poly, bracket):
-    """Halve a sign-change bracket of poly by the sign at its midpoint; a
-    root met at the midpoint gets a new bracket centred on it."""
+    """Halve a sign-change bracket of poly by the signs at its midpoint and
+    at its left end; a root met at the midpoint gets a new bracket centred
+    on it."""
     lo, hi, den = bracket
     mid, den2 = lo + hi, 2 * den
     smid = poly.sign(mid, den2)
     if smid == 0:
-        return poly._bracket_rational_root(mid, 2 * lo, 2 * hi, den2)
+        return bracket_rational_root(poly, mid, 2 * lo, 2 * hi, den2)
     if smid == poly.sign(lo, den):
         return (mid, 2 * hi, den2)
     return (2 * lo, mid, den2)
@@ -232,7 +249,7 @@ def discriminant_first_roots(poly):
         if s0 == s1:
             return []
         r, d = _linear_root(c1, c0)
-        return [poly._bracket_rational_root(r, 0, d, d)]
+        return [bracket_rational_root(poly, r, 0, d, d)]
     disc = c1 * c1 - 4 * c2 * c0
     if disc < 0:
         return []

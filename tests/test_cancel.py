@@ -1,9 +1,11 @@
+import collections
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
+import gnk.cancel as cancel
 from certificate_oracles import (best_overlap, old_dehn_reduce_syllables,
                                  old_inverse_letters, old_to_syllables)
 from gnk.cancel import (_lcp, _max_overlap, _replacement, _replacement_trie,
@@ -752,3 +754,67 @@ def test_dehn_stack_criterion6_certificate():
     res = _check_against_old_stack(FREE_XY, R, sylls)
     assert (res.is_trivial(), res.trace.max_overlap_at_fixpoint,
             len(res.trace.steps)) == (False, 2, 0)
+
+
+def test_stack_pass_fires_only_shortest_keys(monkeypatch):
+    # before each push the stack has no key as a factor, so a key that
+    # fires ends at the new top, and its prefix one letter shorter, a key
+    # too when longer than |r| / 2, would have fired a push earlier: every
+    # entry _stack_pass fires is at depth |r| // 2 + 1.  So is every key
+    # _seam_match finds: it tries each window across the seam shortest
+    # first, and a longer key's shortest prefix is either across the seam
+    # in a shorter window or inside the fixpoint, which holds no key
+    depths, in_seam = collections.Counter(), []
+    replacement, longest_key, seam_match = (
+        cancel._replacement, cancel._longest_key, cancel._seam_match)
+
+    def recording_replacement(alphabet, entry):
+        s, k = entry
+        depths["fired", k - len(s) // 2] += 1
+        return replacement(alphabet, entry)
+
+    def recording_longest_key(trie, runs):
+        hit = longest_key(trie, runs)
+        if in_seam and hit and hit[0] == len(runs):
+            s, k = hit[1]
+            depths["seam", k - len(s) // 2] += 1
+        return hit
+
+    def recording_seam_match(*args):
+        in_seam.append(True)
+        try:
+            return seam_match(*args)
+        finally:
+            in_seam.pop()
+
+    monkeypatch.setattr(cancel, "_replacement", recording_replacement)
+    monkeypatch.setattr(cancel, "_longest_key", recording_longest_key)
+    monkeypatch.setattr(cancel, "_seam_match", recording_seam_match)
+    rng = random.Random(6)
+    sets = collections.Counter()
+    for t in range(16):
+        involutive, count = t % 2 == 1, 1 + t // 2 % 2
+        ab = Alphabet(["a", "b", "c", "d", "e"], involutive=involutive)
+        while True:
+            rels = [_reduced_relator(rng, ab, rng.randint(12, 30))
+                    for _ in range(count)]
+            try:
+                R = symmetrise(ab, rels)
+            except ValueError:
+                continue
+            if check_metric_condition(R, Fraction(1, 6))[0]:
+                break
+        sets[involutive, count] += 1
+        for k in range(10):
+            w = _conjugate_product(rng, ab, R, rng.randint(10, 300))
+            for _ in range(k % 3):
+                w.insert(rng.randrange(len(w) + 1), (
+                    rng.choice(ab.symbols), rng.choice((1, -1))))
+            # a rotation puts some of the conjugates across the seam
+            cut = rng.randrange(len(w))
+            res = dehn_reduce_syllables(ab, w[cut:] + w[:cut], R)
+            assert all(k == len(r) // 2 + 1 for _, r, k in res.trace.steps)
+            depths["steps"] += len(res.trace.steps)
+    assert set(sets) == {(False, 1), (False, 2), (True, 1), (True, 2)}
+    assert set(depths) == {("fired", 1), ("seam", 1), "steps"}
+    assert depths["fired", 1] > 500 and depths["seam", 1] > 5

@@ -16,7 +16,8 @@ from gnk.geometry import (DegenerateConfiguration, DegenerateTrajectory,
                           point_in_circumcircle, sign_at_root)
 from gnk.gnk import GnkGroup
 from gnk.words import format_word
-from geometry_oracles import (bisection_sign_at_root, circle_wall,
+from geometry_oracles import (bisection_sign_at_root, bracket_rational_root,
+                              circle_wall,
                               discriminant_first_roots, general_bisect,
                               inside_circle, inside_count, line_wall,
                               overlapping_pairs, per_call_side_at_root,
@@ -996,6 +997,14 @@ def _detector_polys(monkeypatch, detect, tr, kind):
     return polys
 
 
+def _screened(want):
+    """The coefficient triples of ``want`` whose poly has a root in (0, 1)
+    or raises there: the walls the detector forms a poly for.  It passes
+    over the others, which have no root and raise nothing."""
+    return [w for w in want if _roots_outcome(
+        PredicatePoly.roots_in_unit_interval, PredicatePoly(*w)) != []]
+
+
 def test_closed_form_walls_match_interpolate(monkeypatch):
     # every wall is a plane in the lifted space: the wall table's lines,
     # a circle as minus the plane through its lifted points, the plane
@@ -1004,10 +1013,11 @@ def test_closed_form_walls_match_interpolate(monkeypatch):
     # at its ends, the polys that interpolate orient2d, incircle, orient3d
     # and the side determinant, coefficient for coefficient; so do the
     # closed forms of the per-segment oracle and the walls the detector
-    # forms
+    # forms; it forms a poly for exactly the walls with a root in (0, 1) or
+    # a raise, and every wall it passes over has no root
     oracle_walls = {orient2d: line_wall, incircle: circle_wall,
                     orient3d: plane_wall, _side_predicate: _side_wall}
-    checked, end_checked = collections.Counter(), 0
+    checked, end_checked = collections.Counter(), collections.Counter()
     for dim, frame, mover, b in _wall_frames(random.Random("walls")):
         x0 = frame[mover]
         d = tuple(y - x for x, y in zip(x0, b))
@@ -1028,11 +1038,14 @@ def test_closed_form_walls_match_interpolate(monkeypatch):
                               Trajectory(frame, [(mover + 1, b)], dim),
                               "concyclic4" if dim == 2 else "coplanar_special")
         if got is not None:
-            assert [(p.c2, p.c1, p.c0) for p in got] == end_values
-            end_checked += len(got)
+            formed = _screened(end_values)
+            assert [(p.c2, p.c1, p.c0) for p in got] == formed
+            end_checked["formed"] += len(formed)
+            end_checked["passed over"] += len(end_values) - len(formed)
     assert all(checked[name] > 1000 for name in (
         "orient2d", "incircle", "orient3d", "_side_predicate"))
-    assert end_checked > 2500
+    assert sum(end_checked.values()) > 2500
+    assert end_checked["formed"] > 400 and end_checked["passed over"] > 2500
 
 
 CANONICAL_TARGETS = {"circle_gn3": ("gn3",), "parabola_gn4": ("gn4",),
@@ -1418,7 +1431,7 @@ def test_delaunay_emptiness_once_per_mover_run(monkeypatch):
     # again after the mover has changed; event logs equal the oracle's
     runs, asked, computed = [0], [], []
     wall_table = geometry._wall_table
-    segment_roots, inside = geometry._segment_roots, geometry._off_wall_signs
+    segment_roots, empty = geometry._segment_roots, geometry._circle_empty
 
     def counting_wall_table(*args):
         runs[0] += 1
@@ -1430,13 +1443,13 @@ def test_delaunay_emptiness_once_per_mover_run(monkeypatch):
                 asked.append((runs[0], wall[0]))
             yield wall, poly, br
 
-    def recording_inside(wall, frame, statics):
+    def recording_empty(wall, frame, statics):
         computed.append((runs[0], wall[0]))
-        return inside(wall, frame, statics)
+        return empty(wall, frame, statics)
 
     monkeypatch.setattr(geometry, "_wall_table", counting_wall_table)
     monkeypatch.setattr(geometry, "_segment_roots", recording_roots)
-    monkeypatch.setattr(geometry, "_off_wall_signs", recording_inside)
+    monkeypatch.setattr(geometry, "_circle_empty", recording_empty)
     rng = random.Random("mover runs")
     events = reused = again = 0
     for trial in range(12):
@@ -1498,13 +1511,15 @@ def _roots_outcome(roots, poly):
 def test_monotone_case_matches_discriminant_first():
     # off the vertex the poly is monotone on [0, 1], so testing the vertex
     # first and skipping the discriminant gives the answers and the raises
-    # of the order that took the discriminant first
+    # of the order that took the discriminant first; _rootless holds
+    # exactly where that answer is no root and no raise
     answers = collections.Counter()
     for name, c2, c1, c0 in _quadratic_cases(random.Random("monotone")):
         poly = PredicatePoly(c2, c1, c0)
         got = _roots_outcome(PredicatePoly.roots_in_unit_interval, poly)
         assert got == _roots_outcome(discriminant_first_roots, poly), (
             name, c2, c1, c0)
+        assert geometry._rootless(c2, c1, c0) == (got == [])
         answers[name, got if isinstance(got, str) else len(got)] += 1
     for where in ("inside", "outside", "at 0", "at 1"):
         for disc in ("< 0", "= 0", "> 0"):
@@ -1613,12 +1628,14 @@ def test_run_frame_polys_are_per_segment_polys_times_m(monkeypatch):
              for dim in (2, 3) for _ in range(3)]
     cases += [canonical_generator_trajectory(9, 1, 9, "circle_gn3"), _lifted(
         canonical_generator_trajectory(7, 1, 2, "circle_gamma4"))]
+    # the detector forms the polys of the walls with a root in (0, 1) or a
+    # raise, and passes over the others
     seen = collections.Counter()
     for tr in cases:
         kind = "concyclic4" if tr.dim == 2 else "coplanar_special"
         new = _detector_polys(monkeypatch, detect_events, tr, kind)
         old = _detector_polys(monkeypatch, per_segment_detect_events, tr, kind)
-        assert len(new) == len(old)
+        want = []
         m = tr.n - 1
         powers = ([4] * math.comb(m, 3) + [2] * math.comb(m, 2)
                   if tr.dim == 2 else [3] * math.comb(m, 3))
@@ -1637,8 +1654,154 @@ def test_run_frame_polys_are_per_segment_polys_times_m(monkeypatch):
             assert scale % full == 0
             seen[scale > full] += 1
             for power in powers:
-                a, b = new.pop(0), old.pop(0)
+                b = old.pop(0)
                 factor = (scale // full) ** power
-                assert (a.c2, a.c1, a.c0) == (factor * b.c2, factor * b.c1,
-                                              factor * b.c0)
+                want.append((factor * b.c2, factor * b.c1, factor * b.c0))
+        assert not old
+        formed = _screened(want)
+        assert [(a.c2, a.c1, a.c0) for a in new] == formed
+        seen["formed"] += len(formed)
+        seen["passed over"] += len(want) - len(formed)
     assert seen[True] > 10 and seen[False] > 0
+    assert seen["formed"] > 200 and seen["passed over"] > 1500
+
+
+# ---------------------------------------------------------------------------
+# wall roots from the end values: a wall the segment cannot cross forms no
+# poly, a linear root's bracket and a quadratic's left-end sign in closed
+# form, Delaunay emptiness settled at the first static inside
+
+
+def _frame_walls(dim, frame, mover, b):
+    """(walls, F0, F1, dd) of the one-segment run of ``_wall_frames``: the
+    wall table of the statics (circles and lines in the plane, planes in
+    space) and its values at the two ends; None when the statics are
+    degenerate."""
+    statics = [q for q in range(len(frame)) if q != mover]
+    lifted = {q: geometry._lift(frame[q]) for q in statics}
+    try:
+        walls = geometry._wall_table(
+            lifted, statics, "concyclic4" if dim == 2 else "coplanar_special")
+    except DegenerateTrajectory:
+        return None
+    d = geometry._sub(b, frame[mover])
+    return (walls, geometry._values(walls, frame[mover]),
+            geometry._values(walls, b), geometry._dot(d, d) if dim == 2 else 0)
+
+
+def test_rootless_walls_match_discriminant_first():
+    # _rootless passes a wall over iff the route that decides the
+    # discriminant first answers its poly with no root and no raise, and
+    # roots_in_unit_interval gives that route's brackets or raise, on every
+    # wall of the seeded frames (the seeded quadratics are in
+    # test_monotone_case_matches_discriminant_first)
+    outcomes = collections.Counter()
+    for dim, frame, mover, b in _wall_frames(random.Random("screen walls")):
+        table = _frame_walls(dim, frame, mover, b)
+        if table is None:
+            continue
+        walls, f0, f1, dd = table
+        for w, c0, e in zip(walls, f0, f1):
+            c2 = w[1][2] * dd
+            c1 = e - c0 - c2
+            poly = PredicatePoly(c2, c1, c0)
+            want = _roots_outcome(discriminant_first_roots, poly)
+            assert geometry._rootless(c2, c1, c0) == (want == []), (
+                c2, c1, c0)
+            assert _roots_outcome(PredicatePoly.roots_in_unit_interval,
+                                  poly) == want
+            name = ("plane" if dim == 3 else "circle" if len(w[0]) == 3
+                    else "line")
+            outcomes[name, "passed over" if want == [] else "formed"] += 1
+    for name in ("circle", "line", "plane"):
+        assert outcomes[name, "formed"] > 100, name
+        assert outcomes[name, "passed over"] > 1000, name
+
+
+def test_linear_root_bracket_matches_rational_root_route():
+    # a linear root r/d in (0, 1) gets the centred bracket of half-width a
+    # quarter of its distance to the nearer end, as the route that halves
+    # until both ends are off the root gives it on its first try
+    rng = random.Random("linear bracket")
+    brackets = 0
+    for bits in (6, 60, 600):
+        for _ in range(200):
+            c1, c0 = rng.getrandbits(bits) + 1, rng.getrandbits(bits) + 1
+            poly = PredicatePoly(0, *rng.choice(((c1, -c0), (-c1, c0))))
+            if poly.c0 + poly.c1 == 0:
+                continue
+            got = poly.roots_in_unit_interval()
+            if got:
+                r, d = geometry._linear_root(poly.c1, poly.c0)
+                assert got == [bracket_rational_root(poly, r, 0, d, d)]
+                brackets += 1
+    assert brackets > 200
+
+
+def _bisection_cases(rng):
+    """(poly, bracket) of every circle-wall root of ``_wall_frames``, of
+    every root of the seeded quadratics, and of quadratics with roots at
+    dyadic rationals, which bisection meets at a midpoint."""
+    polys = []
+    for dim, frame, mover, b in _wall_frames(rng):
+        table = _frame_walls(dim, frame, mover, b) if dim == 2 else None
+        if table is not None:
+            walls, f0, f1, dd = table
+            polys += [PredicatePoly(w[1][2] * dd, e - c0 - w[1][2] * dd, c0)
+                      for w, c0, e in zip(walls, f0, f1) if len(w[0]) == 3]
+    polys += [PredicatePoly(c2, c1, c0)
+              for _, c2, c1, c0 in _quadratic_cases(rng) if c2]
+    for _ in range(200):
+        # roots a / 2^i and c / 2^j, in (0, 1) or not
+        i, j = rng.randint(1, 6), rng.randint(1, 6)
+        a, c = rng.randint(-4, 2 ** i + 4), rng.randint(-4, 2 ** j + 4)
+        s = rng.choice((-1, 1)) * rng.randint(1, 9)
+        polys.append(PredicatePoly(s << (i + j), -s * (a << j) - s * (c << i),
+                                   s * a * c))
+    for poly in polys:
+        outcome = _roots_outcome(PredicatePoly.roots_in_unit_interval, poly)
+        for br in outcome if isinstance(outcome, list) else ():
+            yield poly, br
+
+
+def test_slope_rule_bisection_matches_two_sign_rule():
+    # a bracket never holds a quadratic's vertex left of its root, so minus
+    # the sign of the slope at its left end is the sign of the poly there
+    # where the slope is nonzero: bisection gives what the rule that takes
+    # the sign at both the midpoint and the left end gives, 24 times deep,
+    # on every circle-wall root, with a root met at a midpoint or the
+    # vertex at a left end among them
+    seen = collections.Counter()
+    for poly, br in _bisection_cases(random.Random("slope rule")):
+        for _ in range(24):
+            lo, hi, den = br
+            seen["midpoint root"] += poly.sign(lo + hi, 2 * den) == 0
+            seen["flat left end"] += 2 * poly.c2 * lo + poly.c1 * den == 0
+            want = general_bisect(poly, br)
+            br = poly.bisect(br)
+            assert br == want, (poly.c2, poly.c1, poly.c0)
+        seen["roots"] += 1
+    assert seen["roots"] > 500
+    assert seen["midpoint root"] > 50 and seen["flat left end"] > 10
+
+
+def test_circle_emptiness_matches_full_inside_count():
+    # a circle is empty iff no static lies inside it: the first static
+    # found inside settles it, and the answer is that of the full count,
+    # by the wall's signs and point by point
+    answers = collections.Counter()
+    for dim, frame, mover, b in _wall_frames(random.Random("emptiness")):
+        table = _frame_walls(dim, frame, mover, b) if dim == 2 else None
+        if table is None:
+            continue
+        statics = [q for q in range(len(frame)) if q != mover]
+        lifted = {q: geometry._lift(frame[q]) for q in statics}
+        for w in table[0]:
+            if len(w[0]) == 3:
+                empty = geometry._circle_empty(w, lifted, statics)
+                count = geometry._off_wall_signs(w, lifted, statics).count(
+                    -geometry._sgn(w[1][2]))
+                assert empty == (count == 0)
+                assert count == sum(inside_circle(frame, w[0], mover))
+                answers[empty] += 1
+    assert answers[True] > 200 and answers[False] > 1000
