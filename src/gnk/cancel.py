@@ -11,7 +11,9 @@ cyclic word, which ``to_syllables`` makes from letter codes, in one stack
 pass, so words like nested-commutator powers with millions of letters stay
 cheap: a relator factor can overlap a long run only near its ends.  Runs
 come in as (symbol, exponent) pairs and are worked on as (code, count)
-pairs, count > 0.
+pairs, count > 0.  One trie of the symmetrised relators, read last letter
+first, finds the replacements, the factors across the seam and the
+overlap statistic of the fixed point.
 """
 
 from __future__ import annotations
@@ -215,56 +217,45 @@ class DehnResult:
 
 
 def _replacement_trie(rel_elems):
-    """Every prefix V, |V| > |r|/2, of each r = V C in R_*, in a trie of the
-    V read last letter first: the node a V ends at holds its entry (s, k)
-    under ``None``, where V is the last k letters of the element s.
-
-    The last k letters of s in R_* are the prefix V of its rotation
-    r = s[-k:] + s[:-k], also in R_*, with C = s[:-k]; so one walk back from
-    the end of each element meets every V, and r and C^-1 are formed only
-    when the entry fires (``_replacement``).  Under C'(1/6) no two elements
-    share such a prefix; without it the r first in sorted order wins, and
-    only then are rotations formed."""
+    """R_*, each element read last letter first, in one trie: the node at
+    depth k = |s| // 2 + 1 of the walk of the element s holds its entry
+    (s, k) under ``None``.  Its key V, the last k letters of s, is the
+    shortest prefix of more than half of r = s[-k:] + s[:-k] = V C in R_*,
+    and r and C^-1 are formed only when it fires (``_replacement``).  A
+    longer such prefix holds V, which would have fired first; under C'(1/6)
+    no key is a suffix of another, so a path holds at most one entry."""
     trie = {}
     for s in rel_elems:
-        n = len(s)
-        node = trie
+        node, depth = trie, len(s) // 2 + 1
         for k, c in enumerate(reversed(s), 1):
             node = node.setdefault(c, {})
-            if 2 * k > n:
-                old = node.get(None)
-                if old is None or _rotation(s, k) < _rotation(*old):
-                    node[None] = (s, k)
+            if k == depth:
+                node[None] = (s, k)
     return trie
-
-
-def _rotation(s, k):
-    """The element r = V C of R_* whose V is the last k letters of s."""
-    return s[len(s) - k:] + s[:len(s) - k]
 
 
 def _replacement(alphabet, entry):
     """(r, C^-1 as runs) of a ``_replacement_trie`` entry (s, k).  C^-1 is
     reduced, as r is, so it is run-length encoded as it stands."""
     s, k = entry
-    return (_rotation(s, k),
-            _runs(inverse_letters(alphabet, s[:len(s) - k])))
+    n = len(s) - k
+    return s[n:] + s[:n], _runs(inverse_letters(alphabet, s[:n]))
 
 
-def _longest_key(trie, runs):
-    """(length, entry) of the longest key of a ``_replacement_trie`` that
-    ends the run list ``runs``, found by one walk down the trie from its
-    last letter; None if no key ends it."""
-    node, depth, hit = trie, 0, None
+def _ending_key(trie, runs):
+    """(length, entry) of the key of a ``_replacement_trie`` that ends the
+    run list ``runs``, found by one walk down the trie from its last letter
+    to the first entry, the only one on its path; None if no key ends it."""
+    node, depth = trie, 0
     for c, n in reversed(runs):
         for _ in range(n):
             node = node.get(c)
             if node is None:
-                return hit
+                return None
             depth += 1
             if None in node:
-                hit = depth, node[None]
-    return hit
+                return depth, node[None]
+    return None
 
 
 def _last_letters(runs, m):
@@ -284,11 +275,11 @@ def _stack_pass(alphabet, runs, trie, max_run, steps):
 
     Letters are pushed onto a stack of runs and cancel freely against its
     top (g g cancels too when the alphabet is involutive).  After each push
-    ``trie`` is walked down from the stack top, and the longest suffix of
-    the stack that is a key of it is popped and its C^-1 fed back in as
-    input, so the stack backs up only as far as a replacement reaches.  An
-    entry's r and C^-1 are formed when it first fires in the pass.  The
-    returned runs are freely reduced and have no factor that is a key.
+    ``trie`` is walked down from the stack top, and the suffix of the stack
+    that is a key of it is popped and its C^-1 fed back in as input, so the
+    stack backs up only as far as a replacement reaches.  An entry's r and
+    C^-1 are formed when it first fires in the pass.  The returned runs are
+    freely reduced and have no factor that is a key.
 
     Once the top run is longer than ``max_run``, the longest run in any
     element of R_* (by rotation, its longest leading run), a suffix that
@@ -329,7 +320,7 @@ def _stack_pass(alphabet, runs, trie, max_run, steps):
         size += 1
         if n > 1:
             todo.append((c, n - 1))
-        hit = _longest_key(trie, stack)
+        hit = _ending_key(trie, stack)
         if hit:
             k, entry = hit
             if entry not in fired:
@@ -362,19 +353,24 @@ def _cancel_seam(alphabet, runs):
     return runs[lo:hi]
 
 
-def _seam_match(runs, trie, longest):
+def _seam_match(runs, trie, key_lengths):
     """Letter offset at which to cut the cyclic word so that a key of
-    ``trie``, of at most ``longest`` letters, across its seam lies inside
-    it, or None if there is none."""
+    ``trie`` across its seam lies inside it, or None if there is none.
+    Windows are tried by the letters they take from the tail, then by
+    length, over the ``key_lengths`` alone: a search over every prefix of
+    more than half of an element stops at a shortest key too, as a longer
+    key's prefix one letter shorter is in an earlier window or inside the
+    fixpoint, which holds no key."""
     length = syllable_length(runs)
-    longest = min(longest, length)
+    lengths = sorted(k for k in key_lengths if k <= length)
+    longest = max(lengths, default=1)
     tail = _last_letters(runs, longest - 1)
     # runs are uniform, so reversing the run list reverses the word
     head = _last_letters(runs[::-1], longest - 1)[::-1]
-    for t in range(1, len(tail) + 1):
-        for k in range(t + 1, longest + 1):
-            seam = [(c, 1) for c in tail[len(tail) - t:] + head[:k - t]]
-            hit = _longest_key(trie, seam)
+    for t in range(1, longest):
+        for k in (k for k in lengths if k > t):
+            seam = [(c, 1) for c in tail[longest - 1 - t:] + head[:k - t]]
+            hit = _ending_key(trie, seam)
             if hit and hit[0] == k:
                 return (length - t - (length - k) // 2) % length
     return None
@@ -404,8 +400,8 @@ def dehn_reduce_syllables(alphabet: Alphabet, sylls,
     max-overlap statistic is the nontriviality certificate.
     ``trace.steps`` lists the replacements made, as (offset of V in the
     word the pass was building, r, |V|).  ``trace.max_overlap_at_fixpoint``
-    is read by walking a trie of R_* from each start a factor can have:
-    O(max |r|) per start (``_max_overlap``)."""
+    is read by walking the same trie of R_* from each place a factor can
+    end: O(max |r|) per place (``_max_overlap``)."""
     if not R.elements:
         raise ValueError("the relator set is empty")
     holds, witness = check_metric_condition(R, Fraction(1, 6))
@@ -420,38 +416,34 @@ def dehn_reduce_syllables(alphabet: Alphabet, sylls,
     trace.half_threshold = min(len(r) for r in rel_elems) // 2
     trie = _replacement_trie(rel_elems)
     max_run = max(_leading_run(r) for r in rel_elems)
-    longest = max(len(r) for r in rel_elems)
+    key_lengths = {len(r) // 2 + 1 for r in rel_elems}
     runs = _cancel_seam(alphabet, _stack_pass(alphabet, runs, trie, max_run,
                                               trace.steps))
     # a factor across the seam: cut the cyclic word opposite it and pass
     # again; each such pass replaces at least once, so the length falls
     while runs:
-        cut = _seam_match(runs, trie, longest)
+        cut = _seam_match(runs, trie, key_lengths)
         if cut is None:
             break
         runs = _cancel_seam(alphabet, _stack_pass(
             alphabet, _rotate(runs, cut), trie, max_run, trace.steps))
     if runs:
-        trace.max_overlap_at_fixpoint = _max_overlap(runs, rel_elems)
+        trace.max_overlap_at_fixpoint = _max_overlap(runs, trie, max_run)
     return DehnResult(alphabet, runs, trace)
 
 
-def _max_overlap(runs, rel_elems):
+def _max_overlap(runs, trie, max_run):
     """Longest prefix of an element of R_* that is a factor of the cyclic
-    (code, count) run list, by walks down a trie of R_* from each run's
-    first and last ``max_lead`` letters (a factor starts mid-run only that
-    near its end)."""
-    trie = {}
-    for r in rel_elems:
-        node = trie
-        for letter in r:
-            node = node.setdefault(letter, {})
-    max_lead = max(_leading_run(r) for r in rel_elems)
+    (code, count) run list; by rotation, the longest suffix of one, found
+    by walks down the ``_replacement_trie`` along the reversed word from
+    each run's last letter and first ``max_run`` letters (a factor ends
+    mid-run only that near its start)."""
+    runs = runs[::-1]
     n_letters = syllable_length(runs)
     best = 0
     for si, (_, size) in enumerate(runs):
         # a start leaves ``left`` letters of its run to read
-        for left in {size, *range(1, min(size - 1, max_lead) + 1)}:
+        for left in {size, *range(1, min(size - 1, max_run) + 1)}:
             node, depth, i = trie, 0, si
             while depth < n_letters:
                 letter, steps = runs[i][0], 0

@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-import gnk.cancel as cancel
-from certificate_oracles import (best_overlap, old_dehn_reduce_syllables,
-                                 old_inverse_letters, old_to_syllables)
-from gnk.cancel import (_lcp, _max_overlap, _replacement, _replacement_trie,
-                        _symbol_runs, check_cp, check_metric_condition,
-                        check_tq, dehn_reduce_syllables, max_piece_prefixes,
+from certificate_oracles import (_old_seam_match, best_overlap,
+                                 old_dehn_reduce_syllables,
+                                 old_inverse_letters, old_replacement_table,
+                                 old_to_syllables)
+from gnk.cancel import (_cancel_seam, _lcp, _leading_run, _max_overlap,
+                        _replacement, _replacement_trie, _rotate, _seam_match,
+                        _stack_pass, _symbol_runs, check_cp,
+                        check_metric_condition, check_tq,
+                        dehn_reduce_syllables, max_piece_prefixes,
                         symmetrise, syllable_length, to_syllables)
 from gnk.words import (Alphabet, cyclic_reduce, inverse_letters,
                        reduce_letters)
@@ -561,45 +564,44 @@ def _trie_table(trie, key=()):
 
 
 def _check_replacement_table(alphabet, R):
-    """The trie's entries (s, k), each key the last k letters of s, give the
-    reducing table's r and C^-1 when they fire."""
+    """The trie holds one entry (s, k) per element s, its key the last
+    k = |s| // 2 + 1 letters of s, and its entries give the reducing
+    table's r and C^-1 at the keys of that length when they fire."""
     decode = alphabet.decode
     table = _trie_table(_replacement_trie(R.elements))
-    assert all(v == s[len(s) - k:] for v, (s, k) in table.items())
+    assert sorted(s for s, _ in table.values()) == R.elements
+    assert all(v == s[len(s) - k:] and k == len(s) // 2 + 1
+               for v, (s, k) in table.items())
     replacements = {v: _replacement(alphabet, entry)
                     for v, entry in table.items()}
     assert {decode(v): (decode(r), _symbol_runs(alphabet, runs))
             for v, (r, runs) in replacements.items()
-            } == _reducing_replacement_table(alphabet, letters_of(R))
-
-
-def _presentations():
-    """The presentations of this file's tests, but for the random ones of
-    the Dehn oracle tests, which check their tables themselves; then seeded
-    random ones of the same kinds: free and involutive, one to three
-    relators."""
-    abc = Alphabet(["a", "b", "c"], involutive=False)
-    ab = Alphabet(["a", "b"], involutive=False)
-    yield FREE_XY, [COMM + COMM]
-    yield abc, [[("a", 1), ("b", 1), ("c", 1)]]
-    yield Alphabet(["a"], involutive=False), [[("a", 1), ("a", 1)]]
-    yield ab, [[("a", 1)] * 3 + [("b", 1)], [("a", 1)] * 3 + [("b", -1)]]
-    yield ab, [[("a", 1), ("b", 1)]]
-    # a prefix shared by two elements, where the element that wins it does
-    # not come first among the elements whose backward walks meet it
-    yield abc, [[("b", 1), ("a", -1), ("a", -1)],
-                [("b", -1), ("b", 1), ("b", 1), ("a", -1)]]
-    yield (Alphabet(["a", "b", "c"], involutive=True),
-           [[("a", 1), ("b", 1), ("c", 1)] * 2])
-    rng = random.Random(41)
-    for t in range(60):
-        alphabet = Alphabet(["x", "y", "z"][:2 + t % 2], involutive=t % 5 == 0)
-        yield alphabet, _random_relators(rng, alphabet, 1 + t % 3, 3, 24)
+            } == {v: e for v, e in _reducing_replacement_table(
+                alphabet, letters_of(R)).items()
+                  if len(v) == len(e[0]) // 2 + 1}
 
 
 def test_replacement_table_equals_reducing_table():
-    for alphabet, rels in _presentations():
-        _check_replacement_table(alphabet, symmetrise(alphabet, rels))
+    # seeded C'(1/6) sets, free and involutive, drawn at 12 to 48 letters
+    # and kept when they still have 12 or more after reduction
+    rng = random.Random(41)
+    lengths = set()
+    for t in range(24):
+        ab = Alphabet(["g10", "g11", "g12", "g13", "a_{1,10}", "a_{2,11}"],
+                      involutive=t % 2 == 1)
+        R = _c16_presentation(rng, ab, 12 + t * 36 // 23)
+        while len(R.elements[0]) < 12:
+            R = _c16_presentation(rng, ab, 12 + t * 36 // 23)
+        _check_replacement_table(ab, R)
+        lengths.add(len(R.elements[0]))
+    assert min(lengths) == 12 and max(lengths) > 40
+    # a prefix shared by two elements is a piece of more than |r| / 6
+    # letters, so no trie is built for such a set
+    abc = Alphabet(["a", "b", "c"], involutive=False)
+    R = symmetrise(abc, [[("b", 1), ("a", -1), ("a", -1)],
+                         [("b", -1), ("b", 1), ("b", 1), ("a", -1)]])
+    with pytest.raises(ValueError, match="not C'"):
+        dehn_reduce_syllables(abc, [("a", 1)], R)
 
 
 def _random_cyclic_runs(rng, symbols, count, longest):
@@ -613,6 +615,14 @@ def _random_cyclic_runs(rng, symbols, count, longest):
     if len(runs) > 1 and runs[-1][0] == runs[0][0]:
         runs.pop()
     return runs
+
+
+def _overlap(alphabet, sylls, R):
+    """``_max_overlap`` of (symbol, exponent) runs, on the trie that
+    ``dehn_reduce_syllables`` builds for R."""
+    return _max_overlap(code_runs(alphabet, sylls),
+                        _replacement_trie(R.elements),
+                        max(_leading_run(r) for r in R.elements))
 
 
 def test_max_overlap_matches_scan_on_random_runs():
@@ -634,7 +644,7 @@ def test_max_overlap_matches_scan_on_random_runs():
         R = symmetrise(ab, rels)
         runs = _random_cyclic_runs(rng, ab.symbols, rng.randint(1, 12),
                                    rng.choice((1, 3, 9)))
-        assert _max_overlap(code_runs(ab, runs), R.elements) == \
+        assert _overlap(ab, runs, R) == \
             best_overlap(runs, letters_of(R))[0], (rels, runs)
 
 
@@ -653,7 +663,7 @@ def test_max_overlap_matches_scan_on_random_fixpoints():
 def test_max_overlap_criterion6_runs():
     R = symmetrise(FREE_XY, [COMM + COMM])
     sylls = [("x", 1000), ("y", 1000), ("x", -1000), ("y", -1000)] * 1000
-    assert _max_overlap(code_runs(FREE_XY, sylls), R.elements) == \
+    assert _overlap(FREE_XY, sylls, R) == \
         best_overlap(sylls, letters_of(R))[0] == 2
 
 
@@ -756,65 +766,114 @@ def test_dehn_stack_criterion6_certificate():
             len(res.trace.steps)) == (False, 2, 0)
 
 
-def test_stack_pass_fires_only_shortest_keys(monkeypatch):
-    # before each push the stack has no key as a factor, so a key that
-    # fires ends at the new top, and its prefix one letter shorter, a key
-    # too when longer than |r| / 2, would have fired a push earlier: every
-    # entry _stack_pass fires is at depth |r| // 2 + 1.  So is every key
-    # _seam_match finds: it tries each window across the seam shortest
-    # first, and a longer key's shortest prefix is either across the seam
-    # in a shorter window or inside the fixpoint, which holds no key
-    depths, in_seam = collections.Counter(), []
-    replacement, longest_key, seam_match = (
-        cancel._replacement, cancel._longest_key, cancel._seam_match)
-
-    def recording_replacement(alphabet, entry):
-        s, k = entry
-        depths["fired", k - len(s) // 2] += 1
-        return replacement(alphabet, entry)
-
-    def recording_longest_key(trie, runs):
-        hit = longest_key(trie, runs)
-        if in_seam and hit and hit[0] == len(runs):
-            s, k = hit[1]
-            depths["seam", k - len(s) // 2] += 1
-        return hit
-
-    def recording_seam_match(*args):
-        in_seam.append(True)
+def _c16_set(rng, ab, lengths):
+    """R_* of seeded cyclically reduced relators that is C'(1/6); the
+    relators' lengths are drawn anew by ``lengths()`` on each try."""
+    while True:
+        rels = [_reduced_relator(rng, ab, n) for n in lengths()]
         try:
-            return seam_match(*args)
-        finally:
-            in_seam.pop()
+            R = symmetrise(ab, rels)
+        except ValueError:
+            continue
+        if check_metric_condition(R, Fraction(1, 6))[0]:
+            return R
 
-    monkeypatch.setattr(cancel, "_replacement", recording_replacement)
-    monkeypatch.setattr(cancel, "_longest_key", recording_longest_key)
-    monkeypatch.setattr(cancel, "_seam_match", recording_seam_match)
+
+def test_stack_pass_fires_only_shortest_keys():
+    # the trie keeps one key per element, its |r| // 2 + 1 letters; the old
+    # stack looks every prefix of more than half of an element up, longest
+    # first, yet fires the same keys: before each push the stack has no
+    # key as a factor, so a longer key's prefix one letter shorter would
+    # have fired a push earlier.  Rotations put conjugates across the seam
     rng = random.Random(6)
     sets = collections.Counter()
+    steps = 0
     for t in range(16):
         involutive, count = t % 2 == 1, 1 + t // 2 % 2
         ab = Alphabet(["a", "b", "c", "d", "e"], involutive=involutive)
-        while True:
-            rels = [_reduced_relator(rng, ab, rng.randint(12, 30))
-                    for _ in range(count)]
-            try:
-                R = symmetrise(ab, rels)
-            except ValueError:
-                continue
-            if check_metric_condition(R, Fraction(1, 6))[0]:
-                break
+        R = _c16_set(rng, ab, lambda: [rng.randint(12, 30)
+                                       for _ in range(count)])
         sets[involutive, count] += 1
-        for k in range(10):
+        for i in range(10):
             w = _conjugate_product(rng, ab, R, rng.randint(10, 300))
-            for _ in range(k % 3):
+            for _ in range(i % 3):
                 w.insert(rng.randrange(len(w) + 1), (
                     rng.choice(ab.symbols), rng.choice((1, -1))))
-            # a rotation puts some of the conjugates across the seam
             cut = rng.randrange(len(w))
-            res = dehn_reduce_syllables(ab, w[cut:] + w[:cut], R)
+            res = _check_against_old_stack(ab, R, w[cut:] + w[:cut])
             assert all(k == len(r) // 2 + 1 for _, r, k in res.trace.steps)
-            depths["steps"] += len(res.trace.steps)
+            steps += len(res.trace.steps)
     assert set(sets) == {(False, 1), (False, 2), (True, 1), (True, 2)}
-    assert set(depths) == {("fired", 1), ("seam", 1), "steps"}
-    assert depths["fired", 1] > 500 and depths["seam", 1] > 5
+    assert steps > 500
+
+
+def test_seam_match_at_key_lengths_matches_all_windows():
+    # on stack-pass fixpoints, trying the key lengths alone finds the cut
+    # that the old search of every window against every prefix of more
+    # than half of an element finds: two relators of different lengths
+    # give two key lengths, and short cyclic words, made of a key split by
+    # the seam, have tail and head windows that overlap and are shorter
+    # than the longer key
+    rng = random.Random(53)
+    seen = collections.Counter()
+
+    def letters(count):
+        return [(rng.choice(ab.symbols), rng.choice((1, -1)))
+                for _ in range(count)]
+
+    def check(w):
+        """The cut of the fixpoint of the cyclic word w, after checking it
+        against the old search; None if w reduces to nothing."""
+        runs = _cancel_seam(ab, _stack_pass(
+            ab, [(c, 1) for c in ab.encode(w)], trie, max_run, []))
+        if not runs:
+            return None
+        cut = _seam_match(runs, trie, lengths)
+        assert cut == _old_seam_match(_symbol_runs(ab, runs), table), w
+        n = syllable_length(runs)
+        seen[involutive, cut is not None, n < 2 * (10 - 1), n < 10] += 1
+        if cut is not None:
+            # the key across the seam fires first after the cut
+            steps = []
+            _stack_pass(ab, _rotate(runs, cut), trie, max_run, steps)
+            seen[involutive, "key", steps[0][2]] += 1
+        return n, cut
+
+    for involutive in (False, True):
+        ab = Alphabet(["g10", "g11", "g12", "g13", "a_{1,10}", "a_{2,11}"],
+                      involutive=involutive)
+        R = _c16_set(rng, ab, lambda: [13, 19])
+        elements = letters_of(R)
+        lengths = {len(r) // 2 + 1 for r in R.elements}
+        assert lengths == {7, 10}
+        table = old_replacement_table(ab, elements)
+        trie = _replacement_trie(R.elements)
+        max_run = max(_leading_run(r) for r in R.elements)
+        for t in range(300):
+            if t % 3:
+                # a key, then 0 to 3 letters or 10 to 30, cut inside the key
+                e = rng.choice(elements)
+                w = list(e[:len(e) // 2 + 1]) + letters(
+                    rng.randint(0, 3) if t % 3 == 1 else rng.randint(10, 30))
+                cut = rng.randrange(1, len(e) // 2 + 1)
+            else:
+                w = _conjugate_product(rng, ab, R, rng.randint(10, 120))
+                w.insert(rng.randrange(len(w) + 1), letters(1)[0])
+                cut = rng.randrange(len(w))
+            check(w[cut:] + w[:cut])
+        # a 7-letter key a and a 10-letter key b across the seam that share
+        # its two letters, a ending one letter into the head and b starting
+        # one letter before its end: windows are tried by the letters they
+        # take from the tail first, so b is found, not the shorter a
+        for a in (e for e in elements if len(e) == 13):
+            for b in (e for e in elements if len(e) == 19):
+                if a[5:7] == b[:2] and check(list(b[1:10] + a[:6])) == (
+                        15, (15 - 1 - (15 - 10) // 2) % 15):
+                    seen[involutive, "b"] += 1
+    for involutive in (False, True):
+        assert seen[involutive, "key", 7] and seen[involutive, "key", 10]
+        assert seen[involutive, "b"]
+        assert seen[involutive, True, False, False] > 5
+        assert seen[involutive, True, True, False] > 5
+        assert seen[involutive, True, True, True] > 5
+        assert seen[involutive, False, True, True] > 5

@@ -10,9 +10,11 @@ side runs in its own copy, for 5 s a run as the benchmark's own runs do.
 For each workload and seed there is one run per side, the change first
 on odd seeds and the parent first on even seeds.  Every ``__pycache__``
 of a side is removed before each of its runs, and
-PYTHONDONTWRITEBYTECODE=1 keeps the runs from writing one.  The JSON file lists every run, and per workload and metric
-each side's median and quartiles and the number of pairs the change won;
-its ``rebuild`` field is the command that made it.
+PYTHONDONTWRITEBYTECODE=1 keeps the runs from writing one.  The JSON file
+lists every run; per workload, each side's failed and attempted job runs
+and whether every run was correct; and per workload and metric, each
+side's median and quartiles and the number of pairs the change won.  Its
+``rebuild`` field is the command that made it.
 """
 
 import argparse
@@ -68,15 +70,25 @@ def quartiles(values):
 
 
 def summary(runs):
-    """Per workload and metric: each side's quartiles, and the pairs the
-    change won (lower is better for every metric), ties counting for
-    neither side."""
+    """Per workload: each side's failed and attempted job runs, summed over
+    its runs, and whether every run was correct; and per metric, each
+    side's quartiles and the pairs the change won (lower is better for
+    every metric), ties counting for neither side."""
     out = {}
     for workload in sorted({r["workload"] for r in runs}):
         pairs = {}
         for r in runs:
             if r["workload"] == workload:
                 pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]
+        job_runs = {}
+        for side in ("parent", "change"):
+            results = [p[side] for p in pairs.values()]
+            failed = sum(r["failed"] for r in results)
+            attempted = sum(r["attempted"] for r in results)
+            job_runs[side] = {
+                "failed": failed, "attempted": attempted,
+                "failed_share": failed / attempted,
+                "all_correct": all(r["correct"] for r in results)}
         metrics = {}
         for name in sorted(next(iter(pairs.values()))["parent"]["metrics"]):
             values = {side: [p[side]["metrics"][name]["value"]
@@ -88,7 +100,7 @@ def summary(runs):
                 "change_wins": sum(c < p for p, c in zip(values["parent"],
                                                          values["change"])),
                 "pairs": len(pairs)}
-        out[workload] = metrics
+        out[workload] = {"job_runs": job_runs, "metrics": metrics}
     return out
 
 
