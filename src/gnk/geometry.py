@@ -3,15 +3,17 @@
 A trajectory moves one point per segment along a straight line with rational
 endpoints; all wall predicates (three points collinear, four concyclic, four
 coplanar) specialise to univariate polynomials of degree <= 2 in the segment
-parameter.  Each mover run (consecutive segments of one mover) is put into
-one integer frame (every coordinate of the statics and of the mover's
-waypoints multiplied by the lcm of their denominators); the wall predicates
-are homogeneous, so the frame keeps every sign and every predicate
-polynomial has Python int coefficients.  Event times are isolated into
-rational brackets, kept as int triples until an event is reported (never
-evaluated numerically: only the event ORDER and exact side decisions
-matter), letters are emitted per event in time order, and the concatenation
-freely reduces to the invariant word.
+parameter.  Each point is an int vector at its own width, the homogeneous
+w^g (p̂, 1): w is the lcm of the point's own denominators, p̂ = (x, y,
+x² + y²) with g = 2 in the plane and p̂ = p with g = 1 in space.  Every
+line, circle and plane wall is a form that is a positive multiple of its
+predicate at each such point, so it keeps every sign; a segment rescales
+its two end values to the lcm of its waypoints' weights, and every
+predicate polynomial has Python int coefficients.  Event times are
+isolated into rational brackets, kept as int triples until an event is
+reported (never evaluated numerically: only the event ORDER and exact side
+decisions matter), letters are emitted per event in time order, and the
+concatenation freely reduces to the invariant word.
 
 No floating point is used anywhere.
 """
@@ -137,7 +139,7 @@ class PredicatePoly:
     def interpolate(cls, f):
         """Fit the (at most quadratic) function f from values at 0, 1, 2.
 
-        f takes an int t and, on an integer frame, returns an int; the poly
+        f takes an int t and, on int coordinates, returns an int; the poly
         stores 2 p, which is integral.  A fourth evaluation at t = 3 guards
         against callers passing higher-degree predicates: line and circle
         walls with one linear mover are degree <= 2, anything else is a
@@ -271,14 +273,6 @@ def _to_fraction_point(p):
     return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in p)
 
 
-def _integer_frame(points):
-    """The rational points multiplied by the lcm of their coordinates'
-    denominators: int tuples on which every predicate has the same sign."""
-    scale = math.lcm(*(x.denominator for pt in points for x in pt))
-    return [tuple(x.numerator * (scale // x.denominator) for x in pt)
-            for pt in points]
-
-
 class Trajectory:
     """Piecewise-linear motion script: one moving point per segment."""
 
@@ -336,14 +330,20 @@ class Trajectory:
         if not isinstance(data, dict):
             raise ValueError("trajectory: the top level must be a JSON object")
         def dec_pt(pt):
-            if type(pt) is not list or not all(
-                    type(c) is list and len(c) == 2
-                    and all(type(x) is int for x in c) for c in pt):
-                raise ValueError("point %r: coordinates must be [num, den] "
-                                 "pairs of ints" % (pt,))
-            if any(den == 0 for _, den in pt):
-                raise ValueError("zero denominator in point %r" % (pt,))
-            return tuple(Fraction(num, den) for num, den in pt)
+            # a mistyped pair anywhere is reported before a zero denominator
+            if type(pt) is list:
+                for c in pt:
+                    if type(c) is not list or len(c) != 2 \
+                            or type(c[0]) is not int or type(c[1]) is not int:
+                        break
+                else:
+                    try:
+                        return tuple(Fraction(num, den) for num, den in pt)
+                    except ZeroDivisionError:
+                        raise ValueError("zero denominator in point %r"
+                                         % (pt,)) from None
+            raise ValueError("point %r: coordinates must be [num, den] "
+                             "pairs of ints" % (pt,))
         for key in ("points", "moves"):
             if type(data.get(key)) is not list:
                 raise ValueError('trajectory: "%s" must be a JSON list' % key)
@@ -392,8 +392,8 @@ _by_left_end = functools.cmp_to_key(lambda b1, b2: b1[0] * b2[2] - b2[0] * b1[2]
 
 
 def _separate_events(events):
-    """Refine brackets until pairwise disjoint within one segment, and sort
-    the events by time.
+    """Refine brackets until pairwise disjoint within one segment, drop the
+    separators, and sort the other events by time, in place.
 
     One pass over the pairs i < j in lexicographic order refines each pair
     while its current brackets overlap; row i holds b_i, which no later row
@@ -420,6 +420,7 @@ def _separate_events(events):
             e2.bracket = b2
         e1.bracket = b1
     # disjoint brackets: left ends are distinct
+    events[:] = [e for e in events if e.kind != "_separator"]
     events.sort(key=lambda e: _by_left_end(e.bracket))
     return events
 
@@ -430,90 +431,145 @@ def _overlap(b1, b2):
             min(b1[1] * b2[2], b2[1] * b1[2]), b1[2] * b2[2])
 
 
-def _plane(p, q, r):
-    """The doubled orient3d form of the plane through the points p, q, r:
-    (c, k) with 2 orient3d(p, q, r, x) = c . x + k, that is c = 2 n and
-    k = -2 n . p for the normal n = (q - p) x (r - p)."""
-    ux, uy, uz = q[0] - p[0], q[1] - p[1], q[2] - p[2]
-    vx, vy, vz = r[0] - p[0], r[1] - p[1], r[2] - p[2]
-    nx, ny, nz = (2 * (uy * vz - uz * vy), 2 * (uz * vx - ux * vz),
-                  2 * (ux * vy - uy * vx))
-    return (nx, ny, nz), -(nx * p[0] + ny * p[1] + nz * p[2])
+def _homogeneous(pt):
+    """The rational point p as the int vector w (p, 1), w the lcm of its
+    own denominators: the weight w comes last."""
+    w = math.lcm(*(x.denominator for x in pt))
+    return tuple(x.numerator * (w // x.denominator) for x in pt) + (w,)
 
 
-def _lift(pt):
-    return pt if len(pt) == 3 else pt + (pt[0] * pt[0] + pt[1] * pt[1],)
+def _lifted(u):
+    """The point u = w (p, 1) in the lifted space: w^2 (x, y, x^2 + y^2, 1)
+    on the paraboloid for a plane point, u itself in space."""
+    if len(u) == 4:
+        return u
+    x, y, w = u
+    return w * x, w * y, x * x + y * y, w * w
 
 
-def _wall_table(frame, statics, kind):
+def _diff(p, q):
+    """q w_p - p w_q of two homogeneous points in the lifted space, less
+    its last entry 0: w_p w_q (q - p) for a point q, w_p q for a direction
+    q (a point of weight 0)."""
+    (a, b, c, v), (x, y, z, w) = p, q
+    return x * v - a * w, y * v - b * w, z * v - c * w
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _plane(p, u, v):
+    """The plane through the homogeneous point p = (P, w_p), w_p > 0,
+    spanned by the differences u = _diff(p, q) and v = _diff(p, r): the
+    form (c, k) with c = u x v and k w_p = -c . P, so that at a point
+    x = (X, w_x), c . X + k w_x = w_x c . (x - p), a positive multiple of
+    orient3d(p, q, r, x) (DECISIONS.md, "Each point at its own width")."""
+    c = _cross(u, v)
+    return c, -(c[0] * p[0] + c[1] * p[1] + c[2] * p[2]) // p[3]
+
+
+def _planes(points, statics):
+    """The plane through each triple of statics, in combinations order:
+    (triple, c, k), from the differences of its first point to the other
+    two, each formed once per pair."""
+    planes = []
+    for k, a in enumerate(statics):
+        p = points[a]
+        diffs = [(b, _diff(p, points[b])) for b in statics[k + 1:]]
+        for (b, u), (c, v) in itertools.combinations(diffs, 2):
+            planes.append(((a, b, c), *_plane(p, u, v)))
+    return planes
+
+
+def _wall_table(points, lifted, statics, kind):
     """A mover run's walls, in detection order: circles then lines in the
-    plane, planes in space, each in combinations order.  A wall (statics,
-    c, k) is the doubled predicate 2 f = c . p + k at a lifted point p:
-    every wall is a plane of the lifted space (DECISIONS.md, "Every wall is
-    a plane in the lifted space").  c[2] is -2 orient2d for a circle, 0 for
-    a line.  Raises on collinear or concyclic statics."""
+    plane, planes in space, each in combinations order.  ``points`` holds
+    the statics' homogeneous vectors, ``lifted`` their lifts (in space the
+    same).  A wall (statics, c, k) is a form with c . X + k w a positive
+    multiple of the predicate at a lifted point (X, w): every wall is a
+    plane of the lifted space (DECISIONS.md, "Every wall is a plane in the
+    lifted space").  A circle is minus the plane through its lifted points,
+    so c[2] has the sign of -orient2d; a line through a and b is their
+    cross product a x b, with c[2] = 0.  Raises on collinear or concyclic
+    statics."""
     if kind == "coplanar_special":
-        return [(trip, *_plane(*(frame[s] for s in trip)))
-                for trip in itertools.combinations(statics, 3)]
+        return _planes(points, statics)
     later = {s: statics[k + 1:] for k, s in enumerate(statics)}
 
     def tested(walls, message):
         # every subset of the statics one larger than a wall's, once
         for trip, (c0, c1, c2), k in walls:
             for s in later[trip[-1]]:
-                x, y, z = frame[s]
-                if c0 * x + c1 * y + c2 * z + k == 0:
+                x, y, z, w = lifted[s]
+                if c0 * x + c1 * y + c2 * z + k * w == 0:
                     raise DegenerateTrajectory(message)
     lines = []
     for i, j in itertools.combinations(statics, 2):
-        (ax, ay, _), (bx, by, _) = frame[i], frame[j]
-        lines.append(((i, j), (2 * (ay - by), 2 * (bx - ax), 0),
-                      2 * (ax * by - ay * bx)))
+        c0, c1, k = _cross(points[i], points[j])
+        lines.append(((i, j), (c0, c1, 0), k))
     tested(lines, "three static points collinear")
     if kind == "collinear3":
         return lines
-    circles = []
-    for trip in itertools.combinations(statics, 3):
-        # incircle is minus orient3d of the lifted points
-        (c0, c1, c2), k = _plane(*(frame[s] for s in trip))
-        circles.append((trip, (-c0, -c1, -c2), -k))
+    # incircle is minus orient3d of the lifted points
+    circles = [(trip, (-c0, -c1, -c2), -k)
+               for trip, (c0, c1, c2), k in _planes(lifted, statics)]
     tested(circles, "four static points concyclic")
     return circles + lines
 
 
-def _off_wall_signs(wall, frame, statics):
-    """The signs of 2 f at the statics off a circle or plane: its inside
-    count, or its sides."""
+def _off_wall_signs(wall, lifted, statics):
+    """The signs of the form at the statics off a circle or plane: its
+    inside count, or its sides."""
     trip, (c0, c1, c2), k = wall
-    return [_sgn(c0 * x + c1 * y + c2 * z + k)
-            for x, y, z in (frame[s] for s in statics if s not in trip)]
+    return [_sgn(c0 * x + c1 * y + c2 * z + k * w)
+            for x, y, z, w in (lifted[s] for s in statics if s not in trip)]
 
 
-def _circle_empty(wall, frame, statics):
+def _circle_empty(wall, lifted, statics):
     """Does no static point lie strictly inside the circle wall?  Inside,
-    2 f has the sign of orient2d, that is of -c[2]; the first static found
-    there settles it."""
+    the form has the sign of orient2d, that is of -c[2]; the first static
+    found there settles it."""
     trip, (c0, c1, c2), k = wall
     if c2 > 0:
         c0, c1, c2, k = -c0, -c1, -c2, -k
     for s in statics:
         if s not in trip:
-            x, y, z = frame[s]
-            if c0 * x + c1 * y + c2 * z + k > 0:
+            x, y, z, w = lifted[s]
+            if c0 * x + c1 * y + c2 * z + k * w > 0:
                 return False
     return True
 
 
-def _values(walls, pt):
-    """2 f of each wall at the waypoint pt."""
-    x, y, z = _lift(pt)
-    return [c0 * x + c1 * y + c2 * z + k for _, (c0, c1, c2), k in walls]
+def _values(walls, h):
+    """The form of each wall at the homogeneous lifted point h."""
+    x, y, z, w = h
+    return [c0 * x + c1 * y + c2 * z + k * w for _, (c0, c1, c2), k in walls]
+
+
+def _end_scales(u0, u1, space):
+    """(s0, s1, dd) for the segment from the homogeneous point u0 to u1:
+    s = r^g with r = lcm(w0, w1) / w brings each end's values w^g f to
+    the one scale lcm^g, and dd = |X1 r1 - X0 r0|^2 = lcm^2 |x1 - x0|^2
+    is the t^2 factor of a wall's poly in the plane, 0 in space."""
+    g = math.gcd(u0[-1], u1[-1])
+    r0, r1 = u1[-1] // g, u0[-1] // g
+    if space:
+        return r0, r1, 0
+    dx, dy = u1[0] * r1 - u0[0] * r0, u1[1] * r1 - u0[1] * r0
+    return r0 * r0, r1 * r1, dx * dx + dy * dy
+
+
+def _rescaled(values, s):
+    """The values times s, as they are when s is 1."""
+    return values if s == 1 else [v * s for v in values]
 
 
 def _segment_roots(walls, f0, f1, dd, seg, p):
     """(wall, poly, bracket) for each root in (0, 1) of each wall's poly on
     segment ``seg``: c0 = F0, c2 = c[2] dd, c1 = F1 - c0 - c2 from the
-    values F0, F1 at its ends and dd = |d|^2 in the plane, 0 in space
+    values F0, F1 at its ends on one scale and dd of ``_end_scales``
     (DECISIONS.md, "Wall values once per waypoint").  No poly is formed
     for a wall ``_rootless`` passes over.  A degenerate root raises naming
     the segment, points and mover p."""
@@ -566,7 +622,7 @@ def detect_events(tr: Trajectory, kind: str):
     empty circle), 'coplanar_special' (3D: convex coplanar quadruple with
     all other points strictly on one side).  A circle event carries the
     number of static points inside its circle as ``inside``.  Each mover
-    run gets one integer frame and one wall table, and each wall is
+    run gets one wall table over the homogeneous points, and each wall is
     evaluated once per waypoint.
     """
     if kind not in ("collinear3", "concyclic4", "delaunay_flip",
@@ -580,25 +636,25 @@ def detect_events(tr: Trajectory, kind: str):
     for p, run in itertools.groupby(tr.moves, key=lambda move: move[0]):
         mover = p - 1
         statics = [q for q in range(tr.n) if q != mover]
-        targets = [to for _, to in run]
-        # the run's frame: the statics, then the mover's waypoints
-        pts = _integer_frame([conf[q] for q in statics] + [conf[mover]]
-                             + targets)
-        frame = {q: _lift(pt) for q, pt in zip(statics, pts)}
-        walls = _wall_table(frame, statics, kind)
+        points = {q: _homogeneous(conf[q]) for q in statics}
+        lifted = {q: _lifted(u) for q, u in points.items()}
+        walls = _wall_table(points, lifted, statics, kind)
         line_at = {w[0]: k for k, w in enumerate(walls) if len(w[0]) == 2}
         # what the statics alone decide about a circle or plane, taken at
         # its first root in the run: the signs of its form off it, or for
         # delaunay_flip whether the circle is empty
         memo = {}
-        x0 = pts[len(statics)]
-        f0 = _values(walls, x0)
-        for x1 in pts[len(statics) + 1:]:
-            f1 = _values(walls, x1)
-            d = _sub(x1, x0)
+        u0 = _homogeneous(conf[mover])
+        h0 = _lifted(u0)
+        f0 = _values(walls, h0)
+        for _, target in run:
+            u1 = _homogeneous(target)
+            h1 = _lifted(u1)
+            f1 = _values(walls, h1)
+            s0, s1, dd = _end_scales(u0, u1, space)
+            e0, e1 = _rescaled(f0, s0), _rescaled(f1, s1)
             events = []
-            for wall, poly, br in _segment_roots(
-                    walls, f0, f1, 0 if space else _dot(d, d), seg, p):
+            for wall, poly, br in _segment_roots(walls, e0, e1, dd, seg, p):
                 trip = wall[0]
                 if len(trip) == 2:
                     # for the circle kinds: hull changes (collinearity
@@ -614,7 +670,7 @@ def detect_events(tr: Trajectory, kind: str):
                     continue
                 if trip not in memo:
                     memo[trip] = (_circle_empty if kind == "delaunay_flip"
-                                  else _off_wall_signs)(wall, frame, statics)
+                                  else _off_wall_signs)(wall, lifted, statics)
                 known = memo[trip]
                 if space:
                     sides = set(known)
@@ -625,13 +681,15 @@ def detect_events(tr: Trajectory, kind: str):
                         continue
                     # the mover's side of an edge (x, y) within the statics'
                     # plane, read along its normal c: the plane through x,
-                    # x + c and y, where the third static's side of (a, b)
-                    # is |c|^2 > 0
+                    # the direction (c, 0) and y, where the third static's
+                    # side of (a, b) is positive
                     edges = [((x, y), *_plane(
-                        frame[x], _add(frame[x], wall[1]), frame[y]))
+                        points[x], _diff(points[x], wall[1] + (0,)),
+                        _diff(points[x], points[y])))
                         for x, y in itertools.combinations(trip, 2)]
                     quad = _convex_quad(trip, mover, poly, br, 1, zip(
-                        _values(edges, x0), _values(edges, x1)))
+                        _rescaled(_values(edges, h0), s0),
+                        _rescaled(_values(edges, h1), s1)))
                     # not convex: a point crosses a face of the hull, no
                     # flip; kept, as the plane keeps its lines, to hold the
                     # other event brackets clear of it
@@ -652,7 +710,7 @@ def detect_events(tr: Trajectory, kind: str):
                 # the mover's sides of the triangle's edges: the edges' line
                 # walls at the segment's ends
                 quad = _convex_quad(trip, mover, poly, br, static, [
-                    (f0[k], f1[k]) for k in (
+                    (e0[k], e1[k]) for k in (
                         line_at[e] for e in itertools.combinations(trip, 2))])
                 if quad is None:
                     raise DegenerateTrajectory(
@@ -660,26 +718,13 @@ def detect_events(tr: Trajectory, kind: str):
                 events.append(Event(seg, br, kind, _labels(trip, p), poly,
                                     quad, inside=inside))
             for e in _separate_events(events):
-                if e.kind != "_separator":
-                    lo, hi, den = e.bracket
-                    e.bracket = (Fraction(lo, den), Fraction(hi, den))
-                    out.append(e)
-            x0, f0 = x1, f1
+                lo, hi, den = e.bracket
+                e.bracket = (Fraction(lo, den), Fraction(hi, den))
+                out.append(e)
+            u0, h0, f0 = u1, h1, f1
             seg += 1
-        conf[mover] = targets[-1]
+        conf[mover] = target
     return out
-
-
-def _sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
-def _add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ root anew.
 with the discriminant taken before the vertex test.
 ``per_segment_detect_events`` is ``detect_events`` as it ran before the
 wall table: each segment puts all points into the integer frame of the
-lcm of their denominators and writes every wall poly down anew
-there (``line_wall``, ``circle_wall``, ``plane_wall``,
+lcm of their denominators (``integer_frame``) and writes every wall poly
+down anew there (``line_wall``, ``circle_wall``, ``plane_wall``,
 ``segment_walls``), tests the statics at each change of mover
 (``static_genericity_2d``) and counts the statics inside a circle point by
 point (``inside_circle``).  It reads an event's cyclic order from its
@@ -28,14 +28,34 @@ from the points; a quadruple in space that is not in convex position
 becomes a separator, as in ``detect_events``."""
 
 import itertools
+import math
 from fractions import Fraction
 
 from gnk.gamma import dihedral_canonical
 from gnk.geometry import (DegenerateTrajectory, Event, PredicatePoly,
-                          _by_left_end, _dot, _inside, _integer_frame,
-                          _labels, _linear_root, _overlap, _separate_events,
-                          _sgn, _sub, _add, orient2d, point_in_circumcircle,
-                          sign_at_root)
+                          _by_left_end, _inside, _labels, _linear_root,
+                          _overlap, _separate_events, _sgn, orient2d,
+                          point_in_circumcircle, sign_at_root)
+
+
+def integer_frame(points):
+    """The rational points multiplied by the lcm of their coordinates'
+    denominators: int tuples on which every predicate has the same sign."""
+    scale = math.lcm(*(x.denominator for pt in points for x in pt))
+    return [tuple(x.numerator * (scale // x.denominator) for x in pt)
+            for pt in points]
+
+
+def _sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
 
 
 def bracket_rational_root(poly, r, lo, hi, den):
@@ -197,7 +217,8 @@ def inside_count(conf, triple) -> int:
 
 def sweep_separate_events(events):
     """Refine the brackets of the pairs that overlap at the start, in
-    itertools.combinations order, until pairwise disjoint; sort by time."""
+    itertools.combinations order, until pairwise disjoint; drop the
+    separators and sort the other events by time, in place."""
     brs = [e.bracket for e in events]
     for i, j in overlapping_pairs(brs):
         p1, p2 = events[i].poly, events[j].poly
@@ -217,6 +238,7 @@ def sweep_separate_events(events):
         brs[i], brs[j] = b1, b2
     for e, br in zip(events, brs):
         e.bracket = br
+    events[:] = [e for e in events if e.kind != "_separator"]
     events.sort(key=lambda e: _by_left_end(e.bracket))
     return events
 
@@ -339,7 +361,7 @@ def per_segment_detect_events(tr, kind):
     conf = list(tr.initial)
     for seg, (p, to) in enumerate(tr.moves):
         mover = p - 1
-        *frame, b = _integer_frame(conf + [to])
+        *frame, b = integer_frame(conf + [to])
         x0 = frame[mover]
         d = _sub(b, x0)
         events = []

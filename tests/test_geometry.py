@@ -1,5 +1,6 @@
 import collections
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -19,8 +20,8 @@ from gnk.words import format_word
 from geometry_oracles import (bisection_sign_at_root, bracket_rational_root,
                               circle_wall,
                               discriminant_first_roots, general_bisect,
-                              inside_circle, inside_count, line_wall,
-                              overlapping_pairs, per_call_side_at_root,
+                              inside_circle, inside_count, integer_frame,
+                              line_wall, overlapping_pairs, per_call_side_at_root,
                               per_segment_detect_events, plane_wall,
                               sweep_separate_events, two_sided_quad)
 from relator_oracles import quad_word
@@ -351,6 +352,42 @@ def test_trajectory_json_round_trip():
     assert tr2.initial == tr.initial
     assert tr2.moves == tr.moves
     assert tr.configurations()[-1] == tr.initial
+
+
+_PAIRS = "coordinates must be [num, den] pairs of ints"
+MALFORMED_POINTS = [
+    (5, "point 5: " + _PAIRS),
+    ({"x": 1}, "point {'x': 1}: " + _PAIRS),
+    ([[1, 2, 3], [0, 1]], "point [[1, 2, 3], [0, 1]]: " + _PAIRS),
+    ([[1, 2], [5]], "point [[1, 2], [5]]: " + _PAIRS),
+    ([[1, 2], 7], "point [[1, 2], 7]: " + _PAIRS),
+    ([[0.5, 1], [0, 1]], "point [[0.5, 1], [0, 1]]: " + _PAIRS),
+    ([[1, 2], [3, True]], "point [[1, 2], [3, True]]: " + _PAIRS),
+    ([["1", 2], [3, 4]], "point [['1', 2], [3, 4]]: " + _PAIRS),
+    ([[1, 0], [2, 1]], "zero denominator in point [[1, 0], [2, 1]]"),
+    ([[1, 3], [2, 0]], "zero denominator in point [[1, 3], [2, 0]]"),
+    # a mistyped pair anywhere is reported before a zero denominator
+    ([[1.5, 1], [1, 0]], "point [[1.5, 1], [1, 0]]: " + _PAIRS),
+    ([[1, 0], [1.5, 1]], "point [[1, 0], [1.5, 1]]: " + _PAIRS),
+    ([[1, 0], [2, 1, 1]], "point [[1, 0], [2, 1, 1]]: " + _PAIRS),
+]
+
+
+@pytest.mark.parametrize("point,message", MALFORMED_POINTS)
+def test_from_json_point_messages(point, message):
+    # every malformed point raises its message, as an initial point and as
+    # a move's target
+    good = [[0, 1], [0, 1]]
+    for points, to in (([point, good, good], good), ([good] * 3, point)):
+        text = json.dumps({"n": 3, "points": points,
+                           "moves": [{"p": 1, "to": to}]})
+        with pytest.raises(ValueError) as exc:
+            Trajectory.from_json(text)
+        assert str(exc.value) == message
+    tr = Trajectory.from_json(json.dumps(
+        {"points": [[[1, 3], [-4, 6]], good], "moves": []}))
+    assert tr.initial == [(F(1, 3), F(-2, 3)), (0, 0)]
+    assert all(type(x) is Fraction for pt in tr.initial for x in pt)
 
 
 def test_unknown_kind_and_target_raise():
@@ -918,7 +955,7 @@ def _wall_frames(rng):
         for lift in (False, True):
             pts = [(x, y, x * x + y * y) if lift else (x, y)
                    for x, y in conf + [to]]
-            *frame, b = geometry._integer_frame(pts)
+            *frame, b = integer_frame(pts)
             yield 2 + lift, frame, p - 1, b
 
 
@@ -942,15 +979,21 @@ def _side_wall(x0, d, p, q, r):
         p, _normal(p, q, r))), q)
 
 
-def _form_poly(form, x0, d):
-    """The poly of the doubled form (c, k) of a lifted wall along x0 + t d,
-    as the detector forms it: from the form's values at the two ends, with
-    c2 = c[2] |d|^2 in the plane and 0 in space."""
+def _homogeneous_lift(pt):
+    """The homogeneous lifted point the detector evaluates walls at."""
+    return geometry._lifted(geometry._homogeneous(pt))
+
+
+def _form_poly(form, x0, x1):
+    """The poly of the form (c, k) of a lifted wall along the segment from
+    x0 to x1, as the detector forms it: from the form's values at the two
+    ends, brought to one scale, with c2 = c[2] dd."""
     (c0, c1, c2), k = form
-    f0, f1 = (c0 * x + c1 * y + c2 * z + k
-              for x, y, z in (geometry._lift(x0), geometry._lift(
-                  tuple(x + dx for x, dx in zip(x0, d)))))
-    c2 *= sum(dx * dx for dx in d) if len(d) == 2 else 0
+    u0, u1 = geometry._homogeneous(x0), geometry._homogeneous(x1)
+    s0, s1, dd = geometry._end_scales(u0, u1, len(x0) == 3)
+    f0, f1 = (s * (c0 * x + c1 * y + c2 * z + k * w) for s, (x, y, z, w) in
+              ((s0, _homogeneous_lift(x0)), (s1, _homogeneous_lift(x1))))
+    c2 *= dd
     return PredicatePoly(c2, f1 - f0 - c2, f0)
 
 
@@ -959,26 +1002,24 @@ def _lifted_forms(dim, frame, statics):
     the plane the circles, each minus the plane through its lifted points,
     then the wall table's lines (none when three statics are collinear);
     in space the planes through three statics, then the mover's sides
-    within them, the plane through p, p + normal and q.  The walls come in
-    the detector's order."""
-    forms = []
+    within them, the plane through p, the direction (normal, 0) and q.
+    The walls come in the detector's order."""
+    points = {q: geometry._homogeneous(frame[q]) for q in statics}
     if dim == 2:
-        lifted = {q: geometry._lift(frame[q]) for q in statics}
-        for tup in itertools.combinations(statics, 3):
-            c, k = geometry._plane(*(lifted[q] for q in tup))
-            forms.append((incircle, tup, (tuple(-x for x in c), -k)))
+        lifted = {q: geometry._lifted(u) for q, u in points.items()}
+        forms = [(incircle, tup, (tuple(-x for x in c), -k))
+                 for tup, c, k in geometry._planes(lifted, statics)]
         try:
-            lines = geometry._wall_table(lifted, statics, "collinear3")
+            lines = geometry._wall_table(points, lifted, statics, "collinear3")
         except DegenerateTrajectory:
             lines = []
         return forms + [(orient2d, tup, (c, k)) for tup, c, k in lines]
-    for tup in itertools.combinations(statics, 3):
-        forms.append((orient3d, tup,
-                      geometry._plane(*(frame[q] for q in tup))))
-    for tup in itertools.combinations(statics, 3):
-        p, q, r = (frame[s] for s in tup)
+    planes = geometry._planes(points, statics)
+    forms = [(orient3d, tup, (c, k)) for tup, c, k in planes]
+    for tup, c, _ in planes:
+        p, q = points[tup[0]], points[tup[1]]
         forms.append((_side_predicate, tup, geometry._plane(
-            p, geometry._add(p, geometry._plane(p, q, r)[0]), q)))
+            p, geometry._diff(p, c + (0,)), geometry._diff(p, q))))
     return forms
 
 
@@ -1009,12 +1050,15 @@ def test_closed_form_walls_match_interpolate(monkeypatch):
     # every wall is a plane in the lifted space: the wall table's lines,
     # a circle as minus the plane through its lifted points, the plane
     # through three points and the mover's side within it (the plane
-    # through p, p + normal and q) give on each segment, from their values
-    # at its ends, the polys that interpolate orient2d, incircle, orient3d
-    # and the side determinant, coefficient for coefficient; so do the
-    # closed forms of the per-segment oracle and the walls the detector
-    # forms; it forms a poly for exactly the walls with a root in (0, 1) or
-    # a raise, and every wall it passes over has no root
+    # through p, the direction (normal, 0) and q) give on each segment,
+    # from their values at its ends, the polys that interpolate orient2d,
+    # incircle, orient3d and the side determinant, coefficient for
+    # coefficient up to the factor 2 that interpolate stores (4 for the
+    # side, whose oracle doubles the normal), since on int points every
+    # weight is 1; so do the closed forms of the per-segment oracle, with
+    # no factor, and the walls the detector forms; it forms a poly for
+    # exactly the walls with a root in (0, 1) or a raise, and every wall it
+    # passes over has no root
     oracle_walls = {orient2d: line_wall, incircle: circle_wall,
                     orient3d: plane_wall, _side_predicate: _side_wall}
     checked, end_checked = collections.Counter(), collections.Counter()
@@ -1028,9 +1072,12 @@ def test_closed_form_walls_match_interpolate(monkeypatch):
             want = PredicatePoly.interpolate(lambda t: predicate(
                 *pts, tuple(x + t * dx for x, dx in zip(x0, d))))
             want = (want.c2, want.c1, want.c0)
-            for got in (_form_poly(form, x0, d),
-                        oracle_walls[predicate](x0, d, *pts)):
-                assert (got.c2, got.c1, got.c0) == want, predicate
+            got = _form_poly(form, x0, b)
+            factor = 4 if predicate is _side_predicate else 2
+            assert tuple(factor * c for c in (got.c2, got.c1, got.c0)) \
+                == want, predicate
+            got = oracle_walls[predicate](x0, d, *pts)
+            assert (got.c2, got.c1, got.c0) == want, predicate
             if predicate is not _side_predicate:
                 end_values.append(want)
             checked[predicate.__name__] += 1
@@ -1039,7 +1086,7 @@ def test_closed_form_walls_match_interpolate(monkeypatch):
                               "concyclic4" if dim == 2 else "coplanar_special")
         if got is not None:
             formed = _screened(end_values)
-            assert [(p.c2, p.c1, p.c0) for p in got] == formed
+            assert [(2 * p.c2, 2 * p.c1, 2 * p.c0) for p in got] == formed
             end_checked["formed"] += len(formed)
             end_checked["passed over"] += len(end_values) - len(formed)
     assert all(checked[name] > 1000 for name in (
@@ -1053,8 +1100,8 @@ CANONICAL_TARGETS = {"circle_gn3": ("gn3",), "parabola_gn4": ("gn4",),
 
 
 def test_canonical_compiles_decide_on_ints_and_fractions(monkeypatch):
-    # every wall table is formed on an integer frame and evaluated at
-    # integer waypoints, every predicate polynomial (wall or side
+    # every wall table is formed on homogeneous int points and evaluated
+    # at homogeneous int waypoints, every predicate polynomial (wall or side
     # sign) has int coefficients, every point a sign is taken at is an int
     # pair (u, v) standing for u / v with v > 0, never a float, and reported
     # brackets are Fractions
@@ -1063,9 +1110,10 @@ def test_canonical_compiles_decide_on_ints_and_fractions(monkeypatch):
     roots = PredicatePoly.roots_in_unit_interval
     wall_table, values = geometry._wall_table, geometry._values
 
-    def recording_wall_table(frame, statics, kind):
-        coords.update(type(x) for pt in frame.values() for x in pt)
-        return wall_table(frame, statics, kind)
+    def recording_wall_table(points, lifted, statics, kind):
+        coords.update(type(x) for table in (points, lifted)
+                      for pt in table.values() for x in pt)
+        return wall_table(points, lifted, statics, kind)
 
     def recording_values(walls, pt):
         coords.update(type(x) for x in pt)
@@ -1618,11 +1666,40 @@ def test_detector_matches_per_segment_oracle():
         assert raises[message] > 0, message
 
 
-def test_run_frame_polys_are_per_segment_polys_times_m(monkeypatch):
-    # the run's frame S is a multiple m L of each segment's frame L, the lcm
-    # of the denominators of the segment's n + 1 points, so each poly formed
-    # from end values is the per-segment frame's poly times m^degree: m^2
-    # for a line, m^4 for a circle, m^3 for a plane
+def _weight(pt):
+    return math.lcm(*(x.denominator for x in pt))
+
+
+def _wall_factors(tr, conf, p, to):
+    """(statics, factor) for each wall the per-segment oracle forms on the
+    segment that moves point p from conf to ``to``, in its order: the
+    positive factor from its poly to the detector's.  The oracle doubles
+    the predicate on the frame L of the segment's n + 1 points; the
+    detector takes it on the homogeneous points, where a line through a
+    and b carries w_a w_b, a circle through a, b and c w_a^4 w_b^2 w_c^2
+    and a plane w_a^2 w_b w_c, at the segment's weight W = lcm(w_0, w_1),
+    squared in the plane."""
+    statics = [q for q in range(tr.n) if q != p - 1]
+    w = [_weight(pt) for pt in conf]
+    frame = math.lcm(*(_weight(pt) for pt in conf + [to]))
+    seg = math.lcm(w[p - 1], _weight(to))
+    if tr.dim == 3:
+        return [(trip, F(seg * w[trip[0]] ** 2 * w[trip[1]] * w[trip[2]],
+                         2 * frame ** 3))
+                for trip in itertools.combinations(statics, 3)]
+    return [(trip, F(seg ** 2 * w[trip[0]] ** 4 * w[trip[1]] ** 2
+                     * w[trip[2]] ** 2, 2 * frame ** 4))
+            for trip in itertools.combinations(statics, 3)] + [
+        (pair, F(seg ** 2 * w[pair[0]] * w[pair[1]], 2 * frame ** 2))
+        for pair in itertools.combinations(statics, 2)]
+
+
+def test_homogeneous_polys_are_per_segment_polys_times_positive_factor(
+        monkeypatch):
+    # each point at its own width: each poly formed from the end values of
+    # homogeneous points is the per-segment frame's poly times a positive
+    # factor of its own wall and segment, the weights of the wall's statics
+    # and of the segment over the width of the per-segment frame
     rng = random.Random("run frame")
     cases = [_rational_run_trajectory(rng, 6, dim, [2, 2, 5, 2, 2], False)
              for dim in (2, 3) for _ in range(3)]
@@ -1636,34 +1713,113 @@ def test_run_frame_polys_are_per_segment_polys_times_m(monkeypatch):
         new = _detector_polys(monkeypatch, detect_events, tr, kind)
         old = _detector_polys(monkeypatch, per_segment_detect_events, tr, kind)
         want = []
-        m = tr.n - 1
-        powers = ([4] * math.comb(m, 3) + [2] * math.comb(m, 2)
-                  if tr.dim == 2 else [3] * math.comb(m, 3))
-        confs = tr.configurations()
-        for seg, (conf, (p, to)) in enumerate(zip(confs, tr.moves)):
-            first = seg
-            while first and tr.moves[first - 1][0] == p:
-                first -= 1
-            last = seg
-            while last + 1 < len(tr.moves) and tr.moves[last + 1][0] == p:
-                last += 1
-            run = confs[first] + [to for _, to in tr.moves[first:last + 1]]
-            scale = math.lcm(*(x.denominator for pt in run for x in pt))
-            full = math.lcm(*(x.denominator for pt in conf + [to]
-                              for x in pt))
-            assert scale % full == 0
-            seen[scale > full] += 1
-            for power in powers:
+        for conf, (p, to) in zip(tr.configurations(), tr.moves):
+            seen[_weight(conf[p - 1]) != _weight(to)] += 1
+            for _, factor in _wall_factors(tr, conf, p, to):
+                assert factor > 0
                 b = old.pop(0)
-                factor = (scale // full) ** power
-                want.append((factor * b.c2, factor * b.c1, factor * b.c0))
+                want.append(tuple(factor * c for c in (b.c2, b.c1, b.c0)))
         assert not old
         formed = _screened(want)
         assert [(a.c2, a.c1, a.c0) for a in new] == formed
         seen["formed"] += len(formed)
         seen["passed over"] += len(want) - len(formed)
+    # segments whose two ends are rescaled, and ones whose are not
     assert seen[True] > 10 and seen[False] > 0
     assert seen["formed"] > 200 and seen["passed over"] > 1500
+
+
+# ---------------------------------------------------------------------------
+# each point at its own width: homogeneous points, each with the lcm of its
+# own denominators as its weight
+
+
+def _wide_rational(rng, box=10, den=10 ** 6):
+    d = rng.randint(1, den)
+    return F(rng.randint(-box * d, box * d), d)
+
+
+def _wide_frames(rng):
+    """(source, dim, points, mover, target): seeded frames of six points
+    with denominators drawn independently up to 10^6, in the plane and in
+    space, then circle_points(n), n = 5-12, with point 1 moving to the
+    scaled point 2, as a canonical loop starts."""
+    for dim in (2, 3):
+        for _ in range(30):
+            yield ("seeded", dim, [tuple(_wide_rational(rng)
+                                         for _ in range(dim))
+                                   for _ in range(6)], rng.randrange(6),
+                   tuple(_wide_rational(rng) for _ in range(dim)))
+    for n in range(5, 13):
+        pts = circle_points(n)
+        inner = 1 - F(1, 2 * n * n)
+        yield "circle", 2, pts, 0, tuple(x * inner for x in pts[1])
+
+
+def _positive_multiple(got, want) -> bool:
+    """Is got = m want, coefficient by coefficient, for one m > 0?"""
+    if any((g == 0) != (w == 0) for g, w in zip(got, want)):
+        return False
+    ratios = {F(g) / w for g, w in zip(got, want) if w}
+    return len(ratios) <= 1 and all(r > 0 for r in ratios)
+
+
+def test_homogeneous_walls_are_positive_multiples_of_fraction_walls():
+    # every line, circle and plane form on homogeneous points, and the
+    # mover's side within a plane, gives on a segment with unrelated
+    # denominators a positive multiple of the poly the Fraction oracle
+    # interpolates, and at each static off it the sign of the predicate on
+    # Fractions
+    checked = collections.Counter()
+    for source, dim, frame, mover, b in _wide_frames(
+            random.Random("homogeneous")):
+        x0 = frame[mover]
+        statics = [q for q in range(len(frame)) if q != mover]
+        for predicate, tup, form in _lifted_forms(dim, frame, statics):
+            pts = [frame[q] for q in tup]
+            want = OraclePoly.interpolate(lambda t: predicate(
+                *pts, tuple(x + t * (y - x) for x, y in zip(x0, b))))
+            got = _form_poly(form, x0, b)
+            assert _positive_multiple((got.c2, got.c1, got.c0),
+                                      (want.c2, want.c1, want.c0)), predicate
+            (c0, c1, c2), k = form
+            for s in statics:
+                x, y, z, w = _homogeneous_lift(frame[s])
+                assert geometry._sgn(c0 * x + c1 * y + c2 * z + k * w) \
+                    == geometry._sgn(predicate(*pts, frame[s])), predicate
+            checked[predicate.__name__, source] += 1
+    for name in ("orient2d", "incircle", "orient3d", "_side_predicate"):
+        assert checked[name, "seeded"] > 200, name
+    assert checked["incircle", "circle"] > 400
+    assert checked["orient2d", "circle"] > 200
+
+
+def _wide_loop(rng, n=8, waypoints=5):
+    """n points with denominators drawn independently up to 10^6, one
+    mover through ``waypoints`` random waypoints and back to its start."""
+    pts = [(_wide_rational(rng), _wide_rational(rng)) for _ in range(n)]
+    p = rng.randint(1, n)
+    return Trajectory(pts, [(p, (_wide_rational(rng), _wide_rational(rng)))
+                            for _ in range(waypoints)] + [(p, pts[p - 1])])
+
+
+def test_detector_matches_per_segment_oracle_on_wide_loops():
+    # loops whose waypoints have unrelated denominators, each segment
+    # rescaled to the lcm of its two weights: event logs, brackets
+    # included, and raises as the per-segment frame gives them
+    events, raises = collections.Counter(), collections.Counter()
+    rng = random.Random("wide loops")
+    for _ in range(30):
+        tr = _wide_loop(rng)
+        for kind in ("collinear3", "concyclic4", "delaunay_flip"):
+            want = _detector_outcome(per_segment_detect_events, tr, kind)
+            assert _detector_outcome(detect_events, tr, kind) == want, kind
+            if isinstance(want, tuple):
+                raises[kind] += 1
+            else:
+                events[kind] += len(want)
+    assert all(events[kind] > 100 for kind in (
+        "collinear3", "concyclic4", "delaunay_flip")), events
 
 
 # ---------------------------------------------------------------------------
@@ -1678,15 +1834,19 @@ def _frame_walls(dim, frame, mover, b):
     space) and its values at the two ends; None when the statics are
     degenerate."""
     statics = [q for q in range(len(frame)) if q != mover]
-    lifted = {q: geometry._lift(frame[q]) for q in statics}
+    points = {q: geometry._homogeneous(frame[q]) for q in statics}
     try:
         walls = geometry._wall_table(
-            lifted, statics, "concyclic4" if dim == 2 else "coplanar_special")
+            points, {q: _homogeneous_lift(frame[q]) for q in statics},
+            statics, "concyclic4" if dim == 2 else "coplanar_special")
     except DegenerateTrajectory:
         return None
-    d = geometry._sub(b, frame[mover])
-    return (walls, geometry._values(walls, frame[mover]),
-            geometry._values(walls, b), geometry._dot(d, d) if dim == 2 else 0)
+    u0, u1 = geometry._homogeneous(frame[mover]), geometry._homogeneous(b)
+    s0, s1, dd = geometry._end_scales(u0, u1, dim == 3)
+    return (walls, geometry._rescaled(geometry._values(
+                walls, _homogeneous_lift(frame[mover])), s0),
+            geometry._rescaled(geometry._values(
+                walls, _homogeneous_lift(b)), s1), dd)
 
 
 def test_rootless_walls_match_discriminant_first():
@@ -1795,7 +1955,7 @@ def test_circle_emptiness_matches_full_inside_count():
         if table is None:
             continue
         statics = [q for q in range(len(frame)) if q != mover]
-        lifted = {q: geometry._lift(frame[q]) for q in statics}
+        lifted = {q: _homogeneous_lift(frame[q]) for q in statics}
         for w in table[0]:
             if len(w[0]) == 3:
                 empty = geometry._circle_empty(w, lifted, statics)
