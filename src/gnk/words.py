@@ -169,11 +169,14 @@ def reduce_letters(alphabet: Alphabet, letters) -> tuple:
     """
     flip = 0 if alphabet.involutive else 1
     out = []
+    top = -1            # inverse of the stack top; no code is negative
     for c in letters:
-        if out and out[-1] == c ^ flip:
+        if c == top:
             out.pop()
+            top = out[-1] ^ flip if out else -1
         else:
             out.append(c)
+            top = c ^ flip
     return tuple(out)
 
 
@@ -431,17 +434,20 @@ def _token_letter(tok):
     return (tok[:-3], -1) if tok.endswith("^-1") else (tok, 1)
 
 
-def _tokens(text: str) -> list:
-    """The tokens of a text, the identity ``1`` left out."""
+def _tokens(text: str) -> tuple:
+    """(tokens, distinct tokens) of a text, the identity ``1`` left out of
+    both; ``1`` is looked for among the distinct tokens."""
     tokens = text.split()
-    if "1" in tokens:
+    distinct = set(tokens)
+    if "1" in distinct:
+        distinct.discard("1")
         tokens = [tok for tok in tokens if tok != "1"]
-    return tokens
+    return tokens, distinct
 
 
 def read_symbols(text: str) -> list:
     """Sorted distinct symbols of a text in the token grammar."""
-    return sorted({_token_letter(tok)[0] for tok in set(_tokens(text))})
+    return sorted({_token_letter(tok)[0] for tok in _tokens(text)[1]})
 
 
 def _encode_tokens(alphabet: Alphabet, tokens, distinct) -> list:
@@ -459,16 +465,14 @@ def read_letters(alphabet: Alphabet, text: str) -> list:
     """Codes of a text in the token grammar, unreduced; each distinct token
     is encoded once, so equal letters share one int object.  An unknown
     symbol raises UnknownSymbolError naming the first in the text."""
-    tokens = _tokens(text)
-    return _encode_tokens(alphabet, tokens, set(tokens))
+    return _encode_tokens(alphabet, *_tokens(text))
 
 
 def read_text(text: str, involutive: bool = True):
     """(alphabet, codes) of a text in the token grammar, from one split:
     the alphabet of its sorted distinct symbols (``read_symbols``) and the
     codes ``read_letters`` gives over it."""
-    tokens = _tokens(text)
-    distinct = set(tokens)
+    tokens, distinct = _tokens(text)
     alphabet = Alphabet(sorted({_token_letter(tok)[0] for tok in distinct}),
                         involutive)
     return alphabet, _encode_tokens(alphabet, tokens, distinct)

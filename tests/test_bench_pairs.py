@@ -1,7 +1,10 @@
 """``tools/bench_pairs.py``'s seed ranges and summary, on synthetic run
 records: no benchmark process is started."""
 
+import argparse
 import importlib.util
+import json
+import shlex
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
@@ -53,3 +56,80 @@ def test_summary_wins_ties_and_failed_shares():
                               "failed_share": 0.1, "all_correct": True}
     assert out["trajectories"]["metrics"]["wall_s"]["change_wins"] == 2
 
+
+
+def _metric_runs(name, parent, change):
+    """Runs of one workload, one pair per seed, with one metric ``name``."""
+    runs = []
+    for seed, values in enumerate(zip(parent, change), 1):
+        for side, value in zip(("parent", "change"), values):
+            run = _run("certificates", seed, side, 0.0, 0)
+            run["result"]["metrics"] = {name: {"unit": "ms", "value": value}}
+            runs.append(run)
+    return runs
+
+
+def _flags(name, parent, change, bounds):
+    m = bench_pairs.summary(_metric_runs(name, parent, change),
+                            bounds)["certificates"]["metrics"][name]
+    return m["change_wins"], m["gain_shown"], m["within_bound"]
+
+
+def test_gain_shown_needs_nine_of_ten_and_a_gap_beyond_the_iqr():
+    parent = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
+    # parent IQR 1.0675 - 1.0225 = 0.045; change median 0.9 lower by 0.145
+    change = [0.9] * 9 + [1.5]
+    assert _flags("job_p50_ms", parent, change, {}) == (9, True, None)
+    # eight wins of ten are not enough, however wide the gap
+    change = [0.9] * 8 + [1.5] * 2
+    assert _flags("job_p50_ms", parent, change, {})[:2] == (8, False)
+    # ten wins, but a median gap inside the parent's IQR
+    change = [p - 0.01 for p in parent]
+    assert _flags("job_p50_ms", parent, change, {})[:2] == (10, False)
+    # four of four pairs count as winning at least 9/10 of them
+    assert _flags("wall_s", [1.0, 1.0, 1.0, 1.0], [0.5] * 4, {})[:2] \
+        == (4, True)
+    assert _flags("wall_s", [1.0, 1.0, 1.0, 1.0], [0.5] * 3 + [1.0],
+                  {})[:2] == (3, False)
+
+
+def test_within_bound_reads_each_metrics_own_bound():
+    parent = [2.0] * 4
+    # parent x (1 + bound) itself is within the bound, a hair above is not
+    assert _flags("wall_s", parent, [2.5] * 4, {"wall_s": 0.25})[2] is True
+    assert _flags("wall_s", parent, [2.51] * 4, {"wall_s": 0.25})[2] is False
+    assert _flags("wall_s", parent, [2.3] * 4, {"wall_s": 0.1})[2] is False
+    assert _flags("wall_s", parent, [1.0] * 4, {"wall_s": 0.1})[2] is True
+    # a metric without an end-to-end bound gets None
+    assert _flags("wall_s", parent, [2.0] * 4, {"setup_s": 0.25})[2] is None
+
+
+def test_end_to_end_bounds_come_from_the_benchmark_file(tmp_path):
+    path = tmp_path / "BENCHMARK.json"
+    path.write_text(json.dumps({"end_to_end": [
+        {"name": "wall_s", "bound": 0.25},
+        {"name": "peak_rss_mb", "bound": 0.1}], "per_layer": [
+        {"name": "words.reduce_s"}]}))
+    assert bench_pairs.end_to_end_bounds(str(path)) == {
+        "wall_s": 0.25, "peak_rss_mb": 0.1}
+    # by default the repository's own file, read and not written
+    bench = Path(bench_pairs.ROOT) / "BENCHMARK.json"
+    before = bench.read_bytes()
+    names = [m["name"] for m in json.loads(before)["end_to_end"]]
+    assert sorted(bench_pairs.end_to_end_bounds()) == sorted(names)
+    assert bench.read_bytes() == before
+    # summary() falls back to those bounds
+    out = bench_pairs.summary(_metric_runs("wall_s", [1.0] * 2, [1.0] * 2))
+    assert out["certificates"]["metrics"]["wall_s"]["within_bound"] is True
+
+
+def test_rebuild_command_names_the_parent_by_commit():
+    args = argparse.Namespace(
+        parent="HEAD", pairs=["certificates=351-360", "trajectories=1-4"],
+        out="BENCH_x.json", label="x", what="one 'quoted' change")
+    cmd = bench_pairs.rebuild_command(args, "a1b2c3d4e5f6")
+    assert shlex.split(cmd) == [
+        "python3", "tools/bench_pairs.py", "--parent", "a1b2c3d4e5f6",
+        "--pairs", "certificates=351-360", "--pairs", "trajectories=1-4",
+        "--out", "BENCH_x.json", "--label", "x",
+        "--what", "one 'quoted' change"]

@@ -374,19 +374,25 @@ def test_reduce_matches_old_reduction_at_labels_10():
 def test_read_letters_matches_old_reader():
     rng = random.Random(6)
     pool = ["a", "g12", "g3^-1", "1", "b_1^-1", "x", "^-1", "g12^-1",
-            "a_{1,10}", "a_{1,10}^-1"]
+            "a_{1,10}", "a_{1,10}^-1", "1^-1", "g1", "g10"]
+    texts = [" ".join(toks) for toks in itertools.product(
+        ("1", "1^-1", "g1", "g10"), repeat=3)]
+    texts += ["1", " 1 \n\n 1", "\t1\n", "1 " * 50, "1 1^-1", "1^-1 1",
+              "g1 1 g10 1", "1 g10^-1 1 g1^-1 1", "1 1^-1 1^-1 1"]
     for _ in range(200):
-        toks = [rng.choice(pool) for _ in range(rng.randint(0, 30))]
-        text = "".join(t + rng.choice((" ", "\n", "\t", "  \n\n"))
-                       for t in toks)
+        toks = [rng.choice(pool if rng.random() < 0.8 else ["1"])
+                for _ in range(rng.randint(0, 30))]
+        texts.append("".join(t + rng.choice((" ", "\n", "\t", "  \n\n"))
+                             for t in toks))
+    for text in texts:
         symbols = read_symbols(text)
         assert symbols == list(old_token_alphabet(text, True).symbols)
         for invol in (True, False):
-            ab = Alphabet(symbols, involutive=invol)
+            ab = old_token_alphabet(text, invol)
+            want = [(s, 1 if invol else e) for s, e in old_parse_letters(text)]
             codes = read_letters(ab, text)
-            assert list(ab.decode(codes)) == [
-                (s, 1 if invol else e) for s, e in old_parse_letters(text)]
-            # one split gives the same alphabet and codes
+            assert list(ab.decode(codes)) == want
+            # one split gives the old reader's alphabet and the same codes
             assert read_text(text, invol) == (ab, codes)
     assert read_symbols("") == read_symbols(" 1 \n\n 1") == []
     assert read_letters(Alphabet([]), " 1 \n\n 1") == []
@@ -395,6 +401,43 @@ def test_read_letters_matches_old_reader():
     codes = read_letters(big, "g150 g199^-1 g150 g199^-1")
     assert codes == [300, 399, 300, 399]
     assert codes[0] is codes[2] and codes[1] is codes[3]
+
+
+def test_reduce_letters_matches_old_reduction_across_empty_stacks():
+    """Words that cancel to nothing mid-way and restart with code 0 or 1,
+    the codes nearest the empty stack's -1, over free and involutive
+    alphabets, labels >= 10 included, given as a list and as a map."""
+    rng = random.Random(35)
+    for invol in (False, True):
+        for symbols in (["a", "b", "c"], LABELS10):
+            ab = Alphabet(symbols, involutive=invol)
+            first = ab.symbols[0]          # codes 0 and 1
+            assert ab.encode([(first, 1), (first, -1)]) == [0, ab.inverse(0)]
+            for _ in range(200):
+                letters = []
+                for _ in range(rng.randint(1, 5)):
+                    # a piece that starts at code 0 or 1 and cancels away
+                    block = [(first, rng.choice((1, -1)))] + [
+                        (rng.choice(ab.symbols), rng.choice((1, -1)))
+                        for _ in range(rng.randint(0, 8))]
+                    letters += block + [(s, -e) for s, e in reversed(block)]
+                if rng.random() < 0.5:
+                    letters.insert(rng.randint(0, len(letters)),
+                                   (rng.choice(ab.symbols),
+                                    rng.choice((1, -1))))
+                letters += [(first, rng.choice((1, -1)))
+                            for _ in range(rng.randint(0, 3))]
+                want = old_reduce_letters(ab, letters)
+                codes = ab.encode(letters)
+                assert ab.decode(reduce_letters(ab, codes)) == want, letters
+                assert ab.decode(reduce_letters(ab, map(int, codes))) == want
+    for invol in (False, True):
+        ab = Alphabet(LABELS10, involutive=invol)
+        inv = ab.inverse
+        for c in {0, inv(0)}:
+            assert reduce_letters(ab, [c, inv(c), c]) == (c,)
+            assert reduce_letters(ab, map(int, [c, inv(c)] * 3)) == ()
+            assert reduce_letters(ab, [2, inv(2), c, 4, inv(4)]) == (c,)
 
 
 def _shortest_by_rewrites(alphabet, letters, commutes):

@@ -13,8 +13,14 @@ of a side is removed before each of its runs, and
 PYTHONDONTWRITEBYTECODE=1 keeps the runs from writing one.  The JSON file
 lists every run; per workload, each side's failed and attempted job runs
 and whether every run was correct; and per workload and metric, each
-side's median and quartiles and the number of pairs the change won.  Its
-``rebuild`` field is the command that made it.
+side's median and quartiles, the number of pairs the change won, and two
+flags: ``gain_shown`` (the change won at least 9 of 10 pairs and its
+median is lower than the parent's by more than the parent's interquartile
+range) and ``within_bound`` (the change's median is at most the parent's
+times 1 + the metric's end-to-end bound in ``BENCHMARK.json``; None for a
+metric without one).  Its ``rebuild`` field is the command that made it,
+with the parent named by its commit id, so that it still names the same
+parent once the change is committed.
 """
 
 import argparse
@@ -64,16 +70,27 @@ def run_once(tree, workload, seed):
     return json.loads(out.strip().splitlines()[-1])
 
 
+def end_to_end_bounds(path=os.path.join(ROOT, "BENCHMARK.json")):
+    """Metric name -> relative bound of the benchmark's end-to-end
+    metrics."""
+    with open(path) as f:
+        return {m["name"]: m["bound"] for m in json.load(f)["end_to_end"]}
+
+
 def quartiles(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summary(runs):
+def summary(runs, bounds=None):
     """Per workload: each side's failed and attempted job runs, summed over
     its runs, and whether every run was correct; and per metric, each
-    side's quartiles and the pairs the change won (lower is better for
-    every metric), ties counting for neither side."""
+    side's quartiles, the pairs the change won (lower is better for every
+    metric), ties counting for neither side, and the flags ``gain_shown``
+    and ``within_bound``.  ``bounds`` maps a metric name to its relative
+    bound, ``end_to_end_bounds()`` when not given."""
+    if bounds is None:
+        bounds = end_to_end_bounds()
     out = {}
     for workload in sorted({r["workload"] for r in runs}):
         pairs = {}
@@ -94,14 +111,31 @@ def summary(runs):
             values = {side: [p[side]["metrics"][name]["value"]
                              for p in pairs.values()]
                       for side in ("parent", "change")}
+            parent, change = (quartiles(values["parent"]),
+                              quartiles(values["change"]))
+            wins = sum(c < p for p, c in zip(values["parent"],
+                                             values["change"]))
+            bound = bounds.get(name)
             metrics[name] = {
-                "parent": quartiles(values["parent"]),
-                "change": quartiles(values["change"]),
-                "change_wins": sum(c < p for p, c in zip(values["parent"],
-                                                         values["change"])),
-                "pairs": len(pairs)}
+                "parent": parent, "change": change,
+                "change_wins": wins, "pairs": len(pairs),
+                "gain_shown": (10 * wins >= 9 * len(pairs)
+                               and parent["median"] - change["median"]
+                               > parent["q3"] - parent["q1"]),
+                "within_bound": None if bound is None else
+                change["median"] <= parent["median"] * (1 + bound)}
         out[workload] = {"job_runs": job_runs, "metrics": metrics}
     return out
+
+
+def rebuild_command(args, parent):
+    """The command line that repeats a run of ``args`` against the parent
+    commit ``parent``."""
+    cmd = ["python3", "tools/bench_pairs.py", "--parent", parent]
+    for p in args.pairs:
+        cmd += ["--pairs", p]
+    return shlex.join(cmd + ["--out", args.out, "--label", args.label,
+                             "--what", args.what])
 
 
 def main(argv=None):
@@ -137,8 +171,7 @@ def main(argv=None):
     report = {
         "label": args.label,
         "what": args.what,
-        "rebuild": shlex.join(["python3", "tools/bench_pairs.py"]
-                              + (sys.argv[1:] if argv is None else argv)),
+        "rebuild": rebuild_command(args, parent),
         "parent_commit": parent,
         "command": COMMAND,
         "order": "one parent run and one change run per seed, the change "
