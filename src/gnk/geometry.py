@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from .gamma import Gamma4Group, dihedral_canonical
 from .gnk import GnkGroup
+from .words import Word
 
 
 class DegenerateTrajectory(Exception):
@@ -387,41 +388,43 @@ class Event:
             self.bracket[0], self.bracket[1])
 
 
-# sort key of brackets by left end, compared exactly
-_by_left_end = functools.cmp_to_key(lambda b1, b2: b1[0] * b2[2] - b2[0] * b1[2])
-
-
 def _separate_events(events):
-    """Refine brackets until pairwise disjoint within one segment, drop the
-    separators, and sort the other events by time, in place.
+    """Sort one segment's events by time, in place, refining a pair of
+    brackets only when the sort compares them, and drop the separators.
 
-    One pass over the pairs i < j in lexicographic order refines each pair
-    while its current brackets overlap; row i holds b_i, which no later row
-    changes.  Brackets only shrink, so a pair disjoint at the start is
-    passed over, and shares_root, whose candidate root does not depend on
-    the bracket, answers a pair once.
+    A compared pair is bisected in lockstep until its brackets are
+    disjoint, after one shares_root test of their overlap; brackets only
+    shrink, and a comparison sort compares every pair adjacent in its
+    output, so the sorted brackets end pairwise disjoint (DECISIONS.md,
+    "Event order by one sort").
     """
-    for i, e1 in enumerate(events):
-        p1, b1 = e1.poly, e1.bracket
-        for e2 in events[i + 1:]:
-            p2, b2 = e2.poly, e2.bracket
-            guard = 0
-            while not (b1[1] * b2[2] <= b2[0] * b1[2]
-                       or b2[1] * b1[2] <= b1[0] * b2[2]):
-                if guard == 0 and p1.shares_root(p2, _overlap(b1, b2)):
-                    raise DegenerateTrajectory(
-                        "simultaneous events %r and %r in segment %d"
-                        % (e1.participants, e2.participants, e1.segment))
-                b1, b2 = p1.bisect(b1), p2.bisect(b2)
-                guard += 1
-                if guard > 4000:
-                    raise DegenerateTrajectory(
-                        "cannot separate event brackets")
-            e2.bracket = b2
-        e1.bracket = b1
-    # disjoint brackets: left ends are distinct
+    detected = list(events)
+
+    def order(e1, e2):
+        b1, b2 = e1.bracket, e2.bracket
+        if b1[1] * b2[2] <= b2[0] * b1[2]:
+            return -1
+        if b2[1] * b1[2] <= b1[0] * b2[2]:
+            return 1
+        p1, p2 = e1.poly, e2.poly
+        if p1.shares_root(p2, _overlap(b1, b2)):
+            if detected.index(e1) > detected.index(e2):
+                e1, e2 = e2, e1
+            raise DegenerateTrajectory(
+                "simultaneous events %r and %r in segment %d"
+                % (e1.participants, e2.participants, e1.segment))
+        for _ in range(4000):
+            b1, b2 = p1.bisect(b1), p2.bisect(b2)
+            if b1[1] * b2[2] <= b2[0] * b1[2]:
+                e1.bracket, e2.bracket = b1, b2
+                return -1
+            if b2[1] * b1[2] <= b1[0] * b2[2]:
+                e1.bracket, e2.bracket = b1, b2
+                return 1
+        raise DegenerateTrajectory("cannot separate event brackets")
+
+    events.sort(key=functools.cmp_to_key(order))
     events[:] = [e for e in events if e.kind != "_separator"]
-    events.sort(key=lambda e: _by_left_end(e.bracket))
     return events
 
 
@@ -763,11 +766,13 @@ def compile_word(tr: Trajectory, target: str):
     events = detect_events(tr, kind)
     if gn:
         return group.word_from_subsets([e.participants for e in events]), events
+    # _convex_quad gives each quad in its least dihedral form
+    code = group.alphabet.code
     if target != "gamma4_graded":
-        return group.word_from_quads([e.quad for e in events]), events
+        return Word(group.alphabet, [code[e.quad] for e in events]), events
     # z: the static points inside the event circle
     return group.graded_words(
-        [(e.inside, group.letter(e.quad)) for e in events]), events
+        [(e.inside, code[e.quad]) for e in events]), events
 
 
 # ---------------------------------------------------------------------------

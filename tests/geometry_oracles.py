@@ -1,7 +1,10 @@
-"""Event separation as it ran before the row-wise pass: a sweep lists the
-bracket pairs that overlap at the start, and only those are refined.  The
-tests compare the row-wise pass with it.  Also the in-circle count point by
-point, by ``point_in_circumcircle``.
+"""Event separation as it ran before the one sort: the row-wise pass
+(``rowwise_separate_events``) refines every pair of brackets that overlaps
+when visited, and before it a sweep (``sweep_separate_events``) listed the
+pairs that overlap at the start and refined only those.  The tests compare
+the sort's order with the row-wise pass, and the row-wise pass with the
+sweep.  Also the in-circle count point by point, by
+``point_in_circumcircle``.
 
 ``bracket_rational_root`` is the bracket of a rational root as
 ``PredicatePoly`` made it before its closed form: halved until both ends
@@ -27,15 +30,19 @@ order and the parity (``side_at_root``), with the side polys written down
 from the points; a quadruple in space that is not in convex position
 becomes a separator, as in ``detect_events``."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 from gnk.gamma import dihedral_canonical
 from gnk.geometry import (DegenerateTrajectory, Event, PredicatePoly,
-                          _by_left_end, _inside, _labels, _linear_root,
-                          _overlap, _separate_events, _sgn, orient2d,
+                          _inside, _labels, _linear_root, _overlap,
+                          _separate_events, _sgn, orient2d,
                           point_in_circumcircle, sign_at_root)
+
+# sort key of brackets by left end, compared exactly
+_by_left_end = functools.cmp_to_key(lambda b1, b2: b1[0] * b2[2] - b2[0] * b1[2])
 
 
 def integer_frame(points):
@@ -213,6 +220,40 @@ def inside_count(conf, triple) -> int:
     a, b, c = (conf[q] for q in triple)
     return sum(1 for t, pt in enumerate(conf) if t not in triple
                and point_in_circumcircle(a, b, c, pt) > 0)
+
+
+def rowwise_separate_events(events):
+    """Refine brackets until pairwise disjoint within one segment, drop the
+    separators, and sort the other events by time, in place.
+
+    One pass over the pairs i < j in lexicographic order refines each pair
+    while its current brackets overlap; row i holds b_i, which no later row
+    changes.  Brackets only shrink, so a pair disjoint at the start is
+    passed over, and shares_root, whose candidate root does not depend on
+    the bracket, answers a pair once.
+    """
+    for i, e1 in enumerate(events):
+        p1, b1 = e1.poly, e1.bracket
+        for e2 in events[i + 1:]:
+            p2, b2 = e2.poly, e2.bracket
+            guard = 0
+            while not (b1[1] * b2[2] <= b2[0] * b1[2]
+                       or b2[1] * b1[2] <= b1[0] * b2[2]):
+                if guard == 0 and p1.shares_root(p2, _overlap(b1, b2)):
+                    raise DegenerateTrajectory(
+                        "simultaneous events %r and %r in segment %d"
+                        % (e1.participants, e2.participants, e1.segment))
+                b1, b2 = p1.bisect(b1), p2.bisect(b2)
+                guard += 1
+                if guard > 4000:
+                    raise DegenerateTrajectory(
+                        "cannot separate event brackets")
+            e2.bracket = b2
+        e1.bracket = b1
+    # disjoint brackets: left ends are distinct
+    events[:] = [e for e in events if e.kind != "_separator"]
+    events.sort(key=lambda e: _by_left_end(e.bracket))
+    return events
 
 
 def sweep_separate_events(events):

@@ -1,4 +1,7 @@
 import collections
+import contextlib
+import functools
+import io
 import itertools
 import json
 import math
@@ -23,7 +26,8 @@ from geometry_oracles import (bisection_sign_at_root, bracket_rational_root,
                               inside_circle, inside_count, integer_frame,
                               line_wall, overlapping_pairs, per_call_side_at_root,
                               per_segment_detect_events, plane_wall,
-                              sweep_separate_events, two_sided_quad)
+                              rowwise_separate_events, sweep_separate_events,
+                              two_sided_quad)
 from relator_oracles import quad_word
 
 F = Fraction
@@ -658,22 +662,29 @@ class OracleEvent:
 
 
 def _oracle_separate(events):
-    for e1, e2 in itertools.combinations(events, 2):
+    # the detector's sort rule: a pair is refined only when compared
+    detected = list(events)
+
+    def order(e1, e2):
         guard = 0
         while not (e1.bracket[1] <= e2.bracket[0]
                    or e2.bracket[1] <= e1.bracket[0]):
             overlap = (max(e1.bracket[0], e2.bracket[0]),
                        min(e1.bracket[1], e2.bracket[1]))
-            if e1.poly.shares_root(e2.poly, *overlap):
+            if guard == 0 and e1.poly.shares_root(e2.poly, *overlap):
+                first, second = sorted((e1, e2), key=detected.index)
                 raise DegenerateTrajectory(
                     "simultaneous events %r and %r in segment %d"
-                    % (e1.participants, e2.participants, e1.segment))
+                    % (first.participants, second.participants,
+                       first.segment))
             e1.bracket = e1.poly.bisect(*e1.bracket)
             e2.bracket = e2.poly.bisect(*e2.bracket)
             guard += 1
             if guard > 4000:
                 raise DegenerateTrajectory("cannot separate event brackets")
-    events.sort(key=lambda e: e.bracket[0])
+        return -1 if e1.bracket[1] <= e2.bracket[0] else 1
+
+    events.sort(key=functools.cmp_to_key(order))
     return events
 
 
@@ -1197,20 +1208,27 @@ def test_dense_separation_matches_fraction_oracle(monkeypatch, target, dim,
                                                   ns, segments):
     # full event logs, brackets included, as the Fraction detector gives
     # them, on segments that start with overlapping brackets; on every
-    # segment the row-wise pass gives the brackets and order of the sweep
-    # over the pairs that overlap at the start, and the sweep finds exactly
-    # those pairs
+    # segment the sort gives the order of the row-wise pass, and the
+    # row-wise pass the brackets and order of the sweep over the pairs that
+    # overlap at the start, and the sweep finds exactly those pairs
     separate, overlapping = geometry._separate_events, [0]
+
+    def copied(events):
+        return [geometry.Event(e.segment, e.bracket, e.kind, e.participants,
+                               e.poly, e.quad, e.side) for e in events]
+
+    def order(separation):
+        return separation if isinstance(separation, str) else \
+            [k for k, _ in separation]
 
     def checking_separate(events):
         want = _overlapping_at_start([e.bracket for e in events])
         assert overlapping_pairs([e.bracket for e in events]) == want
         overlapping[0] += len(want)
-        copies = [geometry.Event(e.segment, e.bracket, e.kind, e.participants,
-                                 e.poly, e.quad, e.side) for e in events]
-        want = _separation(sweep_separate_events, copies)
+        want = _separation(sweep_separate_events, copied(events))
+        assert _separation(rowwise_separate_events, copied(events)) == want
         got = _separation(separate, events)
-        assert got == want
+        assert order(got) == order(want)
         if isinstance(got, str):
             raise DegenerateTrajectory(got)
         return events                   # sorted in place
@@ -1227,15 +1245,19 @@ def test_dense_separation_matches_fraction_oracle(monkeypatch, target, dim,
 
 def test_separation_asks_shares_root_once_per_pair(monkeypatch):
     # a pair's overlap only shrinks, so whether the two polys share a root
-    # in it is decided once per event pair, not once per bisection
+    # in it is decided once per event pair, not once per bisection; the
+    # sort may compare a pair in either order, so pairs are unordered
     separate = geometry._separate_events
     shares_root, bisect = PredicatePoly.shares_root, PredicatePoly.bisect
     calls, totals = None, {"calls": 0, "bisections": 0}
 
+    def pair(p1, p2):
+        return tuple(sorted((id(p1), id(p2))))
+
     def counting_separate(events):
         nonlocal calls
         pairs = collections.Counter(
-            (id(e1.poly), id(e2.poly))
+            pair(e1.poly, e2.poly)
             for e1, e2 in itertools.combinations(events, 2))
         calls = collections.Counter()
         try:
@@ -1247,7 +1269,7 @@ def test_separation_asks_shares_root_once_per_pair(monkeypatch):
 
     def counting_shares_root(self, other, bracket):
         if calls is not None:
-            calls[id(self), id(other)] += 1
+            calls[pair(self, other)] += 1
         return shares_root(self, other, bracket)
 
     def counting_bisect(self, bracket):
@@ -1266,6 +1288,104 @@ def test_separation_asks_shares_root_once_per_pair(monkeypatch):
     # each round bisects both brackets: more than two bisections per call
     # means some pair took several rounds
     assert 0 < 2 * totals["calls"] < totals["bisections"]
+
+
+# ---------------------------------------------------------------------------
+# event order by one sort: the order, words and messages of the row-wise
+# pass, with brackets that isolate their roots and are pairwise disjoint
+
+
+def _crossing(rng, n, dim):
+    """Static points at random in a box and a mover that crosses it from
+    left to right, as the benchmark's random compiles are built."""
+    box = 100000
+
+    def point(first):
+        return (first,) + tuple(rng.randint(0, box) for _ in range(dim - 1))
+
+    pts = [point(rng.randint(0, box)) for _ in range(n)]
+    mover = rng.randrange(n)
+    pts[mover] = point(-box)
+    return Trajectory(pts, [(mover + 1, point(2 * box))], dim)
+
+
+def _sort_cases():
+    cases = [(target, tr) for target, dim, ns, segments in DENSE_CASES
+             for tr in _dense_trajectories(target, dim, ns, segments)]
+    rng = random.Random("one sort")
+    for target in ("gn3", "gn4", "gamma4", "gamma4_space"):
+        dim = 3 if target == "gamma4_space" else 2
+        for n in (6, 6, 8, 8, 10, 10, 12, 12, 14, 14):
+            cases.append((target, _crossing(rng, n, dim)))
+    cases += [(target, Trajectory(points, moves, len(points[0])))
+              for points, moves, target in DEGENERATE_CASES]
+    return cases
+
+
+def _cli_outcome(tr, target, directory):
+    """Exit code and standard error of a text compile through the CLI."""
+    from gnk.cli import main
+    f = directory / "traj.json"
+    f.write_text(tr.to_json())
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["compile-trajectory", str(f), "--target", target])
+    return code, err.getvalue()
+
+
+def _order_outcome(tr, target):
+    """The word and the (segment, kind, participants, quad, side, inside)
+    of each event, or the DegenerateTrajectory message."""
+    try:
+        word, events = compile_word(tr, target)
+    except DegenerateTrajectory as exc:
+        return str(exc)
+    words = word if isinstance(word, tuple) else (word,)
+    return [w.letters for w in words], [
+        (e.segment, e.kind, e.participants, e.quad, e.side, e.inside)
+        for e in events]
+
+
+def _check_brackets(events, first):
+    """Every bracket, separators included, lies in its first bracket, has
+    its poly's signs opposite at its ends, and is disjoint from the
+    others."""
+    spans = []
+    for e in events:
+        lo, hi = _fractions(e.bracket)
+        lo0, hi0 = _fractions(first[id(e)])
+        assert lo0 <= lo < hi <= hi0, e
+        den = e.bracket[2]
+        assert e.poly.sign(e.bracket[0], den) \
+            * e.poly.sign(e.bracket[1], den) == -1, e
+        spans.append((lo, hi))
+    spans.sort()
+    assert all(hi <= lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+
+
+def test_one_sort_keeps_rowwise_order_with_disjoint_brackets(monkeypatch,
+                                                             tmp_path):
+    separate, counts = geometry._separate_events, collections.Counter()
+
+    def checking_separate(events):
+        everything, first = list(events), {id(e): e.bracket for e in events}
+        separate(events)
+        _check_brackets(everything, first)
+        counts["separators"] += len(everything) - len(events)
+        counts["events"] += len(events)
+        return events
+
+    outcomes = {}
+    for name, rule in (("rowwise", rowwise_separate_events),
+                       ("sort", checking_separate)):
+        monkeypatch.setattr(geometry, "_separate_events", rule)
+        outcomes[name] = [(_order_outcome(tr, target),
+                           _cli_outcome(tr, target, tmp_path))
+                          for target, tr in _sort_cases()]
+    assert outcomes["sort"] == outcomes["rowwise"]
+    codes = collections.Counter(code for _, (code, _) in outcomes["sort"])
+    assert codes[0] > 40 and codes[3] >= len(DEGENERATE_CASES)
+    assert counts["events"] > 2000 and counts["separators"] > 500
 
 
 # ---------------------------------------------------------------------------
