@@ -35,10 +35,10 @@ import itertools
 import re
 
 from .gamma import Gamma4Group
-from .gnk import GnkGroup
+from .gnk import GnkGroup, subset_symbol
 from .words import (Alphabet, UnknownSymbolError, Word, labels_text,
-                    parity_walk, reduce_commuting, state_alphabet,
-                    word_from_keys)
+                    parity_walk, reduce_commuting, state_alphabet, token,
+                    token_letter, word_from_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -92,22 +92,22 @@ def commutator(a: PureBraidWord, b: PureBraidWord) -> PureBraidWord:
 
 
 def format_braid(b: PureBraidWord) -> str:
-    return " ".join(b_symbol(i, j) + ("" if e == 1 else "^-1")
-                    for (i, j), e in b.letters)
+    return " ".join(token(b_symbol(i, j), e) for (i, j), e in b.letters)
 
 
-_BRAID_TOKEN = re.compile(r"b_([0-9]+)_([0-9]+)(\^-1)?")
+_BRAID_TOKEN = re.compile(r"b_([0-9]+)_([0-9]+)")     # a token's symbol
 
 
 def parse_braid(n: int, text: str) -> PureBraidWord:
     """Parse tokens b_<i>_<j> or b_<i>_<j>^-1; others raise ValueError."""
     letters = []
     for tok in text.split():
-        m = _BRAID_TOKEN.fullmatch(tok)
+        symbol, sign = token_letter(tok)
+        m = _BRAID_TOKEN.fullmatch(symbol)
         if not m:
             raise ValueError("braid letter %r: expected b_<i>_<j> or "
                              "b_<i>_<j>^-1" % tok)
-        letters.append(((int(m[1]), int(m[2])), -1 if m[3] else 1))
+        letters.append(((int(m[1]), int(m[2])), sign))
     return PureBraidWord(n, letters)
 
 
@@ -313,10 +313,6 @@ def parity_symbol(i, j, eps):
     return "a_%s^%d" % (labels_text(sorted((i, j))), eps)
 
 
-def dotted_a_symbol(i, j):
-    return "a_" + labels_text(sorted((i, j)))
-
-
 def tau_symbol(i):
     return "t_%d" % i
 
@@ -342,8 +338,8 @@ class DottedGroup:
 
     def __init__(self, labels):
         self.labels = tuple(sorted(labels))
-        syms = {dotted_a_symbol(i, j): (i, j)
-                for i, j in itertools.combinations(self.labels, 2)}
+        syms = {subset_symbol(ij): ij
+                for ij in itertools.combinations(self.labels, 2)}
         syms.update((tau_symbol(i), i) for i in self.labels)
         self.alphabet = Alphabet(syms)
 

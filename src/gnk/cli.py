@@ -15,8 +15,8 @@ import sys
 from fractions import Fraction
 
 from . import braids, cancel, gamma, geometry, gnk
-from .words import (Alphabet, Word, format_word, parse_word, read_letters,
-                    read_symbols, read_text)
+from .words import (LABELS_PATTERN, Word, format_word, parse_word,
+                    read_labels, read_letters, read_text, token, token_letter)
 
 REPORT_SCHEMA = 1
 
@@ -155,27 +155,18 @@ def cmd_gamma_presentation(args):
         return 0
     group, far, polygons = gamma.gamma_presentation(args.n, args.k)
     # one token per letter code of the group alphabet
-    token = [t for s in group.alphabet.symbols for t in (s, s + "^-1")]
+    tokens = [token(s, e) for s in group.alphabet.symbols for e in (1, -1)]
     _emit(args, {
         "generators": len(group.alphabet),
         "far_commutativity": far,
         "polygon_relators": len(polygons),
-        "relators": "\n".join(" ".join(map(token.__getitem__, cw.codes))
+        "relators": "\n".join(" ".join(map(tokens.__getitem__, cw.codes))
                                for cw in polygons),
     })
     return 0
 
 
-_ORIENTED_SIDE = r"(\{[0-9]+(?:,[0-9]+)*\}|[0-9]+)"
-_ORIENTED_TOKEN = re.compile(_ORIENTED_SIDE + "," + _ORIENTED_SIDE + r"(\^-1)?")
-
-
-def _oriented_side(text):
-    """Labels of one side as ``words.labels_text`` writes them: ``164``
-    (one digit per label) or ``{1,10,11}``."""
-    if text.startswith("{"):
-        return tuple(int(x) for x in text[1:-1].split(","))
-    return tuple(int(c) for c in text)
+_ORIENTED_TOKEN = re.compile("(%s),(%s)" % ((LABELS_PATTERN,) * 2))
 
 
 def _parse_oriented_word(text, n, k):
@@ -184,10 +175,11 @@ def _parse_oriented_word(text, n, k):
     k labels in all, each in 1..n."""
     letters = []
     for tok in text.split():
-        m = _ORIENTED_TOKEN.fullmatch(tok)
+        symbol, sign = token_letter(tok)
+        m = _ORIENTED_TOKEN.fullmatch(symbol)
         if not m:
             raise ValueError("oriented letter %r: expected P,Q or P,Q^-1" % tok)
-        P, Q = _oriented_side(m.group(1)), _oriented_side(m.group(2))
+        P, Q = read_labels(m.group(1)), read_labels(m.group(2))
         labels = P + Q
         if not all(1 <= x <= n for x in labels):
             raise ValueError("oriented letter %r: label outside 1..%d"
@@ -198,7 +190,7 @@ def _parse_oriented_word(text, n, k):
         if len(labels) != k or min(len(P), len(Q)) < 2:
             raise ValueError("oriented letter %r: needs k = %d labels, at "
                              "least two on each side" % (tok, k))
-        letters.append((P, Q, -1 if m.group(3) else 1))
+        letters.append((P, Q, sign))
     return letters
 
 
@@ -269,7 +261,7 @@ def cmd_cancel(args):
     if args.mode == "dehn" and args.word is None:
         raise ValueError("cancel dehn needs --word")
     text = _read(args.presentation)
-    alphabet = Alphabet(read_symbols(text), involutive=False)
+    alphabet = read_text(text, involutive=False)[0]
     # symmetrise reads relators as (symbol, sign) letters
     relators = [alphabet.decode(read_letters(alphabet, line))
                 for line in text.splitlines() if line.strip()]

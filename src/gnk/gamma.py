@@ -25,7 +25,8 @@ from math import comb, factorial, gcd
 from operator import itemgetter
 
 from .words import (Alphabet, CyclicWord, Word, _cyclic_as_written,
-                    far_commutators, labels_text, relabel_cyclic_words)
+                    far_commutators, far_test, label_mask, labels_text,
+                    relabel_cyclic_words)
 
 
 # ---------------------------------------------------------------------------
@@ -42,35 +43,30 @@ def dihedral_canonical(quad):
 
 @functools.lru_cache(maxsize=32)
 def _quad_alphabet(labels):
-    """The d-letters of Gamma^4 over a label set and their label masks,
+    """The d-letters of Gamma^4 over a label set and their far test,
     built once per label set: three dihedral classes per 4-subset, keyed by
     their least quads (with a < b < c < d each quad below already is its
     least form)."""
     quads = [quad for a, b, c, d in itertools.combinations(labels, 4)
              for quad in ((a, b, c, d), (a, b, d, c), (a, c, b, d))]
     return (Alphabet({"d_" + labels_text(quad): quad for quad in quads}),
-            tuple(map(_label_mask, quads)))
+            far_test(tuple(map(label_mask, quads)), 2))
 
 
 class Gamma4Group:
-    """Gamma_n^4 over the labels 1..n; generators are involutive."""
+    """Gamma_n^4 over the labels 1..n; generators are involutive;
+    ``far(a, b)``: the quads of codes a and b share at most two labels."""
 
     def __init__(self, n: int):
         if n < 4:
             raise ValueError("need n >= 4 labels")
         self.n = n
         self.labels = tuple(range(1, n + 1))
-        self.alphabet, self._masks = _quad_alphabet(self.labels)
+        self.alphabet, self.far = _quad_alphabet(self.labels)
 
     def letter(self, quad) -> int:
         """Code of the flip letter of any cyclic ordering of four labels."""
         return self.alphabet.code[dihedral_canonical(quad)]
-
-    def far(self, a: int, b: int) -> bool:
-        """Far commutativity of the letters with codes a and b: their quads
-        share at most two labels."""
-        masks = self._masks
-        return (masks[a >> 1] & masks[b >> 1]).bit_count() < 3
 
     def graded_words(self, pairs) -> tuple:
         """The graded image in floor(r/2)+1 copies of Gamma_n^4, r = n - 4
@@ -146,10 +142,10 @@ class GammaGroup:
         self.alphabet = Alphabet({pq_symbol(P, Q): (P, Q)
                                   for P, Q in self.splits}, involutive=False)
         # (label mask of P, label mask of Q) -> code of a_{P,Q}, both
-        # orientations of each split; a label x is bit 1 << x of a mask
+        # orientations of each split (``words.label_mask``)
         self.split_codes = {}
         for (P, Q), c in self.alphabet.code.items():
-            p, q = _label_mask(P), _label_mask(Q)
+            p, q = label_mask(P), label_mask(Q)
             self.split_codes[p, q] = c
             self.split_codes[q, p] = self.alphabet.inverse(c)
 
@@ -161,13 +157,6 @@ def _ordered_splits(labels, k):
         for psz in range(2, k - 1):
             for P in itertools.combinations(kset, psz):
                 yield P, tuple(x for x in kset if x not in P)
-
-
-def _label_mask(labels) -> int:
-    mask = 0
-    for x in labels:
-        mask |= 1 << x
-    return mask
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ reported (never evaluated numerically: only the event ORDER and exact side
 decisions matter), letters are emitted per event in time order, and the
 concatenation freely reduces to the invariant word.
 
-No floating point is used anywhere.
+No float decides anything: ``math.tan`` only places ``circle_points``.
 """
 
 from __future__ import annotations

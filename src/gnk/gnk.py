@@ -21,10 +21,10 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
-from .words import (Alphabet, CyclicWord, Word, far_commutators, labels_text,
-                    parity_walk, reduce_commuting, reduce_letters,
-                    relabel_cyclic_words, state_alphabet, state_key,
-                    word_from_keys)
+from .words import (Alphabet, CyclicWord, Word, far_commutators, far_test,
+                    label_mask, labels_text, parity_walk, reduce_commuting,
+                    reduce_letters, relabel_cyclic_words, state_alphabet,
+                    state_bits, state_key, word_from_keys)
 
 
 def subset_symbol(m) -> str:
@@ -35,14 +35,15 @@ def subset_symbol(m) -> str:
 @functools.lru_cache(maxsize=32)
 def _subset_codec(labels, k):
     """The k-subsets of a label set in lexicographic order, their alphabet
-    and their label masks, built once per (labels, k)."""
+    and its far test, built once per (labels, k)."""
     subsets = tuple(itertools.combinations(labels, k))
-    masks = tuple(sum(1 << x for x in m) for m in subsets)
-    return subsets, Alphabet({subset_symbol(m): m for m in subsets}), masks
+    return (subsets, Alphabet({subset_symbol(m): m for m in subsets}),
+            far_test(tuple(map(label_mask, subsets)), k - 2))
 
 
 class GnkGroup:
-    """Presentation-carrying handle for G_n^k over an explicit label set."""
+    """Presentation-carrying handle for G_n^k over an explicit label set;
+    ``far(a, b)``: the subsets of codes a and b share <= k - 2 labels."""
 
     def __init__(self, n: int, k: int, labels=None):
         if labels is None:
@@ -55,14 +56,8 @@ class GnkGroup:
         self.n = n
         self.k = k
         self.labels = labels
-        subsets, self.alphabet, self._masks = _subset_codec(labels, k)
+        subsets, self.alphabet, self.far = _subset_codec(labels, k)
         self.subsets = list(subsets)
-
-    def far(self, a: int, b: int) -> bool:
-        """Far commutativity of the letters with codes a and b: their
-        subsets share at most k - 2 labels."""
-        masks = self._masks
-        return (masks[a >> 1] & masks[b >> 1]).bit_count() <= self.k - 2
 
     def word_from_subsets(self, subsets) -> Word:
         return word_from_keys(self.alphabet, (tuple(sorted(m)) for m in subsets))
@@ -208,12 +203,7 @@ class MNContext:
         for c, count in Counter(w.codes).items():
             if count & 1:
                 x ^= self.psi_key(keys[c >> 1])
-        return _state_bits(x, self.dim)
-
-
-def _state_bits(key: int, dim: int) -> tuple:
-    """The bit vector of a state key, most significant bit first."""
-    return tuple(key >> t & 1 for t in range(dim - 1, -1, -1))
+        return state_bits(x, self.dim)
 
 
 def mn_invariant(group: GnkGroup, w: Word, m, ctx: MNContext = None,
@@ -244,7 +234,7 @@ def z_ij(ctx: MNContext, i: int, j: int) -> tuple:
 def mn_value_support(value: Word):
     """Z_2[Z] projection of an MN value: the set of odd-count states."""
     dim = len(value.alphabet).bit_length() - 1
-    return {_state_bits(key, dim)
+    return {state_bits(key, dim)
             for key, c in Counter(value.keys()).items() if c % 2 == 1}
 
 

@@ -47,6 +47,32 @@ def labels_text(labels) -> str:
     return "{" + ",".join(str(x) for x in labels) + "}"
 
 
+LABELS_PATTERN = r"(?:\{[0-9]+(?:,[0-9]+)*\}|[0-9]+)"  # a run of labels_text
+
+
+def read_labels(text) -> tuple:
+    """Labels of a run ``labels_text`` wrote: ``164`` or ``{1,10,11}``."""
+    if text.startswith("{"):
+        return tuple(int(x) for x in text[1:-1].split(","))
+    return tuple(int(c) for c in text)
+
+
+def label_mask(labels) -> int:
+    """Label mask of a label set: label x is the bit 1 << x."""
+    mask = 0
+    for x in labels:
+        mask |= 1 << x
+    return mask
+
+
+def far_test(masks, shared: int):
+    """Far commutativity on codes, by the label masks ``masks`` of the
+    symbols: a and b are far when their label sets share <= ``shared``."""
+    def far(a: int, b: int) -> bool:
+        return (masks[a >> 1] & masks[b >> 1]).bit_count() <= shared
+    return far
+
+
 class Alphabet:
     """Finite ordered set of generator names, all involutive or all free.
     A name is any hashable value (PB_n's are the pairs (i, j)).
@@ -137,6 +163,11 @@ def state_key(bits) -> int:
     for b in bits:
         key = 2 * key + b
     return key
+
+
+def state_bits(key: int, dim: int) -> tuple:
+    """Inverse of ``state_key``: the ``dim`` bits of a key, high bit first."""
+    return tuple(key >> t & 1 for t in range(dim - 1, -1, -1))
 
 
 def parity_walk(alphabet: Alphabet, codes, target: Alphabet, masks, emits,
@@ -425,12 +456,18 @@ def format_word(w) -> str:
     """Text of a Word or CyclicWord in the token grammar; each distinct
     letter is formatted once."""
     symbols = w.alphabet.symbols
-    token = {c: symbols[c >> 1] + "^-1" if c & 1 else symbols[c >> 1]
-             for c in set(w.codes)}
-    return " ".join(map(token.__getitem__, w.codes))
+    tokens = {c: token(symbols[c >> 1], -1 if c & 1 else 1)
+              for c in set(w.codes)}
+    return " ".join(map(tokens.__getitem__, w.codes))
 
 
-def _token_letter(tok):
+def token(symbol: str, sign: int) -> str:
+    """Text token of a letter: its symbol, ``^-1`` suffixed for sign -1."""
+    return symbol if sign == 1 else symbol + "^-1"
+
+
+def token_letter(tok: str) -> tuple:
+    """(symbol, sign) of a text token, the inverse of ``token``."""
     return (tok[:-3], -1) if tok.endswith("^-1") else (tok, 1)
 
 
@@ -445,18 +482,13 @@ def _tokens(text: str) -> tuple:
     return tokens, distinct
 
 
-def read_symbols(text: str) -> list:
-    """Sorted distinct symbols of a text in the token grammar."""
-    return sorted({_token_letter(tok)[0] for tok in _tokens(text)[1]})
-
-
 def _encode_tokens(alphabet: Alphabet, tokens, distinct) -> list:
     """Codes of ``tokens``, each of the ``distinct`` ones encoded once."""
     try:
-        code = dict(zip(distinct, alphabet.encode(map(_token_letter,
+        code = dict(zip(distinct, alphabet.encode(map(token_letter,
                                                       distinct))))
     except UnknownSymbolError:
-        alphabet.encode(map(_token_letter, tokens))   # in text order
+        alphabet.encode(map(token_letter, tokens))   # in text order
         raise
     return list(map(code.__getitem__, tokens))
 
@@ -470,10 +502,10 @@ def read_letters(alphabet: Alphabet, text: str) -> list:
 
 def read_text(text: str, involutive: bool = True):
     """(alphabet, codes) of a text in the token grammar, from one split:
-    the alphabet of its sorted distinct symbols (``read_symbols``) and the
-    codes ``read_letters`` gives over it."""
+    the alphabet of its sorted distinct symbols and the codes
+    ``read_letters`` gives over it."""
     tokens, distinct = _tokens(text)
-    alphabet = Alphabet(sorted({_token_letter(tok)[0] for tok in distinct}),
+    alphabet = Alphabet(sorted({token_letter(tok)[0] for tok in distinct}),
                         involutive)
     return alphabet, _encode_tokens(alphabet, tokens, distinct)
 

@@ -133,3 +133,17 @@ def test_rebuild_command_names_the_parent_by_commit():
         "--pairs", "certificates=351-360", "--pairs", "trajectories=1-4",
         "--out", "BENCH_x.json", "--label", "x",
         "--what", "one 'quoted' change"]
+
+
+def test_every_bench_file_rebuilds_from_its_parent_commit():
+    # a BENCH file names its parent by commit id, so that its rebuild line
+    # still names the same parent once the change is committed
+    root = _PATH.parents[1]
+    paths = sorted(root.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        report = json.loads(path.read_text())
+        argv = shlex.split(report["rebuild"])
+        assert argv[argv.index("--parent") + 1] == report["parent_commit"], (
+            path.name)
+        assert argv[argv.index("--out") + 1] == path.name, path.name

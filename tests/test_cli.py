@@ -311,6 +311,26 @@ def test_parse_oriented_word_forms():
         [((1, 10), (2, 3, 4), -1)]
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    ("braid", "b_1_2^-2",
+     "braid letter 'b_1_2^-2': expected b_<i>_<j> or b_<i>_<j>^-1"),
+    ("braid", "b_1_9", "bad generator index (i,j)=(1,9)"),
+    ("oriented", "35,164^-1^-1",
+     "oriented letter '35,164^-1^-1': expected P,Q or P,Q^-1"),
+    ("oriented", "1", "oriented letter '1': expected P,Q or P,Q^-1"),
+])
+def test_letter_parse_errors_word_for_word(parse, text, message):
+    # the sign is split off first, yet a bad token is named whole
+    from gnk.braids import parse_braid
+    from gnk.cli import _parse_oriented_word
+    with pytest.raises(ValueError) as exc:
+        if parse == "braid":
+            parse_braid(5, text)
+        else:
+            _parse_oriented_word(text, 6, 5)
+    assert str(exc.value) == message
+
+
 def test_gamma_presentation_braced_extra_word(tmp_path):
     f = tmp_path / "extra.txt"
     f.write_text("{3,5},{1,6,4} {4,6},{2,5,3}^-1 {4,6},{1,3,5} "

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -7,12 +8,13 @@ from certificate_oracles import (old_parse_letters, old_reduce_letters,
                                  old_token_alphabet)
 from gnk.gamma import Gamma4Group
 from gnk.gnk import GnkGroup
-from gnk.words import (Alphabet, CyclicWord, UnknownSymbolError, Word,
-                       cyclic_reduce, far_commutators, format_word,
-                       inverse_letters, least_rotation, parse_word,
-                       labels_text, read_letters, read_symbols, read_text,
-                       reduce_commuting, reduce_letters, relabel_cyclic_words,
-                       state_alphabet, word)
+from gnk.words import (LABELS_PATTERN, Alphabet, CyclicWord,
+                       UnknownSymbolError, Word, cyclic_reduce,
+                       far_commutators, format_word, inverse_letters,
+                       least_rotation, parse_word, labels_text, read_labels,
+                       read_letters, read_text, reduce_commuting,
+                       reduce_letters, relabel_cyclic_words, state_alphabet,
+                       token, token_letter, word)
 from relator_oracles import distinct_cyclic_words
 
 
@@ -176,6 +178,17 @@ def test_far_commutators_match_cyclic_words(group):
         far_commutators(Alphabet(ab.symbols, involutive=False), group.far)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_gnk_far_test_counts_shared_labels(k):
+    # the mask test against the label sets themselves, labels >= 10 too
+    for labels in ((1, 2, 3, 4, 5, 6, 7), (1, 9, 10, 11, 12, 40, 63, 64)):
+        group = GnkGroup(len(labels), k, labels)
+        code = group.alphabet.code
+        for m1, m2 in itertools.product(group.subsets, repeat=2):
+            assert group.far(code[m1], code[m2]) == (
+                len(set(m1) & set(m2)) <= k - 2), (m1, m2)
+
+
 def test_relabel_cyclic_words_matches_cyclic_word():
     # an increasing table of even codes keeps every word's reduction and
     # least rotation, so the images, table by table, are the CyclicWords of
@@ -283,6 +296,26 @@ def test_parse_print_round_trip():
     assert parse_word(ab, format_word(w)) == w
 
 
+def test_label_runs_round_trip():
+    # one digit per label up to 9, a braced comma list once a label is >= 10
+    rng = random.Random(37)
+    for top in (9, 15):
+        for _ in range(200):
+            labels = tuple(rng.sample(range(1, top + 1), rng.randint(1, 6)))
+            run = labels_text(labels)
+            assert re.fullmatch(LABELS_PATTERN, run), run
+            assert read_labels(run) == labels
+            assert run.startswith("{") == (max(labels) >= 10)
+
+
+@pytest.mark.parametrize("symbol", ["a_123", "a_{1,10}", "b_1_2", "35,164",
+                                    "{1,10},{2,3,4}", "d_1243", "x"])
+def test_token_round_trip(symbol):
+    for sign in (1, -1):
+        assert token_letter(token(symbol, sign)) == (symbol, sign)
+    assert token(symbol, -1) == symbol + "^-1"
+
+
 def test_free_product_z2_normal_form_unique():
     rng = random.Random(4)
     ab = Alphabet(["x", "y", "z"], involutive=True)
@@ -385,8 +418,6 @@ def test_read_letters_matches_old_reader():
         texts.append("".join(t + rng.choice((" ", "\n", "\t", "  \n\n"))
                              for t in toks))
     for text in texts:
-        symbols = read_symbols(text)
-        assert symbols == list(old_token_alphabet(text, True).symbols)
         for invol in (True, False):
             ab = old_token_alphabet(text, invol)
             want = [(s, 1 if invol else e) for s, e in old_parse_letters(text)]
@@ -394,7 +425,7 @@ def test_read_letters_matches_old_reader():
             assert list(ab.decode(codes)) == want
             # one split gives the old reader's alphabet and the same codes
             assert read_text(text, invol) == (ab, codes)
-    assert read_symbols("") == read_symbols(" 1 \n\n 1") == []
+    assert read_text("") == read_text(" 1 \n\n 1") == (Alphabet([]), [])
     assert read_letters(Alphabet([]), " 1 \n\n 1") == []
     # each distinct token is encoded once: equal letters share one int
     big = Alphabet(["g%d" % i for i in range(200)], involutive=False)
