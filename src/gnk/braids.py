@@ -36,9 +36,9 @@ import re
 
 from .gamma import Gamma4Group
 from .gnk import GnkGroup, subset_symbol
-from .words import (Alphabet, UnknownSymbolError, Word, labels_text,
-                    parity_walk, reduce_commuting, state_alphabet, token,
-                    token_letter, word_from_keys)
+from .words import (Alphabet, UnknownSymbolError, Word, format_tokens,
+                    labels_text, parity_walk, read_tokens, reduce_commuting,
+                    state_alphabet, token, token_letter, word_from_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +80,7 @@ class PureBraidWord(Word):
         return b
 
     def __repr__(self):
-        return "PureBraidWord(%s)" % (format_braid(self) or "1")
+        return "PureBraidWord(%s)" % format_braid(self)
 
 
 def generator(n, i, j, e=1):
@@ -92,16 +92,16 @@ def commutator(a: PureBraidWord, b: PureBraidWord) -> PureBraidWord:
 
 
 def format_braid(b: PureBraidWord) -> str:
-    return " ".join(token(b_symbol(i, j), e) for (i, j), e in b.letters)
+    return format_tokens(token(b_symbol(i, j), e) for (i, j), e in b.letters)
 
 
 _BRAID_TOKEN = re.compile(r"b_([0-9]+)_([0-9]+)")     # a token's symbol
 
 
 def parse_braid(n: int, text: str) -> PureBraidWord:
-    """Parse tokens b_<i>_<j> or b_<i>_<j>^-1; others raise ValueError."""
+    """Braid of tokens b_<i>_<j>[^-1] and 1; others raise ValueError."""
     letters = []
-    for tok in text.split():
+    for tok in read_tokens(text)[0]:
         symbol, sign = token_letter(tok)
         m = _BRAID_TOKEN.fullmatch(symbol)
         if not m:

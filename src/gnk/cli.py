@@ -12,11 +12,13 @@ import functools
 import json
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from . import braids, cancel, gamma, geometry, gnk
 from .words import (LABELS_PATTERN, Word, format_word, parse_word,
-                    read_labels, read_letters, read_text, token, token_letter)
+                    read_labels, read_letters, read_text, read_tokens, token,
+                    token_letter)
 
 REPORT_SCHEMA = 1
 
@@ -49,7 +51,7 @@ def _labels(text, count):
 
 def cmd_reduce(args):
     w = Word(*read_text(_read(args.path), involutive=not args.free))
-    _emit(args, {"word": format_word(w) or "1", "length": len(w)})
+    _emit(args, {"word": format_word(w), "length": len(w)})
     return 0
 
 
@@ -63,30 +65,25 @@ def cmd_invariant(args):
         value = gnk.mn_invariant(group, w, m, ctx)
         bound = gnk.coset_overlap_bound(ctx, gnk.mn_value_support(value))
         _emit(args, {"chain": "mn[m=%s]" % (args.m,),
-                     "value": format_word(value) or "1",
+                     "value": format_word(value),
                      "unknotting_lower_bound": str(bound)})
     else:
         value = braids.phi_ijk(group, w, m)
         _emit(args, {"chain": "phi_(%s)" % (args.m,),
-                     "value": format_word(value) or "1"})
+                     "value": format_word(value)})
     return 0
 
 
 def cmd_braid_map(args):
     b = braids.parse_braid(args.n, _read(args.path))
-    if args.target == "gn3":
-        w = braids.pb_to_gn3(b)
-    elif args.target == "gn4":
-        w = braids.pb_to_gn4(b)
-    elif args.target == "gamma4":
-        w = braids.pb_to_gamma4(b)
-    else:
+    if args.target == "gamma4-graded":
         ws = braids.pb_to_gamma4_graded(b)
         _emit(args, {"chain": "pb_to_gamma4_graded",
-                     "components": [format_word(w) or "1" for w in ws]})
+                     "components": [format_word(w) for w in ws]})
         return 0
+    w = getattr(braids, "pb_to_" + args.target)(b)   # gn3, gn4 or gamma4
     _emit(args, {"chain": "pb_to_%s" % args.target,
-                 "word": format_word(w) or "1", "length": len(w)})
+                 "word": format_word(w), "length": len(w)})
     return 0
 
 
@@ -97,9 +94,9 @@ def cmd_compile_trajectory(args):
             "bracket": [str(e.bracket[0]), str(e.bracket[1])],
             "participants": list(e.participants)} for e in events]
     if args.target == "gamma4_graded":
-        payload = {"components": [format_word(w) or "1" for w in result]}
+        payload = {"components": [format_word(w) for w in result]}
     else:
-        payload = {"word": format_word(result) or "1"}
+        payload = {"word": format_word(result)}
     payload["events"] = json.dumps(log) if args.format == "text" else log
     _emit(args, payload)
     return 0
@@ -172,9 +169,9 @@ _ORIENTED_TOKEN = re.compile("(%s),(%s)" % ((LABELS_PATTERN,) * 2))
 def _parse_oriented_word(text, n, k):
     """One letter per token: P,Q[^-1] with cyclic Q order, e.g. 35,164^-1
     or {1,10},{2,3,4}; P and Q are disjoint, of at least two labels each,
-    k labels in all, each in 1..n."""
+    k labels in all, each in 1..n; the identity 1 is no letter."""
     letters = []
-    for tok in text.split():
+    for tok in read_tokens(text)[0]:
         symbol, sign = token_letter(tok)
         m = _ORIENTED_TOKEN.fullmatch(symbol)
         if not m:
@@ -261,9 +258,10 @@ def cmd_cancel(args):
     if args.mode == "dehn" and args.word is None:
         raise ValueError("cancel dehn needs --word")
     text = _read(args.presentation)
-    alphabet = read_text(text, involutive=False)[0]
-    # symmetrise reads relators as (symbol, sign) letters
-    relators = [alphabet.decode(read_letters(alphabet, line))
+    alphabet, codes = read_text(text, involutive=False)
+    # symmetrise reads relators as (symbol, sign) letters, one per line
+    letters = iter(alphabet.decode(codes))
+    relators = [tuple(next(letters) for _ in read_tokens(line)[0])
                 for line in text.splitlines() if line.strip()]
     R = cancel.symmetrise(alphabet, relators)
     if args.mode == "dehn" and not R.elements:
@@ -295,26 +293,22 @@ def cmd_brunnian(args):
     b = braids.parse_braid(args.n, _read(args.path))
     cert = braids.brunnian_certificate(b)
     certified = all(len(v) == 0 for v in cert.values())
+    # a residue with a nonzero generator exponent sum (its letter counts
+    # differ from its inverse's) is nontrivial in the pure braid group,
+    # certifying non-Brunnian-ness; a residue that merely fails to reduce
+    # freely stays inconclusive
     if certified:
         status = "true"
+    elif any(Counter(v.codes) != Counter(v.inverse().codes)
+             for v in cert.values()):
+        status = "false-certified"
     else:
-        # a residue with a nonzero generator exponent sum is nontrivial in
-        # the pure braid group, certifying non-Brunnian-ness; a residue that
-        # merely fails to reduce freely stays inconclusive
-        for v in cert.values():
-            sums = {}
-            for ij, e in v.letters:
-                sums[ij] = sums.get(ij, 0) + e
-            if any(sums.values()):
-                status = "false-certified"
-                break
-        else:
-            status = "unknown"
+        status = "unknown"
     _emit(args, {
         "chain": "p_m free reduction for m=1..%d" % b.n,
         "certified_brunnian": certified,
         "status": status,
-        "residues": {m: braids.format_braid(v) or "1"
+        "residues": {m: braids.format_braid(v)
                      for m, v in cert.items() if len(v)},
     })
     return 0

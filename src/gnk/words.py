@@ -21,7 +21,8 @@ become pairs and text only in ``Alphabet.decode``, the ``.letters`` views
 and ``format_word``.
 
 Text grammar: whitespace-separated tokens, ``^-1`` suffix for an inverse,
-e.g. ``a_123 a_234^-1``.  Parsing and printing round-trip exactly.
+``1`` for the identity, e.g. ``a_123 a_234^-1``; a symbol is nonempty, not
+``1`` and not ending in ``^-1``.  Parsing and printing round-trip exactly.
 """
 
 from __future__ import annotations
@@ -291,7 +292,7 @@ class _Codes:
                 and self.codes == other.codes)
 
     def __repr__(self):
-        return "%s(%s)" % (type(self).__name__, format_word(self) or "1")
+        return "%s(%s)" % (type(self).__name__, format_word(self))
 
 
 class Word(_Codes):
@@ -458,7 +459,12 @@ def format_word(w) -> str:
     symbols = w.alphabet.symbols
     tokens = {c: token(symbols[c >> 1], -1 if c & 1 else 1)
               for c in set(w.codes)}
-    return " ".join(map(tokens.__getitem__, w.codes))
+    return format_tokens(map(tokens.__getitem__, w.codes))
+
+
+def format_tokens(tokens) -> str:
+    """Text of a word's tokens: space-separated, ``1`` if there are none."""
+    return " ".join(tokens) or "1"
 
 
 def token(symbol: str, sign: int) -> str:
@@ -471,9 +477,9 @@ def token_letter(tok: str) -> tuple:
     return (tok[:-3], -1) if tok.endswith("^-1") else (tok, 1)
 
 
-def _tokens(text: str) -> tuple:
-    """(tokens, distinct tokens) of a text, the identity ``1`` left out of
-    both; ``1`` is looked for among the distinct tokens."""
+def read_tokens(text: str) -> tuple:
+    """(tokens, distinct tokens) of a text, the one split of every reader;
+    the identity ``1`` is left out of both, looked for among the distinct."""
     tokens = text.split()
     distinct = set(tokens)
     if "1" in distinct:
@@ -497,14 +503,26 @@ def read_letters(alphabet: Alphabet, text: str) -> list:
     """Codes of a text in the token grammar, unreduced; each distinct token
     is encoded once, so equal letters share one int object.  An unknown
     symbol raises UnknownSymbolError naming the first in the text."""
-    return _encode_tokens(alphabet, *_tokens(text))
+    return _encode_tokens(alphabet, *read_tokens(text))
+
+
+def _names_symbol(tok: str) -> bool:
+    """Whether a token other than ``1`` names a symbol that the grammar
+    prints back: nonempty, not ``1`` and not ending in ``^-1``."""
+    symbol = token_letter(tok)[0]
+    return symbol not in ("", "1") and not symbol.endswith("^-1")
 
 
 def read_text(text: str, involutive: bool = True):
     """(alphabet, codes) of a text in the token grammar, from one split:
     the alphabet of its sorted distinct symbols and the codes
-    ``read_letters`` gives over it."""
-    tokens, distinct = _tokens(text)
+    ``read_letters`` gives over it.  ValueError naming the first token, in
+    text order, whose symbol the grammar cannot print back."""
+    tokens, distinct = read_tokens(text)
+    if not all(map(_names_symbol, distinct)):
+        tok = next(tok for tok in tokens if not _names_symbol(tok))
+        raise ValueError("letter %r: a symbol must be nonempty, not 1, and "
+                         "not end in ^-1" % tok)
     alphabet = Alphabet(sorted({token_letter(tok)[0] for tok in distinct}),
                         involutive)
     return alphabet, _encode_tokens(alphabet, tokens, distinct)

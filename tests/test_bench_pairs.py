@@ -147,3 +147,13 @@ def test_every_bench_file_rebuilds_from_its_parent_commit():
         assert argv[argv.index("--parent") + 1] == report["parent_commit"], (
             path.name)
         assert argv[argv.index("--out") + 1] == path.name, path.name
+
+
+def test_every_bench_file_summary_is_the_summary_of_its_runs():
+    # one summary format: each file's block is summary() over its own runs
+    paths = sorted(_PATH.parents[1].glob("BENCH_pr*.json"))
+    assert paths
+    for path in paths:
+        report = json.loads(path.read_text())
+        assert report["summary"] == bench_pairs.summary(report["runs"]), (
+            path.name)

@@ -956,7 +956,8 @@ def test_w_parity_matches_key_counts_labels_ge_10(n):
                         for k in others]
                 expected.append("z_" + "".join(str(x) for x in bits))
         value = w_parity(pg, pg.word_from_letters(keys), (i, j))
-        assert format_word(value) == " ".join(cancel_pairs(expected))
+        assert format_word(value) == (" ".join(cancel_pairs(expected))
+                                      or "1")
 
 
 @pytest.mark.parametrize("n", [4, 5, 9, 10, 11, 12])

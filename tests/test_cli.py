@@ -309,6 +309,8 @@ def test_parse_oriented_word_forms():
     assert _parse_oriented_word(braced, 6, 5) == want
     assert _parse_oriented_word("{1,10},{2,3,4}^-1", 10, 5) == \
         [((1, 10), (2, 3, 4), -1)]
+    # the identity token, as in every reader of the token grammar
+    assert _parse_oriented_word("1", 6, 5) == []
 
 
 @pytest.mark.parametrize("parse, text, message", [
@@ -317,7 +319,6 @@ def test_parse_oriented_word_forms():
     ("braid", "b_1_9", "bad generator index (i,j)=(1,9)"),
     ("oriented", "35,164^-1^-1",
      "oriented letter '35,164^-1^-1': expected P,Q or P,Q^-1"),
-    ("oriented", "1", "oriented letter '1': expected P,Q or P,Q^-1"),
 ])
 def test_letter_parse_errors_word_for_word(parse, text, message):
     # the sign is split off first, yet a bad token is named whole

@@ -497,7 +497,7 @@ def test_trisecant_figure_word():
 def test_gamma4_space_compile_and_reversal():
     pts = [(0, 0, 0), (3, 0, 0), (0, 3, 0), (1, 1, 5), (2, 2, -2)]
     for moves, word in (([(5, (2, 2, 2))], "d_1253"),
-                        ([(5, (2, 2, 2)), (5, (2, 2, -2))], ""),
+                        ([(5, (2, 2, 2)), (5, (2, 2, -2))], "1"),
                         ([(5, (2, 2, 2)), (4, (2, 1, -5))],
                          "d_1253 d_1354 d_2435")):
         tr = Trajectory(pts, moves, dim=3)
