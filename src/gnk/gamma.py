@@ -90,9 +90,9 @@ def gamma4_presentation(n: int):
 
     The involution relators are empty (the alphabet is involutive).  The
     12 pentagons of the labels 1..5 are formed once, over
-    ``Gamma4Group(5)``, and relabelled to each 5-subset by the images of
-    the base quads (``DECISIONS.md``, "Relators relabelled from the base
-    labels").
+    ``Gamma4Group(5)``, and relabelled to each 5-subset
+    (``words.relabel_cyclic_words``; ``DECISIONS.md``, "Relators relabelled
+    from the base labels").
     """
     g = Gamma4Group(n)
     alphabet = g.alphabet
@@ -104,12 +104,8 @@ def gamma4_presentation(n: int):
                      (1, k, l, m)]))
                  for j, k, l, m in itertools.permutations(base.labels[1:])
                  if j < m]
-    # base label x is position x - 1 of the subset
-    quads = [itemgetter(*(x - 1 for x in quad)) for quad in base.alphabet.keys]
-    code = alphabet.code
-    tables = ([code[quad(S)] for quad in quads]
-              for S in itertools.combinations(g.labels, 5))
-    rels += relabel_cyclic_words(alphabet, tables, pentagons)
+    rels += relabel_cyclic_words(
+        alphabet, itertools.combinations(g.labels, 5), pentagons)
     return g, rels
 
 
@@ -190,10 +186,7 @@ class GaleDiagram:
         that each of the 2l runs holds two points: one popcount each on
         the position mask doubled around the 2l-gon.
         """
-        l = self.l
-        mask = 0
-        for p in self.positions:
-            mask |= 1 << p
+        l, mask = self.l, label_mask(self.positions)
         mask |= mask << 2 * l
         run = (1 << l - 1) - 1
         return all((mask >> r + 1 & run).bit_count() >= 2
@@ -411,17 +404,24 @@ def gamma_presentation(n: int, k: int):
                 i = codes.index(min(codes))
                 templates.append(_cyclic_as_written(
                     base.alphabet, tuple(codes[i:] + codes[:i])))
-    # base label x is position x - 1 of the subset
-    sides = [(itemgetter(*(x - 1 for x in P)), itemgetter(*(x - 1 for x in Q)))
-             for P, Q in base.alphabet.keys]
-    code = group.alphabet.code
-    tables = ([code[P(S), Q(S)] for P, Q in sides]
-              for S in itertools.combinations(group.labels, k + 1))
-    return group, far, relabel_cyclic_words(group.alphabet, tables, templates)
+    return group, far, relabel_cyclic_words(
+        group.alphabet, itertools.combinations(group.labels, k + 1),
+        templates)
 
 
 # ---------------------------------------------------------------------------
 # Gale transform of exact rational point sets
+
+
+def _pivot(rows, r, c):
+    """Scale row r to 1 in column c, then clear column c from every other
+    row, over Fractions."""
+    piv = rows[r][c]
+    rows[r] = [x / piv for x in rows[r]]
+    for i, row in enumerate(rows):
+        if i != r and row[c] != 0:
+            f = row[c]
+            rows[i] = [x - f * y for x, y in zip(row, rows[r])]
 
 
 def _rref(rows, width):
@@ -438,11 +438,7 @@ def _rref(rows, width):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        _pivot(rows, r, c)
         pivots.append(c)
         r += 1
     return rows[:r], pivots
@@ -509,11 +505,12 @@ def _exact_lp_feasible(A, b) -> bool:
         cost = [c - r for c, r in zip(cost, rows[i])]
     for i in range(m):
         cost[n + i] = Fraction(0)          # artificials start basic
+    rows.append(cost)                     # the cost row is rows[m]
     basis = [n + i for i in range(m)]
     while True:
         enter = None
         for j in range(n):                # Bland: first improving original column
-            if cost[j] < 0:
+            if rows[m][j] < 0:
                 enter = j
                 break
         if enter is None:
@@ -529,18 +526,9 @@ def _exact_lp_feasible(A, b) -> bool:
                     leave = i
         if leave is None:
             return False                  # unbounded phase-1: cannot happen
-        piv = rows[leave][enter]
-        rows[leave] = [x / piv for x in rows[leave]]
-        for i in range(m):
-            if i != leave and rows[i][enter] != 0:
-                f = rows[i][enter]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[leave])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [x - f * y for x, y in zip(cost, rows[leave])]
+        _pivot(rows, leave, enter)
         basis[leave] = enter
-    objective = -cost[-1]
-    return objective == 0
+    return rows[m][-1] == 0               # minus the phase-1 objective
 
 
 def polytope_faces_via_gale(points):

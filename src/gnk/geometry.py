@@ -369,17 +369,16 @@ class Event:
     """One isolated wall crossing."""
 
     __slots__ = ("segment", "bracket", "kind", "participants", "poly",
-                 "quad", "side", "inside")
+                 "quad", "inside")
 
     def __init__(self, segment, bracket, kind, participants, poly,
-                 quad=None, side=None, inside=None):
+                 quad=None, inside=None):
         self.segment = segment
         self.bracket = bracket
         self.kind = kind
         self.participants = participants
         self.poly = poly
         self.quad = quad          # cyclic order for circle/plane events
-        self.side = side          # pointing side for 3D events
         self.inside = inside      # statics inside the circle, circle events
 
     def __repr__(self):
@@ -676,11 +675,10 @@ def detect_events(tr: Trajectory, kind: str):
                                   else _off_wall_signs)(wall, lifted, statics)
                 known = memo[trip]
                 if space:
-                    sides = set(known)
-                    if 0 in sides:
+                    if 0 in known:
                         raise DegenerateTrajectory(
                             "static point on event plane")
-                    if len(sides) > 1:
+                    if len(set(known)) > 1:
                         continue
                     # the mover's side of an edge (x, y) within the statics'
                     # plane, read along its normal c: the plane through x,
@@ -690,36 +688,35 @@ def detect_events(tr: Trajectory, kind: str):
                         points[x], _diff(points[x], wall[1] + (0,)),
                         _diff(points[x], points[y])))
                         for x, y in itertools.combinations(trip, 2)]
-                    quad = _convex_quad(trip, mover, poly, br, 1, zip(
-                        _rescaled(_values(edges, h0), s0),
-                        _rescaled(_values(edges, h1), s1)))
+                    static, inside = 1, None
+                    ends = zip(_rescaled(_values(edges, h0), s0),
+                               _rescaled(_values(edges, h1), s1))
+                else:
+                    # orient2d of the triple, and the statics inside
+                    static = -_sgn(wall[1][2])
+                    if kind != "delaunay_flip":
+                        inside = known.count(static)
+                    elif known:
+                        inside = 0
+                    else:
+                        continue
+                    # the mover's sides of the triangle's edges: the edges'
+                    # line walls at the segment's ends
+                    ends = [(e0[k], e1[k]) for k in (
+                        line_at[e] for e in itertools.combinations(trip, 2))]
+                quad = _convex_quad(trip, mover, poly, br, static, ends)
+                if quad:
+                    events.append(Event(seg, br, kind, _labels(trip, p), poly,
+                                        quad, inside))
+                elif space:
                     # not convex: a point crosses a face of the hull, no
                     # flip; kept, as the plane keeps its lines, to hold the
                     # other event brackets clear of it
                     events.append(
-                        Event(seg, br, kind, _labels(trip, p), poly, quad,
-                              sides.pop() if sides else 1)
-                        if quad else
                         Event(seg, br, "_separator", _labels(trip, p), poly))
-                    continue
-                # orient2d of the triple, and the statics inside
-                static = -_sgn(wall[1][2])
-                if kind != "delaunay_flip":
-                    inside = known.count(static)
-                elif known:
-                    inside = 0
                 else:
-                    continue
-                # the mover's sides of the triangle's edges: the edges' line
-                # walls at the segment's ends
-                quad = _convex_quad(trip, mover, poly, br, static, [
-                    (e0[k], e1[k]) for k in (
-                        line_at[e] for e in itertools.combinations(trip, 2))])
-                if quad is None:
                     raise DegenerateTrajectory(
                         "event points not in convex position")
-                events.append(Event(seg, br, kind, _labels(trip, p), poly,
-                                    quad, inside=inside))
             for e in _separate_events(events):
                 lo, hi, den = e.bracket
                 e.bracket = (Fraction(lo, den), Fraction(hi, den))

@@ -110,10 +110,9 @@ class GnkPresentation:
             if rest[0] <= rest[-1]:
                 period = [2 * (k - j) for j in (0,) + rest]
                 templates.append(CyclicWord(Word(base, period * 2)))
-        code = group.alphabet.code
-        tables = ([code[U[:j] + U[j + 1:]] for j in range(k, -1, -1)]
-                  for U in itertools.combinations(group.labels, k + 1))
-        return relabel_cyclic_words(group.alphabet, tables, templates)
+        return relabel_cyclic_words(
+            group.alphabet, itertools.combinations(group.labels, k + 1),
+            templates)
 
 
 # ---------------------------------------------------------------------------

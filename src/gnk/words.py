@@ -405,19 +405,30 @@ def _take(codes):
     return lambda table: tuple([table[c] for c in codes])
 
 
-def relabel_cyclic_words(alphabet: Alphabet, tables, words) -> list:
-    """The CyclicWords ``words``, all over one template alphabet, carried
-    into ``alphabet`` by each of ``tables`` in turn: every word's image by
-    the first table, then by the second, and so on.  The images are
-    neither reduced nor searched for their least rotation.
+def _relabel(key):
+    """Function of a subset S to the image of a template key, a label tuple
+    or a (P, Q) pair of them, by x -> S[x - 1]."""
+    if isinstance(key[0], tuple):
+        P, Q = map(_relabel, key)
+        return lambda S: (P(S), Q(S))
+    return _take([x - 1 for x in key])
 
-    A table lists, for each symbol of the template alphabet, the code of
-    its image's symbol; an inverse letter goes to that code's inverse.
-    Each table must list strictly increasing even codes of ``alphabet``,
-    and the two alphabets must be both involutive or both free.  Such a
-    table keeps every cancellation and every comparison of codes, so each
-    image stays cyclically reduced and in its least rotation.  ValueError
-    otherwise.
+
+def relabel_cyclic_words(alphabet: Alphabet, subsets, words) -> list:
+    """The CyclicWords ``words``, all over one template alphabet keyed by
+    labels 1..m, carried into ``alphabet`` on each of ``subsets`` in turn:
+    every word's image on the first subset, then on the second, and so on.
+    The images are neither reduced nor searched for their least rotation.
+
+    On a subset S = (s_1, ..., s_m) the label x goes to s_x (``DECISIONS.md``,
+    "Relators relabelled from the base labels"), so a template symbol goes
+    to the symbol of ``alphabet`` keyed by its key's image, and an inverse
+    letter to that symbol's inverse.  The images' codes must increase with
+    the template's, and the two alphabets must be both involutive or both
+    free.  Such a map keeps every cancellation and every comparison of
+    codes, so each image stays cyclically reduced and in its least
+    rotation.  ValueError otherwise, and KeyError for an image that
+    ``alphabet`` lacks.
     """
     words = list(words)
     if not words:
@@ -427,15 +438,14 @@ def relabel_cyclic_words(alphabet: Alphabet, tables, words) -> list:
         raise ValueError("the alphabets must be both involutive or both "
                          "free")
     flip = 0 if alphabet.involutive else 1
-    size, top = len(template), 2 * len(alphabet)
+    code, relabels = alphabet.code, list(map(_relabel, template.keys))
     takes = [_take(w.codes) for w in words]
     out = []
-    for table in tables:
-        if (len(table) != size
-                or any(c & 1 or not 0 <= c < top for c in table)
-                or any(c >= d for c, d in zip(table, table[1:]))):
-            raise ValueError("a table must list increasing even codes of "
-                             "the alphabet, one per template symbol")
+    for S in subsets:
+        table = [code[relabel(S)] for relabel in relabels]
+        if any(c >= d for c, d in zip(table, table[1:])):
+            raise ValueError("the images of the template symbols must have "
+                             "increasing codes in the alphabet")
         image = [c ^ f for c in table for f in (0, flip)]
         out += [_cyclic_as_written(alphabet, take(image)) for take in takes]
     return out
@@ -488,41 +498,43 @@ def read_tokens(text: str) -> tuple:
     return tokens, distinct
 
 
+def _names_symbol(symbol) -> bool:
+    """Whether the grammar prints a symbol back: nonempty, not ``1`` and
+    not ending in ``^-1``."""
+    return symbol not in ("", "1") and not symbol.endswith("^-1")
+
+
 def _encode_tokens(alphabet: Alphabet, tokens, distinct) -> list:
-    """Codes of ``tokens``, each of the ``distinct`` ones encoded once."""
-    try:
-        code = dict(zip(distinct, alphabet.encode(map(token_letter,
-                                                      distinct))))
-    except UnknownSymbolError:
-        alphabet.encode(map(token_letter, tokens))   # in text order
-        raise
+    """Codes of ``tokens``, each of the ``distinct`` ones encoded once.
+    The first token, in text order, whose symbol the grammar cannot print
+    back raises ValueError, and one whose symbol ``alphabet`` lacks
+    UnknownSymbolError."""
+    letters, index = list(map(token_letter, distinct)), alphabet.index
+    if not all(_names_symbol(s) and s in index for s, _ in letters):
+        for tok in tokens:
+            symbol = token_letter(tok)[0]
+            if not _names_symbol(symbol):
+                raise ValueError("letter %r: a symbol must be nonempty, not "
+                                 "1, and not end in ^-1" % tok)
+            if symbol not in index:
+                raise UnknownSymbolError(symbol)
+    code = dict(zip(distinct, alphabet.encode(letters)))
     return list(map(code.__getitem__, tokens))
 
 
 def read_letters(alphabet: Alphabet, text: str) -> list:
     """Codes of a text in the token grammar, unreduced; each distinct token
-    is encoded once, so equal letters share one int object.  An unknown
-    symbol raises UnknownSymbolError naming the first in the text."""
+    is encoded once, so equal letters share one int object.  The first bad
+    token in the text is refused (``_encode_tokens``)."""
     return _encode_tokens(alphabet, *read_tokens(text))
-
-
-def _names_symbol(tok: str) -> bool:
-    """Whether a token other than ``1`` names a symbol that the grammar
-    prints back: nonempty, not ``1`` and not ending in ``^-1``."""
-    symbol = token_letter(tok)[0]
-    return symbol not in ("", "1") and not symbol.endswith("^-1")
 
 
 def read_text(text: str, involutive: bool = True):
     """(alphabet, codes) of a text in the token grammar, from one split:
     the alphabet of its sorted distinct symbols and the codes
-    ``read_letters`` gives over it.  ValueError naming the first token, in
-    text order, whose symbol the grammar cannot print back."""
+    ``read_letters`` gives over it, which refuses the first token whose
+    symbol the grammar cannot print back."""
     tokens, distinct = read_tokens(text)
-    if not all(map(_names_symbol, distinct)):
-        tok = next(tok for tok in tokens if not _names_symbol(tok))
-        raise ValueError("letter %r: a symbol must be nonempty, not 1, and "
-                         "not end in ^-1" % tok)
     alphabet = Alphabet(sorted({token_letter(tok)[0] for tok in distinct}),
                         involutive)
     return alphabet, _encode_tokens(alphabet, tokens, distinct)

@@ -423,8 +423,8 @@ def per_segment_detect_events(tr, kind):
                         x0, d, frame[q1], _add(frame[q1], normal), frame[q2])))
                 # not convex: a point crossing a face of the hull
                 events.append(
-                    Event(seg, br, kind, _labels(trip, p), poly, quad,
-                          sides.pop() if sides else 1) if quad else
+                    Event(seg, br, kind, _labels(trip, p), poly, quad)
+                    if quad else
                     Event(seg, br, "_separator", _labels(trip, p), poly))
         else:
             if seg == 0 or tr.moves[seg - 1][0] != p:

@@ -471,7 +471,6 @@ def test_orient3d_and_coplanar_events():
         (0, (1, 2, 3, 5), (1, 2, 5, 3)), (1, (1, 2, 3, 5), (1, 2, 5, 3))]
     for e in events:
         assert e.kind == "coplanar_special"
-        assert e.side == 1
         assert e.bracket[0] < F(1, 2) < e.bracket[1]
 
 
@@ -655,10 +654,10 @@ def _oracle_roots(poly, seg, labels, p):
 
 
 class OracleEvent:
-    def __init__(self, segment, bracket, kind, participants, poly, side=None):
+    def __init__(self, segment, bracket, kind, participants, poly):
         self.segment, self.bracket, self.kind = segment, bracket, kind
         self.participants, self.poly = participants, poly
-        self.quad, self.side = None, side
+        self.quad = None
 
 
 def _oracle_separate(events):
@@ -786,8 +785,7 @@ def oracle_detect_events(tr, kind):
                         sides.append((v > 0) - (v < 0))
                     if sides and len(set(sides)) != 1:
                         continue
-                    ev = OracleEvent(seg, br, kind, labels, poly,
-                                     side=sides[0] if sides else 1)
+                    ev = OracleEvent(seg, br, kind, labels, poly)
                     normal = _oracle_cross(_oracle_sub(conf[s2], conf[s1]),
                                            _oracle_sub(conf[s3], conf[s1]))
 
@@ -853,7 +851,7 @@ def oracle_compile(tr, target):
 
 
 def _event_log(events):
-    return [(e.segment, e.kind, e.participants, e.quad, e.side, e.bracket)
+    return [(e.segment, e.kind, e.participants, e.quad, e.bracket)
             for e in events]
 
 
@@ -1215,7 +1213,7 @@ def test_dense_separation_matches_fraction_oracle(monkeypatch, target, dim,
 
     def copied(events):
         return [geometry.Event(e.segment, e.bracket, e.kind, e.participants,
-                               e.poly, e.quad, e.side) for e in events]
+                               e.poly, e.quad, e.inside) for e in events]
 
     def order(separation):
         return separation if isinstance(separation, str) else \
@@ -1342,7 +1340,7 @@ def _order_outcome(tr, target):
         return str(exc)
     words = word if isinstance(word, tuple) else (word,)
     return [w.letters for w in words], [
-        (e.segment, e.kind, e.participants, e.quad, e.side, e.inside)
+        (e.segment, e.kind, e.participants, e.quad, e.inside)
         for e in events]
 
 
@@ -1750,7 +1748,7 @@ def _detector_outcome(detect, tr, kind):
         events = detect(tr, kind)
     except (DegenerateTrajectory, ValueError) as exc:
         return type(exc), str(exc)
-    return [(e.segment, e.kind, e.participants, e.quad, e.side, e.inside,
+    return [(e.segment, e.kind, e.participants, e.quad, e.inside,
              e.bracket) for e in events]
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from certificate_oracles import (old_parse_letters, old_reduce_letters,
                                  old_token_alphabet)
-from gnk.gamma import Gamma4Group
+from gnk.gamma import Gamma4Group, GammaGroup
 from gnk.gnk import GnkGroup
 from gnk.words import (LABELS_PATTERN, Alphabet, CyclicWord,
                        UnknownSymbolError, Word, cyclic_reduce,
@@ -15,7 +15,8 @@ from gnk.words import (LABELS_PATTERN, Alphabet, CyclicWord,
                        read_letters, read_text, reduce_commuting,
                        reduce_letters, relabel_cyclic_words, state_alphabet,
                        token, token_letter, word)
-from relator_oracles import distinct_cyclic_words
+from relator_oracles import (distinct_cyclic_words, gamma4_relator_words,
+                             gamma_relator_words, gnk_relator_words)
 
 
 def naive_reduce(alphabet, letters):
@@ -189,49 +190,96 @@ def test_gnk_far_test_counts_shared_labels(k):
                 len(set(m1) & set(m2)) <= k - 2), (m1, m2)
 
 
+def _labelled(labels, involutive=True):
+    """Alphabet of one symbol per label x, keyed by the 1-label tuple (x,),
+    in the order of ``labels``."""
+    return Alphabet({"g%d" % x: (x,) for x in labels}, involutive)
+
+
 def test_relabel_cyclic_words_matches_cyclic_word():
-    # an increasing table of even codes keeps every word's reduction and
-    # least rotation, so the images, table by table, are the CyclicWords of
-    # the relabelled words, on an involutive and on a free alphabet
+    # an increasing subset keeps every word's reduction and least rotation,
+    # so the images, subset by subset, are the CyclicWords of the
+    # relabelled words, on an involutive and on a free alphabet
     for involutive in (False, True):
         rng = random.Random(47 + involutive)
-        source = Alphabet(["a", "b", "c", "d"], involutive)
-        target = Alphabet(["g%d" % i for i in range(10)], involutive)
+        source = _labelled(range(1, 5), involutive)
+        target = _labelled(range(1, 11), involutive)
         for _ in range(100):
             words = [CyclicWord(word(source, random_letters(
                          rng, source, rng.randint(0, 8)))) for _ in range(5)]
-            tables = [[2 * i for i in sorted(rng.sample(range(10), 4))]
-                      for _ in range(rng.randint(0, 3))]
-            assert relabel_cyclic_words(target, iter(tables), words) == [
-                CyclicWord(Word(target, [t[c >> 1] ^ c & 1 for c in w.codes]))
-                for t in tables for w in words]
-        assert relabel_cyclic_words(target, tables, []) == []
+            subsets = [tuple(sorted(rng.sample(range(1, 11), 4)))
+                       for _ in range(rng.randint(0, 3))]
+            assert relabel_cyclic_words(target, iter(subsets), words) == [
+                CyclicWord(Word(target, [2 * (S[c >> 1] - 1) ^ c & 1
+                                         for c in w.codes]))
+                for S in subsets for w in words]
+        assert relabel_cyclic_words(target, subsets, []) == []
 
 
 @pytest.mark.parametrize("table", [
-    [2, 0],                  # decreasing
-    [2, 2],                  # repeated
-    [1, 2],                  # an odd code
-    [0, 20],                 # a code outside the alphabet
-    [-2, 0],                 # a negative code
-    [0, 2, 4]])              # not one code per template symbol
+    (range(1, 11), [(2, 1)]),               # a decreasing subset
+    (range(1, 11), [(2, 2)]),               # a repeated label
+    (range(1, 11), [(1, 2), (4, 3)]),       # refused at a later subset
+    (range(10, 0, -1), [(3, 7)]),           # labels listed in reverse
+    ((1, 2, 4, 3, 5), [(3, 4)]),            # two labels listed swapped
+    ((2, 1), [(1, 2)])])                    # the identity, listed swapped
 def test_relabel_cyclic_words_rejects_bad_tables(table):
-    source = Alphabet(["a", "b"], involutive=False)
-    target = Alphabet(["g%d" % i for i in range(10)], involutive=False)
-    w = CyclicWord(word(source, [("a", 1), ("b", 1)]))
-    with pytest.raises(ValueError, match="increasing even codes"):
-        relabel_cyclic_words(target, [[0, 2], table], [w])
+    # x -> s_x keeps the order of the labels, so the table of a subset that
+    # is not increasing, or of an alphabet that lists the images in another
+    # order, would break the template's least rotations
+    labels, subsets = table
+    source = _labelled((1, 2), involutive=False)
+    w = CyclicWord(word(source, [("g1", 1), ("g2", 1)]))
+    with pytest.raises(ValueError, match="increasing codes"):
+        relabel_cyclic_words(_labelled(labels, involutive=False), subsets,
+                             [w])
+
+
+def test_relabel_cyclic_words_orders_pair_keys_by_their_images():
+    # a (P, Q) key maps side by side, and its images must keep the
+    # template's order too; an image the alphabet lacks is a KeyError
+    source = Alphabet({"a": ((1,), (2, 3)), "b": ((2,), (1, 3))}, False)
+    w = CyclicWord(word(source, ["a", "b"]))
+    target = Alphabet({"x": ((4,), (5, 6)), "y": ((5,), (4, 6))}, False)
+    assert relabel_cyclic_words(target, [(4, 5, 6)], [w]) == [
+        CyclicWord(word(target, ["x", "y"]))]
+    swapped = Alphabet({"x": ((5,), (4, 6)), "y": ((4,), (5, 6))}, False)
+    with pytest.raises(ValueError, match="increasing codes"):
+        relabel_cyclic_words(swapped, [(4, 5, 6)], [w])
+    with pytest.raises(KeyError):
+        relabel_cyclic_words(target, [(4, 5, 7)], [w])
 
 
 def test_relabel_cyclic_words_needs_matching_alphabets():
     # an involutive target would send a free template's a and a^-1 to one
     # letter, so either mix is refused
     for involutive in (False, True):
-        source = Alphabet(["a", "b"], involutive)
-        w = CyclicWord(word(source, [("a", 1), ("b", 1)]))
+        source = _labelled((1, 2), involutive)
+        w = CyclicWord(word(source, [("g1", 1), ("g2", 1)]))
         with pytest.raises(ValueError, match="both involutive or both free"):
-            relabel_cyclic_words(Alphabet(["x", "y"], not involutive),
-                                 [[0, 2]], [w])
+            relabel_cyclic_words(_labelled((1, 2), not involutive),
+                                 [(1, 2)], [w])
+
+
+def test_relabel_cyclic_words_carries_each_family():
+    # each family's templates over the base labels 1..k+1, as the oracles
+    # form them, carried to every (k+1)-subset: the oracles' relators,
+    # list order included, at sizes beyond the benchmark's; the G_n^1
+    # tetrahedra have 1-label keys
+    for n, k in ((10, 4), (6, 1)):
+        templates = gnk_relator_words(GnkGroup(k + 1, k))[2]
+        assert relabel_cyclic_words(
+            GnkGroup(n, k).alphabet, itertools.combinations(range(1, n + 1),
+                                                            k + 1),
+            templates) == gnk_relator_words(GnkGroup(n, k))[2]
+    pentagons = gamma4_relator_words(5)[-12:]
+    want = gamma4_relator_words(9)
+    assert relabel_cyclic_words(
+        Gamma4Group(9).alphabet, itertools.combinations(range(1, 10), 5),
+        pentagons) == want[len(want) - 12 * 126:]
+    polygons = gamma_relator_words(7, 6)[1]
+    assert relabel_cyclic_words(GammaGroup(7, 6).alphabet,
+                                [tuple(range(1, 8))], polygons) == polygons
 
 
 def test_distinct_cyclic_words_keeps_first_of_each_class():
@@ -358,6 +406,15 @@ def test_encode_rejects_unknown_symbol_and_bad_sign():
             with pytest.raises(UnknownSymbolError) as exc:
                 read_letters(ab, text)
             assert exc.value.args == ("u%d" % t,)
+        # the first bad token in the text, unprintable or unknown
+        with pytest.raises(UnknownSymbolError) as exc:
+            read_letters(ab, "g10 u1 ^-1 g11")
+        assert exc.value.args == ("u1",)
+        for text in ("g10 ^-1 u1", "1^-1 u1", "g10^-1^-1 u1"):
+            with pytest.raises(ValueError, match="^letter %s: " % re.escape(
+                    repr(text.split()[-2]))) as exc:
+                read_letters(ab, text)
+            assert not isinstance(exc.value, UnknownSymbolError)
 
 
 def test_involutive_and_free_codes_apart():
@@ -422,19 +479,21 @@ def test_read_letters_matches_old_reader():
         for invol in (True, False):
             ab = old_token_alphabet(text, invol)
             want = [(s, 1 if invol else e) for s, e in old_parse_letters(text)]
-            codes = read_letters(ab, text)
-            assert list(ab.decode(codes)) == want
             # one split gives the old reader's alphabet and the same codes,
-            # or refuses the first token naming a symbol that the grammar
-            # cannot print back: "", "1" or one ending in ^-1
+            # or both readers refuse the first token naming a symbol that
+            # the grammar cannot print back: "", "1" or one ending in ^-1
             bad = [t for t in text.split()
                    if t in ("^-1", "1^-1") or t.endswith("^-1^-1")]
             if bad:
                 first = re.escape(repr(bad[0]))
                 with pytest.raises(ValueError, match="^letter %s: " % first):
+                    read_letters(ab, text)
+                with pytest.raises(ValueError, match="^letter %s: " % first):
                     read_text(text, invol)
             else:
                 accepted += 1
+                codes = read_letters(ab, text)
+                assert list(ab.decode(codes)) == want
                 assert read_text(text, invol) == (ab, codes)
     assert accepted > 100       # 168 of the 546 reads
     assert read_text("") == read_text(" 1 \n\n 1") == (Alphabet([]), [])
